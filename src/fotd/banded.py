@@ -11,44 +11,44 @@ Every Newton-type solve in this package reduces to one canonical problem:
 Its saddle-point optimality system is solved by one structured direct method:
 the variables and multipliers are interleaved per stage as
 (zeta_k, p_k, q_k), which makes the symmetric indefinite KKT matrix banded
-with half-bandwidth 2*n_x + n_u - 1, and the band is factorized by LAPACK.
+with half-bandwidth 2*n_x + n_u - 1, and LAPACK ``dgbsv`` factorizes the band.
 
 The companion definiteness test factorizes H + c * G^T G (block tridiagonal
-in the primal ordering) with a banded Cholesky and inspects the pivots.
+in the primal ordering) with LAPACK's banded Cholesky ``dpbtrf`` and
+inspects the pivots.
+
+Both matrices are written straight into the column-major band storage that
+LAPACK factorizes in place, so no band is ever copied.  In that storage a
+stage block repeats at a fixed stride, so each block type is written for all
+stages at once through one strided view.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
+from numpy.lib.stride_tricks import as_strided
+from scipy.linalg.lapack import dgbsv, dpbtrf
 
 from .exceptions import LinearSolverError
 
 PIVOT_TOL = 1e-10
 
 
-def _add_band(ab: np.ndarray, offset: int, rows: np.ndarray, cols: np.ndarray,
-              blocks: np.ndarray, lower_only: bool = False):
-    """Accumulate dense blocks into banded storage ab[offset + i - j, j].
+def _band(rows: int, n: int, diag: int, step: int):
+    """Zeroed column-major (rows, n) band holding entry (i, j) in row diag + i - j.
 
-    ``rows``/``cols`` hold the absolute indices of each block's rows/columns,
-    shaped (batch, r) and (batch, c); ``blocks`` is (batch, r, c).
+    Also returns ``blocks(i0, j0, r, c, count)``: the writable (count, r, c)
+    view of the entries (i0 + k*step + a, j0 + k*step + b), all of which must
+    lie in the band.
     """
-    shape = np.broadcast_shapes(rows.shape[:-1] + (rows.shape[-1], cols.shape[-1]),
-                                blocks.shape)
-    I = np.broadcast_to(rows[..., :, None], shape)
-    J = np.broadcast_to(cols[..., None, :], shape)
-    V = np.broadcast_to(blocks, shape)
-    if lower_only:
-        m = I >= J
-        np.add.at(ab, (offset + I[m] - J[m], J[m]), V[m])
-    else:
-        np.add.at(ab, (offset + I - J, J), V)
+    flat = np.zeros(n * rows)
+    it = flat.itemsize
 
+    def blocks(i0, j0, r, c, count):
+        return as_strided(flat[diag + i0 + j0 * (rows - 1):], (count, r, c),
+                          (step * rows * it, it, (rows - 1) * it))
 
-def _stage_index_grid(T: int, stride: int, base: int, width: int) -> np.ndarray:
-    """Index arrays (T, width) for a field at offset ``base`` within each stage."""
-    return (np.arange(T)[:, None] * stride) + base + np.arange(width)[None, :]
+    return flat.reshape(n, rows).T, blocks
 
 
 def solve_lq_kkt(Q, S, R, A, B, gx, gu, c0, cdyn):
@@ -62,51 +62,39 @@ def solve_lq_kkt(Q, S, R, A, B, gx, gu, c0, cdyn):
     s = 2 * nx + nu
     n = T * s + 2 * nx
     bw = s - 1  # worst-case reach: stationarity row of p_k to zeta_{k+1}
-    ab = np.zeros((2 * bw + 1, n))
+    # dgbsv's layout: bw rows of fill-in workspace above the 2*bw + 1 bands.
+    ab, blocks = _band(3 * bw + 1, n, 2 * bw, s)
 
-    zr = _stage_index_grid(T, s, 0, nx)        # zeta_k rows/cols, k < T
-    pr = _stage_index_grid(T, s, nx, nx)       # p_k, k < T
-    qr = _stage_index_grid(T, s, 2 * nx, nu)   # q_k, k < T
-    zT = T * s + np.arange(nx)[None, :]
-    pT = T * s + nx + np.arange(nx)[None, :]
-    zn = np.vstack([zr[1:], zT])               # zeta_{k+1} for k < T
+    # Stage T holds only (zeta_T, p_T), laid out like the first 2*n_x
+    # entries of a full stage, so the pin and Q blocks run over T + 1 stages.
+    eye = np.eye(nx)
+    blocks(0, nx, nx, nx, T + 1)[...] += eye
+    blocks(nx, 0, nx, nx, T + 1)[...] += eye
+    blocks(nx, nx, nx, nx, T + 1)[...] += Q
+    blocks(nx, 2 * nx, nx, nu, T)[...] += S.transpose(0, 2, 1)
+    blocks(2 * nx, nx, nu, nx, T)[...] += S
+    blocks(2 * nx, 2 * nx, nu, nu, T)[...] += R
+    blocks(nx, s, nx, nx, T)[...] -= A.transpose(0, 2, 1)
+    blocks(2 * nx, s, nu, nx, T)[...] -= B.transpose(0, 2, 1)
+    blocks(s, nx, nx, nx, T)[...] -= A
+    blocks(s, 2 * nx, nx, nu, T)[...] -= B
 
-    eye = np.broadcast_to(np.eye(nx), (T, nx, nx))
-    _add_band(ab, bw, zr, pr, eye)
-    _add_band(ab, bw, pr, zr, eye)
-    _add_band(ab, bw, pr, pr, Q[:T])
-    _add_band(ab, bw, pr, qr, S.transpose(0, 2, 1))
-    _add_band(ab, bw, qr, pr, S)
-    _add_band(ab, bw, qr, qr, R)
-    _add_band(ab, bw, pr, zn, -A.transpose(0, 2, 1))
-    _add_band(ab, bw, qr, zn, -B.transpose(0, 2, 1))
-    _add_band(ab, bw, zn, pr, -A)
-    _add_band(ab, bw, zn, qr, -B)
-    eye1 = np.eye(nx)[None, :, :]
-    _add_band(ab, bw, zT, pT, eye1)
-    _add_band(ab, bw, pT, zT, eye1)
-    _add_band(ab, bw, pT, pT, Q[T][None, :, :])
+    stages = np.empty((T + 1, s))
+    stages[0, :nx] = c0
+    stages[1:, :nx] = cdyn
+    stages[:, nx: 2 * nx] = -gx
+    stages[:T, 2 * nx:] = -gu
+    rhs = stages.reshape(-1)[:n]
 
-    rhs = np.empty(n)
-    body = rhs[: T * s].reshape(T, s)
-    body[:, :nx] = np.vstack([c0[None, :], cdyn[: T - 1]])
-    body[:, nx: 2 * nx] = -gx[:T]
-    body[:, 2 * nx:] = -gu
-    rhs[T * s: T * s + nx] = cdyn[T - 1]
-    rhs[T * s + nx:] = -gx[T]
-
-    try:
-        sol = scipy.linalg.solve_banded((bw, bw), ab, rhs, check_finite=False)
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError, ValueError) as exc:
-        raise LinearSolverError(f"banded KKT factorization failed: {exc}") from exc
+    _, _, sol, info = dgbsv(bw, bw, ab, rhs, overwrite_ab=1, overwrite_b=1)
+    if info != 0:
+        raise LinearSolverError(
+            f"banded KKT factorization failed: LAPACK dgbsv info={info}")
     if not np.all(np.isfinite(sol)):
         raise LinearSolverError("banded KKT solve produced non-finite values")
-
-    bodys = sol[: T * s].reshape(T, s)
-    zeta = np.vstack([bodys[:, :nx], sol[T * s: T * s + nx][None, :]])
-    p = np.vstack([bodys[:, nx: 2 * nx], sol[T * s + nx:][None, :]])
-    q = bodys[:, 2 * nx:].copy()
-    return p, q, zeta
+    rhs[:] = sol  # LAPACK solves in place; this keeps ``stages`` right regardless
+    return (stages[:, nx: 2 * nx].copy(), stages[:T, 2 * nx:].copy(),
+            stages[:, :nx].copy())
 
 
 def lq_kkt_residual(Q, S, R, A, B, gx, gu, c0, cdyn, p, q, zeta) -> float:
@@ -147,26 +135,26 @@ def definiteness_pivots_ok(Q, S, R, A, B, c: float,
     m = nx + nu
     n = T * m + nx
     bw = m + nx - 1
-    ab = np.zeros((bw + 1, n))
+    ab, blocks = _band(bw + 1, n, 0, m)  # lower triangle only
 
-    xr = _stage_index_grid(T, m, 0, nx)
-    ur = _stage_index_grid(T, m, nx, nu)
-    xn = np.vstack([xr[1:], T * m + np.arange(nx)[None, :]])
+    def lower(i0, blk):
+        # Above the diagonal a view would alias another column's entries,
+        # so column b of a diagonal block writes only its rows b..r-1.
+        count, r = blk.shape[:2]
+        for b in range(r):
+            blocks(i0 + b, i0 + b, r - b, 1, count)[...] += blk[:, b:, b:b + 1]
 
-    eye = np.eye(nx)[None, :, :]
-    dxx = Q[:T] + c * (eye + np.einsum("kji,kjl->kil", A, A))
-    _add_band(ab, 0, xr, xr, dxx, lower_only=True)
-    _add_band(ab, 0, ur, xr, S + c * np.einsum("kji,kjl->kil", B, A))
-    _add_band(ab, 0, ur, ur, R + c * np.einsum("kji,kjl->kil", B, B),
-              lower_only=True)
-    _add_band(ab, 0, xn, xr, -c * A)
-    _add_band(ab, 0, xn, ur, -c * B)
-    _add_band(ab, 0, xn[-1:], xn[-1:], (Q[T] + c * np.eye(nx))[None, :, :],
-              lower_only=True)
+    At = A.transpose(0, 2, 1)
+    Bt = B.transpose(0, 2, 1)
+    lower(0, Q[:T] + c * (np.eye(nx) + At @ A))
+    blocks(nx, 0, nu, nx, T)[...] += S + c * (Bt @ A)
+    lower(nx, R + c * (Bt @ B))
+    blocks(m, 0, nx, nx, T)[...] -= c * A
+    blocks(m, nx, nx, nu, T)[...] -= c * B
+    lower(T * m, (Q[T] + c * np.eye(nx))[None])
 
-    try:
-        fact = scipy.linalg.cholesky_banded(ab, lower=True, check_finite=False)
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError):
+    fact, info = dpbtrf(ab, lower=1, overwrite_ab=1)
+    if info != 0:
         return False
     pivots = fact[0, :] ** 2
     return bool(np.all(pivots >= pivot_tol))

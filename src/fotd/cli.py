@@ -23,7 +23,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from dataclasses import dataclass, replace
 from typing import List, Optional
 
@@ -38,7 +37,8 @@ from .driver import SolveReport, SolverConfig, direction_error_ratio, solve
 from .newton import (assemble_newton_data, solve_full_newton, theory_gamma_G,
                      theory_mu_bar)
 from .decomposition import approximate_direction
-from .problem import DualTrajectory, PenaltyParams, ProblemDef, Trajectory
+from .problem import (DualTrajectory, PenaltyParams, ProblemDef, Trajectory,
+                      atomic_write)
 from .schwarz import one_newton_schwarz_step, schwarz_solve
 
 CSV_HEADER = "iter,kkt_residual,merit,stepsize,gamma,dir_err_ratio,wall_ms"
@@ -204,7 +204,7 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def dump_config(cfg: ExperimentConfig, path: str):
-    _atomic_write(path, yaml.safe_dump(cfg.to_dict(), sort_keys=True))
+    atomic_write(path, yaml.safe_dump(cfg.to_dict(), sort_keys=True))
 
 
 def build_problem(problem: dict) -> ProblemDef:
@@ -248,19 +248,6 @@ def build_problem(problem: dict) -> ProblemDef:
 # ---------------------------------------------------------------------------
 # Output helpers
 # ---------------------------------------------------------------------------
-
-def _atomic_write(path: str, text: str):
-    d = os.path.dirname(os.path.abspath(path)) or "."
-    tmp = tempfile.NamedTemporaryFile("w", dir=d, delete=False, newline="")
-    try:
-        tmp.write(text)
-        tmp.close()
-        os.replace(tmp.name, path)
-    except BaseException:
-        tmp.close()
-        os.unlink(tmp.name)
-        raise
-
 
 def _fmt(v: Optional[float]) -> str:
     return "" if v is None else f"{v:.17g}"
@@ -318,8 +305,8 @@ def cmd_solve(config_path: str, overrides: Optional[dict] = None) -> int:
         for mode in modes:
             name = f"run_{i}.csv" if len(modes) == 1 else f"run_{i}_{mode}.csv"
             report = _run_one(p, cfg, mode, init)
-            _atomic_write(os.path.join(cfg.out_dir, name),
-                          report_to_csv(report, timing=cfg.timing))
+            atomic_write(os.path.join(cfg.out_dir, name),
+                         report_to_csv(report, timing=cfg.timing))
             runs.append(_summarize(report, mode, i, name))
             finals[(i, mode)] = report
             all_ok &= report.converged
@@ -335,8 +322,8 @@ def cmd_solve(config_path: str, overrides: Optional[dict] = None) -> int:
     summary = {"runs": runs, "all_converged": all_ok}
     if comparisons:
         summary["comparisons"] = comparisons
-    _atomic_write(os.path.join(cfg.out_dir, "summary.json"),
-                  json.dumps(summary, indent=2) + "\n")
+    atomic_write(os.path.join(cfg.out_dir, "summary.json"),
+                 json.dumps(summary, indent=2) + "\n")
     return 0 if all_ok else 1
 
 
@@ -368,8 +355,8 @@ def cmd_sweep(config_path: str, sweep: Optional[dict] = None,
                                            budget=cfg.schwarz_budget)
                 else:
                     report = solve(p, cell_cfg, init, mode=cfg.mode)
-                _atomic_write(os.path.join(cell_dir, f"run_{i}.csv"),
-                              report_to_csv(report, timing=cfg.timing))
+                atomic_write(os.path.join(cell_dir, f"run_{i}.csv"),
+                             report_to_csv(report, timing=cfg.timing))
                 if report.converged:
                     n_conv += 1
                     kkts.append(report.final_kkt)
@@ -388,11 +375,11 @@ def cmd_sweep(config_path: str, sweep: Optional[dict] = None,
               "mean_dir_err_ratio")
     lines = [header] + [",".join(str(row[k]) for k in header.split(","))
                         for row in rows]
-    _atomic_write(os.path.join(cfg.out_dir, "sweep_summary.csv"),
-                  "\n".join(lines) + "\n")
-    _atomic_write(os.path.join(cfg.out_dir, "sweep_summary.json"),
-                  json.dumps({"cells": rows, "all_converged": all_ok},
-                             indent=2) + "\n")
+    atomic_write(os.path.join(cfg.out_dir, "sweep_summary.csv"),
+                 "\n".join(lines) + "\n")
+    atomic_write(os.path.join(cfg.out_dir, "sweep_summary.json"),
+                 json.dumps({"cells": rows, "all_converged": all_ok},
+                            indent=2) + "\n")
     return 0 if all_ok else 1
 
 

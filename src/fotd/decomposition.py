@@ -30,7 +30,8 @@ import numpy as np
 
 from . import banded
 from .exceptions import MuTooSmallError
-from .newton import NewtonData, NewtonDirection, PIVOT_TOL
+from .newton import (PIVOT_TOL, NewtonData, NewtonDirection,
+                     default_definiteness_constant)
 from .problem import stack_primal
 
 
@@ -205,12 +206,7 @@ def assemble_subproblem(nd: NewtonData, plan: DecompositionPlan, i: int,
 
 def _subproblem_definite(sub: SubproblemData, c: Optional[float]) -> bool:
     if c is None:
-        q2 = np.einsum("kij,kij->k", sub.Q, sub.Q)
-        s2 = np.einsum("kij,kij->k", sub.S, sub.S)
-        r2 = np.einsum("kij,kij->k", sub.R, sub.R)
-        T = sub.A.shape[0]
-        blocks = np.sqrt(q2[:T] + 2.0 * s2 + r2)
-        c = 10.0 * float(max(blocks.max(initial=0.0), np.sqrt(q2[T]))) + 1.0
+        c = default_definiteness_constant(sub)
     return banded.definiteness_pivots_ok(sub.Q, sub.S, sub.R, sub.A, sub.B, c,
                                          pivot_tol=PIVOT_TOL)
 

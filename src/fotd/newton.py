@@ -62,11 +62,7 @@ class NewtonData:
         return stack_primal(self.gx, self.gu)
 
     def max_block_norm_fro(self) -> float:
-        q2 = np.einsum("kij,kij->k", self.Q, self.Q)
-        s2 = np.einsum("kij,kij->k", self.S, self.S)
-        r2 = np.einsum("kij,kij->k", self.R, self.R)
-        blocks = np.sqrt(q2[: self.N] + 2.0 * s2 + r2)
-        return float(max(blocks.max(initial=0.0), np.sqrt(q2[self.N])))
+        return max_block_norm_fro(self.Q, self.S, self.R)
 
     def max_block_norm_2(self) -> float:
         full = np.zeros((self.N, self.n_x + self.n_u, self.n_x + self.n_u))
@@ -117,9 +113,23 @@ def assemble_newton_data(p: ProblemDef, z: Trajectory, lam: DualTrajectory) -> N
                       gl.reshape(p.N + 1, p.n_x))
 
 
-def default_definiteness_constant(nd: NewtonData) -> float:
-    """Scalar c for the H + c G^T G test: 10 * max_k ||H_k||_F + 1."""
-    return 10.0 * nd.max_block_norm_fro() + 1.0
+def max_block_norm_fro(Q, S, R) -> float:
+    """max_k ||H_k||_F over the stage Hessians [[Q_k, S_k^T], [S_k, R_k]] and Q_T."""
+    T = S.shape[0]
+    q2 = np.einsum("kij,kij->k", Q, Q)
+    s2 = np.einsum("kij,kij->k", S, S)
+    r2 = np.einsum("kij,kij->k", R, R)
+    blocks = np.sqrt(q2[:T] + 2.0 * s2 + r2)
+    return float(max(blocks.max(initial=0.0), np.sqrt(q2[T])))
+
+
+def default_definiteness_constant(lq) -> float:
+    """Scalar c for the H + c G^T G test: 10 * max_k ||H_k||_F + 1.
+
+    ``lq`` is any canonical LQ data with stage blocks ``Q``, ``S``, ``R``:
+    the full-horizon :class:`NewtonData` or one decomposed subproblem.
+    """
+    return 10.0 * max_block_norm_fro(lq.Q, lq.S, lq.R) + 1.0
 
 
 def check_reduced_hessian(nd: NewtonData, c: float) -> bool:

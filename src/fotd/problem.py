@@ -29,6 +29,7 @@ Conventions used across the package:
 from __future__ import annotations
 
 import csv
+import io
 import os
 import tempfile
 from dataclasses import dataclass
@@ -308,9 +309,21 @@ def eval_merit_gradient(p: ProblemDef, z: Trajectory, lam: DualTrajectory,
 # CSV serialization of primal/dual points
 # ---------------------------------------------------------------------------
 
-def _atomic_writer(path: str):
+def atomic_write(path: str, text: str):
+    """Write ``text`` to ``path`` via a temporary file and ``os.replace``.
+
+    Readers never see a partly written file; newlines are written as given.
+    """
     d = os.path.dirname(os.path.abspath(path)) or "."
-    return tempfile.NamedTemporaryFile("w", dir=d, delete=False, newline="")
+    tmp = tempfile.NamedTemporaryFile("w", dir=d, delete=False, newline="")
+    try:
+        tmp.write(text)
+        tmp.close()
+        os.replace(tmp.name, path)
+    except BaseException:
+        tmp.close()
+        os.unlink(tmp.name)
+        raise
 
 
 def save_point_csv(path: str, p: ProblemDef, z: Trajectory, lam: DualTrajectory):
@@ -320,22 +333,16 @@ def save_point_csv(path: str, p: ProblemDef, z: Trajectory, lam: DualTrajectory)
               + [f"x_{i}" for i in range(p.n_x)]
               + [f"u_{i}" for i in range(p.n_u)]
               + [f"lambda_{i}" for i in range(p.n_x)])
-    tmp = _atomic_writer(path)
-    try:
-        w = csv.writer(tmp)
-        w.writerow(header)
-        for k in range(p.N + 1):
-            us = [f"{v:.17g}" for v in z.u[k]] if k < p.N else [""] * p.n_u
-            w.writerow([k]
-                       + [f"{v:.17g}" for v in z.x[k]]
-                       + us
-                       + [f"{v:.17g}" for v in lam.lam[k]])
-        tmp.close()
-        os.replace(tmp.name, path)
-    except BaseException:
-        tmp.close()
-        os.unlink(tmp.name)
-        raise
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(header)
+    for k in range(p.N + 1):
+        us = [f"{v:.17g}" for v in z.u[k]] if k < p.N else [""] * p.n_u
+        w.writerow([k]
+                   + [f"{v:.17g}" for v in z.x[k]]
+                   + us
+                   + [f"{v:.17g}" for v in lam.lam[k]])
+    atomic_write(path, buf.getvalue())
 
 
 def load_point_csv(path: str):

@@ -45,7 +45,8 @@ class NonlinearSubproblem:
 
     ``x_end``, ``u_end`` and ``lam_next`` are the frozen terminal boundary
     values; they are None when the interval reaches the end of the horizon,
-    in which case the original terminal cost applies.
+    in which case the original terminal cost applies.  ``index`` is the
+    interval's position in its decomposition plan, reported on failure.
     """
 
     parent: ProblemDef
@@ -56,6 +57,7 @@ class NonlinearSubproblem:
     x_end: Optional[np.ndarray] = None
     u_end: Optional[np.ndarray] = None
     lam_next: Optional[np.ndarray] = None
+    index: int = 0
 
     @property
     def has_adjusted_terminal(self) -> bool:
@@ -68,9 +70,9 @@ def subproblem_from_iterate(p: ProblemDef, plan: DecompositionPlan, i: int,
     """Boundary values for interval i taken from the current full iterate."""
     m1, m2 = plan.m1[i], plan.m2[i]
     if m2 == plan.N:
-        return NonlinearSubproblem(p, m1, m2, mu, z.x[m1].copy())
+        return NonlinearSubproblem(p, m1, m2, mu, z.x[m1].copy(), index=i)
     return NonlinearSubproblem(p, m1, m2, mu, z.x[m1].copy(), z.x[m2].copy(),
-                               z.u[m2].copy(), lam.lam[m2 + 1].copy())
+                               z.u[m2].copy(), lam.lam[m2 + 1].copy(), index=i)
 
 
 def truncated_problem(sub: NonlinearSubproblem) -> ProblemDef:
@@ -148,7 +150,7 @@ def solve_nonlinear_subproblem(sub: NonlinearSubproblem,
                    mode="centralized")
     if report.status != STATUS_KKT:
         raise SubproblemFailure(
-            -1, f"interval [{sub.m1}, {sub.m2}] stopped with "
+            sub.index, f"interval [{sub.m1}, {sub.m2}] stopped with "
                 f"status={report.status}, residual={report.final_kkt:.3e}")
     return report.z.x, report.z.u, report.lam.lam
 
@@ -192,11 +194,8 @@ def schwarz_solve(p: ProblemDef, cfg: SolverConfig, init,
 
         def solve_one(i: int):
             sub = subproblem_from_iterate(p, plan, i, cfg.mu, z, lam)
-            try:
-                return solve_nonlinear_subproblem(sub, warms[i], inner_tol,
-                                                  inner_max_iters)
-            except SolverError as exc:
-                raise SubproblemFailure(i, str(exc)) from exc
+            return solve_nonlinear_subproblem(sub, warms[i], inner_tol,
+                                              inner_max_iters)
 
         try:
             if cfg.workers > 1 and plan.M > 1:

@@ -1,0 +1,110 @@
+"""The banded LQ kernels checked directly against the dense oracles."""
+
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from fotd.banded import definiteness_pivots_ok, solve_lq_kkt
+from fotd.exceptions import LinearSolverError
+from fotd.newton import default_definiteness_constant
+
+from oracles import dense_lq_solve, dense_reduced_hessian_eigmin
+
+# (T, n_x, n_u): a single stage, n_x != n_u both ways, and plate-sized blocks.
+SHAPES = [(1, 2, 3), (1, 3, 1), (6, 2, 3), (5, 3, 1), (4, 16, 16)]
+
+
+def lq_data(T, nx, nu, seed, shift=0.7):
+    """Canonical LQ data; stage Hessian blocks are M M^T + shift * I."""
+    rng = np.random.default_rng(seed)
+
+    def sym(count, n):
+        M = rng.standard_normal((count, n, n))
+        return M @ M.transpose(0, 2, 1) + shift * np.eye(n)
+
+    return SimpleNamespace(
+        Q=sym(T + 1, nx), S=0.2 * rng.standard_normal((T, nu, nx)), R=sym(T, nu),
+        A=0.6 * rng.standard_normal((T, nx, nx)), B=rng.standard_normal((T, nx, nu)),
+        gx=rng.standard_normal((T + 1, nx)), gu=rng.standard_normal((T, nu)),
+        c0=rng.standard_normal(nx), cdyn=rng.standard_normal((T, nx)))
+
+
+def blocks(d):
+    return d.Q, d.S, d.R, d.A, d.B
+
+
+def rhs(d):
+    return d.gx, d.gu, d.c0, d.cdyn
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_solve_matches_dense_oracle(shape):
+    d = lq_data(*shape, seed=sum(shape))
+    for got, want in zip(solve_lq_kkt(*blocks(d), *rhs(d)),
+                         dense_lq_solve(*blocks(d), *rhs(d))):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-9 * (1.0 + np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_pivot_test_agrees_with_reduced_hessian_sign(shape):
+    T, nx, nu = shape
+    # Shifting the stage blocks down makes them indefinite before the
+    # reduced Hessian is (for all but one shape here), so the c * G^T G term
+    # has to carry the verdict.
+    seen = set()
+    for shift in (0.7, -0.3, -1.0, -3.0, -10.0):
+        d = lq_data(T, nx, nu, seed=T + nx, shift=shift)
+        eigmin = dense_reduced_hessian_eigmin(*blocks(d))
+        if abs(eigmin) < 1e-3:
+            continue
+        ok = definiteness_pivots_ok(*blocks(d), default_definiteness_constant(d))
+        assert ok == (eigmin > 0), shift
+        seen.add(eigmin > 0)
+    assert seen == {True, False}
+
+
+def test_singular_kkt_raises():
+    d = lq_data(4, 2, 3, seed=0)
+    d.S[:] = 0.0
+    d.R[:] = 0.0
+    d.B[:] = 0.0  # the controls appear nowhere: zero columns in the KKT matrix
+    with pytest.raises(LinearSolverError):
+        solve_lq_kkt(*blocks(d), *rhs(d))
+
+
+def test_non_finite_blocks_raise():
+    d = lq_data(4, 2, 3, seed=0)
+    d.Q[2, 0, 0] = np.nan
+    with pytest.raises(LinearSolverError):
+        solve_lq_kkt(*blocks(d), *rhs(d))
+    assert not definiteness_pivots_ok(*blocks(d), 10.0)
+
+
+def test_non_contiguous_inputs_are_accepted_and_left_alone():
+    T, nx, nu, lo = 5, 3, 2, 2
+    d = lq_data(T, nx, nu, seed=4)
+    # Views the callers pass: Q sliced out of a longer horizon, S stored
+    # transposed, A and B every other stage of a doubled array.
+    Q_long = lq_data(T + 4, nx, nu, seed=5).Q
+    Q_long[lo:lo + T + 1] = d.Q
+    St = np.ascontiguousarray(d.S.transpose(0, 2, 1))
+    A2 = np.repeat(d.A, 2, axis=0)
+    B2 = np.repeat(d.B, 2, axis=0)
+    views = SimpleNamespace(**dict(vars(d), Q=Q_long[lo:lo + T + 1],
+                                   S=St.transpose(0, 2, 1), A=A2[::2], B=B2[::2]))
+    assert not any(v.flags.c_contiguous for v in (views.S, views.A, views.B))
+    before = {k: v.copy() for k, v in vars(views).items()}
+    long_before = Q_long.copy()
+
+    for got, want in zip(solve_lq_kkt(*blocks(views), *rhs(views)),
+                         solve_lq_kkt(*blocks(d), *rhs(d))):
+        assert np.array_equal(got, want)
+    c = default_definiteness_constant(d)
+    assert definiteness_pivots_ok(*blocks(views), c) == definiteness_pivots_ok(*blocks(d), c)
+    assert definiteness_pivots_ok(*blocks(views), c)
+
+    for k, v in vars(views).items():
+        assert np.array_equal(v, before[k]), k
+    assert np.array_equal(Q_long, long_before)

@@ -4,6 +4,7 @@ import pytest
 from fotd.benchmarks import ToySpec, make_initializations, make_toy_problem
 from fotd.decomposition import approximate_direction, decompose, make_plan
 from fotd.driver import SolverConfig, solve
+from fotd.exceptions import SubproblemFailure
 from fotd.newton import assemble_newton_data
 from fotd.problem import DualTrajectory, Trajectory, kkt_residual
 from fotd.schwarz import (boundary_compatibility, one_newton_schwarz_step,
@@ -123,8 +124,22 @@ def test_schwarz_inner_failure_reported():
     report = schwarz_solve(p, SolverConfig(mu=25.0, M=3, b=2), init,
                            inner_max_iters=0)
     assert report.status == "error"
-    assert "subproblem" in report.error
+    assert report.error.startswith("nonlinear subproblem 0 did not converge: "
+                                   "interval [0, 6]")
+    assert report.error.count("did not converge") == 1
+    assert "-1" not in report.error
     assert len(report.records) >= 1
+    z, lam = init
+    plan = make_plan(12, 3, 2)
+    warms = decompose(z.x, z.u, lam.lam, plan)
+    for i in range(plan.M):
+        sub = subproblem_from_iterate(p, plan, i, 25.0, z, lam)
+        with pytest.raises(SubproblemFailure) as exc:
+            solve_nonlinear_subproblem(sub, warms[i], inner_max_iters=0)
+        assert exc.value.index == i
+        assert str(exc.value).startswith(f"nonlinear subproblem {i} did not "
+                                         f"converge: interval [{plan.m1[i]}, "
+                                         f"{plan.m2[i]}]")
 
 
 @pytest.mark.parametrize("b", [1, 5])
