@@ -91,8 +91,6 @@ class ExperimentConfig:
     inits: int
     seed: int
     out_dir: str
-    diagnostics: bool
-    assert_level: str
     timing: bool
     sweep_b: Optional[List[int]] = None
     sweep_mu: Optional[List[float]] = None
@@ -112,8 +110,9 @@ class ExperimentConfig:
             "schwarz_budget": self.schwarz_budget,
         }
         run = {"inits": self.inits, "seed": self.seed, "out_dir": self.out_dir,
-               "diagnostics": self.diagnostics,
-               "assert_level": self.assert_level, "timing": self.timing}
+               "diagnostics": self.solver.diagnostics,
+               "assert_level": "on" if self.solver.assert_descent else "off",
+               "timing": self.timing}
         out = {"problem": dict(self.problem), "solver": solver, "run": run}
         if self.sweep_b is not None or self.sweep_mu is not None:
             out["sweep"] = {"b": self.sweep_b, "mu": self.sweep_mu}
@@ -184,8 +183,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         schwarz_budget=int(s["schwarz_budget"]),
         inits=int(run["inits"]), seed=int(run["seed"]),
         out_dir=str(run["out_dir"]),
-        diagnostics=bool(run["diagnostics"]),
-        assert_level=_as_assert_level(run["assert_level"]),
         timing=bool(run["timing"]),
         sweep_b=None if sweep.get("b") is None else [int(v) for v in sweep["b"]],
         sweep_mu=None if sweep.get("mu") is None else [float(v) for v in sweep["mu"]],
@@ -270,18 +267,20 @@ def _sig6(v):
     return float(f"{float(v):.6g}")
 
 
-def _run_one(p: ProblemDef, cfg: ExperimentConfig, mode: str, init) -> SolveReport:
+def _run_one(p: ProblemDef, solver: SolverConfig, mode: str, init,
+             schwarz_budget: int) -> SolveReport:
     if mode == "schwarz":
-        return schwarz_solve(p, cfg.solver, init, budget=cfg.schwarz_budget)
-    return solve(p, cfg.solver, init, mode=mode)
+        return schwarz_solve(p, solver, init, budget=schwarz_budget)
+    return solve(p, solver, init, mode=mode)
 
 
-def _summarize(report: SolveReport, mode: str, init_idx: int, csv_name: str) -> dict:
+def _summarize(report: SolveReport, mode: str, init_idx: int, csv_name: str,
+               timing: bool) -> dict:
     return {
         "init": init_idx, "mode": mode, "status": report.status,
         "final_kkt": _sig6(report.final_kkt),
         "iterations": report.iterations,
-        "total_ms": _sig6(report.total_ms),
+        "total_ms": _sig6(report.total_ms if timing else 0.0),
         "csv": csv_name,
         **({"error": report.error} if report.error else {}),
     }
@@ -299,18 +298,17 @@ def cmd_solve(config_path: str, overrides: Optional[dict] = None) -> int:
     p = build_problem(cfg.problem)
     inits = make_initializations(p, cfg.inits, cfg.seed)
     runs, comparisons = [], []
-    all_ok, had_error = True, False
+    all_ok = True
     finals = {}
     for i, init in enumerate(inits):
         for mode in modes:
             name = f"run_{i}.csv" if len(modes) == 1 else f"run_{i}_{mode}.csv"
-            report = _run_one(p, cfg, mode, init)
+            report = _run_one(p, cfg.solver, mode, init, cfg.schwarz_budget)
             atomic_write(os.path.join(cfg.out_dir, name),
                          report_to_csv(report, timing=cfg.timing))
-            runs.append(_summarize(report, mode, i, name))
+            runs.append(_summarize(report, mode, i, name, cfg.timing))
             finals[(i, mode)] = report
             all_ok &= report.converged
-            had_error |= report.status == "error"
         if len(modes) > 1:
             za = finals[(i, modes[0])]
             for mode in modes[1:]:
@@ -350,17 +348,14 @@ def cmd_sweep(config_path: str, sweep: Optional[dict] = None,
             cell_cfg = replace(cfg.solver, b=int(b), mu=float(mu))
             kkts, times, ratios, n_conv = [], [], [], 0
             for i, init in enumerate(inits):
-                if cfg.mode == "schwarz":
-                    report = schwarz_solve(p, cell_cfg, init,
-                                           budget=cfg.schwarz_budget)
-                else:
-                    report = solve(p, cell_cfg, init, mode=cfg.mode)
+                report = _run_one(p, cell_cfg, cfg.mode, init,
+                                  cfg.schwarz_budget)
                 atomic_write(os.path.join(cell_dir, f"run_{i}.csv"),
                              report_to_csv(report, timing=cfg.timing))
                 if report.converged:
                     n_conv += 1
                     kkts.append(report.final_kkt)
-                    times.append(report.total_ms)
+                    times.append(report.total_ms if cfg.timing else 0.0)
                     ratios.extend(r.dir_err_ratio for r in report.records
                                   if r.dir_err_ratio is not None)
                 all_ok &= report.converged
@@ -443,10 +438,8 @@ def _apply_overrides(cfg: ExperimentConfig, ov: dict) -> ExperimentConfig:
     if ov.get("workers") is not None:
         solver = replace(solver, workers=int(ov["workers"]))
     if ov.get("assert_level") is not None:
-        updates["assert_level"] = ov["assert_level"]
         solver = replace(solver, assert_descent=ov["assert_level"] == "on")
     if ov.get("diagnostics"):
-        updates["diagnostics"] = True
         solver = replace(solver, diagnostics=True)
     if ov.get("no_timing"):
         updates["timing"] = False

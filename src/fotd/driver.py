@@ -12,13 +12,21 @@ For the decomposed direction the driver checks the descent inequality
 
     grad(merit)^T d  <=  -eta2/2 * ||grad L||^2
 
-at every iteration.  A violation either triggers the penalty-adaptivity
-rule (eta2 /= nu, eta1 *= nu^2, overlap widened accordingly) or aborts the
-run, depending on configuration.
+at every iteration.  A violation has one of three outcomes, depending on
+configuration: with ``adaptivity`` the penalties are rescaled (eta2 /= nu,
+eta1 *= nu^2, overlap widened accordingly) and the direction recomputed;
+otherwise, with ``assert_descent`` the run aborts, and without it the step
+proceeds along the direction and the violation is counted.
+
+:func:`run_outer_loop` owns the stop tests, error capture and timing.  The
+SQP driver :func:`solve` and the overlapping Schwarz baseline
+(:func:`fotd.schwarz.schwarz_solve`) differ only in the step they hand it;
+:func:`fotd_step` takes one SQP step outside the loop.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -31,8 +39,9 @@ from .exceptions import (AdaptivityFailure, LineSearchFailure, NonDescentError,
                          SolverError, UndefinedRatioError)
 from .newton import (NewtonDirection, assemble_newton_data, modify_hessian,
                      solve_full_newton)
-from .problem import (DualTrajectory, PenaltyParams, ProblemDef, Trajectory,
-                      eval_merit, eval_merit_gradient)
+from .problem import (DualTrajectory, MeritTerms, PenaltyParams, ProblemDef,
+                      Trajectory, _merit_terms, eval_merit,
+                      eval_merit_gradient)
 
 STATUS_KKT = "converged_kkt"
 STATUS_STEP = "converged_step"
@@ -219,63 +228,49 @@ def direction_error_diagnostic(p: ProblemDef, z: Trajectory,
     return direction_error_ratio(exact, approx)
 
 
-def _pin_initial_state(p: ProblemDef, z: Trajectory):
-    z.x[0] = p.x0
+def _step(p: ProblemDef, mode: str, state: SolverState, cfg: SolverConfig,
+          terms: MeritTerms) -> Tuple[IterationRecord, SolverConfig, int]:
+    """Lines 3-9 of the outer loop: linearize, direct, line-search, update.
 
-
-class _StepOutcome:
-    __slots__ = ("record", "cfg", "violations")
-
-    def __init__(self, record, cfg, violations):
-        self.record = record
-        self.cfg = cfg
-        self.violations = violations
-
-
-def _compute_direction(p, nd, plan, cfg, mode):
-    if mode == "centralized":
-        return solve_full_newton(nd)
-    return approximate_direction(nd, plan, cfg.mu, workers=cfg.workers, c=cfg.c)
-
-
-def _step(p: ProblemDef, state: SolverState, cfg: SolverConfig, mode: str,
-          kkt_res: float, merit0: float) -> _StepOutcome:
-    """Lines 3-9 of the outer loop: linearize, direct, line-search, update."""
-    t0 = time.perf_counter()
+    ``terms`` are the merit terms at the current iterate.  Returns the
+    iteration's record (untimed), the (possibly adapted) config and the
+    number of descent-inequality violations seen.
+    """
     z, lam = state.z, state.lam
+    kkt_res = terms.residual()
     nd = modify_hessian(assemble_newton_data(p, z, lam), c=cfg.c,
                         gamma_step=cfg.gamma_step)
     plan = make_plan(p.N, cfg.M, cfg.b) if mode == "fotd" else None
     violations = 0
-    adapts = 0
     while True:
-        direction = _compute_direction(p, nd, plan, cfg, mode)
+        direction = (solve_full_newton(nd) if plan is None else
+                     approximate_direction(nd, plan, cfg.mu,
+                                           workers=cfg.workers, c=cfg.c))
         merit_grad = eval_merit_gradient(p, z, lam, cfg.eta)
         slope = float(merit_grad[0] @ direction.dz
                       + merit_grad[1] @ direction.dlam)
-        if mode != "fotd" or slope <= -0.5 * cfg.eta.eta2 * kkt_res ** 2:
+        bound = -0.5 * cfg.eta.eta2 * kkt_res ** 2
+        if plan is None or slope <= bound:
             break
         violations += 1
-        if cfg.adaptivity:
-            adapts += 1
-            if adapts > 30:
-                raise AdaptivityFailure(
-                    "descent inequality still violated after 30 rescalings")
-            cfg = adapt_penalties(cfg, cfg.nu)
-            cfg = replace(cfg, b=min(cfg.b, p.N - 1))
-            plan = make_plan(p.N, cfg.M, cfg.b)
-            merit0 = eval_merit(p, z, lam, cfg.eta)
-            continue
-        if cfg.assert_descent:
-            raise NonDescentError(
-                f"descent inequality violated: slope {slope:.6e} > "
-                f"{-0.5 * cfg.eta.eta2 * kkt_res ** 2:.6e}")
-        break
+        if not cfg.adaptivity:
+            if cfg.assert_descent:
+                raise NonDescentError(
+                    f"descent inequality violated: slope {slope:.6e} > "
+                    f"{bound:.6e}")
+            break
+        if violations > 30:
+            raise AdaptivityFailure(
+                "descent inequality still violated after 30 rescalings")
+        cfg = adapt_penalties(cfg, cfg.nu)
+        cfg = replace(cfg, b=min(cfg.b, p.N - 1))
+        plan = make_plan(p.N, cfg.M, cfg.b)
 
     ratio = None
-    if cfg.diagnostics and mode == "fotd":
+    if cfg.diagnostics and plan is not None:
         ratio = direction_error_ratio(solve_full_newton(nd), direction)
 
+    merit0 = terms.merit(cfg.eta)
     alpha, _ = line_search(p, z, lam, direction, cfg.eta, cfg.beta,
                            cfg.backtrack_factor, merit0=merit0,
                            merit_grad=merit_grad)
@@ -283,15 +278,14 @@ def _step(p: ProblemDef, state: SolverState, cfg: SolverConfig, mode: str,
     z.x += alpha * dx
     z.u += alpha * du
     lam.lam += alpha * dl
-    _pin_initial_state(p, z)
+    z.x[0] = p.x0
     record = IterationRecord(
         iteration=state.tau, kkt_residual=kkt_res, merit=merit0,
         stepsize=alpha, gamma=nd.gamma_applied, dir_err_ratio=ratio,
-        wall_ms=1e3 * (time.perf_counter() - t0),
         step_norm=alpha * direction.norm(),
     )
     state.tau += 1
-    return _StepOutcome(record, cfg, violations)
+    return record, cfg, violations
 
 
 def fotd_step(p: ProblemDef, state: SolverState, cfg: SolverConfig):
@@ -300,17 +294,63 @@ def fotd_step(p: ProblemDef, state: SolverState, cfg: SolverConfig):
     ``state`` is updated in place.  The iterate must satisfy x_0 = x0bar on
     entry, which the update preserves.
     """
-    from .problem import _merit_terms
-    lagr, gz, gl = _merit_terms(p, state.z, state.lam)
-    res = float(np.sqrt(gz @ gz + gl @ gl))
-    merit = lagr + 0.5 * cfg.eta.eta1 * float(gl @ gl) \
-        + 0.5 * cfg.eta.eta2 * float(gz @ gz)
-    out = _step(p, state, cfg, "fotd", res, merit)
-    return out.record, out.cfg
+    t0 = time.perf_counter()
+    record, cfg, _ = _step(p, "fotd", state, cfg,
+                           _merit_terms(p, state.z, state.lam))
+    record.wall_ms = 1e3 * (time.perf_counter() - t0)
+    return record, cfg
+
+
+def run_outer_loop(p: ProblemDef, cfg: SolverConfig, init,
+                   step: Callable) -> SolveReport:
+    """Iterate ``step`` from ``init = (z0, lam0)`` until a stop condition.
+
+    Each pass evaluates the merit terms at the current iterate and stops on
+    the KKT tolerance or the ``cfg.max_iters`` budget; otherwise it calls
+    ``step(state, cfg, terms)``, which updates ``state`` in place and
+    returns ``(record, cfg, violations)``; the loop sets the record's
+    ``wall_ms`` to the time of the pass.  A step no longer than
+    ``cfg.step_tol`` stops the loop after one more head record at the new
+    iterate.  A :class:`SolverError` from the step ends the run with status
+    "error" and the history intact.
+    """
+    z0, lam0 = init
+    state = SolverState(z0.copy(), lam0.copy())
+    state.z.x[0] = p.x0
+    records: List[IterationRecord] = []
+    violations = 0
+    error = None
+    short_step = False
+    while True:
+        t0 = time.perf_counter()
+        terms = _merit_terms(p, state.z, state.lam)
+        head = IterationRecord(state.tau, terms.residual(),
+                               terms.merit(cfg.eta),
+                               wall_ms=1e3 * (time.perf_counter() - t0))
+        if short_step:
+            status = STATUS_STEP
+        elif head.kkt_residual <= cfg.kkt_tol:
+            status = STATUS_KKT
+        elif state.tau >= cfg.max_iters:
+            status = STATUS_MAX_ITERS
+        else:
+            try:
+                record, cfg, v = step(state, cfg, terms)
+            except SolverError as exc:
+                status, error = STATUS_ERROR, str(exc)
+            else:
+                record.wall_ms = 1e3 * (time.perf_counter() - t0)
+                records.append(record)
+                violations += v
+                short_step = record.step_norm <= cfg.step_tol
+                continue
+        records.append(head)
+        return SolveReport(records, state.z, state.lam, status,
+                           descent_violations=violations, error=error)
 
 
 def solve(p: ProblemDef, cfg: SolverConfig, init, mode: str = "fotd") -> SolveReport:
-    """Run the outer loop from ``init = (z0, lam0)`` until a stop condition.
+    """Run the SQP outer loop from ``init = (z0, lam0)`` until a stop condition.
 
     ``mode`` selects the decomposed direction ("fotd") or the exact one
     ("centralized").  The initial state component of z0 is overwritten with
@@ -319,50 +359,4 @@ def solve(p: ProblemDef, cfg: SolverConfig, init, mode: str = "fotd") -> SolveRe
     """
     if mode not in ("fotd", "centralized"):
         raise ValueError(f"unknown mode {mode!r}")
-    from .problem import _merit_terms
-    z0, lam0 = init
-    state = SolverState(z0.copy(), lam0.copy())
-    _pin_initial_state(p, state.z)
-    records: List[IterationRecord] = []
-    violations = 0
-    cfg_cur = cfg
-    status = STATUS_MAX_ITERS
-    error = None
-    while True:
-        t0 = time.perf_counter()
-        lagr, gz, gl = _merit_terms(p, state.z, state.lam)
-        res = float(np.sqrt(gz @ gz + gl @ gl))
-        merit = lagr + 0.5 * cfg_cur.eta.eta1 * float(gl @ gl) \
-            + 0.5 * cfg_cur.eta.eta2 * float(gz @ gz)
-        eval_ms = 1e3 * (time.perf_counter() - t0)
-        if res <= cfg_cur.kkt_tol:
-            records.append(IterationRecord(state.tau, res, merit, wall_ms=eval_ms))
-            status = STATUS_KKT
-            break
-        if state.tau >= cfg_cur.max_iters:
-            records.append(IterationRecord(state.tau, res, merit, wall_ms=eval_ms))
-            status = STATUS_MAX_ITERS
-            break
-        try:
-            out = _step(p, state, cfg_cur, mode, res, merit)
-        except SolverError as exc:
-            records.append(IterationRecord(state.tau, res, merit, wall_ms=eval_ms))
-            status = STATUS_ERROR
-            error = str(exc)
-            break
-        out.record.wall_ms += eval_ms
-        records.append(out.record)
-        violations += out.violations
-        cfg_cur = out.cfg
-        if out.record.step_norm <= cfg_cur.step_tol:
-            t1 = time.perf_counter()
-            lagr, gz, gl = _merit_terms(p, state.z, state.lam)
-            res = float(np.sqrt(gz @ gz + gl @ gl))
-            merit = lagr + 0.5 * cfg_cur.eta.eta1 * float(gl @ gl) \
-                + 0.5 * cfg_cur.eta.eta2 * float(gz @ gz)
-            records.append(IterationRecord(
-                state.tau, res, merit, wall_ms=1e3 * (time.perf_counter() - t1)))
-            status = STATUS_STEP
-            break
-    return SolveReport(records, state.z, state.lam, status,
-                       descent_violations=violations, error=error)
+    return run_outer_loop(p, cfg, init, functools.partial(_step, p, mode))

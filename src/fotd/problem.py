@@ -33,7 +33,7 @@ import io
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -195,13 +195,29 @@ def eval_lagrangian_gradient(p: ProblemDef, z: Trajectory, lam: DualTrajectory):
     return stack_primal(gx, gu), glam.ravel()
 
 
+class MeritTerms(NamedTuple):
+    """Lagrangian value and gradient at one point; the merit is built from them."""
+
+    lagr: float
+    gz: np.ndarray
+    gl: np.ndarray
+
+    def residual(self) -> float:
+        """KKT residual: the norm of the stacked (grad_z L, grad_lam L)."""
+        return float(np.sqrt(self.gz @ self.gz + self.gl @ self.gl))
+
+    def merit(self, eta: PenaltyParams) -> float:
+        """Exact augmented Lagrangian L + eta1/2 ||gl||^2 + eta2/2 ||gz||^2."""
+        return (self.lagr + 0.5 * eta.eta1 * float(self.gl @ self.gl)
+                + 0.5 * eta.eta2 * float(self.gz @ self.gz))
+
+
 def kkt_residual(p: ProblemDef, z: Trajectory, lam: DualTrajectory) -> float:
     """Norm of the stacked Lagrangian gradient and constraint violation."""
-    gz, gl = eval_lagrangian_gradient(p, z, lam)
-    return float(np.sqrt(gz @ gz + gl @ gl))
+    return _merit_terms(p, z, lam).residual()
 
 
-def _merit_terms(p: ProblemDef, z: Trajectory, lam: DualTrajectory):
+def _merit_terms(p: ProblemDef, z: Trajectory, lam: DualTrajectory) -> MeritTerms:
     """One fused pass returning (L, grad_z, grad_lam) for merit evaluations."""
     check_point(p, z, lam)
     gx = np.empty((p.N + 1, p.n_x))
@@ -221,14 +237,13 @@ def _merit_terms(p: ProblemDef, z: Trajectory, lam: DualTrajectory):
         lagr += float(lm[k + 1] @ glam[k + 1])
     lagr += float(p.stage_cost(p.N, z.x[p.N]))
     gx[p.N] = p.cost_gradient(p.N, z.x[p.N]) + lm[p.N]
-    return lagr, stack_primal(gx, gu), glam.ravel()
+    return MeritTerms(lagr, stack_primal(gx, gu), glam.ravel())
 
 
 def eval_merit(p: ProblemDef, z: Trajectory, lam: DualTrajectory,
                eta: PenaltyParams) -> float:
     """Exact augmented Lagrangian L + eta1/2 ||grad_lam L||^2 + eta2/2 ||grad_z L||^2."""
-    lagr, gz, gl = _merit_terms(p, z, lam)
-    return lagr + 0.5 * eta.eta1 * float(gl @ gl) + 0.5 * eta.eta2 * float(gz @ gz)
+    return _merit_terms(p, z, lam).merit(eta)
 
 
 def stage_hessian_blocks(p: ProblemDef, z: Trajectory, lam: DualTrajectory):

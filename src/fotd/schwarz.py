@@ -20,19 +20,18 @@ as an equivalence test.
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .decomposition import DecompositionPlan, compose, decompose, make_plan
-from .driver import (STATUS_ERROR, STATUS_KKT, STATUS_MAX_ITERS, STATUS_STEP,
-                     IterationRecord, SolveReport, SolverConfig, solve)
-from .exceptions import SolverError, SubproblemFailure
+from .driver import (STATUS_KKT, IterationRecord, SolveReport, SolverConfig,
+                     SolverState, run_outer_loop, solve)
+from .exceptions import SubproblemFailure
 from .newton import assemble_newton_data, solve_full_newton
-from .problem import DualTrajectory, ProblemDef, Trajectory, _merit_terms
+from .problem import DualTrajectory, ProblemDef, Trajectory
 
 SCHWARZ_BUDGET = 30
 INNER_TOL = 1e-8
@@ -161,35 +160,14 @@ def schwarz_solve(p: ProblemDef, cfg: SolverConfig, init,
                   inner_max_iters: int = INNER_MAX_ITERS) -> SolveReport:
     """Outer Schwarz iteration: freeze boundaries, solve, compose, repeat.
 
-    Stops on the same KKT/step conditions as the SQP drivers, with a
-    (smaller) default iteration budget since every outer iteration solves
-    nonlinear subproblems to optimality.
+    Runs the SQP drivers' outer loop, so it stops on the same KKT/step
+    conditions, with a (smaller) default iteration budget since every outer
+    iteration solves nonlinear subproblems to optimality.
     """
-    z0, lam0 = init
-    z, lam = z0.copy(), lam0.copy()
-    z.x[0] = p.x0
     plan = make_plan(p.N, cfg.M, cfg.b)
-    records: List[IterationRecord] = []
-    status = STATUS_MAX_ITERS
-    error = None
-    tau = 0
-    while True:
-        t0 = time.perf_counter()
-        lagr, gz, gl = _merit_terms(p, z, lam)
-        res = float(np.sqrt(gz @ gz + gl @ gl))
-        merit = lagr + 0.5 * cfg.eta.eta1 * float(gl @ gl) \
-            + 0.5 * cfg.eta.eta2 * float(gz @ gz)
-        eval_ms = 1e3 * (time.perf_counter() - t0)
-        if res <= cfg.kkt_tol:
-            records.append(IterationRecord(tau, res, merit, wall_ms=eval_ms))
-            status = STATUS_KKT
-            break
-        if tau >= budget:
-            records.append(IterationRecord(tau, res, merit, wall_ms=eval_ms))
-            status = STATUS_MAX_ITERS
-            break
 
-        t1 = time.perf_counter()
+    def step(state: SolverState, cfg: SolverConfig, terms):
+        z, lam = state.z, state.lam
         warms = decompose(z.x, z.u, lam.lam, plan)
 
         def solve_one(i: int):
@@ -197,39 +175,25 @@ def schwarz_solve(p: ProblemDef, cfg: SolverConfig, init,
             return solve_nonlinear_subproblem(sub, warms[i], inner_tol,
                                               inner_max_iters)
 
-        try:
-            if cfg.workers > 1 and plan.M > 1:
-                with ThreadPoolExecutor(max_workers=min(cfg.workers, plan.M)) as pool:
-                    parts = list(pool.map(solve_one, range(plan.M)))
-            else:
-                parts = [solve_one(i) for i in range(plan.M)]
-        except SolverError as exc:
-            records.append(IterationRecord(tau, res, merit, wall_ms=eval_ms))
-            status = STATUS_ERROR
-            error = str(exc)
-            break
-
+        if cfg.workers > 1 and plan.M > 1:
+            with ThreadPoolExecutor(max_workers=min(cfg.workers, plan.M)) as pool:
+                parts = list(pool.map(solve_one, range(plan.M)))
+        else:
+            parts = [solve_one(i) for i in range(plan.M)]
         x_new, u_new, lam_new = compose(parts, plan)
-        step = float(np.sqrt(np.sum((x_new - z.x) ** 2)
-                             + np.sum((u_new - z.u) ** 2)
-                             + np.sum((lam_new - lam.lam) ** 2)))
-        z = Trajectory(x_new, u_new)
-        lam = DualTrajectory(lam_new)
-        z.x[0] = p.x0
-        records.append(IterationRecord(
-            tau, res, merit, stepsize=1.0, gamma=0.0,
-            wall_ms=eval_ms + 1e3 * (time.perf_counter() - t1),
-            step_norm=step))
-        tau += 1
-        if step <= cfg.step_tol:
-            lagr, gz, gl = _merit_terms(p, z, lam)
-            res = float(np.sqrt(gz @ gz + gl @ gl))
-            merit = lagr + 0.5 * cfg.eta.eta1 * float(gl @ gl) \
-                + 0.5 * cfg.eta.eta2 * float(gz @ gz)
-            records.append(IterationRecord(tau, res, merit))
-            status = STATUS_STEP
-            break
-    return SolveReport(records, z, lam, status, error=error)
+        step_norm = float(np.sqrt(np.sum((x_new - z.x) ** 2)
+                                  + np.sum((u_new - z.u) ** 2)
+                                  + np.sum((lam_new - lam.lam) ** 2)))
+        state.z = Trajectory(x_new, u_new)
+        state.lam = DualTrajectory(lam_new)
+        state.z.x[0] = p.x0
+        record = IterationRecord(
+            state.tau, terms.residual(), terms.merit(cfg.eta), stepsize=1.0,
+            gamma=0.0, step_norm=step_norm)
+        state.tau += 1
+        return record, cfg, 0
+
+    return run_outer_loop(p, replace(cfg, max_iters=budget), init, step)
 
 
 def one_newton_schwarz_step(p: ProblemDef, z: Trajectory, lam: DualTrajectory,

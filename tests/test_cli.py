@@ -121,6 +121,8 @@ def test_cmd_sweep_singleton_matches_solve(tmp_path):
     a = (out_solve / "run_0.csv").read_bytes()
     b = (out_sweep / "b2_mu25" / "run_0.csv").read_bytes()
     assert a == b
+    cells = json.loads((out_sweep / "sweep_summary.json").read_text())["cells"]
+    assert [c["mean_total_ms"] for c in cells] == [0.0]
 
 
 def test_cmd_sweep_cells_and_summary(tmp_path):
@@ -167,6 +169,8 @@ def test_csv_byte_stable_across_repeat_runs(tmp_path):
     assert main(["solve", "--config", path1, "--no-timing"]) == 0
     assert main(["solve", "--config", path2, "--no-timing"]) == 0
     assert (out1 / "run_1.csv").read_bytes() == (out2 / "run_1.csv").read_bytes()
+    assert (out1 / "summary.json").read_bytes() == \
+        (out2 / "summary.json").read_bytes()
 
 
 def test_assert_level_override_threads_through(tmp_path):

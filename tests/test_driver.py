@@ -174,6 +174,68 @@ def test_initial_state_pinned_every_iteration():
     assert np.array_equal(report.z.x[0], p.x0)
 
 
+def _shrink_first_direction(monkeypatch):
+    """Make the first decomposed direction 1e-3 times too short.
+
+    The shortened direction misses the descent inequality, which no natural
+    toy or plate configuration has been seen to do.
+    """
+    import fotd.driver as driver
+    real = driver.approximate_direction
+    calls = []
+
+    def shrunk(*args, **kwargs):
+        d = real(*args, **kwargs)
+        calls.append(None)
+        if len(calls) == 1:
+            return NewtonDirection(1e-3 * d.dz, 1e-3 * d.dlam)
+        return d
+
+    monkeypatch.setattr(driver, "approximate_direction", shrunk)
+
+
+def _violating_setup():
+    p = toy(N=40)
+    init = make_initializations(p, 2, seed=3)[1]
+    return p, init, dict(mu=25.0, M=4, b=1)
+
+
+def test_adaptivity_rescales_penalties_and_reprices_merit(monkeypatch):
+    p, (z0, lam0), kw = _violating_setup()
+    _shrink_first_direction(monkeypatch)
+    state = SolverState(z0.copy(), lam0.copy())
+    record, cfg = fotd_step(p, state, SolverConfig(adaptivity=True, **kw))
+    assert cfg.eta == PenaltyParams(40.0, 0.05)
+    assert cfg.b == 5
+    from fotd.problem import eval_merit
+    assert record.merit == eval_merit(p, z0, lam0, cfg.eta)
+
+
+def test_adaptivity_recovers_from_a_violation(monkeypatch):
+    p, init, kw = _violating_setup()
+    _shrink_first_direction(monkeypatch)
+    report = solve(p, SolverConfig(adaptivity=True, **kw), init, mode="fotd")
+    assert report.converged
+    assert report.descent_violations == 1
+
+
+def test_violation_proceeds_without_assert_descent(monkeypatch):
+    p, init, kw = _violating_setup()
+    _shrink_first_direction(monkeypatch)
+    report = solve(p, SolverConfig(assert_descent=False, **kw), init,
+                   mode="fotd")
+    assert report.converged
+    assert report.descent_violations == 1
+
+
+def test_violation_aborts_by_default(monkeypatch):
+    p, init, kw = _violating_setup()
+    _shrink_first_direction(monkeypatch)
+    report = solve(p, SolverConfig(**kw), init, mode="fotd")
+    assert report.status == "error"
+    assert "descent inequality violated" in report.error
+
+
 def test_descent_inequality_margin_holds_on_run():
     # the decomposed direction must beat the -eta2/2 * ||grad L||^2 margin
     p = toy(N=120)

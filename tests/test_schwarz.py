@@ -109,6 +109,20 @@ def test_schwarz_parallel_workers_match_serial():
     np.testing.assert_array_equal(rep1.lam.lam, rep3.lam.lam)
 
 
+def test_schwarz_step_tolerance_stop():
+    # an unreachable KKT tolerance leaves the step test to end the run
+    p = toy(N=60)
+    init = make_initializations(p, 2, seed=19)[1]
+    report = schwarz_solve(p, SolverConfig(mu=25.0, M=3, b=4, kkt_tol=1e-30),
+                           init)
+    assert report.status == "converged_step"
+    assert report.iterations == 4
+    assert len(report.records) == 5
+    last = report.records[-1]
+    assert last.stepsize is None
+    assert last.wall_ms > 0
+
+
 def test_schwarz_budget_exhaustion_recorded():
     p = toy(N=100)
     init = make_initializations(p, 2, seed=9)[1]
