@@ -97,21 +97,40 @@ def solve_lq_kkt(Q, S, R, A, B, gx, gu, c0, cdyn):
             stages[:, :nx].copy())
 
 
+def hessian_vector_product(Q, S, R, vx: np.ndarray, vu: np.ndarray):
+    """Stagewise H @ v for block-diagonal H with blocks [[Q, S^T], [S, R]]."""
+    N = vu.shape[0]
+    hx = np.einsum("kij,kj->ki", Q[:N], vx[:N]) + np.einsum("kji,kj->ki", S, vu)
+    hu = np.einsum("kij,kj->ki", S, vx[:N]) + np.einsum("kij,kj->ki", R, vu)
+    hxN = Q[N] @ vx[N]
+    return np.vstack([hx, hxN[None, :]]), hu
+
+
+def jacobian_products(A, B, vx, vu, w):
+    """Constraint Jacobian products (G v, G^T w) for the staircase structure.
+
+    ``w`` has shape (N+1, n_x).  Returns (Gv with shape (N+1, n_x),
+    (GTw_x, GTw_u) stage arrays).
+    """
+    N = vu.shape[0]
+    Gv = np.empty_like(w)
+    Gv[0] = vx[0]
+    Gv[1:] = vx[1:] - np.einsum("kij,kj->ki", A, vx[:N]) - np.einsum("kij,kj->ki", B, vu)
+    GTx = np.empty_like(vx)
+    GTx[:N] = w[:N] - np.einsum("kji,kj->ki", A, w[1:])
+    GTx[N] = w[N]
+    GTu = -np.einsum("kji,kj->ki", B, w[1:])
+    return Gv, (GTx, GTu)
+
+
 def lq_kkt_residual(Q, S, R, A, B, gx, gu, c0, cdyn, p, q, zeta) -> float:
     """2-norm of the KKT residual of a candidate (p, q, zeta)."""
-    T = A.shape[0]
-    rp = np.empty_like(p)
-    rp[:T] = (np.einsum("kij,kj->ki", Q[:T], p[:T])
-              + np.einsum("kji,kj->ki", S, q) + gx[:T]
-              + zeta[:T] - np.einsum("kji,kj->ki", A, zeta[1:]))
-    rp[T] = Q[T] @ p[T] + gx[T] + zeta[T]
-    rq = (np.einsum("kij,kj->ki", S, p[:T]) + np.einsum("kij,kj->ki", R, q)
-          + gu - np.einsum("kji,kj->ki", B, zeta[1:]))
-    rc = np.empty_like(p)
-    rc[0] = p[0] - c0
-    rc[1:] = p[1:] - np.einsum("kij,kj->ki", A, p[:T]) \
-        - np.einsum("kij,kj->ki", B, q) - cdyn
-    return float(np.sqrt(sum(float(r.ravel() @ r.ravel()) for r in (rp, rq, rc))))
+    hp, hq = hessian_vector_product(Q, S, R, p, q)
+    rc, (gtp, gtq) = jacobian_products(A, B, p, q, zeta)
+    rc[0] -= c0
+    rc[1:] -= cdyn
+    return float(np.sqrt(sum(float(r.ravel() @ r.ravel())
+                             for r in (hp + gx + gtp, hq + gu + gtq, rc))))
 
 
 def lq_rhs_norm(gx, gu, c0, cdyn) -> float:

@@ -19,11 +19,12 @@ is the identity on canonical form.  Exit codes: 0 all runs converged,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import List, Optional
 
 import numpy as np
@@ -32,14 +33,13 @@ import yaml
 from .benchmarks import (PlateSpec, ToySpec, make_initializations,
                          make_plate_problem, make_toy_problem,
                          toy_case_params)
-from .decomposition import make_plan
+from .decomposition import approximate_direction, make_plan
 from .driver import SolveReport, SolverConfig, direction_error_ratio, solve
 from .newton import (assemble_newton_data, solve_full_newton, theory_gamma_G,
                      theory_mu_bar)
-from .decomposition import approximate_direction
 from .problem import (DualTrajectory, PenaltyParams, ProblemDef, Trajectory,
                       atomic_write)
-from .schwarz import one_newton_schwarz_step, schwarz_solve
+from .schwarz import SCHWARZ_BUDGET, one_newton_schwarz_step, schwarz_solve
 
 CSV_HEADER = "iter,kkt_residual,merit,stepsize,gamma,dir_err_ratio,wall_ms"
 MODES = ("fotd", "schwarz", "centralized")
@@ -55,20 +55,33 @@ class ConfigError(ValueError):
 
 _PROBLEM_DEFAULTS_TOY = {"type": "toy", "case": None, "N": None,
                          "C1": None, "C2": None, "d": None}
-_PROBLEM_DEFAULTS_PLATE = {
-    "type": "plate", "m": 4, "N": 5000, "h_c": 1.0, "kappa_c": 400.0,
-    "eps_c": 0.5, "sigma_c": 5.67e-8, "T_c": 300.0, "t_c": 0.01,
-    "desired": {"kind": "sin_time"},
-}
-_SOLVER_DEFAULTS = {
-    "mode": "fotd", "mu": 25.0, "eta1": 10.0, "eta2": 0.1, "beta": 0.1,
-    "backtrack_factor": 0.9, "M": 10, "b": 5, "kkt_tol": 1e-6,
-    "step_tol": 1e-6, "max_iters": 40, "c": None, "adaptivity": False,
-    "nu": 2.0, "rho_hat": 0.5, "workers": 1, "gamma_step": 2.0,
-    "schwarz_budget": 30,
-}
+# PlateSpec fields other than ``desired``, which the config names by kind.
+_PLATE_FIELDS = [f for f in fields(PlateSpec) if f.name != "desired"]
+_PROBLEM_DEFAULTS_PLATE = {"type": "plate",
+                           **{f.name: f.default for f in _PLATE_FIELDS},
+                           "desired": {"kind": "sin_time"}}
+# SolverConfig fields written as solver keys as they are; ``eta`` becomes
+# eta1/eta2, and assert_descent/diagnostics live in the run block.
+_SOLVER_FIELDS = [f.name for f in fields(SolverConfig)
+                  if f.name not in ("eta", "assert_descent", "diagnostics")]
+
+
+def _solver_block(solver: SolverConfig) -> dict:
+    return {**{name: getattr(solver, name) for name in _SOLVER_FIELDS},
+            "eta1": solver.eta.eta1, "eta2": solver.eta.eta2}
+
+
+_SOLVER_DEFAULTS = {"mode": "fotd", **_solver_block(SolverConfig()),
+                    "schwarz_budget": SCHWARZ_BUDGET}
 _RUN_DEFAULTS = {"inits": 5, "seed": 0, "out_dir": "out",
                  "diagnostics": False, "assert_level": "on", "timing": True}
+
+
+def _like(default, val):
+    """``val`` converted to the type of ``default``; None stands for a float."""
+    if default is None:
+        return None if val is None else float(val)
+    return type(default)(val)
 
 
 def _merge_block(name: str, given: dict, defaults: dict) -> dict:
@@ -96,19 +109,8 @@ class ExperimentConfig:
     sweep_mu: Optional[List[float]] = None
 
     def to_dict(self) -> dict:
-        solver = {
-            "mode": self.mode, "mu": self.solver.mu,
-            "eta1": self.solver.eta.eta1, "eta2": self.solver.eta.eta2,
-            "beta": self.solver.beta,
-            "backtrack_factor": self.solver.backtrack_factor,
-            "M": self.solver.M, "b": self.solver.b,
-            "kkt_tol": self.solver.kkt_tol, "step_tol": self.solver.step_tol,
-            "max_iters": self.solver.max_iters, "c": self.solver.c,
-            "adaptivity": self.solver.adaptivity, "nu": self.solver.nu,
-            "rho_hat": self.solver.rho_hat, "workers": self.solver.workers,
-            "gamma_step": self.solver.gamma_step,
-            "schwarz_budget": self.schwarz_budget,
-        }
+        solver = {"mode": self.mode, **_solver_block(self.solver),
+                  "schwarz_budget": self.schwarz_budget}
         run = {"inits": self.inits, "seed": self.seed, "out_dir": self.out_dir,
                "diagnostics": self.solver.diagnostics,
                "assert_level": "on" if self.solver.assert_descent else "off",
@@ -138,10 +140,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     ptype = prob_raw.get("type")
     if ptype == "toy":
         problem = _merge_block("problem", prob_raw, _PROBLEM_DEFAULTS_TOY)
-        if problem["case"] is None and (problem["C1"] is None
-                                        or problem["C2"] is None
-                                        or problem["d"] is None
-                                        or problem["N"] is None):
+        if problem["case"] is None and any(problem[key] is None
+                                           for key in ("N", "C1", "C2", "d")):
             raise ConfigError(
                 "problem: a toy problem needs either 'case' or explicit "
                 "'N', 'C1', 'C2' and 'd'")
@@ -160,19 +160,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             raise ConfigError(f"unknown key 'sweep.{key}'")
     try:
         solver = SolverConfig(
-            mu=float(s["mu"]),
+            **{name: _like(_SOLVER_DEFAULTS[name], s[name])
+               for name in _SOLVER_FIELDS},
             eta=PenaltyParams(float(s["eta1"]), float(s["eta2"])),
-            beta=float(s["beta"]),
-            backtrack_factor=float(s["backtrack_factor"]),
-            M=int(s["M"]), b=int(s["b"]),
-            kkt_tol=float(s["kkt_tol"]), step_tol=float(s["step_tol"]),
-            max_iters=int(s["max_iters"]),
-            c=None if s["c"] is None else float(s["c"]),
-            adaptivity=bool(s["adaptivity"]), nu=float(s["nu"]),
-            rho_hat=float(s["rho_hat"]), workers=int(s["workers"]),
             assert_descent=_as_assert_level(run["assert_level"]) == "on",
             diagnostics=bool(run["diagnostics"]),
-            gamma_step=float(s["gamma_step"]),
         )
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
@@ -204,42 +196,36 @@ def dump_config(cfg: ExperimentConfig, path: str):
     atomic_write(path, yaml.safe_dump(cfg.to_dict(), sort_keys=True))
 
 
+def _kind_block(problem: dict, key: str) -> dict:
+    val = problem.get(key) or {}
+    if not isinstance(val, dict):
+        raise ConfigError(f"problem.{key} must be a mapping, got {val!r}")
+    return val
+
+
 def build_problem(problem: dict) -> ProblemDef:
     """Instantiate the benchmark named by a canonical problem block."""
     if problem["type"] == "toy":
         if problem.get("case") is not None:
             spec, _ = toy_case_params(int(problem["case"]), N=problem.get("N"))
             return make_toy_problem(spec)
-        d = problem["d"]
+        d = _kind_block(problem, "d")
         kind, scale = d.get("kind"), float(d.get("scale", 1.0))
-        if kind == "constant":
-            fn = lambda k: scale
-        elif kind == "sin":
-            fn = lambda k: scale * math.sin(k)
-        elif kind == "sin2":
-            fn = lambda k: scale * math.sin(k) ** 2
-        elif kind == "zero":
-            fn = lambda k: 0.0
-        else:
+        fns = {"constant": lambda k: scale, "sin": lambda k: scale * math.sin(k),
+               "sin2": lambda k: scale * math.sin(k) ** 2, "zero": lambda k: 0.0}
+        if kind not in fns:
             raise ConfigError(f"problem.d.kind must be constant/sin/sin2/zero, "
                               f"got {kind!r}")
         return make_toy_problem(ToySpec(N=int(problem["N"]),
                                         C1=float(problem["C1"]),
-                                        C2=float(problem["C2"]), d=fn))
-    desired = problem.get("desired") or {"kind": "sin_time"}
-    kind = desired.get("kind", "sin_time")
-    if kind == "sin_time":
-        fn = lambda node, t: math.sin(t)
-    elif kind == "zero":
-        fn = lambda node, t: 0.0
-    else:
+                                        C2=float(problem["C2"]), d=fns[kind]))
+    kind = _kind_block(problem, "desired").get("kind", "sin_time")
+    fns = {"sin_time": lambda node, t: math.sin(t), "zero": lambda node, t: 0.0}
+    if kind not in fns:
         raise ConfigError(f"problem.desired.kind must be sin_time/zero, got {kind!r}")
-    spec = PlateSpec(m=int(problem["m"]), N=int(problem["N"]),
-                     h_c=float(problem["h_c"]), kappa_c=float(problem["kappa_c"]),
-                     eps_c=float(problem["eps_c"]), sigma_c=float(problem["sigma_c"]),
-                     T_c=float(problem["T_c"]), t_c=float(problem["t_c"]),
-                     desired=fn)
-    return make_plate_problem(spec)
+    return make_plate_problem(PlateSpec(
+        **{f.name: type(f.default)(problem[f.name]) for f in _PLATE_FIELDS},
+        desired=fns[kind]))
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +260,39 @@ def _run_one(p: ProblemDef, solver: SolverConfig, mode: str, init,
     return solve(p, solver, init, mode=mode)
 
 
+def _setup(cfg: ExperimentConfig, modes: List[str], cells):
+    """``(p, inits, [(b, mu, solver), ...])`` for the (b, mu) ``cells``.
+
+    Builds every plan the run will use too, so that whatever the config gets
+    wrong raises :class:`ConfigError` here, before any solve starts.
+    """
+    try:
+        p = build_problem(cfg.problem)
+        inits = make_initializations(p, cfg.inits, cfg.seed)
+        runs = [(b, mu, replace(cfg.solver, b=int(b), mu=float(mu)))
+                for b, mu in cells]
+        if any(mode != "centralized" for mode in modes):
+            for _, _, solver in runs:
+                make_plan(p.N, solver.M, solver.b)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+    return p, inits, runs
+
+
+def _exit_2_on_config_error(cmd):
+    """Turn a :class:`ConfigError` from ``cmd`` into a message and exit code 2."""
+    @functools.wraps(cmd)
+    def run(*args, **kwargs):
+        try:
+            return cmd(*args, **kwargs)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
+    return run
+
+
 def _summarize(report: SolveReport, mode: str, init_idx: int, csv_name: str,
                timing: bool) -> dict:
     return {
@@ -286,17 +305,13 @@ def _summarize(report: SolveReport, mode: str, init_idx: int, csv_name: str,
     }
 
 
+@_exit_2_on_config_error
 def cmd_solve(config_path: str, overrides: Optional[dict] = None) -> int:
     """Run one solve per initialization; 0 iff every run converged."""
-    try:
-        cfg = _apply_overrides(load_config(config_path), overrides or {})
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    cfg = _apply_overrides(load_config(config_path), overrides or {})
     modes = (overrides or {}).get("modes") or [cfg.mode]
+    p, inits, _ = _setup(cfg, modes, [(cfg.solver.b, cfg.solver.mu)])
     os.makedirs(cfg.out_dir, exist_ok=True)
-    p = build_problem(cfg.problem)
-    inits = make_initializations(p, cfg.inits, cfg.seed)
     runs, comparisons = [], []
     all_ok = True
     finals = {}
@@ -325,47 +340,40 @@ def cmd_solve(config_path: str, overrides: Optional[dict] = None) -> int:
     return 0 if all_ok else 1
 
 
+@_exit_2_on_config_error
 def cmd_sweep(config_path: str, sweep: Optional[dict] = None,
               overrides: Optional[dict] = None) -> int:
     """Cartesian (b, mu) sweep; per-cell CSVs plus an averaged summary table."""
-    try:
-        cfg = _apply_overrides(load_config(config_path), overrides or {})
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    cfg = _apply_overrides(load_config(config_path), overrides or {})
     sweep = sweep or {}
     bs = sweep.get("b") or cfg.sweep_b or [cfg.solver.b]
     mus = sweep.get("mu") or cfg.sweep_mu or [cfg.solver.mu]
+    p, inits, cells = _setup(cfg, [cfg.mode], [(b, mu) for b in bs for mu in mus])
     os.makedirs(cfg.out_dir, exist_ok=True)
-    p = build_problem(cfg.problem)
-    inits = make_initializations(p, cfg.inits, cfg.seed)
     rows = []
     all_ok = True
-    for b in bs:
-        for mu in mus:
-            cell_dir = os.path.join(cfg.out_dir, f"b{b}_mu{mu:g}")
-            os.makedirs(cell_dir, exist_ok=True)
-            cell_cfg = replace(cfg.solver, b=int(b), mu=float(mu))
-            kkts, times, ratios, n_conv = [], [], [], 0
-            for i, init in enumerate(inits):
-                report = _run_one(p, cell_cfg, cfg.mode, init,
-                                  cfg.schwarz_budget)
-                atomic_write(os.path.join(cell_dir, f"run_{i}.csv"),
-                             report_to_csv(report, timing=cfg.timing))
-                if report.converged:
-                    n_conv += 1
-                    kkts.append(report.final_kkt)
-                    times.append(report.total_ms if cfg.timing else 0.0)
-                    ratios.extend(r.dir_err_ratio for r in report.records
-                                  if r.dir_err_ratio is not None)
-                all_ok &= report.converged
-            rows.append({
-                "b": b, "mu": mu, "runs": len(inits), "converged": n_conv,
-                "mean_kkt_residual": _sig6(float(np.mean(kkts))) if kkts else "",
-                "mean_total_ms": _sig6(float(np.mean(times))) if times else "",
-                "mean_dir_err_ratio": (_sig6(float(np.mean(ratios)))
-                                       if ratios else ""),
-            })
+    for b, mu, cell_cfg in cells:
+        cell_dir = os.path.join(cfg.out_dir, f"b{b}_mu{mu:g}")
+        os.makedirs(cell_dir, exist_ok=True)
+        kkts, times, ratios, n_conv = [], [], [], 0
+        for i, init in enumerate(inits):
+            report = _run_one(p, cell_cfg, cfg.mode, init, cfg.schwarz_budget)
+            atomic_write(os.path.join(cell_dir, f"run_{i}.csv"),
+                         report_to_csv(report, timing=cfg.timing))
+            if report.converged:
+                n_conv += 1
+                kkts.append(report.final_kkt)
+                times.append(report.total_ms if cfg.timing else 0.0)
+                ratios.extend(r.dir_err_ratio for r in report.records
+                              if r.dir_err_ratio is not None)
+            all_ok &= report.converged
+        rows.append({
+            "b": b, "mu": mu, "runs": len(inits), "converged": n_conv,
+            "mean_kkt_residual": _sig6(float(np.mean(kkts))) if kkts else "",
+            "mean_total_ms": _sig6(float(np.mean(times))) if times else "",
+            "mean_dir_err_ratio": (_sig6(float(np.mean(ratios)))
+                                   if ratios else ""),
+        })
     header = ("b,mu,runs,converged,mean_kkt_residual,mean_total_ms,"
               "mean_dir_err_ratio")
     lines = [header] + [",".join(str(row[k]) for k in header.split(","))
@@ -378,14 +386,11 @@ def cmd_sweep(config_path: str, sweep: Optional[dict] = None,
     return 0 if all_ok else 1
 
 
+@_exit_2_on_config_error
 def cmd_diag(config_path: str, gamma_c: float = 1.0, t: float = 1.0,
              upsilon: float = 2.0) -> int:
     """Print diagnostic constants and run two small-instance self-checks."""
-    try:
-        load_config(config_path)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    load_config(config_path)
     print(f"gamma_G(gamma_C={gamma_c:g}, t={t:g}, upsilon={upsilon:g}) = "
           f"{theory_gamma_G(gamma_c, t, upsilon):.6g}")
     print(f"mu_bar(gamma_C={gamma_c:g}, t={t:g}, upsilon={upsilon:g}) = "

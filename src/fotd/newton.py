@@ -26,9 +26,8 @@ import numpy as np
 
 from . import banded
 from .exceptions import ModificationFailure, NumericsError
-from .problem import (DualTrajectory, ProblemDef, Trajectory,
-                      eval_lagrangian_gradient, split_primal,
-                      stack_primal, stage_hessian_blocks)
+from .problem import (DualTrajectory, ProblemDef, Trajectory, linearize,
+                      split_primal, stack_primal)
 
 PIVOT_TOL = banded.PIVOT_TOL
 GAMMA_SEED = 1e-4     # ladder start, scaled by (1 + max block norm)
@@ -57,9 +56,6 @@ class NewtonData:
     gu: np.ndarray     # (N, n_u)
     glam: np.ndarray   # (N+1, n_x)
     gamma_applied: float = 0.0
-
-    def grad_z(self) -> np.ndarray:
-        return stack_primal(self.gx, self.gu)
 
     def max_block_norm_fro(self) -> float:
         return max_block_norm_fro(self.Q, self.S, self.R)
@@ -95,8 +91,7 @@ def assemble_newton_data(p: ProblemDef, z: Trajectory, lam: DualTrajectory) -> N
     Blocks are unmodified (gamma_applied = 0).  Non-finite callback output
     raises :class:`NumericsError` carrying the offending stage.
     """
-    Q, S, R, A, B = stage_hessian_blocks(p, z, lam)
-    gz, gl = eval_lagrangian_gradient(p, z, lam)
+    Q, S, R, A, B, gz, gl = linearize(p, z, lam)
     gx, gu = split_primal(gz, p.N, p.n_x, p.n_u)
     for name, arr in (("Hessian/Jacobian", np.concatenate([Q[: p.N].reshape(p.N, -1),
                                                            S.reshape(p.N, -1),

@@ -37,6 +37,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from .banded import hessian_vector_product, jacobian_products
+
 
 @dataclass(frozen=True)
 class ProblemDef:
@@ -179,20 +181,7 @@ def eval_lagrangian_gradient(p: ProblemDef, z: Trajectory, lam: DualTrajectory):
     Returns ``(grad_z, grad_lam)`` as flat stage-major vectors.  The KKT
     residual is the 2-norm of their concatenation.
     """
-    check_point(p, z, lam)
-    gx = np.empty((p.N + 1, p.n_x))
-    gu = np.empty((p.N, p.n_u))
-    glam = np.empty((p.N + 1, p.n_x))
-    glam[0] = z.x[0] - p.x0
-    lm = lam.lam
-    for k in range(p.N):
-        cgx, cgu = p.cost_gradient(k, z.x[k], z.u[k])
-        A, B = p.dynamics_jacobians(k, z.x[k], z.u[k])
-        gx[k] = cgx + lm[k] - A.T @ lm[k + 1]
-        gu[k] = cgu - B.T @ lm[k + 1]
-        glam[k + 1] = z.x[k + 1] - np.asarray(p.dynamics(k, z.x[k], z.u[k]))
-    gx[p.N] = p.cost_gradient(p.N, z.x[p.N]) + lm[p.N]
-    return stack_primal(gx, gu), glam.ravel()
+    return _merit_terms(p, z, lam)[1:]
 
 
 class MeritTerms(NamedTuple):
@@ -246,12 +235,13 @@ def eval_merit(p: ProblemDef, z: Trajectory, lam: DualTrajectory,
     return _merit_terms(p, z, lam).merit(eta)
 
 
-def stage_hessian_blocks(p: ProblemDef, z: Trajectory, lam: DualTrajectory):
-    """Exact Lagrangian Hessian blocks (Q, S, R) and Jacobians (A, B).
+def linearize(p: ProblemDef, z: Trajectory, lam: DualTrajectory):
+    """Exact Lagrangian Hessian blocks, Jacobians and gradient in one pass.
 
-    Q has shape (N+1, n_x, n_x) including the terminal block; S, R, A, B have
-    leading dimension N.  Q_k, S_k, R_k include the dynamics curvature
-    contracted with lam_{k+1}.
+    Returns ``(Q, S, R, A, B, grad_z, grad_lam)``: Q (N+1, n_x, n_x) includes
+    the terminal block, S, R, A, B lead with N, Q_k, S_k, R_k include the
+    dynamics curvature contracted with lam_{k+1}, and the gradients are those
+    of :func:`eval_lagrangian_gradient`.  Each callback runs once per stage.
     """
     check_point(p, z, lam)
     nx, nu = p.n_x, p.n_u
@@ -260,41 +250,31 @@ def stage_hessian_blocks(p: ProblemDef, z: Trajectory, lam: DualTrajectory):
     R = np.empty((p.N, nu, nu))
     A = np.empty((p.N, nx, nx))
     B = np.empty((p.N, nx, nu))
+    gx = np.empty((p.N + 1, nx))
+    gu = np.empty((p.N, nu))
+    glam = np.empty((p.N + 1, nx))
+    glam[0] = z.x[0] - p.x0
+    lm = lam.lam
     for k in range(p.N):
-        Qc, Sc, Rc = p.cost_hessian(k, z.x[k], z.u[k])
-        W = np.asarray(p.dynamics_hessian_contraction(k, z.x[k], z.u[k], lam.lam[k + 1]))
+        xk, uk = z.x[k], z.u[k]
+        Qc, Sc, Rc = p.cost_hessian(k, xk, uk)
+        W = np.asarray(p.dynamics_hessian_contraction(k, xk, uk, lm[k + 1]))
         Q[k] = Qc + W[:nx, :nx]
         S[k] = Sc + W[nx:, :nx]
         R[k] = Rc + W[nx:, nx:]
-        A[k], B[k] = p.dynamics_jacobians(k, z.x[k], z.u[k])
+        A[k], B[k] = p.dynamics_jacobians(k, xk, uk)
+        cgx, cgu = p.cost_gradient(k, xk, uk)
+        gx[k] = cgx + lm[k] - A[k].T @ lm[k + 1]
+        gu[k] = cgu - B[k].T @ lm[k + 1]
+        glam[k + 1] = z.x[k + 1] - np.asarray(p.dynamics(k, xk, uk))
     Q[p.N] = p.cost_hessian(p.N, z.x[p.N])
-    return Q, S, R, A, B
+    gx[p.N] = p.cost_gradient(p.N, z.x[p.N]) + lm[p.N]
+    return Q, S, R, A, B, stack_primal(gx, gu), glam.ravel()
 
 
-def hessian_vector_product(Q, S, R, vx: np.ndarray, vu: np.ndarray):
-    """Stagewise H @ v for block-diagonal H with blocks [[Q, S^T], [S, R]]."""
-    N = vu.shape[0]
-    hx = np.einsum("kij,kj->ki", Q[:N], vx[:N]) + np.einsum("kji,kj->ki", S, vu)
-    hu = np.einsum("kij,kj->ki", S, vx[:N]) + np.einsum("kij,kj->ki", R, vu)
-    hxN = Q[N] @ vx[N]
-    return np.vstack([hx, hxN[None, :]]), hu
-
-
-def jacobian_products(A, B, vx, vu, w):
-    """Constraint Jacobian products (G v, G^T w) for the staircase structure.
-
-    ``w`` has shape (N+1, n_x).  Returns (Gv with shape (N+1, n_x),
-    (GTw_x, GTw_u) stage arrays).
-    """
-    N = vu.shape[0]
-    Gv = np.empty_like(w)
-    Gv[0] = vx[0]
-    Gv[1:] = vx[1:] - np.einsum("kij,kj->ki", A, vx[:N]) - np.einsum("kij,kj->ki", B, vu)
-    GTx = np.empty_like(vx)
-    GTx[:N] = w[:N] - np.einsum("kji,kj->ki", A, w[1:])
-    GTx[N] = w[N]
-    GTu = -np.einsum("kji,kj->ki", B, w[1:])
-    return Gv, (GTx, GTu)
+def stage_hessian_blocks(p: ProblemDef, z: Trajectory, lam: DualTrajectory):
+    """The ``(Q, S, R, A, B)`` blocks of :func:`linearize`."""
+    return linearize(p, z, lam)[:5]
 
 
 def eval_merit_gradient(p: ProblemDef, z: Trajectory, lam: DualTrajectory,
@@ -309,8 +289,7 @@ def eval_merit_gradient(p: ProblemDef, z: Trajectory, lam: DualTrajectory,
     with the exact (unmodified) Lagrangian Hessian H.  Returns flat
     ``(grad_z_merit, grad_lam_merit)``.
     """
-    gz, gl = eval_lagrangian_gradient(p, z, lam)
-    Q, S, R, A, B = stage_hessian_blocks(p, z, lam)
+    Q, S, R, A, B, gz, gl = linearize(p, z, lam)
     vx, vu = split_primal(gz, p.N, p.n_x, p.n_u)
     w = gl.reshape(p.N + 1, p.n_x)
     hx, hu = hessian_vector_product(Q, S, R, vx, vu)

@@ -85,6 +85,25 @@ def test_cmd_solve_malformed_config_exit_2(tmp_path, capsys):
     assert "solver.bogus" in capsys.readouterr().err
 
 
+TOY_EXPLICIT = "problem: {type: toy, N: 30, C1: 8.0, C2: 1.0, d: %s}\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+@pytest.mark.parametrize("text", [
+    TOY_EXPLICIT % "{kind: cosine}",                      # unknown d kind
+    TOY_EXPLICIT % "1.0",                                 # d is not a mapping
+    "problem: {type: plate, m: 2, N: 50}\n",              # no interior node
+    "problem: {type: toy, case: 1, N: 60}\nsolver: {M: 7}\n",  # M does not divide N
+], ids=["d-kind", "d-scalar", "plate-m2", "M-divides-N"])
+def test_config_errors_found_before_solving_exit_2(tmp_path, capsys, command,
+                                                    text):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, text + "run: {inits: 1, out_dir: '%s'}\n" % out)
+    assert main([command, "--config", path]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cmd_solve_comparative_modes(tmp_path):
     out = tmp_path / "out"
     path = write_config(tmp_path, TOY_CFG % out)

@@ -1,14 +1,17 @@
 import math
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fotd.benchmarks import ToySpec, make_plate_problem, make_toy_problem, PlateSpec
+from fotd.newton import assemble_newton_data
 from fotd.problem import (DualTrajectory, PenaltyParams, ProblemDef, Trajectory,
                           eval_constraints, eval_lagrangian_gradient, eval_merit,
                           eval_merit_gradient, eval_objective, kkt_residual,
-                          load_point_csv, save_point_csv, split_primal,
-                          stack_primal)
+                          linearize, load_point_csv, save_point_csv,
+                          split_primal, stack_primal)
 
 from oracles import (central_diff, dense_kkt_system, make_random_lq,
                      newton_solve_to_kkt, random_point)
@@ -213,6 +216,63 @@ def test_kkt_residual_is_stacked_norm():
     gz, gl = eval_lagrangian_gradient(p, z, lam)
     assert kkt_residual(p, z, lam) == pytest.approx(
         np.linalg.norm(np.concatenate([gz, gl])))
+
+
+@pytest.mark.parametrize("family", ["toy", "plate"])
+def test_linearize_matches_dense_kkt_oracle(family):
+    if family == "toy":
+        p = toy(N=5, d=lambda k: math.sin(k))
+    else:
+        p = make_plate_problem(PlateSpec(m=4, N=20))
+    z, lam = random_point(p, seed=12)
+    Q, S, R, A, B, gz, gl = linearize(p, z, lam)
+    K, rhs = dense_kkt_system(p, z, lam)
+    N, nx, m, nz = p.N, p.n_x, p.n_x + p.n_u, p.n_z
+    H = np.zeros((nz, nz))
+    G = np.zeros((p.n_c, nz))
+    G[:nx, :nx] = np.eye(nx)
+    for k in range(N):
+        ix, iu = k * m, k * m + nx
+        H[ix:ix + m, ix:ix + m] = np.block([[Q[k], S[k].T], [S[k], R[k]]])
+        row = (k + 1) * nx
+        G[row:row + nx, ix:iu] = -A[k]
+        G[row:row + nx, iu:ix + m] = -B[k]
+        G[row:row + nx, ix + m:ix + m + nx] = np.eye(nx)
+    H[N * m:, N * m:] = Q[N]
+    np.testing.assert_array_equal(H, K[:nz, :nz])
+    np.testing.assert_array_equal(G, K[nz:, :nz])
+    np.testing.assert_array_equal(np.concatenate([gz, gl]), rhs)
+
+
+def _counting(p: ProblemDef):
+    """Copy of ``p`` whose callbacks count their calls into the returned Counter."""
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(p, name)
+
+        def callback(*args):
+            calls[name] += 1
+            return fn(*args)
+        return callback
+
+    names = ("stage_cost", "cost_gradient", "cost_hessian", "dynamics",
+             "dynamics_jacobians", "dynamics_hessian_contraction")
+    return replace(p, **{name: counted(name) for name in names}), calls
+
+
+@pytest.mark.parametrize("evaluate", [
+    assemble_newton_data,
+    lambda p, z, lam: eval_merit_gradient(p, z, lam, PenaltyParams(10.0, 0.1)),
+], ids=["assemble_newton_data", "eval_merit_gradient"])
+def test_linearization_calls_each_callback_once_per_stage(evaluate):
+    p, calls = _counting(toy(N=7))
+    z, lam = random_point(p, seed=13)
+    evaluate(p, z, lam)
+    N = p.N
+    assert calls == {"cost_gradient": N + 1, "cost_hessian": N + 1,
+                     "dynamics_jacobians": N, "dynamics_hessian_contraction": N,
+                     "dynamics": N}
 
 
 def test_dimension_mismatch_raises():
