@@ -123,27 +123,8 @@ def jacobian_products(A, B, vx, vu, w):
     return Gv, (GTx, GTu)
 
 
-def lq_kkt_residual(Q, S, R, A, B, gx, gu, c0, cdyn, p, q, zeta) -> float:
-    """2-norm of the KKT residual of a candidate (p, q, zeta)."""
-    hp, hq = hessian_vector_product(Q, S, R, p, q)
-    rc, (gtp, gtq) = jacobian_products(A, B, p, q, zeta)
-    rc[0] -= c0
-    rc[1:] -= cdyn
-    return float(np.sqrt(sum(float(r.ravel() @ r.ravel())
-                             for r in (hp + gx + gtp, hq + gu + gtq, rc))))
-
-
-def lq_rhs_norm(gx, gu, c0, cdyn) -> float:
-    """Norm of the KKT right-hand side (for relative residual tolerances)."""
-    return float(np.sqrt(float(gx.ravel() @ gx.ravel())
-                         + float(gu.ravel() @ gu.ravel())
-                         + float(c0 @ c0)
-                         + float(cdyn.ravel() @ cdyn.ravel())))
-
-
-def definiteness_pivots_ok(Q, S, R, A, B, c: float,
-                           pivot_tol: float = PIVOT_TOL) -> bool:
-    """Definiteness test: does H + c * G^T G factor with pivots >= pivot_tol?
+def definiteness_pivots_ok(Q, S, R, A, B, c: float) -> bool:
+    """Definiteness test: does H + c * G^T G factor with pivots >= PIVOT_TOL?
 
     H is the block-diagonal stage Hessian and G the staircase constraint
     Jacobian of the canonical LQ problem.  The sum is block tridiagonal; a
@@ -176,4 +157,4 @@ def definiteness_pivots_ok(Q, S, R, A, B, c: float,
     if info != 0:
         return False
     pivots = fact[0, :] ** 2
-    return bool(np.all(pivots >= pivot_tol))
+    return bool(np.all(pivots >= PIVOT_TOL))

@@ -78,9 +78,7 @@ _RUN_DEFAULTS = {"inits": 5, "seed": 0, "out_dir": "out",
 
 
 def _like(default, val):
-    """``val`` converted to the type of ``default``; None stands for a float."""
-    if default is None:
-        return None if val is None else float(val)
+    """``val`` converted to the type of ``default``."""
     return type(default)(val)
 
 
@@ -441,7 +439,10 @@ def _apply_overrides(cfg: ExperimentConfig, ov: dict) -> ExperimentConfig:
     if ov.get("seed") is not None:
         updates["seed"] = int(ov["seed"])
     if ov.get("workers") is not None:
-        solver = replace(solver, workers=int(ov["workers"]))
+        try:
+            solver = replace(solver, workers=int(ov["workers"]))
+        except ValueError as exc:
+            raise ConfigError(f"--workers: {exc}") from exc
     if ov.get("assert_level") is not None:
         solver = replace(solver, assert_descent=ov["assert_level"] == "on")
     if ov.get("diagnostics"):
@@ -471,7 +472,9 @@ def _add_common(sp):
     sp.add_argument("--mode", action="append",
                     help="solver mode override; repeat for side-by-side runs")
     sp.add_argument("--seed", type=int, help="initialization seed override")
-    sp.add_argument("--workers", type=int, help="subproblem worker threads")
+    sp.add_argument("--workers", type=int,
+                    help="threads for the fotd direction's subproblems (>= 1); "
+                         "the Schwarz baseline solves its intervals in order")
     sp.add_argument("--assert-level", choices=["off", "on"], dest="assert_level")
     sp.add_argument("--diagnostics", action="store_true", default=None,
                     help="record per-iteration direction-error ratios")

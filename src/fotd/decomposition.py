@@ -30,8 +30,7 @@ import numpy as np
 
 from . import banded
 from .exceptions import MuTooSmallError
-from .newton import (PIVOT_TOL, NewtonData, NewtonDirection,
-                     default_definiteness_constant)
+from .newton import NewtonData, NewtonDirection, default_definiteness_constant
 from .problem import stack_primal
 
 
@@ -204,20 +203,15 @@ def assemble_subproblem(nd: NewtonData, plan: DecompositionPlan, i: int,
     )
 
 
-def _subproblem_definite(sub: SubproblemData, c: Optional[float]) -> bool:
-    if c is None:
-        c = default_definiteness_constant(sub)
-    return banded.definiteness_pivots_ok(sub.Q, sub.S, sub.R, sub.A, sub.B, c,
-                                         pivot_tol=PIVOT_TOL)
-
-
-def solve_subproblem(sub: SubproblemData, c: Optional[float] = None) -> SubproblemSolution:
+def solve_subproblem(sub: SubproblemData) -> SubproblemSolution:
     """Unique KKT solution of one subproblem via the banded factorization.
 
     The same H + c G^T G definiteness test used on the full problem is run
-    at subproblem scope first; failure raises :class:`MuTooSmallError`.
+    at subproblem scope first, with c derived from the subproblem's blocks;
+    failure raises :class:`MuTooSmallError`.
     """
-    if not _subproblem_definite(sub, c):
+    if not banded.definiteness_pivots_ok(sub.Q, sub.S, sub.R, sub.A, sub.B,
+                                         default_definiteness_constant(sub)):
         raise MuTooSmallError(sub.index, sub.mu)
     p, q, zeta = banded.solve_lq_kkt(sub.Q, sub.S, sub.R, sub.A, sub.B,
                                      sub.gx, sub.gu, sub.c0, sub.cdyn)
@@ -225,8 +219,7 @@ def solve_subproblem(sub: SubproblemData, c: Optional[float] = None) -> Subprobl
 
 
 def approximate_direction(nd: NewtonData, plan: DecompositionPlan, mu: float,
-                          workers: int = 1,
-                          c: Optional[float] = None) -> NewtonDirection:
+                          workers: int = 1) -> NewtonDirection:
     """Decomposed Newton direction: solve all subproblems with zero boundaries.
 
     Subproblem solves are independent and may run on a thread pool; results
@@ -235,7 +228,7 @@ def approximate_direction(nd: NewtonData, plan: DecompositionPlan, mu: float,
     """
     def solve_one(i: int) -> SubproblemSolution:
         d = BoundaryVars.zeros(nd.n_x, nd.n_u, terminal=plan.m2[i] == plan.N)
-        return solve_subproblem(assemble_subproblem(nd, plan, i, mu, d), c=c)
+        return solve_subproblem(assemble_subproblem(nd, plan, i, mu, d))
 
     if workers > 1 and plan.M > 1:
         with ThreadPoolExecutor(max_workers=min(workers, plan.M)) as pool:
@@ -244,10 +237,3 @@ def approximate_direction(nd: NewtonData, plan: DecompositionPlan, mu: float,
         sols = [solve_one(i) for i in range(plan.M)]
     dx, du, dlam = compose([(s.p, s.q, s.zeta) for s in sols], plan)
     return NewtonDirection(stack_primal(dx, du), dlam.ravel())
-
-
-def subproblem_kkt_residual(sub: SubproblemData, sol: SubproblemSolution) -> float:
-    """Residual of the subproblem KKT system at a candidate solution."""
-    return banded.lq_kkt_residual(sub.Q, sub.S, sub.R, sub.A, sub.B,
-                                  sub.gx, sub.gu, sub.c0, sub.cdyn,
-                                  sol.p, sol.q, sol.zeta)

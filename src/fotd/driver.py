@@ -53,7 +53,11 @@ ALPHA_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Algorithm parameters; defaults follow the reference experiment protocol."""
+    """Algorithm parameters; defaults follow the reference experiment protocol.
+
+    ``workers`` threads solve the decomposed direction's subproblems; the
+    Schwarz baseline solves its intervals in order whatever its value.
+    """
 
     mu: float = 25.0
     eta: PenaltyParams = field(default_factory=lambda: PenaltyParams(10.0, 0.1))
@@ -64,14 +68,12 @@ class SolverConfig:
     kkt_tol: float = 1e-6
     step_tol: float = 1e-6
     max_iters: int = 40
-    c: Optional[float] = None          # definiteness-test constant override
     adaptivity: bool = False
     nu: float = 2.0
     rho_hat: float = 0.5
     workers: int = 1
     assert_descent: bool = True
     diagnostics: bool = False
-    gamma_step: float = 2.0
 
     def __post_init__(self):
         if not 0 < self.beta < 0.5:
@@ -85,6 +87,8 @@ class SolverConfig:
             raise ValueError(f"nu must exceed 1, got {self.nu}")
         if not 0 < self.rho_hat < 1:
             raise ValueError(f"rho_hat must lie in (0, 1), got {self.rho_hat}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {self.workers}")
 
 
 @dataclass
@@ -155,8 +159,8 @@ MERIT_NOISE = 10.0 * np.finfo(float).eps
 
 
 def armijo_backtrack(merit_along: Callable[[float], float], merit0: float,
-                     slope: float, beta: float, factor: float,
-                     alpha_floor: float = ALPHA_FLOOR) -> Tuple[float, float]:
+                     slope: float, beta: float,
+                     factor: float) -> Tuple[float, float]:
     """Largest alpha in {1, factor, factor^2, ...} passing the Armijo test.
 
     ``merit_along(alpha)`` evaluates the merit at the trial point;
@@ -176,9 +180,9 @@ def armijo_backtrack(merit_along: Callable[[float], float], merit0: float,
         if trial <= merit0 + beta * alpha * slope + noise:
             return alpha, trial
         alpha *= factor
-        if alpha < alpha_floor:
+        if alpha < ALPHA_FLOOR:
             raise LineSearchFailure(
-                f"stepsize underflowed below {alpha_floor:g}")
+                f"stepsize underflowed below {ALPHA_FLOOR:g}")
 
 
 def line_search(p: ProblemDef, z: Trajectory, lam: DualTrajectory,
@@ -220,11 +224,10 @@ def direction_error_ratio(exact: NewtonDirection,
 def direction_error_diagnostic(p: ProblemDef, z: Trajectory,
                                lam: DualTrajectory, cfg: SolverConfig) -> float:
     """Relative error of the decomposed direction against the exact one."""
-    nd = modify_hessian(assemble_newton_data(p, z, lam), c=cfg.c,
-                        gamma_step=cfg.gamma_step)
+    nd = modify_hessian(assemble_newton_data(p, z, lam))
     plan = make_plan(p.N, cfg.M, cfg.b)
     exact = solve_full_newton(nd)
-    approx = approximate_direction(nd, plan, cfg.mu, workers=cfg.workers, c=cfg.c)
+    approx = approximate_direction(nd, plan, cfg.mu, workers=cfg.workers)
     return direction_error_ratio(exact, approx)
 
 
@@ -238,14 +241,13 @@ def _step(p: ProblemDef, mode: str, state: SolverState, cfg: SolverConfig,
     """
     z, lam = state.z, state.lam
     kkt_res = terms.residual()
-    nd = modify_hessian(assemble_newton_data(p, z, lam), c=cfg.c,
-                        gamma_step=cfg.gamma_step)
+    nd = modify_hessian(assemble_newton_data(p, z, lam))
     plan = make_plan(p.N, cfg.M, cfg.b) if mode == "fotd" else None
     violations = 0
     while True:
         direction = (solve_full_newton(nd) if plan is None else
                      approximate_direction(nd, plan, cfg.mu,
-                                           workers=cfg.workers, c=cfg.c))
+                                           workers=cfg.workers))
         merit_grad = eval_merit_gradient(p, z, lam, cfg.eta)
         slope = float(merit_grad[0] @ direction.dz
                       + merit_grad[1] @ direction.dlam)

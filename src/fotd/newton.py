@@ -29,8 +29,8 @@ from .exceptions import ModificationFailure, NumericsError
 from .problem import (DualTrajectory, ProblemDef, Trajectory, linearize,
                       split_primal, stack_primal)
 
-PIVOT_TOL = banded.PIVOT_TOL
 GAMMA_SEED = 1e-4     # ladder start, scaled by (1 + max block norm)
+GAMMA_STEP = 2.0      # ladder ratio
 GAMMA_CEILING = 1e8   # ladder abort, same scaling
 
 
@@ -135,8 +135,7 @@ def check_reduced_hessian(nd: NewtonData, c: float) -> bool:
     """
     if not c > 0:
         raise ValueError(f"definiteness constant must be positive, got {c}")
-    return banded.definiteness_pivots_ok(nd.Q, nd.S, nd.R, nd.A, nd.B, c,
-                                         pivot_tol=PIVOT_TOL)
+    return banded.definiteness_pivots_ok(nd.Q, nd.S, nd.R, nd.A, nd.B, c)
 
 
 def _shift(nd: NewtonData, gamma: float) -> NewtonData:
@@ -146,19 +145,15 @@ def _shift(nd: NewtonData, gamma: float) -> NewtonData:
                    gamma_applied=gamma)
 
 
-def modify_hessian(nd: NewtonData, c: float | None = None,
-                   gamma_step: float = 2.0) -> NewtonData:
+def modify_hessian(nd: NewtonData) -> NewtonData:
     """Levenberg-style modification Hhat = H + gamma * I.
 
-    Returns ``nd`` unchanged when the definiteness test already passes.
-    Otherwise the smallest shift from the geometric ladder
-    gamma_0 * gamma_step^j that passes is applied, with
-    gamma_0 = 1e-4 * (1 + max_k ||H_k||).
+    The definiteness test uses ``default_definiteness_constant(nd)``.
+    Returns ``nd`` unchanged when the test already passes.  Otherwise the
+    smallest shift from the geometric ladder gamma_0 * GAMMA_STEP^j that
+    passes is applied, with gamma_0 = GAMMA_SEED * (1 + max_k ||H_k||).
     """
-    if not gamma_step > 1:
-        raise ValueError(f"gamma_step must exceed 1, got {gamma_step}")
-    if c is None:
-        c = default_definiteness_constant(nd)
+    c = default_definiteness_constant(nd)
     if check_reduced_hessian(nd, c):
         return nd
     scale = 1.0 + nd.max_block_norm_2()
@@ -168,7 +163,7 @@ def modify_hessian(nd: NewtonData, c: float | None = None,
         cand = _shift(nd, gamma)
         if check_reduced_hessian(cand, c):
             return cand
-        gamma *= gamma_step
+        gamma *= GAMMA_STEP
     raise ModificationFailure(
         f"no Levenberg shift up to {ceiling:.3e} restored definiteness")
 
@@ -183,17 +178,6 @@ def solve_full_newton(nd: NewtonData) -> NewtonDirection:
     p, q, zeta = banded.solve_lq_kkt(nd.Q, nd.S, nd.R, nd.A, nd.B,
                                      nd.gx, nd.gu, -nd.glam[0], -nd.glam[1:])
     return NewtonDirection(stack_primal(p, q), zeta.ravel())
-
-
-def direction_kkt_residual(nd: NewtonData, d: NewtonDirection) -> float:
-    """Residual of the Newton system at a candidate direction (test hook)."""
-    dx, du, dl = d.stage_arrays(nd.N, nd.n_x, nd.n_u)
-    return banded.lq_kkt_residual(nd.Q, nd.S, nd.R, nd.A, nd.B, nd.gx, nd.gu,
-                                  -nd.glam[0], -nd.glam[1:], dx, du, dl)
-
-
-def newton_rhs_norm(nd: NewtonData) -> float:
-    return banded.lq_rhs_norm(nd.gx, nd.gu, -nd.glam[0], -nd.glam[1:])
 
 
 # ---------------------------------------------------------------------------

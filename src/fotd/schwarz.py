@@ -20,7 +20,6 @@ as an equivalence test.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
@@ -75,48 +74,46 @@ def subproblem_from_iterate(p: ProblemDef, plan: DecompositionPlan, i: int,
 
 
 def truncated_problem(sub: NonlinearSubproblem) -> ProblemDef:
-    """Express the nonlinear subproblem as a standalone problem definition."""
+    """Express the nonlinear subproblem as a standalone problem definition.
+
+    Stages k < T are the parent's stages m1 + k.  The terminal stage T is the
+    parent's terminal cost when the interval reaches the end of the horizon,
+    and the adjusted cost from the module docstring otherwise.
+    """
     p = sub.parent
-    off = sub.m1
-    T = sub.m2 - sub.m1
+    off, m2, mu = sub.m1, sub.m2, sub.mu
+    T = m2 - off
     nx = p.n_x
+    adjusted = sub.has_adjusted_terminal
+    ubar, lbar, xbar = sub.u_end, sub.lam_next, sub.x_end
 
-    if not sub.has_adjusted_terminal:
-        def stage_cost(k, x, u=None):
-            return p.stage_cost(off + k, x) if k == T else p.stage_cost(off + k, x, u)
+    def stage_cost(k, x, u=None):
+        if k < T:
+            return p.stage_cost(off + k, x, u)
+        if not adjusted:
+            return p.stage_cost(m2, x)
+        dx = x - xbar
+        return (p.stage_cost(m2, x, ubar)
+                - float(lbar @ np.asarray(p.dynamics(m2, x, ubar)))
+                + 0.5 * mu * float(dx @ dx))
 
-        def cost_gradient(k, x, u=None):
-            return (p.cost_gradient(off + k, x) if k == T
-                    else p.cost_gradient(off + k, x, u))
+    def cost_gradient(k, x, u=None):
+        if k < T:
+            return p.cost_gradient(off + k, x, u)
+        if not adjusted:
+            return p.cost_gradient(m2, x)
+        gx, _ = p.cost_gradient(m2, x, ubar)
+        A, _ = p.dynamics_jacobians(m2, x, ubar)
+        return gx - A.T @ lbar + mu * (x - xbar)
 
-        def cost_hessian(k, x, u=None):
-            return (p.cost_hessian(off + k, x) if k == T
-                    else p.cost_hessian(off + k, x, u))
-    else:
-        m2, mu = sub.m2, sub.mu
-        ubar, lbar, xbar = sub.u_end, sub.lam_next, sub.x_end
-
-        def stage_cost(k, x, u=None):
-            if k < T:
-                return p.stage_cost(off + k, x, u)
-            dx = x - xbar
-            return (p.stage_cost(m2, x, ubar)
-                    - float(lbar @ np.asarray(p.dynamics(m2, x, ubar)))
-                    + 0.5 * mu * float(dx @ dx))
-
-        def cost_gradient(k, x, u=None):
-            if k < T:
-                return p.cost_gradient(off + k, x, u)
-            gx, _ = p.cost_gradient(m2, x, ubar)
-            A, _ = p.dynamics_jacobians(m2, x, ubar)
-            return gx - A.T @ lbar + mu * (x - xbar)
-
-        def cost_hessian(k, x, u=None):
-            if k < T:
-                return p.cost_hessian(off + k, x, u)
-            Qc, _, _ = p.cost_hessian(m2, x, ubar)
-            W = np.asarray(p.dynamics_hessian_contraction(m2, x, ubar, lbar))
-            return Qc + W[:nx, :nx] + mu * np.eye(nx)
+    def cost_hessian(k, x, u=None):
+        if k < T:
+            return p.cost_hessian(off + k, x, u)
+        if not adjusted:
+            return p.cost_hessian(m2, x)
+        Qc, _, _ = p.cost_hessian(m2, x, ubar)
+        W = np.asarray(p.dynamics_hessian_contraction(m2, x, ubar, lbar))
+        return Qc + W[:nx, :nx] + mu * np.eye(nx)
 
     return ProblemDef(
         N=T, n_x=p.n_x, n_u=p.n_u, x0=sub.x_start,
@@ -131,18 +128,17 @@ def truncated_problem(sub: NonlinearSubproblem) -> ProblemDef:
 
 def solve_nonlinear_subproblem(sub: NonlinearSubproblem,
                                warm: Tuple[np.ndarray, np.ndarray, np.ndarray],
-                               inner_tol: float = INNER_TOL,
                                inner_max_iters: int = INNER_MAX_ITERS):
     """Solve one subproblem to optimality by an inner centralized SQP.
 
     ``warm`` is the (x, u, lam) slice of the current full iterate over
     [m1, m2].  Returns the subproblem's (x, u, lam) arrays; raises
     :class:`SubproblemFailure` when the inner loop does not reach
-    ``inner_tol`` within its budget.
+    INNER_TOL within its budget.
     """
     trunc = truncated_problem(sub)
     xw, uw, lw = warm
-    cfg = SolverConfig(mu=max(sub.mu, 1.0), kkt_tol=inner_tol, step_tol=0.0,
+    cfg = SolverConfig(mu=max(sub.mu, 1.0), kkt_tol=INNER_TOL, step_tol=0.0,
                        max_iters=inner_max_iters, assert_descent=False)
     report = solve(trunc, cfg, (Trajectory(xw.copy(), uw.copy()),
                                 DualTrajectory(lw.copy())),
@@ -156,30 +152,23 @@ def solve_nonlinear_subproblem(sub: NonlinearSubproblem,
 
 def schwarz_solve(p: ProblemDef, cfg: SolverConfig, init,
                   budget: int = SCHWARZ_BUDGET,
-                  inner_tol: float = INNER_TOL,
                   inner_max_iters: int = INNER_MAX_ITERS) -> SolveReport:
     """Outer Schwarz iteration: freeze boundaries, solve, compose, repeat.
 
     Runs the SQP drivers' outer loop, so it stops on the same KKT/step
     conditions, with a (smaller) default iteration budget since every outer
-    iteration solves nonlinear subproblems to optimality.
+    iteration solves nonlinear subproblems to optimality.  The intervals
+    are solved one after another in plan order.
     """
     plan = make_plan(p.N, cfg.M, cfg.b)
 
     def step(state: SolverState, cfg: SolverConfig, terms):
         z, lam = state.z, state.lam
         warms = decompose(z.x, z.u, lam.lam, plan)
-
-        def solve_one(i: int):
-            sub = subproblem_from_iterate(p, plan, i, cfg.mu, z, lam)
-            return solve_nonlinear_subproblem(sub, warms[i], inner_tol,
-                                              inner_max_iters)
-
-        if cfg.workers > 1 and plan.M > 1:
-            with ThreadPoolExecutor(max_workers=min(cfg.workers, plan.M)) as pool:
-                parts = list(pool.map(solve_one, range(plan.M)))
-        else:
-            parts = [solve_one(i) for i in range(plan.M)]
+        parts = [solve_nonlinear_subproblem(
+                     subproblem_from_iterate(p, plan, i, cfg.mu, z, lam),
+                     warms[i], inner_max_iters)
+                 for i in range(plan.M)]
         x_new, u_new, lam_new = compose(parts, plan)
         step_norm = float(np.sqrt(np.sum((x_new - z.x) ** 2)
                                   + np.sum((u_new - z.u) ** 2)

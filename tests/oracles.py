@@ -8,6 +8,7 @@ KKT points run without any globalization.
 
 import numpy as np
 
+from fotd.banded import hessian_vector_product, jacobian_products
 from fotd.problem import DualTrajectory, ProblemDef, Trajectory
 
 
@@ -117,6 +118,46 @@ def dense_reduced_hessian_eigmin(Q, S, R, A, B):
     if Z.shape[1] == 0:
         return np.inf
     return float(np.linalg.eigvalsh(Z.T @ H @ Z).min())
+
+
+# ---------------------------------------------------------------------------
+# Residuals of the LQ optimality system at a candidate solution
+# ---------------------------------------------------------------------------
+
+def lq_kkt_residual(Q, S, R, A, B, gx, gu, c0, cdyn, p, q, zeta) -> float:
+    """2-norm of the KKT residual of a candidate (p, q, zeta)."""
+    hp, hq = hessian_vector_product(Q, S, R, p, q)
+    rc, (gtp, gtq) = jacobian_products(A, B, p, q, zeta)
+    rc[0] -= c0
+    rc[1:] -= cdyn
+    return float(np.sqrt(sum(float(r.ravel() @ r.ravel())
+                             for r in (hp + gx + gtp, hq + gu + gtq, rc))))
+
+
+def lq_rhs_norm(gx, gu, c0, cdyn) -> float:
+    """Norm of the KKT right-hand side (for relative residual tolerances)."""
+    return float(np.sqrt(float(gx.ravel() @ gx.ravel())
+                         + float(gu.ravel() @ gu.ravel())
+                         + float(c0 @ c0)
+                         + float(cdyn.ravel() @ cdyn.ravel())))
+
+
+def direction_kkt_residual(nd, d) -> float:
+    """Residual of the Newton system of ``nd`` at a candidate direction."""
+    dx, du, dl = d.stage_arrays(nd.N, nd.n_x, nd.n_u)
+    return lq_kkt_residual(nd.Q, nd.S, nd.R, nd.A, nd.B, nd.gx, nd.gu,
+                           -nd.glam[0], -nd.glam[1:], dx, du, dl)
+
+
+def newton_rhs_norm(nd) -> float:
+    return lq_rhs_norm(nd.gx, nd.gu, -nd.glam[0], -nd.glam[1:])
+
+
+def subproblem_kkt_residual(sub, sol) -> float:
+    """Residual of the subproblem KKT system at a candidate solution."""
+    return lq_kkt_residual(sub.Q, sub.S, sub.R, sub.A, sub.B,
+                           sub.gx, sub.gu, sub.c0, sub.cdyn,
+                           sol.p, sol.q, sol.zeta)
 
 
 # ---------------------------------------------------------------------------

@@ -88,18 +88,26 @@ def test_cmd_solve_malformed_config_exit_2(tmp_path, capsys):
 TOY_EXPLICIT = "problem: {type: toy, N: 30, C1: 8.0, C2: 1.0, d: %s}\n"
 
 
+TOY_SOLVER = "problem: {type: toy, case: 1, N: 60}\nsolver: %s\n"
+
+
 @pytest.mark.parametrize("command", ["solve", "sweep"])
-@pytest.mark.parametrize("text", [
-    TOY_EXPLICIT % "{kind: cosine}",                      # unknown d kind
-    TOY_EXPLICIT % "1.0",                                 # d is not a mapping
-    "problem: {type: plate, m: 2, N: 50}\n",              # no interior node
-    "problem: {type: toy, case: 1, N: 60}\nsolver: {M: 7}\n",  # M does not divide N
-], ids=["d-kind", "d-scalar", "plate-m2", "M-divides-N"])
+@pytest.mark.parametrize("text, flags", [
+    (TOY_EXPLICIT % "{kind: cosine}", []),                # unknown d kind
+    (TOY_EXPLICIT % "1.0", []),                           # d is not a mapping
+    ("problem: {type: plate, m: 2, N: 50}\n", []),        # no interior node
+    (TOY_SOLVER % "{M: 7}", []),                          # M does not divide N
+    (TOY_SOLVER % "{c: -1.0}", []),                       # not a solver key
+    (TOY_SOLVER % "{gamma_step: 0.5}", []),               # not a solver key
+    (TOY_SOLVER % "{workers: 0}", []),                    # no worker thread
+    (TOY_SOLVER % "{M: 3, b: 2}", ["--workers", "0"]),    # no worker thread
+], ids=["d-kind", "d-scalar", "plate-m2", "M-divides-N", "solver-c",
+        "solver-gamma-step", "solver-workers-0", "flag-workers-0"])
 def test_config_errors_found_before_solving_exit_2(tmp_path, capsys, command,
-                                                    text):
+                                                    text, flags):
     out = tmp_path / "out"
     path = write_config(tmp_path, text + "run: {inits: 1, out_dir: '%s'}\n" % out)
-    assert main([command, "--config", path]) == 2
+    assert main([command, "--config", path, *flags]) == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
 

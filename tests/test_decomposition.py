@@ -4,11 +4,11 @@ import pytest
 from fotd.benchmarks import ToySpec, make_toy_problem
 from fotd.decomposition import (BoundaryVars, approximate_direction,
                                 assemble_subproblem, compose, decompose,
-                                make_plan, solve_subproblem,
-                                subproblem_kkt_residual)
+                                make_plan, solve_subproblem)
 from fotd.exceptions import MuTooSmallError
 from fotd.newton import NewtonData, assemble_newton_data, solve_full_newton
-from oracles import dense_lq_solve, make_random_lq, random_point
+from oracles import (dense_lq_solve, make_random_lq, random_point,
+                     subproblem_kkt_residual)
 
 
 def toy_nd(N=20, seed=0, scale=2.0):

@@ -8,14 +8,13 @@ from fotd.benchmarks import ToySpec, make_toy_problem
 from fotd.exceptions import NumericsError
 from fotd.newton import (NewtonData, assemble_newton_data,
                          check_reduced_hessian, default_definiteness_constant,
-                         direction_kkt_residual, modify_hessian,
-                         newton_rhs_norm, solve_full_newton, theory_gamma_G,
+                         modify_hessian, solve_full_newton, theory_gamma_G,
                          theory_mu_bar)
 from fotd.problem import DualTrajectory, Trajectory, stack_primal
 
 from oracles import (central_diff_jacobian, dense_full_newton,
-                     dense_reduced_hessian_eigmin, make_random_lq,
-                     random_point)
+                     dense_reduced_hessian_eigmin, direction_kkt_residual,
+                     make_random_lq, newton_rhs_norm, random_point)
 
 
 def toy(N=4, C1=8.0, C2=1.0, d=lambda k: 0.0):
