@@ -86,10 +86,15 @@ def toy_case_params(case: int, N: int | None = None, M: int | None = None):
     return spec, (M if M is not None else base["M"])
 
 
+def toy_reference(spec: ToySpec) -> np.ndarray:
+    """The reference sequence d_k = spec.d(k), k < N, as a float array."""
+    return np.fromiter(map(spec.d, range(spec.N)), float, spec.N)
+
+
 def make_toy_problem(spec: ToySpec) -> ProblemDef:
     """Scalar problem with analytic derivatives; n_x = n_u = 1."""
     C1, C2, N = spec.C1, spec.C2, spec.N
-    d = np.array([float(spec.d(k)) for k in range(N)])
+    d = toy_reference(spec)
     zero22 = np.zeros((2, 2))
     zero22.flags.writeable = False
     A1 = np.ones((1, 1))
@@ -192,6 +197,15 @@ def _interior_laplacian(m: int, dw: float) -> np.ndarray:
     return L / dw ** 2
 
 
+def plate_targets(spec: PlateSpec) -> np.ndarray:
+    """Targets ``desired(i, k * dt)`` as an (N, n_interior) array, k < N."""
+    n, dt = spec.n_interior, spec.dt
+    flat = np.fromiter((spec.desired(i, k * dt)
+                        for k in range(spec.N) for i in range(n)),
+                       float, spec.N * n)
+    return flat.reshape(spec.N, n)
+
+
 def make_plate_problem(spec: PlateSpec) -> ProblemDef:
     """Explicit-Euler discretization of the controlled heat equation."""
     n = spec.n_interior
@@ -212,8 +226,7 @@ def make_plate_problem(spec: PlateSpec) -> ProblemDef:
     B = np.eye(n)
     B.flags.writeable = False
     w_cost = dt * dw ** 2
-    d_table = np.array([[spec.desired(i, k * dt) for i in range(n)]
-                        for k in range(spec.N)])
+    d_table = plate_targets(spec)
     const = dt * (a_conv * Tc + a_rad * Tc4)
     N = spec.N
 

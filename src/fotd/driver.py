@@ -172,7 +172,7 @@ def armijo_backtrack(merit_along: Callable[[float], float], merit0: float,
     """
     if not slope < 0:
         raise NonDescentError(
-            f"directional derivative {slope:.6e} is not negative")
+            f"directional derivative {slope:.6e} is not negative", margin=slope)
     noise = MERIT_NOISE * abs(merit0)
     alpha = 1.0
     while True:
@@ -259,7 +259,7 @@ def _step(p: ProblemDef, mode: str, state: SolverState, cfg: SolverConfig,
             if cfg.assert_descent:
                 raise NonDescentError(
                     f"descent inequality violated: slope {slope:.6e} > "
-                    f"{bound:.6e}")
+                    f"{bound:.6e}", margin=slope - bound)
             break
         if violations > 30:
             raise AdaptivityFailure(
@@ -314,7 +314,8 @@ def run_outer_loop(p: ProblemDef, cfg: SolverConfig, init,
     ``wall_ms`` to the time of the pass.  A step no longer than
     ``cfg.step_tol`` stops the loop after one more head record at the new
     iterate.  A :class:`SolverError` from the step ends the run with status
-    "error" and the history intact.
+    "error" and the history intact; the loop sets the error's ``iteration``
+    and the report's error string names it.
     """
     z0, lam0 = init
     state = SolverState(z0.copy(), lam0.copy())
@@ -339,7 +340,8 @@ def run_outer_loop(p: ProblemDef, cfg: SolverConfig, init,
             try:
                 record, cfg, v = step(state, cfg, terms)
             except SolverError as exc:
-                status, error = STATUS_ERROR, str(exc)
+                exc.iteration = state.tau
+                status, error = STATUS_ERROR, f"{exc} (iteration {state.tau})"
             else:
                 record.wall_ms = 1e3 * (time.perf_counter() - t0)
                 records.append(record)

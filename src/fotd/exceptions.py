@@ -3,12 +3,20 @@
 ``ValueError`` is used for invalid arguments (dimension mismatches, bad
 parameters); everything that can go wrong *during* a solve derives from
 :class:`SolverError` so drivers can catch one type and preserve the
-iteration history.
+iteration history.  The outer loop that catches one sets its ``iteration``.
 """
+
+from __future__ import annotations
 
 
 class SolverError(RuntimeError):
-    """Base class for runtime solver failures."""
+    """Base class for runtime solver failures.
+
+    ``iteration`` is the outer iteration the failure stopped, or None when
+    raised outside an outer loop.
+    """
+
+    iteration: int | None = None
 
 
 class NumericsError(SolverError):
@@ -40,7 +48,15 @@ class MuTooSmallError(SolverError):
 
 
 class NonDescentError(SolverError):
-    """The search direction is not a descent direction of the merit function."""
+    """The search direction is not a descent direction of the merit function.
+
+    ``margin`` is how far the directional derivative missed its bound
+    (positive), when known.
+    """
+
+    def __init__(self, message: str, margin: float | None = None):
+        self.margin = margin
+        super().__init__(message)
 
 
 class LineSearchFailure(SolverError):

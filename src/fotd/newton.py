@@ -91,21 +91,20 @@ def assemble_newton_data(p: ProblemDef, z: Trajectory, lam: DualTrajectory) -> N
     Blocks are unmodified (gamma_applied = 0).  Non-finite callback output
     raises :class:`NumericsError` carrying the offending stage.
     """
+    N = p.N
     Q, S, R, A, B, gz, gl = linearize(p, z, lam)
-    gx, gu = split_primal(gz, p.N, p.n_x, p.n_u)
-    for name, arr in (("Hessian/Jacobian", np.concatenate([Q[: p.N].reshape(p.N, -1),
-                                                           S.reshape(p.N, -1),
-                                                           R.reshape(p.N, -1),
-                                                           A.reshape(p.N, -1),
-                                                           B.reshape(p.N, -1)], axis=1)),
-                      ("gradient", np.concatenate([gx[: p.N], gu], axis=1))):
-        bad = ~np.all(np.isfinite(arr), axis=1)
+    gx, gu = split_primal(gz, N, p.n_x, p.n_u)
+    for name, arrs in (("Hessian/Jacobian", (Q[:N], S, R, A, B)),
+                       ("gradient", (gx[:N], gu))):
+        bad = np.zeros(N, dtype=bool)
+        for arr in arrs:
+            bad |= ~np.isfinite(arr).all(axis=tuple(range(1, arr.ndim)))
         if bad.any():
             raise NumericsError(int(np.argmax(bad)), name)
-    if not np.all(np.isfinite(Q[p.N])) or not np.all(np.isfinite(gx[p.N])):
-        raise NumericsError(p.N, "terminal block")
-    return NewtonData(p.N, p.n_x, p.n_u, Q, S, R, A, B, gx, gu,
-                      gl.reshape(p.N + 1, p.n_x))
+    if not np.all(np.isfinite(Q[N])) or not np.all(np.isfinite(gx[N])):
+        raise NumericsError(N, "terminal block")
+    return NewtonData(N, p.n_x, p.n_u, Q, S, R, A, B, gx, gu,
+                      gl.reshape(N + 1, p.n_x))
 
 
 def max_block_norm_fro(Q, S, R) -> float:

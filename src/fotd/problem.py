@@ -56,6 +56,10 @@ class ProblemDef:
     - ``dynamics_hessian_contraction(k, x, u, lam_next)`` -> the
       (n_x+n_u) x (n_x+n_u) matrix  -sum_j lam_next[j] * hess(f_j),
       i.e. the dynamics' contribution to the Lagrangian Hessian block.
+
+    Each evaluation pass calls each of its callbacks once per stage and
+    copies the outputs into its own stage arrays, so a callback may return
+    shared read-only arrays.
     """
 
     N: int
@@ -206,27 +210,79 @@ def kkt_residual(p: ProblemDef, z: Trajectory, lam: DualTrajectory) -> float:
     return _merit_terms(p, z, lam).residual()
 
 
-def _merit_terms(p: ProblemDef, z: Trajectory, lam: DualTrajectory) -> MeritTerms:
-    """One fused pass returning (L, grad_z, grad_lam) for merit evaluations."""
+def _stage_pass(p: ProblemDef, z: Trajectory, lam: DualTrajectory,
+                second_order: bool):
+    """Call every callback once per stage, then evaluate the gradients at once.
+
+    The stage loop only calls callbacks and copies their outputs into stage
+    arrays; all arithmetic runs over the whole horizon afterwards.  With
+    ``second_order`` the loop calls ``cost_hessian`` and
+    ``dynamics_hessian_contraction`` and ``first`` is ``(Q, S, R, W)`` with
+    the cost blocks and contractions unmerged; without it the loop calls
+    ``stage_cost`` and ``first`` lists the N+1 stage costs.  Returns
+    ``(first, A, B, grad_z, grad_lam)``.
+    """
     check_point(p, z, lam)
-    gx = np.empty((p.N + 1, p.n_x))
-    gu = np.empty((p.N, p.n_u))
-    glam = np.empty((p.N + 1, p.n_x))
-    glam[0] = z.x[0] - p.x0
+    N, nx, nu = p.N, p.n_x, p.n_u
+    x, u, lm = z.x, z.u, lam.lam
+    gx = np.empty((N + 1, nx))
+    gu = np.empty((N, nu))
+    A = np.empty((N, nx, nx))
+    B = np.empty((N, nx, nu))
+    glam = np.empty((N + 1, nx))
+    f = glam[1:]
+    if second_order:
+        Q = np.empty((N + 1, nx, nx))
+        S = np.empty((N, nu, nx))
+        R = np.empty((N, nu, nu))
+        W = np.empty((N, nx + nu, nx + nu))
+    else:
+        costs = [0.0] * (N + 1)
+    for k in range(N):
+        xk, uk = x[k], u[k]
+        if second_order:
+            Q[k], S[k], R[k] = p.cost_hessian(k, xk, uk)
+            W[k] = p.dynamics_hessian_contraction(k, xk, uk, lm[k + 1])
+        else:
+            costs[k] = float(p.stage_cost(k, xk, uk))
+        gx[k], gu[k] = p.cost_gradient(k, xk, uk)
+        A[k], B[k] = p.dynamics_jacobians(k, xk, uk)
+        f[k] = p.dynamics(k, xk, uk)
+    if second_order:
+        Q[N] = p.cost_hessian(N, x[N])
+        first = (Q, S, R, W)
+    else:
+        costs[N] = float(p.stage_cost(N, x[N]))
+        first = costs
+    gx[N] = p.cost_gradient(N, x[N])
+    # grad_x L_k = (grad g_k + lam_k) - A_k^T lam_{k+1}.  The stacked matmul
+    # makes one gemv per stage, rounding as A_k.T @ lam_{k+1} does; einsum
+    # would sum in another order.
+    gx += lm
+    lnext = lm[1:, :, None]
+    gx[:N] -= np.matmul(A.transpose(0, 2, 1), lnext)[..., 0]
+    gu -= np.matmul(B.transpose(0, 2, 1), lnext)[..., 0]
+    np.subtract(x[1:], f, out=f)
+    glam[0] = x[0] - p.x0
+    return first, A, B, stack_primal(gx, gu), glam.ravel()
+
+
+def _merit_terms(p: ProblemDef, z: Trajectory, lam: DualTrajectory) -> MeritTerms:
+    """One fused pass returning (L, grad_z, grad_lam) for merit evaluations.
+
+    L is summed in stage order: lam_0 . c_0, then g_k and lam_{k+1} . c_{k+1}
+    for each k, then g_N.  Another order moves merits in the last bits, which
+    the acceptance tests' merit comparisons see.
+    """
+    costs, _, _, gz, gl = _stage_pass(p, z, lam, second_order=False)
     lm = lam.lam
-    lagr = float(lm[0] @ glam[0])
-    for k in range(p.N):
-        xk, uk = z.x[k], z.u[k]
-        lagr += float(p.stage_cost(k, xk, uk))
-        cgx, cgu = p.cost_gradient(k, xk, uk)
-        A, B = p.dynamics_jacobians(k, xk, uk)
-        gx[k] = cgx + lm[k] - A.T @ lm[k + 1]
-        gu[k] = cgu - B.T @ lm[k + 1]
-        glam[k + 1] = z.x[k + 1] - np.asarray(p.dynamics(k, xk, uk))
-        lagr += float(lm[k + 1] @ glam[k + 1])
-    lagr += float(p.stage_cost(p.N, z.x[p.N]))
-    gx[p.N] = p.cost_gradient(p.N, z.x[p.N]) + lm[p.N]
-    return MeritTerms(lagr, stack_primal(gx, gu), glam.ravel())
+    c = gl.reshape(lm.shape)
+    dots = np.matmul(lm[:, None, :], c[:, :, None]).ravel().tolist()
+    lagr = dots[0]
+    for cost, dot in zip(costs, dots[1:]):
+        lagr += cost
+        lagr += dot
+    return MeritTerms(lagr + costs[p.N], gz, gl)
 
 
 def eval_merit(p: ProblemDef, z: Trajectory, lam: DualTrajectory,
@@ -243,33 +299,12 @@ def linearize(p: ProblemDef, z: Trajectory, lam: DualTrajectory):
     dynamics curvature contracted with lam_{k+1}, and the gradients are those
     of :func:`eval_lagrangian_gradient`.  Each callback runs once per stage.
     """
-    check_point(p, z, lam)
-    nx, nu = p.n_x, p.n_u
-    Q = np.empty((p.N + 1, nx, nx))
-    S = np.empty((p.N, nu, nx))
-    R = np.empty((p.N, nu, nu))
-    A = np.empty((p.N, nx, nx))
-    B = np.empty((p.N, nx, nu))
-    gx = np.empty((p.N + 1, nx))
-    gu = np.empty((p.N, nu))
-    glam = np.empty((p.N + 1, nx))
-    glam[0] = z.x[0] - p.x0
-    lm = lam.lam
-    for k in range(p.N):
-        xk, uk = z.x[k], z.u[k]
-        Qc, Sc, Rc = p.cost_hessian(k, xk, uk)
-        W = np.asarray(p.dynamics_hessian_contraction(k, xk, uk, lm[k + 1]))
-        Q[k] = Qc + W[:nx, :nx]
-        S[k] = Sc + W[nx:, :nx]
-        R[k] = Rc + W[nx:, nx:]
-        A[k], B[k] = p.dynamics_jacobians(k, xk, uk)
-        cgx, cgu = p.cost_gradient(k, xk, uk)
-        gx[k] = cgx + lm[k] - A[k].T @ lm[k + 1]
-        gu[k] = cgu - B[k].T @ lm[k + 1]
-        glam[k + 1] = z.x[k + 1] - np.asarray(p.dynamics(k, xk, uk))
-    Q[p.N] = p.cost_hessian(p.N, z.x[p.N])
-    gx[p.N] = p.cost_gradient(p.N, z.x[p.N]) + lm[p.N]
-    return Q, S, R, A, B, stack_primal(gx, gu), glam.ravel()
+    (Q, S, R, W), A, B, gz, gl = _stage_pass(p, z, lam, second_order=True)
+    nx = p.n_x
+    Q[: p.N] += W[:, :nx, :nx]
+    S += W[:, nx:, :nx]
+    R += W[:, nx:, nx:]
+    return Q, S, R, A, B, gz, gl
 
 
 def stage_hessian_blocks(p: ProblemDef, z: Trajectory, lam: DualTrajectory):

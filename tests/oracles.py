@@ -9,7 +9,8 @@ KKT points run without any globalization.
 import numpy as np
 
 from fotd.banded import hessian_vector_product, jacobian_products
-from fotd.problem import DualTrajectory, ProblemDef, Trajectory
+from fotd.problem import (DualTrajectory, MeritTerms, ProblemDef, Trajectory,
+                          stack_primal)
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +196,66 @@ def dense_kkt_system(p: ProblemDef, z: Trajectory, lam: DualTrajectory):
     G[:nx, :nx] = np.eye(nx)
     K = np.block([[H, G.T], [G, np.zeros((nc, nc))]])
     return K, np.concatenate([grad, cons])
+
+
+def stagewise_merit_terms(p: ProblemDef, z: Trajectory,
+                          lam: DualTrajectory) -> MeritTerms:
+    """(L, grad_z, grad_lam) with all arithmetic inside the stage loop.
+
+    The per-stage form of ``fotd.problem._merit_terms``, kept as the
+    reference the horizon-batched pass must match bit for bit.
+    """
+    gx = np.empty((p.N + 1, p.n_x))
+    gu = np.empty((p.N, p.n_u))
+    glam = np.empty((p.N + 1, p.n_x))
+    glam[0] = z.x[0] - p.x0
+    lm = lam.lam
+    lagr = float(lm[0] @ glam[0])
+    for k in range(p.N):
+        xk, uk = z.x[k], z.u[k]
+        lagr += float(p.stage_cost(k, xk, uk))
+        cgx, cgu = p.cost_gradient(k, xk, uk)
+        A, B = p.dynamics_jacobians(k, xk, uk)
+        gx[k] = cgx + lm[k] - A.T @ lm[k + 1]
+        gu[k] = cgu - B.T @ lm[k + 1]
+        glam[k + 1] = z.x[k + 1] - np.asarray(p.dynamics(k, xk, uk))
+        lagr += float(lm[k + 1] @ glam[k + 1])
+    lagr += float(p.stage_cost(p.N, z.x[p.N]))
+    gx[p.N] = p.cost_gradient(p.N, z.x[p.N]) + lm[p.N]
+    return MeritTerms(lagr, stack_primal(gx, gu), glam.ravel())
+
+
+def stagewise_linearize(p: ProblemDef, z: Trajectory, lam: DualTrajectory):
+    """``fotd.problem.linearize`` with all arithmetic inside the stage loop.
+
+    The per-stage reference the horizon-batched pass must match bit for bit.
+    """
+    nx, nu = p.n_x, p.n_u
+    Q = np.empty((p.N + 1, nx, nx))
+    S = np.empty((p.N, nu, nx))
+    R = np.empty((p.N, nu, nu))
+    A = np.empty((p.N, nx, nx))
+    B = np.empty((p.N, nx, nu))
+    gx = np.empty((p.N + 1, nx))
+    gu = np.empty((p.N, nu))
+    glam = np.empty((p.N + 1, nx))
+    glam[0] = z.x[0] - p.x0
+    lm = lam.lam
+    for k in range(p.N):
+        xk, uk = z.x[k], z.u[k]
+        Qc, Sc, Rc = p.cost_hessian(k, xk, uk)
+        W = np.asarray(p.dynamics_hessian_contraction(k, xk, uk, lm[k + 1]))
+        Q[k] = Qc + W[:nx, :nx]
+        S[k] = Sc + W[nx:, :nx]
+        R[k] = Rc + W[nx:, nx:]
+        A[k], B[k] = p.dynamics_jacobians(k, xk, uk)
+        cgx, cgu = p.cost_gradient(k, xk, uk)
+        gx[k] = cgx + lm[k] - A[k].T @ lm[k + 1]
+        gu[k] = cgu - B[k].T @ lm[k + 1]
+        glam[k + 1] = z.x[k + 1] - np.asarray(p.dynamics(k, xk, uk))
+    Q[p.N] = p.cost_hessian(p.N, z.x[p.N])
+    gx[p.N] = p.cost_gradient(p.N, z.x[p.N]) + lm[p.N]
+    return Q, S, R, A, B, stack_primal(gx, gu), glam.ravel()
 
 
 def newton_solve_to_kkt(p: ProblemDef, z0=None, lam0=None, tol=1e-12,

@@ -5,7 +5,7 @@ import pytest
 
 from fotd.benchmarks import (PlateSpec, ToySpec, make_initializations,
                              make_plate_problem, make_toy_problem,
-                             toy_case_params)
+                             plate_targets, toy_case_params, toy_reference)
 from fotd.driver import SolverConfig, solve
 from fotd.newton import assemble_newton_data
 from fotd.problem import DualTrajectory, Trajectory, kkt_residual
@@ -31,6 +31,21 @@ def test_case_rescaling_overrides():
     spec, M = toy_case_params(2, N=500, M=20)
     assert spec.N == 500 and M == 20
     assert (spec.C1, spec.C2) == (15.0, 3.0)
+
+
+@pytest.mark.parametrize("case", [1, 2, 3])
+def test_target_tables_equal_the_list_built_ones(case):
+    spec, _ = toy_case_params(case, N=257)
+    want = np.array([float(spec.d(k)) for k in range(spec.N)])
+    np.testing.assert_array_equal(toy_reference(spec), want)
+    plate = PlateSpec(m=case + 3, N=257,
+                      desired=lambda i, t: (i + 1) * math.sin(t + i))
+    want = np.array([[plate.desired(i, k * plate.dt)
+                      for i in range(plate.n_interior)]
+                     for k in range(plate.N)])
+    got = plate_targets(plate)
+    assert got.shape == (plate.N, plate.n_interior)
+    np.testing.assert_array_equal(got, want)
 
 
 def test_toy_reduced_hessian_lower_bound():

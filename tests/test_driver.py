@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from fotd.benchmarks import ToySpec, make_initializations, make_toy_problem
-from fotd.driver import (MERIT_NOISE, SolverConfig, SolverState,
+from fotd.driver import (MERIT_NOISE, SolverConfig, SolverState, _step,
                          adapt_penalties, armijo_backtrack,
                          direction_error_diagnostic, fotd_step, line_search,
-                         solve)
+                         run_outer_loop, solve)
 from fotd.exceptions import NonDescentError, UndefinedRatioError
 from fotd.newton import NewtonDirection, assemble_newton_data, solve_full_newton
 from fotd.problem import DualTrajectory, PenaltyParams, Trajectory
@@ -61,8 +61,10 @@ def test_ascent_direction_rejected():
     nd = assemble_newton_data(p, z, lam)
     d = solve_full_newton(nd)
     ascent = NewtonDirection(-d.dz, -d.dlam)
-    with pytest.raises(NonDescentError):
+    with pytest.raises(NonDescentError) as err:
         line_search(p, z, lam, ascent, PenaltyParams(10.0, 0.1), 0.1, 0.9)
+    assert err.value.margin > 0  # the directional derivative itself
+    assert err.value.iteration is None  # raised outside an outer loop
 
 
 def test_line_search_monotone_decrease():
@@ -234,6 +236,27 @@ def test_violation_aborts_by_default(monkeypatch):
     report = solve(p, SolverConfig(**kw), init, mode="fotd")
     assert report.status == "error"
     assert "descent inequality violated" in report.error
+    assert report.error.endswith(" (iteration 0)")
+
+    # the error itself carries the iteration and the margin slope - bound
+    raised = []
+
+    def step(state, cfg, terms):
+        try:
+            return _step(p, "fotd", state, cfg, terms)
+        except NonDescentError as exc:
+            raised.append(exc)
+            raise
+
+    _shrink_first_direction(monkeypatch)
+    again = run_outer_loop(p, SolverConfig(**kw), init, step)
+    (exc,) = raised
+    assert again.error == report.error == f"{exc} (iteration 0)"
+    assert exc.iteration == 0
+    slope, bound = (float(w) for w in str(exc).split("slope ")[1].split(" > "))
+    assert exc.margin > 0
+    assert exc.margin == pytest.approx(slope - bound,
+                                       abs=1e-6 * (abs(slope) + abs(bound)))
 
 
 def test_descent_inequality_margin_holds_on_run():

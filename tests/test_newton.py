@@ -77,17 +77,38 @@ def test_assemble_hessian_matches_fd_of_gradient():
 
 def test_assemble_nonfinite_callback_raises_with_stage():
     p0 = toy(N=4)
+    nan = np.array([[np.nan]])
 
     def bad_gradient(k, x, u=None):
         if k == 2:
             return np.array([np.nan]), np.array([0.0])
         return p0.cost_gradient(k, x, u) if k < 4 else p0.cost_gradient(k, x)
 
+    def bad_hessian(k, x, u=None):
+        if k == 1:
+            return nan, np.zeros((1, 1)), np.ones((1, 1))
+        return p0.cost_hessian(k, x, u) if k < 4 else p0.cost_hessian(k, x)
+
+    def bad_jacobians(k, x, u):
+        A, B = p0.dynamics_jacobians(k, x, u)
+        return (A, nan) if k == 3 else (A, B)
+
+    def bad_contraction(k, x, u, lam):
+        W = p0.dynamics_hessian_contraction(k, x, u, lam)
+        return np.full((2, 2), np.nan) if k == 0 else W
+
     from dataclasses import replace
-    p = replace(p0, cost_gradient=bad_gradient)
-    with pytest.raises(NumericsError) as err:
-        assemble_newton_data(p, Trajectory.zeros(p), DualTrajectory.zeros(p))
-    assert err.value.stage == 2
+    for field, fn, stage, what in (
+            ("cost_gradient", bad_gradient, 2, "gradient"),
+            ("cost_hessian", bad_hessian, 1, "Hessian/Jacobian"),
+            ("dynamics_jacobians", bad_jacobians, 3, "Hessian/Jacobian"),
+            ("dynamics_hessian_contraction", bad_contraction, 0,
+             "Hessian/Jacobian")):
+        p = replace(p0, **{field: fn})
+        with pytest.raises(NumericsError) as err:
+            assemble_newton_data(p, Trajectory.zeros(p), DualTrajectory.zeros(p))
+        assert err.value.stage == stage, field
+        assert str(err.value) == f"non-finite {what} at stage {stage}"
 
 
 def test_check_remark1_full_problem_definite():

@@ -8,13 +8,15 @@ import pytest
 from fotd.benchmarks import ToySpec, make_plate_problem, make_toy_problem, PlateSpec
 from fotd.newton import assemble_newton_data
 from fotd.problem import (DualTrajectory, PenaltyParams, ProblemDef, Trajectory,
-                          eval_constraints, eval_lagrangian_gradient, eval_merit,
+                          _merit_terms, eval_constraints,
+                          eval_lagrangian_gradient, eval_merit,
                           eval_merit_gradient, eval_objective, kkt_residual,
                           linearize, load_point_csv, save_point_csv,
                           split_primal, stack_primal)
 
 from oracles import (central_diff, dense_kkt_system, make_random_lq,
-                     newton_solve_to_kkt, random_point)
+                     newton_solve_to_kkt, random_point, stagewise_linearize,
+                     stagewise_merit_terms)
 
 
 def toy(N=2, C1=8.0, C2=1.0, d=lambda k: 1.0):
@@ -261,18 +263,46 @@ def _counting(p: ProblemDef):
     return replace(p, **{name: counted(name) for name in names}), calls
 
 
-@pytest.mark.parametrize("evaluate", [
-    assemble_newton_data,
-    lambda p, z, lam: eval_merit_gradient(p, z, lam, PenaltyParams(10.0, 0.1)),
-], ids=["assemble_newton_data", "eval_merit_gradient"])
-def test_linearization_calls_each_callback_once_per_stage(evaluate):
+@pytest.mark.parametrize("evaluate, second_order", [
+    (assemble_newton_data, True),
+    (lambda p, z, lam: eval_merit_gradient(p, z, lam, PenaltyParams(10.0, 0.1)),
+     True),
+    (lambda p, z, lam: eval_merit(p, z, lam, PenaltyParams(10.0, 0.1)), False),
+], ids=["assemble_newton_data", "eval_merit_gradient", "eval_merit"])
+def test_linearization_calls_each_callback_once_per_stage(evaluate,
+                                                          second_order):
     p, calls = _counting(toy(N=7))
     z, lam = random_point(p, seed=13)
     evaluate(p, z, lam)
     N = p.N
-    assert calls == {"cost_gradient": N + 1, "cost_hessian": N + 1,
-                     "dynamics_jacobians": N, "dynamics_hessian_contraction": N,
+    first = ({"cost_hessian": N + 1, "dynamics_hessian_contraction": N}
+             if second_order else {"stage_cost": N + 1})
+    assert calls == {**first, "cost_gradient": N + 1, "dynamics_jacobians": N,
                      "dynamics": N}
+
+
+def _exactness_problems():
+    return {
+        "toy": toy(N=30, d=lambda k: 5.0 * math.sin(k)),
+        "plate-m4": make_plate_problem(PlateSpec(m=4, N=40)),
+        "plate-m6": make_plate_problem(PlateSpec(m=6, N=60)),
+        "lq-6-3-2": make_random_lq(6, 3, 2)[0],
+    }
+
+
+@pytest.mark.parametrize("name", list(_exactness_problems()))
+@pytest.mark.parametrize("seed", [3, 8])
+def test_batched_passes_match_the_stagewise_loops_exactly(name, seed):
+    # the horizon-batched arithmetic must reproduce the per-stage loops bit
+    # for bit; plate-m6 (n_x = 16) takes BLAS paths that n_x = 1 does not
+    p = _exactness_problems()[name]
+    z, lam = random_point(p, seed=seed, scale=3.0)
+    for got, want in zip(linearize(p, z, lam), stagewise_linearize(p, z, lam)):
+        np.testing.assert_array_equal(got, want)
+    got, want = _merit_terms(p, z, lam), stagewise_merit_terms(p, z, lam)
+    assert got.lagr == want.lagr
+    np.testing.assert_array_equal(got.gz, want.gz)
+    np.testing.assert_array_equal(got.gl, want.gl)
 
 
 def test_dimension_mismatch_raises():
