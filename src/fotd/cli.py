@@ -75,19 +75,83 @@ _SOLVER_DEFAULTS = {"mode": "fotd", **_solver_block(SolverConfig()),
                     "schwarz_budget": SCHWARZ_BUDGET}
 _RUN_DEFAULTS = {"inits": 5, "seed": 0, "out_dir": "out",
                  "diagnostics": False, "assert_level": "on", "timing": True}
+_SWEEP_DEFAULTS = {"b": None, "mu": None}
+_ON_OFF = ("on", "off")
+_KIND_NAMES = {int: "an integer", float: "a number", bool: "a boolean",
+               str: "a string"}
 
 
-def _like(default, val):
-    """``val`` converted to the type of ``default``."""
-    return type(default)(val)
+def _kinds(defaults: dict, **kinds) -> dict:
+    """Each key's kind: the type of its default unless ``kinds`` names one."""
+    return {**{key: type(val) for key, val in defaults.items()}, **kinds}
 
 
-def _merge_block(name: str, given: dict, defaults: dict) -> dict:
+# A kind is int, float, bool or str; [kind] for a list of that kind;
+# _ON_OFF; or a dict of kinds for a nested mapping (see _value).
+_TOY_KINDS = {"type": str, "case": int, "N": int, "C1": float, "C2": float,
+              "d": {"kind": str, "scale": float}}
+_PLATE_KINDS = _kinds(_PROBLEM_DEFAULTS_PLATE, desired={"kind": str})
+_SOLVER_KINDS = _kinds(_SOLVER_DEFAULTS)
+_RUN_KINDS = _kinds(_RUN_DEFAULTS, assert_level=_ON_OFF)
+_SWEEP_KINDS = {"b": [int], "mu": [float]}
+
+
+def _mapping(name: str, val) -> dict:
+    if val is None:
+        return {}
+    if not isinstance(val, dict):
+        raise ConfigError(f"{name} must be a mapping, got {val!r}")
+    return val
+
+
+def _value(key: str, val, kind):
+    """``val`` converted to ``kind`` without loss; else :class:`ConfigError`.
+
+    Ints take integral floats and strings, floats take ints and numeric
+    strings (YAML 1.1 reads ``1e-6`` as a string), booleans and strings
+    take only their own type, and no boolean is read as a number.
+    """
+    if isinstance(kind, dict):
+        return _merge_block(key, val, {}, kind)
+    if isinstance(kind, list):
+        if not isinstance(val, list):
+            raise ConfigError(f"{key} must be a list, got {val!r}")
+        return [_value(key, v, kind[0]) for v in val]
+    if kind is _ON_OFF:
+        # YAML 1.1 reads bare on/off as booleans; accept both spellings
+        if isinstance(val, bool):
+            val = "on" if val else "off"
+        if val not in _ON_OFF:
+            raise ConfigError(f"{key} must be 'on' or 'off', got {val!r}")
+        return val
+    out = val
+    if kind in (int, float) and isinstance(val, str):
+        for parse in (int, float):
+            try:
+                out = parse(val)
+                break
+            except ValueError:
+                pass
+    if kind is int and isinstance(out, float) and out.is_integer():
+        out = int(out)
+    elif kind is float and type(out) is int and abs(out) <= sys.float_info.max:
+        out = float(out)
+    if type(out) is not kind:
+        raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {val!r}")
+    return out
+
+
+def _merge_block(name: str, given, defaults: dict, kinds: dict) -> dict:
+    """``defaults`` updated by the ``given`` mapping, each value of its kind.
+
+    A key whose default is None may also be given as None.
+    """
     out = dict(defaults)
-    for key, val in (given or {}).items():
-        if key not in defaults:
+    for key, val in _mapping(name, given).items():
+        if key not in kinds:
             raise ConfigError(f"unknown key '{name}.{key}'")
-        out[key] = val
+        if not (val is None and key in defaults and defaults[key] is None):
+            out[key] = _value(f"{name}.{key}", val, kinds[key])
     return out
 
 
@@ -119,67 +183,83 @@ class ExperimentConfig:
         return out
 
 
-def _as_assert_level(val) -> str:
-    # YAML 1.1 reads bare on/off as booleans; accept both spellings
-    if isinstance(val, bool):
-        return "on" if val else "off"
-    if val in ("on", "off"):
-        return val
-    raise ConfigError(f"run.assert_level must be 'on' or 'off', got {val!r}")
-
-
 def config_from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
     for key in raw:
         if key not in ("problem", "solver", "run", "sweep"):
             raise ConfigError(f"unknown key '{key}'")
-    prob_raw = raw.get("problem") or {}
-    ptype = prob_raw.get("type")
+    ptype = _mapping("problem", raw.get("problem")).get("type")
     if ptype == "toy":
-        problem = _merge_block("problem", prob_raw, _PROBLEM_DEFAULTS_TOY)
+        problem = _merge_block("problem", raw["problem"], _PROBLEM_DEFAULTS_TOY,
+                               _TOY_KINDS)
         if problem["case"] is None and any(problem[key] is None
                                            for key in ("N", "C1", "C2", "d")):
             raise ConfigError(
                 "problem: a toy problem needs either 'case' or explicit "
                 "'N', 'C1', 'C2' and 'd'")
     elif ptype == "plate":
-        problem = _merge_block("problem", prob_raw, _PROBLEM_DEFAULTS_PLATE)
+        problem = _merge_block("problem", raw["problem"],
+                               _PROBLEM_DEFAULTS_PLATE, _PLATE_KINDS)
     else:
         raise ConfigError(f"problem.type must be 'toy' or 'plate', got {ptype!r}")
 
-    s = _merge_block("solver", raw.get("solver"), _SOLVER_DEFAULTS)
+    s = _merge_block("solver", raw.get("solver"), _SOLVER_DEFAULTS,
+                     _SOLVER_KINDS)
     if s["mode"] not in MODES:
         raise ConfigError(f"solver.mode must be one of {MODES}, got {s['mode']!r}")
-    run = _merge_block("run", raw.get("run"), _RUN_DEFAULTS)
-    sweep = raw.get("sweep") or {}
-    for key in sweep:
-        if key not in ("b", "mu"):
-            raise ConfigError(f"unknown key 'sweep.{key}'")
+    run = _merge_block("run", raw.get("run"), _RUN_DEFAULTS, _RUN_KINDS)
+    if run["inits"] < 1:
+        raise ConfigError(f"run.inits must be at least 1, got {run['inits']}")
+    sweep = _merge_block("sweep", raw.get("sweep"), _SWEEP_DEFAULTS,
+                         _SWEEP_KINDS)
     try:
         solver = SolverConfig(
-            **{name: _like(_SOLVER_DEFAULTS[name], s[name])
-               for name in _SOLVER_FIELDS},
-            eta=PenaltyParams(float(s["eta1"]), float(s["eta2"])),
-            assert_descent=_as_assert_level(run["assert_level"]) == "on",
-            diagnostics=bool(run["diagnostics"]),
+            **{name: s[name] for name in _SOLVER_FIELDS},
+            eta=PenaltyParams(s["eta1"], s["eta2"]),
+            assert_descent=run["assert_level"] == "on",
+            diagnostics=run["diagnostics"],
         )
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
+    except ValueError as exc:
         raise ConfigError(f"solver: {exc}") from exc
     return ExperimentConfig(
         problem=problem, mode=s["mode"], solver=solver,
-        schwarz_budget=int(s["schwarz_budget"]),
-        inits=int(run["inits"]), seed=int(run["seed"]),
-        out_dir=str(run["out_dir"]),
-        timing=bool(run["timing"]),
-        sweep_b=None if sweep.get("b") is None else [int(v) for v in sweep["b"]],
-        sweep_mu=None if sweep.get("mu") is None else [float(v) for v in sweep["mu"]],
+        schwarz_budget=s["schwarz_budget"], inits=run["inits"],
+        seed=run["seed"], out_dir=run["out_dir"], timing=run["timing"],
+        sweep_b=sweep["b"], sweep_mu=sweep["mu"],
     )
 
 
-def load_config(path: str) -> ExperimentConfig:
+def _with_flags(raw, flags: dict):
+    """``raw`` with each command-line flag in ``flags`` set at its config key.
+
+    ``flags`` uses the override keys of :func:`cmd_solve` and
+    :func:`cmd_sweep`; a flag that is None (or an unset switch) is not given.
+    """
+    if not isinstance(raw, dict):
+        return raw  # config_from_dict names the fault
+    modes = flags.get("modes") or [None]
+    for mode in modes[1:]:
+        if mode not in MODES:
+            raise ConfigError(f"--mode must be one of {MODES}, got {mode!r}")
+    keys = {("run", "out_dir"): flags.get("out"),
+            ("run", "seed"): flags.get("seed"),
+            ("solver", "workers"): flags.get("workers"),
+            ("solver", "mode"): modes[0],
+            ("run", "assert_level"): flags.get("assert_level"),
+            ("run", "diagnostics"): True if flags.get("diagnostics") else None,
+            ("run", "timing"): False if flags.get("no_timing") else None,
+            ("sweep", "b"): flags.get("b") or None,
+            ("sweep", "mu"): flags.get("mu") or None}
+    raw = dict(raw)
+    for (block, key), val in keys.items():
+        if val is not None:
+            raw[block] = {**_mapping(block, raw.get(block)), key: val}
+    return raw
+
+
+def load_config(path: str, flags: Optional[dict] = None) -> ExperimentConfig:
+    """Parse the YAML config at ``path`` with the command-line ``flags`` set."""
     try:
         with open(path) as fh:
             raw = yaml.safe_load(fh)
@@ -187,43 +267,34 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"config is not valid YAML: {exc}") from exc
-    return config_from_dict(raw)
+    return config_from_dict(_with_flags(raw, flags or {}))
 
 
 def dump_config(cfg: ExperimentConfig, path: str):
     atomic_write(path, yaml.safe_dump(cfg.to_dict(), sort_keys=True))
 
 
-def _kind_block(problem: dict, key: str) -> dict:
-    val = problem.get(key) or {}
-    if not isinstance(val, dict):
-        raise ConfigError(f"problem.{key} must be a mapping, got {val!r}")
-    return val
-
-
 def build_problem(problem: dict) -> ProblemDef:
     """Instantiate the benchmark named by a canonical problem block."""
     if problem["type"] == "toy":
         if problem.get("case") is not None:
-            spec, _ = toy_case_params(int(problem["case"]), N=problem.get("N"))
+            spec, _ = toy_case_params(problem["case"], N=problem.get("N"))
             return make_toy_problem(spec)
-        d = _kind_block(problem, "d")
-        kind, scale = d.get("kind"), float(d.get("scale", 1.0))
+        d = problem["d"]
+        kind, scale = d.get("kind"), d.get("scale", 1.0)
         fns = {"constant": lambda k: scale, "sin": lambda k: scale * math.sin(k),
                "sin2": lambda k: scale * math.sin(k) ** 2, "zero": lambda k: 0.0}
         if kind not in fns:
             raise ConfigError(f"problem.d.kind must be constant/sin/sin2/zero, "
                               f"got {kind!r}")
-        return make_toy_problem(ToySpec(N=int(problem["N"]),
-                                        C1=float(problem["C1"]),
-                                        C2=float(problem["C2"]), d=fns[kind]))
-    kind = _kind_block(problem, "desired").get("kind", "sin_time")
+        return make_toy_problem(ToySpec(N=problem["N"], C1=problem["C1"],
+                                        C2=problem["C2"], d=fns[kind]))
+    kind = problem["desired"].get("kind", "sin_time")
     fns = {"sin_time": lambda node, t: math.sin(t), "zero": lambda node, t: 0.0}
     if kind not in fns:
         raise ConfigError(f"problem.desired.kind must be sin_time/zero, got {kind!r}")
     return make_plate_problem(PlateSpec(
-        **{f.name: type(f.default)(problem[f.name]) for f in _PLATE_FIELDS},
-        desired=fns[kind]))
+        **{f.name: problem[f.name] for f in _PLATE_FIELDS}, desired=fns[kind]))
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +338,7 @@ def _setup(cfg: ExperimentConfig, modes: List[str], cells):
     try:
         p = build_problem(cfg.problem)
         inits = make_initializations(p, cfg.inits, cfg.seed)
-        runs = [(b, mu, replace(cfg.solver, b=int(b), mu=float(mu)))
-                for b, mu in cells]
+        runs = [(b, mu, replace(cfg.solver, b=b, mu=mu)) for b, mu in cells]
         if any(mode != "centralized" for mode in modes):
             for _, _, solver in runs:
                 make_plan(p.N, solver.M, solver.b)
@@ -306,7 +376,7 @@ def _summarize(report: SolveReport, mode: str, init_idx: int, csv_name: str,
 @_exit_2_on_config_error
 def cmd_solve(config_path: str, overrides: Optional[dict] = None) -> int:
     """Run one solve per initialization; 0 iff every run converged."""
-    cfg = _apply_overrides(load_config(config_path), overrides or {})
+    cfg = load_config(config_path, overrides)
     modes = (overrides or {}).get("modes") or [cfg.mode]
     p, inits, _ = _setup(cfg, modes, [(cfg.solver.b, cfg.solver.mu)])
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -342,10 +412,12 @@ def cmd_solve(config_path: str, overrides: Optional[dict] = None) -> int:
 def cmd_sweep(config_path: str, sweep: Optional[dict] = None,
               overrides: Optional[dict] = None) -> int:
     """Cartesian (b, mu) sweep; per-cell CSVs plus an averaged summary table."""
-    cfg = _apply_overrides(load_config(config_path), overrides or {})
-    sweep = sweep or {}
-    bs = sweep.get("b") or cfg.sweep_b or [cfg.solver.b]
-    mus = sweep.get("mu") or cfg.sweep_mu or [cfg.solver.mu]
+    overrides = {**(overrides or {}), **(sweep or {})}
+    if len(overrides.get("modes") or []) > 1:
+        raise ConfigError(f"sweep takes one --mode, got {overrides['modes']}")
+    cfg = load_config(config_path, overrides)
+    bs = cfg.sweep_b or [cfg.solver.b]
+    mus = cfg.sweep_mu or [cfg.solver.mu]
     p, inits, cells = _setup(cfg, [cfg.mode], [(b, mu) for b in bs for mu in mus])
     os.makedirs(cfg.out_dir, exist_ok=True)
     rows = []
@@ -431,39 +503,8 @@ def cmd_diag(config_path: str, gamma_c: float = 1.0, t: float = 1.0,
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _apply_overrides(cfg: ExperimentConfig, ov: dict) -> ExperimentConfig:
-    solver = cfg.solver
-    updates = {}
-    if ov.get("out") is not None:
-        updates["out_dir"] = ov["out"]
-    if ov.get("seed") is not None:
-        updates["seed"] = int(ov["seed"])
-    if ov.get("workers") is not None:
-        try:
-            solver = replace(solver, workers=int(ov["workers"]))
-        except ValueError as exc:
-            raise ConfigError(f"--workers: {exc}") from exc
-    if ov.get("assert_level") is not None:
-        solver = replace(solver, assert_descent=ov["assert_level"] == "on")
-    if ov.get("diagnostics"):
-        solver = replace(solver, diagnostics=True)
-    if ov.get("no_timing"):
-        updates["timing"] = False
-    modes = ov.get("modes")
-    if modes:
-        for m in modes:
-            if m not in MODES:
-                raise ConfigError(f"--mode must be one of {MODES}, got {m!r}")
-        updates["mode"] = modes[0]
-    return replace(cfg, solver=solver, **updates)
-
-
-def _int_list(text: str) -> List[int]:
-    return [int(v) for v in text.split(",") if v]
-
-
-def _float_list(text: str) -> List[float]:
-    return [float(v) for v in text.split(",") if v]
+def _comma_list(text: str) -> List[str]:
+    return [v for v in text.split(",") if v]
 
 
 def _add_common(sp):
@@ -471,8 +512,8 @@ def _add_common(sp):
     sp.add_argument("--out", help="output directory override")
     sp.add_argument("--mode", action="append",
                     help="solver mode override; repeat for side-by-side runs")
-    sp.add_argument("--seed", type=int, help="initialization seed override")
-    sp.add_argument("--workers", type=int,
+    sp.add_argument("--seed", help="initialization seed override")
+    sp.add_argument("--workers",
                     help="threads for the fotd direction's subproblems (>= 1); "
                          "the Schwarz baseline solves its intervals in order")
     sp.add_argument("--assert-level", choices=["off", "on"], dest="assert_level")
@@ -491,8 +532,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     _add_common(sub.add_parser("solve", help="run configured solves"))
     sp = sub.add_parser("sweep", help="sweep overlap size and penalty")
     _add_common(sp)
-    sp.add_argument("--b", type=_int_list, help="comma list of overlap sizes")
-    sp.add_argument("--mu", type=_float_list, help="comma list of penalties")
+    sp.add_argument("--b", type=_comma_list, help="comma list of overlap sizes")
+    sp.add_argument("--mu", type=_comma_list, help="comma list of penalties")
     sp = sub.add_parser("diag", help="diagnostic constants and self-checks")
     sp.add_argument("--config", required=True)
     sp.add_argument("--gamma-c", type=float, default=1.0, dest="gamma_c")

@@ -138,8 +138,8 @@ def solve_nonlinear_subproblem(sub: NonlinearSubproblem,
     """
     trunc = truncated_problem(sub)
     xw, uw, lw = warm
-    cfg = SolverConfig(mu=max(sub.mu, 1.0), kkt_tol=INNER_TOL, step_tol=0.0,
-                       max_iters=inner_max_iters, assert_descent=False)
+    cfg = SolverConfig(kkt_tol=INNER_TOL, step_tol=0.0,
+                       max_iters=inner_max_iters)
     report = solve(trunc, cfg, (Trajectory(xw.copy(), uw.copy()),
                                 DualTrajectory(lw.copy())),
                    mode="centralized")

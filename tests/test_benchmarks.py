@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from fotd.benchmarks import (PlateSpec, ToySpec, make_initializations,
-                             make_plate_problem, make_toy_problem,
-                             plate_targets, toy_case_params, toy_reference)
+from fotd.benchmarks import (PlateSpec, ToySpec, _interior_laplacian,
+                             make_initializations, make_plate_problem,
+                             make_toy_problem, plate_targets, toy_case_params,
+                             toy_reference)
 from fotd.driver import SolverConfig, solve
 from fotd.newton import assemble_newton_data
 from fotd.problem import DualTrajectory, Trajectory, kkt_residual
@@ -71,6 +72,16 @@ def test_plate_paper_dimensions():
     assert p.n_x == p.n_u == 4
     assert p.N == 5000
     np.testing.assert_array_equal(p.x0, np.zeros(4))
+
+
+def test_interior_laplacian_is_the_five_point_stencil():
+    # m=4: a 2x2 interior grid, nodes numbered row by row
+    stencil = np.array([[-4.0, 1.0, 1.0, 0.0],
+                        [1.0, -4.0, 0.0, 1.0],
+                        [1.0, 0.0, -4.0, 1.0],
+                        [0.0, 1.0, 1.0, -4.0]])
+    np.testing.assert_array_equal(_interior_laplacian(4, 0.5), 4.0 * stencil)
+    np.testing.assert_array_equal(_interior_laplacian(3, 1.0), [[-4.0]])
 
 
 def test_plate_zero_target_without_exchange_terms_is_optimal():

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+import yaml
 
 from fotd.cli import (ConfigError, build_problem, cmd_diag, cmd_solve,
                       cmd_sweep, config_from_dict, dump_config, load_config,
@@ -91,25 +92,110 @@ TOY_EXPLICIT = "problem: {type: toy, N: 30, C1: 8.0, C2: 1.0, d: %s}\n"
 TOY_SOLVER = "problem: {type: toy, case: 1, N: 60}\nsolver: %s\n"
 
 
+TOY_RUN = "problem: {type: toy, case: 1, N: 60}\nsolver: {M: 3, b: 2}\nrun: %s\n"
+
+
 @pytest.mark.parametrize("command", ["solve", "sweep"])
-@pytest.mark.parametrize("text, flags", [
-    (TOY_EXPLICIT % "{kind: cosine}", []),                # unknown d kind
-    (TOY_EXPLICIT % "1.0", []),                           # d is not a mapping
-    ("problem: {type: plate, m: 2, N: 50}\n", []),        # no interior node
-    (TOY_SOLVER % "{M: 7}", []),                          # M does not divide N
-    (TOY_SOLVER % "{c: -1.0}", []),                       # not a solver key
-    (TOY_SOLVER % "{gamma_step: 0.5}", []),               # not a solver key
-    (TOY_SOLVER % "{workers: 0}", []),                    # no worker thread
-    (TOY_SOLVER % "{M: 3, b: 2}", ["--workers", "0"]),    # no worker thread
+@pytest.mark.parametrize("text, flags, names", [
+    (TOY_EXPLICIT % "{kind: cosine}", [], "problem.d.kind"),  # unknown d kind
+    (TOY_EXPLICIT % "1.0", [], "problem.d"),              # d is not a mapping
+    ("problem: {type: plate, m: 2, N: 50}\n", [], "m=2"),  # no interior node
+    (TOY_SOLVER % "{M: 7}", [], "M=7"),                   # M does not divide N
+    (TOY_SOLVER % "{c: -1.0}", [], "solver.c"),           # not a solver key
+    (TOY_SOLVER % "{gamma_step: 0.5}", [], "solver.gamma_step"),
+    (TOY_SOLVER % "{workers: 0}", [], "workers"),         # no worker thread
+    (TOY_SOLVER % "{M: 3, b: 2}", ["--workers", "0"], "workers"),
+    (TOY_SOLVER % "{M: 3, b: 2}\nsweep: {b: 3}", [], "sweep.b"),  # not a list
+    (TOY_SOLVER % "{M: 3, b: 2}\nsweep: {mu: [a]}", [], "sweep.mu"),
+    (TOY_RUN % "{inits: abc, out_dir: '%s'}", [], "run.inits"),
+    (TOY_SOLVER % "5", [], "solver must be a mapping"),
+    (TOY_SOLVER % "{M: 3, b: 2}\nrun: [1]", [], "run must be a mapping"),
+    ("problem: [1, 2]\n", [], "problem must be a mapping"),
+    (TOY_SOLVER % "{M: 3.7}", [], "solver.M"),            # no longer runs M=3
+    (TOY_RUN % "{diagnostics: 'no', out_dir: '%s'}", [], "run.diagnostics"),
+    (TOY_RUN % "{out_dir: null}", [], "run.out_dir"),     # no longer ./None
+    (TOY_RUN % "{inits: 0, out_dir: '%s'}", [], "run.inits"),  # ran nothing
+    ("problem: {type: plate, m: 4.7, N: 50}\n", [], "problem.m"),
+    ("problem: {type: toy, case: 1.5, N: 60}\n", [], "problem.case"),
+    (TOY_EXPLICIT % "{kind: sin, scal: 2}", [], "problem.d.scal"),  # typo
 ], ids=["d-kind", "d-scalar", "plate-m2", "M-divides-N", "solver-c",
-        "solver-gamma-step", "solver-workers-0", "flag-workers-0"])
-def test_config_errors_found_before_solving_exit_2(tmp_path, capsys, command,
-                                                    text, flags):
+        "solver-gamma-step", "solver-workers-0", "flag-workers-0",
+        "sweep-b-scalar", "sweep-mu-word", "run-inits-word", "solver-scalar",
+        "run-list", "problem-list", "solver-M-fraction", "run-diagnostics-no",
+        "run-out-dir-null", "run-inits-0", "plate-m-fraction",
+        "toy-case-fraction", "d-key-typo"])
+def test_config_errors_found_before_solving_exit_2(tmp_path, monkeypatch,
+                                                    capsys, command, text,
+                                                    flags, names):
+    # a mistaken out_dir would land in the working directory
+    monkeypatch.chdir(tmp_path)
     out = tmp_path / "out"
-    path = write_config(tmp_path, text + "run: {inits: 1, out_dir: '%s'}\n" % out)
+    if "run:" not in text:
+        text += "run: {inits: 1, out_dir: '%s'}\n"
+    path = write_config(tmp_path, text.replace("%s", str(out)))
     assert main([command, "--config", path, *flags]) == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert names in err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.yaml"]
+
+
+def test_sweep_takes_one_mode_exit_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, TOY_CFG % out)
+    assert main(["sweep", "--config", path, "--mode", "fotd",
+                 "--mode", "centralized"]) == 2
+    assert "--mode" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, given, block, key, val", [
+    ("out", "elsewhere", "run", "out_dir", "elsewhere"),
+    ("seed", "7", "run", "seed", 7),
+    ("workers", "2", "solver", "workers", 2),
+    ("modes", ["schwarz", "fotd"], "solver", "mode", "schwarz"),
+    ("assert_level", "off", "run", "assert_level", "off"),
+    ("diagnostics", True, "run", "diagnostics", True),
+    ("no_timing", True, "run", "timing", False),
+    ("b", ["1", "4"], "sweep", "b", [1, 4]),
+    ("mu", ["1", "2.5"], "sweep", "mu", [1.0, 2.5]),
+], ids=["out", "seed", "workers", "modes", "assert_level", "diagnostics",
+        "no_timing", "b", "mu"])
+def test_each_flag_sets_the_key_it_stands_for(tmp_path, flag, given, block,
+                                              key, val):
+    text = TOY_CFG % (tmp_path / "out")
+    raw = yaml.safe_load(text)
+    raw[block] = {**raw.get(block, {}), key: val}
+    keyed = write_config(tmp_path, yaml.safe_dump(raw), name="keyed.yaml")
+    path = write_config(tmp_path, text)
+    canon = {}
+    for name, cfg in [("plain", load_config(path)),
+                      ("flagged", load_config(path, {flag: given})),
+                      ("keyed", load_config(keyed))]:
+        dump_config(cfg, str(tmp_path / f"{name}.out.yaml"))
+        canon[name] = (tmp_path / f"{name}.out.yaml").read_bytes()
+    assert canon["flagged"] == canon["keyed"] != canon["plain"]
+
+
+def test_config_values_convert_without_loss():
+    cfg = config_from_dict({
+        "problem": {"type": "toy", "case": "1", "N": 60.0},
+        "solver": {"M": "3", "b": 2.0, "mu": 25, "kkt_tol": "1e-7"},
+        "run": {"seed": "4", "assert_level": False},
+        "sweep": {"b": [1, "2"], "mu": ["1e1", 5]}})
+    assert cfg.problem["case"] == 1 and cfg.problem["N"] == 60
+    assert type(cfg.problem["N"]) is int
+    assert (cfg.solver.M, cfg.solver.b, cfg.seed) == (3, 2, 4)
+    assert type(cfg.solver.mu) is float and cfg.solver.kkt_tol == 1e-7
+    assert cfg.solver.assert_descent is False
+    assert cfg.sweep_b == [1, 2] and cfg.sweep_mu == [10.0, 5.0]
+    for block, key, val in [("solver", "workers", True), ("solver", "mu", True),
+                            ("solver", "adaptivity", 1), ("run", "timing", 1),
+                            ("run", "out_dir", 5), ("run", "seed", "1.5"),
+                            ("solver", "mode", None), ("run", "assert_level", 1)]:
+        raw = {"problem": {"type": "toy", "case": 1}, block: {key: val}}
+        with pytest.raises(ConfigError, match=f"{block}.{key}"):
+            config_from_dict(raw)
 
 
 def test_cmd_solve_comparative_modes(tmp_path):
@@ -204,7 +290,6 @@ def test_assert_level_override_threads_through(tmp_path):
     path = write_config(tmp_path, TOY_CFG % (tmp_path / "out"))
     cfg = load_config(path)
     assert cfg.solver.assert_descent is True
-    from fotd.cli import _apply_overrides
-    cfg2 = _apply_overrides(cfg, {"assert_level": "off", "workers": 4})
+    cfg2 = load_config(path, {"assert_level": "off", "workers": 4})
     assert cfg2.solver.assert_descent is False
     assert cfg2.solver.workers == 4
