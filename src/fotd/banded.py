@@ -21,6 +21,16 @@ Both matrices are written straight into the column-major band storage that
 LAPACK factorizes in place, so no band is ever copied.  In that storage a
 stage block repeats at a fixed stride, so each block type is written for all
 stages at once through one strided view.
+
+Wide blocks have a second kernel, :func:`solve_lq_riccati`: a backward
+Riccati sweep over the stage blocks, batched over a stack of problems of one
+length.  Its definiteness test is exact rather than the c * G^T G
+heuristic: with p_0 pinned the problem is strictly convex iff
+R_k + B_k^T P_{k+1} B_k factors by Cholesky at every stage.  Its cost is
+O(T (n_x + n_u)^3) like the band's, but in small dense products instead of
+one LAPACK call over the band, so it only wins once the blocks are wide
+enough for the band's fill to outweigh the per-stage call overhead
+(:data:`fotd.decomposition.RICCATI_MIN_NX` holds the measured crossover).
 """
 
 from __future__ import annotations
@@ -29,7 +39,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from scipy.linalg.lapack import dgbsv, dpbtrf
 
-from .exceptions import LinearSolverError
+from .exceptions import IndefiniteStageError, LinearSolverError
 
 PIVOT_TOL = 1e-10
 
@@ -131,6 +141,16 @@ def definiteness_pivots_ok(Q, S, R, A, B, c: float) -> bool:
     banded Cholesky provides the pivots (squares of the factor's diagonal).
     Returns False on factorization breakdown.
     """
+    return pivot_failure(Q, S, R, A, B, c) is None
+
+
+def pivot_failure(Q, S, R, A, B, c: float):
+    """Where :func:`definiteness_pivots_ok` fails: None if it passes.
+
+    Otherwise ``(stage, margin)``: the stage of the column whose pivot is
+    smallest and that pivot minus PIVOT_TOL, or after a factorization
+    breakdown the stage of the column LAPACK stopped at and None.
+    """
     T, nx, nu = A.shape[0], A.shape[1], B.shape[2]
     m = nx + nu
     n = T * m + nx
@@ -155,6 +175,88 @@ def definiteness_pivots_ok(Q, S, R, A, B, c: float) -> bool:
 
     fact, info = dpbtrf(ab, lower=1, overwrite_ab=1)
     if info != 0:
-        return False
+        return (info - 1) // m, None  # info is the 1-based failing column
     pivots = fact[0, :] ** 2
-    return bool(np.all(pivots >= PIVOT_TOL))
+    if np.all(pivots >= PIVOT_TOL):
+        return None
+    col = int(np.argmin(pivots))
+    return col // m, float(pivots[col] - PIVOT_TOL)
+
+
+def solve_lq_riccati(Q, S, R, A, B, gx, gu, c0, cdyn):
+    """Solve a stack of canonical LQ problems of one length by a Riccati sweep.
+
+    Every argument has a leading batch axis of size K ahead of the shapes
+    :func:`solve_lq_kkt` takes; returns ``(p, q, zeta)`` with shapes
+    (K, T+1, n_x), (K, T, n_u), (K, T+1, n_x) and its conventions, i.e.
+    zeta_k = -(P_k p_k + s_k) for the cost-to-go 1/2 p^T P_k p + s_k^T p.
+
+    Stage k of the backward sweep factors R_k + B_k^T P_{k+1} B_k by
+    Cholesky.  If that breaks down or a pivot (squared diagonal of the
+    factor) falls below PIVOT_TOL in some member, the sweep stops with
+    :class:`IndefiniteStageError` naming the first such member and the
+    stage.  No operation mixes members, so a member's result is bit for bit
+    the one it gets when solved alone.
+    """
+    K, T, nx, nu = B.shape
+    m = nx + nu
+    # The stage vector is y_k = [p_k; 1; q_k]: F_k = [[A_k, cdyn_k, B_k],
+    # [0, 1, 0]] maps it to [p_{k+1}; 1], and H_k holds the stage costs'
+    # [Hessian | gradient] in the same order, so one product per stage also
+    # carries the affine terms.
+    F = np.zeros((K, T, nx + 1, m + 1))
+    F[..., :nx, :nx] = A
+    F[..., :nx, nx] = cdyn
+    F[..., :nx, nx + 1:] = B
+    F[..., nx, nx] = 1.0
+    Ft = F[..., :nx, :].transpose(0, 1, 3, 2)
+    H = np.zeros((K, T, m + 1, m + 1))
+    H[..., :nx, :nx] = Q[:, :T]
+    H[..., :nx, nx] = gx[:, :T]
+    H[..., :nx, nx + 1:] = S.transpose(0, 1, 3, 2)
+    H[..., nx + 1:, :nx] = S
+    H[..., nx + 1:, nx] = gu
+    H[..., nx + 1:, nx + 1:] = R
+    # V_k = [P_k, s_k]: the cost-to-go 1/2 p^T P_k p + s_k^T p.
+    V = np.empty((K, T + 1, nx, nx + 1))
+    V[:, T, :, :nx] = Q[:, T]
+    V[:, T, :, nx] = gx[:, T]
+    # X_k = Rt_k^{-1} [St_k, gut_k], so q_k = -X_k [p_k; 1].
+    X = np.empty((K, T, nu, nx + 1))
+    for k in range(T - 1, -1, -1):
+        Z = Ft[:, k] @ (V[:, k + 1] @ F[:, k])
+        Z += H[:, k]  # rows p and q: [[Qt, gxt, St^T], [St, gut, Rt]]
+        Rt = Z[:, nx + 1:, nx + 1:]
+        try:
+            L = np.linalg.cholesky(Rt)
+        except np.linalg.LinAlgError:
+            raise _indefinite_member(Rt, k) from None
+        if not np.diagonal(L, 0, 1, 2).min() ** 2 >= PIVOT_TOL:
+            raise _indefinite_member(Rt, k)
+        X[:, k] = np.linalg.solve(Rt, Z[:, nx + 1:, :nx + 1])
+        np.subtract(Z[:, :nx, :nx + 1], Z[:, :nx, nx + 1:] @ X[:, k],
+                    out=V[:, k])
+
+    y = np.empty((K, T + 1, m + 1, 1))
+    y[:, 0, :nx, 0] = c0
+    y[:, 0, nx] = 1.0
+    for k in range(T):
+        np.negative(X[:, k] @ y[:, k, :nx + 1], out=y[:, k, nx + 1:])
+        np.matmul(F[:, k], y[:, k], out=y[:, k + 1, :nx + 1])
+    zeta = -(V @ y[:, :, :nx + 1])
+    out = (y[:, :, :nx, 0], y[:, :T, nx + 1:, 0], zeta[..., 0])
+    if not all(np.all(np.isfinite(a)) for a in out):
+        raise LinearSolverError("Riccati solve produced non-finite values")
+    return out
+
+
+def _indefinite_member(Rt, stage: int) -> IndefiniteStageError:
+    """The error for the first member whose ``Rt`` fails the pivot test."""
+    for member, r in enumerate(Rt):
+        try:
+            pivot = np.diagonal(np.linalg.cholesky(r)).min() ** 2
+        except np.linalg.LinAlgError:
+            return IndefiniteStageError(member, stage, None)
+        if not pivot >= PIVOT_TOL:
+            return IndefiniteStageError(member, stage, float(pivot - PIVOT_TOL))
+    raise AssertionError("a batch failed the pivot test but no member did")

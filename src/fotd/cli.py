@@ -208,6 +208,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
                      _SOLVER_KINDS)
     if s["mode"] not in MODES:
         raise ConfigError(f"solver.mode must be one of {MODES}, got {s['mode']!r}")
+    if s["schwarz_budget"] < 0:
+        raise ConfigError("solver.schwarz_budget must be nonnegative, got "
+                          f"{s['schwarz_budget']}")
     run = _merge_block("run", raw.get("run"), _RUN_DEFAULTS, _RUN_KINDS)
     if run["inits"] < 1:
         raise ConfigError(f"run.inits must be at least 1, got {run['inits']}")

@@ -55,8 +55,11 @@ ALPHA_FLOOR = 1e-12
 class SolverConfig:
     """Algorithm parameters; defaults follow the reference experiment protocol.
 
-    ``workers`` threads solve the decomposed direction's subproblems; the
-    Schwarz baseline solves its intervals in order whatever its value.
+    ``workers`` only sizes the thread pool of the band kernel, which solves
+    the decomposed direction's subproblems when their blocks are narrower
+    than :data:`fotd.decomposition.RICCATI_MIN_NX`; wider blocks go to one
+    batched Riccati sweep on the calling thread, and the Schwarz baseline
+    solves its intervals in order, whatever its value.
     """
 
     mu: float = 25.0
@@ -89,6 +92,13 @@ class SolverConfig:
             raise ValueError(f"rho_hat must lie in (0, 1), got {self.rho_hat}")
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
+        if self.max_iters < 0:
+            raise ValueError(
+                f"max_iters must be nonnegative, got {self.max_iters}")
+        for name in ("kkt_tol", "step_tol"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(
+                    f"{name} must be nonnegative, got {getattr(self, name)}")
 
 
 @dataclass

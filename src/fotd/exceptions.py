@@ -35,16 +35,47 @@ class ModificationFailure(SolverError):
     """The Levenberg ladder was exhausted without restoring definiteness."""
 
 
-class MuTooSmallError(SolverError):
-    """A decomposed subproblem failed its definiteness test; carries the index."""
+class IndefiniteStageError(LinearSolverError):
+    """A stage of a batched Riccati sweep failed its Cholesky pivot test.
 
-    def __init__(self, index: int, mu: float):
+    ``member`` is the problem's position in the batch and ``stage`` the
+    stage counted from that problem's start; ``margin`` is the smallest
+    pivot minus the pivot tolerance, or None after a breakdown.
+    """
+
+    def __init__(self, member: int, stage: int, margin: float | None):
+        self.member = member
+        self.stage = stage
+        self.margin = margin
+        super().__init__(f"stage {stage} of batch member {member} is not "
+                         f"positive definite ({_margin_text(margin)})")
+
+
+class MuTooSmallError(SolverError):
+    """A decomposed subproblem failed its definiteness test.
+
+    Carries the subproblem ``index``, its penalty ``mu``, the horizon
+    ``stage`` where the test failed and the ``margin`` it missed by (the
+    smallest pivot minus the pivot tolerance, or None after a breakdown).
+    """
+
+    def __init__(self, index: int, mu: float, stage: int,
+                 margin: float | None):
         self.index = index
         self.mu = mu
+        self.stage = stage
+        self.margin = margin
         super().__init__(
             f"subproblem {index} is not positive definite on its constraint "
-            f"null space with mu={mu!r}; increase the terminal penalty"
+            f"null space with mu={mu!r}: stage {stage} failed "
+            f"({_margin_text(margin)}); increase the terminal penalty"
         )
+
+
+def _margin_text(margin: float | None) -> str:
+    if margin is None:
+        return "factorization breakdown"
+    return f"pivot margin {margin:.3e}"
 
 
 class NonDescentError(SolverError):

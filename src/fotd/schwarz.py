@@ -160,6 +160,8 @@ def schwarz_solve(p: ProblemDef, cfg: SolverConfig, init,
     iteration solves nonlinear subproblems to optimality.  The intervals
     are solved one after another in plan order.
     """
+    if budget < 0:
+        raise ValueError(f"Schwarz budget must be nonnegative, got {budget}")
     plan = make_plan(p.N, cfg.M, cfg.b)
 
     def step(state: SolverState, cfg: SolverConfig, terms):

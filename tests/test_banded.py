@@ -5,8 +5,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fotd.banded import definiteness_pivots_ok, solve_lq_kkt
-from fotd.exceptions import LinearSolverError
+from fotd.banded import (PIVOT_TOL, definiteness_pivots_ok, pivot_failure,
+                         solve_lq_kkt, solve_lq_riccati)
+from fotd.exceptions import IndefiniteStageError, LinearSolverError
 from fotd.newton import default_definiteness_constant
 
 from oracles import dense_lq_solve, dense_reduced_hessian_eigmin
@@ -108,3 +109,70 @@ def test_non_contiguous_inputs_are_accepted_and_left_alone():
     for k, v in vars(views).items():
         assert np.array_equal(v, before[k]), k
     assert np.array_equal(Q_long, long_before)
+
+
+# ---------------------------------------------------------------------------
+# The batched Riccati kernel
+# ---------------------------------------------------------------------------
+
+FIELDS = ("Q", "S", "R", "A", "B", "gx", "gu", "c0", "cdyn")
+
+
+def stacked(ds):
+    return [np.stack([getattr(d, name) for d in ds]) for name in FIELDS]
+
+
+@pytest.mark.parametrize("shape", [(1, 2, 3), (1, 3, 1), (60, 2, 5),
+                                   (60, 5, 2), (60, 16, 16)])
+def test_riccati_matches_dense_oracle(shape):
+    ds = [lq_data(*shape, seed=sum(shape) + j) for j in range(3)]
+    assert all(np.any(d.c0 != 0) and np.any(d.cdyn != 0) for d in ds)
+    out = solve_lq_riccati(*stacked(ds))
+    for j, d in enumerate(ds):
+        for got, want in zip(out, dense_lq_solve(*blocks(d), *rhs(d))):
+            assert got[j].shape == want.shape
+            assert np.max(np.abs(got[j] - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def test_riccati_batch_members_match_solving_alone():
+    ds = [lq_data(60, 16, 16, seed=j) for j in range(4)]
+    together = solve_lq_riccati(*stacked(ds))
+    for j, d in enumerate(ds):
+        alone = solve_lq_riccati(*stacked([d]))
+        for got, want in zip(together, alone):
+            assert np.array_equal(got[j], want[0])
+
+
+def test_riccati_names_the_first_failing_stage_and_member():
+    ds = [lq_data(6, 3, 2, seed=j) for j in range(3)]
+    ds[1].R[4] = -10.0 * np.eye(2)  # stages 5 and 4 are met first
+    ds[2].R[2] = -10.0 * np.eye(2)
+    with pytest.raises(IndefiniteStageError) as err:
+        solve_lq_riccati(*stacked(ds))
+    assert (err.value.member, err.value.stage, err.value.margin) == (1, 4, None)
+    with pytest.raises(IndefiniteStageError) as err:
+        solve_lq_riccati(*stacked([ds[0], ds[2]]))
+    assert (err.value.member, err.value.stage) == (1, 2)
+
+
+def test_riccati_pivot_below_tolerance_carries_its_margin():
+    # One stage: R + B^T Q_T B = 1 + (-1 + 1e-12) leaves a pivot of 1e-12.
+    d = lq_data(1, 1, 1, seed=0)
+    d.S[:] = 0.0
+    d.R[:] = 1.0
+    d.B[:] = 1.0
+    d.Q[1] = -1.0 + 1e-12
+    with pytest.raises(IndefiniteStageError) as err:
+        solve_lq_riccati(*stacked([d]))
+    assert err.value.stage == 0
+    assert err.value.margin == pytest.approx(1e-12 - PIVOT_TOL, rel=1e-3)
+
+
+def test_band_pivot_failure_names_stage_and_margin():
+    d = lq_data(5, 3, 2, seed=1)
+    c = default_definiteness_constant(d)
+    assert pivot_failure(*blocks(d), c) is None
+    d.R[3] = -1e3 * np.eye(2)
+    stage, margin = pivot_failure(*blocks(d), c)
+    assert stage == 3 and margin is None  # breakdown in a column of stage 3
+    assert not definiteness_pivots_ok(*blocks(d), c)

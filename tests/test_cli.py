@@ -118,12 +118,18 @@ TOY_RUN = "problem: {type: toy, case: 1, N: 60}\nsolver: {M: 3, b: 2}\nrun: %s\n
     ("problem: {type: plate, m: 4.7, N: 50}\n", [], "problem.m"),
     ("problem: {type: toy, case: 1.5, N: 60}\n", [], "problem.case"),
     (TOY_EXPLICIT % "{kind: sin, scal: 2}", [], "problem.d.scal"),  # typo
+    (TOY_SOLVER % "{M: 3, b: 2, max_iters: -3}", [], "max_iters"),  # ran none
+    (TOY_SOLVER % "{M: 3, b: 2, kkt_tol: -1.0}", [], "kkt_tol"),  # never met
+    (TOY_SOLVER % "{M: 3, b: 2, step_tol: .nan}", [], "step_tol"),
+    (TOY_SOLVER % "{mode: schwarz, M: 3, b: 2, schwarz_budget: -1}", [],
+     "solver.schwarz_budget"),
 ], ids=["d-kind", "d-scalar", "plate-m2", "M-divides-N", "solver-c",
         "solver-gamma-step", "solver-workers-0", "flag-workers-0",
         "sweep-b-scalar", "sweep-mu-word", "run-inits-word", "solver-scalar",
         "run-list", "problem-list", "solver-M-fraction", "run-diagnostics-no",
         "run-out-dir-null", "run-inits-0", "plate-m-fraction",
-        "toy-case-fraction", "d-key-typo"])
+        "toy-case-fraction", "d-key-typo", "max-iters-negative",
+        "kkt-tol-negative", "step-tol-nan", "schwarz-budget-negative"])
 def test_config_errors_found_before_solving_exit_2(tmp_path, monkeypatch,
                                                     capsys, command, text,
                                                     flags, names):

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from fotd.benchmarks import ToySpec, make_toy_problem
-from fotd.decomposition import (BoundaryVars, approximate_direction,
-                                assemble_subproblem, compose, decompose,
-                                make_plan, solve_subproblem)
+from fotd import banded
+from fotd.decomposition import (RICCATI_MIN_NX, BoundaryVars,
+                                approximate_direction, assemble_subproblem,
+                                compose, decompose, make_plan,
+                                solve_subproblem)
 from fotd.exceptions import MuTooSmallError
 from fotd.newton import NewtonData, assemble_newton_data, solve_full_newton
+from fotd.problem import stack_primal
 from oracles import (dense_lq_solve, make_random_lq, random_point,
                      subproblem_kkt_residual)
 
@@ -160,6 +163,35 @@ def test_remark1_subproblem_definite_iff_mu_large():
     with pytest.raises(MuTooSmallError) as err:
         solve_subproblem(assemble_subproblem(nd, plan, 0, 0.5, d))
     assert err.value.index == 0
+    # the H + c G^T G Cholesky breaks down in the terminal block's column
+    assert (err.value.stage, err.value.margin) == (1, None)
+
+
+def wide(nd, width):
+    """``nd`` with every block lifted to ``width`` decoupled copies of itself."""
+    eye = np.eye(width)
+
+    def lift(blocks):
+        return np.stack([np.kron(blk, eye) for blk in blocks])
+
+    return NewtonData(
+        N=nd.N, n_x=nd.n_x * width, n_u=nd.n_u * width,
+        Q=lift(nd.Q), S=lift(nd.S), R=lift(nd.R), A=lift(nd.A), B=lift(nd.B),
+        gx=np.repeat(nd.gx, width, axis=1), gu=np.repeat(nd.gu, width, axis=1),
+        glam=np.repeat(nd.glam, width, axis=1))
+
+
+def test_remark1_on_wide_blocks_takes_the_riccati_path():
+    nd = wide(remark1_nd(), RICCATI_MIN_NX)
+    assert nd.n_x >= RICCATI_MIN_NX
+    plan = make_plan(2, b=0, knots=[0, 1, 2])
+    direction = approximate_direction(nd, plan, 2.0)
+    assert np.all(direction.dz == 0.0) and np.all(direction.dlam == 0.0)
+    with pytest.raises(MuTooSmallError) as err:
+        approximate_direction(nd, plan, 0.5)
+    # R_0 + B^T (Q_1 + mu) B = 1 - 1.5 breaks the Cholesky of stage 0
+    assert (err.value.index, err.value.stage, err.value.margin) == (0, 0, None)
+    assert "stage 0" in str(err.value)
 
 
 def test_last_subproblem_restores_terminal_block():
@@ -281,3 +313,56 @@ def test_scheduling_determinism_across_worker_counts():
         other = approximate_direction(nd, plan, 25.0, workers=workers)
         np.testing.assert_array_equal(base.dz, other.dz)
         np.testing.assert_array_equal(base.dlam, other.dlam)
+
+
+def test_riccati_direction_matches_band_subproblems_on_the_plate():
+    from fotd.benchmarks import PlateSpec, make_plate_problem
+    p = make_plate_problem(PlateSpec(m=6, N=60))
+    assert p.n_x >= RICCATI_MIN_NX
+    z, lam = random_point(p, seed=3, scale=0.1)
+    z.x[0] = p.x0
+    nd = assemble_newton_data(p, z, lam)
+    plan = make_plan(60, 4, 3)  # subproblems of 18 and 21 stages
+    got = approximate_direction(nd, plan, 25.0)
+    sols = [solve_subproblem(assemble_subproblem(
+                nd, plan, i, 25.0,
+                BoundaryVars.zeros(p.n_x, p.n_u, terminal=plan.m2[i] == 60)))
+            for i in range(plan.M)]
+    dx, du, dlam = compose([(s.p, s.q, s.zeta) for s in sols], plan)
+    for a, b in ((got.dz, stack_primal(dx, du)),
+                 (got.dlam, dlam.ravel())):
+        assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
+
+
+def test_toy_plan_solves_each_subproblem_with_the_band_kernel(monkeypatch):
+    p, nd = toy_nd(N=40, seed=13)
+    plan = make_plan(40, 5, 3)
+    calls = []
+    band = banded.solve_lq_kkt
+
+    def counted(*args):
+        calls.append(args[0].shape[0])
+        return band(*args)
+
+    def refused(*args):
+        raise AssertionError("toy blocks went to the Riccati kernel")
+
+    monkeypatch.setattr(banded, "solve_lq_kkt", counted)
+    monkeypatch.setattr(banded, "solve_lq_riccati", refused)
+    approximate_direction(nd, plan, 25.0)
+    assert len(calls) == plan.M
+
+
+def test_riccati_path_names_the_first_failing_subproblem_in_plan_order():
+    p, _ = make_random_lq(40, RICCATI_MIN_NX, 2, seed=14)
+    z, lam = random_point(p, seed=15)
+    nd = assemble_newton_data(p, z, lam)
+    plan = make_plan(40, 4, 2)  # [0, 12], [8, 22], [18, 32], [28, 40]
+    nd.R[35] = -100.0 * np.eye(2)  # only in subproblem 3, batched first
+    with pytest.raises(MuTooSmallError) as err:
+        approximate_direction(nd, plan, 25.0)
+    assert (err.value.index, err.value.stage) == (3, 35)
+    nd.R[25] = -100.0 * np.eye(2)  # only in subproblem 2
+    with pytest.raises(MuTooSmallError) as err:
+        approximate_direction(nd, plan, 25.0)
+    assert (err.value.index, err.value.stage, err.value.margin) == (2, 25, None)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -318,6 +320,15 @@ def test_diagnostic_undefined_at_exact_kkt_point():
     z, lam = Trajectory.zeros(p), DualTrajectory.zeros(p)
     with pytest.raises(UndefinedRatioError):
         direction_error_diagnostic(p, z, lam, SolverConfig(mu=25.0, M=2, b=1))
+
+
+def test_solver_config_rejects_budgets_and_tolerances_of_another_experiment():
+    for bad in ({"max_iters": -1}, {"kkt_tol": -1e-6}, {"kkt_tol": math.nan},
+                {"step_tol": -1e-6}, {"step_tol": math.nan}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            SolverConfig(**bad)
+    cfg = SolverConfig(max_iters=0, kkt_tol=0.0, step_tol=0.0)
+    assert (cfg.max_iters, cfg.kkt_tol, cfg.step_tol) == (0, 0.0, 0.0)
 
 
 def test_solver_config_validation():

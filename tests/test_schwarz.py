@@ -130,6 +130,8 @@ def test_schwarz_budget_exhaustion_recorded():
     assert report.status == "max_iters"
     assert len(report.records) == 2
     assert report.error is None
+    with pytest.raises(ValueError, match="budget"):
+        schwarz_solve(p, SolverConfig(mu=25.0, M=5, b=1), init, budget=-1)
 
 
 def test_schwarz_inner_failure_reported():
