@@ -32,7 +32,8 @@ from .newton import (NewtonData, NewtonDirection, assemble_newton_data,
 from .problem import (DualTrajectory, PenaltyParams, ProblemDef, Trajectory,
                       eval_constraints, eval_lagrangian_gradient, eval_merit,
                       eval_merit_gradient, eval_objective, kkt_residual,
-                      linearize, load_point_csv, save_point_csv)
+                      linearize, load_point_csv, save_point_csv,
+                      stage_batched)
 from .schwarz import (NonlinearSubproblem, boundary_compatibility,
                       one_newton_schwarz_step, schwarz_solve,
                       solve_nonlinear_subproblem, subproblem_from_iterate,

@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .problem import DualTrajectory, ProblemDef, Trajectory
+from .problem import DualTrajectory, ProblemDef, Trajectory, stage_batched
 
 UNIFORM_HALF_WIDTH = 1e5
 
@@ -91,44 +91,71 @@ def toy_reference(spec: ToySpec) -> np.ndarray:
     return np.fromiter(map(spec.d, range(spec.N)), float, spec.N)
 
 
+def _callback(form: Callable, N: int, terminal: Callable | None = None):
+    """Per-stage callback that evaluates the batched ``form`` on stage k alone.
+
+    Stage N goes to ``terminal(x)``.  The callback carries ``form`` as its
+    stage-batched form, so both forms evaluate one formula and agree bit for
+    bit.
+    """
+    @stage_batched(form)
+    def callback(k, x, *args):
+        if k == N:
+            return terminal(x)
+        out = form(np.array([k]), *(np.asarray(a)[None] for a in (x, *args)))
+        return tuple(o[0] for o in out) if isinstance(out, tuple) else out[0]
+    return callback
+
+
 def make_toy_problem(spec: ToySpec) -> ProblemDef:
-    """Scalar problem with analytic derivatives; n_x = n_u = 1."""
+    """Scalar problem with analytic derivatives; n_x = n_u = 1.
+
+    The callbacks are stage-batched.  The cost squares with
+    ``np.float_power`` (libm's pow, as Python's ``**`` on floats); ``x * x``
+    rounds differently for about one value in a thousand, which moves merits
+    and iterates in their last bits.
+    """
     C1, C2, N = spec.C1, spec.C2, spec.N
     d = toy_reference(spec)
-    zero22 = np.zeros((2, 2))
-    zero22.flags.writeable = False
-    A1 = np.ones((1, 1))
-    A1.flags.writeable = False
 
-    def stage_cost(k, x, u=None):
-        if k == N:
-            return C1 * float(x[0]) ** 2
-        e = float(x[0]) - d[k]
-        return 2.0 * math.cos(e) ** 2 + C1 * e * e - C2 * (float(u[0]) - d[k]) ** 2
+    def stage_cost(ks, X, U):
+        dk = d[ks][:, None]
+        e = X - dk
+        return (2.0 * np.float_power(np.cos(e), 2) + C1 * e * e
+                - C2 * np.float_power(U - dk, 2))[:, 0]
 
-    def cost_gradient(k, x, u=None):
-        if k == N:
-            return np.array([2.0 * C1 * float(x[0])])
-        e = float(x[0]) - d[k]
-        gx = np.array([-2.0 * math.sin(2.0 * e) + 2.0 * C1 * e])
-        gu = np.array([-2.0 * C2 * (float(u[0]) - d[k])])
-        return gx, gu
+    def cost_gradient(ks, X, U):
+        dk = d[ks][:, None]
+        e = X - dk
+        return -2.0 * np.sin(2.0 * e) + 2.0 * C1 * e, -2.0 * C2 * (U - dk)
 
-    def cost_hessian(k, x, u=None):
-        if k == N:
-            return np.array([[2.0 * C1]])
-        e = float(x[0]) - d[k]
-        Q = np.array([[-4.0 * math.cos(2.0 * e) + 2.0 * C1]])
-        return Q, np.zeros((1, 1)), np.array([[-2.0 * C2]])
+    def cost_hessian(ks, X, U):
+        e = X - d[ks][:, None]
+        K = len(ks)
+        return ((-4.0 * np.cos(2.0 * e) + 2.0 * C1)[:, :, None],
+                np.zeros((K, 1, 1)), np.full((K, 1, 1), -2.0 * C2))
+
+    def dynamics(ks, X, U):
+        return X + U + d[ks][:, None]
+
+    def dynamics_jacobians(ks, X, U):
+        ones = np.ones((len(ks), 1, 1))
+        ones.flags.writeable = False
+        return ones, ones
+
+    def dynamics_hessian_contraction(ks, X, U, Lam):
+        return np.zeros((len(ks), 2, 2))
 
     return ProblemDef(
         N=N, n_x=1, n_u=1, x0=np.zeros(1),
-        stage_cost=stage_cost,
-        cost_gradient=cost_gradient,
-        cost_hessian=cost_hessian,
-        dynamics=lambda k, x, u: np.array([float(x[0]) + float(u[0]) + d[k]]),
-        dynamics_jacobians=lambda k, x, u: (A1, A1),
-        dynamics_hessian_contraction=lambda k, x, u, lam: zero22,
+        stage_cost=_callback(stage_cost, N, lambda x: C1 * float(x[0]) ** 2),
+        cost_gradient=_callback(cost_gradient, N,
+                                lambda x: np.array([2.0 * C1 * float(x[0])])),
+        cost_hessian=_callback(cost_hessian, N,
+                               lambda x: np.array([[2.0 * C1]])),
+        dynamics=_callback(dynamics, N),
+        dynamics_jacobians=_callback(dynamics_jacobians, N),
+        dynamics_hessian_contraction=_callback(dynamics_hessian_contraction, N),
     )
 
 
@@ -222,28 +249,33 @@ def make_plate_problem(spec: PlateSpec) -> ProblemDef:
     const = dt * (a_conv * Tc + a_rad * Tc4)
     N = spec.N
 
-    def dynamics(k, x, u):
-        return M_lin @ x + u + const - dt * a_rad * x ** 4
+    # Stage-batched callbacks.  The radiation term is diagonal, so A differs
+    # from M_lin and the contraction from zero on the diagonal only; B and
+    # the cost Hessian are constant.  Stacked matmuls make one gemv (or dot)
+    # per stage, so a stage rounds alike in a batch of one or of N.
+    def dynamics(ks, X, U):
+        return np.matmul(M_lin, X[:, :, None])[..., 0] + U + const \
+            - dt * a_rad * X ** 4
 
-    def dynamics_jacobians(k, x, u):
-        A = M_lin - np.diag(4.0 * dt * a_rad * x ** 3)
-        return A, B
+    def dynamics_jacobians(ks, X, U):
+        A = np.repeat(M_lin[None], len(ks), axis=0)
+        diag = np.arange(n)
+        A[:, diag, diag] -= 4.0 * dt * a_rad * X ** 3
+        return A, np.broadcast_to(B, A.shape)
 
-    def dynamics_hessian_contraction(k, x, u, lam):
-        W = np.zeros((2 * n, 2 * n))
-        W[np.arange(n), np.arange(n)] = 12.0 * dt * a_rad * lam * x ** 2
+    def dynamics_hessian_contraction(ks, X, U, Lam):
+        W = np.zeros((len(ks), 2 * n, 2 * n))
+        diag = np.arange(n)
+        W[:, diag, diag] = 12.0 * dt * a_rad * Lam * X ** 2
         return W
 
-    def stage_cost(k, x, u=None):
-        if k == N:
-            return 0.0
-        e = x - d_table[k]
-        return w_cost * (float(e @ e) + float(u @ u))
+    def stage_cost(ks, X, U):
+        E = X - d_table[ks]
+        return w_cost * (np.matmul(E[:, None], E[:, :, None])[:, 0, 0]
+                         + np.matmul(U[:, None], U[:, :, None])[:, 0, 0])
 
-    def cost_gradient(k, x, u=None):
-        if k == N:
-            return np.zeros(n)
-        return 2.0 * w_cost * (x - d_table[k]), 2.0 * w_cost * u
+    def cost_gradient(ks, X, U):
+        return 2.0 * w_cost * (X - d_table[ks]), 2.0 * w_cost * U
 
     Qs = 2.0 * w_cost * np.eye(n)
     Ss = np.zeros((n, n))
@@ -251,17 +283,19 @@ def make_plate_problem(spec: PlateSpec) -> ProblemDef:
     for arr in (Qs, Ss, QN):
         arr.flags.writeable = False
 
-    def cost_hessian(k, x, u=None):
-        if k == N:
-            return QN
-        return Qs, Ss, Qs
+    def cost_hessian(ks, X, U):
+        shape = (len(ks), n, n)
+        return (np.broadcast_to(Qs, shape), np.broadcast_to(Ss, shape),
+                np.broadcast_to(Qs, shape))
 
     return ProblemDef(
         N=spec.N, n_x=n, n_u=n, x0=np.zeros(n),
-        stage_cost=stage_cost, cost_gradient=cost_gradient,
-        cost_hessian=cost_hessian, dynamics=dynamics,
-        dynamics_jacobians=dynamics_jacobians,
-        dynamics_hessian_contraction=dynamics_hessian_contraction,
+        stage_cost=_callback(stage_cost, N, lambda x: 0.0),
+        cost_gradient=_callback(cost_gradient, N, lambda x: np.zeros(n)),
+        cost_hessian=_callback(cost_hessian, N, lambda x: QN),
+        dynamics=_callback(dynamics, N),
+        dynamics_jacobians=_callback(dynamics_jacobians, N),
+        dynamics_hessian_contraction=_callback(dynamics_hessian_contraction, N),
     )
 
 

@@ -89,13 +89,16 @@ def assemble_newton_data(p: ProblemDef, z: Trajectory, lam: DualTrajectory) -> N
     """Evaluate Hessian blocks, Jacobians and gradients at (z, lam).
 
     Blocks are unmodified (gamma_applied = 0).  Non-finite callback output
-    raises :class:`NumericsError` carrying the offending stage.
+    raises :class:`NumericsError` carrying the offending stage; row k+1 of
+    the constraint residual holds the dynamics of stage k.
     """
     N = p.N
     Q, S, R, A, B, gz, gl = linearize(p, z, lam)
     gx, gu = split_primal(gz, N, p.n_x, p.n_u)
+    glam = gl.reshape(N + 1, p.n_x)
     for name, arrs in (("Hessian/Jacobian", (Q[:N], S, R, A, B)),
-                       ("gradient", (gx[:N], gu))):
+                       ("gradient", (gx[:N], gu)),
+                       ("constraint residual", (glam[1:],))):
         bad = np.zeros(N, dtype=bool)
         for arr in arrs:
             bad |= ~np.isfinite(arr).all(axis=tuple(range(1, arr.ndim)))
@@ -103,8 +106,7 @@ def assemble_newton_data(p: ProblemDef, z: Trajectory, lam: DualTrajectory) -> N
             raise NumericsError(int(np.argmax(bad)), name)
     if not np.all(np.isfinite(Q[N])) or not np.all(np.isfinite(gx[N])):
         raise NumericsError(N, "terminal block")
-    return NewtonData(N, p.n_x, p.n_u, Q, S, R, A, B, gx, gu,
-                      gl.reshape(N + 1, p.n_x))
+    return NewtonData(N, p.n_x, p.n_u, Q, S, R, A, B, gx, gu, glam)
 
 
 def max_block_norm_fro(Q, S, R) -> float:

@@ -57,9 +57,19 @@ class ProblemDef:
       (n_x+n_u) x (n_x+n_u) matrix  -sum_j lam_next[j] * hess(f_j),
       i.e. the dynamics' contribution to the Lagrangian Hessian block.
 
-    Each evaluation pass calls each of its callbacks once per stage and
-    copies the outputs into its own stage arrays, so a callback may return
-    shared read-only arrays.
+    A callback may carry a stage-batched form (see :func:`stage_batched`)
+    that evaluates the stages k < N in one call over stage arrays: ``ks``
+    (K,) integer stages, ``X`` (K, n_x), ``U`` (K, n_u) and, for the
+    contraction, ``Lam`` (K, n_x) holding lam_{k+1}.  Its outputs stack the
+    per-stage ones on a leading axis: costs (K,), (GX, GU), (Q, S, R),
+    next states (K, n_x), (A, B) and contractions (K, n_x+n_u, n_x+n_u).
+    It must match the per-stage form bit for bit.  An evaluation pass makes
+    one call per callback over the stages k < N -- the batched form, or a
+    loop over the per-stage form that copies its outputs into fresh stage
+    arrays -- and one per-stage call at the terminal stage.  Outputs may be
+    shared read-only arrays; the pass never writes into them.  The batched
+    form travels with its callable, so ``dataclasses.replace`` of one
+    callback drops that callback's batched form only.
     """
 
     N: int
@@ -160,12 +170,49 @@ def split_primal(vec: np.ndarray, N: int, n_x: int, n_u: int):
     return x, body[:, n_x:].copy()
 
 
+def stage_batched(form: Callable):
+    """Decorator: attach ``form`` as the stage-batched form of a callback.
+
+    ``form(ks, X, U[, Lam])`` evaluates the stages ``ks`` at once; see
+    :class:`ProblemDef` for the shapes.  The decorated per-stage callable is
+    returned unchanged apart from its ``batched`` attribute.
+    """
+    def attach(fn: Callable) -> Callable:
+        fn.batched = form
+        return fn
+    return attach
+
+
+def _over_stages(fn: Callable, shapes, ks: np.ndarray, *arrays):
+    """Evaluate callback ``fn`` at the stages ``ks`` in one call.
+
+    Uses ``fn.batched`` when the callback has one.  Otherwise calls ``fn``
+    once per stage and copies its outputs into fresh stage arrays with the
+    trailing ``shapes`` (one per output), as a per-stage callback may return
+    shared arrays.
+    """
+    form = getattr(fn, "batched", None)
+    if form is not None:
+        return form(ks, *arrays)
+    outs = [np.empty((len(ks),) + shape) for shape in shapes]
+    for i, args in enumerate(zip(ks.tolist(), *arrays)):
+        res = fn(*args)
+        for out, r in zip(outs, res if len(outs) > 1 else (res,)):
+            out[i] = r
+    return outs[0] if len(outs) == 1 else tuple(outs)
+
+
+def _stages(p: ProblemDef, z: Trajectory):
+    """The stage arrays ``(ks, X, U)`` of the stages k < N."""
+    return np.arange(p.N), z.x[: p.N], z.u
+
+
 def eval_objective(p: ProblemDef, z: Trajectory) -> float:
-    """Total cost sum_{k<N} g_k(x_k, u_k) + g_N(x_N)."""
+    """Total cost sum_{k<N} g_k(x_k, u_k) + g_N(x_N), summed in stage order."""
     check_point(p, z)
     total = 0.0
-    for k in range(p.N):
-        total += float(p.stage_cost(k, z.x[k], z.u[k]))
+    for cost in _over_stages(p.stage_cost, [()], *_stages(p, z)).tolist():
+        total += cost
     return total + float(p.stage_cost(p.N, z.x[p.N]))
 
 
@@ -174,8 +221,8 @@ def eval_constraints(p: ProblemDef, z: Trajectory) -> np.ndarray:
     check_point(p, z)
     c = np.empty((p.N + 1, p.n_x))
     c[0] = z.x[0] - p.x0
-    for k in range(p.N):
-        c[k + 1] = z.x[k + 1] - np.asarray(p.dynamics(k, z.x[k], z.u[k]))
+    np.subtract(z.x[1:], _over_stages(p.dynamics, [(p.n_x,)], *_stages(p, z)),
+                out=c[1:])
     return c.ravel()
 
 
@@ -212,58 +259,50 @@ def kkt_residual(p: ProblemDef, z: Trajectory, lam: DualTrajectory) -> float:
 
 def _stage_pass(p: ProblemDef, z: Trajectory, lam: DualTrajectory,
                 second_order: bool):
-    """Call every callback once per stage, then evaluate the gradients at once.
+    """Call each callback once over the stages k < N, then once at N.
 
-    The stage loop only calls callbacks and copies their outputs into stage
-    arrays; all arithmetic runs over the whole horizon afterwards.  With
-    ``second_order`` the loop calls ``cost_hessian`` and
-    ``dynamics_hessian_contraction`` and ``first`` is ``(Q, S, R, W)`` with
-    the cost blocks and contractions unmerged; without it the loop calls
+    Each call over k < N goes through :func:`_over_stages` (the batched form,
+    or the per-stage loop for a callback without one), and all arithmetic
+    runs over the whole horizon afterwards.  The callbacks' outputs are used
+    as returned and never written into.  With ``second_order`` the pass calls
+    ``cost_hessian`` and ``dynamics_hessian_contraction`` and ``first`` is
+    ``(Q, S, R)`` with the contractions merged in; without it the pass calls
     ``stage_cost`` and ``first`` lists the N+1 stage costs.  Returns
     ``(first, A, B, grad_z, grad_lam)``.
     """
     check_point(p, z, lam)
     N, nx, nu = p.N, p.n_x, p.n_u
-    x, u, lm = z.x, z.u, lam.lam
-    gx = np.empty((N + 1, nx))
-    gu = np.empty((N, nu))
-    A = np.empty((N, nx, nx))
-    B = np.empty((N, nx, nu))
-    glam = np.empty((N + 1, nx))
-    f = glam[1:]
+    x, lm = z.x, lam.lam
+    stages = _stages(p, z)
+    cgx, cgu = _over_stages(p.cost_gradient, [(nx,), (nu,)], *stages)
+    A, B = _over_stages(p.dynamics_jacobians, [(nx, nx), (nx, nu)], *stages)
+    f = _over_stages(p.dynamics, [(nx,)], *stages)
     if second_order:
+        Qc, Sc, Rc = _over_stages(p.cost_hessian, [(nx, nx), (nu, nx), (nu, nu)],
+                                  *stages)
+        W = _over_stages(p.dynamics_hessian_contraction, [(nx + nu, nx + nu)],
+                         *stages, lm[1:])
         Q = np.empty((N + 1, nx, nx))
-        S = np.empty((N, nu, nx))
-        R = np.empty((N, nu, nu))
-        W = np.empty((N, nx + nu, nx + nu))
-    else:
-        costs = [0.0] * (N + 1)
-    for k in range(N):
-        xk, uk = x[k], u[k]
-        if second_order:
-            Q[k], S[k], R[k] = p.cost_hessian(k, xk, uk)
-            W[k] = p.dynamics_hessian_contraction(k, xk, uk, lm[k + 1])
-        else:
-            costs[k] = float(p.stage_cost(k, xk, uk))
-        gx[k], gu[k] = p.cost_gradient(k, xk, uk)
-        A[k], B[k] = p.dynamics_jacobians(k, xk, uk)
-        f[k] = p.dynamics(k, xk, uk)
-    if second_order:
+        np.add(Qc, W[:, :nx, :nx], out=Q[:N])
         Q[N] = p.cost_hessian(N, x[N])
-        first = (Q, S, R, W)
+        first = (Q, Sc + W[:, nx:, :nx], Rc + W[:, nx:, nx:])
     else:
-        costs[N] = float(p.stage_cost(N, x[N]))
+        costs = _over_stages(p.stage_cost, [()], *stages).tolist()
+        costs.append(float(p.stage_cost(N, x[N])))
         first = costs
+    gx = np.empty((N + 1, nx))
+    np.add(cgx, lm[:N], out=gx[:N])
     gx[N] = p.cost_gradient(N, x[N])
+    gx[N] += lm[N]
     # grad_x L_k = (grad g_k + lam_k) - A_k^T lam_{k+1}.  The stacked matmul
     # makes one gemv per stage, rounding as A_k.T @ lam_{k+1} does; einsum
     # would sum in another order.
-    gx += lm
     lnext = lm[1:, :, None]
     gx[:N] -= np.matmul(A.transpose(0, 2, 1), lnext)[..., 0]
-    gu -= np.matmul(B.transpose(0, 2, 1), lnext)[..., 0]
-    np.subtract(x[1:], f, out=f)
+    gu = cgu - np.matmul(B.transpose(0, 2, 1), lnext)[..., 0]
+    glam = np.empty((N + 1, nx))
     glam[0] = x[0] - p.x0
+    np.subtract(x[1:], f, out=glam[1:])
     return first, A, B, stack_primal(gx, gu), glam.ravel()
 
 
@@ -297,13 +336,10 @@ def linearize(p: ProblemDef, z: Trajectory, lam: DualTrajectory):
     Returns ``(Q, S, R, A, B, grad_z, grad_lam)``: Q (N+1, n_x, n_x) includes
     the terminal block, S, R, A, B lead with N, Q_k, S_k, R_k include the
     dynamics curvature contracted with lam_{k+1}, and the gradients are those
-    of :func:`eval_lagrangian_gradient`.  Each callback runs once per stage.
+    of :func:`eval_lagrangian_gradient`.  Each callback runs once over the
+    stages k < N and once at N (see :func:`_stage_pass`).
     """
-    (Q, S, R, W), A, B, gz, gl = _stage_pass(p, z, lam, second_order=True)
-    nx = p.n_x
-    Q[: p.N] += W[:, :nx, :nx]
-    S += W[:, nx:, :nx]
-    R += W[:, nx:, nx:]
+    (Q, S, R), A, B, gz, gl = _stage_pass(p, z, lam, second_order=True)
     return Q, S, R, A, B, gz, gl
 
 

@@ -30,7 +30,7 @@ from .driver import (STATUS_KKT, IterationRecord, SolveReport, SolverConfig,
                      SolverState, run_outer_loop, solve)
 from .exceptions import SubproblemFailure
 from .newton import assemble_newton_data, solve_full_newton
-from .problem import DualTrajectory, ProblemDef, Trajectory
+from .problem import DualTrajectory, ProblemDef, Trajectory, stage_batched
 
 SCHWARZ_BUDGET = 30
 INNER_TOL = 1e-8
@@ -76,9 +76,11 @@ def subproblem_from_iterate(p: ProblemDef, plan: DecompositionPlan, i: int,
 def truncated_problem(sub: NonlinearSubproblem) -> ProblemDef:
     """Express the nonlinear subproblem as a standalone problem definition.
 
-    Stages k < T are the parent's stages m1 + k.  The terminal stage T is the
-    parent's terminal cost when the interval reaches the end of the horizon,
-    and the adjusted cost from the module docstring otherwise.
+    Stages k < T are the parent's stages m1 + k; each callback whose parent
+    callback is stage-batched carries the parent's batched form on the
+    stages m1 + ks.  The terminal stage T is the parent's terminal cost when
+    the interval reaches the end of the horizon, and the adjusted cost from
+    the module docstring otherwise.
     """
     p = sub.parent
     off, m2, mu = sub.m1, sub.m2, sub.mu
@@ -87,6 +89,14 @@ def truncated_problem(sub: NonlinearSubproblem) -> ProblemDef:
     adjusted = sub.has_adjusted_terminal
     ubar, lbar, xbar = sub.u_end, sub.lam_next, sub.x_end
 
+    def shifted(name):
+        """Decorator: give a callback the parent's batched ``name`` on m1 + ks."""
+        form = getattr(getattr(p, name), "batched", None)
+        if form is None:
+            return lambda fn: fn
+        return stage_batched(lambda ks, *arrays: form(off + ks, *arrays))
+
+    @shifted("stage_cost")
     def stage_cost(k, x, u=None):
         if k < T:
             return p.stage_cost(off + k, x, u)
@@ -97,6 +107,7 @@ def truncated_problem(sub: NonlinearSubproblem) -> ProblemDef:
                 - float(lbar @ np.asarray(p.dynamics(m2, x, ubar)))
                 + 0.5 * mu * float(dx @ dx))
 
+    @shifted("cost_gradient")
     def cost_gradient(k, x, u=None):
         if k < T:
             return p.cost_gradient(off + k, x, u)
@@ -106,6 +117,7 @@ def truncated_problem(sub: NonlinearSubproblem) -> ProblemDef:
         A, _ = p.dynamics_jacobians(m2, x, ubar)
         return gx - A.T @ lbar + mu * (x - xbar)
 
+    @shifted("cost_hessian")
     def cost_hessian(k, x, u=None):
         if k < T:
             return p.cost_hessian(off + k, x, u)
@@ -115,14 +127,24 @@ def truncated_problem(sub: NonlinearSubproblem) -> ProblemDef:
         W = np.asarray(p.dynamics_hessian_contraction(m2, x, ubar, lbar))
         return Qc + W[:nx, :nx] + mu * np.eye(nx)
 
+    @shifted("dynamics")
+    def dynamics(k, x, u):
+        return p.dynamics(off + k, x, u)
+
+    @shifted("dynamics_jacobians")
+    def dynamics_jacobians(k, x, u):
+        return p.dynamics_jacobians(off + k, x, u)
+
+    @shifted("dynamics_hessian_contraction")
+    def dynamics_hessian_contraction(k, x, u, lam):
+        return p.dynamics_hessian_contraction(off + k, x, u, lam)
+
     return ProblemDef(
         N=T, n_x=p.n_x, n_u=p.n_u, x0=sub.x_start,
         stage_cost=stage_cost, cost_gradient=cost_gradient,
-        cost_hessian=cost_hessian,
-        dynamics=lambda k, x, u: p.dynamics(off + k, x, u),
-        dynamics_jacobians=lambda k, x, u: p.dynamics_jacobians(off + k, x, u),
-        dynamics_hessian_contraction=(
-            lambda k, x, u, lam: p.dynamics_hessian_contraction(off + k, x, u, lam)),
+        cost_hessian=cost_hessian, dynamics=dynamics,
+        dynamics_jacobians=dynamics_jacobians,
+        dynamics_hessian_contraction=dynamics_hessian_contraction,
     )
 
 

@@ -97,13 +97,18 @@ def test_assemble_nonfinite_callback_raises_with_stage():
         W = p0.dynamics_hessian_contraction(k, x, u, lam)
         return np.full((2, 2), np.nan) if k == 0 else W
 
+    def bad_dynamics(k, x, u):
+        f = p0.dynamics(k, x, u)
+        return np.array([np.nan]) if k == 2 else f
+
     from dataclasses import replace
     for field, fn, stage, what in (
             ("cost_gradient", bad_gradient, 2, "gradient"),
             ("cost_hessian", bad_hessian, 1, "Hessian/Jacobian"),
             ("dynamics_jacobians", bad_jacobians, 3, "Hessian/Jacobian"),
             ("dynamics_hessian_contraction", bad_contraction, 0,
-             "Hessian/Jacobian")):
+             "Hessian/Jacobian"),
+            ("dynamics", bad_dynamics, 2, "constraint residual")):
         p = replace(p0, **{field: fn})
         with pytest.raises(NumericsError) as err:
             assemble_newton_data(p, Trajectory.zeros(p), DualTrajectory.zeros(p))

@@ -1,18 +1,21 @@
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fotd.benchmarks import ToySpec, make_plate_problem, make_toy_problem, PlateSpec
+from fotd.benchmarks import (PlateSpec, ToySpec, make_plate_problem,
+                             make_toy_problem, toy_case_params)
+from fotd.decomposition import make_plan
 from fotd.newton import assemble_newton_data
 from fotd.problem import (DualTrajectory, PenaltyParams, ProblemDef, Trajectory,
                           _merit_terms, eval_constraints,
                           eval_lagrangian_gradient, eval_merit,
                           eval_merit_gradient, eval_objective, kkt_residual,
                           linearize, load_point_csv, save_point_csv,
-                          split_primal, stack_primal)
+                          split_primal, stack_primal, stage_batched)
+from fotd.schwarz import subproblem_from_iterate, truncated_problem
 
 from oracles import (central_diff, dense_kkt_system, make_random_lq,
                      newton_solve_to_kkt, random_point, stagewise_linearize,
@@ -246,6 +249,10 @@ def test_linearize_matches_dense_kkt_oracle(family):
     np.testing.assert_array_equal(np.concatenate([gz, gl]), rhs)
 
 
+CALLBACKS = ("stage_cost", "cost_gradient", "cost_hessian", "dynamics",
+             "dynamics_jacobians", "dynamics_hessian_contraction")
+
+
 def _counting(p: ProblemDef):
     """Copy of ``p`` whose callbacks count their calls into the returned Counter."""
     calls = Counter()
@@ -258,9 +265,7 @@ def _counting(p: ProblemDef):
             return fn(*args)
         return callback
 
-    names = ("stage_cost", "cost_gradient", "cost_hessian", "dynamics",
-             "dynamics_jacobians", "dynamics_hessian_contraction")
-    return replace(p, **{name: counted(name) for name in names}), calls
+    return replace(p, **{name: counted(name) for name in CALLBACKS}), calls
 
 
 @pytest.mark.parametrize("evaluate, second_order", [
@@ -281,9 +286,71 @@ def test_linearization_calls_each_callback_once_per_stage(evaluate,
                      "dynamics": N}
 
 
+def _recording(p: ProblemDef):
+    """Copy of ``p`` whose callbacks record their per-stage and batched calls.
+
+    Returns the copy, the stages of every per-stage call and the stage
+    tuples of every batched call, both keyed by callback name.  A callback
+    keeps its batched form when it has one.
+    """
+    stages, batches = defaultdict(list), defaultdict(list)
+
+    def recorded(name):
+        fn = getattr(p, name)
+
+        def callback(k, *args):
+            stages[name].append(k)
+            return fn(k, *args)
+
+        def form(ks, *arrays):
+            batches[name].append(tuple(ks.tolist()))
+            return fn.batched(ks, *arrays)
+        return stage_batched(form)(callback) if hasattr(fn, "batched") else callback
+
+    return replace(p, **{name: recorded(name) for name in CALLBACKS}), stages, batches
+
+
+@pytest.mark.parametrize("family", ["toy", "plate"])
+def test_native_forms_take_one_batched_call_per_callback(family):
+    # a silent fallback to the per-stage loop would pass every equality
+    # test and lose the batched speed, so count the calls themselves
+    if family == "toy":
+        p = toy(N=7, d=lambda k: math.sin(k))
+    else:
+        p = make_plate_problem(PlateSpec(m=4, N=20))
+    q, stages, batches = _recording(p)
+    N, every = p.N, tuple(range(p.N))
+    z, lam = random_point(q, seed=13)
+    linearize(q, z, lam)
+    assert stages == {"cost_hessian": [N], "cost_gradient": [N]}
+    assert batches == {name: [every] for name in CALLBACKS if name != "stage_cost"}
+    stages.clear()
+    batches.clear()
+    _merit_terms(q, z, lam)
+    assert stages == {"stage_cost": [N], "cost_gradient": [N]}
+    assert batches == {name: [every] for name in
+                       ("stage_cost", "cost_gradient", "dynamics",
+                        "dynamics_jacobians")}
+    # replacing one callback drops its batched form and no other
+    stages.clear()
+    batches.clear()
+    swapped = replace(q, dynamics=lambda k, x, u: q.dynamics(k, x, u))
+    linearize(swapped, z, lam)
+    assert stages == {"cost_hessian": [N], "cost_gradient": [N],
+                      "dynamics": list(every)}
+    assert "dynamics" not in batches and len(batches) == 4
+
+
 def _exactness_problems():
+    case3 = make_toy_problem(toy_case_params(3, N=30)[0])
+    z, lam = random_point(case3, seed=0, scale=3.0)
+    sub = subproblem_from_iterate(case3, make_plan(30, 3, 2), 1, 25.0, z, lam)
+    assert sub.m1 > 0 and sub.has_adjusted_terminal
     return {
         "toy": toy(N=30, d=lambda k: 5.0 * math.sin(k)),
+        "toy-c2": make_toy_problem(toy_case_params(2, N=30)[0]),
+        "toy-c3": case3,
+        "toy-c3-truncated": truncated_problem(sub),
         "plate-m4": make_plate_problem(PlateSpec(m=4, N=40)),
         "plate-m6": make_plate_problem(PlateSpec(m=6, N=60)),
         "lq-6-3-2": make_random_lq(6, 3, 2)[0],
@@ -294,15 +361,28 @@ def _exactness_problems():
 @pytest.mark.parametrize("seed", [3, 8])
 def test_batched_passes_match_the_stagewise_loops_exactly(name, seed):
     # the horizon-batched arithmetic must reproduce the per-stage loops bit
-    # for bit; plate-m6 (n_x = 16) takes BLAS paths that n_x = 1 does not
-    p = _exactness_problems()[name]
-    z, lam = random_point(p, seed=seed, scale=3.0)
-    for got, want in zip(linearize(p, z, lam), stagewise_linearize(p, z, lam)):
-        np.testing.assert_array_equal(got, want)
-    got, want = _merit_terms(p, z, lam), stagewise_merit_terms(p, z, lam)
-    assert got.lagr == want.lagr
-    np.testing.assert_array_equal(got.gz, want.gz)
-    np.testing.assert_array_equal(got.gl, want.gl)
+    # for bit; plate-m6 (n_x = 16) takes BLAS paths that n_x = 1 does not.
+    # Toy cases 2 and 3 vary their reference by stage, and the truncated
+    # problem offsets its stages, so an index slip shows.  Both the native
+    # batched forms and the per-stage loop over the same callbacks (the
+    # counting copy has no batched forms) must match.
+    native = _exactness_problems()[name]
+    z, lam = random_point(native, seed=seed, scale=3.0)
+    lin = stagewise_linearize(native, z, lam)
+    terms = stagewise_merit_terms(native, z, lam)
+    cost = 0.0
+    for k in range(native.N):
+        cost += float(native.stage_cost(k, z.x[k], z.u[k]))
+    cost += float(native.stage_cost(native.N, z.x[native.N]))
+    for p in (native, _counting(native)[0]):
+        for got, want in zip(linearize(p, z, lam), lin):
+            np.testing.assert_array_equal(got, want)
+        got = _merit_terms(p, z, lam)
+        assert got.lagr == terms.lagr
+        np.testing.assert_array_equal(got.gz, terms.gz)
+        np.testing.assert_array_equal(got.gl, terms.gl)
+        assert eval_objective(p, z) == cost
+        np.testing.assert_array_equal(eval_constraints(p, z), terms.gl)
 
 
 def test_dimension_mismatch_raises():
