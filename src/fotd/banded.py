@@ -20,7 +20,10 @@ inspects the pivots.
 Both matrices are written straight into the column-major band storage that
 LAPACK factorizes in place, so no band is ever copied.  In that storage a
 stage block repeats at a fixed stride, so each block type is written for all
-stages at once through one strided view.
+stages at once, by one assignment into one view: an ``np.ndarray`` built on
+the band's buffer with that offset and those strides.  NumPy checks such a
+view against the buffer, so a block that would run past the storage raises
+instead of writing beyond it.
 
 Wide blocks have a second kernel, :func:`solve_lq_riccati`: a backward
 Riccati sweep over the stage blocks, batched over a stack of problems of one
@@ -30,13 +33,13 @@ R_k + B_k^T P_{k+1} B_k factors by Cholesky at every stage.  Its cost is
 O(T (n_x + n_u)^3) like the band's, but in small dense products instead of
 one LAPACK call over the band, so it only wins once the blocks are wide
 enough for the band's fill to outweigh the per-stage call overhead
-(:data:`fotd.decomposition.RICCATI_MIN_NX` holds the measured crossover).
+(:data:`fotd.decomposition.RICCATI_MIN_NX` picks the kernel; the
+decomposition module gives the measured crossover).
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 from scipy.linalg.lapack import dgbsv, dpbtrf
 
 from .exceptions import IndefiniteStageError, LinearSolverError
@@ -47,18 +50,62 @@ PIVOT_TOL = 1e-10
 def _band(rows: int, n: int, diag: int, step: int):
     """Zeroed column-major (rows, n) band holding entry (i, j) in row diag + i - j.
 
-    Also returns ``blocks(i0, j0, r, c, count)``: the writable (count, r, c)
-    view of the entries (i0 + k*step + a, j0 + k*step + b), all of which must
-    lie in the band.
+    Also returns two view makers over the band's buffer, for entries that
+    repeat every ``step`` rows and columns:
+
+    - ``blocks(i0, j0, r, c, count)``: the (count, r, c) view of the
+      entries (i0 + k*step + a, j0 + k*step + b);
+    - ``diagonal(i0, j0, r, count)``: the (count, r) view of the entries
+      (i0 + k*step + a, j0 + k*step + a).
+
+    Each view is an ``np.ndarray`` on the band's own buffer, so one that runs
+    past the storage raises ValueError.  Within the storage it is the
+    caller's duty to stay inside the band: an entry below or above it would
+    land in another column's slot.
     """
     flat = np.zeros(n * rows)
     it = flat.itemsize
+    kstride = step * rows * it
 
     def blocks(i0, j0, r, c, count):
-        return as_strided(flat[diag + i0 + j0 * (rows - 1):], (count, r, c),
-                          (step * rows * it, it, (rows - 1) * it))
+        return np.ndarray((count, r, c), flat.dtype, flat,
+                          (diag + i0 + j0 * (rows - 1)) * it,
+                          (kstride, it, (rows - 1) * it))
 
-    return flat.reshape(n, rows).T, blocks
+    def diagonal(i0, j0, r, count):
+        return np.ndarray((count, r), flat.dtype, flat,
+                          (diag + i0 + j0 * (rows - 1)) * it,
+                          (kstride, rows * it))
+
+    return flat.reshape(n, rows).T, blocks, diagonal
+
+
+def _kkt_band(Q, S, R, A, B):
+    """The stage-interleaved KKT matrix in ``dgbsv``'s band layout.
+
+    Returns ``(ab, bw)``: ``ab`` holds the matrix with half-bandwidth ``bw``
+    below ``bw`` zero rows of fill-in workspace.
+    """
+    T, nx, nu = A.shape[0], A.shape[1], B.shape[2]
+    s = 2 * nx + nu
+    n = T * s + 2 * nx
+    bw = s - 1  # worst-case reach: stationarity row of p_k to zeta_{k+1}
+    ab, blocks, diagonal = _band(3 * bw + 1, n, 2 * bw, s)
+
+    # Stage T holds only (zeta_T, p_T), laid out like the first 2*n_x
+    # entries of a full stage, so the pin and Q blocks run over T + 1 stages.
+    # The blocks do not overlap, so each is written once into the zeros.
+    diagonal(0, nx, nx, T + 1)[...] = 1.0
+    diagonal(nx, 0, nx, T + 1)[...] = 1.0
+    blocks(nx, nx, nx, nx, T + 1)[...] = Q
+    blocks(nx, 2 * nx, nx, nu, T)[...] = S.transpose(0, 2, 1)
+    blocks(2 * nx, nx, nu, nx, T)[...] = S
+    blocks(2 * nx, 2 * nx, nu, nu, T)[...] = R
+    np.negative(A.transpose(0, 2, 1), out=blocks(nx, s, nx, nx, T))
+    np.negative(B.transpose(0, 2, 1), out=blocks(2 * nx, s, nu, nx, T))
+    np.negative(A, out=blocks(s, nx, nx, nx, T))
+    np.negative(B, out=blocks(s, 2 * nx, nx, nu, T))
+    return ab, bw
 
 
 def solve_lq_kkt(Q, S, R, A, B, gx, gu, c0, cdyn):
@@ -69,38 +116,19 @@ def solve_lq_kkt(Q, S, R, A, B, gx, gu, c0, cdyn):
     row k.  Raises :class:`LinearSolverError` on a singular factorization.
     """
     T, nx, nu = A.shape[0], A.shape[1], B.shape[2]
-    s = 2 * nx + nu
-    n = T * s + 2 * nx
-    bw = s - 1  # worst-case reach: stationarity row of p_k to zeta_{k+1}
-    # dgbsv's layout: bw rows of fill-in workspace above the 2*bw + 1 bands.
-    ab, blocks = _band(3 * bw + 1, n, 2 * bw, s)
-
-    # Stage T holds only (zeta_T, p_T), laid out like the first 2*n_x
-    # entries of a full stage, so the pin and Q blocks run over T + 1 stages.
-    eye = np.eye(nx)
-    blocks(0, nx, nx, nx, T + 1)[...] += eye
-    blocks(nx, 0, nx, nx, T + 1)[...] += eye
-    blocks(nx, nx, nx, nx, T + 1)[...] += Q
-    blocks(nx, 2 * nx, nx, nu, T)[...] += S.transpose(0, 2, 1)
-    blocks(2 * nx, nx, nu, nx, T)[...] += S
-    blocks(2 * nx, 2 * nx, nu, nu, T)[...] += R
-    blocks(nx, s, nx, nx, T)[...] -= A.transpose(0, 2, 1)
-    blocks(2 * nx, s, nu, nx, T)[...] -= B.transpose(0, 2, 1)
-    blocks(s, nx, nx, nx, T)[...] -= A
-    blocks(s, 2 * nx, nx, nu, T)[...] -= B
-
-    stages = np.empty((T + 1, s))
+    ab, bw = _kkt_band(Q, S, R, A, B)
+    stages = np.empty((T + 1, 2 * nx + nu))
     stages[0, :nx] = c0
     stages[1:, :nx] = cdyn
-    stages[:, nx: 2 * nx] = -gx
-    stages[:T, 2 * nx:] = -gu
-    rhs = stages.reshape(-1)[:n]
+    np.negative(gx, out=stages[:, nx: 2 * nx])
+    np.negative(gu, out=stages[:T, 2 * nx:])
+    rhs = stages.reshape(-1)[:ab.shape[1]]
 
     _, _, sol, info = dgbsv(bw, bw, ab, rhs, overwrite_ab=1, overwrite_b=1)
     if info != 0:
         raise LinearSolverError(
             f"banded KKT factorization failed: LAPACK dgbsv info={info}")
-    if not np.all(np.isfinite(sol)):
+    if not np.isfinite(sol).all():
         raise LinearSolverError("banded KKT solve produced non-finite values")
     rhs[:] = sol  # LAPACK solves in place; this keeps ``stages`` right regardless
     return (stages[:, nx: 2 * nx].copy(), stages[:T, 2 * nx:].copy(),
@@ -144,6 +172,42 @@ def definiteness_pivots_ok(Q, S, R, A, B, c: float) -> bool:
     return pivot_failure(Q, S, R, A, B, c) is None
 
 
+def _test_band(Q, S, R, A, B, c: float):
+    """Lower triangle of H + c * G^T G in ``dpbtrf``'s band layout.
+
+    The primal ordering (p_0, q_0, ..., p_T) gives half-bandwidth
+    2 n_x + n_u - 1, so the band has that many rows below the diagonal row.
+    """
+    T, nx, nu = A.shape[0], A.shape[1], B.shape[2]
+    m = nx + nu
+    ab, blocks, _ = _band(m + nx, T * m + nx, 0, m)
+
+    def lower(i0, blk):
+        # Above the diagonal a view would alias another column's entries,
+        # so column b of a diagonal block writes only its rows b..r-1.
+        count, r = blk.shape[:2]
+        for b in range(r):
+            blocks(i0 + b, i0 + b, r - b, 1, count)[...] = blk[:, b:, b:b + 1]
+
+    At = A.transpose(0, 2, 1)
+    Bt = B.transpose(0, 2, 1)
+    # p_k's block Q_k + c (I + A_k^T A_k); stage T has no A_T, leaving Q_T + c I.
+    pp = np.zeros((T + 1, nx, nx))
+    np.matmul(At, A, out=pp[:T])
+    pp.reshape(T + 1, nx * nx)[:, ::nx + 1] += 1.0
+    pp *= c
+    pp += Q
+    lower(0, pp)
+    np.add(S, c * (Bt @ A), out=blocks(nx, 0, nu, nx, T))
+    qq = Bt @ B
+    qq *= c
+    qq += R
+    lower(nx, qq)
+    np.multiply(A, -c, out=blocks(m, 0, nx, nx, T))
+    np.multiply(B, -c, out=blocks(m, nx, nx, nu, T))
+    return ab
+
+
 def pivot_failure(Q, S, R, A, B, c: float):
     """Where :func:`definiteness_pivots_ok` fails: None if it passes.
 
@@ -151,33 +215,12 @@ def pivot_failure(Q, S, R, A, B, c: float):
     smallest and that pivot minus PIVOT_TOL, or after a factorization
     breakdown the stage of the column LAPACK stopped at and None.
     """
-    T, nx, nu = A.shape[0], A.shape[1], B.shape[2]
-    m = nx + nu
-    n = T * m + nx
-    bw = m + nx - 1
-    ab, blocks = _band(bw + 1, n, 0, m)  # lower triangle only
-
-    def lower(i0, blk):
-        # Above the diagonal a view would alias another column's entries,
-        # so column b of a diagonal block writes only its rows b..r-1.
-        count, r = blk.shape[:2]
-        for b in range(r):
-            blocks(i0 + b, i0 + b, r - b, 1, count)[...] += blk[:, b:, b:b + 1]
-
-    At = A.transpose(0, 2, 1)
-    Bt = B.transpose(0, 2, 1)
-    lower(0, Q[:T] + c * (np.eye(nx) + At @ A))
-    blocks(nx, 0, nu, nx, T)[...] += S + c * (Bt @ A)
-    lower(nx, R + c * (Bt @ B))
-    blocks(m, 0, nx, nx, T)[...] -= c * A
-    blocks(m, nx, nx, nu, T)[...] -= c * B
-    lower(T * m, (Q[T] + c * np.eye(nx))[None])
-
-    fact, info = dpbtrf(ab, lower=1, overwrite_ab=1)
+    m = A.shape[1] + B.shape[2]
+    fact, info = dpbtrf(_test_band(Q, S, R, A, B, c), lower=1, overwrite_ab=1)
     if info != 0:
         return (info - 1) // m, None  # info is the 1-based failing column
-    pivots = fact[0, :] ** 2
-    if np.all(pivots >= PIVOT_TOL):
+    pivots = fact[0] ** 2
+    if (pivots >= PIVOT_TOL).all():
         return None
     col = int(np.argmin(pivots))
     return col // m, float(pivots[col] - PIVOT_TOL)

@@ -20,17 +20,25 @@ boundary values set to zero, solving the M subproblems in parallel and
 composing the exclusive parts yields the approximate search direction.
 
 The subproblems go to one of two kernels, chosen by the block width n_x.
-From RICCATI_MIN_NX states on, all subproblems of one length are solved
-together by one batched Riccati sweep (:func:`banded.solve_lq_riccati`),
-whose stagewise Cholesky is the exact definiteness test.  Narrower blocks
-are solved one at a time by the band kernel and its H + c G^T G test, on a
-thread pool when ``workers > 1``.  The rule follows a measurement of the
-whole direction at N=500, M=10, b=5 (subproblems of 55 and 60 stages) on
-one x86-64 core: the band kernel was faster at n_x <= 3 (n_x = n_u = 1
-by 2x, n_x = n_u = 3 by 4%), and the batched Riccati sweep from n_x = 4 on
-(14% at n_x = n_u = 4, 3.2x at n_x = n_u = 16), since a band's
-factorization grows with its (n_x + n_u)-wide fill while the sweep's cost
-at small widths is per-stage call overhead.
+From RICCATI_MIN_NX states on, all subproblems of one length are gathered
+from the Newton data and solved together by one batched Riccati sweep
+(:func:`banded.solve_lq_riccati`), whose stagewise Cholesky is the exact
+definiteness test.  Narrower blocks are solved one at a time by the band
+kernel and its H + c G^T G test, on a thread pool when ``workers > 1``.
+
+Measured on the whole direction at N=500, M=10, b=5 (subproblems of 55 and
+60 stages), random definite blocks with n_u = n_x, one x86-64 core, medians
+of 41-61 interleaved runs: the band kernel is faster up to n_x = 6 (1.7-1.9x
+at n_x = 3, 1.4-1.5x at 4, 1.1x at 5 and 6) and the batched Riccati sweep
+from n_x = 7 on (1.1x at 7, 1.2-1.4x at 8, 2.3x at 16).  A band's
+factorization grows with its (n_x + n_u)-wide fill, while the sweep's cost
+at small widths is per-stage call overhead.  With the earlier band build
+(``as_strided`` views, written by in-place addition) the same measurement
+put the crossover at n_x = 4: the band 8% faster at 3, the sweep 6% at 4.
+RICCATI_MIN_NX stays 4 all the same.  The kernel also decides the
+definiteness test (exact, against the c G^T G heuristic) and the rounding,
+so moving the switch would change how the plate at m = 4 (n_x = 4) is
+solved, not only how fast.
 """
 
 from __future__ import annotations
@@ -43,12 +51,12 @@ import numpy as np
 
 from . import banded
 from .exceptions import IndefiniteStageError, MuTooSmallError
-from .newton import NewtonData, NewtonDirection, default_definiteness_constant
+from .newton import (NewtonData, NewtonDirection,
+                     default_definiteness_constant, stage_norms_fro)
 from .problem import stack_primal
 
 # Block width n_x from which the decomposed direction uses the batched
-# Riccati kernel instead of the band kernel (the measured crossover, see the
-# module docstring).
+# Riccati kernel instead of the band kernel (see the module docstring).
 RICCATI_MIN_NX = 4
 
 
@@ -191,6 +199,13 @@ class SubproblemSolution:
     zeta: np.ndarray
 
 
+def _penalize_terminal(nd: NewtonData, m2: int, mu: float, d: BoundaryVars,
+                       Q: np.ndarray, gx: np.ndarray) -> None:
+    """Give a terminal boundary at m2 < N its cost, in place in Q[-1] and gx[-1]."""
+    Q[-1] += mu * np.eye(nd.n_x)
+    gx[-1] = gx[-1] - nd.A[m2].T @ d.d4 + nd.S[m2].T @ d.d3 - mu * d.d2
+
+
 def assemble_subproblem(nd: NewtonData, plan: DecompositionPlan, i: int,
                         mu: float, d: BoundaryVars) -> SubproblemData:
     """Truncate the Newton problem onto extended interval i.
@@ -203,7 +218,6 @@ def assemble_subproblem(nd: NewtonData, plan: DecompositionPlan, i: int,
     if mu < 0:
         raise ValueError(f"mu must be nonnegative, got {mu}")
     m1, m2 = plan.m1[i], plan.m2[i]
-    T = m2 - m1
     Q = nd.Q[m1:m2 + 1].copy()
     gx = nd.gx[m1:m2 + 1].copy()
     if m2 == plan.N:
@@ -211,8 +225,7 @@ def assemble_subproblem(nd: NewtonData, plan: DecompositionPlan, i: int,
             raise ValueError("terminal boundary values are not used when the "
                              "interval reaches the end of the horizon")
     else:
-        Q[T] = Q[T] + mu * np.eye(nd.n_x)
-        gx[T] = gx[T] - nd.A[m2].T @ d.d4 + nd.S[m2].T @ d.d3 - mu * d.d2
+        _penalize_terminal(nd, m2, mu, d, Q, gx)
     return SubproblemData(
         index=i, m1=m1, m2=m2, mu=mu,
         Q=Q, S=nd.S[m1:m2], R=nd.R[m1:m2], A=nd.A[m1:m2], B=nd.B[m1:m2],
@@ -221,15 +234,18 @@ def assemble_subproblem(nd: NewtonData, plan: DecompositionPlan, i: int,
     )
 
 
-def solve_subproblem(sub: SubproblemData) -> SubproblemSolution:
+def solve_subproblem(sub: SubproblemData,
+                     c: Optional[float] = None) -> SubproblemSolution:
     """Unique KKT solution of one subproblem via the banded factorization.
 
     The same H + c G^T G definiteness test used on the full problem is run
-    at subproblem scope first, with c derived from the subproblem's blocks;
-    failure raises :class:`MuTooSmallError` naming the stage and margin.
+    at subproblem scope first, with c derived from the subproblem's blocks
+    unless given; failure raises :class:`MuTooSmallError` naming the stage
+    and margin.
     """
     blocks = (sub.Q, sub.S, sub.R, sub.A, sub.B)
-    c = default_definiteness_constant(sub)
+    if c is None:
+        c = default_definiteness_constant(sub)
     if not banded.definiteness_pivots_ok(*blocks, c):
         stage, margin = banded.pivot_failure(*blocks, c)
         raise MuTooSmallError(sub.index, sub.mu, sub.m1 + stage, margin)
@@ -237,24 +253,38 @@ def solve_subproblem(sub: SubproblemData) -> SubproblemSolution:
     return SubproblemSolution(sub.index, p, q, zeta)
 
 
-def solve_subproblems_riccati(
-        subs: Sequence[SubproblemData]) -> List[SubproblemSolution]:
+def solve_subproblems_riccati(nd: NewtonData, plan: DecompositionPlan,
+                              indices: Sequence[int],
+                              mu: float) -> List[SubproblemSolution]:
     """Solve subproblems of one length together by one batched Riccati sweep.
 
-    Each solution is bit for bit the one the subproblem gets alone.  A
-    stage whose Cholesky pivot test fails raises :class:`MuTooSmallError`
-    for the first failing subproblem of the batch, with that stage.
+    The batch is gathered straight from ``nd`` by stage index, with zero
+    boundary values: member j holds what ``assemble_subproblem`` gives
+    subproblem ``indices[j]``.  Each solution is bit for bit the one the
+    subproblem gets alone.  A stage whose Cholesky pivot test fails raises
+    :class:`MuTooSmallError` for the first failing subproblem of the batch,
+    with that stage.
     """
-    stacked = [np.stack([getattr(sub, name) for sub in subs])
-               for name in ("Q", "S", "R", "A", "B", "gx", "gu", "c0", "cdyn")]
+    if mu < 0:
+        raise ValueError(f"mu must be nonnegative, got {mu}")
+    m1 = np.array([plan.m1[i] for i in indices])
+    T = plan.m2[indices[0]] - plan.m1[indices[0]]
+    k = m1[:, None] + np.arange(T + 1)  # (K, T+1) horizon stage of each entry
+    Q, gx = nd.Q[k], nd.gx[k]
+    d = BoundaryVars.zeros(nd.n_x, nd.n_u, terminal=False)
+    for j, i in enumerate(indices):
+        if plan.m2[i] != plan.N:
+            _penalize_terminal(nd, plan.m2[i], mu, d, Q[j], gx[j])
+    stages = k[:, :T]
     try:
-        p, q, zeta = banded.solve_lq_riccati(*stacked)
+        p, q, zeta = banded.solve_lq_riccati(
+            Q, nd.S[stages], nd.R[stages], nd.A[stages], nd.B[stages], gx,
+            nd.gu[stages], np.zeros((len(indices), nd.n_x)), -nd.glam[k[:, 1:]])
     except IndefiniteStageError as err:
-        sub = subs[err.member]
-        raise MuTooSmallError(sub.index, sub.mu, sub.m1 + err.stage,
-                              err.margin) from err
-    return [SubproblemSolution(sub.index, p[j], q[j], zeta[j])
-            for j, sub in enumerate(subs)]
+        i = indices[err.member]
+        raise MuTooSmallError(i, mu, plan.m1[i] + err.stage, err.margin) from err
+    return [SubproblemSolution(i, p[j], q[j], zeta[j])
+            for j, i in enumerate(indices)]
 
 
 def approximate_direction(nd: NewtonData, plan: DecompositionPlan, mu: float,
@@ -269,28 +299,33 @@ def approximate_direction(nd: NewtonData, plan: DecompositionPlan, mu: float,
     failed definiteness test names the first failing subproblem in plan
     order.
     """
-    def assemble(i: int) -> SubproblemData:
-        d = BoundaryVars.zeros(nd.n_x, nd.n_u, terminal=plan.m2[i] == plan.N)
-        return assemble_subproblem(nd, plan, i, mu, d)
-
     if nd.n_x >= RICCATI_MIN_NX:
-        subs = [assemble(i) for i in range(plan.M)]
         by_length = {}
-        for sub in subs:
-            by_length.setdefault(sub.m2 - sub.m1, []).append(sub)
+        for i in range(plan.M):
+            by_length.setdefault(plan.m2[i] - plan.m1[i], []).append(i)
         try:
             sols = [sol for group in by_length.values()
-                    for sol in solve_subproblems_riccati(group)]
+                    for sol in solve_subproblems_riccati(nd, plan, group, mu)]
         except MuTooSmallError:
-            for sub in subs:  # alone, the first failing one raises
-                solve_subproblems_riccati([sub])
+            for i in range(plan.M):  # alone, the first failing one raises
+                solve_subproblems_riccati(nd, plan, [i], mu)
             raise
         sols.sort(key=lambda sol: sol.index)
-    elif workers > 1 and plan.M > 1:
-        with ThreadPoolExecutor(max_workers=min(workers, plan.M)) as pool:
-            sols = list(pool.map(lambda i: solve_subproblem(assemble(i)),
-                                 range(plan.M)))
     else:
-        sols = [solve_subproblem(assemble(i)) for i in range(plan.M)]
+        norms = stage_norms_fro(nd.Q, nd.S, nd.R)
+        inner = BoundaryVars.zeros(nd.n_x, nd.n_u, terminal=False)
+        last = BoundaryVars.zeros(nd.n_x, nd.n_u, terminal=True)
+
+        def solve(i: int) -> SubproblemSolution:
+            d = last if plan.m2[i] == plan.N else inner
+            sub = assemble_subproblem(nd, plan, i, mu, d)
+            return solve_subproblem(sub, default_definiteness_constant(
+                sub, norms[sub.m1:sub.m2]))
+
+        if workers > 1 and plan.M > 1:
+            with ThreadPoolExecutor(max_workers=min(workers, plan.M)) as pool:
+                sols = list(pool.map(solve, range(plan.M)))
+        else:
+            sols = [solve(i) for i in range(plan.M)]
     dx, du, dlam = compose([(s.p, s.q, s.zeta) for s in sols], plan)
     return NewtonDirection(stack_primal(dx, du), dlam.ravel())

@@ -109,23 +109,35 @@ def assemble_newton_data(p: ProblemDef, z: Trajectory, lam: DualTrajectory) -> N
     return NewtonData(N, p.n_x, p.n_u, Q, S, R, A, B, gx, gu, glam)
 
 
-def max_block_norm_fro(Q, S, R) -> float:
-    """max_k ||H_k||_F over the stage Hessians [[Q_k, S_k^T], [S_k, R_k]] and Q_T."""
+def stage_norms_fro(Q, S, R) -> np.ndarray:
+    """||H_k||_F of every stage Hessian [[Q_k, S_k^T], [S_k, R_k]], k < len(S)."""
     T = S.shape[0]
-    q2 = np.einsum("kij,kij->k", Q, Q)
+    q2 = np.einsum("kij,kij->k", Q[:T], Q[:T])
     s2 = np.einsum("kij,kij->k", S, S)
     r2 = np.einsum("kij,kij->k", R, R)
-    blocks = np.sqrt(q2[:T] + 2.0 * s2 + r2)
-    return float(max(blocks.max(initial=0.0), np.sqrt(q2[T])))
+    return np.sqrt(q2 + 2.0 * s2 + r2)
 
 
-def default_definiteness_constant(lq) -> float:
+def max_block_norm_fro(Q, S, R, stage_norms=None) -> float:
+    """max_k ||H_k||_F over the stage Hessians [[Q_k, S_k^T], [S_k, R_k]] and Q_T.
+
+    ``stage_norms`` stands in for ``stage_norms_fro(Q, S, R)`` when the
+    caller has it already, e.g. as a slice of a longer horizon's.
+    """
+    if stage_norms is None:
+        stage_norms = stage_norms_fro(Q, S, R)
+    terminal = np.sqrt(np.einsum("ij,ij->", Q[-1], Q[-1]))
+    return float(max(stage_norms.max(initial=0.0), terminal))
+
+
+def default_definiteness_constant(lq, stage_norms=None) -> float:
     """Scalar c for the H + c G^T G test: 10 * max_k ||H_k||_F + 1.
 
     ``lq`` is any canonical LQ data with stage blocks ``Q``, ``S``, ``R``:
     the full-horizon :class:`NewtonData` or one decomposed subproblem.
+    ``stage_norms`` is passed on to :func:`max_block_norm_fro`.
     """
-    return 10.0 * max_block_norm_fro(lq.Q, lq.S, lq.R) + 1.0
+    return 10.0 * max_block_norm_fro(lq.Q, lq.S, lq.R, stage_norms) + 1.0
 
 
 def check_reduced_hessian(nd: NewtonData, c: float) -> bool:

@@ -47,6 +47,72 @@ def central_diff_jacobian(fun, x, h=FD_STEP):
 # Dense LQ saddle-point solve
 # ---------------------------------------------------------------------------
 
+def dense_lq_matrices(Q, S, R, A, B):
+    """Dense stage Hessian H and constraint Jacobian G of the canonical LQ problem.
+
+    Primal ordering (p_0, q_0, ..., p_{T-1}, q_{T-1}, p_T); row block 0 of G
+    is the initial pin, row block k+1 the dynamics of stage k.
+    """
+    T, nx = A.shape[0], A.shape[1]
+    nu = B.shape[2]
+    m = nx + nu
+    nz = T * m + nx
+    nc = (T + 1) * nx
+    H = np.zeros((nz, nz))
+    G = np.zeros((nc, nz))
+    for k in range(T):
+        ix, iu = k * m, k * m + nx
+        H[ix:ix + nx, ix:ix + nx] = Q[k]
+        H[iu:iu + nu, ix:ix + nx] = S[k]
+        H[ix:ix + nx, iu:iu + nu] = S[k].T
+        H[iu:iu + nu, iu:iu + nu] = R[k]
+        row = (k + 1) * nx
+        G[row:row + nx, ix:ix + nx] = -A[k]
+        G[row:row + nx, iu:iu + nu] = -B[k]
+        G[row:row + nx, k * m + m:k * m + m + nx] = np.eye(nx)
+    H[T * m:, T * m:] = Q[T]
+    G[:nx, :nx] = np.eye(nx)
+    return H, G
+
+
+def dense_lq_kkt(Q, S, R, A, B):
+    """Dense KKT matrix [[H, G^T], [G, 0]] of the canonical LQ problem."""
+    H, G = dense_lq_matrices(Q, S, R, A, B)
+    return np.block([[H, G.T], [G, np.zeros((G.shape[0], G.shape[0]))]])
+
+
+def stage_interleaving(T, nx, nu):
+    """Indices that reorder ``dense_lq_kkt``'s unknowns as (zeta_k, p_k, q_k).
+
+    Entry i is the primal-dual position of the i-th unknown in the stage
+    order zeta_0, p_0, q_0, ..., zeta_T, p_T.
+    """
+    m = nx + nu
+    nz = T * m + nx
+    order = []
+    for k in range(T + 1):
+        order += [nz + k * nx + a for a in range(nx)]
+        order += [k * m + a for a in range(nx if k == T else m)]
+    return np.array(order)
+
+
+def lapack_band(M, kl, ku, fill=0):
+    """LAPACK band storage of a dense matrix: entry (i, j) at row fill + ku + i - j.
+
+    ``fill`` zero rows go on top: ``dgbsv`` takes fill = kl rows of fill-in
+    workspace, and ``dpbtrf``'s lower form is kl = kd, ku = 0, fill = 0 of a
+    symmetric matrix's lower triangle.  Raises AssertionError if M has a
+    nonzero outside the band, which the storage would lose.
+    """
+    n = M.shape[0]
+    i, j = np.indices(M.shape)
+    inside = (i - j <= kl) & (j - i <= ku)
+    assert not np.any(M[~inside]), "matrix has entries outside the band"
+    ab = np.zeros((fill + ku + kl + 1, n))
+    ab[fill + ku + (i - j)[inside], j[inside]] = M[inside]
+    return ab
+
+
 def dense_lq_solve(Q, S, R, A, B, gx, gu, c0, cdyn):
     """Dense assembly and solve of the canonical LQ optimality system.
 
@@ -57,30 +123,9 @@ def dense_lq_solve(Q, S, R, A, B, gx, gu, c0, cdyn):
     nu = B.shape[2]
     m = nx + nu
     nz = T * m + nx
-    nc = (T + 1) * nx
-    H = np.zeros((nz, nz))
-    G = np.zeros((nc, nz))
-    g = np.zeros(nz)
-    c = np.zeros(nc)
-    for k in range(T):
-        ix, iu = k * m, k * m + nx
-        H[ix:ix + nx, ix:ix + nx] = Q[k]
-        H[iu:iu + nu, ix:ix + nx] = S[k]
-        H[ix:ix + nx, iu:iu + nu] = S[k].T
-        H[iu:iu + nu, iu:iu + nu] = R[k]
-        g[ix:ix + nx] = gx[k]
-        g[iu:iu + nu] = gu[k]
-        row = (k + 1) * nx
-        G[row:row + nx, ix:ix + nx] = -A[k]
-        G[row:row + nx, iu:iu + nu] = -B[k]
-        G[row:row + nx, k * m + m:k * m + m + nx] = np.eye(nx)
-        c[row:row + nx] = cdyn[k]
-    H[T * m:, T * m:] = Q[T]
-    g[T * m:] = gx[T]
-    G[:nx, :nx] = np.eye(nx)
-    c[:nx] = c0
-    K = np.block([[H, G.T], [G, np.zeros((nc, nc))]])
-    sol = np.linalg.solve(K, np.concatenate([-g, c]))
+    g = np.concatenate([np.hstack([gx[:T], gu]).ravel(), gx[T]])
+    c = np.concatenate([c0, cdyn.ravel()])
+    sol = np.linalg.solve(dense_lq_kkt(Q, S, R, A, B), np.concatenate([-g, c]))
     w, zeta = sol[:nz], sol[nz:].reshape(T + 1, nx)
     p = np.vstack([w[:T * m].reshape(T, m)[:, :nx], w[T * m:][None, :]])
     q = w[:T * m].reshape(T, m)[:, nx:].copy()
@@ -95,25 +140,7 @@ def dense_full_newton(nd):
 
 def dense_reduced_hessian_eigmin(Q, S, R, A, B):
     """Smallest eigenvalue of Z^T H Z with Z an orthonormal null-space basis."""
-    T, nx = A.shape[0], A.shape[1]
-    nu = B.shape[2]
-    m = nx + nu
-    nz = T * m + nx
-    nc = (T + 1) * nx
-    H = np.zeros((nz, nz))
-    G = np.zeros((nc, nz))
-    for k in range(T):
-        ix, iu = k * m, k * m + nx
-        H[ix:ix + nx, ix:ix + nx] = Q[k]
-        H[iu:iu + nu, ix:ix + nx] = S[k]
-        H[ix:ix + nx, iu:iu + nu] = S[k].T
-        H[iu:iu + nu, iu:iu + nu] = R[k]
-        row = (k + 1) * nx
-        G[row:row + nx, ix:ix + nx] = -A[k]
-        G[row:row + nx, iu:iu + nu] = -B[k]
-        G[row:row + nx, k * m + m:k * m + m + nx] = np.eye(nx)
-    H[T * m:, T * m:] = Q[T]
-    G[:nx, :nx] = np.eye(nx)
+    H, G = dense_lq_matrices(Q, S, R, A, B)
     _, sv, vt = np.linalg.svd(G)
     Z = vt[np.sum(sv > 1e-12):].T
     if Z.shape[1] == 0:

@@ -1,16 +1,20 @@
 """The banded LQ kernels checked directly against the dense oracles."""
 
+from itertools import product
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from fotd.banded import (PIVOT_TOL, definiteness_pivots_ok, pivot_failure,
-                         solve_lq_kkt, solve_lq_riccati)
+from fotd.banded import (PIVOT_TOL, _band, _kkt_band, _test_band,
+                         definiteness_pivots_ok, pivot_failure, solve_lq_kkt,
+                         solve_lq_riccati)
 from fotd.exceptions import IndefiniteStageError, LinearSolverError
 from fotd.newton import default_definiteness_constant
 
-from oracles import dense_lq_solve, dense_reduced_hessian_eigmin
+from oracles import (dense_lq_kkt, dense_lq_matrices, dense_lq_solve,
+                     dense_reduced_hessian_eigmin, lapack_band,
+                     stage_interleaving)
 
 # (T, n_x, n_u): a single stage, n_x != n_u both ways, and plate-sized blocks.
 SHAPES = [(1, 2, 3), (1, 3, 1), (6, 2, 3), (5, 3, 1), (4, 16, 16)]
@@ -64,6 +68,50 @@ def test_pivot_test_agrees_with_reduced_hessian_sign(shape):
         assert ok == (eigmin > 0), shift
         seen.add(eigmin > 0)
     assert seen == {True, False}
+
+
+# Every (n_x, n_u) in {1, 2, 3}^2 plus plate-sized blocks, one and seven stages.
+LAYOUTS = [(T, nx, nu) for T in (1, 7)
+           for nx, nu in [*product((1, 2, 3), repeat=2), (16, 16)]]
+
+
+@pytest.mark.parametrize("shape", LAYOUTS)
+def test_kkt_band_is_the_interleaved_kkt_matrix_entry_for_entry(shape):
+    T, nx, nu = shape
+    d = lq_data(*shape, seed=sum(shape))
+    order = stage_interleaving(T, nx, nu)
+    K = dense_lq_kkt(*blocks(d))[np.ix_(order, order)]
+    ab, bw = _kkt_band(*blocks(d))
+    assert bw == 2 * nx + nu - 1
+    assert np.array_equal(ab, lapack_band(K, bw, bw, fill=bw))
+
+
+@pytest.mark.parametrize("shape", LAYOUTS)
+def test_definiteness_band_is_h_plus_c_gtg_entry_for_entry(shape):
+    T, nx, nu = shape
+    d = lq_data(*shape, seed=sum(shape))
+    H, G = dense_lq_matrices(*blocks(d))
+    kd = 2 * nx + nu - 1
+    # With c = 0 the band holds H's entries unchanged, so equality is exact.
+    assert np.array_equal(_test_band(*blocks(d), 0.0),
+                          lapack_band(np.tril(H), kd, 0))
+    # With c > 0 the dense G^T G sums in another order: equal to rounding,
+    # with the same entries zero.
+    c = default_definiteness_constant(d)
+    want = lapack_band(np.tril(H + c * (G.T @ G)), kd, 0)
+    got = _test_band(*blocks(d), c)
+    assert np.array_equal(got == 0.0, want == 0.0)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_band_views_past_the_storage_raise():
+    ab, blocks_at, diagonal_at = _band(4, 6, 1, 2)
+    blocks_at(0, 0, 2, 2, 3)[...] = 1.0  # the last view that fits
+    assert ab.sum() == 12.0
+    with pytest.raises(ValueError):
+        blocks_at(0, 0, 2, 2, 4)  # a fourth repeat starts past the last column
+    with pytest.raises(ValueError):
+        diagonal_at(2, 2, 2, 3)
 
 
 def test_singular_kkt_raises():

@@ -6,9 +6,10 @@ from fotd import banded
 from fotd.decomposition import (RICCATI_MIN_NX, BoundaryVars,
                                 approximate_direction, assemble_subproblem,
                                 compose, decompose, make_plan,
-                                solve_subproblem)
+                                solve_subproblem, solve_subproblems_riccati)
 from fotd.exceptions import MuTooSmallError
-from fotd.newton import NewtonData, assemble_newton_data, solve_full_newton
+from fotd.newton import (NewtonData, assemble_newton_data,
+                         default_definiteness_constant, solve_full_newton)
 from fotd.problem import stack_primal
 from oracles import (dense_lq_solve, make_random_lq, random_point,
                      subproblem_kkt_residual)
@@ -332,6 +333,44 @@ def test_riccati_direction_matches_band_subproblems_on_the_plate():
     for a, b in ((got.dz, stack_primal(dx, du)),
                  (got.dlam, dlam.ravel())):
         assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
+
+
+def test_riccati_batches_are_gathered_as_assemble_subproblem_truncates():
+    p, _ = make_random_lq(40, RICCATI_MIN_NX, 2, seed=16)
+    z, lam = random_point(p, seed=17)
+    nd = assemble_newton_data(p, z, lam)
+    plan = make_plan(40, 4, 2)  # lengths 12, 14, 14, 12; the last reaches N
+    fields = ("Q", "S", "R", "A", "B", "gx", "gu", "c0", "cdyn")
+    for group in ([1, 2], [0, 3], [3]):
+        subs = [assemble_subproblem(nd, plan, i, 25.0, BoundaryVars.zeros(
+                    p.n_x, p.n_u, terminal=plan.m2[i] == 40)) for i in group]
+        want = banded.solve_lq_riccati(
+            *[np.stack([getattr(sub, f) for sub in subs]) for f in fields])
+        got = solve_subproblems_riccati(nd, plan, group, 25.0)
+        assert [sol.index for sol in got] == group
+        for j, sol in enumerate(got):
+            for a, b in zip((sol.p, sol.q, sol.zeta), want):
+                assert np.array_equal(a, b[j])
+
+
+@pytest.mark.parametrize("nx,nu", [(1, 1), (2, 3), (3, 2)])
+def test_band_subproblems_are_tested_with_their_own_constant(monkeypatch, nx, nu):
+    p, _ = make_random_lq(40, nx, nu, seed=18)
+    z, lam = random_point(p, seed=19, scale=3.0)
+    nd = assemble_newton_data(p, z, lam)
+    plan = make_plan(40, 5, 3)
+    for m1 in plan.m1:
+        nd.Q[m1] *= 50.0  # each subproblem's largest block is its first
+    seen = []
+    test = banded.definiteness_pivots_ok
+    monkeypatch.setattr(banded, "definiteness_pivots_ok",
+                        lambda *args: seen.append(args[5]) or test(*args))
+    approximate_direction(nd, plan, 25.0)
+    # The constants come from one norm pass over the horizon, bit for bit
+    # the ones each assembled subproblem gives alone.
+    assert seen == [default_definiteness_constant(assemble_subproblem(
+        nd, plan, i, 25.0, BoundaryVars.zeros(nx, nu, terminal=plan.m2[i] == 40)))
+        for i in range(plan.M)]
 
 
 def test_toy_plan_solves_each_subproblem_with_the_band_kernel(monkeypatch):
