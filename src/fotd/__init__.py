@@ -21,11 +21,11 @@ from .decomposition import (BoundaryVars, DecompositionPlan, SubproblemData,
 from .driver import (IterationRecord, SolveReport, SolverConfig, SolverState,
                      adapt_penalties, direction_error_diagnostic, fotd_step,
                      line_search, solve)
-from .exceptions import (AdaptivityFailure, IndefiniteStageError,
-                         LineSearchFailure, LinearSolverError,
-                         ModificationFailure, MuTooSmallError,
-                         NonDescentError, NumericsError, SolverError,
-                         SubproblemFailure, UndefinedRatioError)
+from .exceptions import (AdaptivityFailure, IndefiniteHorizonError,
+                         IndefiniteStageError, LineSearchFailure,
+                         LinearSolverError, ModificationFailure,
+                         MuTooSmallError, NonDescentError, NumericsError,
+                         SolverError, SubproblemFailure, UndefinedRatioError)
 from .newton import (NewtonData, NewtonDirection, assemble_newton_data,
                      check_reduced_hessian, modify_hessian, solve_full_newton,
                      theory_gamma_G, theory_mu_bar)

@@ -32,9 +32,19 @@ heuristic: with p_0 pinned the problem is strictly convex iff
 R_k + B_k^T P_{k+1} B_k factors by Cholesky at every stage.  Its cost is
 O(T (n_x + n_u)^3) like the band's, but in small dense products instead of
 one LAPACK call over the band, so it only wins once the blocks are wide
-enough for the band's fill to outweigh the per-stage call overhead
-(:data:`fotd.decomposition.RICCATI_MIN_NX` picks the kernel; the
-decomposition module gives the measured crossover).
+enough for the band's fill to outweigh the per-stage call overhead.  A
+batch spreads that overhead over its members, so the crossover depends on
+the batch:
+
+- the decomposed direction's subproblems, batched by length, go to the
+  sweep from :data:`fotd.decomposition.RICCATI_MIN_NX` = 4 states on (the
+  band is faster up to 6 states, the sweep 1.1x at 7 and 2.3x at 16);
+- the exact full-horizon direction, a batch of one, goes to the sweep from
+  :data:`fotd.newton.FULL_RICCATI_MIN_NX` = 15 states on (the band is 1.2x
+  faster at 14, the sweep 1.1x at 15 and 1.2x at 16).
+
+The decomposition and newton modules give the measurements.  The H + c G^T G
+test keeps the band Cholesky on every path that runs it.
 """
 
 from __future__ import annotations
@@ -45,6 +55,7 @@ from scipy.linalg.lapack import dgbsv, dpbtrf
 from .exceptions import IndefiniteStageError, LinearSolverError
 
 PIVOT_TOL = 1e-10
+COST_CHUNK = 16  # stages whose cost blocks the Riccati sweep holds at once
 
 
 def _band(rows: int, n: int, diag: int, step: int):
@@ -189,20 +200,25 @@ def _test_band(Q, S, R, A, B, c: float):
         for b in range(r):
             blocks(i0 + b, i0 + b, r - b, 1, count)[...] = blk[:, b:, b:b + 1]
 
-    At = A.transpose(0, 2, 1)
     Bt = B.transpose(0, 2, 1)
-    # p_k's block Q_k + c (I + A_k^T A_k); stage T has no A_T, leaving Q_T + c I.
-    pp = np.zeros((T + 1, nx, nx))
-    np.matmul(At, A, out=pp[:T])
-    pp.reshape(T + 1, nx * nx)[:, ::nx + 1] += 1.0
-    pp *= c
-    pp += Q
-    lower(0, pp)
-    np.add(S, c * (Bt @ A), out=blocks(nx, 0, nu, nx, T))
-    qq = Bt @ B
-    qq *= c
-    qq += R
-    lower(nx, qq)
+    # One stage stack of products is alive at a time, each freed before the
+    # next is made.  p_k's block is Q_k + c (I + A_k^T A_k); stage T has no
+    # A_T, leaving Q_T + c I.
+    tmp = np.zeros((T + 1, nx, nx))
+    np.matmul(A.transpose(0, 2, 1), A, out=tmp[:T])
+    tmp.reshape(T + 1, nx * nx)[:, ::nx + 1] += 1.0
+    tmp *= c
+    tmp += Q
+    lower(0, tmp)
+    del tmp
+    tmp = Bt @ A
+    tmp *= c
+    np.add(S, tmp, out=blocks(nx, 0, nu, nx, T))
+    del tmp
+    tmp = Bt @ B
+    tmp *= c
+    tmp += R
+    lower(nx, tmp)
     np.multiply(A, -c, out=blocks(m, 0, nx, nx, T))
     np.multiply(B, -c, out=blocks(m, nx, nx, nu, T))
     return ab
@@ -253,13 +269,9 @@ def solve_lq_riccati(Q, S, R, A, B, gx, gu, c0, cdyn):
     F[..., :nx, nx + 1:] = B
     F[..., nx, nx] = 1.0
     Ft = F[..., :nx, :].transpose(0, 1, 3, 2)
-    H = np.zeros((K, T, m + 1, m + 1))
-    H[..., :nx, :nx] = Q[:, :T]
-    H[..., :nx, nx] = gx[:, :T]
-    H[..., :nx, nx + 1:] = S.transpose(0, 1, 3, 2)
-    H[..., nx + 1:, :nx] = S
-    H[..., nx + 1:, nx] = gu
-    H[..., nx + 1:, nx + 1:] = R
+    # H holds the stage costs of at most COST_CHUNK stages at a time,
+    # refilled as the sweep enters each chunk.
+    H = np.zeros((K, min(T, COST_CHUNK), m + 1, m + 1))
     # V_k = [P_k, s_k]: the cost-to-go 1/2 p^T P_k p + s_k^T p.
     V = np.empty((K, T + 1, nx, nx + 1))
     V[:, T, :, :nx] = Q[:, T]
@@ -267,8 +279,17 @@ def solve_lq_riccati(Q, S, R, A, B, gx, gu, c0, cdyn):
     # X_k = Rt_k^{-1} [St_k, gut_k], so q_k = -X_k [p_k; 1].
     X = np.empty((K, T, nu, nx + 1))
     for k in range(T - 1, -1, -1):
+        j = k % COST_CHUNK
+        if k == T - 1 or j == COST_CHUNK - 1:
+            chunk = slice(k - j, k + 1)
+            H[:, :j + 1, :nx, :nx] = Q[:, chunk]
+            H[:, :j + 1, :nx, nx] = gx[:, chunk]
+            H[:, :j + 1, :nx, nx + 1:] = S[:, chunk].transpose(0, 1, 3, 2)
+            H[:, :j + 1, nx + 1:, :nx] = S[:, chunk]
+            H[:, :j + 1, nx + 1:, nx] = gu[:, chunk]
+            H[:, :j + 1, nx + 1:, nx + 1:] = R[:, chunk]
         Z = Ft[:, k] @ (V[:, k + 1] @ F[:, k])
-        Z += H[:, k]  # rows p and q: [[Qt, gxt, St^T], [St, gut, Rt]]
+        Z += H[:, j]  # rows p and q: [[Qt, gxt, St^T], [St, gut, Rt]]
         Rt = Z[:, nx + 1:, nx + 1:]
         try:
             L = np.linalg.cholesky(Rt)

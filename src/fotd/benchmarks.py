@@ -144,7 +144,9 @@ def make_toy_problem(spec: ToySpec) -> ProblemDef:
         return ones, ones
 
     def dynamics_hessian_contraction(ks, X, U, Lam):
-        return np.zeros((len(ks), 2, 2))
+        zero = np.zeros((len(ks), 1, 1))
+        zero.flags.writeable = False
+        return zero, zero, zero
 
     return ProblemDef(
         N=N, n_x=1, n_u=1, x0=np.zeros(1),
@@ -248,11 +250,16 @@ def make_plate_problem(spec: PlateSpec) -> ProblemDef:
     d_table = plate_targets(spec)
     const = dt * (a_conv * Tc + a_rad * Tc4)
     N = spec.N
+    Qs = 2.0 * w_cost * np.eye(n)
+    zero = np.zeros((n, n))
+    for arr in (Qs, zero):
+        arr.flags.writeable = False
 
     # Stage-batched callbacks.  The radiation term is diagonal, so A differs
-    # from M_lin and the contraction from zero on the diagonal only; B and
-    # the cost Hessian are constant.  Stacked matmuls make one gemv (or dot)
-    # per stage, so a stage rounds alike in a batch of one or of N.
+    # from M_lin and the contraction's state block from zero on the diagonal
+    # only; its other blocks, B and the cost Hessian are constant.  Stacked
+    # matmuls make one gemv (or dot) per stage, so a stage rounds alike in a
+    # batch of one or of N.
     def dynamics(ks, X, U):
         return np.matmul(M_lin, X[:, :, None])[..., 0] + U + const \
             - dt * a_rad * X ** 4
@@ -264,10 +271,11 @@ def make_plate_problem(spec: PlateSpec) -> ProblemDef:
         return A, np.broadcast_to(B, A.shape)
 
     def dynamics_hessian_contraction(ks, X, U, Lam):
-        W = np.zeros((len(ks), 2 * n, 2 * n))
+        Wxx = np.zeros((len(ks), n, n))
         diag = np.arange(n)
-        W[:, diag, diag] = 12.0 * dt * a_rad * Lam * X ** 2
-        return W
+        Wxx[:, diag, diag] = 12.0 * dt * a_rad * Lam * X ** 2
+        zeros = np.broadcast_to(zero, Wxx.shape)
+        return Wxx, zeros, zeros
 
     def stage_cost(ks, X, U):
         E = X - d_table[ks]
@@ -277,22 +285,16 @@ def make_plate_problem(spec: PlateSpec) -> ProblemDef:
     def cost_gradient(ks, X, U):
         return 2.0 * w_cost * (X - d_table[ks]), 2.0 * w_cost * U
 
-    Qs = 2.0 * w_cost * np.eye(n)
-    Ss = np.zeros((n, n))
-    QN = np.zeros((n, n))
-    for arr in (Qs, Ss, QN):
-        arr.flags.writeable = False
-
     def cost_hessian(ks, X, U):
         shape = (len(ks), n, n)
-        return (np.broadcast_to(Qs, shape), np.broadcast_to(Ss, shape),
+        return (np.broadcast_to(Qs, shape), np.broadcast_to(zero, shape),
                 np.broadcast_to(Qs, shape))
 
     return ProblemDef(
         N=spec.N, n_x=n, n_u=n, x0=np.zeros(n),
         stage_cost=_callback(stage_cost, N, lambda x: 0.0),
         cost_gradient=_callback(cost_gradient, N, lambda x: np.zeros(n)),
-        cost_hessian=_callback(cost_hessian, N, lambda x: QN),
+        cost_hessian=_callback(cost_hessian, N, lambda x: zero),
         dynamics=_callback(dynamics, N),
         dynamics_jacobians=_callback(dynamics_jacobians, N),
         dynamics_hessian_contraction=_callback(dynamics_hessian_contraction, N),

@@ -20,10 +20,11 @@ boundary values set to zero, solving the M subproblems in parallel and
 composing the exclusive parts yields the approximate search direction.
 
 The subproblems go to one of two kernels, chosen by the block width n_x.
-From RICCATI_MIN_NX states on, all subproblems of one length are gathered
-from the Newton data and solved together by one batched Riccati sweep
-(:func:`banded.solve_lq_riccati`), whose stagewise Cholesky is the exact
-definiteness test.  Narrower blocks are solved one at a time by the band
+From RICCATI_MIN_NX states on, the subproblems of one length that start
+at evenly spaced stages (all of that length, for even knots) are read from
+the Newton data through strided windows and solved together by one batched
+Riccati sweep (:func:`banded.solve_lq_riccati`), whose stagewise Cholesky
+is the exact definiteness test.  Narrower blocks are solved one at a time by the band
 kernel and its H + c G^T G test, on a thread pool when ``workers > 1``.
 
 Measured on the whole direction at N=500, M=10, b=5 (subproblems of 55 and
@@ -253,33 +254,57 @@ def solve_subproblem(sub: SubproblemData,
     return SubproblemSolution(sub.index, p, q, zeta)
 
 
+def _windows(arr: np.ndarray, first: int, step: int, count: int,
+             length: int) -> np.ndarray:
+    """Read-only (count, length, ...) view of arr[first + j*step + t].
+
+    Raises ValueError instead of making a view that runs past ``arr``.
+    """
+    span = arr[first:first + (count - 1) * step + length]
+    if step < 0 or span.shape[0] != (count - 1) * step + length:
+        raise ValueError(f"{count} windows of {length} stages from {first} "
+                         f"every {step} run past {arr.shape[0]} stages")
+    return np.lib.stride_tricks.as_strided(
+        span, (count, length) + span.shape[1:],
+        (step * span.strides[0],) + span.strides, writeable=False)
+
+
 def solve_subproblems_riccati(nd: NewtonData, plan: DecompositionPlan,
                               indices: Sequence[int],
                               mu: float) -> List[SubproblemSolution]:
     """Solve subproblems of one length together by one batched Riccati sweep.
 
-    The batch is gathered straight from ``nd`` by stage index, with zero
-    boundary values: member j holds what ``assemble_subproblem`` gives
-    subproblem ``indices[j]``.  Each solution is bit for bit the one the
-    subproblem gets alone.  A stage whose Cholesky pivot test fails raises
+    The subproblems must start at evenly spaced stages, so that the batch
+    is read from ``nd`` through strided windows, with zero boundary values:
+    member j holds what ``assemble_subproblem`` gives subproblem
+    ``indices[j]``.  Only Q and gx, whose terminal blocks the penalty
+    changes, are copied.  Each solution is bit for bit the one the subproblem gets
+    alone.  A stage whose Cholesky pivot test fails raises
     :class:`MuTooSmallError` for the first failing subproblem of the batch,
     with that stage.
     """
     if mu < 0:
         raise ValueError(f"mu must be nonnegative, got {mu}")
-    m1 = np.array([plan.m1[i] for i in indices])
-    T = plan.m2[indices[0]] - plan.m1[indices[0]]
-    k = m1[:, None] + np.arange(T + 1)  # (K, T+1) horizon stage of each entry
-    Q, gx = nd.Q[k], nd.gx[k]
+    m1 = [plan.m1[i] for i in indices]
+    K, T = len(indices), plan.m2[indices[0]] - m1[0]
+    step = m1[1] - m1[0] if K > 1 else 0
+    if any(b - a != step for a, b in zip(m1, m1[1:])):
+        raise ValueError(f"subproblems {list(indices)} do not start at evenly "
+                         f"spaced stages: {m1}")
+
+    def window(arr, length=T, first=m1[0]):
+        return _windows(arr, first, step, K, length)
+
+    Q, gx = window(nd.Q, T + 1).copy(), window(nd.gx, T + 1).copy()
     d = BoundaryVars.zeros(nd.n_x, nd.n_u, terminal=False)
     for j, i in enumerate(indices):
         if plan.m2[i] != plan.N:
             _penalize_terminal(nd, plan.m2[i], mu, d, Q[j], gx[j])
-    stages = k[:, :T]
     try:
         p, q, zeta = banded.solve_lq_riccati(
-            Q, nd.S[stages], nd.R[stages], nd.A[stages], nd.B[stages], gx,
-            nd.gu[stages], np.zeros((len(indices), nd.n_x)), -nd.glam[k[:, 1:]])
+            Q, window(nd.S), window(nd.R), window(nd.A), window(nd.B), gx,
+            window(nd.gu), np.zeros((K, nd.n_x)),
+            -window(nd.glam, first=m1[0] + 1))
     except IndefiniteStageError as err:
         i = indices[err.member]
         raise MuTooSmallError(i, mu, plan.m1[i] + err.stage, err.margin) from err
@@ -287,12 +312,35 @@ def solve_subproblems_riccati(nd: NewtonData, plan: DecompositionPlan,
             for j, i in enumerate(indices)]
 
 
+def _riccati_batches(plan: DecompositionPlan) -> List[List[int]]:
+    """Subproblems of one length that start at evenly spaced stages.
+
+    Each length's subproblems are taken in plan order and cut where the
+    spacing of their starts changes; even knots give one batch per length.
+    """
+    by_length = {}
+    for i in range(plan.M):
+        by_length.setdefault(plan.m2[i] - plan.m1[i], []).append(i)
+    batches = []
+    for group in by_length.values():
+        batch = group[:1]
+        for i in group[1:]:
+            if len(batch) > 1 and (plan.m1[i] - plan.m1[batch[-1]]
+                                   != plan.m1[batch[1]] - plan.m1[batch[0]]):
+                batches.append(batch)
+                batch = []
+            batch.append(i)
+        batches.append(batch)
+    return batches
+
+
 def approximate_direction(nd: NewtonData, plan: DecompositionPlan, mu: float,
                           workers: int = 1) -> NewtonDirection:
     """Decomposed Newton direction: solve all subproblems with zero boundaries.
 
     Blocks at least RICCATI_MIN_NX states wide go to the batched Riccati
-    kernel, one batch per subproblem length, on the calling thread.
+    kernel, one batch per length and spacing of the subproblems' starts
+    (one per length for even knots), on the calling thread.
     Narrower ones are solved one by one by the band kernel, on a thread
     pool when ``workers > 1``; results land in slots indexed by subproblem,
     so the composed direction does not depend on scheduling.  Either way a
@@ -300,11 +348,8 @@ def approximate_direction(nd: NewtonData, plan: DecompositionPlan, mu: float,
     order.
     """
     if nd.n_x >= RICCATI_MIN_NX:
-        by_length = {}
-        for i in range(plan.M):
-            by_length.setdefault(plan.m2[i] - plan.m1[i], []).append(i)
         try:
-            sols = [sol for group in by_length.values()
+            sols = [sol for group in _riccati_batches(plan)
                     for sol in solve_subproblems_riccati(nd, plan, group, mu)]
         except MuTooSmallError:
             for i in range(plan.M):  # alone, the first failing one raises

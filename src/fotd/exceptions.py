@@ -51,6 +51,22 @@ class IndefiniteStageError(LinearSolverError):
                          f"positive definite ({_margin_text(margin)})")
 
 
+class IndefiniteHorizonError(LinearSolverError):
+    """The full-horizon Riccati sweep failed its Cholesky pivot test.
+
+    ``stage`` is the horizon stage whose pivot test failed and ``margin``
+    the smallest pivot minus the pivot tolerance, or None after a breakdown.
+    """
+
+    def __init__(self, stage: int, margin: float | None):
+        self.stage = stage
+        self.margin = margin
+        super().__init__(
+            f"the full-horizon Newton system is not positive definite on its "
+            f"constraint null space: stage {stage} failed "
+            f"({_margin_text(margin)})")
+
+
 class MuTooSmallError(SolverError):
     """A decomposed subproblem failed its definiteness test.
 

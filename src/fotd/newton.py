@@ -11,6 +11,26 @@ Jacobian G.  Definiteness is certified by factorizing H + c * G^T G for a
 sufficiently large scalar c (the matrix is block tridiagonal, so the test
 costs one banded Cholesky); when the test fails, a Levenberg shift
 Hhat = H + gamma * I is applied with gamma chosen from a geometric ladder.
+The test is the same whatever kernel later solves the system, so gamma
+does not depend on the mode.
+
+The exact direction goes to one of the two LQ kernels of :mod:`banded` by
+block width.  Below FULL_RICCATI_MIN_NX states it is the banded LU of the
+stage-interleaved KKT matrix; from there on, the Riccati sweep as a batch
+of one.  Unlike the decomposed direction's batches, a single horizon
+cannot spread the sweep's per-stage call overhead over several members,
+so the LU stays faster up to much wider blocks than there
+(:data:`fotd.decomposition.RICCATI_MIN_NX`).  Sweep time over LU time,
+measured on random definite blocks at T = 500 with n_u = n_x, one x86-64
+core, medians of 21 interleaved runs, two runs of the table:
+
+    n_x     4    8    10   12   13   14   15   16   20
+    ratio   8.8  2.8  1.7  1.6  1.3  1.2  0.9  0.8  0.56
+            9.3  2.9  1.8  1.8  1.4  1.2  0.9  0.8  0.56
+
+The LU's band holds (3 (2 n_x + n_u) - 2) (T (2 n_x + n_u) + 2 n_x)
+doubles, 27 MB on the plate at m = 6 (n_x = n_u = 16, T = 500), against
+about 5 MB for the sweep's arrays there.
 
 The module also evaluates two closed-form constants from the method's
 analysis, used purely as diagnostics: a lower bound on G G^T implied by
@@ -25,13 +45,18 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import banded
-from .exceptions import ModificationFailure, NumericsError
+from .exceptions import (IndefiniteHorizonError, IndefiniteStageError,
+                         ModificationFailure, NumericsError)
 from .problem import (DualTrajectory, ProblemDef, Trajectory, linearize,
                       split_primal, stack_primal)
 
 GAMMA_SEED = 1e-4     # ladder start, scaled by (1 + max block norm)
 GAMMA_STEP = 2.0      # ladder ratio
 GAMMA_CEILING = 1e8   # ladder abort, same scaling
+
+# Block width n_x from which the exact direction is solved by the Riccati
+# sweep instead of the band LU (see the module docstring).
+FULL_RICCATI_MIN_NX = 15
 
 
 @dataclass(frozen=True)
@@ -184,12 +209,22 @@ def modify_hessian(nd: NewtonData) -> NewtonData:
 def solve_full_newton(nd: NewtonData) -> NewtonDirection:
     """Unique solution of the full-horizon Newton system.
 
-    The saddle-point system is solved via the banded factorization of the
-    stage-interleaved KKT matrix (bandwidth O(n_x + n_u)); the caller is
-    expected to have certified the reduced Hessian first.
+    Blocks narrower than FULL_RICCATI_MIN_NX states go to the banded LU of
+    the stage-interleaved KKT matrix (:func:`banded.solve_lq_kkt`); wider
+    ones to the Riccati sweep (:func:`banded.solve_lq_riccati`) as a batch of
+    one, whose stagewise Cholesky raises :class:`IndefiniteHorizonError`
+    naming the horizon stage that fails.  The caller is expected to have
+    certified the reduced Hessian first.
     """
-    p, q, zeta = banded.solve_lq_kkt(nd.Q, nd.S, nd.R, nd.A, nd.B,
-                                     nd.gx, nd.gu, -nd.glam[0], -nd.glam[1:])
+    lq = (nd.Q, nd.S, nd.R, nd.A, nd.B, nd.gx, nd.gu, -nd.glam[0], -nd.glam[1:])
+    if nd.n_x < FULL_RICCATI_MIN_NX:
+        p, q, zeta = banded.solve_lq_kkt(*lq)
+    else:
+        try:
+            p, q, zeta = (a[0] for a in
+                          banded.solve_lq_riccati(*(a[None] for a in lq)))
+        except IndefiniteStageError as err:
+            raise IndefiniteHorizonError(err.stage, err.margin) from err
     return NewtonDirection(stack_primal(p, q), zeta.ravel())
 
 

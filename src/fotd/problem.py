@@ -53,16 +53,17 @@ class ProblemDef:
       ``cost_hessian(N, x)`` -> Q_N.
     - ``dynamics(k, x, u)`` -> next state, shape (n_x,).
     - ``dynamics_jacobians(k, x, u)`` -> (A, B) with A = df/dx, B = df/du.
-    - ``dynamics_hessian_contraction(k, x, u, lam_next)`` -> the
-      (n_x+n_u) x (n_x+n_u) matrix  -sum_j lam_next[j] * hess(f_j),
-      i.e. the dynamics' contribution to the Lagrangian Hessian block.
+    - ``dynamics_hessian_contraction(k, x, u, lam_next)`` -> (Wxx, Wux, Wuu),
+      the blocks of  -sum_j lam_next[j] * hess(f_j)  laid out like the
+      cost Hessian's (Q, S, R), i.e. the dynamics' contribution to the
+      Lagrangian Hessian block.
 
     A callback may carry a stage-batched form (see :func:`stage_batched`)
     that evaluates the stages k < N in one call over stage arrays: ``ks``
     (K,) integer stages, ``X`` (K, n_x), ``U`` (K, n_u) and, for the
     contraction, ``Lam`` (K, n_x) holding lam_{k+1}.  Its outputs stack the
     per-stage ones on a leading axis: costs (K,), (GX, GU), (Q, S, R),
-    next states (K, n_x), (A, B) and contractions (K, n_x+n_u, n_x+n_u).
+    next states (K, n_x), (A, B) and contractions (WXX, WUX, WUU).
     It must match the per-stage form bit for bit.  An evaluation pass makes
     one call per callback over the stages k < N -- the batched form, or a
     loop over the per-stage form that copies its outputs into fresh stage
@@ -280,12 +281,13 @@ def _stage_pass(p: ProblemDef, z: Trajectory, lam: DualTrajectory,
     if second_order:
         Qc, Sc, Rc = _over_stages(p.cost_hessian, [(nx, nx), (nu, nx), (nu, nu)],
                                   *stages)
-        W = _over_stages(p.dynamics_hessian_contraction, [(nx + nu, nx + nu)],
-                         *stages, lm[1:])
+        Wxx, Wux, Wuu = _over_stages(p.dynamics_hessian_contraction,
+                                     [(nx, nx), (nu, nx), (nu, nu)],
+                                     *stages, lm[1:])
         Q = np.empty((N + 1, nx, nx))
-        np.add(Qc, W[:, :nx, :nx], out=Q[:N])
+        np.add(Qc, Wxx, out=Q[:N])
         Q[N] = p.cost_hessian(N, x[N])
-        first = (Q, Sc + W[:, nx:, :nx], Rc + W[:, nx:, nx:])
+        first = (Q, Sc + Wux, Rc + Wuu)
     else:
         costs = _over_stages(p.stage_cost, [()], *stages).tolist()
         costs.append(float(p.stage_cost(N, x[N])))

@@ -124,8 +124,8 @@ def truncated_problem(sub: NonlinearSubproblem) -> ProblemDef:
         if not adjusted:
             return p.cost_hessian(m2, x)
         Qc, _, _ = p.cost_hessian(m2, x, ubar)
-        W = np.asarray(p.dynamics_hessian_contraction(m2, x, ubar, lbar))
-        return Qc + W[:nx, :nx] + mu * np.eye(nx)
+        Wxx, _, _ = p.dynamics_hessian_contraction(m2, x, ubar, lbar)
+        return Qc + Wxx + mu * np.eye(nx)
 
     @shifted("dynamics")
     def dynamics(k, x, u):

@@ -6,6 +6,8 @@ numpy, finite differences are central, and Newton iterations for reference
 KKT points run without any globalization.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from fotd.banded import hessian_vector_product, jacobian_products
@@ -205,9 +207,9 @@ def dense_kkt_system(p: ProblemDef, z: Trajectory, lam: DualTrajectory):
     for k in range(N):
         ix, iu = k * m, k * m + nx
         Qc, Sc, Rc = p.cost_hessian(k, z.x[k], z.u[k])
-        W = np.asarray(p.dynamics_hessian_contraction(k, z.x[k], z.u[k],
-                                                      lam.lam[k + 1]))
-        blk = np.block([[Qc, Sc.T], [Sc, Rc]]) + W
+        Wxx, Wux, Wuu = p.dynamics_hessian_contraction(k, z.x[k], z.u[k],
+                                                       lam.lam[k + 1])
+        blk = np.block([[Qc + Wxx, (Sc + Wux).T], [Sc + Wux, Rc + Wuu]])
         H[ix:ix + m, ix:ix + m] = blk
         A, B = p.dynamics_jacobians(k, z.x[k], z.u[k])
         gx, gu = p.cost_gradient(k, z.x[k], z.u[k])
@@ -271,10 +273,10 @@ def stagewise_linearize(p: ProblemDef, z: Trajectory, lam: DualTrajectory):
     for k in range(p.N):
         xk, uk = z.x[k], z.u[k]
         Qc, Sc, Rc = p.cost_hessian(k, xk, uk)
-        W = np.asarray(p.dynamics_hessian_contraction(k, xk, uk, lm[k + 1]))
-        Q[k] = Qc + W[:nx, :nx]
-        S[k] = Sc + W[nx:, :nx]
-        R[k] = Rc + W[nx:, nx:]
+        Wxx, Wux, Wuu = p.dynamics_hessian_contraction(k, xk, uk, lm[k + 1])
+        Q[k] = Qc + Wxx
+        S[k] = Sc + Wux
+        R[k] = Rc + Wuu
         A[k], B[k] = p.dynamics_jacobians(k, xk, uk)
         cgx, cgu = p.cost_gradient(k, xk, uk)
         gx[k] = cgx + lm[k] - A[k].T @ lm[k + 1]
@@ -330,7 +332,7 @@ def make_random_lq(N, nx, nu, seed=0, definite=True, affine=True):
     B = rng.standard_normal((N, nx, nu))
     cdyn = rng.standard_normal((N, nx)) if affine else np.zeros((N, nx))
     x0 = rng.standard_normal(nx)
-    zero = np.zeros((nx + nu, nx + nu))
+    zero = (np.zeros((nx, nx)), np.zeros((nu, nx)), np.zeros((nu, nu)))
 
     def stage_cost(k, x, u=None):
         if k == N:
@@ -359,6 +361,21 @@ def make_random_lq(N, nx, nu, seed=0, definite=True, affine=True):
     )
     data = dict(Q=Q, S=S, R=R, qx=qx, qu=qu, A=A, B=B, cdyn=cdyn, x0=x0)
     return prob, data
+
+
+def lq_data(T, nx, nu, seed, shift=0.7):
+    """Canonical LQ data; stage Hessian blocks are M M^T + shift * I."""
+    rng = np.random.default_rng(seed)
+
+    def sym(count, n):
+        M = rng.standard_normal((count, n, n))
+        return M @ M.transpose(0, 2, 1) + shift * np.eye(n)
+
+    return SimpleNamespace(
+        Q=sym(T + 1, nx), S=0.2 * rng.standard_normal((T, nu, nx)), R=sym(T, nu),
+        A=0.6 * rng.standard_normal((T, nx, nx)), B=rng.standard_normal((T, nx, nu)),
+        gx=rng.standard_normal((T + 1, nx)), gu=rng.standard_normal((T, nu)),
+        c0=rng.standard_normal(nx), cdyn=rng.standard_normal((T, nx)))
 
 
 def random_point(p: ProblemDef, seed=0, scale=1.0):

@@ -13,26 +13,11 @@ from fotd.exceptions import IndefiniteStageError, LinearSolverError
 from fotd.newton import default_definiteness_constant
 
 from oracles import (dense_lq_kkt, dense_lq_matrices, dense_lq_solve,
-                     dense_reduced_hessian_eigmin, lapack_band,
+                     dense_reduced_hessian_eigmin, lapack_band, lq_data,
                      stage_interleaving)
 
 # (T, n_x, n_u): a single stage, n_x != n_u both ways, and plate-sized blocks.
 SHAPES = [(1, 2, 3), (1, 3, 1), (6, 2, 3), (5, 3, 1), (4, 16, 16)]
-
-
-def lq_data(T, nx, nu, seed, shift=0.7):
-    """Canonical LQ data; stage Hessian blocks are M M^T + shift * I."""
-    rng = np.random.default_rng(seed)
-
-    def sym(count, n):
-        M = rng.standard_normal((count, n, n))
-        return M @ M.transpose(0, 2, 1) + shift * np.eye(n)
-
-    return SimpleNamespace(
-        Q=sym(T + 1, nx), S=0.2 * rng.standard_normal((T, nu, nx)), R=sym(T, nu),
-        A=0.6 * rng.standard_normal((T, nx, nx)), B=rng.standard_normal((T, nx, nu)),
-        gx=rng.standard_normal((T + 1, nx)), gu=rng.standard_normal((T, nu)),
-        c0=rng.standard_normal(nx), cdyn=rng.standard_normal((T, nx)))
 
 
 def blocks(d):

@@ -171,3 +171,33 @@ def test_generated_derivatives_pass_fd_suite():
         gN = p.cost_gradient(p.N, x)
         fdN = central_diff(lambda v: p.stage_cost(p.N, v), x)
         np.testing.assert_allclose(gN, fdN, rtol=1e-4, atol=1e-6)
+
+
+def test_generated_contractions_match_fd_of_the_jacobians():
+    # the contraction blocks are the Jacobian of -(A^T lam, B^T lam) in
+    # (x, u).  The toy's dynamics are linear; the plate's radiation term
+    # needs temperatures near ambient and large multipliers to stand out of
+    # the finite-difference noise.
+    from oracles import central_diff_jacobian
+    spec, _ = toy_case_params(3, N=10)
+    cases = [(make_toy_problem(spec), 0.0, 1.0, 0.0),
+             (make_plate_problem(PlateSpec(m=4, N=20)), 300.0, 1e3, 0.1)]
+    for p, x_mid, lam_scale, curvature in cases:
+        rng = np.random.default_rng(2)
+        nx = p.n_x
+        for k in (0, p.N // 2):
+            x = x_mid + rng.uniform(-20, 20, nx)
+            u = rng.uniform(-1, 1, p.n_u)
+            lam = lam_scale * rng.uniform(-1, 1, nx)
+            Wxx, Wux, Wuu = p.dynamics_hessian_contraction(k, x, u, lam)
+            W = np.block([[Wxx, np.transpose(Wux)], [Wux, Wuu]])
+
+            def lagrangian_gradient(v):
+                A, B = p.dynamics_jacobians(k, v[:nx], v[nx:])
+                return -np.concatenate([A.T @ lam, B.T @ lam])
+
+            fd = central_diff_jacobian(lagrangian_gradient,
+                                       np.concatenate([x, u]))
+            np.testing.assert_allclose(W, fd, rtol=1e-6,
+                                       atol=1e-9 * (1.0 + np.abs(W).max()))
+            assert np.abs(Wxx).max() >= curvature

@@ -3,10 +3,11 @@ import pytest
 
 from fotd.benchmarks import ToySpec, make_toy_problem
 from fotd import banded
-from fotd.decomposition import (RICCATI_MIN_NX, BoundaryVars,
-                                approximate_direction, assemble_subproblem,
-                                compose, decompose, make_plan,
-                                solve_subproblem, solve_subproblems_riccati)
+from fotd.decomposition import (RICCATI_MIN_NX, BoundaryVars, _riccati_batches,
+                                _windows, approximate_direction,
+                                assemble_subproblem, compose, decompose,
+                                make_plan, solve_subproblem,
+                                solve_subproblems_riccati)
 from fotd.exceptions import MuTooSmallError
 from fotd.newton import (NewtonData, assemble_newton_data,
                          default_definiteness_constant, solve_full_newton)
@@ -351,6 +352,35 @@ def test_riccati_batches_are_gathered_as_assemble_subproblem_truncates():
         for j, sol in enumerate(got):
             for a, b in zip((sol.p, sol.q, sol.zeta), want):
                 assert np.array_equal(a, b[j])
+
+
+def test_riccati_batches_split_where_the_spacing_of_starts_changes():
+    p, _ = make_random_lq(80, RICCATI_MIN_NX, 2, seed=20)
+    z, lam = random_point(p, seed=21)
+    nd = assemble_newton_data(p, z, lam)
+    # Subproblems 1, 2, 4 and 5 all span 14 stages, from 8, 18, 43 and 53.
+    plan = make_plan(80, b=2, knots=(0, 10, 20, 30, 45, 55, 65, 80))
+    assert _riccati_batches(plan) == [[0], [1, 2], [4, 5], [3], [6]]
+    with pytest.raises(ValueError, match="evenly spaced"):
+        solve_subproblems_riccati(nd, plan, [1, 2, 4], 25.0)
+    # A member solves bit for bit as it does alone, so the batching does
+    # not show in the direction.
+    alone = [solve_subproblems_riccati(nd, plan, [i], 25.0)[0]
+             for i in range(plan.M)]
+    dx, du, dlam = compose([(s.p, s.q, s.zeta) for s in alone], plan)
+    got = approximate_direction(nd, plan, 25.0)
+    assert np.array_equal(got.dz, stack_primal(dx, du))
+    assert np.array_equal(got.dlam, dlam.ravel())
+
+
+def test_riccati_windows_past_the_horizon_raise():
+    arr = np.arange(20.0).reshape(10, 2)
+    got = _windows(arr, 0, 3, 3, 4)  # stages 0-3, 3-6 and 6-9
+    assert got.shape == (3, 4, 2) and not got.flags.writeable
+    for j in range(3):
+        assert np.array_equal(got[j], arr[3 * j:3 * j + 4])
+    with pytest.raises(ValueError, match="run past"):
+        _windows(arr, 1, 3, 3, 4)  # the last window would end at stage 10
 
 
 @pytest.mark.parametrize("nx,nu", [(1, 1), (2, 3), (3, 2)])

@@ -305,7 +305,7 @@ def test_diagnostic_undefined_at_exact_kkt_point():
     # point, so the exact direction is identically zero
     from fotd.problem import ProblemDef
     eye = np.eye(1)
-    zero22 = np.zeros((2, 2))
+    zero = np.zeros((1, 1))
     p = ProblemDef(
         N=4, n_x=1, n_u=1, x0=np.zeros(1),
         stage_cost=lambda k, x, u=None: (float(x @ x) if k == 4
@@ -315,7 +315,7 @@ def test_diagnostic_undefined_at_exact_kkt_point():
                                            else (2 * eye, 0 * eye, 2 * eye)),
         dynamics=lambda k, x, u: x + u,
         dynamics_jacobians=lambda k, x, u: (eye, eye),
-        dynamics_hessian_contraction=lambda k, x, u, lam: zero22,
+        dynamics_hessian_contraction=lambda k, x, u, lam: (zero, zero, zero),
     )
     z, lam = Trajectory.zeros(p), DualTrajectory.zeros(p)
     with pytest.raises(UndefinedRatioError):

@@ -4,17 +4,21 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from fotd import banded, driver
+from fotd.banded import PIVOT_TOL
 from fotd.benchmarks import ToySpec, make_toy_problem
-from fotd.exceptions import NumericsError
-from fotd.newton import (NewtonData, assemble_newton_data,
-                         check_reduced_hessian, default_definiteness_constant,
-                         modify_hessian, solve_full_newton, theory_gamma_G,
-                         theory_mu_bar)
+from fotd.driver import SolverConfig, solve
+from fotd.exceptions import (IndefiniteHorizonError, LinearSolverError,
+                             NumericsError)
+from fotd.newton import (FULL_RICCATI_MIN_NX, NewtonData,
+                         assemble_newton_data, check_reduced_hessian,
+                         default_definiteness_constant, modify_hessian,
+                         solve_full_newton, theory_gamma_G, theory_mu_bar)
 from fotd.problem import DualTrajectory, Trajectory, stack_primal
 
-from oracles import (central_diff_jacobian, dense_full_newton,
+from oracles import (central_diff_jacobian, dense_full_newton, dense_lq_solve,
                      dense_reduced_hessian_eigmin, direction_kkt_residual,
-                     make_random_lq, newton_rhs_norm, random_point)
+                     lq_data, make_random_lq, newton_rhs_norm, random_point)
 
 
 def toy(N=4, C1=8.0, C2=1.0, d=lambda k: 0.0):
@@ -95,7 +99,7 @@ def test_assemble_nonfinite_callback_raises_with_stage():
 
     def bad_contraction(k, x, u, lam):
         W = p0.dynamics_hessian_contraction(k, x, u, lam)
-        return np.full((2, 2), np.nan) if k == 0 else W
+        return (W[0], nan, W[2]) if k == 0 else W
 
     def bad_dynamics(k, x, u):
         f = p0.dynamics(k, x, u)
@@ -219,6 +223,88 @@ def test_constraint_jacobian_full_row_rank():
         G[row:row + nx, k * m + nx:k * m + m] = -nd.B[k]
         G[row:row + nx, (k + 1) * m:(k + 1) * m + nx] = np.eye(nx)
     scipy.linalg.cho_factor(G @ G.T)  # raises if G G^T is not PD
+
+
+# ---------------------------------------------------------------------------
+# The exact direction on wide blocks: the Riccati sweep as a batch of one
+# ---------------------------------------------------------------------------
+
+def newton_data(d) -> NewtonData:
+    """NewtonData whose Newton system is the canonical LQ problem ``d``."""
+    T, nx, nu = d.B.shape
+    return NewtonData(T, nx, nu, d.Q, d.S, d.R, d.A, d.B, d.gx, d.gu,
+                      glam=-np.vstack([d.c0, d.cdyn]))
+
+
+def relative_gap(got, want) -> float:
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("T", [1, 7, 60])
+@pytest.mark.parametrize("n", [FULL_RICCATI_MIN_NX - 1, FULL_RICCATI_MIN_NX, 16])
+def test_wide_exact_direction_matches_the_dense_and_band_solves(n, T):
+    d = lq_data(T, n, n, seed=T + n)
+    got = solve_full_newton(newton_data(d))
+    have = np.concatenate([got.dz, got.dlam])
+    lq = (d.Q, d.S, d.R, d.A, d.B, d.gx, d.gu, d.c0, d.cdyn)
+    for solver, tol in ((dense_lq_solve, 1e-10), (banded.solve_lq_kkt, 1e-12)):
+        p, q, zeta = solver(*lq)
+        want = np.concatenate([stack_primal(p, q), zeta.ravel()])
+        assert relative_gap(have, want) <= tol, solver.__name__
+
+
+@pytest.mark.parametrize("n", [FULL_RICCATI_MIN_NX - 1, FULL_RICCATI_MIN_NX])
+def test_exact_direction_takes_one_kernel_by_block_width(monkeypatch, n):
+    calls = []
+
+    def counted(name):
+        kernel = getattr(banded, name)
+        return lambda *args: calls.append(name) or kernel(*args)
+
+    for name in ("solve_lq_kkt", "solve_lq_riccati"):
+        monkeypatch.setattr(banded, name, counted(name))
+    solve_full_newton(newton_data(lq_data(7, n, n, seed=n)))
+    wide = n >= FULL_RICCATI_MIN_NX
+    assert calls == ["solve_lq_riccati" if wide else "solve_lq_kkt"]
+
+
+def test_wide_indefinite_stage_raises_with_horizon_stage_and_margin():
+    n = FULL_RICCATI_MIN_NX
+    d = lq_data(60, n, n, seed=3)
+    d.R[30] = -10.0 * np.eye(n)
+    with pytest.raises(IndefiniteHorizonError) as err:
+        solve_full_newton(newton_data(d))
+    assert isinstance(err.value, LinearSolverError)
+    assert (err.value.stage, err.value.margin) == (30, None)
+    assert "stage 30 failed (factorization breakdown)" in str(err.value)
+    assert "batch member" not in str(err.value)
+    # One stage: R + B^T Q_T B = I + diag(-1 + 1e-12, 0, ...) leaves a
+    # pivot of 1e-12.
+    d = lq_data(1, n, n, seed=4)
+    d.S[:] = 0.0
+    d.R[:] = np.eye(n)
+    d.B[:] = np.eye(n)
+    d.Q[1] = 0.0
+    d.Q[1, 0, 0] = -1.0 + 1e-12
+    with pytest.raises(IndefiniteHorizonError) as err:
+        solve_full_newton(newton_data(d))
+    assert err.value.stage == 0
+    assert err.value.margin == pytest.approx(1e-12 - PIVOT_TOL, rel=1e-3)
+    assert f"stage 0 failed (pivot margin {err.value.margin:.3e})" in str(err.value)
+
+
+def test_centralized_solve_reports_an_indefinite_wide_stage(monkeypatch):
+    # The band test and its Levenberg shift would repair the stage first,
+    # so they are bypassed to reach the sweep's own test.
+    n = FULL_RICCATI_MIN_NX
+    p, data = make_random_lq(20, n, n, seed=5)
+    data["R"][12] = -10.0 * np.eye(n)
+    monkeypatch.setattr(driver, "modify_hessian", lambda nd: nd)
+    report = solve(p, SolverConfig(M=2, b=1), random_point(p, seed=6),
+                   mode="centralized")
+    assert report.status == "error"
+    assert report.iterations == 0
+    assert "stage 12 failed (factorization breakdown) (iteration 0)" in report.error
 
 
 def test_theory_gamma_g_values():

@@ -35,6 +35,27 @@ def test_truncated_problem_terminal_derivatives_match_fd():
     np.testing.assert_allclose(h.ravel(), fdh, atol=1e-5)
 
 
+def test_truncated_plate_terminal_hessian_carries_the_contraction():
+    # the adjusted terminal cost subtracts lbar^T f, whose curvature on the
+    # plate is the radiation term's
+    from fotd.benchmarks import PlateSpec, make_plate_problem
+    from oracles import central_diff_jacobian
+    p = make_plate_problem(PlateSpec(m=4, N=20))
+    z, lam = random_point(p, seed=1, scale=20.0)
+    z.x += 300.0
+    lam.lam *= 50.0
+    sub = subproblem_from_iterate(p, make_plan(20, 2, 2), 0, 3.0, z, lam)
+    trunc = truncated_problem(sub)
+    T = sub.m2 - sub.m1
+    x = z.x[sub.m2] + 1.0
+    h = trunc.cost_hessian(T, x)
+    fdh = central_diff_jacobian(lambda v: trunc.cost_gradient(T, v), x)
+    Wxx, _, _ = p.dynamics_hessian_contraction(sub.m2, x, sub.u_end,
+                                               sub.lam_next)
+    assert np.abs(Wxx).max() > 1e-3 * np.abs(h).max()
+    np.testing.assert_allclose(h, fdh, rtol=1e-6, atol=1e-9 * np.abs(h).max())
+
+
 def test_inner_solver_returns_warm_start_at_subproblem_optimum():
     p = toy(N=12)
     z, lam = newton_solve_to_kkt(p, tol=1e-13)
