@@ -381,6 +381,10 @@ def cmd_solve(config_path: str, overrides: Optional[dict] = None) -> int:
     """Run one solve per initialization; 0 iff every run converged."""
     cfg = load_config(config_path, overrides)
     modes = (overrides or {}).get("modes") or [cfg.mode]
+    repeated = sorted({mode for mode in modes if modes.count(mode) > 1})
+    if repeated:
+        raise ConfigError(f"--mode {', '.join(repeated)} given more than once; "
+                          "each mode writes one run CSV per init")
     p, inits, _ = _setup(cfg, modes, [(cfg.solver.b, cfg.solver.mu)])
     os.makedirs(cfg.out_dir, exist_ok=True)
     runs, comparisons = [], []
@@ -421,12 +425,21 @@ def cmd_sweep(config_path: str, sweep: Optional[dict] = None,
     cfg = load_config(config_path, overrides)
     bs = cfg.sweep_b or [cfg.solver.b]
     mus = cfg.sweep_mu or [cfg.solver.mu]
-    p, inits, cells = _setup(cfg, [cfg.mode], [(b, mu) for b in bs for mu in mus])
+    cell_dirs = {}
+    for b in bs:
+        for mu in mus:
+            name = f"b{b}_mu{mu:g}"
+            if name in cell_dirs:
+                b0, mu0 = cell_dirs[name]
+                raise ConfigError(f"sweep cells (b={b0}, mu={mu0!r}) and "
+                                  f"(b={b}, mu={mu!r}) would both write {name}")
+            cell_dirs[name] = (b, mu)
+    p, inits, cells = _setup(cfg, [cfg.mode], list(cell_dirs.values()))
     os.makedirs(cfg.out_dir, exist_ok=True)
     rows = []
     all_ok = True
-    for b, mu, cell_cfg in cells:
-        cell_dir = os.path.join(cfg.out_dir, f"b{b}_mu{mu:g}")
+    for (b, mu, cell_cfg), name in zip(cells, cell_dirs):
+        cell_dir = os.path.join(cfg.out_dir, name)
         os.makedirs(cell_dir, exist_ok=True)
         kkts, times, ratios, n_conv = [], [], [], 0
         for i, init in enumerate(inits):

@@ -20,12 +20,15 @@ boundary values set to zero, solving the M subproblems in parallel and
 composing the exclusive parts yields the approximate search direction.
 
 The subproblems go to one of two kernels, chosen by the block width n_x.
-From RICCATI_MIN_NX states on, the subproblems of one length that start
-at evenly spaced stages (all of that length, for even knots) are read from
-the Newton data through strided windows and solved together by one batched
-Riccati sweep (:func:`banded.solve_lq_riccati`), whose stagewise Cholesky
-is the exact definiteness test.  Narrower blocks are solved one at a time by the band
-kernel and its H + c G^T G test, on a thread pool when ``workers > 1``.
+From RICCATI_MIN_NX states on, the subproblems of each length are read
+from the Newton data through strided windows and solved together by one
+batched Riccati sweep (:func:`banded.solve_lq_riccati`), whose stagewise
+Cholesky is the exact definiteness test.  The windows need evenly spaced
+starts, which even knots always give; a length whose starts are uneven is
+solved one subproblem at a time, which changes no direction, as a batch
+member solves bit for bit as it does alone.  Narrower blocks are solved
+one at a time by the band kernel and its H + c G^T G test, on a thread
+pool when ``workers > 1``.
 
 Measured on the whole direction at N=500, M=10, b=5 (subproblems of 55 and
 60 stages), random definite blocks with n_u = n_x, one x86-64 core, medians
@@ -313,24 +316,18 @@ def solve_subproblems_riccati(nd: NewtonData, plan: DecompositionPlan,
 
 
 def _riccati_batches(plan: DecompositionPlan) -> List[List[int]]:
-    """Subproblems of one length that start at evenly spaced stages.
+    """Subproblems of each length, one batch if their starts are evenly spaced.
 
-    Each length's subproblems are taken in plan order and cut where the
-    spacing of their starts changes; even knots give one batch per length.
+    Even knots give one batch per length; a length whose starts are not
+    evenly spaced is solved member by member.
     """
     by_length = {}
     for i in range(plan.M):
         by_length.setdefault(plan.m2[i] - plan.m1[i], []).append(i)
     batches = []
     for group in by_length.values():
-        batch = group[:1]
-        for i in group[1:]:
-            if len(batch) > 1 and (plan.m1[i] - plan.m1[batch[-1]]
-                                   != plan.m1[batch[1]] - plan.m1[batch[0]]):
-                batches.append(batch)
-                batch = []
-            batch.append(i)
-        batches.append(batch)
+        even = len(set(np.diff([plan.m1[i] for i in group]))) <= 1
+        batches.extend([group] if even else [[i] for i in group])
     return batches
 
 
@@ -339,8 +336,8 @@ def approximate_direction(nd: NewtonData, plan: DecompositionPlan, mu: float,
     """Decomposed Newton direction: solve all subproblems with zero boundaries.
 
     Blocks at least RICCATI_MIN_NX states wide go to the batched Riccati
-    kernel, one batch per length and spacing of the subproblems' starts
-    (one per length for even knots), on the calling thread.
+    kernel, one batch per length (see :func:`_riccati_batches`), on the
+    calling thread.
     Narrower ones are solved one by one by the band kernel, on a thread
     pool when ``workers > 1``; results land in slots indexed by subproblem,
     so the composed direction does not depend on scheduling.  Either way a

@@ -26,7 +26,6 @@ SQP driver :func:`solve` and the overlapping Schwarz baseline
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -34,7 +33,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .decomposition import approximate_direction, make_plan
+from .decomposition import DecompositionPlan, approximate_direction, make_plan
 from .exceptions import (AdaptivityFailure, LineSearchFailure, NonDescentError,
                          SolverError, UndefinedRatioError)
 from .newton import (NewtonDirection, assemble_newton_data, modify_hessian,
@@ -241,18 +240,19 @@ def direction_error_diagnostic(p: ProblemDef, z: Trajectory,
     return direction_error_ratio(exact, approx)
 
 
-def _step(p: ProblemDef, mode: str, state: SolverState, cfg: SolverConfig,
+def _step(p: ProblemDef, plan: Optional[DecompositionPlan],
+          state: SolverState, cfg: SolverConfig,
           terms: MeritTerms) -> Tuple[IterationRecord, SolverConfig, int]:
     """Lines 3-9 of the outer loop: linearize, direct, line-search, update.
 
-    ``terms`` are the merit terms at the current iterate.  Returns the
-    iteration's record (untimed), the (possibly adapted) config and the
-    number of descent-inequality violations seen.
+    ``plan`` is the decomposition plan for ``cfg``, or None for the exact
+    direction.  ``terms`` are the merit terms at the current iterate.
+    Returns the iteration's record (untimed), the (possibly adapted) config
+    and the number of descent-inequality violations seen.
     """
     z, lam = state.z, state.lam
     kkt_res = terms.residual()
     nd = modify_hessian(assemble_newton_data(p, z, lam))
-    plan = make_plan(p.N, cfg.M, cfg.b) if mode == "fotd" else None
     violations = 0
     while True:
         direction = (solve_full_newton(nd) if plan is None else
@@ -307,7 +307,7 @@ def fotd_step(p: ProblemDef, state: SolverState, cfg: SolverConfig):
     entry, which the update preserves.
     """
     t0 = time.perf_counter()
-    record, cfg, _ = _step(p, "fotd", state, cfg,
+    record, cfg, _ = _step(p, make_plan(p.N, cfg.M, cfg.b), state, cfg,
                            _merit_terms(p, state.z, state.lam))
     record.wall_ms = 1e3 * (time.perf_counter() - t0)
     return record, cfg
@@ -369,8 +369,19 @@ def solve(p: ProblemDef, cfg: SolverConfig, init, mode: str = "fotd") -> SolveRe
     ``mode`` selects the decomposed direction ("fotd") or the exact one
     ("centralized").  The initial state component of z0 is overwritten with
     the problem's initial state.  Solver failures are reported with
-    status "error" and the history intact.
+    status "error" and the history intact.  The decomposed direction's plan
+    is built before the first evaluation, so an invalid ``M`` or ``b``
+    raises ValueError before any callback runs; it is rebuilt only when a
+    penalty adaptation widens the overlap.
     """
     if mode not in ("fotd", "centralized"):
         raise ValueError(f"unknown mode {mode!r}")
-    return run_outer_loop(p, cfg, init, functools.partial(_step, p, mode))
+    plan = make_plan(p.N, cfg.M, cfg.b) if mode == "fotd" else None
+
+    def step(state: SolverState, cfg: SolverConfig, terms: MeritTerms):
+        nonlocal plan
+        if plan is not None and plan.b != cfg.b:  # an adaptation widened b
+            plan = make_plan(p.N, cfg.M, cfg.b)
+        return _step(p, plan, state, cfg, terms)
+
+    return run_outer_loop(p, cfg, init, step)

@@ -85,67 +85,45 @@ def truncated_problem(sub: NonlinearSubproblem) -> ProblemDef:
     p = sub.parent
     off, m2, mu = sub.m1, sub.m2, sub.mu
     T = m2 - off
-    nx = p.n_x
-    adjusted = sub.has_adjusted_terminal
     ubar, lbar, xbar = sub.u_end, sub.lam_next, sub.x_end
+    terminal = {}
+    if sub.has_adjusted_terminal:
+        def cost(x):
+            dx = x - xbar
+            return (p.stage_cost(m2, x, ubar)
+                    - float(lbar @ np.asarray(p.dynamics(m2, x, ubar)))
+                    + 0.5 * mu * float(dx @ dx))
+
+        def gradient(x):
+            gx, _ = p.cost_gradient(m2, x, ubar)
+            A, _ = p.dynamics_jacobians(m2, x, ubar)
+            return gx - A.T @ lbar + mu * (x - xbar)
+
+        def hessian(x):
+            Qc, _, _ = p.cost_hessian(m2, x, ubar)
+            Wxx, _, _ = p.dynamics_hessian_contraction(m2, x, ubar, lbar)
+            return Qc + Wxx + mu * np.eye(p.n_x)
+
+        terminal = {"stage_cost": cost, "cost_gradient": gradient,
+                    "cost_hessian": hessian}
 
     def shifted(name):
-        """Decorator: give a callback the parent's batched ``name`` on m1 + ks."""
-        form = getattr(getattr(p, name), "batched", None)
+        """The parent's ``name`` at stage m1 + k, or the adjusted terminal at T."""
+        fn, end = getattr(p, name), terminal.get(name)
+
+        def callback(k, x, *args):
+            return fn(off + k, x, *args) if end is None or k < T else end(x)
+
+        form = getattr(fn, "batched", None)
         if form is None:
-            return lambda fn: fn
-        return stage_batched(lambda ks, *arrays: form(off + ks, *arrays))
-
-    @shifted("stage_cost")
-    def stage_cost(k, x, u=None):
-        if k < T:
-            return p.stage_cost(off + k, x, u)
-        if not adjusted:
-            return p.stage_cost(m2, x)
-        dx = x - xbar
-        return (p.stage_cost(m2, x, ubar)
-                - float(lbar @ np.asarray(p.dynamics(m2, x, ubar)))
-                + 0.5 * mu * float(dx @ dx))
-
-    @shifted("cost_gradient")
-    def cost_gradient(k, x, u=None):
-        if k < T:
-            return p.cost_gradient(off + k, x, u)
-        if not adjusted:
-            return p.cost_gradient(m2, x)
-        gx, _ = p.cost_gradient(m2, x, ubar)
-        A, _ = p.dynamics_jacobians(m2, x, ubar)
-        return gx - A.T @ lbar + mu * (x - xbar)
-
-    @shifted("cost_hessian")
-    def cost_hessian(k, x, u=None):
-        if k < T:
-            return p.cost_hessian(off + k, x, u)
-        if not adjusted:
-            return p.cost_hessian(m2, x)
-        Qc, _, _ = p.cost_hessian(m2, x, ubar)
-        Wxx, _, _ = p.dynamics_hessian_contraction(m2, x, ubar, lbar)
-        return Qc + Wxx + mu * np.eye(nx)
-
-    @shifted("dynamics")
-    def dynamics(k, x, u):
-        return p.dynamics(off + k, x, u)
-
-    @shifted("dynamics_jacobians")
-    def dynamics_jacobians(k, x, u):
-        return p.dynamics_jacobians(off + k, x, u)
-
-    @shifted("dynamics_hessian_contraction")
-    def dynamics_hessian_contraction(k, x, u, lam):
-        return p.dynamics_hessian_contraction(off + k, x, u, lam)
+            return callback
+        return stage_batched(lambda ks, *arrays: form(off + ks, *arrays))(callback)
 
     return ProblemDef(
         N=T, n_x=p.n_x, n_u=p.n_u, x0=sub.x_start,
-        stage_cost=stage_cost, cost_gradient=cost_gradient,
-        cost_hessian=cost_hessian, dynamics=dynamics,
-        dynamics_jacobians=dynamics_jacobians,
-        dynamics_hessian_contraction=dynamics_hessian_contraction,
-    )
+        **{name: shifted(name) for name in (
+            "stage_cost", "cost_gradient", "cost_hessian", "dynamics",
+            "dynamics_jacobians", "dynamics_hessian_contraction")})
 
 
 def solve_nonlinear_subproblem(sub: NonlinearSubproblem,
@@ -162,8 +140,7 @@ def solve_nonlinear_subproblem(sub: NonlinearSubproblem,
     xw, uw, lw = warm
     cfg = SolverConfig(kkt_tol=INNER_TOL, step_tol=0.0,
                        max_iters=inner_max_iters)
-    report = solve(trunc, cfg, (Trajectory(xw.copy(), uw.copy()),
-                                DualTrajectory(lw.copy())),
+    report = solve(trunc, cfg, (Trajectory(xw, uw), DualTrajectory(lw)),
                    mode="centralized")
     if report.status != STATUS_KKT:
         raise SubproblemFailure(

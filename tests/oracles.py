@@ -3,16 +3,19 @@
 Everything here deliberately avoids the package's structured solve paths:
 systems are assembled densely with plain index arithmetic and solved with
 numpy, finite differences are central, and Newton iterations for reference
-KKT points run without any globalization.
+KKT points run without any globalization.  :func:`recording` copies a problem
+so that its callbacks record the stages they are called on.
 """
 
+from collections import defaultdict
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 
 from fotd.banded import hessian_vector_product, jacobian_products
 from fotd.problem import (DualTrajectory, MeritTerms, ProblemDef, Trajectory,
-                          stack_primal)
+                          stack_primal, stage_batched)
 
 
 # ---------------------------------------------------------------------------
@@ -384,3 +387,35 @@ def random_point(p: ProblemDef, seed=0, scale=1.0):
                    rng.uniform(-scale, scale, (p.N, p.n_u)))
     lam = DualTrajectory(rng.uniform(-scale, scale, (p.N + 1, p.n_x)))
     return z, lam
+
+
+# ---------------------------------------------------------------------------
+# Callback call records
+# ---------------------------------------------------------------------------
+
+CALLBACKS = ("stage_cost", "cost_gradient", "cost_hessian", "dynamics",
+             "dynamics_jacobians", "dynamics_hessian_contraction")
+
+
+def recording(p: ProblemDef):
+    """Copy of ``p`` whose callbacks record their per-stage and batched calls.
+
+    Returns the copy, the stages of every per-stage call and the stage
+    tuples of every batched call, both keyed by callback name.  A callback
+    keeps its batched form when it has one.
+    """
+    stages, batches = defaultdict(list), defaultdict(list)
+
+    def recorded(name):
+        fn = getattr(p, name)
+
+        def callback(k, *args):
+            stages[name].append(k)
+            return fn(k, *args)
+
+        def form(ks, *arrays):
+            batches[name].append(tuple(ks.tolist()))
+            return fn.batched(ks, *arrays)
+        return stage_batched(form)(callback) if hasattr(fn, "batched") else callback
+
+    return replace(p, **{name: recorded(name) for name in CALLBACKS}), stages, batches

@@ -1,4 +1,6 @@
+import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -144,6 +146,40 @@ def test_initializations_protocol():
         np.testing.assert_array_equal(la.lam, lb.lam)
     other = make_initializations(p, 5, seed=43)
     assert not np.array_equal(other[1][0].x, inits[1][0].x)
+
+
+@functools.lru_cache(maxsize=None)
+def _plate_protocol_reports(mode):
+    """The paper's random-init protocol on the plate at m=4: N=100, M=10,
+    b=5, five inits of seed 0, one solve each in ``mode``."""
+    p = make_plate_problem(PlateSpec(m=4, N=100))
+    return [solve(p, SolverConfig(M=10, b=5), init, mode=mode)
+            for init in make_initializations(p, 5, 0)]
+
+
+_PLATE_RANDOM_INITS_FAIL = pytest.mark.xfail(strict=True, reason=(
+    "from a Uniform(-1e5, 1e5) init the plate at m=4 fails the paper's "
+    "protocol: fotd raises MuTooSmallError at iteration 0, and centralized "
+    "raises NonDescentError after 24-39 iterations"))
+
+
+@pytest.mark.parametrize("init", [0] + [
+    pytest.param(i, marks=_PLATE_RANDOM_INITS_FAIL) for i in range(1, 5)])
+@pytest.mark.parametrize("mode", ["fotd", "centralized"])
+def test_plate_random_init_protocol_converges(mode, init):
+    assert _plate_protocol_reports(mode)[init].converged
+
+
+@pytest.mark.parametrize("mode", ["fotd", "centralized"])
+def test_plate_random_init_protocol_converges_or_names_the_failure(mode):
+    for report in _plate_protocol_reports(mode):
+        if report.converged:
+            continue
+        assert report.status == "error"
+        assert report.error.endswith(f" (iteration {report.iterations})")
+        if mode == "fotd":
+            assert re.search(r"^subproblem \d+ .* stage \d+ failed",
+                             report.error)
 
 
 def test_generated_derivatives_pass_fd_suite():

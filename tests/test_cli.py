@@ -155,6 +155,32 @@ def test_sweep_takes_one_mode_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flags, names", [
+    ("solve", ["--mode", "fotd", "--mode", "fotd"],
+     "--mode fotd given more than once"),
+    ("solve", ["--mode", "schwarz", "--mode", "fotd", "--mode", "schwarz"],
+     "--mode schwarz given more than once"),
+    ("sweep", ["--b", "2,2"],
+     "(b=2, mu=25.0) and (b=2, mu=25.0) would both write b2_mu25"),
+    ("sweep", ["--b", "2,2", "--mu", "25,25.0000001"],
+     "(b=2, mu=25.0) and (b=2, mu=25.0000001) would both write b2_mu25"),
+], ids=["solve-mode-twice", "solve-mode-twice-apart", "sweep-b-twice",
+        "sweep-mu-same-to-6-digits"])
+def test_runs_that_would_write_one_file_exit_2(tmp_path, monkeypatch, capsys,
+                                              command, flags, names):
+    import fotd.cli as cli
+    solved = []
+    monkeypatch.setattr(cli, "_run_one", lambda *args: solved.append(args))
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, TOY_CFG % (tmp_path / "out"))
+    assert main([command, "--config", path, *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert names in err
+    assert solved == []
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.yaml"]
+
+
 @pytest.mark.parametrize("flag, given, block, key, val", [
     ("out", "elsewhere", "run", "out_dir", "elsewhere"),
     ("seed", "7", "run", "seed", 7),

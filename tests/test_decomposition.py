@@ -358,9 +358,10 @@ def test_riccati_batches_split_where_the_spacing_of_starts_changes():
     p, _ = make_random_lq(80, RICCATI_MIN_NX, 2, seed=20)
     z, lam = random_point(p, seed=21)
     nd = assemble_newton_data(p, z, lam)
-    # Subproblems 1, 2, 4 and 5 all span 14 stages, from 8, 18, 43 and 53.
+    # Subproblems 1, 2, 4 and 5 all span 14 stages, from 8, 18, 43 and 53:
+    # starts not evenly spaced, so each is solved alone.
     plan = make_plan(80, b=2, knots=(0, 10, 20, 30, 45, 55, 65, 80))
-    assert _riccati_batches(plan) == [[0], [1, 2], [4, 5], [3], [6]]
+    assert _riccati_batches(plan) == [[0], [1], [2], [4], [5], [3], [6]]
     with pytest.raises(ValueError, match="evenly spaced"):
         solve_subproblems_riccati(nd, plan, [1, 2, 4], 25.0)
     # A member solves bit for bit as it does alone, so the batching does
@@ -371,6 +372,15 @@ def test_riccati_batches_split_where_the_spacing_of_starts_changes():
     got = approximate_direction(nd, plan, 25.0)
     assert np.array_equal(got.dz, stack_primal(dx, du))
     assert np.array_equal(got.dlam, dlam.ravel())
+
+
+@pytest.mark.parametrize("N, M, batches", [
+    (500, 10, [[0, 9], list(range(1, 9))]),  # the plate-m6 workload's plan
+    (1000, 2, [[0, 1]]),
+    (60, 1, [[0]]),
+])
+def test_even_knots_give_one_riccati_batch_per_length(N, M, batches):
+    assert _riccati_batches(make_plan(N, M, 5)) == batches
 
 
 def test_riccati_windows_past_the_horizon_raise():

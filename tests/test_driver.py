@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from fotd.benchmarks import ToySpec, make_initializations, make_toy_problem
+from fotd.benchmarks import (ToySpec, make_initializations, make_toy_problem,
+                             toy_case_params)
+from fotd.decomposition import make_plan
 from fotd.driver import (MERIT_NOISE, SolverConfig, SolverState, _step,
                          adapt_penalties, armijo_backtrack,
                          direction_error_diagnostic, fotd_step, line_search,
@@ -12,7 +14,7 @@ from fotd.exceptions import NonDescentError, UndefinedRatioError
 from fotd.newton import NewtonDirection, assemble_newton_data, solve_full_newton
 from fotd.problem import DualTrajectory, PenaltyParams, Trajectory
 
-from oracles import newton_solve_to_kkt, random_point
+from oracles import newton_solve_to_kkt, random_point, recording
 
 
 def toy(N, C1=8.0, C2=1.0, d=lambda k: 1.0):
@@ -106,6 +108,37 @@ def test_solve_stops_immediately_at_kkt_point():
     assert report.status == "converged_kkt"
     assert report.iterations == 0
     assert len(report.records) == 1
+
+
+@pytest.mark.parametrize("M, b, names", [
+    (7, 5, "M=7 must divide N=60"),
+    (3, 60, "overlap b=60 must be smaller than the horizon N=60"),
+], ids=["M", "b"])
+def test_fotd_plan_is_checked_before_the_first_evaluation(M, b, names):
+    # toy case 1 at N=60: M=7 does not divide N and b=60 is not below it.
+    # From an init already under kkt_tol the solve would otherwise stop
+    # without ever building the plan.
+    spec, _ = toy_case_params(1, N=60)
+    p = make_toy_problem(spec)
+    q, stages, batches = recording(p)
+    solved = newton_solve_to_kkt(p, tol=1e-13)
+    assert solve(p, SolverConfig(), solved, mode="centralized").iterations == 0
+    for init in (make_initializations(p, 2, seed=0)[1], solved):
+        with pytest.raises(ValueError, match=names):
+            solve(q, SolverConfig(M=M, b=b), init, mode="fotd")
+        assert stages == {} and batches == {}
+
+
+def test_fotd_builds_its_plan_once_per_solve(monkeypatch):
+    import fotd.driver as driver
+    built = []
+    monkeypatch.setattr(driver, "make_plan",
+                        lambda *args: built.append(args) or make_plan(*args))
+    p = toy(N=60)
+    report = solve(p, SolverConfig(M=3, b=2), make_initializations(p, 2, 4)[1],
+                   mode="fotd")
+    assert report.converged and report.iterations > 1
+    assert built == [(60, 3, 2)]
 
 
 def test_step_from_near_kkt_triggers_step_tolerance():
@@ -245,7 +278,7 @@ def test_violation_aborts_by_default(monkeypatch):
 
     def step(state, cfg, terms):
         try:
-            return _step(p, "fotd", state, cfg, terms)
+            return _step(p, make_plan(p.N, cfg.M, cfg.b), state, cfg, terms)
         except NonDescentError as exc:
             raised.append(exc)
             raise

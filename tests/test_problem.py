@@ -1,5 +1,5 @@
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -14,12 +14,12 @@ from fotd.problem import (DualTrajectory, PenaltyParams, ProblemDef, Trajectory,
                           eval_lagrangian_gradient, eval_merit,
                           eval_merit_gradient, eval_objective, kkt_residual,
                           linearize, load_point_csv, save_point_csv,
-                          split_primal, stack_primal, stage_batched)
+                          split_primal, stack_primal)
 from fotd.schwarz import subproblem_from_iterate, truncated_problem
 
-from oracles import (central_diff, dense_kkt_system, make_random_lq,
-                     newton_solve_to_kkt, random_point, stagewise_linearize,
-                     stagewise_merit_terms)
+from oracles import (CALLBACKS, central_diff, dense_kkt_system,
+                     make_random_lq, newton_solve_to_kkt, random_point,
+                     recording, stagewise_linearize, stagewise_merit_terms)
 
 
 def toy(N=2, C1=8.0, C2=1.0, d=lambda k: 1.0):
@@ -249,10 +249,6 @@ def test_linearize_matches_dense_kkt_oracle(family):
     np.testing.assert_array_equal(np.concatenate([gz, gl]), rhs)
 
 
-CALLBACKS = ("stage_cost", "cost_gradient", "cost_hessian", "dynamics",
-             "dynamics_jacobians", "dynamics_hessian_contraction")
-
-
 def _counting(p: ProblemDef):
     """Copy of ``p`` whose callbacks count their calls into the returned Counter."""
     calls = Counter()
@@ -286,30 +282,6 @@ def test_linearization_calls_each_callback_once_per_stage(evaluate,
                      "dynamics": N}
 
 
-def _recording(p: ProblemDef):
-    """Copy of ``p`` whose callbacks record their per-stage and batched calls.
-
-    Returns the copy, the stages of every per-stage call and the stage
-    tuples of every batched call, both keyed by callback name.  A callback
-    keeps its batched form when it has one.
-    """
-    stages, batches = defaultdict(list), defaultdict(list)
-
-    def recorded(name):
-        fn = getattr(p, name)
-
-        def callback(k, *args):
-            stages[name].append(k)
-            return fn(k, *args)
-
-        def form(ks, *arrays):
-            batches[name].append(tuple(ks.tolist()))
-            return fn.batched(ks, *arrays)
-        return stage_batched(form)(callback) if hasattr(fn, "batched") else callback
-
-    return replace(p, **{name: recorded(name) for name in CALLBACKS}), stages, batches
-
-
 @pytest.mark.parametrize("family", ["toy", "plate"])
 def test_native_forms_take_one_batched_call_per_callback(family):
     # a silent fallback to the per-stage loop would pass every equality
@@ -318,7 +290,7 @@ def test_native_forms_take_one_batched_call_per_callback(family):
         p = toy(N=7, d=lambda k: math.sin(k))
     else:
         p = make_plate_problem(PlateSpec(m=4, N=20))
-    q, stages, batches = _recording(p)
+    q, stages, batches = recording(p)
     N, every = p.N, tuple(range(p.N))
     z, lam = random_point(q, seed=13)
     linearize(q, z, lam)

@@ -1,18 +1,24 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from fotd.benchmarks import ToySpec, make_initializations, make_toy_problem
+from fotd.benchmarks import (PlateSpec, ToySpec, make_initializations,
+                             make_plate_problem, make_toy_problem,
+                             toy_case_params)
 from fotd.decomposition import approximate_direction, decompose, make_plan
 from fotd.driver import SolverConfig, solve
 from fotd.exceptions import SubproblemFailure
 from fotd.newton import assemble_newton_data
-from fotd.problem import DualTrajectory, Trajectory, kkt_residual
+from fotd.problem import (DualTrajectory, Trajectory, _merit_terms,
+                          kkt_residual, linearize)
 from fotd.schwarz import (boundary_compatibility, one_newton_schwarz_step,
                           schwarz_solve, solve_nonlinear_subproblem,
                           subproblem_from_iterate, truncated_problem)
 
-from oracles import (central_diff, dense_full_newton, make_random_lq,
-                     newton_solve_to_kkt, random_point)
+from oracles import (CALLBACKS, central_diff, dense_full_newton,
+                     make_random_lq, newton_solve_to_kkt, random_point,
+                     recording)
 
 
 def toy(N, C1=8.0, C2=1.0, d=lambda k: 1.0):
@@ -54,6 +60,50 @@ def test_truncated_plate_terminal_hessian_carries_the_contraction():
                                                sub.lam_next)
     assert np.abs(Wxx).max() > 1e-3 * np.abs(h).max()
     np.testing.assert_allclose(h, fdh, rtol=1e-6, atol=1e-9 * np.abs(h).max())
+
+
+@pytest.mark.parametrize("family", ["toy-c3", "plate"])
+def test_truncation_shifts_batched_and_per_stage_callbacks_alike(family):
+    # The parent's dynamics is a plain per-stage callable; every other
+    # callback keeps its batched form.  Toy case 3 varies its reference by
+    # stage, so a stage that is not shifted by m1 shows.
+    if family == "toy-c3":
+        p = make_toy_problem(toy_case_params(3, N=30)[0])
+    else:
+        p = make_plate_problem(PlateSpec(m=4, N=30))
+    z, lam = random_point(p, seed=4, scale=3.0)
+    mixed, stages, batches = recording(
+        replace(p, dynamics=lambda k, x, u: p.dynamics(k, x, u)))
+    sub = subproblem_from_iterate(mixed, make_plan(30, 3, 2), 1, 25.0, z, lam)
+    assert sub.m1 > 0 and sub.has_adjusted_terminal
+    trunc = truncated_problem(sub)
+    m2, shifted = sub.m2, tuple(range(sub.m1, sub.m2))
+    zt, lt = random_point(trunc, seed=5, scale=3.0)
+
+    lin = linearize(trunc, zt, lt)
+    assert batches == {name: [shifted] for name in CALLBACKS
+                       if name not in ("stage_cost", "dynamics")}
+    assert stages == {"dynamics": list(shifted), "cost_gradient": [m2],
+                      "dynamics_jacobians": [m2], "cost_hessian": [m2],
+                      "dynamics_hessian_contraction": [m2]}
+    stages.clear()
+    batches.clear()
+    terms = _merit_terms(trunc, zt, lt)
+    assert batches == {name: [shifted] for name in
+                       ("stage_cost", "cost_gradient", "dynamics_jacobians")}
+    assert stages == {"dynamics": list(shifted) + [m2], "stage_cost": [m2],
+                      "cost_gradient": [m2], "dynamics_jacobians": [m2]}
+
+    # the truncation of a parent without any batched form
+    plain = replace(p, **{name: (lambda fn: lambda *args: fn(*args))(
+        getattr(p, name)) for name in CALLBACKS})
+    ref = truncated_problem(replace(sub, parent=plain))
+    for got, want in zip(lin, linearize(ref, zt, lt)):
+        np.testing.assert_array_equal(got, want)
+    want = _merit_terms(ref, zt, lt)
+    assert terms.lagr == want.lagr
+    np.testing.assert_array_equal(terms.gz, want.gz)
+    np.testing.assert_array_equal(terms.gl, want.gl)
 
 
 def test_inner_solver_returns_warm_start_at_subproblem_optimum():
