@@ -10,8 +10,8 @@ threshold on that instance.
 
 import numpy as np
 
-from fotd import (BoundaryVars, MuTooSmallError, NewtonData,
-                  assemble_subproblem, make_plan, solve_subproblem)
+from fotd import (MuTooSmallError, NewtonData, assemble_subproblem,
+                  make_plan, solve_subproblem)
 
 
 def main():
@@ -24,12 +24,11 @@ def main():
         A=ones.copy(), B=ones.copy(),
         gx=np.zeros((3, 1)), gu=np.zeros((2, 1)), glam=np.zeros((3, 1)),
     )
-    plan = make_plan(2, b=0, knots=[0, 1, 2])
-    d = BoundaryVars.zeros(1, 1, terminal=False)
+    plan = make_plan(2, b=0, knots=[0, 1, 2])  # zero boundary values
 
     print("truncation onto stages [0, 1]; full problem is well posed\n")
     for mu in (0.0, 0.5, 0.9, 1.1, 2.0, 5.0):
-        sub = assemble_subproblem(nd, plan, 0, mu, d)
+        sub = assemble_subproblem(nd, plan, 0, mu)
         try:
             sol = solve_subproblem(sub)
             print(f"  mu = {mu:4.1f}: definite, solution norm "

@@ -253,9 +253,9 @@ def solve_lq_riccati(Q, S, R, A, B, gx, gu, c0, cdyn):
     Stage k of the backward sweep factors R_k + B_k^T P_{k+1} B_k by
     Cholesky.  If that breaks down or a pivot (squared diagonal of the
     factor) falls below PIVOT_TOL in some member, the sweep stops with
-    :class:`IndefiniteStageError` naming the first such member and the
-    stage.  No operation mixes members, so a member's result is bit for bit
-    the one it gets when solved alone.
+    :class:`IndefiniteStageError` naming the first such member, the stage
+    and the margin.  No operation mixes members, so a member's result is bit
+    for bit the one it gets when solved alone.
     """
     K, T, nx, nu = B.shape
     m = nx + nu
@@ -315,12 +315,17 @@ def solve_lq_riccati(Q, S, R, A, B, gx, gu, c0, cdyn):
 
 
 def _indefinite_member(Rt, stage: int) -> IndefiniteStageError:
-    """The error for the first member whose ``Rt`` fails the pivot test."""
+    """The error for the first member whose ``Rt`` fails the pivot test.
+
+    After a Cholesky breakdown the margin is the member's smallest
+    eigenvalue minus PIVOT_TOL, as no pivot exists to measure.
+    """
     for member, r in enumerate(Rt):
         try:
             pivot = np.diagonal(np.linalg.cholesky(r)).min() ** 2
         except np.linalg.LinAlgError:
-            return IndefiniteStageError(member, stage, None)
+            return IndefiniteStageError(
+                member, stage, float(np.linalg.eigvalsh(r)[0] - PIVOT_TOL), True)
         if not pivot >= PIVOT_TOL:
             return IndefiniteStageError(member, stage, float(pivot - PIVOT_TOL))
     raise AssertionError("a batch failed the pivot test but no member did")

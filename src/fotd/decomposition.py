@@ -19,16 +19,19 @@ guesses for the next-stage multiplier and terminal control.  With all
 boundary values set to zero, solving the M subproblems in parallel and
 composing the exclusive parts yields the approximate search direction.
 
-The subproblems go to one of two kernels, chosen by the block width n_x.
-From RICCATI_MIN_NX states on, the subproblems of each length are read
-from the Newton data through strided windows and solved together by one
+One truncation rule, :func:`_truncate`, slices the Newton data onto the
+intervals for both kernels: windows of the blocks, a copy of Q with the
+penalty on each terminal block short of N, and zero boundary values, which
+therefore cost no arithmetic.  The kernel is chosen by the
+block width n_x.  From RICCATI_MIN_NX states on, the subproblems of each
+length are truncated together, through strided windows, and solved by one
 batched Riccati sweep (:func:`banded.solve_lq_riccati`), whose stagewise
 Cholesky is the exact definiteness test.  The windows need evenly spaced
 starts, which even knots always give; a length whose starts are uneven is
 solved one subproblem at a time, which changes no direction, as a batch
-member solves bit for bit as it does alone.  Narrower blocks are solved
-one at a time by the band kernel and its H + c G^T G test, on a thread
-pool when ``workers > 1``.
+member solves bit for bit as it does alone.  Narrower blocks are truncated
+one at a time by :func:`assemble_subproblem` and solved by the band kernel
+and its H + c G^T G test, on a thread pool when ``workers > 1``.
 
 Measured on the whole direction at N=500, M=10, b=5 (subproblems of 55 and
 60 stages), random definite blocks with n_u = n_x, one x86-64 core, medians
@@ -115,7 +118,7 @@ def make_plan(N: int, M: Optional[int] = None, b: int = 1,
 
 @dataclass(frozen=True)
 class BoundaryVars:
-    """Boundary data handed to one subproblem.
+    """Nonzero boundary data handed to one subproblem.
 
     ``d1`` pins the initial state; ``d2``/``d3``/``d4`` are the terminal
     state, terminal control, and next-stage multiplier guesses.  The last
@@ -126,12 +129,6 @@ class BoundaryVars:
     d2: Optional[np.ndarray] = None
     d3: Optional[np.ndarray] = None
     d4: Optional[np.ndarray] = None
-
-    @classmethod
-    def zeros(cls, n_x: int, n_u: int, terminal: bool) -> "BoundaryVars":
-        if terminal:
-            return cls(np.zeros(n_x))
-        return cls(np.zeros(n_x), np.zeros(n_x), np.zeros(n_u), np.zeros(n_x))
 
 
 def decompose(x: np.ndarray, u: np.ndarray, lam: np.ndarray,
@@ -203,39 +200,29 @@ class SubproblemSolution:
     zeta: np.ndarray
 
 
-def _penalize_terminal(nd: NewtonData, m2: int, mu: float, d: BoundaryVars,
-                       Q: np.ndarray, gx: np.ndarray) -> None:
-    """Give a terminal boundary at m2 < N its cost, in place in Q[-1] and gx[-1]."""
-    Q[-1] += mu * np.eye(nd.n_x)
-    gx[-1] = gx[-1] - nd.A[m2].T @ d.d4 + nd.S[m2].T @ d.d3 - mu * d.d2
-
-
 def assemble_subproblem(nd: NewtonData, plan: DecompositionPlan, i: int,
-                        mu: float, d: BoundaryVars) -> SubproblemData:
+                        mu: float,
+                        d: Optional[BoundaryVars] = None) -> SubproblemData:
     """Truncate the Newton problem onto extended interval i.
 
-    For a terminal boundary short of N the terminal quadratic block becomes
-    Q_{m2} + mu * I and the linear term
-    gx_{m2} - A_{m2}^T d4 + S_{m2}^T d3 - mu * d2; when m2 = N the original
-    terminal cost is restored and only d1 applies.
+    This is member 0 of :func:`_truncate`, the rule the Riccati kernel reads
+    too: zero boundary values, and the terminal block Q_{m2} + mu * I when
+    m2 < N.  Boundary values ``d``, when given, are added on top: c0 = d1,
+    and short of N the terminal linear term becomes
+    gx_{m2} - A_{m2}^T d4 + S_{m2}^T d3 - mu * d2, with stage m2's own A and
+    S, which lie outside the window.  When m2 = N only d1 applies.
     """
-    if mu < 0:
-        raise ValueError(f"mu must be nonnegative, got {mu}")
+    Q, S, R, A, B, gx, gu, c0, cdyn = [a[0] for a in _truncate(nd, plan, [i], mu)]
     m1, m2 = plan.m1[i], plan.m2[i]
-    Q = nd.Q[m1:m2 + 1].copy()
-    gx = nd.gx[m1:m2 + 1].copy()
-    if m2 == plan.N:
-        if d.d2 is not None or d.d3 is not None or d.d4 is not None:
+    if d is not None:
+        if m2 == plan.N and any(v is not None for v in (d.d2, d.d3, d.d4)):
             raise ValueError("terminal boundary values are not used when the "
                              "interval reaches the end of the horizon")
-    else:
-        _penalize_terminal(nd, m2, mu, d, Q, gx)
-    return SubproblemData(
-        index=i, m1=m1, m2=m2, mu=mu,
-        Q=Q, S=nd.S[m1:m2], R=nd.R[m1:m2], A=nd.A[m1:m2], B=nd.B[m1:m2],
-        gx=gx, gu=nd.gu[m1:m2],
-        c0=d.d1.copy(), cdyn=-nd.glam[m1 + 1:m2 + 1],
-    )
+        c0 = d.d1.copy()
+        if m2 < plan.N:
+            gx = gx.copy()
+            gx[-1] = gx[-1] - nd.A[m2].T @ d.d4 + nd.S[m2].T @ d.d3 - mu * d.d2
+    return SubproblemData(i, m1, m2, mu, Q, S, R, A, B, gx, gu, c0, cdyn)
 
 
 def solve_subproblem(sub: SubproblemData,
@@ -252,24 +239,60 @@ def solve_subproblem(sub: SubproblemData,
         c = default_definiteness_constant(sub)
     if not banded.definiteness_pivots_ok(*blocks, c):
         stage, margin = banded.pivot_failure(*blocks, c)
-        raise MuTooSmallError(sub.index, sub.mu, sub.m1 + stage, margin)
+        raise MuTooSmallError(sub.index, sub.mu, sub.m1 + stage, margin,
+                              margin is None)
     p, q, zeta = banded.solve_lq_kkt(*blocks, sub.gx, sub.gu, sub.c0, sub.cdyn)
     return SubproblemSolution(sub.index, p, q, zeta)
 
 
 def _windows(arr: np.ndarray, first: int, step: int, count: int,
              length: int) -> np.ndarray:
-    """Read-only (count, length, ...) view of arr[first + j*step + t].
+    """(count, length, ...) view of arr[first + j*step + t].
 
-    Raises ValueError instead of making a view that runs past ``arr``.
+    One window is a plain slice with a leading axis of one; more windows
+    overlap, so their strided view is read-only.  Raises ValueError instead
+    of making a view that runs past ``arr``.
     """
     span = arr[first:first + (count - 1) * step + length]
     if step < 0 or span.shape[0] != (count - 1) * step + length:
         raise ValueError(f"{count} windows of {length} stages from {first} "
                          f"every {step} run past {arr.shape[0]} stages")
-    return np.lib.stride_tricks.as_strided(
+    return span[None] if count == 1 else np.lib.stride_tricks.as_strided(
         span, (count, length) + span.shape[1:],
         (step * span.strides[0],) + span.strides, writeable=False)
+
+
+def _truncate(nd: NewtonData, plan: DecompositionPlan, indices: Sequence[int],
+              mu: float):
+    """The LQ kernels' arguments for subproblems ``indices``, zero boundaries.
+
+    The one code that slices ``nd`` onto intervals.  Returns
+    ``(Q, S, R, A, B, gx, gu, c0, cdyn)``, each with a leading member axis
+    in the order of ``indices``.  Q is the only copy: each member that ends
+    short of N has mu * I added to its terminal block.  S, R, A, B, gx and
+    gu are windows of ``nd`` (see :func:`_windows`), c0 is zero and cdyn is
+    -glam on the window's later stages.  The subproblems must be of one
+    length and start at evenly spaced stages, as one subproblem always is.
+    """
+    if mu < 0:
+        raise ValueError(f"mu must be nonnegative, got {mu}")
+    K, first = len(indices), plan.m1[indices[0]]
+    T = plan.m2[indices[0]] - first
+    step = plan.m1[indices[1]] - first if K > 1 else 0
+    if K > 1 and any(plan.m1[i] != first + j * step or plan.m2[i] != T + plan.m1[i]
+                     for j, i in enumerate(indices)):
+        raise ValueError(f"subproblems {list(indices)} are not of one length "
+                         "with evenly spaced starts")
+    S, R, A, B, gu = (_windows(a, first, step, K, T)
+                      for a in (nd.S, nd.R, nd.A, nd.B, nd.gu))
+    Q = _windows(nd.Q, first, step, K, T + 1).copy()
+    penalty = np.zeros((nd.n_x, nd.n_x))  # mu * I, cheaper than by np.eye
+    penalty.flat[::nd.n_x + 1] = mu
+    for j, i in enumerate(indices):
+        if plan.m2[i] < plan.N:
+            Q[j, -1] += penalty
+    return (Q, S, R, A, B, _windows(nd.gx, first, step, K, T + 1), gu,
+            np.zeros((K, nd.n_x)), -_windows(nd.glam, first + 1, step, K, T))
 
 
 def solve_subproblems_riccati(nd: NewtonData, plan: DecompositionPlan,
@@ -277,40 +300,19 @@ def solve_subproblems_riccati(nd: NewtonData, plan: DecompositionPlan,
                               mu: float) -> List[SubproblemSolution]:
     """Solve subproblems of one length together by one batched Riccati sweep.
 
-    The subproblems must start at evenly spaced stages, so that the batch
-    is read from ``nd`` through strided windows, with zero boundary values:
-    member j holds what ``assemble_subproblem`` gives subproblem
-    ``indices[j]``.  Only Q and gx, whose terminal blocks the penalty
-    changes, are copied.  Each solution is bit for bit the one the subproblem gets
-    alone.  A stage whose Cholesky pivot test fails raises
-    :class:`MuTooSmallError` for the first failing subproblem of the batch,
-    with that stage.
+    The batch is :func:`_truncate` of ``indices``, so the subproblems must
+    start at evenly spaced stages, and member j is what
+    :func:`assemble_subproblem` gives subproblem ``indices[j]``.  Each
+    solution is bit for bit the one the subproblem gets alone.  A stage
+    whose Cholesky pivot test fails raises :class:`MuTooSmallError` for the
+    first failing subproblem of the batch, with that stage and its margin.
     """
-    if mu < 0:
-        raise ValueError(f"mu must be nonnegative, got {mu}")
-    m1 = [plan.m1[i] for i in indices]
-    K, T = len(indices), plan.m2[indices[0]] - m1[0]
-    step = m1[1] - m1[0] if K > 1 else 0
-    if any(b - a != step for a, b in zip(m1, m1[1:])):
-        raise ValueError(f"subproblems {list(indices)} do not start at evenly "
-                         f"spaced stages: {m1}")
-
-    def window(arr, length=T, first=m1[0]):
-        return _windows(arr, first, step, K, length)
-
-    Q, gx = window(nd.Q, T + 1).copy(), window(nd.gx, T + 1).copy()
-    d = BoundaryVars.zeros(nd.n_x, nd.n_u, terminal=False)
-    for j, i in enumerate(indices):
-        if plan.m2[i] != plan.N:
-            _penalize_terminal(nd, plan.m2[i], mu, d, Q[j], gx[j])
     try:
-        p, q, zeta = banded.solve_lq_riccati(
-            Q, window(nd.S), window(nd.R), window(nd.A), window(nd.B), gx,
-            window(nd.gu), np.zeros((K, nd.n_x)),
-            -window(nd.glam, first=m1[0] + 1))
+        p, q, zeta = banded.solve_lq_riccati(*_truncate(nd, plan, indices, mu))
     except IndefiniteStageError as err:
         i = indices[err.member]
-        raise MuTooSmallError(i, mu, plan.m1[i] + err.stage, err.margin) from err
+        raise MuTooSmallError(i, mu, plan.m1[i] + err.stage, err.margin,
+                              err.breakdown) from err
     return [SubproblemSolution(i, p[j], q[j], zeta[j])
             for j, i in enumerate(indices)]
 
@@ -355,12 +357,9 @@ def approximate_direction(nd: NewtonData, plan: DecompositionPlan, mu: float,
         sols.sort(key=lambda sol: sol.index)
     else:
         norms = stage_norms_fro(nd.Q, nd.S, nd.R)
-        inner = BoundaryVars.zeros(nd.n_x, nd.n_u, terminal=False)
-        last = BoundaryVars.zeros(nd.n_x, nd.n_u, terminal=True)
 
         def solve(i: int) -> SubproblemSolution:
-            d = last if plan.m2[i] == plan.N else inner
-            sub = assemble_subproblem(nd, plan, i, mu, d)
+            sub = assemble_subproblem(nd, plan, i, mu)
             return solve_subproblem(sub, default_definiteness_constant(
                 sub, norms[sub.m1:sub.m2]))
 

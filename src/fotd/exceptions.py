@@ -39,58 +39,69 @@ class IndefiniteStageError(LinearSolverError):
     """A stage of a batched Riccati sweep failed its Cholesky pivot test.
 
     ``member`` is the problem's position in the batch and ``stage`` the
-    stage counted from that problem's start; ``margin`` is the smallest
-    pivot minus the pivot tolerance, or None after a breakdown.
+    stage counted from that problem's start.  ``margin`` is the smallest
+    pivot minus the pivot tolerance or, when the Cholesky factorization
+    broke down (``breakdown``), the smallest eigenvalue of the stage's
+    R_k + B_k^T P_{k+1} B_k minus that tolerance.
     """
 
-    def __init__(self, member: int, stage: int, margin: float | None):
+    def __init__(self, member: int, stage: int, margin: float,
+                 breakdown: bool = False):
         self.member = member
         self.stage = stage
         self.margin = margin
+        self.breakdown = breakdown
         super().__init__(f"stage {stage} of batch member {member} is not "
-                         f"positive definite ({_margin_text(margin)})")
+                         f"positive definite ({_margin_text(margin, breakdown)})")
 
 
 class IndefiniteHorizonError(LinearSolverError):
     """The full-horizon Riccati sweep failed its Cholesky pivot test.
 
-    ``stage`` is the horizon stage whose pivot test failed and ``margin``
-    the smallest pivot minus the pivot tolerance, or None after a breakdown.
+    ``stage`` is the horizon stage whose pivot test failed; ``margin`` and
+    ``breakdown`` are those of :class:`IndefiniteStageError`.
     """
 
-    def __init__(self, stage: int, margin: float | None):
+    def __init__(self, stage: int, margin: float, breakdown: bool = False):
         self.stage = stage
         self.margin = margin
+        self.breakdown = breakdown
         super().__init__(
             f"the full-horizon Newton system is not positive definite on its "
             f"constraint null space: stage {stage} failed "
-            f"({_margin_text(margin)})")
+            f"({_margin_text(margin, breakdown)})")
 
 
 class MuTooSmallError(SolverError):
     """A decomposed subproblem failed its definiteness test.
 
     Carries the subproblem ``index``, its penalty ``mu``, the horizon
-    ``stage`` where the test failed and the ``margin`` it missed by (the
-    smallest pivot minus the pivot tolerance, or None after a breakdown).
+    ``stage`` where the test failed and the ``margin`` it missed by.  On
+    the Riccati kernel that margin is the one of
+    :class:`IndefiniteStageError`; the band kernel's H + c G^T G test gives
+    its smallest pivot minus the pivot tolerance, or None after a
+    factorization breakdown, which ``breakdown`` flags for both kernels.
     """
 
     def __init__(self, index: int, mu: float, stage: int,
-                 margin: float | None):
+                 margin: float | None, breakdown: bool = False):
         self.index = index
         self.mu = mu
         self.stage = stage
         self.margin = margin
+        self.breakdown = breakdown
         super().__init__(
             f"subproblem {index} is not positive definite on its constraint "
             f"null space with mu={mu!r}: stage {stage} failed "
-            f"({_margin_text(margin)}); increase the terminal penalty"
+            f"({_margin_text(margin, breakdown)}); increase the terminal penalty"
         )
 
 
-def _margin_text(margin: float | None) -> str:
+def _margin_text(margin: float | None, breakdown: bool) -> str:
     if margin is None:
         return "factorization breakdown"
+    if breakdown:
+        return f"factorization breakdown, eigenvalue margin {margin:.3e}"
     return f"pivot margin {margin:.3e}"
 
 

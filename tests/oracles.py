@@ -153,6 +153,24 @@ def dense_reduced_hessian_eigmin(Q, S, R, A, B):
     return float(np.linalg.eigvalsh(Z.T @ H @ Z).min())
 
 
+def riccati_stage_eigmin(Q, S, R, A, B, k):
+    """Smallest eigenvalue of R_k + B_k^T P_{k+1} B_k.
+
+    P_{k+1} comes from the textbook Riccati recursion P_T = Q_T,
+    P_j = Q_j + A_j^T P A_j - St^T (R_j + B_j^T P B_j)^{-1} St with
+    St = S_j + B_j^T P A_j, made symmetric at every stage: over long
+    horizons of unstable A its rounding asymmetry would otherwise grow until
+    P is meaningless.
+    """
+    P = Q[-1]
+    for j in range(A.shape[0] - 1, k, -1):
+        St = S[j] + B[j].T @ P @ A[j]
+        P = Q[j] + A[j].T @ P @ A[j] - St.T @ np.linalg.solve(
+            R[j] + B[j].T @ P @ B[j], St)
+        P = 0.5 * (P + P.T)
+    return float(np.linalg.eigvalsh(R[k] + B[k].T @ P @ B[k])[0])
+
+
 # ---------------------------------------------------------------------------
 # Residuals of the LQ optimality system at a candidate solution
 # ---------------------------------------------------------------------------

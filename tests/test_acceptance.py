@@ -224,11 +224,10 @@ def test_criterion_8_degenerate_penalty_example():
         gx=np.zeros((3, 1)), gu=np.zeros((2, 1)), glam=np.zeros((3, 1)),
     )
     plan = make_plan(2, b=0, knots=[0, 1, 2])
-    d = BoundaryVars.zeros(1, 1, terminal=False)
-    sol = solve_subproblem(assemble_subproblem(nd, plan, 0, 2.0, d))
+    sol = solve_subproblem(assemble_subproblem(nd, plan, 0, 2.0))
     assert np.all(sol.p == 0.0) and np.all(sol.q == 0.0)
     with pytest.raises(MuTooSmallError):
-        solve_subproblem(assemble_subproblem(nd, plan, 0, 0.5, d))
+        solve_subproblem(assemble_subproblem(nd, plan, 0, 0.5))
     _report(8, "truncated indefinite subproblem: definite at mu=2 with the "
                "exact zero solution, rejected at mu=0.5")
 

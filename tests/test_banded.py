@@ -14,7 +14,7 @@ from fotd.newton import default_definiteness_constant
 
 from oracles import (dense_lq_kkt, dense_lq_matrices, dense_lq_solve,
                      dense_reduced_hessian_eigmin, lapack_band, lq_data,
-                     stage_interleaving)
+                     riccati_stage_eigmin, stage_interleaving)
 
 # (T, n_x, n_u): a single stage, n_x != n_u both ways, and plate-sized blocks.
 SHAPES = [(1, 2, 3), (1, 3, 1), (6, 2, 3), (5, 3, 1), (4, 16, 16)]
@@ -182,7 +182,13 @@ def test_riccati_names_the_first_failing_stage_and_member():
     ds[2].R[2] = -10.0 * np.eye(2)
     with pytest.raises(IndefiniteStageError) as err:
         solve_lq_riccati(*stacked(ds))
-    assert (err.value.member, err.value.stage, err.value.margin) == (1, 4, None)
+    assert (err.value.member, err.value.stage) == (1, 4)
+    # The Cholesky breaks down, so the margin is the smallest eigenvalue of
+    # member 1's R_4 + B_4^T P_5 B_4, less the pivot tolerance.
+    assert err.value.breakdown
+    assert err.value.margin == pytest.approx(
+        riccati_stage_eigmin(*blocks(ds[1]), 4) - PIVOT_TOL, rel=1e-9)
+    assert err.value.margin < -1.0
     with pytest.raises(IndefiniteStageError) as err:
         solve_lq_riccati(*stacked([ds[0], ds[2]]))
     assert (err.value.member, err.value.stage) == (1, 2)

@@ -178,8 +178,8 @@ def test_plate_random_init_protocol_converges_or_names_the_failure(mode):
         assert report.status == "error"
         assert report.error.endswith(f" (iteration {report.iterations})")
         if mode == "fotd":
-            assert re.search(r"^subproblem \d+ .* stage \d+ failed",
-                             report.error)
+            assert re.search(r"^subproblem \d+ .* stage \d+ failed \(.*"
+                             r"margin -?\d\.\d{3}e[+-]\d+\)", report.error)
 
 
 def test_generated_derivatives_pass_fd_suite():

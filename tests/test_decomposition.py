@@ -13,7 +13,7 @@ from fotd.newton import (NewtonData, assemble_newton_data,
                          default_definiteness_constant, solve_full_newton)
 from fotd.problem import stack_primal
 from oracles import (dense_lq_solve, make_random_lq, random_point,
-                     subproblem_kkt_residual)
+                     riccati_stage_eigmin, subproblem_kkt_residual)
 
 
 def toy_nd(N=20, seed=0, scale=2.0):
@@ -154,8 +154,7 @@ def test_compose_missing_part_raises():
 def test_remark1_subproblem_definite_iff_mu_large():
     nd = remark1_nd()
     plan = make_plan(2, b=0, knots=[0, 1, 2])
-    d = BoundaryVars.zeros(1, 1, terminal=False)
-    sub2 = assemble_subproblem(nd, plan, 0, 2.0, d)
+    sub2 = assemble_subproblem(nd, plan, 0, 2.0)
     # penalty cancels the indefinite terminal block: diag(1, 1, 0)
     assert sub2.Q[1][0, 0] == 0.0
     sol = solve_subproblem(sub2)
@@ -163,7 +162,7 @@ def test_remark1_subproblem_definite_iff_mu_large():
     np.testing.assert_array_equal(sol.q, np.zeros((1, 1)))
     np.testing.assert_array_equal(sol.zeta, np.zeros((2, 1)))
     with pytest.raises(MuTooSmallError) as err:
-        solve_subproblem(assemble_subproblem(nd, plan, 0, 0.5, d))
+        solve_subproblem(assemble_subproblem(nd, plan, 0, 0.5))
     assert err.value.index == 0
     # the H + c G^T G Cholesky breaks down in the terminal block's column
     assert (err.value.stage, err.value.margin) == (1, None)
@@ -191,40 +190,48 @@ def test_remark1_on_wide_blocks_takes_the_riccati_path():
     assert np.all(direction.dz == 0.0) and np.all(direction.dlam == 0.0)
     with pytest.raises(MuTooSmallError) as err:
         approximate_direction(nd, plan, 0.5)
-    # R_0 + B^T (Q_1 + mu) B = 1 - 1.5 breaks the Cholesky of stage 0
-    assert (err.value.index, err.value.stage, err.value.margin) == (0, 0, None)
-    assert "stage 0" in str(err.value)
+    # R_0 + B^T (Q_1 + mu) B = 1 - 1.5 breaks the Cholesky of stage 0, and
+    # its smallest eigenvalue -0.5 gives the margin.
+    assert (err.value.index, err.value.stage, err.value.margin) == (
+        0, 0, -0.5 - banded.PIVOT_TOL)
+    assert err.value.breakdown
+    assert ("stage 0 failed (factorization breakdown, eigenvalue margin "
+            "-5.000e-01)") in str(err.value)
 
 
 def test_last_subproblem_restores_terminal_block():
     p, nd = toy_nd(N=8)
     plan = make_plan(8, 2, 2)
-    d = BoundaryVars.zeros(1, 1, terminal=True)
-    sub = assemble_subproblem(nd, plan, 1, 25.0, d)
+    sub = assemble_subproblem(nd, plan, 1, 25.0)
     assert sub.m2 == 8
     np.testing.assert_array_equal(sub.Q[-1], nd.Q[8])      # no mu shift
     np.testing.assert_array_equal(sub.gx[-1], nd.gx[8])
     with pytest.raises(ValueError):
         assemble_subproblem(nd, plan, 1, 25.0,
-                            BoundaryVars.zeros(1, 1, terminal=False))
+                            BoundaryVars(*np.zeros((4, 1))))
 
 
 def test_exact_boundaries_reproduce_truncated_direction():
-    p, nd = toy_nd(N=20, seed=4)
-    plan = make_plan(20, 4, 2)
-    exact = solve_full_newton(nd)
-    dx, du, dl = exact.stage_arrays(20, 1, 1)
-    for i in range(plan.M):
-        m1, m2 = plan.m1[i], plan.m2[i]
-        if m2 == plan.N:
-            d = BoundaryVars(dx[m1].copy())
-        else:
-            d = BoundaryVars(dx[m1].copy(), dx[m2].copy(), du[m2].copy(),
-                             dl[m2 + 1].copy())
-        sol = solve_subproblem(assemble_subproblem(nd, plan, i, 25.0, d))
-        np.testing.assert_allclose(sol.p, dx[m1:m2 + 1], atol=1e-8)
-        np.testing.assert_allclose(sol.q, du[m1:m2], atol=1e-8)
-        np.testing.assert_allclose(sol.zeta, dl[m1:m2 + 1], atol=1e-8)
+    # The toy's A and S are constant, so only the random problem tells stage
+    # m2's blocks, which the terminal boundary terms use, from stage m2 - 1's.
+    rand, _ = make_random_lq(20, 2, 1, seed=11)
+    z, lam = random_point(rand, seed=12)
+    for p, nd in (toy_nd(N=20, seed=4),
+                  (rand, assemble_newton_data(rand, z, lam))):
+        plan = make_plan(20, 4, 2)
+        exact = solve_full_newton(nd)
+        dx, du, dl = exact.stage_arrays(20, p.n_x, p.n_u)
+        for i in range(plan.M):
+            m1, m2 = plan.m1[i], plan.m2[i]
+            if m2 == plan.N:
+                d = BoundaryVars(dx[m1].copy())
+            else:
+                d = BoundaryVars(dx[m1].copy(), dx[m2].copy(), du[m2].copy(),
+                                 dl[m2 + 1].copy())
+            sol = solve_subproblem(assemble_subproblem(nd, plan, i, 25.0, d))
+            np.testing.assert_allclose(sol.p, dx[m1:m2 + 1], atol=1e-8)
+            np.testing.assert_allclose(sol.q, du[m1:m2], atol=1e-8)
+            np.testing.assert_allclose(sol.zeta, dl[m1:m2 + 1], atol=1e-8)
 
 
 def test_subproblem_solution_matches_dense_and_residual():
@@ -326,9 +333,7 @@ def test_riccati_direction_matches_band_subproblems_on_the_plate():
     nd = assemble_newton_data(p, z, lam)
     plan = make_plan(60, 4, 3)  # subproblems of 18 and 21 stages
     got = approximate_direction(nd, plan, 25.0)
-    sols = [solve_subproblem(assemble_subproblem(
-                nd, plan, i, 25.0,
-                BoundaryVars.zeros(p.n_x, p.n_u, terminal=plan.m2[i] == 60)))
+    sols = [solve_subproblem(assemble_subproblem(nd, plan, i, 25.0))
             for i in range(plan.M)]
     dx, du, dlam = compose([(s.p, s.q, s.zeta) for s in sols], plan)
     for a, b in ((got.dz, stack_primal(dx, du)),
@@ -343,8 +348,7 @@ def test_riccati_batches_are_gathered_as_assemble_subproblem_truncates():
     plan = make_plan(40, 4, 2)  # lengths 12, 14, 14, 12; the last reaches N
     fields = ("Q", "S", "R", "A", "B", "gx", "gu", "c0", "cdyn")
     for group in ([1, 2], [0, 3], [3]):
-        subs = [assemble_subproblem(nd, plan, i, 25.0, BoundaryVars.zeros(
-                    p.n_x, p.n_u, terminal=plan.m2[i] == 40)) for i in group]
+        subs = [assemble_subproblem(nd, plan, i, 25.0) for i in group]
         want = banded.solve_lq_riccati(
             *[np.stack([getattr(sub, f) for sub in subs]) for f in fields])
         got = solve_subproblems_riccati(nd, plan, group, 25.0)
@@ -364,6 +368,8 @@ def test_riccati_batches_split_where_the_spacing_of_starts_changes():
     assert _riccati_batches(plan) == [[0], [1], [2], [4], [5], [3], [6]]
     with pytest.raises(ValueError, match="evenly spaced"):
         solve_subproblems_riccati(nd, plan, [1, 2, 4], 25.0)
+    with pytest.raises(ValueError, match="one length"):
+        solve_subproblems_riccati(nd, plan, [0, 1], 25.0)  # 12 and 14 stages
     # A member solves bit for bit as it does alone, so the batching does
     # not show in the direction.
     alone = [solve_subproblems_riccati(nd, plan, [i], 25.0)[0]
@@ -391,6 +397,13 @@ def test_riccati_windows_past_the_horizon_raise():
         assert np.array_equal(got[j], arr[3 * j:3 * j + 4])
     with pytest.raises(ValueError, match="run past"):
         _windows(arr, 1, 3, 3, 4)  # the last window would end at stage 10
+    one = _windows(arr, 6, 3, 1, 4)  # one window: the step is never taken
+    assert one.shape == (1, 4, 2)
+    assert one[0].ctypes.data == arr[6].ctypes.data
+    assert one[0].strides == arr.strides
+    assert np.array_equal(one[0], arr[6:10])
+    with pytest.raises(ValueError, match="run past"):
+        _windows(arr, 7, 0, 1, 4)  # it would end at stage 10
 
 
 @pytest.mark.parametrize("nx,nu", [(1, 1), (2, 3), (3, 2)])
@@ -409,8 +422,7 @@ def test_band_subproblems_are_tested_with_their_own_constant(monkeypatch, nx, nu
     # The constants come from one norm pass over the horizon, bit for bit
     # the ones each assembled subproblem gives alone.
     assert seen == [default_definiteness_constant(assemble_subproblem(
-        nd, plan, i, 25.0, BoundaryVars.zeros(nx, nu, terminal=plan.m2[i] == 40)))
-        for i in range(plan.M)]
+        nd, plan, i, 25.0)) for i in range(plan.M)]
 
 
 def test_toy_plan_solves_each_subproblem_with_the_band_kernel(monkeypatch):
@@ -444,4 +456,12 @@ def test_riccati_path_names_the_first_failing_subproblem_in_plan_order():
     nd.R[25] = -100.0 * np.eye(2)  # only in subproblem 2
     with pytest.raises(MuTooSmallError) as err:
         approximate_direction(nd, plan, 25.0)
-    assert (err.value.index, err.value.stage, err.value.margin) == (2, 25, None)
+    assert (err.value.index, err.value.stage) == (2, 25)
+    # The Cholesky breaks down; the margin is the smallest eigenvalue of
+    # R_25 + B_25^T P_26 B_25 minus the pivot tolerance.
+    assert err.value.breakdown
+    sub = assemble_subproblem(nd, plan, 2, 25.0)
+    assert err.value.margin == pytest.approx(riccati_stage_eigmin(
+        sub.Q, sub.S, sub.R, sub.A, sub.B, 25 - sub.m1) - banded.PIVOT_TOL,
+        rel=1e-9)
+    assert err.value.margin < -1.0

@@ -1,3 +1,4 @@
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -170,10 +171,17 @@ def test_schwarz_converges_and_reaches_small_residual():
     assert rep_s.final_kkt <= max(rep_f.final_kkt, 1e-8)
 
 
-def test_schwarz_parallel_workers_match_serial():
+def test_schwarz_parallel_workers_match_serial(monkeypatch):
     p = toy(N=60)
     init = make_initializations(p, 2, seed=19)[1]
     rep1 = schwarz_solve(p, SolverConfig(mu=25.0, M=3, b=4, workers=1), init)
+
+    def refused(self):
+        raise AssertionError("the Schwarz baseline started a thread")
+
+    # Schwarz solves its intervals in order on the calling thread, whatever
+    # ``workers`` says, so at workers=3 no thread may start.
+    monkeypatch.setattr(threading.Thread, "start", refused)
     rep3 = schwarz_solve(p, SolverConfig(mu=25.0, M=3, b=4, workers=3), init)
     assert rep1.status == rep3.status == "converged_kkt"
     np.testing.assert_array_equal(rep1.z.x, rep3.z.x)
