@@ -34,23 +34,23 @@ O(T (n_x + n_u)^3) like the band's, but in small dense products instead of
 one LAPACK call over the band, so it only wins once the blocks are wide
 enough for the band's fill to outweigh the per-stage call overhead.  A
 batch spreads that overhead over its members, so the crossover depends on
-the batch:
+the batch: the decomposed direction's subproblems, batched by length, go
+to the sweep from :data:`fotd.decomposition.RICCATI_MIN_NX` states on, the
+exact full-horizon direction, a batch of one, from
+:data:`fotd.newton.FULL_RICCATI_MIN_NX`; those modules give the
+measurements.  The H + c G^T G test keeps the band Cholesky on every path
+that runs it.
 
-- the decomposed direction's subproblems, batched by length, go to the
-  sweep from :data:`fotd.decomposition.RICCATI_MIN_NX` = 4 states on (the
-  band is faster up to 6 states, the sweep 1.1x at 7 and 2.3x at 16);
-- the exact full-horizon direction, a batch of one, goes to the sweep from
-  :data:`fotd.newton.FULL_RICCATI_MIN_NX` = 15 states on (the band is 1.2x
-  faster at 14, the sweep 1.1x at 15 and 1.2x at 16).
-
-The decomposition and newton modules give the measurements.  The H + c G^T G
-test keeps the band Cholesky on every path that runs it.
+Both definiteness tests report a failure by one margin: the smallest
+Cholesky pivot minus PIVOT_TOL, read from the factorization that failed.
+A margin below -PIVOT_TOL means the factorization broke down at a pivot
+that is not positive.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv, dpbtrf
+from scipy.linalg.lapack import dgbsv, dpbtrf, dpotrf
 
 from .exceptions import IndefiniteStageError, LinearSolverError
 
@@ -178,7 +178,8 @@ def definiteness_pivots_ok(Q, S, R, A, B, c: float) -> bool:
     H is the block-diagonal stage Hessian and G the staircase constraint
     Jacobian of the canonical LQ problem.  The sum is block tridiagonal; a
     banded Cholesky provides the pivots (squares of the factor's diagonal).
-    Returns False on factorization breakdown.
+    Returns False when the factorization stops at a pivot that is not
+    positive.
     """
     return pivot_failure(Q, S, R, A, B, c) is None
 
@@ -227,19 +228,31 @@ def _test_band(Q, S, R, A, B, c: float):
 def pivot_failure(Q, S, R, A, B, c: float):
     """Where :func:`definiteness_pivots_ok` fails: None if it passes.
 
-    Otherwise ``(stage, margin)``: the stage of the column whose pivot is
-    smallest and that pivot minus PIVOT_TOL, or after a factorization
-    breakdown the stage of the column LAPACK stopped at and None.
+    Otherwise ``(stage, margin)``: the stage of the column with the
+    smallest pivot, which is the column LAPACK stopped at if the
+    factorization broke down, and that pivot minus PIVOT_TOL.
     """
-    m = A.shape[1] + B.shape[2]
     fact, info = dpbtrf(_test_band(Q, S, R, A, B, c), lower=1, overwrite_ab=1)
-    if info != 0:
-        return (info - 1) // m, None  # info is the 1-based failing column
-    pivots = fact[0] ** 2
-    if (pivots >= PIVOT_TOL).all():
+    col, pivot = _smallest_pivot(fact[0], info)
+    if pivot >= PIVOT_TOL:
         return None
-    col = int(np.argmin(pivots))
-    return col // m, float(pivots[col] - PIVOT_TOL)
+    return col // (A.shape[1] + B.shape[2]), pivot - PIVOT_TOL
+
+
+def _smallest_pivot(diag, info: int):
+    """``(column, pivot)`` of the smallest pivot of a LAPACK Cholesky factor.
+
+    ``diag`` is the factor's diagonal and ``info`` LAPACK's return code.
+    A factorization that succeeded holds each pivot's square root there.
+    One that broke down (``info`` > 0) stopped at 1-based column ``info``
+    and left that column's pivot, zero, negative or NaN, in place without
+    taking its root; the pivots before it are positive, so it is the
+    smallest.
+    """
+    if info > 0:
+        return info - 1, float(diag[info - 1])
+    col = int(np.argmin(diag ** 2))
+    return col, float(diag[col] ** 2)
 
 
 def solve_lq_riccati(Q, S, R, A, B, gx, gu, c0, cdyn):
@@ -317,15 +330,17 @@ def solve_lq_riccati(Q, S, R, A, B, gx, gu, c0, cdyn):
 def _indefinite_member(Rt, stage: int) -> IndefiniteStageError:
     """The error for the first member whose ``Rt`` fails the pivot test.
 
-    After a Cholesky breakdown the margin is the member's smallest
-    eigenvalue minus PIVOT_TOL, as no pivot exists to measure.
+    numpy's per-member Cholesky decides which member fails, as it decided
+    for the batch.  It returns no factor when it stops, so LAPACK's
+    ``dpotrf`` factors that member again for the pivot it stopped at.
     """
     for member, r in enumerate(Rt):
         try:
-            pivot = np.diagonal(np.linalg.cholesky(r)).min() ** 2
+            _, pivot = _smallest_pivot(np.diagonal(np.linalg.cholesky(r)), 0)
         except np.linalg.LinAlgError:
-            return IndefiniteStageError(
-                member, stage, float(np.linalg.eigvalsh(r)[0] - PIVOT_TOL), True)
+            fact, info = dpotrf(r, lower=1)
+            _, pivot = _smallest_pivot(np.diagonal(fact), info)
+            return IndefiniteStageError(member, stage, pivot - PIVOT_TOL)
         if not pivot >= PIVOT_TOL:
-            return IndefiniteStageError(member, stage, float(pivot - PIVOT_TOL))
+            return IndefiniteStageError(member, stage, pivot - PIVOT_TOL)
     raise AssertionError("a batch failed the pivot test but no member did")

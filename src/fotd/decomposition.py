@@ -210,14 +210,21 @@ def assemble_subproblem(nd: NewtonData, plan: DecompositionPlan, i: int,
     m2 < N.  Boundary values ``d``, when given, are added on top: c0 = d1,
     and short of N the terminal linear term becomes
     gx_{m2} - A_{m2}^T d4 + S_{m2}^T d3 - mu * d2, with stage m2's own A and
-    S, which lie outside the window.  When m2 = N only d1 applies.
+    S, which lie outside the window.  When m2 = N only d1 applies, and
+    short of N d2, d3 and d4 are required; ValueError says which value is
+    missing or unused, or that d1 is not of shape (n_x,).
     """
     Q, S, R, A, B, gx, gu, c0, cdyn = [a[0] for a in _truncate(nd, plan, [i], mu)]
     m1, m2 = plan.m1[i], plan.m2[i]
     if d is not None:
-        if m2 == plan.N and any(v is not None for v in (d.d2, d.d3, d.d4)):
+        missing = [k for k in ("d2", "d3", "d4") if getattr(d, k) is None]
+        if m2 == plan.N and len(missing) < 3:
             raise ValueError("terminal boundary values are not used when the "
                              "interval reaches the end of the horizon")
+        if m2 < plan.N and missing:
+            raise ValueError(f"interval {i} ends before N, so it needs {missing}")
+        if np.shape(d.d1) != (nd.n_x,):
+            raise ValueError(f"d1 must have shape ({nd.n_x},), got {np.shape(d.d1)}")
         c0 = d.d1.copy()
         if m2 < plan.N:
             gx = gx.copy()
@@ -239,8 +246,7 @@ def solve_subproblem(sub: SubproblemData,
         c = default_definiteness_constant(sub)
     if not banded.definiteness_pivots_ok(*blocks, c):
         stage, margin = banded.pivot_failure(*blocks, c)
-        raise MuTooSmallError(sub.index, sub.mu, sub.m1 + stage, margin,
-                              margin is None)
+        raise MuTooSmallError(sub.index, sub.mu, sub.m1 + stage, margin)
     p, q, zeta = banded.solve_lq_kkt(*blocks, sub.gx, sub.gu, sub.c0, sub.cdyn)
     return SubproblemSolution(sub.index, p, q, zeta)
 
@@ -311,8 +317,7 @@ def solve_subproblems_riccati(nd: NewtonData, plan: DecompositionPlan,
         p, q, zeta = banded.solve_lq_riccati(*_truncate(nd, plan, indices, mu))
     except IndefiniteStageError as err:
         i = indices[err.member]
-        raise MuTooSmallError(i, mu, plan.m1[i] + err.stage, err.margin,
-                              err.breakdown) from err
+        raise MuTooSmallError(i, mu, plan.m1[i] + err.stage, err.margin) from err
     return [SubproblemSolution(i, p[j], q[j], zeta[j])
             for j, i in enumerate(indices)]
 

@@ -40,69 +40,55 @@ class IndefiniteStageError(LinearSolverError):
 
     ``member`` is the problem's position in the batch and ``stage`` the
     stage counted from that problem's start.  ``margin`` is the smallest
-    pivot minus the pivot tolerance or, when the Cholesky factorization
-    broke down (``breakdown``), the smallest eigenvalue of the stage's
-    R_k + B_k^T P_{k+1} B_k minus that tolerance.
+    Cholesky pivot of the stage's R_k + B_k^T P_{k+1} B_k minus the pivot
+    tolerance ``banded.PIVOT_TOL``; below minus that tolerance, the
+    factorization broke down at a pivot that is not positive.
     """
 
-    def __init__(self, member: int, stage: int, margin: float,
-                 breakdown: bool = False):
+    def __init__(self, member: int, stage: int, margin: float):
         self.member = member
         self.stage = stage
         self.margin = margin
-        self.breakdown = breakdown
         super().__init__(f"stage {stage} of batch member {member} is not "
-                         f"positive definite ({_margin_text(margin, breakdown)})")
+                         f"positive definite (pivot margin {margin:.3e})")
 
 
 class IndefiniteHorizonError(LinearSolverError):
     """The full-horizon Riccati sweep failed its Cholesky pivot test.
 
-    ``stage`` is the horizon stage whose pivot test failed; ``margin`` and
-    ``breakdown`` are those of :class:`IndefiniteStageError`.
+    ``stage`` is the horizon stage whose pivot test failed; ``margin`` is
+    that of :class:`IndefiniteStageError`.
     """
 
-    def __init__(self, stage: int, margin: float, breakdown: bool = False):
+    def __init__(self, stage: int, margin: float):
         self.stage = stage
         self.margin = margin
-        self.breakdown = breakdown
         super().__init__(
             f"the full-horizon Newton system is not positive definite on its "
             f"constraint null space: stage {stage} failed "
-            f"({_margin_text(margin, breakdown)})")
+            f"(pivot margin {margin:.3e})")
 
 
 class MuTooSmallError(SolverError):
     """A decomposed subproblem failed its definiteness test.
 
     Carries the subproblem ``index``, its penalty ``mu``, the horizon
-    ``stage`` where the test failed and the ``margin`` it missed by.  On
-    the Riccati kernel that margin is the one of
-    :class:`IndefiniteStageError`; the band kernel's H + c G^T G test gives
-    its smallest pivot minus the pivot tolerance, or None after a
-    factorization breakdown, which ``breakdown`` flags for both kernels.
+    ``stage`` where the test failed and the ``margin`` it missed by: the
+    smallest Cholesky pivot of the failed test minus the pivot tolerance
+    ``banded.PIVOT_TOL``, whichever kernel ran it (the Riccati kernel's
+    R_k + B_k^T P_{k+1} B_k, the band kernel's H + c G^T G).  A margin
+    below minus that tolerance means the factorization broke down.
     """
 
-    def __init__(self, index: int, mu: float, stage: int,
-                 margin: float | None, breakdown: bool = False):
+    def __init__(self, index: int, mu: float, stage: int, margin: float):
         self.index = index
         self.mu = mu
         self.stage = stage
         self.margin = margin
-        self.breakdown = breakdown
         super().__init__(
             f"subproblem {index} is not positive definite on its constraint "
             f"null space with mu={mu!r}: stage {stage} failed "
-            f"({_margin_text(margin, breakdown)}); increase the terminal penalty"
-        )
-
-
-def _margin_text(margin: float | None, breakdown: bool) -> str:
-    if margin is None:
-        return "factorization breakdown"
-    if breakdown:
-        return f"factorization breakdown, eigenvalue margin {margin:.3e}"
-    return f"pivot margin {margin:.3e}"
+            f"(pivot margin {margin:.3e}); increase the terminal penalty")
 
 
 class NonDescentError(SolverError):

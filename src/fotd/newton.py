@@ -224,8 +224,7 @@ def solve_full_newton(nd: NewtonData) -> NewtonDirection:
             p, q, zeta = (a[0] for a in
                           banded.solve_lq_riccati(*(a[None] for a in lq)))
         except IndefiniteStageError as err:
-            raise IndefiniteHorizonError(err.stage, err.margin,
-                                         err.breakdown) from err
+            raise IndefiniteHorizonError(err.stage, err.margin) from err
     return NewtonDirection(stack_primal(p, q), zeta.ravel())
 
 

@@ -153,8 +153,40 @@ def dense_reduced_hessian_eigmin(Q, S, R, A, B):
     return float(np.linalg.eigvalsh(Z.T @ H @ Z).min())
 
 
-def riccati_stage_eigmin(Q, S, R, A, B, k):
-    """Smallest eigenvalue of R_k + B_k^T P_{k+1} B_k.
+def cholesky_pivot(M):
+    """``(column, pivot)`` of a textbook unblocked Cholesky of symmetric M.
+
+    Column by column, the pivot is M_jj less the squares of the factor's row
+    j so far.  The first column whose pivot is not positive stops the
+    factorization and is returned with that pivot; otherwise the column of
+    the smallest pivot.
+    """
+    n = M.shape[0]
+    L = np.zeros_like(M)
+    pivots = np.empty(n)
+    for j in range(n):
+        pivots[j] = M[j, j] - L[j, :j] @ L[j, :j]
+        if not pivots[j] > 0:
+            return j, float(pivots[j])
+        L[j, j] = np.sqrt(pivots[j])
+        L[j + 1:, j] = (M[j + 1:, j] - L[j + 1:, :j] @ L[j, :j]) / L[j, j]
+    j = int(np.argmin(pivots))
+    return j, float(pivots[j])
+
+
+def definiteness_pivot(Q, S, R, A, B, c):
+    """``(stage, pivot)`` of :func:`cholesky_pivot` on the dense H + c G^T G.
+
+    The stage is that of the pivot's column in the primal ordering of
+    :func:`dense_lq_matrices`.
+    """
+    H, G = dense_lq_matrices(Q, S, R, A, B)
+    col, pivot = cholesky_pivot(H + c * (G.T @ G))
+    return col // (A.shape[1] + B.shape[2]), pivot
+
+
+def riccati_stage_pivot(Q, S, R, A, B, k):
+    """:func:`cholesky_pivot`'s pivot of R_k + B_k^T P_{k+1} B_k.
 
     P_{k+1} comes from the textbook Riccati recursion P_T = Q_T,
     P_j = Q_j + A_j^T P A_j - St^T (R_j + B_j^T P B_j)^{-1} St with
@@ -168,7 +200,7 @@ def riccati_stage_eigmin(Q, S, R, A, B, k):
         P = Q[j] + A[j].T @ P @ A[j] - St.T @ np.linalg.solve(
             R[j] + B[j].T @ P @ B[j], St)
         P = 0.5 * (P + P.T)
-    return float(np.linalg.eigvalsh(R[k] + B[k].T @ P @ B[k])[0])
+    return cholesky_pivot(R[k] + B[k].T @ P @ B[k])[1]
 
 
 # ---------------------------------------------------------------------------

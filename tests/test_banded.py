@@ -12,9 +12,9 @@ from fotd.banded import (PIVOT_TOL, _band, _kkt_band, _test_band,
 from fotd.exceptions import IndefiniteStageError, LinearSolverError
 from fotd.newton import default_definiteness_constant
 
-from oracles import (dense_lq_kkt, dense_lq_matrices, dense_lq_solve,
-                     dense_reduced_hessian_eigmin, lapack_band, lq_data,
-                     riccati_stage_eigmin, stage_interleaving)
+from oracles import (definiteness_pivot, dense_lq_kkt, dense_lq_matrices,
+                     dense_lq_solve, dense_reduced_hessian_eigmin, lapack_band,
+                     lq_data, riccati_stage_pivot, stage_interleaving)
 
 # (T, n_x, n_u): a single stage, n_x != n_u both ways, and plate-sized blocks.
 SHAPES = [(1, 2, 3), (1, 3, 1), (6, 2, 3), (5, 3, 1), (4, 16, 16)]
@@ -183,11 +183,10 @@ def test_riccati_names_the_first_failing_stage_and_member():
     with pytest.raises(IndefiniteStageError) as err:
         solve_lq_riccati(*stacked(ds))
     assert (err.value.member, err.value.stage) == (1, 4)
-    # The Cholesky breaks down, so the margin is the smallest eigenvalue of
+    # The Cholesky breaks down; the margin is the pivot it stopped at in
     # member 1's R_4 + B_4^T P_5 B_4, less the pivot tolerance.
-    assert err.value.breakdown
     assert err.value.margin == pytest.approx(
-        riccati_stage_eigmin(*blocks(ds[1]), 4) - PIVOT_TOL, rel=1e-9)
+        riccati_stage_pivot(*blocks(ds[1]), 4) - PIVOT_TOL, rel=1e-9)
     assert err.value.margin < -1.0
     with pytest.raises(IndefiniteStageError) as err:
         solve_lq_riccati(*stacked([ds[0], ds[2]]))
@@ -213,5 +212,30 @@ def test_band_pivot_failure_names_stage_and_margin():
     assert pivot_failure(*blocks(d), c) is None
     d.R[3] = -1e3 * np.eye(2)
     stage, margin = pivot_failure(*blocks(d), c)
-    assert stage == 3 and margin is None  # breakdown in a column of stage 3
+    # The Cholesky breaks down in a column of stage 3, at the pivot the
+    # dense textbook factorization finds there.
+    want_stage, pivot = definiteness_pivot(*blocks(d), c)
+    assert stage == want_stage == 3
+    assert margin == pytest.approx(pivot - PIVOT_TOL, rel=1e-9)
     assert not definiteness_pivots_ok(*blocks(d), c)
+
+
+# Breakdown at the first stage, a middle one and the terminal block (T = 6).
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("stage", [0, 3, 6])
+def test_band_pivot_failure_matches_the_textbook_cholesky(n, stage):
+    T = 6
+    d = lq_data(T, n, n, seed=10 + n)
+    c = default_definiteness_constant(d)
+    assert pivot_failure(*blocks(d), c) is None
+    assert definiteness_pivot(*blocks(d), c)[1] >= PIVOT_TOL
+    # The block is made negative enough that c G^T G cannot restore it.
+    if stage < T:
+        d.R[stage] = -1e4 * np.eye(n)
+    else:
+        d.Q[T] = -1e4 * np.eye(n)
+    got_stage, margin = pivot_failure(*blocks(d), c)
+    want_stage, pivot = definiteness_pivot(*blocks(d), c)
+    assert got_stage == want_stage == stage
+    assert margin < -1.0
+    assert margin == pytest.approx(pivot - PIVOT_TOL, rel=1e-9)

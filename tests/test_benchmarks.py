@@ -149,30 +149,34 @@ def test_initializations_protocol():
 
 
 @functools.lru_cache(maxsize=None)
-def _plate_protocol_reports(mode):
-    """The paper's random-init protocol on the plate at m=4: N=100, M=10,
-    b=5, five inits of seed 0, one solve each in ``mode``."""
-    p = make_plate_problem(PlateSpec(m=4, N=100))
+def _plate_protocol_reports(m, mode):
+    """The paper's random-init protocol on the plate at ``m``: N=100, M=10,
+    b=5, five inits of seed 0, one solve each in ``mode``.  m=3 has one
+    state per stage and so runs the band kernel; m=4 runs the Riccati
+    kernel."""
+    p = make_plate_problem(PlateSpec(m=m, N=100))
     return [solve(p, SolverConfig(M=10, b=5), init, mode=mode)
             for init in make_initializations(p, 5, 0)]
 
 
 _PLATE_RANDOM_INITS_FAIL = pytest.mark.xfail(strict=True, reason=(
-    "from a Uniform(-1e5, 1e5) init the plate at m=4 fails the paper's "
-    "protocol: fotd raises MuTooSmallError at iteration 0, and centralized "
-    "raises NonDescentError after 24-39 iterations"))
+    "from a Uniform(-1e5, 1e5) init the plate at m=3 and m=4 fails the "
+    "paper's protocol: fotd raises MuTooSmallError at iteration 0, and "
+    "centralized raises NonDescentError after 19-39 iterations"))
 
 
 @pytest.mark.parametrize("init", [0] + [
     pytest.param(i, marks=_PLATE_RANDOM_INITS_FAIL) for i in range(1, 5)])
 @pytest.mark.parametrize("mode", ["fotd", "centralized"])
-def test_plate_random_init_protocol_converges(mode, init):
-    assert _plate_protocol_reports(mode)[init].converged
+@pytest.mark.parametrize("m", [3, 4])
+def test_plate_random_init_protocol_converges(m, mode, init):
+    assert _plate_protocol_reports(m, mode)[init].converged
 
 
 @pytest.mark.parametrize("mode", ["fotd", "centralized"])
-def test_plate_random_init_protocol_converges_or_names_the_failure(mode):
-    for report in _plate_protocol_reports(mode):
+@pytest.mark.parametrize("m", [3, 4])
+def test_plate_random_init_protocol_converges_or_names_the_failure(m, mode):
+    for report in _plate_protocol_reports(m, mode):
         if report.converged:
             continue
         assert report.status == "error"

@@ -12,8 +12,8 @@ from fotd.exceptions import MuTooSmallError
 from fotd.newton import (NewtonData, assemble_newton_data,
                          default_definiteness_constant, solve_full_newton)
 from fotd.problem import stack_primal
-from oracles import (dense_lq_solve, make_random_lq, random_point,
-                     riccati_stage_eigmin, subproblem_kkt_residual)
+from oracles import (definiteness_pivot, dense_lq_solve, make_random_lq,
+                     random_point, riccati_stage_pivot, subproblem_kkt_residual)
 
 
 def toy_nd(N=20, seed=0, scale=2.0):
@@ -161,11 +161,16 @@ def test_remark1_subproblem_definite_iff_mu_large():
     np.testing.assert_array_equal(sol.p, np.zeros((2, 1)))
     np.testing.assert_array_equal(sol.q, np.zeros((1, 1)))
     np.testing.assert_array_equal(sol.zeta, np.zeros((2, 1)))
+    sub = assemble_subproblem(nd, plan, 0, 0.5)
     with pytest.raises(MuTooSmallError) as err:
-        solve_subproblem(assemble_subproblem(nd, plan, 0, 0.5))
+        solve_subproblem(sub)
     assert err.value.index == 0
-    # the H + c G^T G Cholesky breaks down in the terminal block's column
-    assert (err.value.stage, err.value.margin) == (1, None)
+    # the H + c G^T G Cholesky breaks down in the terminal block's column,
+    # at the pivot the dense textbook factorization finds there
+    stage, pivot = definiteness_pivot(sub.Q, sub.S, sub.R, sub.A, sub.B,
+                                      default_definiteness_constant(sub))
+    assert err.value.stage == stage == 1
+    assert err.value.margin == pytest.approx(pivot - banded.PIVOT_TOL, rel=1e-9)
 
 
 def wide(nd, width):
@@ -190,13 +195,11 @@ def test_remark1_on_wide_blocks_takes_the_riccati_path():
     assert np.all(direction.dz == 0.0) and np.all(direction.dlam == 0.0)
     with pytest.raises(MuTooSmallError) as err:
         approximate_direction(nd, plan, 0.5)
-    # R_0 + B^T (Q_1 + mu) B = 1 - 1.5 breaks the Cholesky of stage 0, and
-    # its smallest eigenvalue -0.5 gives the margin.
+    # R_0 + B^T (Q_1 + mu) B = 1 - 1.5 breaks the Cholesky of stage 0 at
+    # its first pivot, -0.5, which gives the margin.
     assert (err.value.index, err.value.stage, err.value.margin) == (
         0, 0, -0.5 - banded.PIVOT_TOL)
-    assert err.value.breakdown
-    assert ("stage 0 failed (factorization breakdown, eigenvalue margin "
-            "-5.000e-01)") in str(err.value)
+    assert "stage 0 failed (pivot margin -5.000e-01)" in str(err.value)
 
 
 def test_last_subproblem_restores_terminal_block():
@@ -209,6 +212,15 @@ def test_last_subproblem_restores_terminal_block():
     with pytest.raises(ValueError):
         assemble_subproblem(nd, plan, 1, 25.0,
                             BoundaryVars(*np.zeros((4, 1))))
+    # Short of N the terminal values are required, and d1 must be a state.
+    assert plan.m2[0] < 8
+    with pytest.raises(ValueError, match=r"needs \['d2', 'd3', 'd4'\]"):
+        assemble_subproblem(nd, plan, 0, 25.0, BoundaryVars(np.zeros(1)))
+    with pytest.raises(ValueError, match=r"needs \['d3'\]"):
+        assemble_subproblem(nd, plan, 0, 25.0, BoundaryVars(
+            np.zeros(1), np.zeros(1), None, np.zeros(1)))
+    with pytest.raises(ValueError, match=r"d1 must have shape \(1,\)"):
+        assemble_subproblem(nd, plan, 1, 25.0, BoundaryVars(np.zeros(2)))
 
 
 def test_exact_boundaries_reproduce_truncated_direction():
@@ -457,11 +469,10 @@ def test_riccati_path_names_the_first_failing_subproblem_in_plan_order():
     with pytest.raises(MuTooSmallError) as err:
         approximate_direction(nd, plan, 25.0)
     assert (err.value.index, err.value.stage) == (2, 25)
-    # The Cholesky breaks down; the margin is the smallest eigenvalue of
-    # R_25 + B_25^T P_26 B_25 minus the pivot tolerance.
-    assert err.value.breakdown
+    # The Cholesky breaks down; the margin is the pivot it stopped at in
+    # R_25 + B_25^T P_26 B_25, minus the pivot tolerance.
     sub = assemble_subproblem(nd, plan, 2, 25.0)
-    assert err.value.margin == pytest.approx(riccati_stage_eigmin(
+    assert err.value.margin == pytest.approx(riccati_stage_pivot(
         sub.Q, sub.S, sub.R, sub.A, sub.B, 25 - sub.m1) - banded.PIVOT_TOL,
         rel=1e-9)
     assert err.value.margin < -1.0

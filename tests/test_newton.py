@@ -19,7 +19,7 @@ from fotd.problem import DualTrajectory, Trajectory, stack_primal
 from oracles import (central_diff_jacobian, dense_full_newton, dense_lq_solve,
                      dense_reduced_hessian_eigmin, direction_kkt_residual,
                      lq_data, make_random_lq, newton_rhs_norm, random_point,
-                     riccati_stage_eigmin)
+                     riccati_stage_pivot)
 
 
 def toy(N=4, C1=8.0, C2=1.0, d=lambda k: 0.0):
@@ -276,13 +276,12 @@ def test_wide_indefinite_stage_raises_with_horizon_stage_and_margin():
     with pytest.raises(IndefiniteHorizonError) as err:
         solve_full_newton(newton_data(d))
     assert isinstance(err.value, LinearSolverError)
-    assert err.value.stage == 30 and err.value.breakdown
-    # The margin is the smallest eigenvalue of R_30 + B_30^T P_31 B_30,
-    # less the pivot tolerance.
-    assert err.value.margin == pytest.approx(riccati_stage_eigmin(
+    assert err.value.stage == 30
+    # The margin is the pivot the Cholesky of R_30 + B_30^T P_31 B_30
+    # stopped at, less the pivot tolerance.
+    assert err.value.margin == pytest.approx(riccati_stage_pivot(
         d.Q, d.S, d.R, d.A, d.B, 30) - PIVOT_TOL, rel=1e-9)
-    assert (f"stage 30 failed (factorization breakdown, eigenvalue margin "
-            f"{err.value.margin:.3e})") in str(err.value)
+    assert f"stage 30 failed (pivot margin {err.value.margin:.3e})" in str(err.value)
     assert "batch member" not in str(err.value)
     # One stage: R + B^T Q_T B = I + diag(-1 + 1e-12, 0, ...) leaves a
     # pivot of 1e-12.
@@ -310,8 +309,8 @@ def test_centralized_solve_reports_an_indefinite_wide_stage(monkeypatch):
                    mode="centralized")
     assert report.status == "error"
     assert report.iterations == 0
-    assert ("stage 12 failed (factorization breakdown, eigenvalue margin "
-            "-9.749e+00) (iteration 0)") in report.error
+    assert ("stage 12 failed (pivot margin -2.000e+02) (iteration 0)"
+            in report.error)
 
 
 def test_theory_gamma_g_values():
