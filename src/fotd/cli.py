@@ -39,7 +39,7 @@ from .newton import (assemble_newton_data, solve_full_newton, theory_gamma_G,
                      theory_mu_bar)
 from .problem import (DualTrajectory, PenaltyParams, ProblemDef, Trajectory,
                       atomic_write)
-from .schwarz import SCHWARZ_BUDGET, one_newton_schwarz_step, schwarz_solve
+from .schwarz import one_newton_schwarz_step, schwarz_solve
 
 CSV_HEADER = "iter,kkt_residual,merit,stepsize,gamma,dir_err_ratio,wall_ms"
 MODES = ("fotd", "schwarz", "centralized")
@@ -71,8 +71,7 @@ def _solver_block(solver: SolverConfig) -> dict:
             "eta1": solver.eta.eta1, "eta2": solver.eta.eta2}
 
 
-_SOLVER_DEFAULTS = {"mode": "fotd", **_solver_block(SolverConfig()),
-                    "schwarz_budget": SCHWARZ_BUDGET}
+_SOLVER_DEFAULTS = {"mode": "fotd", **_solver_block(SolverConfig())}
 _RUN_DEFAULTS = {"inits": 5, "seed": 0, "out_dir": "out",
                  "diagnostics": False, "assert_level": "on", "timing": True}
 _SWEEP_DEFAULTS = {"b": None, "mu": None}
@@ -162,7 +161,6 @@ class ExperimentConfig:
     problem: dict
     mode: str
     solver: SolverConfig
-    schwarz_budget: int
     inits: int
     seed: int
     out_dir: str
@@ -171,8 +169,7 @@ class ExperimentConfig:
     sweep_mu: Optional[List[float]] = None
 
     def to_dict(self) -> dict:
-        solver = {"mode": self.mode, **_solver_block(self.solver),
-                  "schwarz_budget": self.schwarz_budget}
+        solver = {"mode": self.mode, **_solver_block(self.solver)}
         run = {"inits": self.inits, "seed": self.seed, "out_dir": self.out_dir,
                "diagnostics": self.solver.diagnostics,
                "assert_level": "on" if self.solver.assert_descent else "off",
@@ -208,9 +205,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
                      _SOLVER_KINDS)
     if s["mode"] not in MODES:
         raise ConfigError(f"solver.mode must be one of {MODES}, got {s['mode']!r}")
-    if s["schwarz_budget"] < 0:
-        raise ConfigError("solver.schwarz_budget must be nonnegative, got "
-                          f"{s['schwarz_budget']}")
     run = _merge_block("run", raw.get("run"), _RUN_DEFAULTS, _RUN_KINDS)
     if run["inits"] < 1:
         raise ConfigError(f"run.inits must be at least 1, got {run['inits']}")
@@ -226,8 +220,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(f"solver: {exc}") from exc
     return ExperimentConfig(
-        problem=problem, mode=s["mode"], solver=solver,
-        schwarz_budget=s["schwarz_budget"], inits=run["inits"],
+        problem=problem, mode=s["mode"], solver=solver, inits=run["inits"],
         seed=run["seed"], out_dir=run["out_dir"], timing=run["timing"],
         sweep_b=sweep["b"], sweep_mu=sweep["mu"],
     )
@@ -325,10 +318,10 @@ def _sig6(v):
     return float(f"{float(v):.6g}")
 
 
-def _run_one(p: ProblemDef, solver: SolverConfig, mode: str, init,
-             schwarz_budget: int) -> SolveReport:
+def _run_one(p: ProblemDef, solver: SolverConfig, mode: str,
+             init) -> SolveReport:
     if mode == "schwarz":
-        return schwarz_solve(p, solver, init, budget=schwarz_budget)
+        return schwarz_solve(p, solver, init)
     return solve(p, solver, init, mode=mode)
 
 
@@ -393,7 +386,7 @@ def cmd_solve(config_path: str, overrides: Optional[dict] = None) -> int:
     for i, init in enumerate(inits):
         for mode in modes:
             name = f"run_{i}.csv" if len(modes) == 1 else f"run_{i}_{mode}.csv"
-            report = _run_one(p, cfg.solver, mode, init, cfg.schwarz_budget)
+            report = _run_one(p, cfg.solver, mode, init)
             atomic_write(os.path.join(cfg.out_dir, name),
                          report_to_csv(report, timing=cfg.timing))
             runs.append(_summarize(report, mode, i, name, cfg.timing))
@@ -443,7 +436,7 @@ def cmd_sweep(config_path: str, sweep: Optional[dict] = None,
         os.makedirs(cell_dir, exist_ok=True)
         kkts, times, ratios, n_conv = [], [], [], 0
         for i, init in enumerate(inits):
-            report = _run_one(p, cell_cfg, cfg.mode, init, cfg.schwarz_budget)
+            report = _run_one(p, cell_cfg, cfg.mode, init)
             atomic_write(os.path.join(cell_dir, f"run_{i}.csv"),
                          report_to_csv(report, timing=cfg.timing))
             if report.converged:

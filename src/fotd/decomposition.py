@@ -212,7 +212,8 @@ def assemble_subproblem(nd: NewtonData, plan: DecompositionPlan, i: int,
     gx_{m2} - A_{m2}^T d4 + S_{m2}^T d3 - mu * d2, with stage m2's own A and
     S, which lie outside the window.  When m2 = N only d1 applies, and
     short of N d2, d3 and d4 are required; ValueError says which value is
-    missing or unused, or that d1 is not of shape (n_x,).
+    missing or unused, or which is not of its shape: (n_u,) for d3, (n_x,)
+    for the others.
     """
     Q, S, R, A, B, gx, gu, c0, cdyn = [a[0] for a in _truncate(nd, plan, [i], mu)]
     m1, m2 = plan.m1[i], plan.m2[i]
@@ -223,8 +224,11 @@ def assemble_subproblem(nd: NewtonData, plan: DecompositionPlan, i: int,
                              "interval reaches the end of the horizon")
         if m2 < plan.N and missing:
             raise ValueError(f"interval {i} ends before N, so it needs {missing}")
-        if np.shape(d.d1) != (nd.n_x,):
-            raise ValueError(f"d1 must have shape ({nd.n_x},), got {np.shape(d.d1)}")
+        for k, n in (("d1", nd.n_x), ("d2", nd.n_x), ("d3", nd.n_u),
+                     ("d4", nd.n_x)):
+            shape = np.shape(getattr(d, k))
+            if k not in missing and shape != (n,):
+                raise ValueError(f"{k} must have shape ({n},), got {shape}")
         c0 = d.d1.copy()
         if m2 < plan.N:
             gx = gx.copy()

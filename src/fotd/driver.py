@@ -13,8 +13,8 @@ For the decomposed direction the driver checks the descent inequality
     grad(merit)^T d  <=  -eta2/2 * ||grad L||^2
 
 at every iteration.  A violation has one of three outcomes, depending on
-configuration: with ``adaptivity`` the penalties are rescaled (eta2 /= nu,
-eta1 *= nu^2, overlap widened accordingly) and the direction recomputed;
+configuration: with ``adaptivity`` the penalties are rescaled (eta2 /= NU,
+eta1 *= NU^2, overlap widened accordingly) and the direction recomputed;
 otherwise, with ``assert_descent`` the run aborts, and without it the step
 proceeds along the direction and the violation is counted.
 
@@ -48,11 +48,20 @@ STATUS_MAX_ITERS = "max_iters"
 STATUS_ERROR = "error"
 
 ALPHA_FLOOR = 1e-12
+BETA = 0.1  # Armijo sufficient-decrease fraction, in (0, 1/2)
+BACKTRACK = 0.9  # stepsize shrink factor per rejected trial, in (0, 1)
+NU = 2.0  # penalty rescaling factor of one adaptation, > 1
+RHO_HAT = 0.5  # assumed per-stage decay of the direction error, in (0, 1)
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Algorithm parameters; defaults follow the reference experiment protocol.
+
+    The protocol's line-search and adaptation constants are not fields: the
+    Armijo fraction :data:`BETA`, the backtracking factor :data:`BACKTRACK`,
+    the penalty rescaling factor :data:`NU` and the assumed decay rate
+    :data:`RHO_HAT` are module constants.
 
     ``workers`` only sizes the thread pool of the band kernel, which solves
     the decomposed direction's subproblems when their blocks are narrower
@@ -63,32 +72,19 @@ class SolverConfig:
 
     mu: float = 25.0
     eta: PenaltyParams = field(default_factory=lambda: PenaltyParams(10.0, 0.1))
-    beta: float = 0.1
-    backtrack_factor: float = 0.9
     M: int = 10
     b: int = 5
     kkt_tol: float = 1e-6
     step_tol: float = 1e-6
     max_iters: int = 40
     adaptivity: bool = False
-    nu: float = 2.0
-    rho_hat: float = 0.5
     workers: int = 1
     assert_descent: bool = True
     diagnostics: bool = False
 
     def __post_init__(self):
-        if not 0 < self.beta < 0.5:
-            raise ValueError(f"beta must lie in (0, 1/2), got {self.beta}")
-        if not 0 < self.backtrack_factor < 1:
-            raise ValueError(
-                f"backtrack factor must lie in (0, 1), got {self.backtrack_factor}")
         if not self.mu > 0:
             raise ValueError(f"mu must be positive, got {self.mu}")
-        if self.adaptivity and not self.nu > 1:
-            raise ValueError(f"nu must exceed 1, got {self.nu}")
-        if not 0 < self.rho_hat < 1:
-            raise ValueError(f"rho_hat must lie in (0, 1), got {self.rho_hat}")
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
         if self.max_iters < 0:
@@ -155,12 +151,12 @@ def adapt_penalties(cfg: SolverConfig, nu: float) -> SolverConfig:
     """Penalty rescaling after a failed descent check.
 
     eta2 shrinks by nu, eta1 grows by nu^2, and the overlap grows by
-    ceil(4 ln(nu) / ln(1/rho_hat)) to shrink the direction error accordingly.
+    ceil(4 ln(nu) / ln(1/RHO_HAT)) to shrink the direction error accordingly.
     """
     if not nu > 1:
         raise ValueError(f"nu must exceed 1, got {nu}")
     eta = PenaltyParams(cfg.eta.eta1 * nu * nu, cfg.eta.eta2 / nu)
-    db = math.ceil(4.0 * math.log(nu) / math.log(1.0 / cfg.rho_hat))
+    db = math.ceil(4.0 * math.log(nu) / math.log(1.0 / RHO_HAT))
     return replace(cfg, eta=eta, b=cfg.b + db)
 
 
@@ -274,7 +270,7 @@ def _step(p: ProblemDef, plan: Optional[DecompositionPlan],
         if violations > 30:
             raise AdaptivityFailure(
                 "descent inequality still violated after 30 rescalings")
-        cfg = adapt_penalties(cfg, cfg.nu)
+        cfg = adapt_penalties(cfg, NU)
         cfg = replace(cfg, b=min(cfg.b, p.N - 1))
         plan = make_plan(p.N, cfg.M, cfg.b)
 
@@ -283,9 +279,8 @@ def _step(p: ProblemDef, plan: Optional[DecompositionPlan],
         ratio = direction_error_ratio(solve_full_newton(nd), direction)
 
     merit0 = terms.merit(cfg.eta)
-    alpha, _ = line_search(p, z, lam, direction, cfg.eta, cfg.beta,
-                           cfg.backtrack_factor, merit0=merit0,
-                           merit_grad=merit_grad)
+    alpha, _ = line_search(p, z, lam, direction, cfg.eta, BETA, BACKTRACK,
+                           merit0=merit0, merit_grad=merit_grad)
     dx, du, dl = direction.stage_arrays(p.N, p.n_x, p.n_u)
     z.x += alpha * dx
     z.u += alpha * du

@@ -20,7 +20,7 @@ as an equivalence test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -32,7 +32,6 @@ from .exceptions import SubproblemFailure
 from .newton import assemble_newton_data, solve_full_newton
 from .problem import DualTrajectory, ProblemDef, Trajectory, stage_batched
 
-SCHWARZ_BUDGET = 30
 INNER_TOL = 1e-8
 INNER_MAX_ITERS = 50
 
@@ -127,19 +126,18 @@ def truncated_problem(sub: NonlinearSubproblem) -> ProblemDef:
 
 
 def solve_nonlinear_subproblem(sub: NonlinearSubproblem,
-                               warm: Tuple[np.ndarray, np.ndarray, np.ndarray],
-                               inner_max_iters: int = INNER_MAX_ITERS):
+                               warm: Tuple[np.ndarray, np.ndarray, np.ndarray]):
     """Solve one subproblem to optimality by an inner centralized SQP.
 
     ``warm`` is the (x, u, lam) slice of the current full iterate over
     [m1, m2].  Returns the subproblem's (x, u, lam) arrays; raises
     :class:`SubproblemFailure` when the inner loop does not reach
-    INNER_TOL within its budget.
+    INNER_TOL within INNER_MAX_ITERS iterations.
     """
     trunc = truncated_problem(sub)
     xw, uw, lw = warm
     cfg = SolverConfig(kkt_tol=INNER_TOL, step_tol=0.0,
-                       max_iters=inner_max_iters)
+                       max_iters=INNER_MAX_ITERS)
     report = solve(trunc, cfg, (Trajectory(xw, uw), DualTrajectory(lw)),
                    mode="centralized")
     if report.status != STATUS_KKT:
@@ -149,18 +147,13 @@ def solve_nonlinear_subproblem(sub: NonlinearSubproblem,
     return report.z.x, report.z.u, report.lam.lam
 
 
-def schwarz_solve(p: ProblemDef, cfg: SolverConfig, init,
-                  budget: int = SCHWARZ_BUDGET,
-                  inner_max_iters: int = INNER_MAX_ITERS) -> SolveReport:
+def schwarz_solve(p: ProblemDef, cfg: SolverConfig, init) -> SolveReport:
     """Outer Schwarz iteration: freeze boundaries, solve, compose, repeat.
 
-    Runs the SQP drivers' outer loop, so it stops on the same KKT/step
-    conditions, with a (smaller) default iteration budget since every outer
-    iteration solves nonlinear subproblems to optimality.  The intervals
-    are solved one after another in plan order.
+    Runs the SQP drivers' outer loop, so it stops on the same KKT, step and
+    ``cfg.max_iters`` conditions.  The intervals are solved one after
+    another in plan order.
     """
-    if budget < 0:
-        raise ValueError(f"Schwarz budget must be nonnegative, got {budget}")
     plan = make_plan(p.N, cfg.M, cfg.b)
 
     def step(state: SolverState, cfg: SolverConfig, terms):
@@ -168,7 +161,7 @@ def schwarz_solve(p: ProblemDef, cfg: SolverConfig, init,
         warms = decompose(z.x, z.u, lam.lam, plan)
         parts = [solve_nonlinear_subproblem(
                      subproblem_from_iterate(p, plan, i, cfg.mu, z, lam),
-                     warms[i], inner_max_iters)
+                     warms[i])
                  for i in range(plan.M)]
         x_new, u_new, lam_new = compose(parts, plan)
         step_norm = float(np.sqrt(np.sum((x_new - z.x) ** 2)
@@ -183,7 +176,7 @@ def schwarz_solve(p: ProblemDef, cfg: SolverConfig, init,
         state.tau += 1
         return record, cfg, 0
 
-    return run_outer_loop(p, replace(cfg, max_iters=budget), init, step)
+    return run_outer_loop(p, cfg, init, step)
 
 
 def one_newton_schwarz_step(p: ProblemDef, z: Trajectory, lam: DualTrajectory,

@@ -103,6 +103,13 @@ TOY_RUN = "problem: {type: toy, case: 1, N: 60}\nsolver: {M: 3, b: 2}\nrun: %s\n
     (TOY_SOLVER % "{M: 7}", [], "M=7"),                   # M does not divide N
     (TOY_SOLVER % "{c: -1.0}", [], "solver.c"),           # not a solver key
     (TOY_SOLVER % "{gamma_step: 0.5}", [], "solver.gamma_step"),
+    # Armijo and adaptation constants: valid values, but no longer keys
+    (TOY_SOLVER % "{M: 3, b: 2, beta: 0.2}", [], "unknown key 'solver.beta'"),
+    (TOY_SOLVER % "{M: 3, b: 2, backtrack_factor: 0.5}", [],
+     "unknown key 'solver.backtrack_factor'"),
+    (TOY_SOLVER % "{M: 3, b: 2, nu: 3.0}", [], "unknown key 'solver.nu'"),
+    (TOY_SOLVER % "{M: 3, b: 2, rho_hat: 0.25}", [],
+     "unknown key 'solver.rho_hat'"),
     (TOY_SOLVER % "{workers: 0}", [], "workers"),         # no worker thread
     (TOY_SOLVER % "{M: 3, b: 2}", ["--workers", "0"], "workers"),
     (TOY_SOLVER % "{M: 3, b: 2}\nsweep: {b: 3}", [], "sweep.b"),  # not a list
@@ -121,10 +128,12 @@ TOY_RUN = "problem: {type: toy, case: 1, N: 60}\nsolver: {M: 3, b: 2}\nrun: %s\n
     (TOY_SOLVER % "{M: 3, b: 2, max_iters: -3}", [], "max_iters"),  # ran none
     (TOY_SOLVER % "{M: 3, b: 2, kkt_tol: -1.0}", [], "kkt_tol"),  # never met
     (TOY_SOLVER % "{M: 3, b: 2, step_tol: .nan}", [], "step_tol"),
+    # an unknown key: Schwarz stops at solver.max_iters like every mode
     (TOY_SOLVER % "{mode: schwarz, M: 3, b: 2, schwarz_budget: -1}", [],
      "solver.schwarz_budget"),
 ], ids=["d-kind", "d-scalar", "plate-m2", "M-divides-N", "solver-c",
-        "solver-gamma-step", "solver-workers-0", "flag-workers-0",
+        "solver-gamma-step", "solver-beta", "solver-backtrack-factor",
+        "solver-nu", "solver-rho-hat", "solver-workers-0", "flag-workers-0",
         "sweep-b-scalar", "sweep-mu-word", "run-inits-word", "solver-scalar",
         "run-list", "problem-list", "solver-M-fraction", "run-diagnostics-no",
         "run-out-dir-null", "run-inits-0", "plate-m-fraction",

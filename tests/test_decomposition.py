@@ -221,6 +221,20 @@ def test_last_subproblem_restores_terminal_block():
             np.zeros(1), np.zeros(1), None, np.zeros(1)))
     with pytest.raises(ValueError, match=r"d1 must have shape \(1,\)"):
         assemble_subproblem(nd, plan, 1, 25.0, BoundaryVars(np.zeros(2)))
+    # Every terminal value is checked against its own shape, so none is
+    # broadcast into the terminal gradient or fails inside numpy's matmul.
+    rand, _ = make_random_lq(20, 2, 1, seed=11)
+    nd = assemble_newton_data(rand, *random_point(rand, seed=1))
+    plan = make_plan(20, 4, 2)
+    good = dict(d1=np.zeros(2), d2=np.zeros(2), d3=np.zeros(1), d4=np.zeros(2))
+    assemble_subproblem(nd, plan, 1, 25.0, BoundaryVars(**good))
+    for key, bad, shape in (("d2", np.float64(1.0), r"\(2,\), got \(\)"),
+                            ("d3", np.zeros(2), r"\(1,\), got \(2,\)"),
+                            ("d4", np.zeros(1), r"\(2,\), got \(1,\)"),
+                            ("d2", np.zeros(3), r"\(2,\), got \(3,\)")):
+        with pytest.raises(ValueError, match=f"{key} must have shape {shape}"):
+            assemble_subproblem(nd, plan, 1, 25.0,
+                                BoundaryVars(**{**good, key: bad}))
 
 
 def test_exact_boundaries_reproduce_truncated_direction():

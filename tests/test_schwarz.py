@@ -205,19 +205,20 @@ def test_schwarz_step_tolerance_stop():
 def test_schwarz_budget_exhaustion_recorded():
     p = toy(N=100)
     init = make_initializations(p, 2, seed=9)[1]
-    report = schwarz_solve(p, SolverConfig(mu=25.0, M=5, b=1), init, budget=1)
+    report = schwarz_solve(p, SolverConfig(mu=25.0, M=5, b=1, max_iters=1),
+                           init)
     assert report.status == "max_iters"
     assert len(report.records) == 2
     assert report.error is None
-    with pytest.raises(ValueError, match="budget"):
-        schwarz_solve(p, SolverConfig(mu=25.0, M=5, b=1), init, budget=-1)
+    with pytest.raises(ValueError, match="max_iters"):
+        SolverConfig(mu=25.0, M=5, b=1, max_iters=-1)
 
 
-def test_schwarz_inner_failure_reported():
+def test_schwarz_inner_failure_reported(monkeypatch):
+    monkeypatch.setattr("fotd.schwarz.INNER_MAX_ITERS", 0)
     p = toy(N=12)
     init = make_initializations(p, 2, seed=11)[1]
-    report = schwarz_solve(p, SolverConfig(mu=25.0, M=3, b=2), init,
-                           inner_max_iters=0)
+    report = schwarz_solve(p, SolverConfig(mu=25.0, M=3, b=2), init)
     assert report.status == "error"
     assert report.error.startswith("nonlinear subproblem 0 did not converge: "
                                    "interval [0, 6]")
@@ -230,7 +231,7 @@ def test_schwarz_inner_failure_reported():
     for i in range(plan.M):
         sub = subproblem_from_iterate(p, plan, i, 25.0, z, lam)
         with pytest.raises(SubproblemFailure) as exc:
-            solve_nonlinear_subproblem(sub, warms[i], inner_max_iters=0)
+            solve_nonlinear_subproblem(sub, warms[i])
         assert exc.value.index == i
         assert str(exc.value).startswith(f"nonlinear subproblem {i} did not "
                                          f"converge: interval [{plan.m1[i]}, "
