@@ -159,7 +159,8 @@ def compose(parts: Sequence, plan: DecompositionPlan):
     lam = np.empty((plan.N + 1, n_x))
     for i, (xi, ui, li) in enumerate(parts):
         m1, m2 = plan.m1[i], plan.m2[i]
-        if xi.shape[0] != m2 - m1 + 1 or ui.shape[0] != m2 - m1:
+        if (xi.shape[0] != m2 - m1 + 1 or ui.shape[0] != m2 - m1
+                or li.shape[0] != m2 - m1 + 1):
             raise ValueError(f"part {i} does not match interval [{m1}, {m2}]")
         lo, hi = plan.knots[i], plan.knots[i + 1]
         x[lo:hi] = xi[lo - m1:hi - m1]

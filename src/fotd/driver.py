@@ -66,8 +66,10 @@ class SolverConfig:
     ``workers`` only sizes the thread pool of the band kernel, which solves
     the decomposed direction's subproblems when their blocks are narrower
     than :data:`fotd.decomposition.RICCATI_MIN_NX`; wider blocks go to one
-    batched Riccati sweep on the calling thread, and the Schwarz baseline
-    solves its intervals in order, whatever its value.
+    batched Riccati sweep on the calling thread.  The Schwarz baseline runs
+    on the calling thread whatever its value: below that width it chains
+    an outer iteration's intervals into one problem, and wider intervals
+    are solved one after another in plan order.
     """
 
     mu: float = 25.0

@@ -469,3 +469,26 @@ def recording(p: ProblemDef):
         return stage_batched(form)(callback) if hasattr(fn, "batched") else callback
 
     return replace(p, **{name: recorded(name) for name in CALLBACKS}), stages, batches
+
+
+def per_stage_copy(p: ProblemDef) -> ProblemDef:
+    """Copy of ``p`` whose callbacks are plain per-stage callables."""
+    return replace(p, **{name: (lambda fn: lambda *args: fn(*args))(
+        getattr(p, name)) for name in CALLBACKS})
+
+
+def batched_copy(p: ProblemDef) -> ProblemDef:
+    """Copy of ``p`` whose callbacks carry a batched form over per-stage calls.
+
+    The form stacks the per-stage outputs, so it matches them bit for bit,
+    as the batched-form contract asks.
+    """
+    def batched(fn):
+        def form(ks, *arrays):
+            outs = [fn(*args) for args in zip(ks.tolist(), *arrays)]
+            if isinstance(outs[0], tuple):
+                return tuple(np.array(out) for out in zip(*outs))
+            return np.array(outs)
+        return stage_batched(form)(lambda *args: fn(*args))
+
+    return replace(p, **{name: batched(getattr(p, name)) for name in CALLBACKS})

@@ -145,6 +145,20 @@ def test_compose_missing_part_raises():
     plan = make_plan(4, 2, 1)
     with pytest.raises(ValueError):
         compose([(np.zeros((4, 1)), np.zeros((3, 1)), np.zeros((4, 1)))], plan)
+    # a multiplier part of the wrong length is refused like a state part,
+    # not broadcast over the exclusive range or cut to it
+    plan = make_plan(12, 3, 2)
+    rng = np.random.default_rng(0)
+    x, u, lam = (rng.standard_normal((n, 1)) for n in (13, 12, 13))
+    parts = decompose(x, u, lam, plan)
+    for i, li in ((0, parts[0][2][:1]), (1, parts[1][2][:3]),
+                  (2, np.concatenate([parts[2][2]] * 2))):
+        bad = list(parts)
+        bad[i] = (parts[i][0], parts[i][1], li)
+        with pytest.raises(ValueError, match=f"part {i} does not match"):
+            compose(bad, plan)
+    for got, want in zip(compose(parts, plan), (x, u, lam)):
+        np.testing.assert_array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------

@@ -318,11 +318,16 @@ def _exactness_problems():
     z, lam = random_point(case3, seed=0, scale=3.0)
     sub = subproblem_from_iterate(case3, make_plan(30, 3, 2), 1, 25.0, z, lam)
     assert sub.m1 > 0 and sub.has_adjusted_terminal
+    # a chain whose first junction is adjusted and whose second ends at N
+    plan = make_plan(30, 5, 8)
+    group = [subproblem_from_iterate(case3, plan, i, 25.0, z, lam)
+             for i in (2, 3, 4)]
     return {
         "toy": toy(N=30, d=lambda k: 5.0 * math.sin(k)),
         "toy-c2": make_toy_problem(toy_case_params(2, N=30)[0]),
         "toy-c3": case3,
-        "toy-c3-truncated": truncated_problem(sub),
+        "toy-c3-truncated": truncated_problem([sub]),
+        "toy-c3-chained": truncated_problem(group),
         "plate-m4": make_plate_problem(PlateSpec(m=4, N=40)),
         "plate-m6": make_plate_problem(PlateSpec(m=6, N=60)),
         "lq-6-3-2": make_random_lq(6, 3, 2)[0],

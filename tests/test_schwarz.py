@@ -4,22 +4,25 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import fotd.schwarz as fotd_schwarz
+
 from fotd.benchmarks import (PlateSpec, ToySpec, make_initializations,
                              make_plate_problem, make_toy_problem,
                              toy_case_params)
-from fotd.decomposition import approximate_direction, decompose, make_plan
+from fotd.decomposition import (RICCATI_MIN_NX, approximate_direction,
+                                decompose, make_plan)
 from fotd.driver import SolverConfig, solve
 from fotd.exceptions import SubproblemFailure
 from fotd.newton import assemble_newton_data
 from fotd.problem import (DualTrajectory, Trajectory, _merit_terms,
-                          kkt_residual, linearize)
+                          kkt_residual, linearize, split_primal)
 from fotd.schwarz import (boundary_compatibility, one_newton_schwarz_step,
                           schwarz_solve, solve_nonlinear_subproblem,
                           subproblem_from_iterate, truncated_problem)
 
-from oracles import (CALLBACKS, central_diff, dense_full_newton,
-                     make_random_lq, newton_solve_to_kkt, random_point,
-                     recording)
+from oracles import (CALLBACKS, batched_copy, central_diff, dense_full_newton,
+                     make_random_lq, newton_solve_to_kkt, per_stage_copy,
+                     random_point, recording)
 
 
 def toy(N, C1=8.0, C2=1.0, d=lambda k: 1.0):
@@ -31,7 +34,7 @@ def test_truncated_problem_terminal_derivatives_match_fd():
     z, lam = random_point(p, seed=0)
     plan = make_plan(10, 2, 2)
     sub = subproblem_from_iterate(p, plan, 0, 3.0, z, lam)
-    trunc = truncated_problem(sub)
+    trunc = truncated_problem([sub])
     T = sub.m2 - sub.m1
     x = np.array([0.37])
     g = trunc.cost_gradient(T, x)
@@ -52,7 +55,7 @@ def test_truncated_plate_terminal_hessian_carries_the_contraction():
     z.x += 300.0
     lam.lam *= 50.0
     sub = subproblem_from_iterate(p, make_plan(20, 2, 2), 0, 3.0, z, lam)
-    trunc = truncated_problem(sub)
+    trunc = truncated_problem([sub])
     T = sub.m2 - sub.m1
     x = z.x[sub.m2] + 1.0
     h = trunc.cost_hessian(T, x)
@@ -77,7 +80,7 @@ def test_truncation_shifts_batched_and_per_stage_callbacks_alike(family):
         replace(p, dynamics=lambda k, x, u: p.dynamics(k, x, u)))
     sub = subproblem_from_iterate(mixed, make_plan(30, 3, 2), 1, 25.0, z, lam)
     assert sub.m1 > 0 and sub.has_adjusted_terminal
-    trunc = truncated_problem(sub)
+    trunc = truncated_problem([sub])
     m2, shifted = sub.m2, tuple(range(sub.m1, sub.m2))
     zt, lt = random_point(trunc, seed=5, scale=3.0)
 
@@ -96,9 +99,7 @@ def test_truncation_shifts_batched_and_per_stage_callbacks_alike(family):
                       "cost_gradient": [m2], "dynamics_jacobians": [m2]}
 
     # the truncation of a parent without any batched form
-    plain = replace(p, **{name: (lambda fn: lambda *args: fn(*args))(
-        getattr(p, name)) for name in CALLBACKS})
-    ref = truncated_problem(replace(sub, parent=plain))
+    ref = truncated_problem([replace(sub, parent=per_stage_copy(p))])
     for got, want in zip(lin, linearize(ref, zt, lt)):
         np.testing.assert_array_equal(got, want)
     want = _merit_terms(ref, zt, lt)
@@ -107,13 +108,121 @@ def test_truncation_shifts_batched_and_per_stage_callbacks_alike(family):
     np.testing.assert_array_equal(terms.gl, want.gl)
 
 
+def _group(family):
+    """A parent and a group of three consecutive intervals of it."""
+    if family == "toy-c3":
+        # interval 3 reaches N before the group's last interval does
+        p = make_toy_problem(toy_case_params(3, N=30)[0])
+        plan, group = make_plan(30, 5, 8), [2, 3, 4]
+        assert plan.m2[2] < 30 and plan.m2[3] == 30
+    else:
+        p = batched_copy(make_random_lq(12, 2, 1, seed=3)[0])
+        plan, group = make_plan(12, 3, 2), [0, 1, 2]
+    z, lam = random_point(p, seed=4, scale=3.0)
+    return p, [subproblem_from_iterate(p, plan, i, 25.0, z, lam)
+               for i in group]
+
+
+@pytest.mark.parametrize("family", ["toy-c3", "lq"])
+def test_chained_group_batched_and_per_stage_callbacks_alike(family):
+    p, subs = _group(family)
+    chain = truncated_problem(subs)
+    ref = truncated_problem([replace(s, parent=per_stage_copy(p)) for s in subs])
+    assert all(hasattr(getattr(chain, name), "batched") for name in CALLBACKS)
+    assert not any(hasattr(getattr(ref, name), "batched") for name in CALLBACKS)
+    assert chain.N == sum(s.m2 - s.m1 for s in subs) + len(subs) - 1
+    np.testing.assert_array_equal(chain.x0, subs[0].x_start)
+    zc, lc = random_point(chain, seed=5, scale=3.0)
+    lin = linearize(chain, zc, lc)
+    for got, want in zip(lin, linearize(ref, zc, lc)):
+        np.testing.assert_array_equal(got, want)
+    terms, want = _merit_terms(chain, zc, lc), _merit_terms(ref, zc, lc)
+    assert terms.lagr == want.lagr
+    np.testing.assert_array_equal(terms.gz, want.gz)
+    np.testing.assert_array_equal(terms.gl, want.gl)
+
+    # junction rows: the interval's own terminal values in x, the control's
+    # 1/2 ||u||^2, and dynamics that pin the next interval's initial state
+    nx, nu = chain.n_x, chain.n_u
+    Q, S, R, A, B, gz, gl = lin
+    gx, gu = split_primal(gz, chain.N, nx, nu)
+    gl = gl.reshape(chain.N + 1, nx)
+    k = -1
+    for sub, nxt in zip(subs, subs[1:]):
+        k += sub.m2 - sub.m1 + 1
+        alone = truncated_problem([sub])
+        T, x, u = alone.N, zc.x[k], zc.u[k]
+        for prob in (chain, ref):
+            np.testing.assert_allclose(
+                prob.stage_cost(k, x, u), alone.stage_cost(T, x) + 0.5 * u @ u,
+                rtol=1e-15)
+            gxk, guk = prob.cost_gradient(k, x, u)
+            np.testing.assert_allclose(gxk, alone.cost_gradient(T, x),
+                                       rtol=1e-15)
+            np.testing.assert_array_equal(guk, u)
+            np.testing.assert_array_equal(prob.dynamics(k, x, u), nxt.x_start)
+            for block in (*prob.dynamics_jacobians(k, x, u),
+                          *prob.dynamics_hessian_contraction(k, x, u, lc.lam[k + 1])):
+                assert not block.any()
+        np.testing.assert_allclose(Q[k], alone.cost_hessian(T, x), rtol=1e-15)
+        assert not S[k].any() and not A[k].any() and not B[k].any()
+        np.testing.assert_array_equal(R[k], np.eye(nu))
+        np.testing.assert_array_equal(gu[k], u)
+        np.testing.assert_array_equal(gl[k + 1], zc.x[k + 1] - nxt.x_start)
+    assert k + 1 + subs[-1].m2 - subs[-1].m1 == chain.N
+
+
+def test_chained_solve_matches_solving_each_interval_alone():
+    # interval 3 of five reaches N, so the chain has a junction at N
+    p = toy(N=100)
+    plan = make_plan(100, 5, 25)
+    assert plan.m2[3] == plan.N
+    z, lam = random_point(p, seed=7, scale=2.0)
+    z.x[0] = p.x0
+    warms = decompose(z.x, z.u, lam.lam, plan)
+    subs = [subproblem_from_iterate(p, plan, i, 25.0, z, lam)
+            for i in range(plan.M)]
+    parts = solve_nonlinear_subproblem(subs, warms)
+    assert len(parts) == plan.M
+    for i, (sub, part) in enumerate(zip(subs, parts)):
+        [alone] = solve_nonlinear_subproblem([sub], [warms[i]])
+        for got, want, rows in zip(part, alone, (sub.m2 - sub.m1 + 1,
+                                                 sub.m2 - sub.m1,
+                                                 sub.m2 - sub.m1 + 1)):
+            assert got.shape == (rows, 1)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+
+def test_schwarz_chains_narrow_intervals_and_solves_wide_ones_alone(monkeypatch):
+    calls = []
+    inner = fotd_schwarz.solve
+
+    def counted(problem, *args, **kwargs):
+        calls.append(problem.N)
+        return inner(problem, *args, **kwargs)
+
+    monkeypatch.setattr(fotd_schwarz, "solve", counted)
+    p = toy(N=60)
+    report = schwarz_solve(p, SolverConfig(mu=25.0, M=3, b=4),
+                           make_initializations(p, 2, seed=19)[1])
+    assert report.status == "converged_kkt"
+    # one chained solve of 3 intervals (24, 28 and 24 stages) per iteration
+    assert calls == [24 + 28 + 24 + 2] * report.iterations
+    calls.clear()
+    p = make_plate_problem(PlateSpec(m=4, N=20))
+    assert p.n_x >= RICCATI_MIN_NX
+    schwarz_solve(p, SolverConfig(mu=25.0, M=2, b=2, max_iters=1),
+                  make_initializations(p, 1, seed=0)[0])
+    assert calls == [12, 12]
+
+
 def test_inner_solver_returns_warm_start_at_subproblem_optimum():
     p = toy(N=12)
     z, lam = newton_solve_to_kkt(p, tol=1e-13)
     plan = make_plan(12, 3, 2)
     warms = decompose(z.x, z.u, lam.lam, plan)
     sub = subproblem_from_iterate(p, plan, 1, 25.0, z, lam)
-    xs, us, ls = solve_nonlinear_subproblem(sub, warms[1])
+    [(xs, us, ls)] = solve_nonlinear_subproblem([sub], [warms[1]])
     np.testing.assert_array_equal(xs, warms[1][0])
     np.testing.assert_array_equal(us, warms[1][1])
     np.testing.assert_array_equal(ls, warms[1][2])
@@ -125,7 +234,7 @@ def test_inner_solver_one_iteration_on_lq_parent():
     plan = make_plan(12, 3, 2)
     warms = decompose(z.x, z.u, lam.lam, plan)
     sub = subproblem_from_iterate(p, plan, 1, 5.0, z, lam)
-    trunc = truncated_problem(sub)
+    trunc = truncated_problem([sub])
     report = solve(trunc, SolverConfig(mu=5.0, kkt_tol=1e-8, step_tol=0.0,
                                        max_iters=50, assert_descent=False),
                    (Trajectory(warms[1][0].copy(), warms[1][1].copy()),
@@ -142,8 +251,8 @@ def test_subproblem_with_exact_boundaries_returns_truncated_solution():
     sub = subproblem_from_iterate(p, plan, 1, 25.0, zs, ls)
     warms = decompose(zs.x, zs.u, ls.lam, plan)
     x0w = warms[1][0] + 1e-3  # start slightly off to make the solve do work
-    xs, us, lsub = solve_nonlinear_subproblem(
-        sub, (x0w, warms[1][1] + 1e-3, warms[1][2] + 1e-3))
+    [(xs, us, lsub)] = solve_nonlinear_subproblem(
+        [sub], [(x0w, warms[1][1] + 1e-3, warms[1][2] + 1e-3)])
     m1, m2 = plan.m1[1], plan.m2[1]
     np.testing.assert_allclose(xs, zs.x[m1:m2 + 1], atol=1e-7)
     np.testing.assert_allclose(us, zs.u[m1:m2], atol=1e-7)
@@ -179,7 +288,7 @@ def test_schwarz_parallel_workers_match_serial(monkeypatch):
     def refused(self):
         raise AssertionError("the Schwarz baseline started a thread")
 
-    # Schwarz solves its intervals in order on the calling thread, whatever
+    # Schwarz solves its chained intervals on the calling thread, whatever
     # ``workers`` says, so at workers=3 no thread may start.
     monkeypatch.setattr(threading.Thread, "start", refused)
     rep3 = schwarz_solve(p, SolverConfig(mu=25.0, M=3, b=4, workers=3), init)
@@ -231,11 +340,33 @@ def test_schwarz_inner_failure_reported(monkeypatch):
     for i in range(plan.M):
         sub = subproblem_from_iterate(p, plan, i, 25.0, z, lam)
         with pytest.raises(SubproblemFailure) as exc:
-            solve_nonlinear_subproblem(sub, warms[i])
+            solve_nonlinear_subproblem([sub], [warms[i]])
         assert exc.value.index == i
         assert str(exc.value).startswith(f"nonlinear subproblem {i} did not "
                                          f"converge: interval [{plan.m1[i]}, "
                                          f"{plan.m2[i]}]")
+
+
+def test_chained_failure_names_the_interval_that_missed(monkeypatch):
+    # intervals 0 and 1 start at their optimum; only interval 2 has work
+    # left after one inner step, so the chain's failure must name it
+    monkeypatch.setattr("fotd.schwarz.INNER_MAX_ITERS", 1)
+    p = toy(N=12)
+    z, lam = newton_solve_to_kkt(p, tol=1e-13)
+    plan = make_plan(12, 3, 2)
+    warms = decompose(z.x, z.u, lam.lam, plan)
+    warms[2] = tuple(a + 0.5 for a in warms[2])
+    subs = [subproblem_from_iterate(p, plan, i, 25.0, z, lam)
+            for i in range(plan.M)]
+    with pytest.raises(SubproblemFailure) as exc:
+        solve_nonlinear_subproblem(subs, warms)
+    assert exc.value.index == 2
+    assert str(exc.value).startswith(
+        f"nonlinear subproblem 2 did not converge: interval "
+        f"[{plan.m1[2]}, {plan.m2[2]}] stopped with status=max_iters, "
+        "residual=")
+    residual = float(str(exc.value).rsplit("=", 1)[1])
+    assert residual > 1e-8
 
 
 @pytest.mark.parametrize("b", [1, 5])
@@ -271,7 +402,7 @@ def test_one_newton_step_matches_dense_subproblem_solves():
     warms = decompose(z.x, z.u, lam.lam, plan)
     for i in range(2):
         sub = subproblem_from_iterate(p, plan, i, 4.0, z, lam)
-        trunc = truncated_problem(sub)
+        trunc = truncated_problem([sub])
         nd = assemble_newton_data(p=trunc,
                                   z=Trajectory(warms[i][0], warms[i][1]),
                                   lam=DualTrajectory(warms[i][2]))
@@ -299,7 +430,7 @@ def test_compatibility_conditions_decide_full_stationarity():
                     p, plan, i, 25.0,
                     Trajectory(zs.x + 0.5, zs.u + 0.5),
                     DualTrajectory(ls.lam + 0.5))
-            parts.append(solve_nonlinear_subproblem(sub, warms[i]))
+            parts += solve_nonlinear_subproblem([sub], [warms[i]])
         return parts
 
     # matched boundaries: composed point is a full KKT point and every
