@@ -19,8 +19,7 @@ from .decomposition import (BoundaryVars, DecompositionPlan, SubproblemData,
                             make_plan, solve_subproblem,
                             solve_subproblems_riccati)
 from .driver import (IterationRecord, SolveReport, SolverConfig, SolverState,
-                     adapt_penalties, direction_error_diagnostic, fotd_step,
-                     line_search, solve)
+                     adapt_penalties, fotd_step, line_search, solve)
 from .exceptions import (AdaptivityFailure, IndefiniteHorizonError,
                          IndefiniteStageError, LineSearchFailure,
                          LinearSolverError, ModificationFailure,

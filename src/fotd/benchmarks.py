@@ -31,7 +31,8 @@ from typing import Callable
 
 import numpy as np
 
-from .problem import DualTrajectory, ProblemDef, Trajectory, stage_batched
+from .problem import (DualTrajectory, ProblemDef, Trajectory,
+                      batched_callback)
 
 UNIFORM_HALF_WIDTH = 1e5
 
@@ -91,22 +92,6 @@ def toy_reference(spec: ToySpec) -> np.ndarray:
     return np.fromiter(map(spec.d, range(spec.N)), float, spec.N)
 
 
-def _callback(form: Callable, N: int, terminal: Callable | None = None):
-    """Per-stage callback that evaluates the batched ``form`` on stage k alone.
-
-    Stage N goes to ``terminal(x)``.  The callback carries ``form`` as its
-    stage-batched form, so both forms evaluate one formula and agree bit for
-    bit.
-    """
-    @stage_batched(form)
-    def callback(k, x, *args):
-        if k == N:
-            return terminal(x)
-        out = form(np.array([k]), *(np.asarray(a)[None] for a in (x, *args)))
-        return tuple(o[0] for o in out) if isinstance(out, tuple) else out[0]
-    return callback
-
-
 def make_toy_problem(spec: ToySpec) -> ProblemDef:
     """Scalar problem with analytic derivatives; n_x = n_u = 1.
 
@@ -150,14 +135,16 @@ def make_toy_problem(spec: ToySpec) -> ProblemDef:
 
     return ProblemDef(
         N=N, n_x=1, n_u=1, x0=np.zeros(1),
-        stage_cost=_callback(stage_cost, N, lambda x: C1 * float(x[0]) ** 2),
-        cost_gradient=_callback(cost_gradient, N,
-                                lambda x: np.array([2.0 * C1 * float(x[0])])),
-        cost_hessian=_callback(cost_hessian, N,
-                               lambda x: np.array([[2.0 * C1]])),
-        dynamics=_callback(dynamics, N),
-        dynamics_jacobians=_callback(dynamics_jacobians, N),
-        dynamics_hessian_contraction=_callback(dynamics_hessian_contraction, N),
+        stage_cost=batched_callback(stage_cost, N,
+                                    lambda x: C1 * float(x[0]) ** 2),
+        cost_gradient=batched_callback(
+            cost_gradient, N, lambda x: np.array([2.0 * C1 * float(x[0])])),
+        cost_hessian=batched_callback(cost_hessian, N,
+                                      lambda x: np.array([[2.0 * C1]])),
+        dynamics=batched_callback(dynamics, N),
+        dynamics_jacobians=batched_callback(dynamics_jacobians, N),
+        dynamics_hessian_contraction=batched_callback(
+            dynamics_hessian_contraction, N),
     )
 
 
@@ -292,12 +279,14 @@ def make_plate_problem(spec: PlateSpec) -> ProblemDef:
 
     return ProblemDef(
         N=spec.N, n_x=n, n_u=n, x0=np.zeros(n),
-        stage_cost=_callback(stage_cost, N, lambda x: 0.0),
-        cost_gradient=_callback(cost_gradient, N, lambda x: np.zeros(n)),
-        cost_hessian=_callback(cost_hessian, N, lambda x: zero),
-        dynamics=_callback(dynamics, N),
-        dynamics_jacobians=_callback(dynamics_jacobians, N),
-        dynamics_hessian_contraction=_callback(dynamics_hessian_contraction, N),
+        stage_cost=batched_callback(stage_cost, N, lambda x: 0.0),
+        cost_gradient=batched_callback(cost_gradient, N,
+                                       lambda x: np.zeros(n)),
+        cost_hessian=batched_callback(cost_hessian, N, lambda x: zero),
+        dynamics=batched_callback(dynamics, N),
+        dynamics_jacobians=batched_callback(dynamics_jacobians, N),
+        dynamics_hessian_contraction=batched_callback(
+            dynamics_hessian_contraction, N),
     )
 
 

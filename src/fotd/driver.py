@@ -228,16 +228,6 @@ def direction_error_ratio(exact: NewtonDirection,
     return float(np.sqrt(ddz @ ddz + ddl @ ddl)) / denom
 
 
-def direction_error_diagnostic(p: ProblemDef, z: Trajectory,
-                               lam: DualTrajectory, cfg: SolverConfig) -> float:
-    """Relative error of the decomposed direction against the exact one."""
-    nd = modify_hessian(assemble_newton_data(p, z, lam))
-    plan = make_plan(p.N, cfg.M, cfg.b)
-    exact = solve_full_newton(nd)
-    approx = approximate_direction(nd, plan, cfg.mu, workers=cfg.workers)
-    return direction_error_ratio(exact, approx)
-
-
 def _step(p: ProblemDef, plan: Optional[DecompositionPlan],
           state: SolverState, cfg: SolverConfig,
           terms: MeritTerms) -> Tuple[IterationRecord, SolverConfig, int]:

@@ -184,6 +184,23 @@ def stage_batched(form: Callable):
     return attach
 
 
+def batched_callback(form: Callable, N: int,
+                     terminal: Optional[Callable] = None) -> Callable:
+    """Per-stage callback that evaluates the batched ``form`` on stage k alone.
+
+    Stage N goes to ``terminal(x)``.  The callback carries ``form`` as its
+    stage-batched form, so both forms evaluate one formula and agree bit for
+    bit.
+    """
+    @stage_batched(form)
+    def callback(k, x, *args):
+        if k == N:
+            return terminal(x)
+        out = form(np.array([k]), *(np.asarray(a)[None] for a in (x, *args)))
+        return tuple(o[0] for o in out) if isinstance(out, tuple) else out[0]
+    return callback
+
+
 def _over_stages(fn: Callable, shapes, ks: np.ndarray, *arrays):
     """Evaluate callback ``fn`` at the stages ``ks`` in one call.
 

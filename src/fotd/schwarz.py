@@ -15,22 +15,24 @@ where (xbar, ubar, lambar) are the frozen terminal boundary values.
 The intervals of one outer iteration are solved in groups, each group as
 one problem by one inner SQP.  A group chains its intervals end to end:
 interval i's T_i = m2_i - m1_i stages are chain stages o_i .. o_i + T_i - 1,
-with o_{i+1} = o_i + T_i + 1, and chain stage o_i + T_i holds its terminal
-state.  For every interval but the last that stage is a *junction*, a
-stage with a control u whose cost is the interval's terminal cost in x plus
-1/2 ||u||^2 (Hessian blocks: the terminal Hessian, S = 0 and R = I) and
-whose dynamics is the next interval's initial state, so A = B = 0 and the
-dynamics curvature is zero.  The next dynamics row is then exactly the next
+with o_{i+1} = o_i + T_i + 1, and chain stage o_i + T_i is the interval's
+*end*, which holds its terminal state.  The last interval's end is the
+chain's terminal stage.  Every other end is a *junction*, a stage with a
+control u whose cost is the interval's terminal cost in x plus 1/2 ||u||^2
+(Hessian blocks: the terminal Hessian, S = 0 and R = I) and whose dynamics
+is the next interval's initial state, so A = B = 0 and the dynamics
+curvature is zero.  The next dynamics row is then exactly the next
 interval's initial pin: no term couples two intervals, the chain's KKT
 conditions are those of its intervals plus u = 0 at every junction, and
 each Newton step of the chain is the intervals' own Newton steps at once.
 The intervals do share the step's Levenberg shift, Armijo stepsize and
 stop test, and the definiteness test's constant c is the largest
-interval's.  Each callback pass makes one call of the parent's batched form
-over every interval's stages, junction rows included, plus, for a cost
-callback, one call of the dynamics callback its adjustment reads over the
-junction rows; so an inner step makes the same number of callback calls,
-one band test and one band LU whatever the number of intervals.
+interval's.  One batched formula gives every end's terminal cost,
+gradient and Hessian.  Each callback pass makes one call of the parent's
+batched form over every interval's stages, junction rows included, plus,
+for a cost callback, one call of the dynamics callback its adjustment reads
+over the junction rows; so an inner step makes the same number of callback
+calls, one band test and one band LU whatever the number of intervals.
 
 The grouping follows the block width, as the decomposed direction's kernel
 does: below :data:`fotd.decomposition.RICCATI_MIN_NX` states all M
@@ -43,15 +45,15 @@ from 62 to 82 MB, as the plate's shared broadcast blocks are materialized
 over the whole chain.
 
 The one-Newton-step variant replaces the inner solve-to-optimality with a
-single Newton step of each truncated problem; starting from the same
-iterate it reproduces the decomposed SQP update exactly, which is exercised
-as an equivalence test.
+single Newton step of the chain of all M truncated problems; starting from
+the same iterate it reproduces the decomposed SQP update exactly, which is
+exercised as an equivalence test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -62,7 +64,7 @@ from .driver import (STATUS_KKT, IterationRecord, SolveReport, SolverConfig,
 from .exceptions import SubproblemFailure
 from .newton import assemble_newton_data, solve_full_newton
 from .problem import (DualTrajectory, ProblemDef, Trajectory, _merit_terms,
-                      _over_stages, stage_batched)
+                      _over_stages, batched_callback, split_primal)
 
 INNER_TOL = 1e-8
 INNER_MAX_ITERS = 50
@@ -120,47 +122,62 @@ def _output_shapes(nx: int, nu: int) -> dict:
 _COSTS = ("stage_cost", "cost_gradient", "cost_hessian")
 
 
-class _Junctions:
-    """The junction stages of a chain, one per interval but the last.
+def _offsets(subs: Sequence[NonlinearSubproblem]) -> np.ndarray:
+    """Each interval's first chain stage: o_0 = 0, o_{i+1} = o_i + T_i + 1."""
+    return np.cumsum([0] + [s.m2 - s.m1 + 1 for s in subs[:-1]])
 
-    Junction j ends interval j of the group.  A cost callback's row there is
-    the parent's at (m2_j, x, ubar_j), adjusted as in the module docstring;
-    an interval that reaches N has no stage m2 < N, so that row is evaluated
-    at stage N - 1 with zero boundary values and then replaced by the
-    parent's terminal value.  The dynamics callbacks' junction rows are
+
+def _stacked(parts, n_u: int):
+    """The chain's (x, u, lam) stage arrays from one (x, u, lam) per interval.
+
+    The junction controls are zero.
+    """
+    u = [np.zeros((1, n_u))] * (2 * len(parts) - 1)
+    u[::2] = [part[1] for part in parts]
+    return (np.concatenate([part[0] for part in parts]), np.concatenate(u),
+            np.concatenate([part[2] for part in parts]))
+
+
+def _parts(subs: Sequence[NonlinearSubproblem], x, u, lam) -> list:
+    """Cut the chain's stage arrays x, u, lam into one part per interval."""
+    return [(x[o:o + T + 1], u[o:o + T], lam[o:o + T + 1])
+            for o, T in zip(_offsets(subs), (s.m2 - s.m1 for s in subs))]
+
+
+class _Ends:
+    """The ends of a group's intervals, one per interval, in group order.
+
+    End j's cost callbacks give the parent's at (m2_j, x, ubar_j), adjusted
+    as in the module docstring; an interval that reaches N has no stage
+    m2 < N, so that row is evaluated at stage N - 1 with zero boundary
+    values and then replaced by the parent's terminal value.  At a junction
+    the control's terms are added, and the dynamics callbacks' rows are
     constants, whatever the parent gives there.
     """
 
-    def __init__(self, subs: Sequence[NonlinearSubproblem], shapes: dict):
+    def __init__(self, subs: Sequence[NonlinearSubproblem]):
         p = self.parent = subs[0].parent
-        ends = subs[:-1]
-        self.shapes = shapes
-        self.stage = np.array([min(s.m2, p.N - 1) for s in ends])
-        self.adjusted = np.array([s.has_adjusted_terminal for s in ends])
-        self.mu = np.array([s.mu for s in ends])
+        self.shapes = _output_shapes(p.n_x, p.n_u)
+        self.stage = np.array([min(s.m2, p.N - 1) for s in subs])
+        self.adjusted = np.array([s.has_adjusted_terminal for s in subs])
+        self.mu = np.array([s.mu for s in subs])
         self.xbar, self.ubar, self.lbar = (
             np.array([np.zeros(n) if getattr(s, name) is None
-                      else getattr(s, name) for s in ends])
+                      else getattr(s, name) for s in subs])
             for name, n in (("x_end", p.n_x), ("u_end", p.n_u),
                             ("lam_next", p.n_x)))
         self.x_next = np.array([s.x_start for s in subs[1:]])
 
-    def constant(self, name: str, js: np.ndarray) -> tuple:
-        """Rows of the dynamics callback ``name`` at junctions ``js``."""
-        if name == "dynamics":
-            return (self.x_next[js],)
-        return tuple(np.zeros((len(js),) + shape) for shape in self.shapes[name])
+    def terminal(self, name: str, js: np.ndarray, X: np.ndarray,
+                 first: np.ndarray) -> np.ndarray:
+        """The terminal cost callback ``name`` at the ends ``js``.
 
-    def costs(self, name: str, js: np.ndarray, X: np.ndarray, U: np.ndarray,
-              first: np.ndarray) -> tuple:
-        """Rows of the cost callback ``name`` at junctions ``js``.
-
-        ``X`` and ``U`` are fresh copies of the chain's states and controls
-        at those junctions and ``first`` the first output of the parent's
-        ``name`` at (m2_j, x, ubar_j).  The arithmetic is row by row, so a
-        batch of junctions gives what each gives alone.
+        ``js`` indexes the ends (an index array or a slice), ``X`` holds
+        their states and ``first`` the first output of the parent's ``name``
+        at (m2_j, x, ubar_j).  The arithmetic is row by row, so a batch of
+        ends gives what each gives alone.
         """
-        p, K = self.parent, len(js)
+        p = self.parent
         ks, ubar, lbar, mu = self.stage[js], self.ubar[js], self.lbar[js], self.mu[js]
         dx = X - self.xbar[js]
         if name == "stage_cost":
@@ -178,109 +195,93 @@ class _Junctions:
             term = first + Wxx + mu[:, None, None] * np.eye(p.n_x)
         for r in (~self.adjusted[js]).nonzero()[0]:
             term[r] = getattr(p, name)(p.N, X[r])
+        return term
+
+    def constant(self, name: str, js: np.ndarray) -> tuple:
+        """Rows of the dynamics callback ``name`` at the junctions ``js``."""
+        if name == "dynamics":
+            return (self.x_next[js],)
+        return tuple(np.zeros((len(js),) + shape) for shape in self.shapes[name])
+
+    def junction(self, name: str, js: np.ndarray, X: np.ndarray,
+                 U: np.ndarray, first: np.ndarray) -> tuple:
+        """Rows of the cost callback ``name`` at the junctions ``js``.
+
+        ``U`` holds a fresh copy of each junction's control; ``X`` and
+        ``first`` are as in :meth:`terminal`.
+        """
+        K, nx, nu = len(js), self.parent.n_x, self.parent.n_u
+        term = self.terminal(name, js, X, first)
         if name == "stage_cost":
             return (term + 0.5 * _rowdot(U, U),)
         if name == "cost_gradient":
             return term, U
-        return (term, np.zeros((K, p.n_u, p.n_x)),
-                np.eye(p.n_u)[None].repeat(K, axis=0))
+        return term, np.zeros((K, nu, nx)), np.eye(nu)[None].repeat(K, axis=0)
 
 
 def truncated_problem(subs: Sequence[NonlinearSubproblem]) -> ProblemDef:
     """Express a group of nonlinear subproblems as one problem definition.
 
     The group's intervals are chained as the module docstring describes.
-    Chain stage o_i + t, t < T_i, is the parent's stage m1_i + t.  A
-    junction stage evaluates the parent's callback on its row (through the
-    parent's batched form when there is one, see
-    :func:`fotd.problem._over_stages`) and then overwrites the row, on a
-    copy, since outputs may be shared; a callback whose parent callback is
-    stage-batched carries a batched form that does this for all the stages
-    asked for with one parent call, so both forms agree bit for bit.  The
-    terminal stage is the last interval's: the parent's terminal cost when
-    it reaches the end of the horizon, and the adjusted cost from the
-    module docstring otherwise.  A group of one is the interval's truncated
-    problem.
+    Chain stage o_i + t, t < T_i, is the parent's stage m1_i + t.  Every
+    callback carries one batched form over the chain's stages (see
+    :func:`fotd.problem.batched_callback`): it calls the parent's callback
+    on all the stages asked for at once (through the parent's batched form
+    when there is one, see :func:`fotd.problem._over_stages`) and then
+    overwrites the junction rows, on a copy, since outputs may be shared.
+    Its per-stage form is that batch taken at one stage.  The terminal
+    stage is the last interval's end: the parent's terminal cost when it
+    reaches the end of the horizon, and otherwise the ends' formula
+    (:class:`_Ends`) as a batch of one.  A group of one is the interval's
+    truncated problem, and its callbacks do no junction work.
     """
-    p, last = subs[0].parent, subs[-1]
-    stage, junction = [], []
-    for j, sub in enumerate(subs):
-        stage += range(sub.m1, sub.m2)
-        junction += [-1] * (sub.m2 - sub.m1)
-        if sub is not last:
-            stage.append(min(sub.m2, p.N - 1))
-            junction.append(j)
-    N = len(stage)
-    shapes = _output_shapes(p.n_x, p.n_u)
-    joins = _Junctions(subs, shapes) if len(subs) > 1 else None
-    stages, junctions = np.array(stage), np.array(junction)
-    at_junction = junctions >= 0
-    ubar, lbar, xbar, m2, mu = (last.u_end, last.lam_next, last.x_end,
-                                last.m2, last.mu)
-    terminal = {}
-    if last.has_adjusted_terminal:
-        def cost(x):
-            dx = x - xbar
-            return (p.stage_cost(m2, x, ubar)
-                    - float(lbar @ np.asarray(p.dynamics(m2, x, ubar)))
-                    + 0.5 * mu * float(dx @ dx))
-
-        def gradient(x):
-            gx, _ = p.cost_gradient(m2, x, ubar)
-            A, _ = p.dynamics_jacobians(m2, x, ubar)
-            return gx - A.T @ lbar + mu * (x - xbar)
-
-        def hessian(x):
-            Qc, _, _ = p.cost_hessian(m2, x, ubar)
-            Wxx, _, _ = p.dynamics_hessian_contraction(m2, x, ubar, lbar)
-            return Qc + Wxx + mu * np.eye(p.n_x)
-
-        terminal = {"stage_cost": cost, "cost_gradient": gradient,
-                    "cost_hessian": hessian}
+    p, ends = subs[0].parent, _Ends(subs)
+    stages = np.concatenate([np.append(np.arange(s.m1, s.m2), k)
+                             for s, k in zip(subs, ends.stage)])[:-1]
+    N, joined = len(stages), len(subs) > 1
+    junction = np.full(N, -1)
+    junction[_offsets(subs)[1:] - 1] = np.arange(len(subs) - 1)
+    at_junction = junction >= 0
+    last = slice(len(subs) - 1, None)  # the last end, as a batch of one
 
     def chained(name):
-        """The parent's ``name`` on the chain's stages and junctions."""
-        fn, end, cost = getattr(p, name), terminal.get(name), name in _COSTS
-        form = getattr(fn, "batched", None)
+        """The parent's ``name`` on the chain's stages and ends."""
+        fn, shapes, cost = getattr(p, name), ends.shapes[name], name in _COSTS
 
         def over_chain(ks, X, U, *lam):
             """``name`` at chain stages ``ks``, junction rows overwritten."""
+            if not joined:
+                return _over_stages(fn, shapes, stages[ks], X, U, *lam)
             rows = at_junction[ks].nonzero()[0]
-            js = junctions[ks[rows]]
+            js = junction[ks[rows]]
             if cost:
                 Uj = U[rows]
                 U = U.copy()
-                U[rows] = joins.ubar[js]
-            out = _over_stages(fn, shapes[name], stages[ks], X, U, *lam)
+                U[rows] = ends.ubar[js]
+            out = _over_stages(fn, shapes, stages[ks], X, U, *lam)
             outs = [np.array(o) for o in (out if isinstance(out, tuple) else (out,))]
-            new = (joins.costs(name, js, X[rows], Uj, outs[0][rows]) if cost
-                   else joins.constant(name, js))
+            new = (ends.junction(name, js, X[rows], Uj, outs[0][rows]) if cost
+                   else ends.constant(name, js))
             for o, value in zip(outs, new):
                 o[rows] = value
             return outs[0] if len(outs) == 1 else tuple(outs)
 
-        def callback(k, x, *args):
-            if k == N:
-                return fn(m2, x) if end is None else end(x)
-            if junction[k] < 0:
-                return fn(stage[k], x, *args)
-            out = over_chain(np.array([k]), *(np.asarray(a)[None] for a in (x, *args)))
-            return tuple(o[0] for o in out) if isinstance(out, tuple) else out[0]
+        def terminal(x):
+            if not subs[-1].has_adjusted_terminal:
+                return fn(p.N, x)
+            X = np.asarray(x)[None]
+            out = _over_stages(fn, shapes, ends.stage[last], X, ends.ubar[last])
+            first = out[0] if isinstance(out, tuple) else out
+            return ends.terminal(name, last, X, first)[0]
 
-        if form is None:
-            return callback
-        if joins is None:
-            return stage_batched(lambda ks, *arrays: form(stages[ks], *arrays))(callback)
-        return stage_batched(over_chain)(callback)
+        return batched_callback(over_chain, N, terminal)
 
     return ProblemDef(
         N=N, n_x=p.n_x, n_u=p.n_u, x0=subs[0].x_start,
-        **{name: chained(name) for name in shapes})
+        **{name: chained(name) for name in ends.shapes})
 
 
-def solve_nonlinear_subproblem(subs: Sequence[NonlinearSubproblem],
-                               warms: Sequence[Tuple[np.ndarray, np.ndarray,
-                                                     np.ndarray]]):
+def solve_nonlinear_subproblem(subs: Sequence[NonlinearSubproblem], warms):
     """Solve a group of subproblems to optimality by one inner centralized SQP.
 
     ``warms[i]`` is the (x, u, lam) slice of the current full iterate over
@@ -290,35 +291,26 @@ def solve_nonlinear_subproblem(subs: Sequence[NonlinearSubproblem],
     INNER_TOL within INNER_MAX_ITERS iterations, for the first interval in
     the group whose own residual (its rows of the chain's Lagrangian
     gradient at the final iterate) exceeds INNER_TOL, or else the largest.
+    The message carries the inner solve's error when it stopped on one.
     """
     chain = truncated_problem(subs)
-    nx, nu = chain.n_x, chain.n_u
-    offsets = np.cumsum([0] + [s.m2 - s.m1 + 1 for s in subs[:-1]]).tolist()
-    x = np.concatenate([w[0] for w in warms])
-    u = [np.zeros((1, nu))] * (2 * len(warms) - 1)  # zero junction controls
-    u[::2] = [w[1] for w in warms]
-    u = np.concatenate(u)
-    lw = np.concatenate([w[2] for w in warms])
+    x, u, lw = _stacked(warms, chain.n_u)
     cfg = SolverConfig(kkt_tol=INNER_TOL, step_tol=0.0,
                        max_iters=INNER_MAX_ITERS)
     report = solve(chain, cfg, (Trajectory(x, u), DualTrajectory(lw)),
                    mode="centralized")
     if report.status != STATUS_KKT:
         terms = _merit_terms(chain, report.z, report.lam)
-        res = []
-        for o, sub in zip(offsets, subs):
-            T = sub.m2 - sub.m1
-            gz = terms.gz[o * (nx + nu):(o + T) * (nx + nu) + nx]
-            gl = terms.gl[o * nx:(o + T + 1) * nx]
-            res.append(float(np.sqrt(gz @ gz + gl @ gl)))
+        gx, gu = split_primal(terms.gz, chain.N, chain.n_x, chain.n_u)
+        res = [float(np.sqrt(sum(np.vdot(a, a) for a in part))) for part in
+               _parts(subs, gx, gu, terms.gl.reshape(chain.N + 1, chain.n_x))]
         i = next((i for i, r in enumerate(res) if r > INNER_TOL),
                  int(np.argmax(res)))
+        cause = f" (inner solve: {report.error})" if report.error else ""
         raise SubproblemFailure(
             subs[i].index, f"interval [{subs[i].m1}, {subs[i].m2}] stopped "
-                f"with status={report.status}, residual={res[i]:.3e}")
-    z, lam = report.z, report.lam
-    return [(z.x[o:o + s.m2 - s.m1 + 1], z.u[o:o + s.m2 - s.m1],
-             lam.lam[o:o + s.m2 - s.m1 + 1]) for o, s in zip(offsets, subs)]
+                f"with status={report.status}{cause}, residual={res[i]:.3e}")
+    return _parts(subs, report.z.x, report.z.u, report.lam.lam)
 
 
 def schwarz_solve(p: ProblemDef, cfg: SolverConfig, init) -> SolveReport:
@@ -362,20 +354,19 @@ def one_newton_schwarz_step(p: ProblemDef, z: Trajectory, lam: DualTrajectory,
     """One full Newton step of every nonlinear subproblem, then compose.
 
     Boundary values come from the current iterate and no Hessian
-    modification is applied; starting from the same iterate, the result
-    coincides with the decomposed SQP update taken with unit stepsize.
+    modification is applied.  The M truncated problems are chained into one
+    (module docstring), whose Newton step is theirs at once; starting from
+    the same iterate, the result coincides with the decomposed SQP update
+    taken with unit stepsize.
     """
-    warms = decompose(z.x, z.u, lam.lam, plan)
-    parts = []
-    for i in range(plan.M):
-        sub = subproblem_from_iterate(p, plan, i, mu, z, lam)
-        trunc = truncated_problem([sub])
-        xw, uw, lw = warms[i]
-        nd = assemble_newton_data(trunc, Trajectory(xw, uw), DualTrajectory(lw))
-        direction = solve_full_newton(nd)
-        dx, du, dl = direction.stage_arrays(trunc.N, trunc.n_x, trunc.n_u)
-        parts.append((xw + dx, uw + du, lw + dl))
-    x_new, u_new, lam_new = compose(parts, plan)
+    subs = [subproblem_from_iterate(p, plan, i, mu, z, lam)
+            for i in range(plan.M)]
+    chain = truncated_problem(subs)
+    x, u, lw = _stacked(decompose(z.x, z.u, lam.lam, plan), p.n_u)
+    direction = solve_full_newton(
+        assemble_newton_data(chain, Trajectory(x, u), DualTrajectory(lw)))
+    dx, du, dl = direction.stage_arrays(chain.N, chain.n_x, chain.n_u)
+    x_new, u_new, lam_new = compose(_parts(subs, x + dx, u + du, lw + dl), plan)
     return Trajectory(x_new, u_new), DualTrajectory(lam_new)
 
 

@@ -5,13 +5,14 @@ import pytest
 
 from fotd.benchmarks import (ToySpec, make_initializations, make_toy_problem,
                              toy_case_params)
-from fotd.decomposition import make_plan
+from fotd.decomposition import approximate_direction, make_plan
 from fotd.driver import (MERIT_NOISE, SolverConfig, SolverState, _step,
                          adapt_penalties, armijo_backtrack,
-                         direction_error_diagnostic, fotd_step, line_search,
+                         direction_error_ratio, fotd_step, line_search,
                          run_outer_loop, solve)
 from fotd.exceptions import NonDescentError, UndefinedRatioError
-from fotd.newton import NewtonDirection, assemble_newton_data, solve_full_newton
+from fotd.newton import (NewtonDirection, assemble_newton_data, modify_hessian,
+                         solve_full_newton)
 from fotd.problem import DualTrajectory, PenaltyParams, Trajectory
 
 from oracles import newton_solve_to_kkt, random_point, recording
@@ -351,23 +352,32 @@ def test_local_linear_rate_is_uniform_over_stages():
 
 
 # ---------------------------------------------------------------------------
-# Direction-error diagnostic
+# Direction-error ratio
 # ---------------------------------------------------------------------------
+
+def direction_error(p, z, lam, M, b, mu=25.0):
+    """Relative error of the decomposed direction against the exact one, on
+    the modified Newton data at (z, lam), as ``SolverConfig.diagnostics``
+    reports it."""
+    nd = modify_hessian(assemble_newton_data(p, z, lam))
+    return direction_error_ratio(
+        solve_full_newton(nd),
+        approximate_direction(nd, make_plan(p.N, M, b), mu))
+
 
 def test_diagnostic_zero_for_single_interval():
     p = toy(N=12)
     z, lam = random_point(p, seed=31)
     z.x[0] = p.x0
-    assert direction_error_diagnostic(p, z, lam,
-                                      SolverConfig(mu=25.0, M=1, b=2)) == 0.0
+    assert direction_error(p, z, lam, M=1, b=2) == 0.0
 
 
 def test_diagnostic_decreases_with_overlap():
     p = toy(N=80)
     z, lam = random_point(p, seed=37)
     z.x[0] = p.x0
-    r1 = direction_error_diagnostic(p, z, lam, SolverConfig(mu=25.0, M=4, b=1))
-    r8 = direction_error_diagnostic(p, z, lam, SolverConfig(mu=25.0, M=4, b=8))
+    r1 = direction_error(p, z, lam, M=4, b=1)
+    r8 = direction_error(p, z, lam, M=4, b=8)
     assert r8 < r1
 
 
@@ -375,8 +385,7 @@ def test_diagnostic_full_clip_negligible():
     p = toy(N=24)
     z, lam = random_point(p, seed=41)
     z.x[0] = p.x0
-    ratio = direction_error_diagnostic(p, z, lam,
-                                       SolverConfig(mu=25.0, M=3, b=23))
+    ratio = direction_error(p, z, lam, M=3, b=23)
     assert ratio <= 1e-9
 
 
@@ -399,7 +408,7 @@ def test_diagnostic_undefined_at_exact_kkt_point():
     )
     z, lam = Trajectory.zeros(p), DualTrajectory.zeros(p)
     with pytest.raises(UndefinedRatioError):
-        direction_error_diagnostic(p, z, lam, SolverConfig(mu=25.0, M=2, b=1))
+        direction_error(p, z, lam, M=2, b=1)
 
 
 def test_solver_config_rejects_budgets_and_tolerances_of_another_experiment():

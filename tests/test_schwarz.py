@@ -84,19 +84,17 @@ def test_truncation_shifts_batched_and_per_stage_callbacks_alike(family):
     m2, shifted = sub.m2, tuple(range(sub.m1, sub.m2))
     zt, lt = random_point(trunc, seed=5, scale=3.0)
 
+    # the adjusted terminal evaluates the parent at m2 as a batch of one
     lin = linearize(trunc, zt, lt)
-    assert batches == {name: [shifted] for name in CALLBACKS
+    assert batches == {name: [shifted, (m2,)] for name in CALLBACKS
                        if name not in ("stage_cost", "dynamics")}
-    assert stages == {"dynamics": list(shifted), "cost_gradient": [m2],
-                      "dynamics_jacobians": [m2], "cost_hessian": [m2],
-                      "dynamics_hessian_contraction": [m2]}
+    assert stages == {"dynamics": list(shifted)}
     stages.clear()
     batches.clear()
     terms = _merit_terms(trunc, zt, lt)
-    assert batches == {name: [shifted] for name in
+    assert batches == {name: [shifted, (m2,)] for name in
                        ("stage_cost", "cost_gradient", "dynamics_jacobians")}
-    assert stages == {"dynamics": list(shifted) + [m2], "stage_cost": [m2],
-                      "cost_gradient": [m2], "dynamics_jacobians": [m2]}
+    assert stages == {"dynamics": list(shifted) + [m2]}
 
     # the truncation of a parent without any batched form
     ref = truncated_problem([replace(sub, parent=per_stage_copy(p))])
@@ -128,8 +126,9 @@ def test_chained_group_batched_and_per_stage_callbacks_alike(family):
     p, subs = _group(family)
     chain = truncated_problem(subs)
     ref = truncated_problem([replace(s, parent=per_stage_copy(p)) for s in subs])
-    assert all(hasattr(getattr(chain, name), "batched") for name in CALLBACKS)
-    assert not any(hasattr(getattr(ref, name), "batched") for name in CALLBACKS)
+    # every chain callback carries a batched form, whatever the parent has
+    assert all(hasattr(getattr(prob, name), "batched")
+               for prob in (chain, ref) for name in CALLBACKS)
     assert chain.N == sum(s.m2 - s.m1 for s in subs) + len(subs) - 1
     np.testing.assert_array_equal(chain.x0, subs[0].x_start)
     zc, lc = random_point(chain, seed=5, scale=3.0)
@@ -369,20 +368,34 @@ def test_chained_failure_names_the_interval_that_missed(monkeypatch):
     assert residual > 1e-8
 
 
-@pytest.mark.parametrize("b", [1, 5])
-def test_one_newton_step_equals_decomposed_update(b):
-    p = toy(N=100)
-    plan = make_plan(100, 5, b)
+def _check_one_newton_step(p, plan):
+    """One Schwarz Newton step equals the decomposed update, seeds 13-14."""
     for seed in (13, 14):
         z, lam = random_point(p, seed=seed, scale=2.0)
         z.x[0] = p.x0
         nd = assemble_newton_data(p, z, lam)
         d = approximate_direction(nd, plan, 25.0)
-        dx, du, dl = d.stage_arrays(100, 1, 1)
+        dx, du, dl = d.stage_arrays(p.N, p.n_x, p.n_u)
         zs, ls = one_newton_schwarz_step(p, z, lam, plan, 25.0)
         assert np.max(np.abs(zs.x - (z.x + dx))) <= 1e-9
         assert np.max(np.abs(zs.u - (z.u + du))) <= 1e-9
         assert np.max(np.abs(ls.lam - (lam.lam + dl))) <= 1e-9
+
+
+@pytest.mark.parametrize("b", [1, 5])
+def test_one_newton_step_equals_decomposed_update(b):
+    _check_one_newton_step(toy(N=100), make_plan(100, 5, b))
+
+
+@pytest.mark.parametrize("b", [1, 5])
+@pytest.mark.parametrize("m", [4, 6])
+def test_one_newton_step_equals_decomposed_update_on_wide_blocks(m, b):
+    # the plate at m=4 (4 states) and m=6 (16 states): the decomposed
+    # direction runs the Riccati kernel, and at m=6 the chain's exact step
+    # is a Riccati sweep as well
+    N = 10 * m
+    _check_one_newton_step(make_plate_problem(PlateSpec(m=m, N=N)),
+                           make_plan(N, 4, b))
 
 
 def test_one_newton_step_fixed_at_kkt_point():
