@@ -36,15 +36,26 @@ enough for the band's fill to outweigh the per-stage call overhead.  A
 batch spreads that overhead over its members, so the crossover depends on
 the batch: the decomposed direction's subproblems, batched by length, go
 to the sweep from :data:`fotd.decomposition.RICCATI_MIN_NX` states on, the
-exact full-horizon direction, a batch of one, from
-:data:`fotd.newton.FULL_RICCATI_MIN_NX`; those modules give the
-measurements.  The H + c G^T G test keeps the band Cholesky on every path
-that runs it.
+exact full-horizon direction, a batch of one unless junctions (below) split
+it, from :data:`fotd.newton.FULL_RICCATI_MIN_NX`; those modules give the
+measurements.  The sweep holds the per-stage maps and costs of
+COST_CHUNK stages at a time; only its cost-to-go, gain and solution arrays
+grow with the horizon.  The H + c G^T G test keeps the band
+Cholesky on every path that runs it.
 
 Both definiteness tests report a failure by one margin: the smallest
 Cholesky pivot minus PIVOT_TOL, read from the factorization that failed.
 A margin below -PIVOT_TOL means the factorization broke down at a pivot
 that is not positive.
+
+A *junction* is a stage k < T whose S_k, A_k and B_k are all exactly zero.
+Nothing passes across it: p_{k+1} = cdyn_k is pinned, q_k enters only its
+own cost 1/2 q^T R_k q + gu_k^T q, and both H + c G^T G and the KKT matrix
+have no entry that couples the stages before it to those after.  So a
+problem with junctions is independent *pieces*, one from each junction (or
+stage 0) to the next junction (or T), each a canonical problem of its own
+with c_0 = cdyn of the junction before it, plus one control per junction.
+:func:`solve_lq_pieces` and :func:`pivot_failure` split there when asked.
 """
 
 from __future__ import annotations
@@ -55,7 +66,7 @@ from scipy.linalg.lapack import dgbsv, dpbtrf, dpotrf
 from .exceptions import IndefiniteStageError, LinearSolverError
 
 PIVOT_TOL = 1e-10
-COST_CHUNK = 16  # stages whose cost blocks the Riccati sweep holds at once
+COST_CHUNK = 16  # stages whose blocks the Riccati sweep holds at once
 
 
 def _band(rows: int, n: int, diag: int, step: int):
@@ -172,16 +183,16 @@ def jacobian_products(A, B, vx, vu, w):
     return Gv, (GTx, GTu)
 
 
-def definiteness_pivots_ok(Q, S, R, A, B, c: float) -> bool:
+def definiteness_pivots_ok(Q, S, R, A, B, c: float, junctions=()) -> bool:
     """Definiteness test: does H + c * G^T G factor with pivots >= PIVOT_TOL?
 
     H is the block-diagonal stage Hessian and G the staircase constraint
     Jacobian of the canonical LQ problem.  The sum is block tridiagonal; a
     banded Cholesky provides the pivots (squares of the factor's diagonal).
     Returns False when the factorization stops at a pivot that is not
-    positive.
+    positive.  ``junctions`` is passed on to :func:`pivot_failure`.
     """
-    return pivot_failure(Q, S, R, A, B, c) is None
+    return pivot_failure(Q, S, R, A, B, c, junctions) is None
 
 
 def _test_band(Q, S, R, A, B, c: float):
@@ -225,18 +236,60 @@ def _test_band(Q, S, R, A, B, c: float):
     return ab
 
 
-def pivot_failure(Q, S, R, A, B, c: float):
+def pivot_failure(Q, S, R, A, B, c: float, junctions=()):
     """Where :func:`definiteness_pivots_ok` fails: None if it passes.
 
     Otherwise ``(stage, margin)``: the stage of the column with the
     smallest pivot, which is the column LAPACK stopped at if the
     factorization broke down, and that pivot minus PIVOT_TOL.
+
+    Given the problem's ``junctions`` (see :func:`junction_stages`), the
+    band is factored piece by piece, in horizon order, plus one block R_k
+    per junction k: the columns of H + c G^T G in the order the whole band
+    has them, with nothing coupling two of the parts.  The first part that
+    breaks down stops the test, as it stops the whole band's factorization,
+    and otherwise the first smallest pivot is reported, so the result is
+    the whole band's.  Each part's band holds only its own stages.
+    """
+    smallest = None
+    parts = (_part_pivots(Q, S, R, A, B, c, junctions) if len(junctions)
+             else [_band_pivot(Q, S, R, A, B, c)])
+    for stage, pivot, broke in parts:
+        if broke or smallest is None or pivot < smallest[1]:
+            smallest = (stage, pivot)
+        if broke:
+            break
+    stage, pivot = smallest
+    if pivot >= PIVOT_TOL:
+        return None
+    return stage, pivot - PIVOT_TOL
+
+
+def _band_pivot(Q, S, R, A, B, c: float):
+    """``(stage, pivot, broke)`` of the H + c G^T G band's factorization.
+
+    ``pivot`` is its smallest pivot, ``stage`` the stage of that pivot's
+    column and ``broke`` whether the factorization broke down there.
     """
     fact, info = dpbtrf(_test_band(Q, S, R, A, B, c), lower=1, overwrite_ab=1)
     col, pivot = _smallest_pivot(fact[0], info)
-    if pivot >= PIVOT_TOL:
-        return None
-    return col // (A.shape[1] + B.shape[2]), pivot - PIVOT_TOL
+    return col // (A.shape[1] + B.shape[2]), pivot, info > 0
+
+
+def _part_pivots(Q, S, R, A, B, c: float, junctions):
+    """:func:`_band_pivot` of each part of the split test, in column order.
+
+    A part is a piece's band or a junction's R_k (see
+    :func:`pivot_failure`); stages count from the horizon's start.
+    """
+    for first, last in _pieces(junctions, A.shape[0]):
+        k = slice(first, last)
+        stage, pivot, broke = _band_pivot(Q[first:last + 1], S[k], R[k], A[k],
+                                          B[k], c)
+        yield first + stage, pivot, broke
+        if last < A.shape[0]:
+            fact, info = dpotrf(R[last], lower=1)
+            yield last, _smallest_pivot(np.diagonal(fact), info)[1], info > 0
 
 
 def _smallest_pivot(diag, info: int):
@@ -275,16 +328,19 @@ def solve_lq_riccati(Q, S, R, A, B, gx, gu, c0, cdyn):
     # The stage vector is y_k = [p_k; 1; q_k]: F_k = [[A_k, cdyn_k, B_k],
     # [0, 1, 0]] maps it to [p_{k+1}; 1], and H_k holds the stage costs'
     # [Hessian | gradient] in the same order, so one product per stage also
-    # carries the affine terms.
-    F = np.zeros((K, T, nx + 1, m + 1))
-    F[..., :nx, :nx] = A
-    F[..., :nx, nx] = cdyn
-    F[..., :nx, nx + 1:] = B
+    # carries the affine terms.  F and H hold the stages of one chunk of
+    # COST_CHUNK stages at a time, stage k in slot k % COST_CHUNK, refilled
+    # as each pass enters a chunk: the backward pass both, the forward one F.
+    C = min(T, COST_CHUNK)
+    F = np.zeros((K, C, nx + 1, m + 1))
     F[..., nx, nx] = 1.0
     Ft = F[..., :nx, :].transpose(0, 1, 3, 2)
-    # H holds the stage costs of at most COST_CHUNK stages at a time,
-    # refilled as the sweep enters each chunk.
-    H = np.zeros((K, min(T, COST_CHUNK), m + 1, m + 1))
+    H = np.zeros((K, C, m + 1, m + 1))
+
+    def fill_F(chunk, count):
+        F[:, :count, :nx, :nx] = A[:, chunk]
+        F[:, :count, :nx, nx] = cdyn[:, chunk]
+        F[:, :count, :nx, nx + 1:] = B[:, chunk]
     # V_k = [P_k, s_k]: the cost-to-go 1/2 p^T P_k p + s_k^T p.
     V = np.empty((K, T + 1, nx, nx + 1))
     V[:, T, :, :nx] = Q[:, T]
@@ -295,13 +351,14 @@ def solve_lq_riccati(Q, S, R, A, B, gx, gu, c0, cdyn):
         j = k % COST_CHUNK
         if k == T - 1 or j == COST_CHUNK - 1:
             chunk = slice(k - j, k + 1)
+            fill_F(chunk, j + 1)
             H[:, :j + 1, :nx, :nx] = Q[:, chunk]
             H[:, :j + 1, :nx, nx] = gx[:, chunk]
             H[:, :j + 1, :nx, nx + 1:] = S[:, chunk].transpose(0, 1, 3, 2)
             H[:, :j + 1, nx + 1:, :nx] = S[:, chunk]
             H[:, :j + 1, nx + 1:, nx] = gu[:, chunk]
             H[:, :j + 1, nx + 1:, nx + 1:] = R[:, chunk]
-        Z = Ft[:, k] @ (V[:, k + 1] @ F[:, k])
+        Z = Ft[:, j] @ (V[:, k + 1] @ F[:, j])
         Z += H[:, j]  # rows p and q: [[Qt, gxt, St^T], [St, gut, Rt]]
         Rt = Z[:, nx + 1:, nx + 1:]
         try:
@@ -318,8 +375,11 @@ def solve_lq_riccati(Q, S, R, A, B, gx, gu, c0, cdyn):
     y[:, 0, :nx, 0] = c0
     y[:, 0, nx] = 1.0
     for k in range(T):
+        j = k % COST_CHUNK
+        if j == 0:
+            fill_F(slice(k, k + C), min(C, T - k))
         np.negative(X[:, k] @ y[:, k, :nx + 1], out=y[:, k, nx + 1:])
-        np.matmul(F[:, k], y[:, k], out=y[:, k + 1, :nx + 1])
+        np.matmul(F[:, j], y[:, k], out=y[:, k + 1, :nx + 1])
     zeta = -(V @ y[:, :, :nx + 1])
     out = (y[:, :, :nx, 0], y[:, :T, nx + 1:, 0], zeta[..., 0])
     if not all(np.all(np.isfinite(a)) for a in out):
@@ -344,3 +404,111 @@ def _indefinite_member(Rt, stage: int) -> IndefiniteStageError:
         if not pivot >= PIVOT_TOL:
             return IndefiniteStageError(member, stage, pivot - PIVOT_TOL)
     raise AssertionError("a batch failed the pivot test but no member did")
+
+
+def junction_stages(S, A, B) -> np.ndarray:
+    """The stages k < T whose S_k, A_k and B_k are all exactly zero."""
+    T = A.shape[0]
+    coupled = (A.reshape(T, -1).any(axis=1) | B.reshape(T, -1).any(axis=1)
+               | S.reshape(T, -1).any(axis=1))
+    return np.flatnonzero(~coupled)
+
+
+def _pieces(junctions, T: int):
+    """``(first, last)`` stage of each piece of a horizon of T stages.
+
+    A piece runs from stage 0, or from the stage after a junction, to the
+    next junction, or to T; without junctions the one piece is (0, T).
+    """
+    firsts = [0] + [int(k) + 1 for k in junctions]
+    return list(zip(firsts, [int(k) for k in junctions] + [T]))
+
+
+def stage_windows(arr: np.ndarray, first: int, step: int, count: int,
+                  length: int) -> np.ndarray:
+    """(count, length, ...) view of arr[first + j*step + t].
+
+    One window is a plain slice with a leading axis of one; more windows
+    may overlap, so their strided view is read-only.  Raises ValueError
+    instead of making a view that runs past ``arr``.
+    """
+    span = arr[first:first + (count - 1) * step + length]
+    if step < 0 or span.shape[0] != (count - 1) * step + length:
+        raise ValueError(f"{count} windows of {length} stages from {first} "
+                         f"every {step} run past {arr.shape[0]} stages")
+    return span[None] if count == 1 else np.lib.stride_tricks.as_strided(
+        span, (count, length) + span.shape[1:],
+        (step * span.strides[0],) + span.strides, writeable=False)
+
+
+def even_batches(firsts, lengths):
+    """Problems of each length, one batch where their starts are evenly spaced.
+
+    ``firsts[i]`` and ``lengths[i]`` place problem i on a horizon.  Returns
+    lists of problem indices, in order of first appearance of each length;
+    a length whose problems do not start evenly spaced gives one batch per
+    problem, so that every batch is a set of :func:`stage_windows`.
+    """
+    by_length = {}
+    for i, length in enumerate(lengths):
+        by_length.setdefault(length, []).append(i)
+    batches = []
+    for group in by_length.values():
+        even = len(set(np.diff([firsts[i] for i in group]))) <= 1
+        batches.extend([group] if even else [[i] for i in group])
+    return batches
+
+
+def solve_lq_pieces(Q, S, R, A, B, gx, gu, c0, cdyn, junctions=()):
+    """:func:`solve_lq_riccati` of one problem, as a batch of its pieces.
+
+    The arguments are those of :func:`solve_lq_kkt`, and so are the
+    returned ``(p, q, zeta)``.  Given the problem's ``junctions`` (see
+    :func:`junction_stages`), the pieces of each length (module docstring)
+    are solved by one batched sweep over :func:`stage_windows` of the
+    blocks, and each junction's control is q_k = -R_k^{-1} gu_k.  Without
+    junctions the problem is a batch of one.  This is the sweep over the
+    whole horizon, bit for bit: a junction passes that sweep nothing but
+    zeros, so its cost-to-go is the piece's terminal one, Q_k and gx_k, and
+    its control solves R_k alone.  (Where R_k is not diagonal, LAPACK may
+    round that one solve otherwise than with the sweep's other columns.)
+
+    A stage that fails the pivot test, in a piece or in a junction's R_k,
+    makes the whole horizon run again as one sweep, so the
+    :class:`IndefiniteStageError` names what that sweep names: the last
+    failing stage of the horizon, as member 0.
+    """
+    def whole():
+        lq = (Q, S, R, A, B, gx, gu, c0, cdyn)
+        return tuple(a[0] for a in solve_lq_riccati(*(a[None] for a in lq)))
+
+    if not len(junctions):
+        return whole()
+    T, nx, nu = B.shape
+    c = np.concatenate([c0[None], cdyn])  # c[k] is what p_k is pinned to
+    pieces = _pieces(junctions, T)
+    p, q, zeta = np.empty((T + 1, nx)), np.empty((T, nu)), np.empty((T + 1, nx))
+    try:
+        for batch in even_batches([a for a, _ in pieces],
+                                  [b - a for a, b in pieces]):
+            (first, last), K = pieces[batch[0]], len(batch)
+            step = pieces[batch[1]][0] - first if K > 1 else 0
+            Qw, gxw, cw = (stage_windows(a, first, step, K, last - first + 1)
+                           for a in (Q, gx, c))
+            out = solve_lq_riccati(
+                Qw, *(stage_windows(a, first, step, K, last - first)
+                      for a in (S, R, A, B)),
+                gxw, stage_windows(gu, first, step, K, last - first),
+                cw[:, 0], cw[:, 1:])
+            for j, i in enumerate(batch):
+                a, b = pieces[i]
+                p[a:b + 1], q[a:b], zeta[a:b + 1] = (o[j] for o in out)
+        L = np.linalg.cholesky(R[junctions])
+    except (IndefiniteStageError, np.linalg.LinAlgError):
+        return whole()
+    if not np.diagonal(L, 0, 1, 2).min() ** 2 >= PIVOT_TOL:
+        return whole()
+    q[junctions] = -np.linalg.solve(R[junctions], gu[junctions][..., None])[..., 0]
+    if not np.all(np.isfinite(q[junctions])):
+        raise LinearSolverError("Riccati solve produced non-finite values")
+    return p, q, zeta

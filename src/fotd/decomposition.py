@@ -256,23 +256,6 @@ def solve_subproblem(sub: SubproblemData,
     return SubproblemSolution(sub.index, p, q, zeta)
 
 
-def _windows(arr: np.ndarray, first: int, step: int, count: int,
-             length: int) -> np.ndarray:
-    """(count, length, ...) view of arr[first + j*step + t].
-
-    One window is a plain slice with a leading axis of one; more windows
-    overlap, so their strided view is read-only.  Raises ValueError instead
-    of making a view that runs past ``arr``.
-    """
-    span = arr[first:first + (count - 1) * step + length]
-    if step < 0 or span.shape[0] != (count - 1) * step + length:
-        raise ValueError(f"{count} windows of {length} stages from {first} "
-                         f"every {step} run past {arr.shape[0]} stages")
-    return span[None] if count == 1 else np.lib.stride_tricks.as_strided(
-        span, (count, length) + span.shape[1:],
-        (step * span.strides[0],) + span.strides, writeable=False)
-
-
 def _truncate(nd: NewtonData, plan: DecompositionPlan, indices: Sequence[int],
               mu: float):
     """The LQ kernels' arguments for subproblems ``indices``, zero boundaries.
@@ -281,9 +264,10 @@ def _truncate(nd: NewtonData, plan: DecompositionPlan, indices: Sequence[int],
     ``(Q, S, R, A, B, gx, gu, c0, cdyn)``, each with a leading member axis
     in the order of ``indices``.  Q is the only copy: each member that ends
     short of N has mu * I added to its terminal block.  S, R, A, B, gx and
-    gu are windows of ``nd`` (see :func:`_windows`), c0 is zero and cdyn is
-    -glam on the window's later stages.  The subproblems must be of one
-    length and start at evenly spaced stages, as one subproblem always is.
+    gu are windows of ``nd`` (see :func:`banded.stage_windows`), c0 is zero
+    and cdyn is -glam on the window's later stages.  The subproblems must be
+    of one length and start at evenly spaced stages, as one subproblem
+    always is.
     """
     if mu < 0:
         raise ValueError(f"mu must be nonnegative, got {mu}")
@@ -294,16 +278,17 @@ def _truncate(nd: NewtonData, plan: DecompositionPlan, indices: Sequence[int],
                      for j, i in enumerate(indices)):
         raise ValueError(f"subproblems {list(indices)} are not of one length "
                          "with evenly spaced starts")
-    S, R, A, B, gu = (_windows(a, first, step, K, T)
+    S, R, A, B, gu = (banded.stage_windows(a, first, step, K, T)
                       for a in (nd.S, nd.R, nd.A, nd.B, nd.gu))
-    Q = _windows(nd.Q, first, step, K, T + 1).copy()
+    Q = banded.stage_windows(nd.Q, first, step, K, T + 1).copy()
     penalty = np.zeros((nd.n_x, nd.n_x))  # mu * I, cheaper than by np.eye
     penalty.flat[::nd.n_x + 1] = mu
     for j, i in enumerate(indices):
         if plan.m2[i] < plan.N:
             Q[j, -1] += penalty
-    return (Q, S, R, A, B, _windows(nd.gx, first, step, K, T + 1), gu,
-            np.zeros((K, nd.n_x)), -_windows(nd.glam, first + 1, step, K, T))
+    return (Q, S, R, A, B, banded.stage_windows(nd.gx, first, step, K, T + 1),
+            gu, np.zeros((K, nd.n_x)),
+            -banded.stage_windows(nd.glam, first + 1, step, K, T))
 
 
 def solve_subproblems_riccati(nd: NewtonData, plan: DecompositionPlan,
@@ -331,16 +316,9 @@ def _riccati_batches(plan: DecompositionPlan) -> List[List[int]]:
     """Subproblems of each length, one batch if their starts are evenly spaced.
 
     Even knots give one batch per length; a length whose starts are not
-    evenly spaced is solved member by member.
+    evenly spaced is solved member by member (:func:`banded.even_batches`).
     """
-    by_length = {}
-    for i in range(plan.M):
-        by_length.setdefault(plan.m2[i] - plan.m1[i], []).append(i)
-    batches = []
-    for group in by_length.values():
-        even = len(set(np.diff([plan.m1[i] for i in group]))) <= 1
-        batches.extend([group] if even else [[i] for i in group])
-    return batches
+    return banded.even_batches(plan.m1, [b - a for a, b in zip(plan.m1, plan.m2)])
 
 
 def approximate_direction(nd: NewtonData, plan: DecompositionPlan, mu: float,

@@ -67,9 +67,8 @@ class SolverConfig:
     the decomposed direction's subproblems when their blocks are narrower
     than :data:`fotd.decomposition.RICCATI_MIN_NX`; wider blocks go to one
     batched Riccati sweep on the calling thread.  The Schwarz baseline runs
-    on the calling thread whatever its value: below that width it chains
-    an outer iteration's intervals into one problem, and wider intervals
-    are solved one after another in plan order.
+    on the calling thread whatever its value: at every width it chains an
+    outer iteration's intervals into one problem, solved by one inner SQP.
     """
 
     mu: float = 25.0
@@ -114,7 +113,11 @@ class IterationRecord:
 
 @dataclass
 class SolveReport:
-    """Iteration history plus final iterate and termination status."""
+    """Iteration history plus final iterate and termination status.
+
+    A run with status "error" keeps the :class:`SolverError` that ended it
+    as ``exception`` and its message, with the iteration, as ``error``.
+    """
 
     records: List[IterationRecord]
     z: Trajectory
@@ -122,6 +125,7 @@ class SolveReport:
     status: str
     descent_violations: int = 0
     error: Optional[str] = None
+    exception: Optional[SolverError] = None
 
     @property
     def converged(self) -> bool:
@@ -166,21 +170,24 @@ MERIT_NOISE = 10.0 * np.finfo(float).eps
 
 
 def armijo_backtrack(merit_along: Callable[[float], float], merit0: float,
-                     slope: float, beta: float,
-                     factor: float) -> Tuple[float, float]:
+                     slope: float, beta: float, factor: float,
+                     magnitude: float = 0.0) -> Tuple[float, float]:
     """Largest alpha in {1, factor, factor^2, ...} passing the Armijo test.
 
     ``merit_along(alpha)`` evaluates the merit at the trial point;
     ``slope`` is the directional derivative at alpha = 0 and must be
-    negative.  The comparison carries an absolute allowance of a few ulps of
-    the merit value: once the predicted decrease drops below floating-point
-    resolution the exact test is not evaluable and backtracking further
-    would only chase rounding noise.
+    negative.  The comparison carries an absolute allowance for rounding,
+    MERIT_NOISE times the larger of |merit0| and ``magnitude``: once the
+    predicted decrease drops below floating-point resolution the exact test
+    is not evaluable and backtracking further would only chase rounding
+    noise.  ``magnitude`` is the sum of the absolute terms that the merit's
+    Lagrangian sums (:class:`MeritTerms`), whose rounding error scales with
+    that sum rather than with the sum's own magnitude.
     """
     if not slope < 0:
         raise NonDescentError(
             f"directional derivative {slope:.6e} is not negative", margin=slope)
-    noise = MERIT_NOISE * abs(merit0)
+    noise = MERIT_NOISE * max(abs(merit0), magnitude)
     alpha = 1.0
     while True:
         trial = merit_along(alpha)
@@ -194,20 +201,22 @@ def armijo_backtrack(merit_along: Callable[[float], float], merit0: float,
 
 def line_search(p: ProblemDef, z: Trajectory, lam: DualTrajectory,
                 direction: NewtonDirection, eta: PenaltyParams, beta: float,
-                factor: float, merit0: Optional[float] = None,
+                factor: float, terms: Optional[MeritTerms] = None,
                 merit_grad=None) -> Tuple[float, float]:
     """Armijo backtracking on the augmented Lagrangian along ``direction``.
 
-    Returns (alpha, merit value at the accepted point).  Raises
-    :class:`NonDescentError` when the direction is not a descent direction
-    and :class:`LineSearchFailure` when the stepsize underflows.
+    ``terms`` and ``merit_grad`` are the merit terms and merit gradient at
+    (z, lam), evaluated here when not given.  Returns (alpha, merit value
+    at the accepted point).  Raises :class:`NonDescentError` when the
+    direction is not a descent direction and :class:`LineSearchFailure`
+    when the stepsize underflows.
     """
     if merit_grad is None:
         merit_grad = eval_merit_gradient(p, z, lam, eta)
     mz, ml = merit_grad
     slope = float(mz @ direction.dz + ml @ direction.dlam)
-    if merit0 is None:
-        merit0 = eval_merit(p, z, lam, eta)
+    if terms is None:
+        terms = _merit_terms(p, z, lam)
     dx, du, dl = direction.stage_arrays(p.N, p.n_x, p.n_u)
 
     def merit_along(alpha: float) -> float:
@@ -215,7 +224,8 @@ def line_search(p: ProblemDef, z: Trajectory, lam: DualTrajectory,
         trial_lam = DualTrajectory(lam.lam + alpha * dl)
         return eval_merit(p, trial_z, trial_lam, eta)
 
-    return armijo_backtrack(merit_along, merit0, slope, beta, factor)
+    return armijo_backtrack(merit_along, terms.merit(eta), slope, beta, factor,
+                            terms.magnitude)
 
 
 def direction_error_ratio(exact: NewtonDirection,
@@ -240,13 +250,15 @@ def _step(p: ProblemDef, plan: Optional[DecompositionPlan],
     """
     z, lam = state.z, state.lam
     kkt_res = terms.residual()
+    # The merit gradient's linearization is freed before the Newton data's
+    # is made, so the two are never alive at once.
+    merit_grad = eval_merit_gradient(p, z, lam, cfg.eta)
     nd = modify_hessian(assemble_newton_data(p, z, lam))
     violations = 0
     while True:
         direction = (solve_full_newton(nd) if plan is None else
                      approximate_direction(nd, plan, cfg.mu,
                                            workers=cfg.workers))
-        merit_grad = eval_merit_gradient(p, z, lam, cfg.eta)
         slope = float(merit_grad[0] @ direction.dz
                       + merit_grad[1] @ direction.dlam)
         bound = -0.5 * cfg.eta.eta2 * kkt_res ** 2
@@ -269,18 +281,19 @@ def _step(p: ProblemDef, plan: Optional[DecompositionPlan],
     ratio = None
     if cfg.diagnostics and plan is not None:
         ratio = direction_error_ratio(solve_full_newton(nd), direction)
+    gamma = nd.gamma_applied
+    del nd  # the line search's own evaluations need the room
 
-    merit0 = terms.merit(cfg.eta)
     alpha, _ = line_search(p, z, lam, direction, cfg.eta, BETA, BACKTRACK,
-                           merit0=merit0, merit_grad=merit_grad)
+                           terms=terms, merit_grad=merit_grad)
     dx, du, dl = direction.stage_arrays(p.N, p.n_x, p.n_u)
     z.x += alpha * dx
     z.u += alpha * du
     lam.lam += alpha * dl
     z.x[0] = p.x0
     record = IterationRecord(
-        iteration=state.tau, kkt_residual=kkt_res, merit=merit0,
-        stepsize=alpha, gamma=nd.gamma_applied, dir_err_ratio=ratio,
+        iteration=state.tau, kkt_residual=kkt_res, merit=terms.merit(cfg.eta),
+        stepsize=alpha, gamma=gamma, dir_err_ratio=ratio,
         step_norm=alpha * direction.norm(),
     )
     state.tau += 1
@@ -311,15 +324,15 @@ def run_outer_loop(p: ProblemDef, cfg: SolverConfig, init,
     ``wall_ms`` to the time of the pass.  A step no longer than
     ``cfg.step_tol`` stops the loop after one more head record at the new
     iterate.  A :class:`SolverError` from the step ends the run with status
-    "error" and the history intact; the loop sets the error's ``iteration``
-    and the report's error string names it.
+    "error" and the history intact; the loop sets the error's ``iteration``,
+    the report keeps the error, and the report's error string names it.
     """
     z0, lam0 = init
     state = SolverState(z0.copy(), lam0.copy())
     state.z.x[0] = p.x0
     records: List[IterationRecord] = []
     violations = 0
-    error = None
+    error = exception = None
     short_step = False
     while True:
         t0 = time.perf_counter()
@@ -339,6 +352,7 @@ def run_outer_loop(p: ProblemDef, cfg: SolverConfig, init,
             except SolverError as exc:
                 exc.iteration = state.tau
                 status, error = STATUS_ERROR, f"{exc} (iteration {state.tau})"
+                exception = exc
             else:
                 record.wall_ms = 1e3 * (time.perf_counter() - t0)
                 records.append(record)
@@ -347,7 +361,8 @@ def run_outer_loop(p: ProblemDef, cfg: SolverConfig, init,
                 continue
         records.append(head)
         return SolveReport(records, state.z, state.lam, status,
-                           descent_violations=violations, error=error)
+                           descent_violations=violations, error=error,
+                           exception=exception)
 
 
 def solve(p: ProblemDef, cfg: SolverConfig, init, mode: str = "fotd") -> SolveReport:

@@ -32,6 +32,15 @@ The LU's band holds (3 (2 n_x + n_u) - 2) (T (2 n_x + n_u) + 2 n_x)
 doubles, 27 MB on the plate at m = 6 (n_x = n_u = 16, T = 500), against
 about 5 MB for the sweep's arrays there.
 
+On the sweep's side the horizon is split at its junctions, the stages
+whose S, A and B are exactly zero (see :mod:`banded`): nothing passes
+across them, so the pieces between them are independent problems.  A
+horizon the Schwarz baseline chains from its intervals has one junction
+between each two intervals (:mod:`fotd.schwarz`).  There the pieces of each
+length are solved by one batched sweep, and the H + c G^T G test factors
+one band per piece; both give what the whole horizon gives, bit for bit.
+A horizon with no junction is one piece.  The LU's side is not split.
+
 The module also evaluates two closed-form constants from the method's
 analysis, used purely as diagnostics: a lower bound on G G^T implied by
 controllability, and the penalty threshold above which every decomposed
@@ -169,11 +178,21 @@ def check_reduced_hessian(nd: NewtonData, c: float) -> bool:
     """True iff Hhat + c G^T G factors with all pivots >= 1e-10.
 
     For c large enough this is equivalent to positive definiteness of the
-    reduced Hessian Z^T Hhat Z on the constraint null space.
+    reduced Hessian Z^T Hhat Z on the constraint null space.  From
+    FULL_RICCATI_MIN_NX states on, the band is factored piece by piece
+    between the horizon's junctions (module docstring).
     """
     if not c > 0:
         raise ValueError(f"definiteness constant must be positive, got {c}")
-    return banded.definiteness_pivots_ok(nd.Q, nd.S, nd.R, nd.A, nd.B, c)
+    return banded.definiteness_pivots_ok(nd.Q, nd.S, nd.R, nd.A, nd.B, c,
+                                         _junctions(nd))
+
+
+def _junctions(nd: NewtonData):
+    """The junction stages of a horizon the Riccati sweep solves, else none."""
+    if nd.n_x < FULL_RICCATI_MIN_NX:
+        return ()
+    return banded.junction_stages(nd.S, nd.A, nd.B)
 
 
 def _shift(nd: NewtonData, gamma: float) -> NewtonData:
@@ -211,18 +230,20 @@ def solve_full_newton(nd: NewtonData) -> NewtonDirection:
 
     Blocks narrower than FULL_RICCATI_MIN_NX states go to the banded LU of
     the stage-interleaved KKT matrix (:func:`banded.solve_lq_kkt`); wider
-    ones to the Riccati sweep (:func:`banded.solve_lq_riccati`) as a batch of
-    one, whose stagewise Cholesky raises :class:`IndefiniteHorizonError`
-    naming the horizon stage that fails.  The caller is expected to have
-    certified the reduced Hessian first.
+    ones to the Riccati sweep, split at the horizon's junctions into pieces
+    that are solved in one batch per length (:func:`banded.solve_lq_pieces`;
+    a horizon without junctions is a batch of one).  Its stagewise Cholesky
+    raises :class:`IndefiniteHorizonError` naming the horizon stage that
+    fails, the last one of the horizon, as a sweep over the whole horizon
+    names it.  The caller is expected to have certified the reduced Hessian
+    first.
     """
     lq = (nd.Q, nd.S, nd.R, nd.A, nd.B, nd.gx, nd.gu, -nd.glam[0], -nd.glam[1:])
     if nd.n_x < FULL_RICCATI_MIN_NX:
         p, q, zeta = banded.solve_lq_kkt(*lq)
     else:
         try:
-            p, q, zeta = (a[0] for a in
-                          banded.solve_lq_riccati(*(a[None] for a in lq)))
+            p, q, zeta = banded.solve_lq_pieces(*lq, _junctions(nd))
         except IndefiniteStageError as err:
             raise IndefiniteHorizonError(err.stage, err.margin) from err
     return NewtonDirection(stack_primal(p, q), zeta.ravel())

@@ -253,12 +253,34 @@ def eval_lagrangian_gradient(p: ProblemDef, z: Trajectory, lam: DualTrajectory):
     return _merit_terms(p, z, lam)[1:]
 
 
-class MeritTerms(NamedTuple):
-    """Lagrangian value and gradient at one point; the merit is built from them."""
-
+class _LagrangianTerms(NamedTuple):
     lagr: float
     gz: np.ndarray
     gl: np.ndarray
+
+
+class MeritTerms(_LagrangianTerms):
+    """Lagrangian value and gradient at one point; the merit is built from them.
+
+    Unpacks and slices as the 3-tuple ``(lagr, gz, gl)``.  ``parts``, kept
+    outside the tuple, holds the terms that L sums (arrays or numbers);
+    none when not given.
+    """
+
+    def __new__(cls, lagr: float, gz: np.ndarray, gl: np.ndarray,
+                parts: tuple = ()):
+        terms = super().__new__(cls, lagr, gz, gl)
+        terms.parts = parts
+        return terms
+
+    @property
+    def magnitude(self) -> float:
+        """Sum of the absolute values of L's terms, the scale of its rounding.
+
+        Summed in any order, when asked for: it only scales a rounding
+        allowance.  0 without ``parts``.
+        """
+        return float(sum(np.abs(part).sum() for part in self.parts))
 
     def residual(self) -> float:
         """KKT residual: the norm of the stacked (grad_z L, grad_lam L)."""
@@ -284,8 +306,11 @@ def _stage_pass(p: ProblemDef, z: Trajectory, lam: DualTrajectory,
     runs over the whole horizon afterwards.  The callbacks' outputs are used
     as returned and never written into.  With ``second_order`` the pass calls
     ``cost_hessian`` and ``dynamics_hessian_contraction`` and ``first`` is
-    ``(Q, S, R)`` with the contractions merged in; without it the pass calls
-    ``stage_cost`` and ``first`` lists the N+1 stage costs.  Returns
+    ``(Q, S, R)`` with the contractions merged in (S or R is the cost
+    callback's own output where the contraction's block is a broadcast
+    zero, see :func:`_plus`); without it the pass calls
+    ``stage_cost`` and ``first`` is ``(costs, terminal)``: the array of the
+    stage costs k < N and the terminal cost.  Returns
     ``(first, A, B, grad_z, grad_lam)``.
     """
     check_point(p, z, lam)
@@ -301,14 +326,19 @@ def _stage_pass(p: ProblemDef, z: Trajectory, lam: DualTrajectory,
         Wxx, Wux, Wuu = _over_stages(p.dynamics_hessian_contraction,
                                      [(nx, nx), (nu, nx), (nu, nu)],
                                      *stages, lm[1:])
+        # Each part is dropped once summed, so that at most one sum and its
+        # two parts are alive beyond the parts still waiting.
         Q = np.empty((N + 1, nx, nx))
         np.add(Qc, Wxx, out=Q[:N])
+        del Qc, Wxx
         Q[N] = p.cost_hessian(N, x[N])
-        first = (Q, Sc + Wux, Rc + Wuu)
+        S = _plus(Sc, Wux)
+        del Sc, Wux
+        first = (Q, S, _plus(Rc, Wuu))
+        del Rc, Wuu
     else:
-        costs = _over_stages(p.stage_cost, [()], *stages).tolist()
-        costs.append(float(p.stage_cost(N, x[N])))
-        first = costs
+        first = (_over_stages(p.stage_cost, [()], *stages),
+                 float(p.stage_cost(N, x[N])))
     gx = np.empty((N + 1, nx))
     np.add(cgx, lm[:N], out=gx[:N])
     gx[N] = p.cost_gradient(N, x[N])
@@ -325,22 +355,37 @@ def _stage_pass(p: ProblemDef, z: Trajectory, lam: DualTrajectory,
     return first, A, B, stack_primal(gx, gu), glam.ravel()
 
 
+def _plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a + b, or ``a`` itself when ``b`` is one zero block over every stage.
+
+    Such a ``b`` (a callback's broadcast zeros, say) adds nothing, so the
+    sum would be a copy of ``a``, or a materialized copy when ``a`` is a
+    broadcast block as well.
+    """
+    if b.strides[0] == 0 and not b[0].any():
+        return a
+    return a + b
+
+
 def _merit_terms(p: ProblemDef, z: Trajectory, lam: DualTrajectory) -> MeritTerms:
     """One fused pass returning (L, grad_z, grad_lam) for merit evaluations.
 
     L is summed in stage order: lam_0 . c_0, then g_k and lam_{k+1} . c_{k+1}
     for each k, then g_N.  Another order moves merits in the last bits, which
-    the acceptance tests' merit comparisons see.
+    the acceptance tests' merit comparisons see.  The result keeps those
+    terms as its ``parts``.
     """
-    costs, _, _, gz, gl = _stage_pass(p, z, lam, second_order=False)
+    (costs, terminal), _, _, gz, gl = _stage_pass(p, z, lam,
+                                                  second_order=False)
     lm = lam.lam
     c = gl.reshape(lm.shape)
-    dots = np.matmul(lm[:, None, :], c[:, :, None]).ravel().tolist()
-    lagr = dots[0]
-    for cost, dot in zip(costs, dots[1:]):
+    dots = np.matmul(lm[:, None, :], c[:, :, None]).ravel()
+    dot_values = dots.tolist()
+    lagr = dot_values[0]
+    for cost, dot in zip(costs.tolist(), dot_values[1:]):
         lagr += cost
         lagr += dot
-    return MeritTerms(lagr + costs[p.N], gz, gl)
+    return MeritTerms(lagr + terminal, gz, gl, (dots, costs, terminal))
 
 
 def eval_merit(p: ProblemDef, z: Trajectory, lam: DualTrajectory,
@@ -356,7 +401,8 @@ def linearize(p: ProblemDef, z: Trajectory, lam: DualTrajectory):
     the terminal block, S, R, A, B lead with N, Q_k, S_k, R_k include the
     dynamics curvature contracted with lam_{k+1}, and the gradients are those
     of :func:`eval_lagrangian_gradient`.  Each callback runs once over the
-    stages k < N and once at N (see :func:`_stage_pass`).
+    stages k < N and once at N (see :func:`_stage_pass`).  S, R, A and B
+    may be the callbacks' own outputs, which may be shared and read-only.
     """
     (Q, S, R), A, B, gz, gl = _stage_pass(p, z, lam, second_order=True)
     return Q, S, R, A, B, gz, gl

@@ -12,37 +12,40 @@ its terminal cost is adjusted to
 
 where (xbar, ubar, lambar) are the frozen terminal boundary values.
 
-The intervals of one outer iteration are solved in groups, each group as
-one problem by one inner SQP.  A group chains its intervals end to end:
-interval i's T_i = m2_i - m1_i stages are chain stages o_i .. o_i + T_i - 1,
-with o_{i+1} = o_i + T_i + 1, and chain stage o_i + T_i is the interval's
-*end*, which holds its terminal state.  The last interval's end is the
-chain's terminal stage.  Every other end is a *junction*, a stage with a
-control u whose cost is the interval's terminal cost in x plus 1/2 ||u||^2
-(Hessian blocks: the terminal Hessian, S = 0 and R = I) and whose dynamics
-is the next interval's initial state, so A = B = 0 and the dynamics
-curvature is zero.  The next dynamics row is then exactly the next
-interval's initial pin: no term couples two intervals, the chain's KKT
-conditions are those of its intervals plus u = 0 at every junction, and
-each Newton step of the chain is the intervals' own Newton steps at once.
-The intervals do share the step's Levenberg shift, Armijo stepsize and
-stop test, and the definiteness test's constant c is the largest
-interval's.  One batched formula gives every end's terminal cost,
-gradient and Hessian.  Each callback pass makes one call of the parent's
-batched form over every interval's stages, junction rows included, plus,
-for a cost callback, one call of the dynamics callback its adjustment reads
-over the junction rows; so an inner step makes the same number of callback
-calls, one band test and one band LU whatever the number of intervals.
+The M intervals of one outer iteration are solved as one problem by one
+inner SQP.  The chain joins them end to end: interval i's T_i = m2_i - m1_i
+stages are chain stages o_i .. o_i + T_i - 1, with o_{i+1} = o_i + T_i + 1,
+and chain stage o_i + T_i is the interval's *end*, which holds its terminal
+state.  The last interval's end is the chain's terminal stage.  Every other
+end is a *junction*, a stage with a control u whose cost is the interval's
+terminal cost in x plus 1/2 ||u||^2 (Hessian blocks: the terminal Hessian,
+S = 0 and R = I) and whose dynamics is the next interval's initial state,
+so A = B = 0 and the dynamics curvature is zero.  The next dynamics row is
+then exactly the next interval's initial pin: no term couples two
+intervals, the chain's KKT conditions are those of its intervals plus
+u = 0 at every junction, and each Newton step of the chain is the
+intervals' own Newton steps at once.  The intervals do share the step's
+Levenberg shift, Armijo stepsize and stop test, and the definiteness
+test's constant c is the largest interval's.  One batched formula gives
+every end's terminal cost, gradient and Hessian.  Each callback pass makes
+one call of the parent's batched form over every interval's stages,
+junction rows included, plus, for a cost callback, one call of the dynamics
+callback its adjustment reads over the junction rows; so an inner step
+makes the same number of callback calls whatever the number of intervals.
+An output is copied once and its junction rows overwritten, unless it is
+one block broadcast over the stages, which a copy would materialize, and
+its junction rows already hold the junction's values (the plate's zero S
+and contraction blocks, say): then it is passed on as the parent gave it.
 
-The grouping follows the block width, as the decomposed direction's kernel
-does: below :data:`fotd.decomposition.RICCATI_MIN_NX` states all M
-intervals form one chain; wider intervals are solved one per group, in plan
-order.  A group of one is the interval's truncated problem.  Measured on
-one x86-64 core, Schwarz alone, b=5: on toy case 1 (n_x = 1, N=500, M=5)
-the chain took 41-49% of the time of the M solves, while on the plate at
-m = 6 (n_x = 16, N=500, M=10) it took 12-13% longer and raised peak RSS
-from 62 to 82 MB, as the plate's shared broadcast blocks are materialized
-over the whole chain.
+Every width is chained.  Below :data:`fotd.newton.FULL_RICCATI_MIN_NX`
+states an inner step makes one band test and one band LU over the chain.
+From there on the junctions split both (see :mod:`fotd.banded`): the
+definiteness test factors one band per interval, and the Newton step is
+one batched Riccati sweep per interval length plus the junction controls,
+bit for bit the sweep over the whole chain, and each interval's part bit
+for bit that interval's data solved alone.  On the plate at m = 6
+(n_x = 16, N = 500, M = 10, b = 5) that is two sweeps, of 2 and 8
+intervals, where one solve per interval made ten.
 
 The one-Newton-step variant replaces the inner solve-to-optimality with a
 single Newton step of the chain of all M truncated problems; starting from
@@ -57,8 +60,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .decomposition import (RICCATI_MIN_NX, DecompositionPlan, compose,
-                            decompose, make_plan)
+from .decomposition import DecompositionPlan, compose, decompose, make_plan
 from .driver import (STATUS_KKT, IterationRecord, SolveReport, SolverConfig,
                      SolverState, run_outer_loop, solve)
 from .exceptions import SubproblemFailure
@@ -259,11 +261,14 @@ def truncated_problem(subs: Sequence[NonlinearSubproblem]) -> ProblemDef:
                 U = U.copy()
                 U[rows] = ends.ubar[js]
             out = _over_stages(fn, shapes, stages[ks], X, U, *lam)
-            outs = [np.array(o) for o in (out if isinstance(out, tuple) else (out,))]
+            outs = list(out) if isinstance(out, tuple) else [out]
             new = (ends.junction(name, js, X[rows], Uj, outs[0][rows]) if cost
                    else ends.constant(name, js))
-            for o, value in zip(outs, new):
-                o[rows] = value
+            for i, value in enumerate(new):
+                broadcast = outs[i].strides[0] == 0
+                if not (broadcast and np.array_equal(outs[i][rows], value)):
+                    outs[i] = np.array(outs[i])
+                    outs[i][rows] = value
             return outs[0] if len(outs) == 1 else tuple(outs)
 
         def terminal(x):
@@ -288,10 +293,13 @@ def solve_nonlinear_subproblem(subs: Sequence[NonlinearSubproblem], warms):
     interval i's [m1, m2]; the chain starts from the stacked slices with
     zero junction controls.  Returns one (x, u, lam) part per interval.
     Raises :class:`SubproblemFailure` when the inner loop does not reach
-    INNER_TOL within INNER_MAX_ITERS iterations, for the first interval in
-    the group whose own residual (its rows of the chain's Lagrangian
-    gradient at the final iterate) exceeds INNER_TOL, or else the largest.
-    The message carries the inner solve's error when it stopped on one.
+    INNER_TOL within INNER_MAX_ITERS iterations.  It names the interval
+    that holds the chain stage of the inner solve's error when the error
+    has one (a :class:`NumericsError` or an :class:`IndefiniteHorizonError`);
+    otherwise the first interval in the group whose own residual (its rows
+    of the chain's Lagrangian gradient at the final iterate) exceeds
+    INNER_TOL, or else the largest.  The message quotes the inner error, and
+    the inner error is the failure's ``__cause__``.
     """
     chain = truncated_problem(subs)
     x, u, lw = _stacked(warms, chain.n_u)
@@ -304,12 +312,17 @@ def solve_nonlinear_subproblem(subs: Sequence[NonlinearSubproblem], warms):
         gx, gu = split_primal(terms.gz, chain.N, chain.n_x, chain.n_u)
         res = [float(np.sqrt(sum(np.vdot(a, a) for a in part))) for part in
                _parts(subs, gx, gu, terms.gl.reshape(chain.N + 1, chain.n_x))]
-        i = next((i for i, r in enumerate(res) if r > INNER_TOL),
-                 int(np.argmax(res)))
+        stage = getattr(report.exception, "stage", None)
+        if stage is not None:
+            i = int(np.searchsorted(_offsets(subs), stage, side="right")) - 1
+        else:
+            i = next((i for i, r in enumerate(res) if r > INNER_TOL),
+                     int(np.argmax(res)))
         cause = f" (inner solve: {report.error})" if report.error else ""
         raise SubproblemFailure(
             subs[i].index, f"interval [{subs[i].m1}, {subs[i].m2}] stopped "
-                f"with status={report.status}{cause}, residual={res[i]:.3e}")
+                f"with status={report.status}{cause}, residual={res[i]:.3e}"
+        ) from report.exception
     return _parts(subs, report.z.x, report.z.u, report.lam.lam)
 
 
@@ -317,22 +330,17 @@ def schwarz_solve(p: ProblemDef, cfg: SolverConfig, init) -> SolveReport:
     """Outer Schwarz iteration: freeze boundaries, solve, compose, repeat.
 
     Runs the SQP drivers' outer loop, so it stops on the same KKT, step and
-    ``cfg.max_iters`` conditions.  Below RICCATI_MIN_NX states the M
-    intervals are chained into one problem and solved together; wider ones
-    are solved one after another in plan order (module docstring).
+    ``cfg.max_iters`` conditions.  Each outer iteration chains the M
+    intervals into one problem and solves it by one inner SQP on the
+    calling thread (module docstring).
     """
     plan = make_plan(p.N, cfg.M, cfg.b)
-    intervals = list(range(plan.M))
-    groups = ([intervals] if p.n_x < RICCATI_MIN_NX
-              else [[i] for i in intervals])
 
     def step(state: SolverState, cfg: SolverConfig, terms):
         z, lam = state.z, state.lam
-        warms = decompose(z.x, z.u, lam.lam, plan)
-        parts = [part for group in groups
-                 for part in solve_nonlinear_subproblem(
-                     [subproblem_from_iterate(p, plan, i, cfg.mu, z, lam)
-                      for i in group], [warms[i] for i in group])]
+        parts = solve_nonlinear_subproblem(
+            [subproblem_from_iterate(p, plan, i, cfg.mu, z, lam)
+             for i in range(plan.M)], decompose(z.x, z.u, lam.lam, plan))
         x_new, u_new, lam_new = compose(parts, plan)
         step_norm = float(np.sqrt(np.sum((x_new - z.x) ** 2)
                                   + np.sum((u_new - z.u) ** 2)

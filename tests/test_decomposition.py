@@ -3,8 +3,9 @@ import pytest
 
 from fotd.benchmarks import ToySpec, make_toy_problem
 from fotd import banded
+from fotd.banded import stage_windows
 from fotd.decomposition import (RICCATI_MIN_NX, BoundaryVars, _riccati_batches,
-                                _windows, approximate_direction,
+                                approximate_direction,
                                 assemble_subproblem, compose, decompose,
                                 make_plan, solve_subproblem,
                                 solve_subproblems_riccati)
@@ -431,19 +432,19 @@ def test_even_knots_give_one_riccati_batch_per_length(N, M, batches):
 
 def test_riccati_windows_past_the_horizon_raise():
     arr = np.arange(20.0).reshape(10, 2)
-    got = _windows(arr, 0, 3, 3, 4)  # stages 0-3, 3-6 and 6-9
+    got = stage_windows(arr, 0, 3, 3, 4)  # stages 0-3, 3-6 and 6-9
     assert got.shape == (3, 4, 2) and not got.flags.writeable
     for j in range(3):
         assert np.array_equal(got[j], arr[3 * j:3 * j + 4])
     with pytest.raises(ValueError, match="run past"):
-        _windows(arr, 1, 3, 3, 4)  # the last window would end at stage 10
-    one = _windows(arr, 6, 3, 1, 4)  # one window: the step is never taken
+        stage_windows(arr, 1, 3, 3, 4)  # the last window would end at stage 10
+    one = stage_windows(arr, 6, 3, 1, 4)  # one window: the step is never taken
     assert one.shape == (1, 4, 2)
     assert one[0].ctypes.data == arr[6].ctypes.data
     assert one[0].strides == arr.strides
     assert np.array_equal(one[0], arr[6:10])
     with pytest.raises(ValueError, match="run past"):
-        _windows(arr, 7, 0, 1, 4)  # it would end at stage 10
+        stage_windows(arr, 7, 0, 1, 4)  # it would end at stage 10
 
 
 @pytest.mark.parametrize("nx,nu", [(1, 1), (2, 3), (3, 2)])

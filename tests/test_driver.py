@@ -13,7 +13,8 @@ from fotd.driver import (MERIT_NOISE, SolverConfig, SolverState, _step,
 from fotd.exceptions import NonDescentError, UndefinedRatioError
 from fotd.newton import (NewtonDirection, assemble_newton_data, modify_hessian,
                          solve_full_newton)
-from fotd.problem import DualTrajectory, PenaltyParams, Trajectory
+from fotd.problem import (DualTrajectory, MeritTerms, PenaltyParams,
+                          Trajectory, _merit_terms)
 
 from oracles import newton_solve_to_kkt, random_point, recording
 
@@ -49,6 +50,36 @@ def test_armijo_underflow_raises():
     from fotd.exceptions import LineSearchFailure
     with pytest.raises(LineSearchFailure):
         armijo_backtrack(lambda a: 1e6, 0.0, slope=-1.0, beta=0.1, factor=0.5)
+
+
+def test_armijo_allowance_scales_with_the_summed_terms():
+    # The merit is 1, summed from terms of magnitude 1e8 whose rounding the
+    # trial's 1e-9 rise stays well inside; by |merit0| alone it is a rise.
+    from fotd.exceptions import LineSearchFailure
+    merit = lambda a: 1.0 + 1e-9 * (a > 0)
+    assert 1e-9 < MERIT_NOISE * 1e8
+    alpha, _ = armijo_backtrack(merit, 1.0, slope=-1e-9, beta=0.1, factor=0.5,
+                                magnitude=1e8)
+    assert alpha == 1.0
+    with pytest.raises(LineSearchFailure):
+        armijo_backtrack(merit, 1.0, slope=-1e-9, beta=0.1, factor=0.5)
+
+
+def test_merit_terms_carry_the_magnitude_of_their_terms():
+    p = toy(N=30)
+    z, lam = random_point(p, seed=3, scale=3.0)
+    terms = _merit_terms(p, z, lam)
+    lagr, gz, gl = terms
+    rest = terms[1:]
+    assert len(rest) == 2 and rest[0] is gz and rest[1] is gl
+    costs = [p.stage_cost(k, z.x[k], z.u[k]) for k in range(p.N)]
+    costs.append(p.stage_cost(p.N, z.x[p.N]))
+    dots = (lam.lam * gl.reshape(lam.lam.shape)).sum(axis=1)
+    assert terms.magnitude == pytest.approx(
+        np.abs(costs).sum() + np.abs(dots).sum(), rel=1e-12)
+    assert terms.magnitude >= abs(lagr)
+    assert MeritTerms(lagr, gz, gl).magnitude == 0.0
+    assert MeritTerms(lagr, gz, gl, (np.array([-1.0, 2.0]), -3.0)).magnitude == 6.0
 
 
 def test_report_length_bounded_by_budget():

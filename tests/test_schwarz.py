@@ -9,16 +9,20 @@ import fotd.schwarz as fotd_schwarz
 from fotd.benchmarks import (PlateSpec, ToySpec, make_initializations,
                              make_plate_problem, make_toy_problem,
                              toy_case_params)
-from fotd.decomposition import (RICCATI_MIN_NX, approximate_direction,
-                                decompose, make_plan)
+from fotd.decomposition import approximate_direction, decompose, make_plan
+from fotd import banded, driver
 from fotd.driver import SolverConfig, solve
-from fotd.exceptions import SubproblemFailure
-from fotd.newton import assemble_newton_data
+from fotd.exceptions import (IndefiniteHorizonError, IndefiniteStageError,
+                             SubproblemFailure)
+from fotd.newton import (FULL_RICCATI_MIN_NX, assemble_newton_data,
+                         check_reduced_hessian, default_definiteness_constant,
+                         solve_full_newton)
 from fotd.problem import (DualTrajectory, Trajectory, _merit_terms,
                           kkt_residual, linearize, split_primal)
-from fotd.schwarz import (boundary_compatibility, one_newton_schwarz_step,
-                          schwarz_solve, solve_nonlinear_subproblem,
-                          subproblem_from_iterate, truncated_problem)
+from fotd.schwarz import (_offsets, _stacked, boundary_compatibility,
+                          one_newton_schwarz_step, schwarz_solve,
+                          solve_nonlinear_subproblem, subproblem_from_iterate,
+                          truncated_problem)
 
 from oracles import (CALLBACKS, batched_copy, central_diff, dense_full_newton,
                      make_random_lq, newton_solve_to_kkt, per_stage_copy,
@@ -192,7 +196,53 @@ def test_chained_solve_matches_solving_each_interval_alone():
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
 
-def test_schwarz_chains_narrow_intervals_and_solves_wide_ones_alone(monkeypatch):
+def test_chained_failure_names_the_interval_that_holds_the_inner_stage(
+        monkeypatch):
+    # Interval 1 of [0, 12], [8, 22] and [18, 30] is indefinite at parent
+    # stage 15, which no other interval holds.  With the Levenberg shift
+    # bypassed, the chain's Riccati sweep fails at that stage's chain stage
+    # on the first inner step, when every interval is still over INNER_TOL.
+    n = FULL_RICCATI_MIN_NX
+    p, data = make_random_lq(30, n, n, seed=5)
+    data["R"][15] = -10.0 * np.eye(n)
+    plan = make_plan(30, 3, 2)
+    z, lam = random_point(p, seed=6)
+    subs = [subproblem_from_iterate(p, plan, i, 25.0, z, lam)
+            for i in range(plan.M)]
+    monkeypatch.setattr(driver, "modify_hessian", lambda nd: nd)
+    with pytest.raises(SubproblemFailure) as exc:
+        solve_nonlinear_subproblem(subs, decompose(z.x, z.u, lam.lam, plan))
+    assert exc.value.index == 1
+    assert str(exc.value).startswith(
+        "nonlinear subproblem 1 did not converge: interval [8, 22] stopped "
+        "with status=error (inner solve: ")
+    cause = exc.value.__cause__
+    assert isinstance(cause, IndefiniteHorizonError)
+    assert cause.stage == (12 + 1) + (15 - 8)
+    assert cause.iteration == 0
+    assert f"stage {cause.stage} failed" in str(exc.value)
+
+
+def test_interval_solved_alone_converges_where_rounding_decided_armijo():
+    # ok.yaml's interval [18, 42] at outer iteration 0 (toy case 1, N=60,
+    # M=3, b=2, init 1 of seed 0).  Its L is a sum of terms about 380 times
+    # larger than L, so an allowance of 10 eps |merit0| rejected unit steps
+    # that cut the residual, and the stepsize stalled near 3e-12.
+    p = make_toy_problem(toy_case_params(1, N=60)[0])
+    z, lam = make_initializations(p, 2, seed=0)[1]
+    plan = make_plan(60, 3, 2)
+    sub = subproblem_from_iterate(p, plan, 1, 25.0, z, lam)
+    assert (sub.m1, sub.m2) == (18, 42)
+    x, u, lw = decompose(z.x, z.u, lam.lam, plan)[1]
+    report = solve(truncated_problem([sub]),
+                   SolverConfig(kkt_tol=1e-8, step_tol=0.0, max_iters=50),
+                   (Trajectory(x, u), DualTrajectory(lw)), mode="centralized")
+    assert report.status == "converged_kkt"
+    assert all(r.stepsize == 1.0 for r in report.records[:-1])
+    solve_nonlinear_subproblem([sub], [(x, u, lw)])
+
+
+def test_schwarz_chains_intervals_of_every_width(monkeypatch):
     calls = []
     inner = fotd_schwarz.solve
 
@@ -207,12 +257,14 @@ def test_schwarz_chains_narrow_intervals_and_solves_wide_ones_alone(monkeypatch)
     assert report.status == "converged_kkt"
     # one chained solve of 3 intervals (24, 28 and 24 stages) per iteration
     assert calls == [24 + 28 + 24 + 2] * report.iterations
-    calls.clear()
-    p = make_plate_problem(PlateSpec(m=4, N=20))
-    assert p.n_x >= RICCATI_MIN_NX
-    schwarz_solve(p, SolverConfig(mu=25.0, M=2, b=2, max_iters=1),
-                  make_initializations(p, 1, seed=0)[0])
-    assert calls == [12, 12]
+    # the plate at m=4 (4 states, the band LU's chain) and m=6 (16 states,
+    # the Riccati sweep's): two intervals of N/2 + 2 stages, one chain
+    for m, N in ((4, 20), (6, 60)):
+        calls.clear()
+        p = make_plate_problem(PlateSpec(m=m, N=N))
+        schwarz_solve(p, SolverConfig(mu=25.0, M=2, b=2, max_iters=1),
+                      make_initializations(p, 1, seed=0)[0])
+        assert calls == [2 * (N // 2 + 2) + 1]
 
 
 def test_inner_solver_returns_warm_start_at_subproblem_optimum():
@@ -462,3 +514,123 @@ def test_compatibility_conditions_decide_full_stationarity():
     assert kkt_residual(p, Trajectory(x, u), DualTrajectory(lm)) >= 1e-3
     residuals = boundary_compatibility(p, parts, plan)
     assert max(max(r) for r in residuals) >= 1e-3
+
+
+# ---------------------------------------------------------------------------
+# A chain's Newton step as a batch of its pieces
+# ---------------------------------------------------------------------------
+
+def plate_chain():
+    """The plate at m=6 chained over 4 intervals of 55, 60, 60 and 55 stages.
+
+    Returns the intervals and the chain's Newton data at the stacked slices
+    of a random point, made definite by the Levenberg shift if needed.
+    """
+    from fotd.newton import modify_hessian
+    p = make_plate_problem(PlateSpec(m=6, N=200))
+    z, lam = random_point(p, seed=3, scale=0.5)
+    z.x[0] = p.x0
+    plan = make_plan(200, 4, 5)
+    subs = [subproblem_from_iterate(p, plan, i, 25.0, z, lam)
+            for i in range(plan.M)]
+    assert [s.m2 - s.m1 for s in subs] == [55, 60, 60, 55]
+    x, u, lw = _stacked(decompose(z.x, z.u, lam.lam, plan), p.n_u)
+    chain = truncated_problem(subs)
+    nd = modify_hessian(assemble_newton_data(
+        chain, Trajectory(x, u), DualTrajectory(lw)))
+    return subs, nd
+
+
+def lq_args(nd, R=None):
+    return (nd.Q, nd.S, nd.R if R is None else R, nd.A, nd.B, nd.gx, nd.gu,
+            -nd.glam[0], -nd.glam[1:])
+
+
+def test_chain_pieces_solve_as_the_whole_sweep_and_alone_bit_for_bit(
+        monkeypatch):
+    subs, nd = plate_chain()
+    ends = _offsets(subs)[1:] - 1
+    junctions = banded.junction_stages(nd.S, nd.A, nd.B)
+    np.testing.assert_array_equal(junctions, ends)
+    lq = lq_args(nd)
+    whole = [a[0] for a in banded.solve_lq_riccati(*(a[None] for a in lq))]
+    batches = []
+    sweep = banded.solve_lq_riccati
+
+    def counted(*args):
+        batches.append(args[4].shape[:2])
+        return sweep(*args)
+
+    monkeypatch.setattr(banded, "solve_lq_riccati", counted)
+    pieces = banded.solve_lq_pieces(*lq, junctions)
+    assert batches == [(2, 55), (2, 60)]  # one sweep per length
+    for got, want in zip(pieces, whole):
+        np.testing.assert_array_equal(got, want)
+    monkeypatch.undo()
+    # each piece solved alone, its initial pin the junction's dynamics
+    c = -nd.glam
+    for first, sub in zip(_offsets(subs), subs):
+        T = sub.m2 - sub.m1
+        k, kx = slice(first, first + T), slice(first, first + T + 1)
+        alone = banded.solve_lq_riccati(*(a[None] for a in (
+            nd.Q[kx], nd.S[k], nd.R[k], nd.A[k], nd.B[k], nd.gx[kx],
+            nd.gu[k], c[first], c[first + 1:first + T + 1])))
+        for got, want in zip((pieces[0][kx], pieces[1][k], pieces[2][kx]),
+                             alone):
+            np.testing.assert_array_equal(got, want[0])
+    # and the exact direction of the chain is the pieces'
+    d = solve_full_newton(nd)
+    np.testing.assert_array_equal(d.dlam, pieces[2].ravel())
+
+
+def test_a_failing_piece_names_the_whole_sweeps_stage_and_margin():
+    subs, nd = plate_chain()
+    first = _offsets(subs)
+    junctions = banded.junction_stages(nd.S, nd.A, nd.B)
+    n = nd.n_u
+    # pieces 1 and 2 fail, and then the junction after piece 0 as well
+    for stages in ([first[1] + 10], [first[1] + 10, first[1] + 40, first[2] + 5],
+                   [first[1] + 10, junctions[0]]):
+        R = nd.R.copy()
+        R[stages] = -10.0 * np.eye(n)
+        lq = lq_args(nd, R)
+        with pytest.raises(IndefiniteStageError) as whole:
+            banded.solve_lq_riccati(*(a[None] for a in lq))
+        assert whole.value.stage == max(stages)  # the last one in chain order
+        with pytest.raises(IndefiniteStageError) as got:
+            banded.solve_lq_pieces(*lq, junctions)
+        assert (got.value.member, got.value.stage, got.value.margin) == (
+            0, whole.value.stage, whole.value.margin)
+
+
+def test_split_band_test_gives_the_whole_chains_pivots_and_margins(
+        monkeypatch):
+    subs, nd = plate_chain()
+    first = _offsets(subs)
+    junctions = banded.junction_stages(nd.S, nd.A, nd.B)
+    c = default_definiteness_constant(nd)
+    blocks = (nd.Q, nd.S, nd.R, nd.A, nd.B)
+    # the full-horizon test of a wide chain factors one band per piece
+    sizes = []
+    band = banded._test_band
+    monkeypatch.setattr(banded, "_test_band",
+                        lambda *a: sizes.append(a[3].shape[0]) or band(*a))
+    assert check_reduced_hessian(nd, c)
+    assert sizes == [55, 60, 60, 55]
+    monkeypatch.undo()
+    assert banded.pivot_failure(*blocks, c, junctions) is None
+    # a tolerance above every pivot reports the smallest one
+    monkeypatch.setattr(banded, "PIVOT_TOL", 1e6)
+    whole = banded.pivot_failure(*blocks, c)
+    assert banded.pivot_failure(*blocks, c, junctions) == whole
+    monkeypatch.undo()
+    # breakdowns: in piece 2; in pieces 1 and 2 (piece 1's stops the test);
+    # at a junction's control and in the piece after it
+    for stages in ([first[2] + 5], [first[1] + 3, first[2] + 5],
+                   [junctions[1], first[2] + 5]):
+        R = nd.R.copy()
+        R[stages] = -1e4 * np.eye(nd.n_u)
+        whole = banded.pivot_failure(nd.Q, nd.S, R, nd.A, nd.B, c)
+        assert whole[0] == min(stages) and whole[1] < -1.0
+        assert banded.pivot_failure(nd.Q, nd.S, R, nd.A, nd.B, c,
+                                    junctions) == whole
