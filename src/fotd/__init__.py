@@ -20,11 +20,12 @@ from .decomposition import (BoundaryVars, DecompositionPlan, SubproblemData,
                             solve_subproblems_riccati)
 from .driver import (IterationRecord, SolveReport, SolverConfig, SolverState,
                      adapt_penalties, fotd_step, line_search, solve)
-from .exceptions import (AdaptivityFailure, IndefiniteHorizonError,
-                         IndefiniteStageError, LineSearchFailure,
-                         LinearSolverError, ModificationFailure,
-                         MuTooSmallError, NonDescentError, NumericsError,
-                         SolverError, SubproblemFailure, UndefinedRatioError)
+from .exceptions import (AdaptivityFailure, ArmijoStall,
+                         IndefiniteHorizonError, IndefiniteStageError,
+                         LineSearchFailure, LinearSolverError,
+                         ModificationFailure, MuTooSmallError,
+                         NonDescentError, NumericsError, SolverError,
+                         SubproblemFailure, UndefinedRatioError)
 from .newton import (NewtonData, NewtonDirection, assemble_newton_data,
                      check_reduced_hessian, modify_hessian, solve_full_newton,
                      theory_gamma_G, theory_mu_bar)
@@ -33,10 +34,9 @@ from .problem import (DualTrajectory, PenaltyParams, ProblemDef, Trajectory,
                       eval_merit_gradient, eval_objective, kkt_residual,
                       linearize, load_point_csv, save_point_csv,
                       stage_batched)
-from .schwarz import (NonlinearSubproblem, boundary_compatibility,
+from .schwarz import (IntervalChain, boundary_compatibility,
                       one_newton_schwarz_step, schwarz_solve,
-                      solve_nonlinear_subproblem, subproblem_from_iterate,
-                      truncated_problem)
+                      solve_nonlinear_subproblem, truncated_problem)
 
 __version__ = "0.1.0"
 

@@ -18,6 +18,11 @@ eta1 *= NU^2, overlap widened accordingly) and the direction recomputed;
 otherwise, with ``assert_descent`` the run aborts, and without it the step
 proceeds along the direction and the violation is counted.
 
+Where the Armijo test cannot decide, because the predicted decrease is below
+the merit's rounding allowance, a step passes on rounding alone.  After
+STALL_ITERS such steps in a row that each left the KKT residual no lower,
+the run stops with :class:`ArmijoStall` instead of running to its budget.
+
 :func:`run_outer_loop` owns the stop tests, error capture and timing.  The
 SQP driver :func:`solve` and the overlapping Schwarz baseline
 (:func:`fotd.schwarz.schwarz_solve`) differ only in the step they hand it;
@@ -34,8 +39,8 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .decomposition import DecompositionPlan, approximate_direction, make_plan
-from .exceptions import (AdaptivityFailure, LineSearchFailure, NonDescentError,
-                         SolverError, UndefinedRatioError)
+from .exceptions import (AdaptivityFailure, ArmijoStall, LineSearchFailure,
+                         NonDescentError, SolverError, UndefinedRatioError)
 from .newton import (NewtonDirection, assemble_newton_data, modify_hessian,
                      solve_full_newton)
 from .problem import (DualTrajectory, MeritTerms, PenaltyParams, ProblemDef,
@@ -146,11 +151,18 @@ class SolveReport:
 
 @dataclass
 class SolverState:
-    """Mutable loop state owned by one solve."""
+    """Mutable loop state owned by one solve.
+
+    ``undecided`` holds (KKT residual, predicted decrease, rounding
+    allowance, stalls) of the last SQP step when rounding decided its
+    Armijo test, else None; stalls counts the steps before it, in a row,
+    that rounding decided and after which the residual did not fall.
+    """
 
     z: Trajectory
     lam: DualTrajectory
     tau: int = 0
+    undecided: Optional[Tuple[float, float, float, int]] = None
 
 
 def adapt_penalties(cfg: SolverConfig, nu: float) -> SolverConfig:
@@ -167,6 +179,9 @@ def adapt_penalties(cfg: SolverConfig, nu: float) -> SolverConfig:
 
 
 MERIT_NOISE = 10.0 * np.finfo(float).eps
+# Iterations in a row whose Armijo test rounding decided and whose KKT
+# residual did not fall, after which a solve stops with ArmijoStall.
+STALL_ITERS = 3
 
 
 def armijo_backtrack(merit_along: Callable[[float], float], merit0: float,
@@ -250,8 +265,13 @@ def _step(p: ProblemDef, plan: Optional[DecompositionPlan],
     """
     z, lam = state.z, state.lam
     kkt_res = terms.residual()
+    last = state.undecided
+    stalls = last[3] + 1 if last and kkt_res >= last[0] else 0
+    if stalls == STALL_ITERS:
+        raise ArmijoStall(STALL_ITERS, *last[1:3])
     # The merit gradient's linearization is freed before the Newton data's
-    # is made, so the two are never alive at once.
+    # is made, so the two are alive at once only when an adaptation
+    # re-evaluates the gradient for its new penalties.
     merit_grad = eval_merit_gradient(p, z, lam, cfg.eta)
     nd = modify_hessian(assemble_newton_data(p, z, lam))
     violations = 0
@@ -277,6 +297,7 @@ def _step(p: ProblemDef, plan: Optional[DecompositionPlan],
         cfg = adapt_penalties(cfg, NU)
         cfg = replace(cfg, b=min(cfg.b, p.N - 1))
         plan = make_plan(p.N, cfg.M, cfg.b)
+        merit_grad = eval_merit_gradient(p, z, lam, cfg.eta)
 
     ratio = None
     if cfg.diagnostics and plan is not None:
@@ -286,13 +307,17 @@ def _step(p: ProblemDef, plan: Optional[DecompositionPlan],
 
     alpha, _ = line_search(p, z, lam, direction, cfg.eta, BETA, BACKTRACK,
                            terms=terms, merit_grad=merit_grad)
+    merit0, predicted = terms.merit(cfg.eta), BETA * alpha * abs(slope)
+    noise = MERIT_NOISE * max(abs(merit0), terms.magnitude)  # Armijo's allowance
+    state.undecided = ((kkt_res, predicted, noise, stalls) if predicted < noise
+                       else None)
     dx, du, dl = direction.stage_arrays(p.N, p.n_x, p.n_u)
     z.x += alpha * dx
     z.u += alpha * du
     lam.lam += alpha * dl
     z.x[0] = p.x0
     record = IterationRecord(
-        iteration=state.tau, kkt_residual=kkt_res, merit=terms.merit(cfg.eta),
+        iteration=state.tau, kkt_residual=kkt_res, merit=merit0,
         stepsize=alpha, gamma=gamma, dir_err_ratio=ratio,
         step_norm=alpha * direction.norm(),
     )

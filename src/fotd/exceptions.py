@@ -107,6 +107,22 @@ class LineSearchFailure(SolverError):
     """Backtracking underflowed without satisfying the Armijo condition."""
 
 
+class ArmijoStall(LineSearchFailure):
+    """Rounding decided the Armijo test for ``steps`` steps in a row.
+
+    Each of those steps predicted a decrease below the test's rounding
+    allowance, and the KKT residual did not fall after it.  ``predicted``
+    and ``noise`` are the last step's predicted decrease and allowance.
+    """
+
+    def __init__(self, steps: int, predicted: float, noise: float):
+        self.predicted, self.noise = predicted, noise
+        super().__init__(
+            f"the Armijo test was decided by rounding for {steps} steps in a "
+            f"row and the KKT residual did not fall: predicted decrease "
+            f"{predicted:.3e} below the rounding allowance {noise:.3e}")
+
+
 class AdaptivityFailure(SolverError):
     """Penalty rescaling failed to restore the descent inequality."""
 

@@ -75,7 +75,12 @@ class NewtonData:
     Holds the (possibly modified) stage Hessian blocks, dynamics Jacobians,
     and the Lagrangian gradient split by stage.  ``glam`` stacks the
     constraint residuals; ``gamma_applied`` records the Levenberg shift.
-    Immutable and safe to share across worker threads.
+    ``junctions`` are stages whose S, A and B are zero, at which the Riccati
+    sweep may split the horizon (module docstring); none solves it whole.
+    :func:`assemble_newton_data` scans for them once, from
+    FULL_RICCATI_MIN_NX states on: the Levenberg shift keeps S, A and B, so
+    every rung of the ladder and the solve share the scan.  Immutable and
+    safe to share across worker threads.
     """
 
     N: int
@@ -90,6 +95,7 @@ class NewtonData:
     gu: np.ndarray     # (N, n_u)
     glam: np.ndarray   # (N+1, n_x)
     gamma_applied: float = 0.0
+    junctions: tuple | np.ndarray = ()
 
     def max_block_norm_fro(self) -> float:
         return max_block_norm_fro(self.Q, self.S, self.R)
@@ -122,7 +128,8 @@ class NewtonDirection:
 def assemble_newton_data(p: ProblemDef, z: Trajectory, lam: DualTrajectory) -> NewtonData:
     """Evaluate Hessian blocks, Jacobians and gradients at (z, lam).
 
-    Blocks are unmodified (gamma_applied = 0).  Non-finite callback output
+    Blocks are unmodified (gamma_applied = 0), and from FULL_RICCATI_MIN_NX
+    states on the horizon's junctions are found.  Non-finite callback output
     raises :class:`NumericsError` carrying the offending stage; row k+1 of
     the constraint residual holds the dynamics of stage k.
     """
@@ -140,7 +147,9 @@ def assemble_newton_data(p: ProblemDef, z: Trajectory, lam: DualTrajectory) -> N
             raise NumericsError(int(np.argmax(bad)), name)
     if not np.all(np.isfinite(Q[N])) or not np.all(np.isfinite(gx[N])):
         raise NumericsError(N, "terminal block")
-    return NewtonData(N, p.n_x, p.n_u, Q, S, R, A, B, gx, gu, glam)
+    wide = p.n_x >= FULL_RICCATI_MIN_NX
+    return NewtonData(N, p.n_x, p.n_u, Q, S, R, A, B, gx, gu, glam,
+                      junctions=banded.junction_stages(S, A, B) if wide else ())
 
 
 def stage_norms_fro(Q, S, R) -> np.ndarray:
@@ -180,19 +189,12 @@ def check_reduced_hessian(nd: NewtonData, c: float) -> bool:
     For c large enough this is equivalent to positive definiteness of the
     reduced Hessian Z^T Hhat Z on the constraint null space.  From
     FULL_RICCATI_MIN_NX states on, the band is factored piece by piece
-    between the horizon's junctions (module docstring).
+    between ``nd.junctions`` (module docstring).
     """
     if not c > 0:
         raise ValueError(f"definiteness constant must be positive, got {c}")
     return banded.definiteness_pivots_ok(nd.Q, nd.S, nd.R, nd.A, nd.B, c,
-                                         _junctions(nd))
-
-
-def _junctions(nd: NewtonData):
-    """The junction stages of a horizon the Riccati sweep solves, else none."""
-    if nd.n_x < FULL_RICCATI_MIN_NX:
-        return ()
-    return banded.junction_stages(nd.S, nd.A, nd.B)
+                                         nd.junctions)
 
 
 def _shift(nd: NewtonData, gamma: float) -> NewtonData:
@@ -230,7 +232,7 @@ def solve_full_newton(nd: NewtonData) -> NewtonDirection:
 
     Blocks narrower than FULL_RICCATI_MIN_NX states go to the banded LU of
     the stage-interleaved KKT matrix (:func:`banded.solve_lq_kkt`); wider
-    ones to the Riccati sweep, split at the horizon's junctions into pieces
+    ones to the Riccati sweep, split at ``nd.junctions`` into pieces
     that are solved in one batch per length (:func:`banded.solve_lq_pieces`;
     a horizon without junctions is a batch of one).  Its stagewise Cholesky
     raises :class:`IndefiniteHorizonError` naming the horizon stage that
@@ -243,7 +245,7 @@ def solve_full_newton(nd: NewtonData) -> NewtonDirection:
         p, q, zeta = banded.solve_lq_kkt(*lq)
     else:
         try:
-            p, q, zeta = banded.solve_lq_pieces(*lq, _junctions(nd))
+            p, q, zeta = banded.solve_lq_pieces(*lq, nd.junctions)
         except IndefiniteStageError as err:
             raise IndefiniteHorizonError(err.stage, err.margin) from err
     return NewtonDirection(stack_primal(p, q), zeta.ravel())

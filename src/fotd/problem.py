@@ -33,6 +33,7 @@ import io
 import os
 import tempfile
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -273,11 +274,11 @@ class MeritTerms(_LagrangianTerms):
         terms.parts = parts
         return terms
 
-    @property
+    @cached_property
     def magnitude(self) -> float:
         """Sum of the absolute values of L's terms, the scale of its rounding.
 
-        Summed in any order, when asked for: it only scales a rounding
+        Summed in any order, when first asked for: it only scales a rounding
         allowance.  0 without ``parts``.
         """
         return float(sum(np.abs(part).sum() for part in self.parts))

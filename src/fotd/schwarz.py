@@ -13,29 +13,32 @@ its terminal cost is adjusted to
 where (xbar, ubar, lambar) are the frozen terminal boundary values.
 
 The M intervals of one outer iteration are solved as one problem by one
-inner SQP.  The chain joins them end to end: interval i's T_i = m2_i - m1_i
-stages are chain stages o_i .. o_i + T_i - 1, with o_{i+1} = o_i + T_i + 1,
-and chain stage o_i + T_i is the interval's *end*, which holds its terminal
-state.  The last interval's end is the chain's terminal stage.  Every other
-end is a *junction*, a stage with a control u whose cost is the interval's
-terminal cost in x plus 1/2 ||u||^2 (Hessian blocks: the terminal Hessian,
-S = 0 and R = I) and whose dynamics is the next interval's initial state,
-so A = B = 0 and the dynamics curvature is zero.  The next dynamics row is
-then exactly the next interval's initial pin: no term couples two
-intervals, the chain's KKT conditions are those of its intervals plus
-u = 0 at every junction, and each Newton step of the chain is the
-intervals' own Newton steps at once.  The intervals do share the step's
-Levenberg shift, Armijo stepsize and stop test, and the definiteness
-test's constant c is the largest interval's.  One batched formula gives
-every end's terminal cost, gradient and Hessian.  Each callback pass makes
-one call of the parent's batched form over every interval's stages,
-junction rows included, plus, for a cost callback, one call of the dynamics
-callback its adjustment reads over the junction rows; so an inner step
-makes the same number of callback calls whatever the number of intervals.
-An output is copied once and its junction rows overwritten, unless it is
-one block broadcast over the stages, which a copy would materialize, and
-its junction rows already hold the junction's values (the plate's zero S
-and contraction blocks, say): then it is passed on as the parent gave it.
+inner SQP.  One :class:`IntervalChain`, built once per outer iteration from
+the plan, mu and the current iterate, holds what that problem needs: the
+boundary values, the layout and the ends' formula.  The chain joins the
+intervals end to end: interval i's T_i = m2_i - m1_i stages are chain
+stages o_i .. o_i + T_i - 1, with o_{i+1} = o_i + T_i + 1, and chain stage
+o_i + T_i is the interval's *end*, which holds its terminal state.  The last
+interval's end is the chain's terminal stage.  Every other end is a
+*junction*, a stage with a control u whose cost is the interval's terminal
+cost in x plus 1/2 ||u||^2 (Hessian blocks: the terminal Hessian, S = 0 and
+R = I) and whose dynamics is the next interval's initial state, so A = B = 0
+and the dynamics curvature is zero.  The next dynamics row is then exactly
+the next interval's initial pin: no term couples two intervals, the chain's
+KKT conditions are those of its intervals plus u = 0 at every junction, and
+each Newton step of the chain is the intervals' own Newton steps at once.
+The intervals do share the step's Levenberg shift, Armijo stepsize and stop
+test, and the definiteness test's constant c is the largest interval's.
+One batched formula gives every end's terminal cost, gradient and Hessian.
+Each callback pass makes one call of the parent's batched form over every
+interval's stages, junction rows included, plus, for a cost callback, one
+call of the dynamics callback its adjustment reads over the junction rows;
+so an inner step makes the same number of callback calls whatever the
+number of intervals.  An output is copied once and its junction rows
+overwritten, unless it is one block broadcast over the stages, which a copy
+would materialize, and its junction rows already hold the junction's values
+(the plate's zero S and contraction blocks, say): then it is passed on as
+the parent gave it.
 
 Every width is chained.  Below :data:`fotd.newton.FULL_RICCATI_MIN_NX`
 states an inner step makes one band test and one band LU over the chain.
@@ -48,14 +51,13 @@ for bit that interval's data solved alone.  On the plate at m = 6
 intervals, where one solve per interval made ten.
 
 The one-Newton-step variant replaces the inner solve-to-optimality with a
-single Newton step of the chain of all M truncated problems; starting from
-the same iterate it reproduces the decomposed SQP update exactly, which is
-exercised as an equivalence test.
+single Newton step of the same chain; starting from the same iterate it
+reproduces the decomposed SQP update exactly, which is exercised as an
+equivalence test.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -63,49 +65,14 @@ import numpy as np
 from .decomposition import DecompositionPlan, compose, decompose, make_plan
 from .driver import (STATUS_KKT, IterationRecord, SolveReport, SolverConfig,
                      SolverState, run_outer_loop, solve)
-from .exceptions import SubproblemFailure
-from .newton import assemble_newton_data, solve_full_newton
+from .exceptions import NonDescentError, SubproblemFailure
+from .newton import assemble_newton_data, modify_hessian, solve_full_newton
 from .problem import (DualTrajectory, ProblemDef, Trajectory, _merit_terms,
-                      _over_stages, batched_callback, split_primal)
+                      _over_stages, batched_callback, eval_merit_gradient,
+                      split_primal)
 
 INNER_TOL = 1e-8
 INNER_MAX_ITERS = 50
-
-
-@dataclass(frozen=True)
-class NonlinearSubproblem:
-    """Nonlinear truncation of ``parent`` onto [m1, m2] with boundary data.
-
-    ``x_end``, ``u_end`` and ``lam_next`` are the frozen terminal boundary
-    values; they are None when the interval reaches the end of the horizon,
-    in which case the original terminal cost applies.  ``index`` is the
-    interval's position in its decomposition plan, reported on failure.
-    """
-
-    parent: ProblemDef
-    m1: int
-    m2: int
-    mu: float
-    x_start: np.ndarray
-    x_end: Optional[np.ndarray] = None
-    u_end: Optional[np.ndarray] = None
-    lam_next: Optional[np.ndarray] = None
-    index: int = 0
-
-    @property
-    def has_adjusted_terminal(self) -> bool:
-        return self.m2 < self.parent.N
-
-
-def subproblem_from_iterate(p: ProblemDef, plan: DecompositionPlan, i: int,
-                            mu: float, z: Trajectory,
-                            lam: DualTrajectory) -> NonlinearSubproblem:
-    """Boundary values for interval i taken from the current full iterate."""
-    m1, m2 = plan.m1[i], plan.m2[i]
-    if m2 == plan.N:
-        return NonlinearSubproblem(p, m1, m2, mu, z.x[m1].copy(), index=i)
-    return NonlinearSubproblem(p, m1, m2, mu, z.x[m1].copy(), z.x[m2].copy(),
-                               z.u[m2].copy(), lam.lam[m2 + 1].copy(), index=i)
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -124,51 +91,67 @@ def _output_shapes(nx: int, nu: int) -> dict:
 _COSTS = ("stage_cost", "cost_gradient", "cost_hessian")
 
 
-def _offsets(subs: Sequence[NonlinearSubproblem]) -> np.ndarray:
-    """Each interval's first chain stage: o_0 = 0, o_{i+1} = o_i + T_i + 1."""
-    return np.cumsum([0] + [s.m2 - s.m1 + 1 for s in subs[:-1]])
+class IntervalChain:
+    """The intervals of one outer iteration, chained (module docstring).
 
-
-def _stacked(parts, n_u: int):
-    """The chain's (x, u, lam) stage arrays from one (x, u, lam) per interval.
-
-    The junction controls are zero.
-    """
-    u = [np.zeros((1, n_u))] * (2 * len(parts) - 1)
-    u[::2] = [part[1] for part in parts]
-    return (np.concatenate([part[0] for part in parts]), np.concatenate(u),
-            np.concatenate([part[2] for part in parts]))
-
-
-def _parts(subs: Sequence[NonlinearSubproblem], x, u, lam) -> list:
-    """Cut the chain's stage arrays x, u, lam into one part per interval."""
-    return [(x[o:o + T + 1], u[o:o + T], lam[o:o + T + 1])
-            for o, T in zip(_offsets(subs), (s.m2 - s.m1 for s in subs))]
-
-
-class _Ends:
-    """The ends of a group's intervals, one per interval, in group order.
+    Built from the parent ``p``, the decomposition ``plan``, the terminal
+    penalty ``mu`` and the current full iterate ``(z, lam)``, which gives
+    every interval its frozen boundary values.  ``indices`` picks the plan's
+    intervals to chain, in plan order; all of them by default.  Per interval,
+    in chain order: ``indices``, ``m1``, ``m2``, the first chain stage
+    ``offsets``, the initial state ``x_start`` and the terminal boundary
+    values ``xbar``, ``ubar`` and ``lbar``, which only an interval that ends
+    before N uses (``adjusted``): one that reaches N keeps the parent's
+    terminal cost.  ``N`` is the number of chain stages.
 
     End j's cost callbacks give the parent's at (m2_j, x, ubar_j), adjusted
     as in the module docstring; an interval that reaches N has no stage
-    m2 < N, so that row is evaluated at stage N - 1 with zero boundary
-    values and then replaced by the parent's terminal value.  At a junction
-    the control's terms are added, and the dynamics callbacks' rows are
-    constants, whatever the parent gives there.
+    m2 < N, so that row is evaluated at ``stage`` = N - 1 and then replaced
+    by the parent's terminal value.  At a junction the control's terms are
+    added, and the dynamics callbacks' rows are constants, whatever the
+    parent gives there.
     """
 
-    def __init__(self, subs: Sequence[NonlinearSubproblem]):
-        p = self.parent = subs[0].parent
+    def __init__(self, p: ProblemDef, plan: DecompositionPlan, mu: float,
+                 z: Trajectory, lam: DualTrajectory,
+                 indices: Optional[Sequence[int]] = None):
+        self.parent, self.mu = p, mu
+        self.indices = np.arange(plan.M) if indices is None else np.asarray(indices)
+        self.m1, self.m2 = (np.asarray(m)[self.indices] for m in (plan.m1, plan.m2))
+        T = self.m2 - self.m1
+        self.offsets = np.cumsum(np.append(0, T[:-1] + 1))
+        self.N = int(T.sum()) + len(T) - 1
         self.shapes = _output_shapes(p.n_x, p.n_u)
-        self.stage = np.array([min(s.m2, p.N - 1) for s in subs])
-        self.adjusted = np.array([s.has_adjusted_terminal for s in subs])
-        self.mu = np.array([s.mu for s in subs])
-        self.xbar, self.ubar, self.lbar = (
-            np.array([np.zeros(n) if getattr(s, name) is None
-                      else getattr(s, name) for s in subs])
-            for name, n in (("x_end", p.n_x), ("u_end", p.n_u),
-                            ("lam_next", p.n_x)))
-        self.x_next = np.array([s.x_start for s in subs[1:]])
+        self.stage = np.minimum(self.m2, p.N - 1)
+        self.adjusted = self.m2 < p.N
+        self.x_start, self.xbar = z.x[self.m1], z.x[self.m2]
+        self.ubar, self.lbar = z.u[self.stage], lam.lam[self.stage + 1]
+
+    def stack(self, parts):
+        """The chain's iterate (z, lam) from one (x, u, lam) per interval.
+
+        The junction controls are zero.
+        """
+        x, u, lam = zip(*parts)
+        controls = [np.zeros((1, self.parent.n_u))] * (2 * len(u) - 1)
+        controls[::2] = u
+        return (Trajectory(np.concatenate(x), np.concatenate(controls)),
+                DualTrajectory(np.concatenate(lam)))
+
+    def parts(self, x, u, lam) -> list:
+        """Cut the chain's stage arrays x, u, lam into one part per interval."""
+        return [(x[o:o + T + 1], u[o:o + T], lam[o:o + T + 1])
+                for o, T in zip(self.offsets, self.m2 - self.m1)]
+
+    def sums(self, vz: np.ndarray, vl: np.ndarray) -> np.ndarray:
+        """Each interval's sum of the entries of its :meth:`parts`.
+
+        ``vz`` is a stage-major primal vector of the chain and ``vl`` a
+        multiplier vector; junction controls belong to no interval.
+        """
+        vx, vu = split_primal(vz, self.N, self.parent.n_x, self.parent.n_u)
+        return np.array([sum(a.sum() for a in part) for part in
+                         self.parts(vx, vu, vl.reshape(self.N + 1, -1))])
 
     def terminal(self, name: str, js: np.ndarray, X: np.ndarray,
                  first: np.ndarray) -> np.ndarray:
@@ -179,8 +162,8 @@ class _Ends:
         at (m2_j, x, ubar_j).  The arithmetic is row by row, so a batch of
         ends gives what each gives alone.
         """
-        p = self.parent
-        ks, ubar, lbar, mu = self.stage[js], self.ubar[js], self.lbar[js], self.mu[js]
+        p, mu = self.parent, self.mu
+        ks, ubar, lbar = self.stage[js], self.ubar[js], self.lbar[js]
         dx = X - self.xbar[js]
         if name == "stage_cost":
             f = _over_stages(p.dynamics, self.shapes["dynamics"], ks, X, ubar)
@@ -189,12 +172,12 @@ class _Ends:
             A, _ = _over_stages(p.dynamics_jacobians,
                                 self.shapes["dynamics_jacobians"], ks, X, ubar)
             term = (first - np.matmul(A.transpose(0, 2, 1), lbar[:, :, None])[..., 0]
-                    + mu[:, None] * dx)
+                    + mu * dx)
         else:
             Wxx, _, _ = _over_stages(
                 p.dynamics_hessian_contraction,
                 self.shapes["dynamics_hessian_contraction"], ks, X, ubar, lbar)
-            term = first + Wxx + mu[:, None, None] * np.eye(p.n_x)
+            term = first + Wxx + mu * np.eye(p.n_x)
         for r in (~self.adjusted[js]).nonzero()[0]:
             term[r] = getattr(p, name)(p.N, X[r])
         return term
@@ -202,7 +185,7 @@ class _Ends:
     def constant(self, name: str, js: np.ndarray) -> tuple:
         """Rows of the dynamics callback ``name`` at the junctions ``js``."""
         if name == "dynamics":
-            return (self.x_next[js],)
+            return (self.x_start[1:][js],)
         return tuple(np.zeros((len(js),) + shape) for shape in self.shapes[name])
 
     def junction(self, name: str, js: np.ndarray, X: np.ndarray,
@@ -221,10 +204,9 @@ class _Ends:
         return term, np.zeros((K, nu, nx)), np.eye(nu)[None].repeat(K, axis=0)
 
 
-def truncated_problem(subs: Sequence[NonlinearSubproblem]) -> ProblemDef:
-    """Express a group of nonlinear subproblems as one problem definition.
+def truncated_problem(chain: IntervalChain) -> ProblemDef:
+    """Express a chain of nonlinear subproblems as one problem definition.
 
-    The group's intervals are chained as the module docstring describes.
     Chain stage o_i + t, t < T_i, is the parent's stage m1_i + t.  Every
     callback carries one batched form over the chain's stages (see
     :func:`fotd.problem.batched_callback`): it calls the parent's callback
@@ -234,36 +216,35 @@ def truncated_problem(subs: Sequence[NonlinearSubproblem]) -> ProblemDef:
     Its per-stage form is that batch taken at one stage.  The terminal
     stage is the last interval's end: the parent's terminal cost when it
     reaches the end of the horizon, and otherwise the ends' formula
-    (:class:`_Ends`) as a batch of one.  A group of one is the interval's
-    truncated problem, and its callbacks do no junction work.
+    (:meth:`IntervalChain.terminal`) as a batch of one.  A chain of one is
+    the interval's truncated problem, and its callbacks do no junction work.
     """
-    p, ends = subs[0].parent, _Ends(subs)
-    stages = np.concatenate([np.append(np.arange(s.m1, s.m2), k)
-                             for s, k in zip(subs, ends.stage)])[:-1]
-    N, joined = len(stages), len(subs) > 1
+    p, N, M = chain.parent, chain.N, len(chain.indices)
+    stages = np.concatenate([np.append(np.arange(m1, m2), k) for m1, m2, k
+                             in zip(chain.m1, chain.m2, chain.stage)])[:-1]
     junction = np.full(N, -1)
-    junction[_offsets(subs)[1:] - 1] = np.arange(len(subs) - 1)
+    junction[chain.offsets[1:] - 1] = np.arange(M - 1)
     at_junction = junction >= 0
-    last = slice(len(subs) - 1, None)  # the last end, as a batch of one
+    last = slice(M - 1, None)  # the last end, as a batch of one
 
     def chained(name):
         """The parent's ``name`` on the chain's stages and ends."""
-        fn, shapes, cost = getattr(p, name), ends.shapes[name], name in _COSTS
+        fn, shapes, cost = getattr(p, name), chain.shapes[name], name in _COSTS
 
         def over_chain(ks, X, U, *lam):
             """``name`` at chain stages ``ks``, junction rows overwritten."""
-            if not joined:
+            if M == 1:
                 return _over_stages(fn, shapes, stages[ks], X, U, *lam)
             rows = at_junction[ks].nonzero()[0]
             js = junction[ks[rows]]
             if cost:
                 Uj = U[rows]
                 U = U.copy()
-                U[rows] = ends.ubar[js]
+                U[rows] = chain.ubar[js]
             out = _over_stages(fn, shapes, stages[ks], X, U, *lam)
             outs = list(out) if isinstance(out, tuple) else [out]
-            new = (ends.junction(name, js, X[rows], Uj, outs[0][rows]) if cost
-                   else ends.constant(name, js))
+            new = (chain.junction(name, js, X[rows], Uj, outs[0][rows]) if cost
+                   else chain.constant(name, js))
             for i, value in enumerate(new):
                 broadcast = outs[i].strides[0] == 0
                 if not (broadcast and np.array_equal(outs[i][rows], value)):
@@ -272,58 +253,61 @@ def truncated_problem(subs: Sequence[NonlinearSubproblem]) -> ProblemDef:
             return outs[0] if len(outs) == 1 else tuple(outs)
 
         def terminal(x):
-            if not subs[-1].has_adjusted_terminal:
+            if not chain.adjusted[-1]:
                 return fn(p.N, x)
             X = np.asarray(x)[None]
-            out = _over_stages(fn, shapes, ends.stage[last], X, ends.ubar[last])
+            out = _over_stages(fn, shapes, chain.stage[last], X, chain.ubar[last])
             first = out[0] if isinstance(out, tuple) else out
-            return ends.terminal(name, last, X, first)[0]
+            return chain.terminal(name, last, X, first)[0]
 
         return batched_callback(over_chain, N, terminal)
 
-    return ProblemDef(
-        N=N, n_x=p.n_x, n_u=p.n_u, x0=subs[0].x_start,
-        **{name: chained(name) for name in ends.shapes})
+    return ProblemDef(N=N, n_x=p.n_x, n_u=p.n_u, x0=chain.x_start[0],
+                      **{name: chained(name) for name in chain.shapes})
 
 
-def solve_nonlinear_subproblem(subs: Sequence[NonlinearSubproblem], warms):
-    """Solve a group of subproblems to optimality by one inner centralized SQP.
+def solve_nonlinear_subproblem(chain: IntervalChain, warms):
+    """Solve a chain of subproblems to optimality by one inner centralized SQP.
 
     ``warms[i]`` is the (x, u, lam) slice of the current full iterate over
-    interval i's [m1, m2]; the chain starts from the stacked slices with
+    the chain's interval i; the chain starts from the stacked slices with
     zero junction controls.  Returns one (x, u, lam) part per interval.
     Raises :class:`SubproblemFailure` when the inner loop does not reach
     INNER_TOL within INNER_MAX_ITERS iterations.  It names the interval
     that holds the chain stage of the inner solve's error when the error
     has one (a :class:`NumericsError` or an :class:`IndefiniteHorizonError`);
-    otherwise the first interval in the group whose own residual (its rows
-    of the chain's Lagrangian gradient at the final iterate) exceeds
-    INNER_TOL, or else the largest.  The message quotes the inner error, and
-    the inner error is the failure's ``__cause__``.
+    for a :class:`NonDescentError`, the interval that holds the largest
+    share of the positive slope, recomputed at the final iterate; otherwise
+    the first interval whose own residual (its rows of the chain's
+    Lagrangian gradient at the final iterate) exceeds INNER_TOL, or else
+    the largest.  The message quotes the inner error, and the inner error is
+    the failure's ``__cause__``.
     """
-    chain = truncated_problem(subs)
-    x, u, lw = _stacked(warms, chain.n_u)
+    problem = truncated_problem(chain)
     cfg = SolverConfig(kkt_tol=INNER_TOL, step_tol=0.0,
                        max_iters=INNER_MAX_ITERS)
-    report = solve(chain, cfg, (Trajectory(x, u), DualTrajectory(lw)),
-                   mode="centralized")
+    report = solve(problem, cfg, chain.stack(warms), mode="centralized")
     if report.status != STATUS_KKT:
-        terms = _merit_terms(chain, report.z, report.lam)
-        gx, gu = split_primal(terms.gz, chain.N, chain.n_x, chain.n_u)
-        res = [float(np.sqrt(sum(np.vdot(a, a) for a in part))) for part in
-               _parts(subs, gx, gu, terms.gl.reshape(chain.N + 1, chain.n_x))]
-        stage = getattr(report.exception, "stage", None)
+        z, lam, error = report.z, report.lam, report.exception
+        terms = _merit_terms(problem, z, lam)
+        res = np.sqrt(chain.sums(terms.gz ** 2, terms.gl ** 2))
+        stage = getattr(error, "stage", None)
         if stage is not None:
-            i = int(np.searchsorted(_offsets(subs), stage, side="right")) - 1
+            i = int(np.searchsorted(chain.offsets, stage, side="right")) - 1
+        elif isinstance(error, NonDescentError):
+            mz, ml = eval_merit_gradient(problem, z, lam, cfg.eta)
+            d = solve_full_newton(modify_hessian(
+                assemble_newton_data(problem, z, lam)))
+            i = int(np.argmax(chain.sums(mz * d.dz, ml * d.dlam)))
         else:
             i = next((i for i, r in enumerate(res) if r > INNER_TOL),
                      int(np.argmax(res)))
         cause = f" (inner solve: {report.error})" if report.error else ""
         raise SubproblemFailure(
-            subs[i].index, f"interval [{subs[i].m1}, {subs[i].m2}] stopped "
-                f"with status={report.status}{cause}, residual={res[i]:.3e}"
-        ) from report.exception
-    return _parts(subs, report.z.x, report.z.u, report.lam.lam)
+            int(chain.indices[i]), f"interval [{chain.m1[i]}, {chain.m2[i]}] "
+                f"stopped with status={report.status}{cause}, "
+                f"residual={res[i]:.3e}") from error
+    return chain.parts(report.z.x, report.z.u, report.lam.lam)
 
 
 def schwarz_solve(p: ProblemDef, cfg: SolverConfig, init) -> SolveReport:
@@ -331,16 +315,16 @@ def schwarz_solve(p: ProblemDef, cfg: SolverConfig, init) -> SolveReport:
 
     Runs the SQP drivers' outer loop, so it stops on the same KKT, step and
     ``cfg.max_iters`` conditions.  Each outer iteration chains the M
-    intervals into one problem and solves it by one inner SQP on the
-    calling thread (module docstring).
+    intervals into one :class:`IntervalChain` and solves it by one inner SQP
+    on the calling thread (module docstring).
     """
     plan = make_plan(p.N, cfg.M, cfg.b)
 
     def step(state: SolverState, cfg: SolverConfig, terms):
         z, lam = state.z, state.lam
         parts = solve_nonlinear_subproblem(
-            [subproblem_from_iterate(p, plan, i, cfg.mu, z, lam)
-             for i in range(plan.M)], decompose(z.x, z.u, lam.lam, plan))
+            IntervalChain(p, plan, cfg.mu, z, lam),
+            decompose(z.x, z.u, lam.lam, plan))
         x_new, u_new, lam_new = compose(parts, plan)
         step_norm = float(np.sqrt(np.sum((x_new - z.x) ** 2)
                                   + np.sum((u_new - z.u) ** 2)
@@ -363,18 +347,16 @@ def one_newton_schwarz_step(p: ProblemDef, z: Trajectory, lam: DualTrajectory,
 
     Boundary values come from the current iterate and no Hessian
     modification is applied.  The M truncated problems are chained into one
-    (module docstring), whose Newton step is theirs at once; starting from
-    the same iterate, the result coincides with the decomposed SQP update
-    taken with unit stepsize.
+    :class:`IntervalChain` (module docstring), whose Newton step is theirs
+    at once; starting from the same iterate, the result coincides with the
+    decomposed SQP update taken with unit stepsize.
     """
-    subs = [subproblem_from_iterate(p, plan, i, mu, z, lam)
-            for i in range(plan.M)]
-    chain = truncated_problem(subs)
-    x, u, lw = _stacked(decompose(z.x, z.u, lam.lam, plan), p.n_u)
-    direction = solve_full_newton(
-        assemble_newton_data(chain, Trajectory(x, u), DualTrajectory(lw)))
-    dx, du, dl = direction.stage_arrays(chain.N, chain.n_x, chain.n_u)
-    x_new, u_new, lam_new = compose(_parts(subs, x + dx, u + du, lw + dl), plan)
+    chain = IntervalChain(p, plan, mu, z, lam)
+    zc, lc = chain.stack(decompose(z.x, z.u, lam.lam, plan))
+    d = solve_full_newton(assemble_newton_data(truncated_problem(chain), zc, lc))
+    dx, du, dl = d.stage_arrays(chain.N, p.n_x, p.n_u)
+    x_new, u_new, lam_new = compose(
+        chain.parts(zc.x + dx, zc.u + du, lc.lam + dl), plan)
     return Trajectory(x_new, u_new), DualTrajectory(lam_new)
 
 

@@ -6,15 +6,16 @@ import pytest
 from fotd.benchmarks import (ToySpec, make_initializations, make_toy_problem,
                              toy_case_params)
 from fotd.decomposition import approximate_direction, make_plan
-from fotd.driver import (MERIT_NOISE, SolverConfig, SolverState, _step,
-                         adapt_penalties, armijo_backtrack,
+from fotd.driver import (MERIT_NOISE, STALL_ITERS, SolverConfig, SolverState,
+                         _step, adapt_penalties, armijo_backtrack,
                          direction_error_ratio, fotd_step, line_search,
                          run_outer_loop, solve)
-from fotd.exceptions import NonDescentError, UndefinedRatioError
+from fotd.exceptions import (ArmijoStall, LineSearchFailure, NonDescentError,
+                             UndefinedRatioError)
 from fotd.newton import (NewtonDirection, assemble_newton_data, modify_hessian,
                          solve_full_newton)
 from fotd.problem import (DualTrajectory, MeritTerms, PenaltyParams,
-                          Trajectory, _merit_terms)
+                          Trajectory, _merit_terms, eval_merit_gradient)
 
 from oracles import newton_solve_to_kkt, random_point, recording
 
@@ -279,6 +280,34 @@ def test_adaptivity_rescales_penalties_and_reprices_merit(monkeypatch):
     assert record.merit == eval_merit(p, z0, lam0, cfg.eta)
 
 
+def test_line_search_prices_the_adapted_penalties(monkeypatch):
+    # After an adaptation the line search's slope is the adapted merit's
+    # along the recomputed direction, not the slope of the old penalties.
+    import fotd.driver as driver
+    p, (z0, lam0), kw = _violating_setup()
+    _shrink_first_direction(monkeypatch)
+    searched, slopes = [], []
+    search, armijo = driver.line_search, driver.armijo_backtrack
+
+    def recorded_search(*args, **kwargs):
+        searched.append(args[3:5])
+        return search(*args, **kwargs)
+
+    def recorded_armijo(merit_along, merit0, slope, *args):
+        slopes.append(slope)
+        return armijo(merit_along, merit0, slope, *args)
+
+    monkeypatch.setattr(driver, "line_search", recorded_search)
+    monkeypatch.setattr(driver, "armijo_backtrack", recorded_armijo)
+    state = SolverState(z0.copy(), lam0.copy())
+    _, cfg = fotd_step(p, state, SolverConfig(adaptivity=True, **kw))
+    assert cfg.eta == PenaltyParams(40.0, 0.05)
+    [(direction, eta)] = searched
+    assert eta == cfg.eta
+    mz, ml = eval_merit_gradient(p, z0, lam0, cfg.eta)
+    assert slopes == [float(mz @ direction.dz + ml @ direction.dlam)]
+
+
 def test_adaptivity_recovers_from_a_violation(monkeypatch):
     p, init, kw = _violating_setup()
     _shrink_first_direction(monkeypatch)
@@ -323,6 +352,37 @@ def test_violation_aborts_by_default(monkeypatch):
     assert exc.margin > 0
     assert exc.margin == pytest.approx(slope - bound,
                                        abs=1e-6 * (abs(slope) + abs(bound)))
+
+
+def test_steps_rounding_decides_that_leave_the_residual_stop_the_solve(
+        monkeypatch):
+    # Directions 1e-20 times the Newton step predict decreases far below the
+    # merit's rounding allowance, so the Armijo test passes on rounding
+    # alone, and the iterate cannot move: the residual never falls.  With
+    # no step test to end it (as in Schwarz's inner solves), the solve stops
+    # with a typed error after STALL_ITERS such steps instead of running to
+    # max_iters.
+    import fotd.driver as driver
+    p = toy(N=40)
+    full = driver.solve_full_newton
+    monkeypatch.setattr(driver, "solve_full_newton", lambda nd: NewtonDirection(
+        1e-20 * full(nd).dz, 1e-20 * full(nd).dlam))
+    report = solve(p, SolverConfig(step_tol=0.0),
+                   make_initializations(p, 2, seed=3)[1], mode="centralized")
+    assert report.status == "error"
+    exc = report.exception
+    assert isinstance(exc, ArmijoStall) and isinstance(exc, LineSearchFailure)
+    assert exc.iteration == STALL_ITERS
+    assert 0 < exc.predicted < exc.noise
+    assert report.error == (
+        f"the Armijo test was decided by rounding for {STALL_ITERS} steps in "
+        f"a row and the KKT residual did not fall: predicted decrease "
+        f"{exc.predicted:.3e} below the rounding allowance {exc.noise:.3e} "
+        f"(iteration {STALL_ITERS})")
+    residuals = [r.kkt_residual for r in report.records]
+    assert len(residuals) == STALL_ITERS + 1
+    assert all(b >= a for a, b in zip(residuals, residuals[1:]))
+    assert all(r.stepsize == 1.0 for r in report.records[:-1])
 
 
 def test_descent_inequality_margin_holds_on_run():

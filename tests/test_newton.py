@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import fotd.newton as fotd_newton
 from fotd import banded, driver
 from fotd.banded import PIVOT_TOL
 from fotd.benchmarks import ToySpec, make_toy_problem
@@ -267,6 +268,24 @@ def test_exact_direction_takes_one_kernel_by_block_width(monkeypatch, n):
     solve_full_newton(newton_data(lq_data(7, n, n, seed=n)))
     wide = n >= FULL_RICCATI_MIN_NX
     assert calls == ["solve_lq_riccati" if wide else "solve_lq_kkt"]
+
+
+def test_one_junction_scan_serves_every_ladder_rung_and_the_solve(monkeypatch):
+    # the Levenberg shift keeps S, A and B, so a wide horizon is scanned for
+    # junctions once per linearization, however many rungs its ladder climbs
+    n = FULL_RICCATI_MIN_NX
+    p, data = make_random_lq(30, n, n, seed=7)
+    data["R"][10] = -10.0 * np.eye(n)
+    scans, rungs = [], []
+    scan, check = banded.junction_stages, fotd_newton.check_reduced_hessian
+    monkeypatch.setattr(banded, "junction_stages",
+                        lambda *a: scans.append(None) or scan(*a))
+    monkeypatch.setattr(fotd_newton, "check_reduced_hessian",
+                        lambda *a: rungs.append(None) or check(*a))
+    nd = modify_hessian(assemble_newton_data(p, *random_point(p, seed=8)))
+    solve_full_newton(nd)
+    assert nd.gamma_applied > 0 and len(rungs) >= 3
+    assert len(scans) == 1
 
 
 def test_wide_indefinite_stage_raises_with_horizon_stage_and_margin():

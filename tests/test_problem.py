@@ -15,7 +15,7 @@ from fotd.problem import (DualTrajectory, PenaltyParams, ProblemDef, Trajectory,
                           eval_merit_gradient, eval_objective, kkt_residual,
                           linearize, load_point_csv, save_point_csv,
                           split_primal, stack_primal)
-from fotd.schwarz import subproblem_from_iterate, truncated_problem
+from fotd.schwarz import IntervalChain, truncated_problem
 
 from oracles import (CALLBACKS, central_diff, dense_kkt_system,
                      make_random_lq, newton_solve_to_kkt, random_point,
@@ -316,17 +316,16 @@ def test_native_forms_take_one_batched_call_per_callback(family):
 def _exactness_problems():
     case3 = make_toy_problem(toy_case_params(3, N=30)[0])
     z, lam = random_point(case3, seed=0, scale=3.0)
-    sub = subproblem_from_iterate(case3, make_plan(30, 3, 2), 1, 25.0, z, lam)
-    assert sub.m1 > 0 and sub.has_adjusted_terminal
+    one = IntervalChain(case3, make_plan(30, 3, 2), 25.0, z, lam, indices=[1])
+    assert one.m1[0] > 0 and one.adjusted[0]
     # a chain whose first junction is adjusted and whose second ends at N
-    plan = make_plan(30, 5, 8)
-    group = [subproblem_from_iterate(case3, plan, i, 25.0, z, lam)
-             for i in (2, 3, 4)]
+    group = IntervalChain(case3, make_plan(30, 5, 8), 25.0, z, lam,
+                          indices=[2, 3, 4])
     return {
         "toy": toy(N=30, d=lambda k: 5.0 * math.sin(k)),
         "toy-c2": make_toy_problem(toy_case_params(2, N=30)[0]),
         "toy-c3": case3,
-        "toy-c3-truncated": truncated_problem([sub]),
+        "toy-c3-truncated": truncated_problem(one),
         "toy-c3-chained": truncated_problem(group),
         "plate-m4": make_plate_problem(PlateSpec(m=4, N=40)),
         "plate-m6": make_plate_problem(PlateSpec(m=6, N=60)),

@@ -13,16 +13,16 @@ from fotd.decomposition import approximate_direction, decompose, make_plan
 from fotd import banded, driver
 from fotd.driver import SolverConfig, solve
 from fotd.exceptions import (IndefiniteHorizonError, IndefiniteStageError,
-                             SubproblemFailure)
+                             NonDescentError, SubproblemFailure)
 from fotd.newton import (FULL_RICCATI_MIN_NX, assemble_newton_data,
                          check_reduced_hessian, default_definiteness_constant,
-                         solve_full_newton)
+                         modify_hessian, solve_full_newton)
 from fotd.problem import (DualTrajectory, Trajectory, _merit_terms,
-                          kkt_residual, linearize, split_primal)
-from fotd.schwarz import (_offsets, _stacked, boundary_compatibility,
+                          eval_merit_gradient, kkt_residual, linearize,
+                          split_primal)
+from fotd.schwarz import (IntervalChain, boundary_compatibility,
                           one_newton_schwarz_step, schwarz_solve,
-                          solve_nonlinear_subproblem, subproblem_from_iterate,
-                          truncated_problem)
+                          solve_nonlinear_subproblem, truncated_problem)
 
 from oracles import (CALLBACKS, batched_copy, central_diff, dense_full_newton,
                      make_random_lq, newton_solve_to_kkt, per_stage_copy,
@@ -37,9 +37,9 @@ def test_truncated_problem_terminal_derivatives_match_fd():
     p = toy(N=10, d=lambda k: 0.2 * k)
     z, lam = random_point(p, seed=0)
     plan = make_plan(10, 2, 2)
-    sub = subproblem_from_iterate(p, plan, 0, 3.0, z, lam)
-    trunc = truncated_problem([sub])
-    T = sub.m2 - sub.m1
+    chain = IntervalChain(p, plan, 3.0, z, lam, indices=[0])
+    trunc = truncated_problem(chain)
+    T = chain.m2[0] - chain.m1[0]
     x = np.array([0.37])
     g = trunc.cost_gradient(T, x)
     fd = central_diff(lambda v: trunc.stage_cost(T, v), x)
@@ -58,14 +58,15 @@ def test_truncated_plate_terminal_hessian_carries_the_contraction():
     z, lam = random_point(p, seed=1, scale=20.0)
     z.x += 300.0
     lam.lam *= 50.0
-    sub = subproblem_from_iterate(p, make_plan(20, 2, 2), 0, 3.0, z, lam)
-    trunc = truncated_problem([sub])
-    T = sub.m2 - sub.m1
-    x = z.x[sub.m2] + 1.0
+    chain = IntervalChain(p, make_plan(20, 2, 2), 3.0, z, lam, indices=[0])
+    trunc = truncated_problem(chain)
+    m2 = chain.m2[0]
+    T = m2 - chain.m1[0]
+    x = z.x[m2] + 1.0
     h = trunc.cost_hessian(T, x)
     fdh = central_diff_jacobian(lambda v: trunc.cost_gradient(T, v), x)
-    Wxx, _, _ = p.dynamics_hessian_contraction(sub.m2, x, sub.u_end,
-                                               sub.lam_next)
+    Wxx, _, _ = p.dynamics_hessian_contraction(m2, x, chain.ubar[0],
+                                               chain.lbar[0])
     assert np.abs(Wxx).max() > 1e-3 * np.abs(h).max()
     np.testing.assert_allclose(h, fdh, rtol=1e-6, atol=1e-9 * np.abs(h).max())
 
@@ -82,10 +83,11 @@ def test_truncation_shifts_batched_and_per_stage_callbacks_alike(family):
     z, lam = random_point(p, seed=4, scale=3.0)
     mixed, stages, batches = recording(
         replace(p, dynamics=lambda k, x, u: p.dynamics(k, x, u)))
-    sub = subproblem_from_iterate(mixed, make_plan(30, 3, 2), 1, 25.0, z, lam)
-    assert sub.m1 > 0 and sub.has_adjusted_terminal
-    trunc = truncated_problem([sub])
-    m2, shifted = sub.m2, tuple(range(sub.m1, sub.m2))
+    plan = make_plan(30, 3, 2)
+    chain = IntervalChain(mixed, plan, 25.0, z, lam, indices=[1])
+    assert chain.m1[0] > 0 and chain.adjusted[0]
+    trunc = truncated_problem(chain)
+    m2, shifted = int(chain.m2[0]), tuple(range(chain.m1[0], chain.m2[0]))
     zt, lt = random_point(trunc, seed=5, scale=3.0)
 
     # the adjusted terminal evaluates the parent at m2 as a batch of one
@@ -101,7 +103,8 @@ def test_truncation_shifts_batched_and_per_stage_callbacks_alike(family):
     assert stages == {"dynamics": list(shifted) + [m2]}
 
     # the truncation of a parent without any batched form
-    ref = truncated_problem([replace(sub, parent=per_stage_copy(p))])
+    ref = truncated_problem(
+        IntervalChain(per_stage_copy(p), plan, 25.0, z, lam, indices=[1]))
     for got, want in zip(lin, linearize(ref, zt, lt)):
         np.testing.assert_array_equal(got, want)
     want = _merit_terms(ref, zt, lt)
@@ -111,7 +114,10 @@ def test_truncation_shifts_batched_and_per_stage_callbacks_alike(family):
 
 
 def _group(family):
-    """A parent and a group of three consecutive intervals of it."""
+    """A parent, and a chain of its intervals, three consecutive by default.
+
+    The chain is built by ``chained(parent, indices)`` at one random point.
+    """
     if family == "toy-c3":
         # interval 3 reaches N before the group's last interval does
         p = make_toy_problem(toy_case_params(3, N=30)[0])
@@ -121,20 +127,24 @@ def _group(family):
         p = batched_copy(make_random_lq(12, 2, 1, seed=3)[0])
         plan, group = make_plan(12, 3, 2), [0, 1, 2]
     z, lam = random_point(p, seed=4, scale=3.0)
-    return p, [subproblem_from_iterate(p, plan, i, 25.0, z, lam)
-               for i in group]
+
+    def chained(parent=p, indices=group):
+        return IntervalChain(parent, plan, 25.0, z, lam, indices)
+
+    return p, chained
 
 
 @pytest.mark.parametrize("family", ["toy-c3", "lq"])
 def test_chained_group_batched_and_per_stage_callbacks_alike(family):
-    p, subs = _group(family)
-    chain = truncated_problem(subs)
-    ref = truncated_problem([replace(s, parent=per_stage_copy(p)) for s in subs])
+    p, chained = _group(family)
+    group = chained()
+    chain = truncated_problem(group)
+    ref = truncated_problem(chained(per_stage_copy(p)))
     # every chain callback carries a batched form, whatever the parent has
     assert all(hasattr(getattr(prob, name), "batched")
                for prob in (chain, ref) for name in CALLBACKS)
-    assert chain.N == sum(s.m2 - s.m1 for s in subs) + len(subs) - 1
-    np.testing.assert_array_equal(chain.x0, subs[0].x_start)
+    assert chain.N == sum(group.m2 - group.m1) + len(group.indices) - 1
+    np.testing.assert_array_equal(chain.x0, group.x_start[0])
     zc, lc = random_point(chain, seed=5, scale=3.0)
     lin = linearize(chain, zc, lc)
     for got, want in zip(lin, linearize(ref, zc, lc)):
@@ -151,9 +161,10 @@ def test_chained_group_batched_and_per_stage_callbacks_alike(family):
     gx, gu = split_primal(gz, chain.N, nx, nu)
     gl = gl.reshape(chain.N + 1, nx)
     k = -1
-    for sub, nxt in zip(subs, subs[1:]):
-        k += sub.m2 - sub.m1 + 1
-        alone = truncated_problem([sub])
+    for j, i in enumerate(group.indices[:-1]):
+        k += int(group.m2[j] - group.m1[j]) + 1
+        alone = truncated_problem(chained(indices=[i]))
+        x_next = group.x_start[j + 1]
         T, x, u = alone.N, zc.x[k], zc.u[k]
         for prob in (chain, ref):
             np.testing.assert_allclose(
@@ -163,7 +174,7 @@ def test_chained_group_batched_and_per_stage_callbacks_alike(family):
             np.testing.assert_allclose(gxk, alone.cost_gradient(T, x),
                                        rtol=1e-15)
             np.testing.assert_array_equal(guk, u)
-            np.testing.assert_array_equal(prob.dynamics(k, x, u), nxt.x_start)
+            np.testing.assert_array_equal(prob.dynamics(k, x, u), x_next)
             for block in (*prob.dynamics_jacobians(k, x, u),
                           *prob.dynamics_hessian_contraction(k, x, u, lc.lam[k + 1])):
                 assert not block.any()
@@ -171,8 +182,8 @@ def test_chained_group_batched_and_per_stage_callbacks_alike(family):
         assert not S[k].any() and not A[k].any() and not B[k].any()
         np.testing.assert_array_equal(R[k], np.eye(nu))
         np.testing.assert_array_equal(gu[k], u)
-        np.testing.assert_array_equal(gl[k + 1], zc.x[k + 1] - nxt.x_start)
-    assert k + 1 + subs[-1].m2 - subs[-1].m1 == chain.N
+        np.testing.assert_array_equal(gl[k + 1], zc.x[k + 1] - x_next)
+    assert k + 1 + group.m2[-1] - group.m1[-1] == chain.N
 
 
 def test_chained_solve_matches_solving_each_interval_alone():
@@ -183,15 +194,14 @@ def test_chained_solve_matches_solving_each_interval_alone():
     z, lam = random_point(p, seed=7, scale=2.0)
     z.x[0] = p.x0
     warms = decompose(z.x, z.u, lam.lam, plan)
-    subs = [subproblem_from_iterate(p, plan, i, 25.0, z, lam)
-            for i in range(plan.M)]
-    parts = solve_nonlinear_subproblem(subs, warms)
+    parts = solve_nonlinear_subproblem(IntervalChain(p, plan, 25.0, z, lam),
+                                       warms)
     assert len(parts) == plan.M
-    for i, (sub, part) in enumerate(zip(subs, parts)):
-        [alone] = solve_nonlinear_subproblem([sub], [warms[i]])
-        for got, want, rows in zip(part, alone, (sub.m2 - sub.m1 + 1,
-                                                 sub.m2 - sub.m1,
-                                                 sub.m2 - sub.m1 + 1)):
+    for i, part in enumerate(parts):
+        [alone] = solve_nonlinear_subproblem(
+            IntervalChain(p, plan, 25.0, z, lam, indices=[i]), [warms[i]])
+        T = plan.m2[i] - plan.m1[i]
+        for got, want, rows in zip(part, alone, (T + 1, T, T + 1)):
             assert got.shape == (rows, 1)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
@@ -207,11 +217,10 @@ def test_chained_failure_names_the_interval_that_holds_the_inner_stage(
     data["R"][15] = -10.0 * np.eye(n)
     plan = make_plan(30, 3, 2)
     z, lam = random_point(p, seed=6)
-    subs = [subproblem_from_iterate(p, plan, i, 25.0, z, lam)
-            for i in range(plan.M)]
     monkeypatch.setattr(driver, "modify_hessian", lambda nd: nd)
     with pytest.raises(SubproblemFailure) as exc:
-        solve_nonlinear_subproblem(subs, decompose(z.x, z.u, lam.lam, plan))
+        solve_nonlinear_subproblem(IntervalChain(p, plan, 25.0, z, lam),
+                                   decompose(z.x, z.u, lam.lam, plan))
     assert exc.value.index == 1
     assert str(exc.value).startswith(
         "nonlinear subproblem 1 did not converge: interval [8, 22] stopped "
@@ -223,6 +232,49 @@ def test_chained_failure_names_the_interval_that_holds_the_inner_stage(
     assert f"stage {cause.stage} failed" in str(exc.value)
 
 
+def test_chained_non_descent_names_the_interval_with_most_of_the_slope():
+    # The plate at m=3 from init 2 of seed 0 (N=100, M=10, b=5): the chain's
+    # first inner direction has a positive merit slope, and every interval
+    # is far over INNER_TOL, so the first one over it is interval 0.  Most
+    # of the slope lies in interval 6.
+    p = make_plate_problem(PlateSpec(m=3, N=100))
+    plan = make_plan(100, 10, 5)
+    z, lam = make_initializations(p, 5, seed=0)[2]
+    z.x[0] = p.x0
+    chain = IntervalChain(p, plan, 25.0, z, lam)
+    warms = decompose(z.x, z.u, lam.lam, plan)
+    with pytest.raises(SubproblemFailure) as exc:
+        solve_nonlinear_subproblem(chain, warms)
+    cause = exc.value.__cause__
+    assert isinstance(cause, NonDescentError) and cause.iteration == 0
+
+    # the inner step's direction and merit gradient at the chain's start
+    problem = truncated_problem(chain)
+    zc, lc = chain.stack(warms)
+    d = solve_full_newton(modify_hessian(assemble_newton_data(problem, zc, lc)))
+    mz, ml = eval_merit_gradient(problem, zc, lc, SolverConfig().eta)
+    dx, du, dl = d.stage_arrays(problem.N, p.n_x, p.n_u)
+    gx, gu = split_primal(mz, problem.N, p.n_x, p.n_u)
+    gl = ml.reshape(problem.N + 1, p.n_x)
+    shares, res = [], []
+    terms = _merit_terms(problem, zc, lc)
+    rx, ru = split_primal(terms.gz, problem.N, p.n_x, p.n_u)
+    rl = terms.gl.reshape(problem.N + 1, p.n_x)
+    for o, T in zip(chain.offsets, chain.m2 - chain.m1):
+        kx, ku = slice(o, o + T + 1), slice(o, o + T)
+        shares.append(np.vdot(gx[kx], dx[kx]) + np.vdot(gu[ku], du[ku])
+                      + np.vdot(gl[kx], dl[kx]))
+        res.append(np.sqrt(np.vdot(rx[kx], rx[kx]) + np.vdot(ru[ku], ru[ku])
+                           + np.vdot(rl[kx], rl[kx])))
+    assert sum(shares) == pytest.approx(cause.margin, rel=1e-9)
+    assert np.argmax(shares) == 6 and shares[6] > 0.5 * sum(shares)
+    assert min(res) > 1e-8
+    assert exc.value.index == 6
+    assert str(exc.value).startswith(
+        "nonlinear subproblem 6 did not converge: interval [55, 75] stopped "
+        "with status=error (inner solve: directional derivative ")
+
+
 def test_interval_solved_alone_converges_where_rounding_decided_armijo():
     # ok.yaml's interval [18, 42] at outer iteration 0 (toy case 1, N=60,
     # M=3, b=2, init 1 of seed 0).  Its L is a sum of terms about 380 times
@@ -231,15 +283,15 @@ def test_interval_solved_alone_converges_where_rounding_decided_armijo():
     p = make_toy_problem(toy_case_params(1, N=60)[0])
     z, lam = make_initializations(p, 2, seed=0)[1]
     plan = make_plan(60, 3, 2)
-    sub = subproblem_from_iterate(p, plan, 1, 25.0, z, lam)
-    assert (sub.m1, sub.m2) == (18, 42)
+    chain = IntervalChain(p, plan, 25.0, z, lam, indices=[1])
+    assert (chain.m1[0], chain.m2[0]) == (18, 42)
     x, u, lw = decompose(z.x, z.u, lam.lam, plan)[1]
-    report = solve(truncated_problem([sub]),
+    report = solve(truncated_problem(chain),
                    SolverConfig(kkt_tol=1e-8, step_tol=0.0, max_iters=50),
                    (Trajectory(x, u), DualTrajectory(lw)), mode="centralized")
     assert report.status == "converged_kkt"
     assert all(r.stepsize == 1.0 for r in report.records[:-1])
-    solve_nonlinear_subproblem([sub], [(x, u, lw)])
+    solve_nonlinear_subproblem(chain, [(x, u, lw)])
 
 
 def test_schwarz_chains_intervals_of_every_width(monkeypatch):
@@ -272,8 +324,8 @@ def test_inner_solver_returns_warm_start_at_subproblem_optimum():
     z, lam = newton_solve_to_kkt(p, tol=1e-13)
     plan = make_plan(12, 3, 2)
     warms = decompose(z.x, z.u, lam.lam, plan)
-    sub = subproblem_from_iterate(p, plan, 1, 25.0, z, lam)
-    [(xs, us, ls)] = solve_nonlinear_subproblem([sub], [warms[1]])
+    [(xs, us, ls)] = solve_nonlinear_subproblem(
+        IntervalChain(p, plan, 25.0, z, lam, indices=[1]), [warms[1]])
     np.testing.assert_array_equal(xs, warms[1][0])
     np.testing.assert_array_equal(us, warms[1][1])
     np.testing.assert_array_equal(ls, warms[1][2])
@@ -284,8 +336,7 @@ def test_inner_solver_one_iteration_on_lq_parent():
     z, lam = random_point(p, seed=2)
     plan = make_plan(12, 3, 2)
     warms = decompose(z.x, z.u, lam.lam, plan)
-    sub = subproblem_from_iterate(p, plan, 1, 5.0, z, lam)
-    trunc = truncated_problem([sub])
+    trunc = truncated_problem(IntervalChain(p, plan, 5.0, z, lam, indices=[1]))
     report = solve(trunc, SolverConfig(mu=5.0, kkt_tol=1e-8, step_tol=0.0,
                                        max_iters=50, assert_descent=False),
                    (Trajectory(warms[1][0].copy(), warms[1][1].copy()),
@@ -299,11 +350,11 @@ def test_subproblem_with_exact_boundaries_returns_truncated_solution():
     zs, ls = newton_solve_to_kkt(p, tol=1e-13)
     plan = make_plan(20, 4, 2)
     # boundary data from the exact full solution; interior interval
-    sub = subproblem_from_iterate(p, plan, 1, 25.0, zs, ls)
+    chain = IntervalChain(p, plan, 25.0, zs, ls, indices=[1])
     warms = decompose(zs.x, zs.u, ls.lam, plan)
     x0w = warms[1][0] + 1e-3  # start slightly off to make the solve do work
     [(xs, us, lsub)] = solve_nonlinear_subproblem(
-        [sub], [(x0w, warms[1][1] + 1e-3, warms[1][2] + 1e-3)])
+        chain, [(x0w, warms[1][1] + 1e-3, warms[1][2] + 1e-3)])
     m1, m2 = plan.m1[1], plan.m2[1]
     np.testing.assert_allclose(xs, zs.x[m1:m2 + 1], atol=1e-7)
     np.testing.assert_allclose(us, zs.u[m1:m2], atol=1e-7)
@@ -389,9 +440,9 @@ def test_schwarz_inner_failure_reported(monkeypatch):
     plan = make_plan(12, 3, 2)
     warms = decompose(z.x, z.u, lam.lam, plan)
     for i in range(plan.M):
-        sub = subproblem_from_iterate(p, plan, i, 25.0, z, lam)
         with pytest.raises(SubproblemFailure) as exc:
-            solve_nonlinear_subproblem([sub], [warms[i]])
+            solve_nonlinear_subproblem(
+                IntervalChain(p, plan, 25.0, z, lam, indices=[i]), [warms[i]])
         assert exc.value.index == i
         assert str(exc.value).startswith(f"nonlinear subproblem {i} did not "
                                          f"converge: interval [{plan.m1[i]}, "
@@ -407,10 +458,8 @@ def test_chained_failure_names_the_interval_that_missed(monkeypatch):
     plan = make_plan(12, 3, 2)
     warms = decompose(z.x, z.u, lam.lam, plan)
     warms[2] = tuple(a + 0.5 for a in warms[2])
-    subs = [subproblem_from_iterate(p, plan, i, 25.0, z, lam)
-            for i in range(plan.M)]
     with pytest.raises(SubproblemFailure) as exc:
-        solve_nonlinear_subproblem(subs, warms)
+        solve_nonlinear_subproblem(IntervalChain(p, plan, 25.0, z, lam), warms)
     assert exc.value.index == 2
     assert str(exc.value).startswith(
         f"nonlinear subproblem 2 did not converge: interval "
@@ -466,8 +515,8 @@ def test_one_newton_step_matches_dense_subproblem_solves():
     parts = []
     warms = decompose(z.x, z.u, lam.lam, plan)
     for i in range(2):
-        sub = subproblem_from_iterate(p, plan, i, 4.0, z, lam)
-        trunc = truncated_problem([sub])
+        trunc = truncated_problem(
+            IntervalChain(p, plan, 4.0, z, lam, indices=[i]))
         nd = assemble_newton_data(p=trunc,
                                   z=Trajectory(warms[i][0], warms[i][1]),
                                   lam=DualTrajectory(warms[i][2]))
@@ -489,13 +538,12 @@ def test_compatibility_conditions_decide_full_stationarity():
     def solve_parts(perturb):
         parts = []
         for i in range(plan.M):
-            sub = subproblem_from_iterate(p, plan, i, 25.0, zs, ls)
+            z, lam = zs, ls
             if perturb and i == 0:
-                sub = subproblem_from_iterate(
-                    p, plan, i, 25.0,
-                    Trajectory(zs.x + 0.5, zs.u + 0.5),
-                    DualTrajectory(ls.lam + 0.5))
-            parts += solve_nonlinear_subproblem([sub], [warms[i]])
+                z, lam = (Trajectory(zs.x + 0.5, zs.u + 0.5),
+                          DualTrajectory(ls.lam + 0.5))
+            parts += solve_nonlinear_subproblem(
+                IntervalChain(p, plan, 25.0, z, lam, indices=[i]), [warms[i]])
         return parts
 
     # matched boundaries: composed point is a full KKT point and every
@@ -523,22 +571,19 @@ def test_compatibility_conditions_decide_full_stationarity():
 def plate_chain():
     """The plate at m=6 chained over 4 intervals of 55, 60, 60 and 55 stages.
 
-    Returns the intervals and the chain's Newton data at the stacked slices
-    of a random point, made definite by the Levenberg shift if needed.
+    Returns the chain and its Newton data at the stacked slices of a random
+    point, made definite by the Levenberg shift if needed.
     """
-    from fotd.newton import modify_hessian
     p = make_plate_problem(PlateSpec(m=6, N=200))
     z, lam = random_point(p, seed=3, scale=0.5)
     z.x[0] = p.x0
     plan = make_plan(200, 4, 5)
-    subs = [subproblem_from_iterate(p, plan, i, 25.0, z, lam)
-            for i in range(plan.M)]
-    assert [s.m2 - s.m1 for s in subs] == [55, 60, 60, 55]
-    x, u, lw = _stacked(decompose(z.x, z.u, lam.lam, plan), p.n_u)
-    chain = truncated_problem(subs)
+    chain = IntervalChain(p, plan, 25.0, z, lam)
+    assert list(chain.m2 - chain.m1) == [55, 60, 60, 55]
     nd = modify_hessian(assemble_newton_data(
-        chain, Trajectory(x, u), DualTrajectory(lw)))
-    return subs, nd
+        truncated_problem(chain), *chain.stack(decompose(z.x, z.u, lam.lam,
+                                                         plan))))
+    return chain, nd
 
 
 def lq_args(nd, R=None):
@@ -548,8 +593,8 @@ def lq_args(nd, R=None):
 
 def test_chain_pieces_solve_as_the_whole_sweep_and_alone_bit_for_bit(
         monkeypatch):
-    subs, nd = plate_chain()
-    ends = _offsets(subs)[1:] - 1
+    chain, nd = plate_chain()
+    ends = chain.offsets[1:] - 1
     junctions = banded.junction_stages(nd.S, nd.A, nd.B)
     np.testing.assert_array_equal(junctions, ends)
     lq = lq_args(nd)
@@ -569,8 +614,7 @@ def test_chain_pieces_solve_as_the_whole_sweep_and_alone_bit_for_bit(
     monkeypatch.undo()
     # each piece solved alone, its initial pin the junction's dynamics
     c = -nd.glam
-    for first, sub in zip(_offsets(subs), subs):
-        T = sub.m2 - sub.m1
+    for first, T in zip(chain.offsets, chain.m2 - chain.m1):
         k, kx = slice(first, first + T), slice(first, first + T + 1)
         alone = banded.solve_lq_riccati(*(a[None] for a in (
             nd.Q[kx], nd.S[k], nd.R[k], nd.A[k], nd.B[k], nd.gx[kx],
@@ -584,8 +628,8 @@ def test_chain_pieces_solve_as_the_whole_sweep_and_alone_bit_for_bit(
 
 
 def test_a_failing_piece_names_the_whole_sweeps_stage_and_margin():
-    subs, nd = plate_chain()
-    first = _offsets(subs)
+    chain, nd = plate_chain()
+    first = chain.offsets
     junctions = banded.junction_stages(nd.S, nd.A, nd.B)
     n = nd.n_u
     # pieces 1 and 2 fail, and then the junction after piece 0 as well
@@ -605,8 +649,8 @@ def test_a_failing_piece_names_the_whole_sweeps_stage_and_margin():
 
 def test_split_band_test_gives_the_whole_chains_pivots_and_margins(
         monkeypatch):
-    subs, nd = plate_chain()
-    first = _offsets(subs)
+    chain, nd = plate_chain()
+    first = chain.offsets
     junctions = banded.junction_stages(nd.S, nd.A, nd.B)
     c = default_definiteness_constant(nd)
     blocks = (nd.Q, nd.S, nd.R, nd.A, nd.B)
