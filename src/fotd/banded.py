@@ -30,14 +30,19 @@ Riccati sweep over the stage blocks, batched over a stack of problems of one
 length.  Its definiteness test is exact rather than the c * G^T G
 heuristic: with p_0 pinned the problem is strictly convex iff
 R_k + B_k^T P_{k+1} B_k factors by Cholesky at every stage.  Its cost is
-O(T (n_x + n_u)^3) like the band's, but in small dense products instead of
-one LAPACK call over the band, so it only wins once the blocks are wide
-enough for the band's fill to outweigh the per-stage call overhead.  A
-batch spreads that overhead over its members, so the crossover depends on
-the batch: the decomposed direction's subproblems, batched by length, go
-to the sweep from :data:`fotd.decomposition.RICCATI_MIN_NX` states on, the
-exact full-horizon direction, a batch of one unless junctions (below) split
-it, from :data:`fotd.newton.FULL_RICCATI_MIN_NX`; those modules give the
+O(T (n_x + n_u)^3) like the band's, but in ten NumPy calls per stage on
+small dense blocks instead of one LAPACK call over the band: eight in the
+backward pass (products, the Cholesky test and the gain's LU solve) and
+two in the forward one.  Each call writes into a buffer made once per
+sweep, and the two factorizations call the kernels behind np.linalg
+without the wrappers' checks.  So at narrow widths the sweep's cost is the
+per-stage call overhead, and it only wins once the blocks are wide enough
+for the band's fill to outweigh it.  A batch spreads that overhead over
+its members, so the crossover depends on the batch: the decomposed
+direction's subproblems, batched by length, go to the sweep from
+:data:`fotd.decomposition.RICCATI_MIN_NX` states on, the exact
+full-horizon direction, a batch of one unless junctions (below) split it,
+from :data:`fotd.newton.FULL_RICCATI_MIN_NX`; those modules give the
 measurements.  The sweep holds the per-stage maps and costs of
 COST_CHUNK stages at a time; only its cost-to-go, gain and solution arrays
 grow with the horizon.  The H + c G^T G test keeps the band
@@ -61,6 +66,8 @@ with c_0 = cdyn of the junction before it, plus one control per junction.
 from __future__ import annotations
 
 import numpy as np
+from numpy.linalg._umath_linalg import cholesky_lo as _cholesky
+from numpy.linalg._umath_linalg import solve as _solve
 from scipy.linalg.lapack import dgbsv, dpbtrf, dpotrf
 
 from .exceptions import IndefiniteStageError, LinearSolverError
@@ -320,8 +327,16 @@ def solve_lq_riccati(Q, S, R, A, B, gx, gu, c0, cdyn):
     Cholesky.  If that breaks down or a pivot (squared diagonal of the
     factor) falls below PIVOT_TOL in some member, the sweep stops with
     :class:`IndefiniteStageError` naming the first such member, the stage
-    and the margin.  No operation mixes members, so a member's result is bit
-    for bit the one it gets when solved alone.
+    and the margin.  An LU solve for the gain that meets an exactly singular
+    R_k + B_k^T P_{k+1} B_k raises what np.linalg.solve raises.  No
+    operation mixes members, so a member's result is bit for bit the one it
+    gets when solved alone.
+
+    A stage costs eight NumPy calls: two products for the stage's quadratic
+    form, one addition of its costs, the Cholesky factorization, one
+    reduction for the pivot test, the gain's LU solve, and one product and
+    one subtraction for the cost-to-go; the forward pass makes two products
+    a stage.  Each writes into a buffer allocated once per sweep.
     """
     K, T, nx, nu = B.shape
     m = nx + nu
@@ -331,57 +346,90 @@ def solve_lq_riccati(Q, S, R, A, B, gx, gu, c0, cdyn):
     # carries the affine terms.  F and H hold the stages of one chunk of
     # COST_CHUNK stages at a time, stage k in slot k % COST_CHUNK, refilled
     # as each pass enters a chunk: the backward pass both, the forward one F.
+    # Every work array is stage-major, so a stage's blocks of all members
+    # are one contiguous (K, ., .) array.
     C = min(T, COST_CHUNK)
-    F = np.zeros((K, C, nx + 1, m + 1))
+    F = np.zeros((C, K, nx + 1, m + 1))
     F[..., nx, nx] = 1.0
-    Ft = F[..., :nx, :].transpose(0, 1, 3, 2)
-    H = np.zeros((K, C, m + 1, m + 1))
+    Ft = F[..., :nx, :].swapaxes(2, 3)
+    H = np.zeros((C, K, m + 1, m + 1))
 
-    def fill_F(chunk, count):
-        F[:, :count, :nx, :nx] = A[:, chunk]
-        F[:, :count, :nx, nx] = cdyn[:, chunk]
-        F[:, :count, :nx, nx + 1:] = B[:, chunk]
+    def fill_F(chunk, count, fill_B):
+        F[:count, :, :nx, :nx] = A[:, chunk].swapaxes(0, 1)
+        F[:count, :, :nx, nx] = cdyn[:, chunk].swapaxes(0, 1)
+        fill_B(B[:, chunk].swapaxes(0, 1), out=F[:count, :, :nx, nx + 1:])
+
+    # The backward pass solves for -q_k: its F holds -B_k and its H -S_k
+    # and -gu_k.  Negation is exact and commutes with every rounding, so
+    # R_k + B_k^T P_{k+1} B_k, P_k and s_k come out bit for bit as for q_k,
+    # and the gain X_k comes out exactly negated, ready for the forward pass.
     # V_k = [P_k, s_k]: the cost-to-go 1/2 p^T P_k p + s_k^T p.
-    V = np.empty((K, T + 1, nx, nx + 1))
-    V[:, T, :, :nx] = Q[:, T]
-    V[:, T, :, nx] = gx[:, T]
-    # X_k = Rt_k^{-1} [St_k, gut_k], so q_k = -X_k [p_k; 1].
-    X = np.empty((K, T, nu, nx + 1))
-    for k in range(T - 1, -1, -1):
-        j = k % COST_CHUNK
-        if k == T - 1 or j == COST_CHUNK - 1:
-            chunk = slice(k - j, k + 1)
-            fill_F(chunk, j + 1)
-            H[:, :j + 1, :nx, :nx] = Q[:, chunk]
-            H[:, :j + 1, :nx, nx] = gx[:, chunk]
-            H[:, :j + 1, :nx, nx + 1:] = S[:, chunk].transpose(0, 1, 3, 2)
-            H[:, :j + 1, nx + 1:, :nx] = S[:, chunk]
-            H[:, :j + 1, nx + 1:, nx] = gu[:, chunk]
-            H[:, :j + 1, nx + 1:, nx + 1:] = R[:, chunk]
-        Z = Ft[:, j] @ (V[:, k + 1] @ F[:, j])
-        Z += H[:, j]  # rows p and q: [[Qt, gxt, St^T], [St, gut, Rt]]
-        Rt = Z[:, nx + 1:, nx + 1:]
-        try:
-            L = np.linalg.cholesky(Rt)
-        except np.linalg.LinAlgError:
-            raise _indefinite_member(Rt, k) from None
-        if not np.diagonal(L, 0, 1, 2).min() ** 2 >= PIVOT_TOL:
-            raise _indefinite_member(Rt, k)
-        X[:, k] = np.linalg.solve(Rt, Z[:, nx + 1:, :nx + 1])
-        np.subtract(Z[:, :nx, :nx + 1], Z[:, :nx, nx + 1:] @ X[:, k],
-                    out=V[:, k])
+    V = np.empty((T + 1, K, nx, nx + 1))
+    V[T, :, :, :nx] = Q[:, T]
+    V[T, :, :, nx] = gx[:, T]
+    # X_k = -Rt_k^{-1} [St_k, gut_k], so q_k = X_k [p_k; 1].
+    X = np.empty((T, K, nu, nx + 1))
+    VF = np.empty((K, nx, m + 1))
+    # Rows p and q of Z: [[Qt, gxt, -St^T], [-St, -gut, Rt]].
+    Z = np.empty((K, m + 1, m + 1))
+    Rt, Zq = Z[:, nx + 1:, nx + 1:], Z[:, nx + 1:, :nx + 1]
+    Zp, Zpq = Z[:, :nx, :nx + 1], Z[:, :nx, nx + 1:]
+    L = np.empty((K, nu, nu))
+    pivot_roots = np.diagonal(L, 0, 1, 2)
+    W = np.empty((K, nx, nx + 1))
+    # The kernels behind np.linalg.cholesky and np.linalg.solve, without
+    # their wrappers' checks.  A member whose factorization breaks down, or
+    # whose LU is singular, gets NaN and raises the invalid flag, which
+    # calls ``flagged`` here: a NaN pivot fails the test below as the
+    # breakdown would, and a flag from the solve raises what np.linalg.solve
+    # raises.  (Cholesky pivots >= PIVOT_TOL do not rule out an exactly
+    # singular LU of a badly scaled Rt.)
+    flags = []
 
-    y = np.empty((K, T + 1, m + 1, 1))
-    y[:, 0, :nx, 0] = c0
-    y[:, 0, nx] = 1.0
+    def flagged(err, flag):
+        flags.append(flag)
+
+    with np.errstate(invalid="call", call=flagged):
+        for k in range(T - 1, -1, -1):
+            j = k % COST_CHUNK
+            if k == T - 1 or j == COST_CHUNK - 1:
+                chunk, n = slice(k - j, k + 1), j + 1
+                fill_F(chunk, n, np.negative)
+                H[:n, :, :nx, :nx] = Q[:, chunk].swapaxes(0, 1)
+                H[:n, :, :nx, nx] = gx[:, chunk].swapaxes(0, 1)
+                np.negative(S[:, chunk].transpose(1, 0, 3, 2),
+                            out=H[:n, :, :nx, nx + 1:])
+                np.negative(S[:, chunk].swapaxes(0, 1),
+                            out=H[:n, :, nx + 1:, :nx])
+                np.negative(gu[:, chunk].swapaxes(0, 1),
+                            out=H[:n, :, nx + 1:, nx])
+                H[:n, :, nx + 1:, nx + 1:] = R[:, chunk].swapaxes(0, 1)
+            np.matmul(V[k + 1], F[j], out=VF)
+            np.matmul(Ft[j], VF, out=Z)
+            Z += H[j]
+            _cholesky(Rt, out=L)
+            if not pivot_roots.min() ** 2 >= PIVOT_TOL:
+                raise _indefinite_member(Rt, k)
+            flags.clear()
+            _solve(Rt, Zq, out=X[k])
+            if flags:
+                raise np.linalg.LinAlgError("Singular matrix")
+            np.matmul(Zpq, X[k], out=W)
+            np.subtract(Zp, W, out=V[k])
+
+    y = np.empty((T + 1, K, m + 1, 1))
+    y[0, :, :nx, 0] = c0
+    y[0, :, nx] = 1.0
     for k in range(T):
         j = k % COST_CHUNK
         if j == 0:
-            fill_F(slice(k, k + C), min(C, T - k))
-        np.negative(X[:, k] @ y[:, k, :nx + 1], out=y[:, k, nx + 1:])
-        np.matmul(F[:, j], y[:, k], out=y[:, k + 1, :nx + 1])
-    zeta = -(V @ y[:, :, :nx + 1])
-    out = (y[:, :, :nx, 0], y[:, :T, nx + 1:, 0], zeta[..., 0])
+            fill_F(slice(k, k + C), min(C, T - k), np.positive)
+        np.matmul(X[k], y[k, :, :nx + 1], out=y[k, :, nx + 1:])
+        np.matmul(F[j], y[k], out=y[k + 1, :, :nx + 1])
+    zeta = np.matmul(V, y[:, :, :nx + 1])
+    np.negative(zeta, out=zeta)
+    out = (y[:, :, :nx, 0].swapaxes(0, 1), y[:T, :, nx + 1:, 0].swapaxes(0, 1),
+           zeta[..., 0].swapaxes(0, 1))
     if not all(np.all(np.isfinite(a)) for a in out):
         raise LinearSolverError("Riccati solve produced non-finite values")
     return out

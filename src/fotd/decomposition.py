@@ -35,17 +35,15 @@ and its H + c G^T G test, on a thread pool when ``workers > 1``.
 
 Measured on the whole direction at N=500, M=10, b=5 (subproblems of 55 and
 60 stages), random definite blocks with n_u = n_x, one x86-64 core, medians
-of 41-61 interleaved runs: the band kernel is faster up to n_x = 6 (1.7-1.9x
-at n_x = 3, 1.4-1.5x at 4, 1.1x at 5 and 6) and the batched Riccati sweep
-from n_x = 7 on (1.1x at 7, 1.2-1.4x at 8, 2.3x at 16).  A band's
-factorization grows with its (n_x + n_u)-wide fill, while the sweep's cost
-at small widths is per-stage call overhead.  With the earlier band build
-(``as_strided`` views, written by in-place addition) the same measurement
-put the crossover at n_x = 4: the band 8% faster at 3, the sweep 6% at 4.
-RICCATI_MIN_NX stays 4 all the same.  The kernel also decides the
-definiteness test (exact, against the c G^T G heuristic) and the rounding,
-so moving the switch would change how the plate at m = 4 (n_x = 4) is
-solved, not only how fast.
+of 41 interleaved runs, two runs: the band kernel is faster at n_x = 3
+(1.1x) and the batched Riccati sweep from n_x = 4 on (1.1x at 4, 1.3x at 5
+and 6, 1.6x at 7, 1.9x at 8, 3.3-3.8x at 16).  A band's factorization
+grows with its (n_x + n_u)-wide fill, while the sweep's cost at small
+widths is per-stage call overhead (see :mod:`banded`), which a batch of
+subproblems shares.  So RICCATI_MIN_NX = 4 is the measured crossover.  The
+kernel also decides the definiteness test (exact, against the c G^T G
+heuristic) and the rounding, so moving the switch would change how the
+plate at m = 4 (n_x = 4) is solved, not only how fast.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ stage Hessians if needed, compute a search direction (either the exact
 full-horizon Newton direction, or the decomposed approximation with zero
 boundary values), select a stepsize by Armijo backtracking on the exact
 augmented Lagrangian, and update primal and dual variables with the same
-stepsize.  Iterations stop when the KKT residual or the iterate displacement
-falls below its tolerance.
+stepsize.  Iterations stop when the KKT residual falls below its tolerance,
+or when a step shorter than its tolerance lowered the residual.
 
 For the decomposed direction the driver checks the descent inequality
 
@@ -347,8 +347,11 @@ def run_outer_loop(p: ProblemDef, cfg: SolverConfig, init,
     ``step(state, cfg, terms)``, which updates ``state`` in place and
     returns ``(record, cfg, violations)``; the loop sets the record's
     ``wall_ms`` to the time of the pass.  A step no longer than
-    ``cfg.step_tol`` stops the loop after one more head record at the new
-    iterate.  A :class:`SolverError` from the step ends the run with status
+    ``cfg.step_tol`` after which the KKT residual is lower than before it
+    stops the loop after one more head record at the new iterate; after
+    one that left the residual no lower the loop goes on, to the KKT
+    tolerance, the budget or the stall test of :func:`_step`.  A
+    :class:`SolverError` from the step ends the run with status
     "error" and the history intact; the loop sets the error's ``iteration``,
     the report keeps the error, and the report's error string names it.
     """
@@ -365,7 +368,7 @@ def run_outer_loop(p: ProblemDef, cfg: SolverConfig, init,
         head = IterationRecord(state.tau, terms.residual(),
                                terms.merit(cfg.eta),
                                wall_ms=1e3 * (time.perf_counter() - t0))
-        if short_step:
+        if short_step and head.kkt_residual < records[-1].kkt_residual:
             status = STATUS_STEP
         elif head.kkt_residual <= cfg.kkt_tol:
             status = STATUS_KKT

@@ -25,8 +25,13 @@ measured on random definite blocks at T = 500 with n_u = n_x, one x86-64
 core, medians of 21 interleaved runs, two runs of the table:
 
     n_x     4    8    10   12   13   14   15   16   20
-    ratio   8.8  2.8  1.7  1.6  1.3  1.2  0.9  0.8  0.56
-            9.3  2.9  1.8  1.8  1.4  1.2  0.9  0.8  0.56
+    ratio   5.3  1.6  1.0  0.96 0.80 0.70 0.59 0.50 0.40
+            5.9  1.9  1.1  1.1  0.92 0.78 0.65 0.59 0.43
+
+The sweep is the faster from 13 states on, two below the switch.
+FULL_RICCATI_MIN_NX stays 15 all the same: the kernel also decides how a
+horizon of 13 or 14 states rounds, so moving it is a change of results,
+to be declared as such, not only of speed.
 
 The LU's band holds (3 (2 n_x + n_u) - 2) (T (2 n_x + n_u) + 2 n_x)
 doubles, 27 MB on the plate at m = 6 (n_x = n_u = 16, T = 500), against

@@ -227,12 +227,16 @@ def _stages(p: ProblemDef, z: Trajectory):
 
 
 def eval_objective(p: ProblemDef, z: Trajectory) -> float:
-    """Total cost sum_{k<N} g_k(x_k, u_k) + g_N(x_N), summed in stage order."""
+    """Total cost sum_{k<N} g_k(x_k, u_k) + g_N(x_N), summed in stage order.
+
+    The sum starts from 0.0 and adds one cost at a time, left to right
+    (``np.cumsum`` does not reorder).
+    """
     check_point(p, z)
-    total = 0.0
-    for cost in _over_stages(p.stage_cost, [()], *_stages(p, z)).tolist():
-        total += cost
-    return total + float(p.stage_cost(p.N, z.x[p.N]))
+    costs = np.zeros(p.N + 2)
+    costs[1:-1] = _over_stages(p.stage_cost, [()], *_stages(p, z))
+    costs[-1] = p.stage_cost(p.N, z.x[p.N])
+    return float(np.cumsum(costs)[-1])
 
 
 def eval_constraints(p: ProblemDef, z: Trajectory) -> np.ndarray:
@@ -372,21 +376,22 @@ def _merit_terms(p: ProblemDef, z: Trajectory, lam: DualTrajectory) -> MeritTerm
     """One fused pass returning (L, grad_z, grad_lam) for merit evaluations.
 
     L is summed in stage order: lam_0 . c_0, then g_k and lam_{k+1} . c_{k+1}
-    for each k, then g_N.  Another order moves merits in the last bits, which
-    the acceptance tests' merit comparisons see.  The result keeps those
-    terms as its ``parts``.
+    for each k, then g_N, by one ``np.cumsum`` over the terms laid out in
+    that order, which adds them one at a time, left to right.  Another order
+    moves merits in the last bits, which the acceptance tests' merit
+    comparisons see.  The result keeps those terms as its ``parts``.
     """
     (costs, terminal), _, _, gz, gl = _stage_pass(p, z, lam,
                                                   second_order=False)
     lm = lam.lam
     c = gl.reshape(lm.shape)
     dots = np.matmul(lm[:, None, :], c[:, :, None]).ravel()
-    dot_values = dots.tolist()
-    lagr = dot_values[0]
-    for cost, dot in zip(costs.tolist(), dot_values[1:]):
-        lagr += cost
-        lagr += dot
-    return MeritTerms(lagr + terminal, gz, gl, (dots, costs, terminal))
+    terms = np.empty(2 * p.N + 2)
+    terms[:-1:2] = dots
+    terms[1:-1:2] = costs
+    terms[-1] = terminal
+    lagr = float(np.cumsum(terms)[-1])
+    return MeritTerms(lagr, gz, gl, (dots, costs, terminal))
 
 
 def eval_merit(p: ProblemDef, z: Trajectory, lam: DualTrajectory,

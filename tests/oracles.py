@@ -13,7 +13,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from fotd.banded import hessian_vector_product, jacobian_products
+from fotd.banded import (COST_CHUNK, PIVOT_TOL, _indefinite_member,
+                         hessian_vector_product, jacobian_products)
+from fotd.exceptions import LinearSolverError
 from fotd.problem import (DualTrajectory, MeritTerms, ProblemDef, Trajectory,
                           stack_primal, stage_batched)
 
@@ -201,6 +203,90 @@ def riccati_stage_pivot(Q, S, R, A, B, k):
             R[j] + B[j].T @ P @ B[j], St)
         P = 0.5 * (P + P.T)
     return cholesky_pivot(R[k] + B[k].T @ P @ B[k])[1]
+
+
+def reference_riccati_sweep(Q, S, R, A, B, gx, gu, c0, cdyn):
+    """``fotd.banded.solve_lq_riccati`` in its plain form, through np.linalg.
+
+    The kernel makes fewer and cheaper calls per stage; this form, kept as
+    it was, is what it must match bit for bit, in results and in errors.
+    It solves a stack of canonical LQ problems of one length by a Riccati
+    sweep.
+
+    Every argument has a leading batch axis of size K ahead of the shapes
+    :func:`solve_lq_kkt` takes; returns ``(p, q, zeta)`` with shapes
+    (K, T+1, n_x), (K, T, n_u), (K, T+1, n_x) and its conventions, i.e.
+    zeta_k = -(P_k p_k + s_k) for the cost-to-go 1/2 p^T P_k p + s_k^T p.
+
+    Stage k of the backward sweep factors R_k + B_k^T P_{k+1} B_k by
+    Cholesky.  If that breaks down or a pivot (squared diagonal of the
+    factor) falls below PIVOT_TOL in some member, the sweep stops with
+    :class:`IndefiniteStageError` naming the first such member, the stage
+    and the margin.  No operation mixes members, so a member's result is bit
+    for bit the one it gets when solved alone.
+    """
+    K, T, nx, nu = B.shape
+    m = nx + nu
+    # The stage vector is y_k = [p_k; 1; q_k]: F_k = [[A_k, cdyn_k, B_k],
+    # [0, 1, 0]] maps it to [p_{k+1}; 1], and H_k holds the stage costs'
+    # [Hessian | gradient] in the same order, so one product per stage also
+    # carries the affine terms.  F and H hold the stages of one chunk of
+    # COST_CHUNK stages at a time, stage k in slot k % COST_CHUNK, refilled
+    # as each pass enters a chunk: the backward pass both, the forward one F.
+    C = min(T, COST_CHUNK)
+    F = np.zeros((K, C, nx + 1, m + 1))
+    F[..., nx, nx] = 1.0
+    Ft = F[..., :nx, :].transpose(0, 1, 3, 2)
+    H = np.zeros((K, C, m + 1, m + 1))
+
+    def fill_F(chunk, count):
+        F[:, :count, :nx, :nx] = A[:, chunk]
+        F[:, :count, :nx, nx] = cdyn[:, chunk]
+        F[:, :count, :nx, nx + 1:] = B[:, chunk]
+    # V_k = [P_k, s_k]: the cost-to-go 1/2 p^T P_k p + s_k^T p.
+    V = np.empty((K, T + 1, nx, nx + 1))
+    V[:, T, :, :nx] = Q[:, T]
+    V[:, T, :, nx] = gx[:, T]
+    # X_k = Rt_k^{-1} [St_k, gut_k], so q_k = -X_k [p_k; 1].
+    X = np.empty((K, T, nu, nx + 1))
+    for k in range(T - 1, -1, -1):
+        j = k % COST_CHUNK
+        if k == T - 1 or j == COST_CHUNK - 1:
+            chunk = slice(k - j, k + 1)
+            fill_F(chunk, j + 1)
+            H[:, :j + 1, :nx, :nx] = Q[:, chunk]
+            H[:, :j + 1, :nx, nx] = gx[:, chunk]
+            H[:, :j + 1, :nx, nx + 1:] = S[:, chunk].transpose(0, 1, 3, 2)
+            H[:, :j + 1, nx + 1:, :nx] = S[:, chunk]
+            H[:, :j + 1, nx + 1:, nx] = gu[:, chunk]
+            H[:, :j + 1, nx + 1:, nx + 1:] = R[:, chunk]
+        Z = Ft[:, j] @ (V[:, k + 1] @ F[:, j])
+        Z += H[:, j]  # rows p and q: [[Qt, gxt, St^T], [St, gut, Rt]]
+        Rt = Z[:, nx + 1:, nx + 1:]
+        try:
+            L = np.linalg.cholesky(Rt)
+        except np.linalg.LinAlgError:
+            raise _indefinite_member(Rt, k) from None
+        if not np.diagonal(L, 0, 1, 2).min() ** 2 >= PIVOT_TOL:
+            raise _indefinite_member(Rt, k)
+        X[:, k] = np.linalg.solve(Rt, Z[:, nx + 1:, :nx + 1])
+        np.subtract(Z[:, :nx, :nx + 1], Z[:, :nx, nx + 1:] @ X[:, k],
+                    out=V[:, k])
+
+    y = np.empty((K, T + 1, m + 1, 1))
+    y[:, 0, :nx, 0] = c0
+    y[:, 0, nx] = 1.0
+    for k in range(T):
+        j = k % COST_CHUNK
+        if j == 0:
+            fill_F(slice(k, k + C), min(C, T - k))
+        np.negative(X[:, k] @ y[:, k, :nx + 1], out=y[:, k, nx + 1:])
+        np.matmul(F[:, j], y[:, k], out=y[:, k + 1, :nx + 1])
+    zeta = -(V @ y[:, :, :nx + 1])
+    out = (y[:, :, :nx, 0], y[:, :T, nx + 1:, 0], zeta[..., 0])
+    if not all(np.all(np.isfinite(a)) for a in out):
+        raise LinearSolverError("Riccati solve produced non-finite values")
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -6,15 +6,18 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from numpy.linalg import _umath_linalg
+
 from fotd.banded import (PIVOT_TOL, _band, _kkt_band, _test_band,
                          definiteness_pivots_ok, pivot_failure, solve_lq_kkt,
-                         solve_lq_riccati)
+                         solve_lq_riccati, stage_windows)
 from fotd.exceptions import IndefiniteStageError, LinearSolverError
 from fotd.newton import default_definiteness_constant
 
 from oracles import (definiteness_pivot, dense_lq_kkt, dense_lq_matrices,
                      dense_lq_solve, dense_reduced_hessian_eigmin, lapack_band,
-                     lq_data, riccati_stage_pivot, stage_interleaving)
+                     lq_data, reference_riccati_sweep, riccati_stage_pivot,
+                     stage_interleaving)
 
 # (T, n_x, n_u): a single stage, n_x != n_u both ways, and plate-sized blocks.
 SHAPES = [(1, 2, 3), (1, 3, 1), (6, 2, 3), (5, 3, 1), (4, 16, 16)]
@@ -204,6 +207,137 @@ def test_riccati_pivot_below_tolerance_carries_its_margin():
         solve_lq_riccati(*stacked([d]))
     assert err.value.stage == 0
     assert err.value.margin == pytest.approx(1e-12 - PIVOT_TOL, rel=1e-3)
+
+
+def sweep_outcome(sweep, args):
+    """What ``sweep`` returns, or the type and fields of what it raises."""
+    try:
+        return sweep(*args)
+    except IndefiniteStageError as err:
+        return (type(err), err.member, err.stage,
+                np.float64(err.margin).tobytes())
+    except (LinearSolverError, np.linalg.LinAlgError) as err:
+        return type(err), str(err)
+
+
+def assert_sweeps_agree(args):
+    got = sweep_outcome(solve_lq_riccati, args)
+    want = sweep_outcome(reference_riccati_sweep, args)
+    if isinstance(want[0], type):
+        assert got == want
+        return
+    assert all(isinstance(a, np.ndarray) for a in got)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and np.array_equal(a, b)
+
+
+# T runs across the edges of the sweep's COST_CHUNK = 16 stage chunks.
+@pytest.mark.parametrize("nx, nu", [(1, 1), (3, 5), (4, 4), (16, 16)])
+@pytest.mark.parametrize("K", [1, 2, 8])
+def test_riccati_sweep_matches_the_reference_bit_for_bit(K, nx, nu):
+    for T in (1, 15, 16, 17, 33, 60):
+        assert_sweeps_agree(stacked(
+            [lq_data(T, nx, nu, seed=100 * K + T + j) for j in range(K)]))
+
+
+@pytest.mark.parametrize("K", [1, 3])
+def test_riccati_sweep_matches_the_reference_on_shared_read_only_blocks(K):
+    # Blocks as the solvers hand them over: one zero S and one R broadcast
+    # over every stage (stride 0), the rest overlapping read-only windows.
+    d = lq_data(70, 4, 3, seed=K)
+    T, step = 33, 12
+    Q, gx, c = (stage_windows(a, 2, step, K, T + 1)
+                for a in (d.Q, d.gx, np.vstack([d.c0, d.cdyn])))
+    A, B, gu = (stage_windows(a, 2, step, K, T) for a in (d.A, d.B, d.gu))
+    S = np.broadcast_to(np.zeros((3, 4)), (K, T, 3, 4))
+    R = np.broadcast_to(d.R[0], (K, T, 3, 3))
+    assert Q.flags.writeable == (K == 1) and S.strides[:2] == (0, 0)
+    assert_sweeps_agree((Q, S, R, A, B, gx, gu, c[:, 0], c[:, 1:]))
+
+
+def failing_batch(kind):
+    """A batch of three whose member 1 fails at stage 4 of 6."""
+    ds = [lq_data(6, 3, 2, seed=j) for j in range(3)]
+    if kind == "breakdown":
+        ds[1].R[4] = -10.0 * np.eye(2)
+        ds[2].R[2] = -10.0 * np.eye(2)
+    elif kind == "small pivot":
+        # Stage 5 passes nothing back, so P_5 = Q_5; B_4 picks its first two
+        # states, and R_4 + B_4^T P_5 B_4 = I + (-1 + 1e-12) I has pivots of
+        # 1e-12, which the factorization takes and the test does not.
+        d = ds[1]
+        d.R[4] = np.eye(2)
+        d.B[4] = 0.0
+        d.B[4][0, 0] = d.B[4][1, 1] = 1.0
+        d.Q[5] = np.diag([-1.0 + 1e-12, -1.0 + 1e-12, 1.0])
+        d.S[5] = d.A[5] = d.B[5] = 0.0
+    else:
+        ds[1].R[4][1, 0] = np.nan
+    return stacked(ds)
+
+
+@pytest.mark.parametrize("kind", ["breakdown", "small pivot", "nan"])
+def test_riccati_sweep_fails_as_the_reference_does(kind):
+    args = failing_batch(kind)
+    got = sweep_outcome(solve_lq_riccati, args)
+    assert got[:3] == (IndefiniteStageError, 1, 4)
+    margin = np.frombuffer(got[3])[0]
+    assert {"breakdown": margin < -PIVOT_TOL, "nan": np.isnan(margin),
+            "small pivot": -PIVOT_TOL < margin < 0}[kind]
+    assert got == sweep_outcome(reference_riccati_sweep, args)
+
+
+def test_riccati_sweep_raises_the_references_singular_solve():
+    # Rt = [[a, b], [b, (b / a) b]] keeps a positive Cholesky pivot of
+    # rounding size, at least PIVOT_TOL when the entries are ~1e7, while its
+    # LU can end at an exact zero.  The sweep must raise what the reference
+    # raises there, np.linalg.solve's LinAlgError.
+    rng = np.random.default_rng(1)
+    for _ in range(1000):
+        a, b = 10.0 ** rng.uniform(6, 9) * rng.uniform([1, 0.1], [2, 1])
+        Rt = np.array([[a, b], [b, b / a * b]])
+        try:
+            np.linalg.solve(Rt, np.eye(2))
+        except np.linalg.LinAlgError:
+            if np.diagonal(np.linalg.cholesky(Rt)).min() ** 2 >= PIVOT_TOL:
+                break
+    else:
+        pytest.skip("this LAPACK factors every candidate without a zero pivot")
+    d = lq_data(3, 1, 2, seed=0)
+    d.B[0] = 0.0  # Rt_0 = R_0 exactly
+    d.R[0] = Rt
+    args = stacked([lq_data(3, 1, 2, seed=1), d])
+    assert sweep_outcome(solve_lq_riccati, args) == (
+        np.linalg.LinAlgError, "Singular matrix")
+    assert_sweeps_agree(args)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16])
+def test_linalg_kernels_match_their_numpy_wrappers(n):
+    # The sweep calls the gufuncs behind np.linalg.cholesky and
+    # np.linalg.solve directly and relies on these properties of them.
+    rng = np.random.default_rng(n)
+    M = rng.standard_normal((4, n, n))
+    spd = M @ M.transpose(0, 2, 1) + 0.1 * np.eye(n)
+    rhs = rng.standard_normal((4, n, n + 1))
+    assert np.array_equal(_umath_linalg.cholesky_lo(spd),
+                          np.linalg.cholesky(spd))
+    assert np.array_equal(_umath_linalg.solve(spd, rhs),
+                          np.linalg.solve(spd, rhs))
+    # A member that breaks down, or is singular, gets NaN and raises the
+    # invalid flag; the others keep their results.
+    bad = spd.copy()
+    bad[2] = -np.eye(n)
+    with pytest.raises(FloatingPointError), np.errstate(invalid="raise"):
+        _umath_linalg.cholesky_lo(bad)
+    with np.errstate(invalid="ignore"):
+        L = _umath_linalg.cholesky_lo(bad)
+        X = _umath_linalg.solve(np.where(np.arange(4)[:, None, None] == 2,
+                                         0.0, spd), rhs)
+    assert np.isnan(L[2]).all() and np.isnan(X[2]).all()
+    keep = [0, 1, 3]
+    assert np.array_equal(L[keep], np.linalg.cholesky(spd[keep]))
+    assert np.array_equal(X[keep], np.linalg.solve(spd[keep], rhs[keep]))
 
 
 def test_band_pivot_failure_names_stage_and_margin():

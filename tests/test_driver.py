@@ -354,22 +354,23 @@ def test_violation_aborts_by_default(monkeypatch):
                                        abs=1e-6 * (abs(slope) + abs(bound)))
 
 
-def test_steps_rounding_decides_that_leave_the_residual_stop_the_solve(
-        monkeypatch):
-    # Directions 1e-20 times the Newton step predict decreases far below the
-    # merit's rounding allowance, so the Armijo test passes on rounding
-    # alone, and the iterate cannot move: the residual never falls.  With
-    # no step test to end it (as in Schwarz's inner solves), the solve stops
-    # with a typed error after STALL_ITERS such steps instead of running to
-    # max_iters.
+def _assert_stalls(monkeypatch, cfg):
+    """Solve toy N=40 along 1e-20 times the Newton step; check the stall.
+
+    Such directions predict decreases far below the merit's rounding
+    allowance, so the Armijo test passes on rounding alone, and the iterate
+    cannot move: the residual never falls.  The solve must stop with a
+    typed error after STALL_ITERS such steps instead of running to
+    max_iters.
+    """
     import fotd.driver as driver
     p = toy(N=40)
     full = driver.solve_full_newton
     monkeypatch.setattr(driver, "solve_full_newton", lambda nd: NewtonDirection(
         1e-20 * full(nd).dz, 1e-20 * full(nd).dlam))
-    report = solve(p, SolverConfig(step_tol=0.0),
-                   make_initializations(p, 2, seed=3)[1], mode="centralized")
-    assert report.status == "error"
+    report = solve(p, cfg, make_initializations(p, 2, seed=3)[1],
+                   mode="centralized")
+    assert report.status == "error" and not report.converged
     exc = report.exception
     assert isinstance(exc, ArmijoStall) and isinstance(exc, LineSearchFailure)
     assert exc.iteration == STALL_ITERS
@@ -383,6 +384,19 @@ def test_steps_rounding_decides_that_leave_the_residual_stop_the_solve(
     assert len(residuals) == STALL_ITERS + 1
     assert all(b >= a for a, b in zip(residuals, residuals[1:]))
     assert all(r.stepsize == 1.0 for r in report.records[:-1])
+
+
+def test_steps_rounding_decides_that_leave_the_residual_stop_the_solve(
+        monkeypatch):
+    # With no step test to end it, as in Schwarz's inner solves.
+    _assert_stalls(monkeypatch, SolverConfig(step_tol=0.0))
+
+
+def test_a_short_step_that_leaves_the_residual_is_not_convergence(
+        monkeypatch):
+    # Each step is far shorter than step_tol, but none lowers the residual
+    # (5.7e6 here), so none ends the run as converged_step.
+    _assert_stalls(monkeypatch, SolverConfig())
 
 
 def test_descent_inequality_margin_holds_on_run():
