@@ -24,7 +24,8 @@ from .exceptions import (AdaptivityFailure, ArmijoStall,
                          IndefiniteHorizonError, IndefiniteStageError,
                          LineSearchFailure, LinearSolverError,
                          ModificationFailure, MuTooSmallError,
-                         NonDescentError, NumericsError, SolverError,
+                         NonDescentError, NumericsError,
+                         SingularStageError, SolverError,
                          SubproblemFailure, UndefinedRatioError)
 from .newton import (NewtonData, NewtonDirection, assemble_newton_data,
                      check_reduced_hessian, modify_hessian, solve_full_newton,

@@ -70,7 +70,8 @@ from numpy.linalg._umath_linalg import cholesky_lo as _cholesky
 from numpy.linalg._umath_linalg import solve as _solve
 from scipy.linalg.lapack import dgbsv, dpbtrf, dpotrf
 
-from .exceptions import IndefiniteStageError, LinearSolverError
+from .exceptions import (IndefiniteStageError, LinearSolverError,
+                         SingularStageError)
 
 PIVOT_TOL = 1e-10
 COST_CHUNK = 16  # stages whose blocks the Riccati sweep holds at once
@@ -258,15 +259,16 @@ def pivot_failure(Q, S, R, A, B, c: float, junctions=()):
     and otherwise the first smallest pivot is reported, so the result is
     the whole band's.  Each part's band holds only its own stages.
     """
-    smallest = None
-    parts = (_part_pivots(Q, S, R, A, B, c, junctions) if len(junctions)
-             else [_band_pivot(Q, S, R, A, B, c)])
-    for stage, pivot, broke in parts:
-        if broke or smallest is None or pivot < smallest[1]:
-            smallest = (stage, pivot)
-        if broke:
-            break
-    stage, pivot = smallest
+    if not len(junctions):
+        stage, pivot, _ = _band_pivot(Q, S, R, A, B, c)
+    else:
+        smallest = None
+        for stage, pivot, broke in _part_pivots(Q, S, R, A, B, c, junctions):
+            if broke or smallest is None or pivot < smallest[1]:
+                smallest = (stage, pivot)
+            if broke:
+                break
+        stage, pivot = smallest
     if pivot >= PIVOT_TOL:
         return None
     return stage, pivot - PIVOT_TOL
@@ -328,7 +330,8 @@ def solve_lq_riccati(Q, S, R, A, B, gx, gu, c0, cdyn):
     factor) falls below PIVOT_TOL in some member, the sweep stops with
     :class:`IndefiniteStageError` naming the first such member, the stage
     and the margin.  An LU solve for the gain that meets an exactly singular
-    R_k + B_k^T P_{k+1} B_k raises what np.linalg.solve raises.  No
+    R_k + B_k^T P_{k+1} B_k raises :class:`SingularStageError` naming the
+    first member whose own np.linalg.solve fails, and the stage.  No
     operation mixes members, so a member's result is bit for bit the one it
     gets when solved alone.
 
@@ -381,9 +384,9 @@ def solve_lq_riccati(Q, S, R, A, B, gx, gu, c0, cdyn):
     # their wrappers' checks.  A member whose factorization breaks down, or
     # whose LU is singular, gets NaN and raises the invalid flag, which
     # calls ``flagged`` here: a NaN pivot fails the test below as the
-    # breakdown would, and a flag from the solve raises what np.linalg.solve
-    # raises.  (Cholesky pivots >= PIVOT_TOL do not rule out an exactly
-    # singular LU of a badly scaled Rt.)
+    # breakdown would, and a flag from the solve is a singular stage.
+    # (Cholesky pivots >= PIVOT_TOL do not rule out an exactly singular LU
+    # of a badly scaled Rt.)
     flags = []
 
     def flagged(err, flag):
@@ -413,7 +416,7 @@ def solve_lq_riccati(Q, S, R, A, B, gx, gu, c0, cdyn):
             flags.clear()
             _solve(Rt, Zq, out=X[k])
             if flags:
-                raise np.linalg.LinAlgError("Singular matrix")
+                raise _singular_member(Rt, Zq, k)
             np.matmul(Zpq, X[k], out=W)
             np.subtract(Zp, W, out=V[k])
 
@@ -452,6 +455,20 @@ def _indefinite_member(Rt, stage: int) -> IndefiniteStageError:
         if not pivot >= PIVOT_TOL:
             return IndefiniteStageError(member, stage, pivot - PIVOT_TOL)
     raise AssertionError("a batch failed the pivot test but no member did")
+
+
+def _singular_member(Rt, Zq, stage: int) -> SingularStageError:
+    """The error for the first member whose gain solve is singular.
+
+    np.linalg.solve of each member's ``Rt`` and ``Zq`` alone decides, as
+    :func:`_indefinite_member` lets np.linalg.cholesky decide.
+    """
+    for member, (r, b) in enumerate(zip(Rt, Zq)):
+        try:
+            np.linalg.solve(r, b)
+        except np.linalg.LinAlgError:
+            return SingularStageError(member, stage)
+    raise AssertionError("a batch's gain solve failed but no member's did")
 
 
 def junction_stages(S, A, B) -> np.ndarray:
@@ -521,9 +538,10 @@ def solve_lq_pieces(Q, S, R, A, B, gx, gu, c0, cdyn, junctions=()):
     its control solves R_k alone.  (Where R_k is not diagonal, LAPACK may
     round that one solve otherwise than with the sweep's other columns.)
 
-    A stage that fails the pivot test, in a piece or in a junction's R_k,
-    makes the whole horizon run again as one sweep, so the
-    :class:`IndefiniteStageError` names what that sweep names: the last
+    A stage that fails the pivot test or meets a singular gain solve, in a
+    piece or in a junction's R_k, makes the whole horizon run again as one
+    sweep, so the :class:`IndefiniteStageError` or
+    :class:`SingularStageError` names what that sweep names: the last
     failing stage of the horizon, as member 0.
     """
     def whole():
@@ -552,11 +570,12 @@ def solve_lq_pieces(Q, S, R, A, B, gx, gu, c0, cdyn, junctions=()):
                 a, b = pieces[i]
                 p[a:b + 1], q[a:b], zeta[a:b + 1] = (o[j] for o in out)
         L = np.linalg.cholesky(R[junctions])
-    except (IndefiniteStageError, np.linalg.LinAlgError):
+        if not np.diagonal(L, 0, 1, 2).min() ** 2 >= PIVOT_TOL:
+            raise np.linalg.LinAlgError("a junction's R_k fails the pivot test")
+        q[junctions] = -np.linalg.solve(R[junctions],
+                                        gu[junctions][..., None])[..., 0]
+    except (IndefiniteStageError, SingularStageError, np.linalg.LinAlgError):
         return whole()
-    if not np.diagonal(L, 0, 1, 2).min() ** 2 >= PIVOT_TOL:
-        return whole()
-    q[junctions] = -np.linalg.solve(R[junctions], gu[junctions][..., None])[..., 0]
     if not np.all(np.isfinite(q[junctions])):
         raise LinearSolverError("Riccati solve produced non-finite values")
     return p, q, zeta

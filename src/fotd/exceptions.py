@@ -53,6 +53,21 @@ class IndefiniteStageError(LinearSolverError):
                          f"positive definite (pivot margin {margin:.3e})")
 
 
+class SingularStageError(LinearSolverError):
+    """A stage of a batched Riccati sweep met an exactly singular gain solve.
+
+    R_k + B_k^T P_{k+1} B_k passed the Cholesky pivot test, but the LU
+    solve for the gain ended at an exact zero pivot.  ``member`` and
+    ``stage`` are those of :class:`IndefiniteStageError`.
+    """
+
+    def __init__(self, member: int, stage: int):
+        self.member = member
+        self.stage = stage
+        super().__init__(f"stage {stage} of batch member {member}: the gain's "
+                         f"LU solve met a singular matrix")
+
+
 class IndefiniteHorizonError(LinearSolverError):
     """The full-horizon Riccati sweep failed its Cholesky pivot test.
 

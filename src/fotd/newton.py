@@ -142,6 +142,19 @@ def assemble_newton_data(p: ProblemDef, z: Trajectory, lam: DualTrajectory) -> N
     Q, S, R, A, B, gz, gl = linearize(p, z, lam)
     gx, gu = split_primal(gz, N, p.n_x, p.n_u)
     glam = gl.reshape(N + 1, p.n_x)
+    if not all(np.isfinite(a).all() for a in (Q, S, R, A, B, gx, gu, glam[1:])):
+        _raise_first_nonfinite(N, Q, S, R, A, B, gx, gu, glam)
+    wide = p.n_x >= FULL_RICCATI_MIN_NX
+    return NewtonData(N, p.n_x, p.n_u, Q, S, R, A, B, gx, gu, glam,
+                      junctions=banded.junction_stages(S, A, B) if wide else ())
+
+
+def _raise_first_nonfinite(N, Q, S, R, A, B, gx, gu, glam):
+    """Raise :class:`NumericsError` at the first bad stage of the first bad group.
+
+    The groups, in order: the Hessian and Jacobian blocks, the gradient and
+    the constraint residual at the stages k < N, then the terminal block.
+    """
     for name, arrs in (("Hessian/Jacobian", (Q[:N], S, R, A, B)),
                        ("gradient", (gx[:N], gu)),
                        ("constraint residual", (glam[1:],))):
@@ -150,11 +163,7 @@ def assemble_newton_data(p: ProblemDef, z: Trajectory, lam: DualTrajectory) -> N
             bad |= ~np.isfinite(arr).all(axis=tuple(range(1, arr.ndim)))
         if bad.any():
             raise NumericsError(int(np.argmax(bad)), name)
-    if not np.all(np.isfinite(Q[N])) or not np.all(np.isfinite(gx[N])):
-        raise NumericsError(N, "terminal block")
-    wide = p.n_x >= FULL_RICCATI_MIN_NX
-    return NewtonData(N, p.n_x, p.n_u, Q, S, R, A, B, gx, gu, glam,
-                      junctions=banded.junction_stages(S, A, B) if wide else ())
+    raise NumericsError(N, "terminal block")
 
 
 def stage_norms_fro(Q, S, R) -> np.ndarray:

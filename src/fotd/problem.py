@@ -160,15 +160,22 @@ def check_point(p: ProblemDef, z: Trajectory, lam: Optional[DualTrajectory] = No
 
 def stack_primal(x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Flatten stage arrays to the stage-major primal vector."""
-    N = u.shape[0]
-    return np.concatenate([np.hstack([x[:N], u]).ravel(), x[N]])
+    (N, n_u), n_x = u.shape, x.shape[1]
+    vec = np.empty(N * (n_x + n_u) + n_x, np.result_type(x, u))
+    body = vec[:-n_x].reshape(N, n_x + n_u)
+    body[:, :n_x] = x[:N]
+    body[:, n_x:] = u
+    vec[-n_x:] = x[N]
+    return vec
 
 
 def split_primal(vec: np.ndarray, N: int, n_x: int, n_u: int):
-    """Inverse of :func:`stack_primal`; returns (x, u) stage arrays."""
+    """Inverse of :func:`stack_primal`; returns fresh (x, u) stage arrays."""
     m = n_x + n_u
     body = vec[: N * m].reshape(N, m)
-    x = np.vstack([body[:, :n_x], vec[N * m :].reshape(1, n_x)])
+    x = np.empty((N + 1, n_x), vec.dtype)
+    x[:N] = body[:, :n_x]
+    x[N] = vec[N * m:]
     return x, body[:, n_x:].copy()
 
 

@@ -38,7 +38,16 @@ number of intervals.  An output is copied once and its junction rows
 overwritten, unless it is one block broadcast over the stages, which a copy
 would materialize, and its junction rows already hold the junction's values
 (the plate's zero S and contraction blocks, say): then it is passed on as
-the parent gave it.
+the parent gave it.  What a pass needs that does not depend on the iterate
+is built once per chain, not on each of the inner solve's passes (about
+18 per inner step): the layout of a pass over every chain stage in order,
+which is the pass the inner SQP makes (the junction rows, their ends as a
+slice, so that the boundary values are read as views, and the parent
+stage of every chain stage), and the junction rows that are constants
+(the dynamics callbacks' rows, the cost Hessian's S = 0 and R = I, and
+mu I), read-only and copied into the outputs.  Such a pass recognizes
+itself by one comparison of its stage array's bytes; a batch over other
+stages (a per-stage call, say) looks its junctions up.
 
 Every width is chained.  Below :data:`fotd.newton.FULL_RICCATI_MIN_NX`
 states an inner step makes one band test and one band LU over the chain.
@@ -91,6 +100,12 @@ def _output_shapes(nx: int, nu: int) -> dict:
 _COSTS = ("stage_cost", "cost_gradient", "cost_hessian")
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only."""
+    a.flags.writeable = False
+    return a
+
+
 class IntervalChain:
     """The intervals of one outer iteration, chained (module docstring).
 
@@ -103,6 +118,13 @@ class IntervalChain:
     values ``xbar``, ``ubar`` and ``lbar``, which only an interval that ends
     before N uses (``adjusted``): one that reaches N keeps the parent's
     terminal cost.  ``N`` is the number of chain stages.
+
+    The junctions, in chain order, are the chain stages ``ends`` and the
+    ends ``joined`` (a slice, so that the boundary values read at them are
+    views), of which those at ``joined_at_N`` reach N.  ``rows`` holds,
+    read-only, the junction rows that do not depend on the iterate, one per
+    junction: the dynamics callbacks' rows and the cost Hessian's S = 0 and
+    R = I; ``mu_eye`` is mu I.
 
     End j's cost callbacks give the parent's at (m2_j, x, ubar_j), adjusted
     as in the module docstring; an interval that reaches N has no stage
@@ -126,6 +148,20 @@ class IntervalChain:
         self.adjusted = self.m2 < p.N
         self.x_start, self.xbar = z.x[self.m1], z.x[self.m2]
         self.ubar, self.lbar = z.u[self.stage], lam.lam[self.stage + 1]
+        nx, nu, J = p.n_x, p.n_u, len(T) - 1
+        self.ends = self.offsets[1:] - 1
+        self.joined = slice(0, J)
+        self.joined_at_N = (~self.adjusted[self.joined]).nonzero()[0]
+        self.mu_eye = _frozen(mu * np.eye(nx))
+        # Junction rows that do not depend on the iterate, one per junction.
+        self.rows = {name: tuple(_frozen(np.zeros((J,) + shape))
+                                 for shape in self.shapes[name])
+                     for name in ("dynamics_jacobians",
+                                  "dynamics_hessian_contraction")}
+        self.rows["dynamics"] = (_frozen(self.x_start[1:]),)
+        self.rows["cost_hessian"] = (
+            _frozen(np.zeros((J, nu, nx))),
+            _frozen(np.eye(nu)[None].repeat(J, axis=0)))
 
     def stack(self, parts):
         """The chain's iterate (z, lam) from one (x, u, lam) per interval.
@@ -177,16 +213,20 @@ class IntervalChain:
             Wxx, _, _ = _over_stages(
                 p.dynamics_hessian_contraction,
                 self.shapes["dynamics_hessian_contraction"], ks, X, ubar, lbar)
-            term = first + Wxx + mu * np.eye(p.n_x)
-        for r in (~self.adjusted[js]).nonzero()[0]:
+            term = first + Wxx + self.mu_eye
+        at_N = (self.joined_at_N if js is self.joined
+                else (~self.adjusted[js]).nonzero()[0])
+        for r in at_N:
             term[r] = getattr(p, name)(p.N, X[r])
         return term
 
     def constant(self, name: str, js: np.ndarray) -> tuple:
-        """Rows of the dynamics callback ``name`` at the junctions ``js``."""
-        if name == "dynamics":
-            return (self.x_start[1:][js],)
-        return tuple(np.zeros((len(js),) + shape) for shape in self.shapes[name])
+        """The constant rows of callback ``name`` at the junctions ``js``.
+
+        All rows of a dynamics callback, the S and R rows of the cost
+        Hessian; read-only views when ``js`` is a slice.
+        """
+        return tuple(rows[js] for rows in self.rows[name])
 
     def junction(self, name: str, js: np.ndarray, X: np.ndarray,
                  U: np.ndarray, first: np.ndarray) -> tuple:
@@ -195,13 +235,12 @@ class IntervalChain:
         ``U`` holds a fresh copy of each junction's control; ``X`` and
         ``first`` are as in :meth:`terminal`.
         """
-        K, nx, nu = len(js), self.parent.n_x, self.parent.n_u
         term = self.terminal(name, js, X, first)
         if name == "stage_cost":
             return (term + 0.5 * _rowdot(U, U),)
         if name == "cost_gradient":
             return term, U
-        return term, np.zeros((K, nu, nx)), np.eye(nu)[None].repeat(K, axis=0)
+        return (term,) + self.constant(name, js)
 
 
 def truncated_problem(chain: IntervalChain) -> ProblemDef:
@@ -213,6 +252,10 @@ def truncated_problem(chain: IntervalChain) -> ProblemDef:
     on all the stages asked for at once (through the parent's batched form
     when there is one, see :func:`fotd.problem._over_stages`) and then
     overwrites the junction rows, on a copy, since outputs may be shared.
+    A batch of every chain stage in order, the one each evaluation pass
+    asks for, takes its junction rows, ends and parent stages from a layout
+    built here once per chain and its constant rows from ``chain.rows``;
+    any other batch looks them up, and gives the same rows bit for bit.
     Its per-stage form is that batch taken at one stage.  The terminal
     stage is the last interval's end: the parent's terminal cost when it
     reaches the end of the horizon, and otherwise the ends' formula
@@ -220,12 +263,25 @@ def truncated_problem(chain: IntervalChain) -> ProblemDef:
     the interval's truncated problem, and its callbacks do no junction work.
     """
     p, N, M = chain.parent, chain.N, len(chain.indices)
-    stages = np.concatenate([np.append(np.arange(m1, m2), k) for m1, m2, k
-                             in zip(chain.m1, chain.m2, chain.stage)])[:-1]
+    stages = _frozen(np.concatenate([
+        np.append(np.arange(m1, m2), k)
+        for m1, m2, k in zip(chain.m1, chain.m2, chain.stage)])[:-1])
     junction = np.full(N, -1)
-    junction[chain.offsets[1:] - 1] = np.arange(M - 1)
+    junction[chain.ends] = np.arange(M - 1)
     at_junction = junction >= 0
+    every_stage = np.arange(N).tobytes()
     last = slice(M - 1, None)  # the last end, as a batch of one
+
+    def layout(ks):
+        """``(rows, js, parent stages)`` of a batch over the chain stages ks.
+
+        ``rows`` are the batch rows at junctions and ``js`` their ends; a
+        batch of every chain stage in order takes the chain's own.
+        """
+        if len(ks) == N and ks.tobytes() == every_stage:
+            return chain.ends, chain.joined, stages
+        rows = at_junction[ks].nonzero()[0]
+        return rows, junction[ks[rows]], stages[ks]
 
     def chained(name):
         """The parent's ``name`` on the chain's stages and ends."""
@@ -235,15 +291,17 @@ def truncated_problem(chain: IntervalChain) -> ProblemDef:
             """``name`` at chain stages ``ks``, junction rows overwritten."""
             if M == 1:
                 return _over_stages(fn, shapes, stages[ks], X, U, *lam)
-            rows = at_junction[ks].nonzero()[0]
-            js = junction[ks[rows]]
+            rows, js, parent_ks = layout(ks)
+            # ``take`` gathers the junction rows as indexing by ``rows``
+            # would, in fewer steps.
             if cost:
-                Uj = U[rows]
+                Uj = U.take(rows, axis=0)
                 U = U.copy()
                 U[rows] = chain.ubar[js]
-            out = _over_stages(fn, shapes, stages[ks], X, U, *lam)
+            out = _over_stages(fn, shapes, parent_ks, X, U, *lam)
             outs = list(out) if isinstance(out, tuple) else [out]
-            new = (chain.junction(name, js, X[rows], Uj, outs[0][rows]) if cost
+            new = (chain.junction(name, js, X.take(rows, axis=0), Uj,
+                                  outs[0].take(rows, axis=0)) if cost
                    else chain.constant(name, js))
             for i, value in enumerate(new):
                 broadcast = outs[i].strides[0] == 0

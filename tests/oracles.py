@@ -502,6 +502,26 @@ def make_random_lq(N, nx, nu, seed=0, definite=True, affine=True):
     return prob, data
 
 
+def singular_gain_block(tries=1000):
+    """A 2x2 block that passes the pivot test but whose LU is exactly singular.
+
+    Rt = [[a, b], [b, (b / a) b]] keeps a positive Cholesky pivot of
+    rounding size, at least PIVOT_TOL when the entries are ~1e7, while its
+    LU can end at an exact zero.  None when this LAPACK factors every
+    candidate without a zero pivot.
+    """
+    rng = np.random.default_rng(1)
+    for _ in range(tries):
+        a, b = 10.0 ** rng.uniform(6, 9) * rng.uniform([1, 0.1], [2, 1])
+        Rt = np.array([[a, b], [b, b / a * b]])
+        try:
+            np.linalg.solve(Rt, np.eye(2))
+        except np.linalg.LinAlgError:
+            if np.diagonal(np.linalg.cholesky(Rt)).min() ** 2 >= PIVOT_TOL:
+                return Rt
+    return None
+
+
 def lq_data(T, nx, nu, seed, shift=0.7):
     """Canonical LQ data; stage Hessian blocks are M M^T + shift * I."""
     rng = np.random.default_rng(seed)

@@ -9,15 +9,17 @@ import pytest
 from numpy.linalg import _umath_linalg
 
 from fotd.banded import (PIVOT_TOL, _band, _kkt_band, _test_band,
-                         definiteness_pivots_ok, pivot_failure, solve_lq_kkt,
+                         definiteness_pivots_ok, junction_stages,
+                         pivot_failure, solve_lq_kkt, solve_lq_pieces,
                          solve_lq_riccati, stage_windows)
-from fotd.exceptions import IndefiniteStageError, LinearSolverError
+from fotd.exceptions import (IndefiniteStageError, LinearSolverError,
+                             SingularStageError)
 from fotd.newton import default_definiteness_constant
 
 from oracles import (definiteness_pivot, dense_lq_kkt, dense_lq_matrices,
                      dense_lq_solve, dense_reduced_hessian_eigmin, lapack_band,
                      lq_data, reference_riccati_sweep, riccati_stage_pivot,
-                     stage_interleaving)
+                     singular_gain_block, stage_interleaving)
 
 # (T, n_x, n_u): a single stage, n_x != n_u both ways, and plate-sized blocks.
 SHAPES = [(1, 2, 3), (1, 3, 1), (6, 2, 3), (5, 3, 1), (4, 16, 16)]
@@ -288,28 +290,46 @@ def test_riccati_sweep_fails_as_the_reference_does(kind):
 
 
 def test_riccati_sweep_raises_the_references_singular_solve():
-    # Rt = [[a, b], [b, (b / a) b]] keeps a positive Cholesky pivot of
-    # rounding size, at least PIVOT_TOL when the entries are ~1e7, while its
-    # LU can end at an exact zero.  The sweep must raise what the reference
-    # raises there, np.linalg.solve's LinAlgError.
-    rng = np.random.default_rng(1)
-    for _ in range(1000):
-        a, b = 10.0 ** rng.uniform(6, 9) * rng.uniform([1, 0.1], [2, 1])
-        Rt = np.array([[a, b], [b, b / a * b]])
-        try:
-            np.linalg.solve(Rt, np.eye(2))
-        except np.linalg.LinAlgError:
-            if np.diagonal(np.linalg.cholesky(Rt)).min() ** 2 >= PIVOT_TOL:
-                break
-    else:
+    # The reference raises np.linalg.solve's untyped LinAlgError where the
+    # gain's LU meets an exactly singular Rt that passed the pivot test; the
+    # sweep raises a LinearSolverError naming the member and the stage.
+    Rt = singular_gain_block()
+    if Rt is None:
         pytest.skip("this LAPACK factors every candidate without a zero pivot")
     d = lq_data(3, 1, 2, seed=0)
     d.B[0] = 0.0  # Rt_0 = R_0 exactly
     d.R[0] = Rt
     args = stacked([lq_data(3, 1, 2, seed=1), d])
-    assert sweep_outcome(solve_lq_riccati, args) == (
-        np.linalg.LinAlgError, "Singular matrix")
-    assert_sweeps_agree(args)
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        reference_riccati_sweep(*args)
+    # the reference gets through stages 2 and 1: stage 0 is its singular one
+    reference_riccati_sweep(*(a[:, 1:] for a in args[:7]), args[8][:, 0],
+                            args[8][:, 1:])
+    with pytest.raises(SingularStageError) as err:
+        solve_lq_riccati(*args)
+    assert isinstance(err.value, LinearSolverError)
+    assert (err.value.member, err.value.stage) == (1, 0)
+
+
+@pytest.mark.parametrize("stage", [3, 5])
+def test_pieces_name_the_whole_sweeps_singular_stage(stage):
+    # A singular gain solve at a junction's own control (stage 3) or in the
+    # piece after it (stage 5) makes the pieces run again as the whole sweep.
+    Rt = singular_gain_block()
+    if Rt is None:
+        pytest.skip("this LAPACK factors every candidate without a zero pivot")
+    d = lq_data(7, 1, 2, seed=2)
+    d.S[3] = d.A[3] = d.B[3] = 0.0
+    d.B[stage], d.R[stage] = 0.0, Rt
+    args = [getattr(d, name) for name in FIELDS]
+    junctions = junction_stages(d.S, d.A, d.B)
+    assert list(junctions) == [3]
+    with pytest.raises(SingularStageError) as whole:
+        solve_lq_riccati(*(a[None] for a in args))
+    with pytest.raises(SingularStageError) as got:
+        solve_lq_pieces(*args, junctions)
+    assert (got.value.member, got.value.stage) == (0, whole.value.stage) == (
+        0, stage)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 16])

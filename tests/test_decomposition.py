@@ -9,12 +9,14 @@ from fotd.decomposition import (RICCATI_MIN_NX, BoundaryVars, _riccati_batches,
                                 assemble_subproblem, compose, decompose,
                                 make_plan, solve_subproblem,
                                 solve_subproblems_riccati)
-from fotd.exceptions import MuTooSmallError
+from fotd.driver import SolverConfig, solve
+from fotd.exceptions import MuTooSmallError, SingularStageError
 from fotd.newton import (NewtonData, assemble_newton_data,
                          default_definiteness_constant, solve_full_newton)
-from fotd.problem import stack_primal
+from fotd.problem import DualTrajectory, Trajectory, stack_primal
 from oracles import (definiteness_pivot, dense_lq_solve, make_random_lq,
-                     random_point, riccati_stage_pivot, subproblem_kkt_residual)
+                     random_point, riccati_stage_pivot, singular_gain_block,
+                     subproblem_kkt_residual)
 
 
 def toy_nd(N=20, seed=0, scale=2.0):
@@ -505,3 +507,20 @@ def test_riccati_path_names_the_first_failing_subproblem_in_plan_order():
         sub.Q, sub.S, sub.R, sub.A, sub.B, 25 - sub.m1) - banded.PIVOT_TOL,
         rel=1e-9)
     assert err.value.margin < -1.0
+
+
+def test_a_singular_gain_solve_ends_the_solve_with_a_typed_error():
+    # R_5 passes the Cholesky pivot test but its LU is exactly singular;
+    # with S_5 = B_5 = 0 the sweep's Rt at stage 5 is R_5 itself.
+    Rt = singular_gain_block()
+    if Rt is None:
+        pytest.skip("this LAPACK factors every candidate without a zero pivot")
+    p, data = make_random_lq(20, RICCATI_MIN_NX, 2, seed=3)
+    data["R"][5], data["S"][5], data["B"][5] = Rt, 0.0, 0.0
+    init = (Trajectory.zeros(p), DualTrajectory.zeros(p))
+    report = solve(p, SolverConfig(M=2, b=2), init, mode="fotd")
+    assert report.status == "error"
+    err = report.exception
+    assert isinstance(err, SingularStageError)
+    assert (err.member, err.stage, err.iteration) == (0, 5, 0)
+    assert report.error == f"{err} (iteration 0)"

@@ -90,6 +90,14 @@ def test_assemble_nonfinite_callback_raises_with_stage():
             return np.array([np.nan]), np.array([0.0])
         return p0.cost_gradient(k, x, u) if k < 4 else p0.cost_gradient(k, x)
 
+    def bad_control_gradient(k, x, u=None):
+        if k == 3:
+            return p0.cost_gradient(k, x, u)[0], np.array([np.inf])
+        return p0.cost_gradient(k, x, u) if k < 4 else p0.cost_gradient(k, x)
+
+    def bad_terminal(k, x, u=None):
+        return p0.cost_gradient(k, x, u) if k < 4 else np.array([np.nan])
+
     def bad_hessian(k, x, u=None):
         if k == 1:
             return nan, np.zeros((1, 1)), np.ones((1, 1))
@@ -110,6 +118,8 @@ def test_assemble_nonfinite_callback_raises_with_stage():
     from dataclasses import replace
     for field, fn, stage, what in (
             ("cost_gradient", bad_gradient, 2, "gradient"),
+            ("cost_gradient", bad_control_gradient, 3, "gradient"),
+            ("cost_gradient", bad_terminal, 4, "terminal block"),
             ("cost_hessian", bad_hessian, 1, "Hessian/Jacobian"),
             ("dynamics_jacobians", bad_jacobians, 3, "Hessian/Jacobian"),
             ("dynamics_hessian_contraction", bad_contraction, 0,

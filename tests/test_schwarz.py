@@ -186,6 +186,49 @@ def test_chained_group_batched_and_per_stage_callbacks_alike(family):
     assert k + 1 + group.m2[-1] - group.m1[-1] == chain.N
 
 
+@pytest.mark.parametrize("family", ["toy-c3", "plate", "per-stage"])
+def test_a_pass_over_the_whole_chain_gives_its_single_stage_rows(family):
+    # A pass over every chain stage in order takes the chain's own junction
+    # layout and constant rows; any other batch looks them up.  The chains:
+    # one with a junction end at N; the plate's broadcast B, Q and R and
+    # zero S and contraction blocks; a parent without batched forms.
+    if family == "plate":
+        p = make_plate_problem(PlateSpec(m=4, N=30))
+        z, lam = random_point(p, seed=4, scale=3.0)
+        group = IntervalChain(p, make_plan(30, 3, 2), 25.0, z, lam)
+    else:
+        p, chained = _group("toy-c3" if family == "toy-c3" else "lq")
+        group = chained() if family == "toy-c3" else chained(per_stage_copy(p))
+    chain = truncated_problem(group)
+    zc, lc = random_point(chain, seed=5, scale=3.0)
+    ks, X, U, Lam = np.arange(chain.N), zc.x[:-1], zc.u, lc.lam[1:]
+    U_given = U.copy()
+
+    def outputs(out):
+        return out if isinstance(out, tuple) else (out,)
+
+    for name in CALLBACKS:
+        form = getattr(chain, name).batched
+        args = (X, U, Lam) if name == "dynamics_hessian_contraction" else (X, U)
+        whole = outputs(form(ks, *args))
+        values = [np.array(o) for o in whole]
+        for k in range(chain.N):
+            one = outputs(form(np.array([k]), *(a[k:k + 1] for a in args)))
+            for got, want in zip(whole, one):
+                assert got[k].tobytes() == want[0].tobytes(), (name, k)
+        # every stage, but not in order
+        back = outputs(form(ks[::-1], *(a[::-1] for a in args)))
+        for got, want in zip(back, whole):
+            assert got[::-1].tobytes() == want.tobytes(), name
+        # the caller may write into what it gets; the next pass is unmoved
+        for o in whole:
+            if o.flags.writeable:
+                o[...] = np.nan
+        for got, want in zip(outputs(form(ks, *args)), values):
+            assert got.tobytes() == want.tobytes(), name
+        np.testing.assert_array_equal(U, U_given)
+
+
 def test_chained_solve_matches_solving_each_interval_alone():
     # interval 3 of five reaches N, so the chain has a junction at N
     p = toy(N=100)
