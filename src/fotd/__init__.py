@@ -16,8 +16,7 @@ from .benchmarks import (PlateSpec, ToySpec, make_initializations,
 from .decomposition import (BoundaryVars, DecompositionPlan, SubproblemData,
                             SubproblemSolution, approximate_direction,
                             assemble_subproblem, compose, decompose,
-                            make_plan, solve_subproblem,
-                            solve_subproblems_riccati)
+                            make_plan, solve_subproblem)
 from .driver import (IterationRecord, SolveReport, SolverConfig, SolverState,
                      adapt_penalties, fotd_step, line_search, solve)
 from .exceptions import (AdaptivityFailure, ArmijoStall,

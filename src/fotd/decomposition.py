@@ -33,6 +33,13 @@ member solves bit for bit as it does alone.  Narrower blocks are truncated
 one at a time by :func:`assemble_subproblem` and solved by the band kernel
 and its H + c G^T G test, on a thread pool when ``workers > 1``.
 
+One failure rule holds for both kernels: the first failing subproblem in
+plan order raises, naming its index and the horizon stage m1_i + k of the
+failure.  A failed definiteness test raises :class:`MuTooSmallError` with
+the margin; a singular gain solve of the sweep raises
+:class:`SingularStageError`.  A batched sweep that fails is solved again
+one subproblem at a time, so the batch it failed in does not show.
+
 Measured on the whole direction at N=500, M=10, b=5 (subproblems of 55 and
 60 stages), random definite blocks with n_u = n_x, one x86-64 core, medians
 of 41 interleaved runs, two runs: the band kernel is faster at n_x = 3
@@ -50,12 +57,13 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import banded
-from .exceptions import IndefiniteStageError, MuTooSmallError
+from .exceptions import (IndefiniteStageError, MuTooSmallError,
+                         SingularStageError)
 from .newton import (NewtonData, NewtonDirection,
                      default_definiteness_constant, stage_norms_fro)
 from .problem import stack_primal
@@ -247,9 +255,9 @@ def solve_subproblem(sub: SubproblemData,
     blocks = (sub.Q, sub.S, sub.R, sub.A, sub.B)
     if c is None:
         c = default_definiteness_constant(sub)
-    if not banded.definiteness_pivots_ok(*blocks, c):
-        stage, margin = banded.pivot_failure(*blocks, c)
-        raise MuTooSmallError(sub.index, sub.mu, sub.m1 + stage, margin)
+    failure = banded.pivot_failure(*blocks, c)
+    if failure is not None:
+        raise MuTooSmallError(sub.index, sub.mu, sub.m1 + failure[0], failure[1])
     p, q, zeta = banded.solve_lq_kkt(*blocks, sub.gx, sub.gu, sub.c0, sub.cdyn)
     return SubproblemSolution(sub.index, p, q, zeta)
 
@@ -289,58 +297,42 @@ def _truncate(nd: NewtonData, plan: DecompositionPlan, indices: Sequence[int],
             -banded.stage_windows(nd.glam, first + 1, step, K, T))
 
 
-def solve_subproblems_riccati(nd: NewtonData, plan: DecompositionPlan,
-                              indices: Sequence[int],
-                              mu: float) -> List[SubproblemSolution]:
-    """Solve subproblems of one length together by one batched Riccati sweep.
-
-    The batch is :func:`_truncate` of ``indices``, so the subproblems must
-    start at evenly spaced stages, and member j is what
-    :func:`assemble_subproblem` gives subproblem ``indices[j]``.  Each
-    solution is bit for bit the one the subproblem gets alone.  A stage
-    whose Cholesky pivot test fails raises :class:`MuTooSmallError` for the
-    first failing subproblem of the batch, with that stage and its margin.
-    """
-    try:
-        p, q, zeta = banded.solve_lq_riccati(*_truncate(nd, plan, indices, mu))
-    except IndefiniteStageError as err:
-        i = indices[err.member]
-        raise MuTooSmallError(i, mu, plan.m1[i] + err.stage, err.margin) from err
-    return [SubproblemSolution(i, p[j], q[j], zeta[j])
-            for j, i in enumerate(indices)]
-
-
-def _riccati_batches(plan: DecompositionPlan) -> List[List[int]]:
-    """Subproblems of each length, one batch if their starts are evenly spaced.
-
-    Even knots give one batch per length; a length whose starts are not
-    evenly spaced is solved member by member (:func:`banded.even_batches`).
-    """
-    return banded.even_batches(plan.m1, [b - a for a, b in zip(plan.m1, plan.m2)])
-
-
 def approximate_direction(nd: NewtonData, plan: DecompositionPlan, mu: float,
                           workers: int = 1) -> NewtonDirection:
     """Decomposed Newton direction: solve all subproblems with zero boundaries.
 
     Blocks at least RICCATI_MIN_NX states wide go to the batched Riccati
-    kernel, one batch per length (see :func:`_riccati_batches`), on the
-    calling thread.
-    Narrower ones are solved one by one by the band kernel, on a thread
-    pool when ``workers > 1``; results land in slots indexed by subproblem,
-    so the composed direction does not depend on scheduling.  Either way a
-    failed definiteness test names the first failing subproblem in plan
-    order.
+    kernel on the calling thread: :func:`_truncate` of each batch of
+    :func:`banded.even_batches` (one batch per length, member by member
+    where the starts of a length are uneven), with each member's solution
+    put in its subproblem's slot.  If a sweep fails, the subproblems are
+    solved again alone in plan order, and the first that fails raises:
+    :class:`MuTooSmallError` for the pivot test, :class:`SingularStageError`
+    for a singular gain solve, each naming the subproblem and the horizon
+    stage.  Narrower blocks are solved one by one by the band kernel, on a
+    thread pool when ``workers > 1``; results land in slots indexed by
+    subproblem, so the composed direction does not depend on scheduling,
+    and a failed test names the first failing subproblem in plan order.
     """
     if nd.n_x >= RICCATI_MIN_NX:
+        parts = [None] * plan.M
+        lengths = [b - a for a, b in zip(plan.m1, plan.m2)]
         try:
-            sols = [sol for group in _riccati_batches(plan)
-                    for sol in solve_subproblems_riccati(nd, plan, group, mu)]
-        except MuTooSmallError:
+            for batch in banded.even_batches(plan.m1, lengths):
+                out = banded.solve_lq_riccati(*_truncate(nd, plan, batch, mu))
+                for j, i in enumerate(batch):
+                    parts[i] = tuple(a[j] for a in out)
+        except (IndefiniteStageError, SingularStageError):
             for i in range(plan.M):  # alone, the first failing one raises
-                solve_subproblems_riccati(nd, plan, [i], mu)
+                try:
+                    banded.solve_lq_riccati(*_truncate(nd, plan, [i], mu))
+                except IndefiniteStageError as err:
+                    raise MuTooSmallError(i, mu, plan.m1[i] + err.stage,
+                                          err.margin) from err
+                except SingularStageError as err:
+                    raise SingularStageError(i, plan.m1[i] + err.stage,
+                                             subproblem=True) from err
             raise
-        sols.sort(key=lambda sol: sol.index)
     else:
         norms = stage_norms_fro(nd.Q, nd.S, nd.R)
 
@@ -354,5 +346,6 @@ def approximate_direction(nd: NewtonData, plan: DecompositionPlan, mu: float,
                 sols = list(pool.map(solve, range(plan.M)))
         else:
             sols = [solve(i) for i in range(plan.M)]
-    dx, du, dlam = compose([(s.p, s.q, s.zeta) for s in sols], plan)
+        parts = [(s.p, s.q, s.zeta) for s in sols]
+    dx, du, dlam = compose(parts, plan)
     return NewtonDirection(stack_primal(dx, du), dlam.ravel())

@@ -58,14 +58,18 @@ class SingularStageError(LinearSolverError):
 
     R_k + B_k^T P_{k+1} B_k passed the Cholesky pivot test, but the LU
     solve for the gain ended at an exact zero pivot.  ``member`` and
-    ``stage`` are those of :class:`IndefiniteStageError`.
+    ``stage`` are those of :class:`IndefiniteStageError`.  The decomposed
+    direction raises it with ``subproblem`` set: then ``member`` is the
+    first failing subproblem in plan order and ``stage`` the horizon stage,
+    as :class:`MuTooSmallError` gives them.
     """
 
-    def __init__(self, member: int, stage: int):
+    def __init__(self, member: int, stage: int, subproblem: bool = False):
         self.member = member
         self.stage = stage
-        super().__init__(f"stage {stage} of batch member {member}: the gain's "
-                         f"LU solve met a singular matrix")
+        where = (f"subproblem {member} at horizon stage {stage}" if subproblem
+                 else f"stage {stage} of batch member {member}")
+        super().__init__(f"{where}: the gain's LU solve met a singular matrix")
 
 
 class IndefiniteHorizonError(LinearSolverError):

@@ -243,11 +243,13 @@ def test_cmd_solve_comparative_modes(tmp_path):
     out = tmp_path / "out"
     path = write_config(tmp_path, TOY_CFG % out)
     rc = main(["solve", "--config", path, "--mode", "centralized",
-               "--mode", "fotd"])
+               "--mode", "fotd", "--mode", "schwarz"])
     assert rc == 0
     summary = json.loads((out / "summary.json").read_text())
-    assert (out / "run_0_centralized.csv").exists()
-    assert (out / "run_0_fotd.csv").exists()
+    for mode in ("centralized", "fotd", "schwarz"):
+        assert (out / f"run_0_{mode}.csv").exists()
+    assert [c["modes"] for c in summary["comparisons"]] == [
+        ["centralized", "fotd"], ["centralized", "schwarz"]] * 2
     for cmp_entry in summary["comparisons"]:
         assert cmp_entry["final_iterate_max_diff"] <= 1e-5
 

@@ -4,11 +4,10 @@ import pytest
 from fotd.benchmarks import ToySpec, make_toy_problem
 from fotd import banded
 from fotd.banded import stage_windows
-from fotd.decomposition import (RICCATI_MIN_NX, BoundaryVars, _riccati_batches,
+from fotd.decomposition import (RICCATI_MIN_NX, BoundaryVars, _truncate,
                                 approximate_direction,
                                 assemble_subproblem, compose, decompose,
-                                make_plan, solve_subproblem,
-                                solve_subproblems_riccati)
+                                make_plan, solve_subproblem)
 from fotd.driver import SolverConfig, solve
 from fotd.exceptions import MuTooSmallError, SingularStageError
 from fotd.newton import (NewtonData, assemble_newton_data,
@@ -168,7 +167,7 @@ def test_compose_missing_part_raises():
 # Subproblems
 # ---------------------------------------------------------------------------
 
-def test_remark1_subproblem_definite_iff_mu_large():
+def test_remark1_subproblem_definite_iff_mu_large(monkeypatch):
     nd = remark1_nd()
     plan = make_plan(2, b=0, knots=[0, 1, 2])
     sub2 = assemble_subproblem(nd, plan, 0, 2.0)
@@ -179,9 +178,13 @@ def test_remark1_subproblem_definite_iff_mu_large():
     np.testing.assert_array_equal(sol.q, np.zeros((1, 1)))
     np.testing.assert_array_equal(sol.zeta, np.zeros((2, 1)))
     sub = assemble_subproblem(nd, plan, 0, 0.5)
+    factor, calls = banded.dpbtrf, []
+    monkeypatch.setattr(banded, "dpbtrf",
+                        lambda *a, **k: calls.append(1) or factor(*a, **k))
     with pytest.raises(MuTooSmallError) as err:
         solve_subproblem(sub)
     assert err.value.index == 0
+    assert len(calls) == 1  # the failed test factors its band once
     # the H + c G^T G Cholesky breaks down in the terminal block's column,
     # at the pivot the dense textbook factorization finds there
     stage, pivot = definiteness_pivot(sub.Q, sub.S, sub.R, sub.A, sub.B,
@@ -384,6 +387,10 @@ def test_riccati_direction_matches_band_subproblems_on_the_plate():
         assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
 
 
+def lengths(plan):
+    return [b - a for a, b in zip(plan.m1, plan.m2)]
+
+
 def test_riccati_batches_are_gathered_as_assemble_subproblem_truncates():
     p, _ = make_random_lq(40, RICCATI_MIN_NX, 2, seed=16)
     z, lam = random_point(p, seed=17)
@@ -394,11 +401,14 @@ def test_riccati_batches_are_gathered_as_assemble_subproblem_truncates():
         subs = [assemble_subproblem(nd, plan, i, 25.0) for i in group]
         want = banded.solve_lq_riccati(
             *[np.stack([getattr(sub, f) for sub in subs]) for f in fields])
-        got = solve_subproblems_riccati(nd, plan, group, 25.0)
-        assert [sol.index for sol in got] == group
-        for j, sol in enumerate(got):
-            for a, b in zip((sol.p, sol.q, sol.zeta), want):
-                assert np.array_equal(a, b[j])
+        got = banded.solve_lq_riccati(*_truncate(nd, plan, group, 25.0))
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        # A member solves bit for bit as it does alone.
+        for j, i in enumerate(group):
+            alone = banded.solve_lq_riccati(*_truncate(nd, plan, [i], 25.0))
+            for a, b in zip(got, alone):
+                assert np.array_equal(a[j], b[0])
 
 
 def test_riccati_batches_split_where_the_spacing_of_starts_changes():
@@ -408,16 +418,17 @@ def test_riccati_batches_split_where_the_spacing_of_starts_changes():
     # Subproblems 1, 2, 4 and 5 all span 14 stages, from 8, 18, 43 and 53:
     # starts not evenly spaced, so each is solved alone.
     plan = make_plan(80, b=2, knots=(0, 10, 20, 30, 45, 55, 65, 80))
-    assert _riccati_batches(plan) == [[0], [1], [2], [4], [5], [3], [6]]
+    assert banded.even_batches(plan.m1, lengths(plan)) == [
+        [0], [1], [2], [4], [5], [3], [6]]
     with pytest.raises(ValueError, match="evenly spaced"):
-        solve_subproblems_riccati(nd, plan, [1, 2, 4], 25.0)
+        _truncate(nd, plan, [1, 2, 4], 25.0)
     with pytest.raises(ValueError, match="one length"):
-        solve_subproblems_riccati(nd, plan, [0, 1], 25.0)  # 12 and 14 stages
+        _truncate(nd, plan, [0, 1], 25.0)  # 12 and 14 stages
     # A member solves bit for bit as it does alone, so the batching does
     # not show in the direction.
-    alone = [solve_subproblems_riccati(nd, plan, [i], 25.0)[0]
-             for i in range(plan.M)]
-    dx, du, dlam = compose([(s.p, s.q, s.zeta) for s in alone], plan)
+    alone = [[a[0] for a in banded.solve_lq_riccati(
+        *_truncate(nd, plan, [i], 25.0))] for i in range(plan.M)]
+    dx, du, dlam = compose(alone, plan)
     got = approximate_direction(nd, plan, 25.0)
     assert np.array_equal(got.dz, stack_primal(dx, du))
     assert np.array_equal(got.dlam, dlam.ravel())
@@ -428,8 +439,24 @@ def test_riccati_batches_split_where_the_spacing_of_starts_changes():
     (1000, 2, [[0, 1]]),
     (60, 1, [[0]]),
 ])
-def test_even_knots_give_one_riccati_batch_per_length(N, M, batches):
-    assert _riccati_batches(make_plan(N, M, 5)) == batches
+def test_even_knots_give_one_riccati_batch_per_length(monkeypatch, N, M,
+                                                      batches):
+    plan = make_plan(N, M, 5)
+    assert banded.even_batches(plan.m1, lengths(plan)) == batches
+    p, _ = make_random_lq(N, RICCATI_MIN_NX, 2, seed=22)
+    z, lam = random_point(p, seed=23)
+    nd = assemble_newton_data(p, z, lam)
+    sweep, seen = banded.solve_lq_riccati, []
+
+    def recorded(*lq):
+        # The subproblems whose windows of nd.A the members' A are.
+        seen.append([i for a in lq[3] for i in range(M) if np.array_equal(
+            a, nd.A[plan.m1[i]:plan.m2[i]])])
+        return sweep(*lq)
+
+    monkeypatch.setattr(banded, "solve_lq_riccati", recorded)
+    approximate_direction(nd, plan, 25.0)
+    assert seen == batches
 
 
 def test_riccati_windows_past_the_horizon_raise():
@@ -458,8 +485,8 @@ def test_band_subproblems_are_tested_with_their_own_constant(monkeypatch, nx, nu
     for m1 in plan.m1:
         nd.Q[m1] *= 50.0  # each subproblem's largest block is its first
     seen = []
-    test = banded.definiteness_pivots_ok
-    monkeypatch.setattr(banded, "definiteness_pivots_ok",
+    test = banded.pivot_failure
+    monkeypatch.setattr(banded, "pivot_failure",
                         lambda *args: seen.append(args[5]) or test(*args))
     approximate_direction(nd, plan, 25.0)
     # The constants come from one norm pass over the horizon, bit for bit
@@ -507,6 +534,28 @@ def test_riccati_path_names_the_first_failing_subproblem_in_plan_order():
         sub.Q, sub.S, sub.R, sub.A, sub.B, 25 - sub.m1) - banded.PIVOT_TOL,
         rel=1e-9)
     assert err.value.margin < -1.0
+
+
+def test_a_singular_gain_solve_names_the_subproblem_and_horizon_stage():
+    # Stage 35 is only in subproblem 3, member 1 of the batch [0, 3], where
+    # it is the window's stage 7; with S_35 = B_35 = 0 the sweep's Rt there
+    # is R_35 itself.
+    Rt = singular_gain_block()
+    if Rt is None:
+        pytest.skip("this LAPACK factors every candidate without a zero pivot")
+    p, _ = make_random_lq(40, RICCATI_MIN_NX, 2, seed=14)
+    z, lam = random_point(p, seed=15)
+    nd = assemble_newton_data(p, z, lam)
+    plan = make_plan(40, 4, 2)  # [0, 12], [8, 22], [18, 32], [28, 40]
+    nd.R[35], nd.S[35], nd.B[35] = Rt, 0.0, 0.0
+    assert banded.even_batches(plan.m1, lengths(plan)) == [[0, 3], [1, 2]]
+    with pytest.raises(SingularStageError) as batch:
+        banded.solve_lq_riccati(*_truncate(nd, plan, [0, 3], 25.0))
+    assert (batch.value.member, batch.value.stage) == (1, 7)
+    with pytest.raises(SingularStageError) as err:
+        approximate_direction(nd, plan, 25.0)
+    assert (err.value.member, err.value.stage) == (3, 35)
+    assert str(err.value).startswith("subproblem 3 at horizon stage 35:")
 
 
 def test_a_singular_gain_solve_ends_the_solve_with_a_typed_error():
