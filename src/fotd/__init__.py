@@ -24,7 +24,7 @@ from .exceptions import (AdaptivityFailure, ArmijoStall,
                          LineSearchFailure, LinearSolverError,
                          ModificationFailure, MuTooSmallError,
                          NonDescentError, NumericsError,
-                         SingularStageError, SolverError,
+                         SingularKKTError, SingularStageError, SolverError,
                          SubproblemFailure, UndefinedRatioError)
 from .newton import (NewtonData, NewtonDirection, assemble_newton_data,
                      check_reduced_hessian, modify_hessian, solve_full_newton,

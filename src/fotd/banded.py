@@ -18,12 +18,21 @@ in the primal ordering) with LAPACK's banded Cholesky ``dpbtrf`` and
 inspects the pivots.
 
 Both matrices are written straight into the column-major band storage that
-LAPACK factorizes in place, so no band is ever copied.  In that storage a
-stage block repeats at a fixed stride, so each block type is written for all
-stages at once, by one assignment into one view: an ``np.ndarray`` built on
-the band's buffer with that offset and those strides.  NumPy checks such a
-view against the buffer, so a block that would run past the storage raises
-instead of writing beyond it.
+LAPACK factorizes in place.  In that storage a stage block repeats at a
+fixed stride, so each block type is written for all stages at once, by one
+assignment into one view: an ``np.ndarray`` built on the band's buffer with
+that offset and those strides.  NumPy checks such a view against the
+buffer, so a block that would run past the storage raises instead of
+writing beyond it.
+
+The stages first..last of a horizon, given a terminal block and a pin, are
+a canonical problem of their own, and in band storage its bands are a
+column window of the horizon's.  :class:`LQBands` assembles a horizon once,
+with H + c G^T G kept as its two parts, H and the G^T G that c scales, so
+that windows for different c can be cut from it; a window is copied (the
+KKT band) or computed (the test band) for LAPACK to factor in place.  The
+decomposed direction cuts each of its narrow subproblems so; the
+full-horizon test and solve build their one band directly.
 
 Wide blocks have a second kernel, :func:`solve_lq_riccati`: a backward
 Riccati sweep over the stage blocks, batched over a stack of problems of one
@@ -71,7 +80,7 @@ from numpy.linalg._umath_linalg import solve as _solve
 from scipy.linalg.lapack import dgbsv, dpbtrf, dpotrf
 
 from .exceptions import (IndefiniteStageError, LinearSolverError,
-                         SingularStageError)
+                         SingularKKTError, SingularStageError)
 
 PIVOT_TOL = 1e-10
 COST_CHUNK = 16  # stages whose blocks the Riccati sweep holds at once
@@ -143,18 +152,43 @@ def solve_lq_kkt(Q, S, R, A, B, gx, gu, c0, cdyn):
 
     Returns ``(p, q, zeta)`` with shapes (T+1, n_x), (T, n_u), (T+1, n_x);
     zeta_0 is the multiplier of the initial pin and zeta_{k+1} of dynamics
-    row k.  Raises :class:`LinearSolverError` on a singular factorization.
+    row k.  Raises :class:`SingularKKTError` naming the stage where the
+    factorization met a zero pivot.
     """
-    T, nx, nu = A.shape[0], A.shape[1], B.shape[2]
     ab, bw = _kkt_band(Q, S, R, A, B)
+    return solve_kkt_band(ab, bw, _kkt_stages(gx, gu, c0, cdyn), A.shape[1])
+
+
+def _kkt_stages(gx, gu, c0, cdyn):
+    """The KKT right-hand side, stage-interleaved like the band: (T+1, 2 n_x + n_u).
+
+    Row k holds (c_k, -gx_k, -gu_k), c_0 = ``c0`` and c_{k+1} = cdyn_k, the
+    values of zeta_k's, p_k's and q_k's rows; the last row has no q part, so
+    its last n_u entries are left unset.
+    """
+    T, nx, nu = gu.shape[0], gx.shape[1], gu.shape[1]
     stages = np.empty((T + 1, 2 * nx + nu))
     stages[0, :nx] = c0
     stages[1:, :nx] = cdyn
     np.negative(gx, out=stages[:, nx: 2 * nx])
     np.negative(gu, out=stages[:T, 2 * nx:])
-    rhs = stages.reshape(-1)[:ab.shape[1]]
+    return stages
 
+
+def solve_kkt_band(ab, bw: int, stages, nx: int):
+    """Factor a KKT band by ``dgbsv`` and solve it for ``stages``, both in place.
+
+    ``ab`` and ``bw`` are as :func:`_kkt_band` returns them and ``stages``
+    as :func:`_kkt_stages` does, for a horizon of T = len(stages) - 1
+    stages of ``nx`` states; returns the ``(p, q, zeta)`` of
+    :func:`solve_lq_kkt`.  An exactly zero pivot of the LU raises
+    :class:`SingularKKTError` with the stage of its column.
+    """
+    T, s = stages.shape[0] - 1, stages.shape[1]
+    rhs = stages.reshape(-1)[:ab.shape[1]]
     _, _, sol, info = dgbsv(bw, bw, ab, rhs, overwrite_ab=1, overwrite_b=1)
+    if info > 0:
+        raise SingularKKTError((info - 1) // s, info)
     if info != 0:
         raise LinearSolverError(
             f"banded KKT factorization failed: LAPACK dgbsv info={info}")
@@ -212,14 +246,6 @@ def _test_band(Q, S, R, A, B, c: float):
     T, nx, nu = A.shape[0], A.shape[1], B.shape[2]
     m = nx + nu
     ab, blocks, _ = _band(m + nx, T * m + nx, 0, m)
-
-    def lower(i0, blk):
-        # Above the diagonal a view would alias another column's entries,
-        # so column b of a diagonal block writes only its rows b..r-1.
-        count, r = blk.shape[:2]
-        for b in range(r):
-            blocks(i0 + b, i0 + b, r - b, 1, count)[...] = blk[:, b:, b:b + 1]
-
     Bt = B.transpose(0, 2, 1)
     # One stage stack of products is alive at a time, each freed before the
     # next is made.  p_k's block is Q_k + c (I + A_k^T A_k); stage T has no
@@ -229,7 +255,7 @@ def _test_band(Q, S, R, A, B, c: float):
     tmp.reshape(T + 1, nx * nx)[:, ::nx + 1] += 1.0
     tmp *= c
     tmp += Q
-    lower(0, tmp)
+    _write_lower(blocks, 0, tmp)
     del tmp
     tmp = Bt @ A
     tmp *= c
@@ -238,10 +264,51 @@ def _test_band(Q, S, R, A, B, c: float):
     tmp = Bt @ B
     tmp *= c
     tmp += R
-    lower(nx, tmp)
+    _write_lower(blocks, nx, tmp)
     np.multiply(A, -c, out=blocks(m, 0, nx, nx, T))
     np.multiply(B, -c, out=blocks(m, nx, nx, nu, T))
     return ab
+
+
+def _write_lower(blocks, i0: int, blk) -> None:
+    """Write the lower triangles of the diagonal blocks ``blk`` from entry i0.
+
+    ``blocks`` is the view maker of :func:`_band`.  Above the diagonal a
+    view would alias another column's entries, so column b of a block writes
+    only its rows b..r-1.
+    """
+    count, r = blk.shape[:2]
+    for b in range(r):
+        blocks(i0 + b, i0 + b, r - b, 1, count)[...] = blk[:, b:, b:b + 1]
+
+
+def _test_band_parts(Q, S, R, A, B):
+    """H + c * G^T G's band split into the part c scales and the rest.
+
+    Returns ``(gtg, hess)`` in :func:`_test_band`'s layout: ``gtg`` holds
+    G^T G's blocks I + A_k^T A_k, B_k^T A_k, B_k^T B_k, -A_k and -B_k (and I
+    for stage T), ``hess`` holds H's Q_k, S_k and R_k.  Each entry of
+    ``gtg * c + hess`` is the one :func:`_test_band` computes for that c,
+    bit for bit: it forms the same products, scales them by c and then adds
+    H's block, and -A_k * c is A_k * -c (up to the sign of a zero).
+    """
+    T, nx, nu = A.shape[0], A.shape[1], B.shape[2]
+    m = nx + nu
+    gtg, gblocks, _ = _band(m + nx, T * m + nx, 0, m)
+    hess, hblocks, _ = _band(m + nx, T * m + nx, 0, m)
+    Bt = B.transpose(0, 2, 1)
+    tmp = np.zeros((T + 1, nx, nx))
+    np.matmul(A.transpose(0, 2, 1), A, out=tmp[:T])
+    tmp.reshape(T + 1, nx * nx)[:, ::nx + 1] += 1.0
+    _write_lower(gblocks, 0, tmp)
+    _write_lower(hblocks, 0, Q)
+    gblocks(nx, 0, nu, nx, T)[...] = Bt @ A
+    hblocks(nx, 0, nu, nx, T)[...] = S
+    _write_lower(gblocks, nx, Bt @ B)
+    _write_lower(hblocks, nx, R)
+    np.negative(A, out=gblocks(m, 0, nx, nx, T))
+    np.negative(B, out=gblocks(m, nx, nx, nu, T))
+    return gtg, hess
 
 
 def pivot_failure(Q, S, R, A, B, c: float, junctions=()):
@@ -260,29 +327,99 @@ def pivot_failure(Q, S, R, A, B, c: float, junctions=()):
     the whole band's.  Each part's band holds only its own stages.
     """
     if not len(junctions):
-        stage, pivot, _ = _band_pivot(Q, S, R, A, B, c)
-    else:
-        smallest = None
-        for stage, pivot, broke in _part_pivots(Q, S, R, A, B, c, junctions):
-            if broke or smallest is None or pivot < smallest[1]:
-                smallest = (stage, pivot)
-            if broke:
-                break
-        stage, pivot = smallest
-    if pivot >= PIVOT_TOL:
-        return None
-    return stage, pivot - PIVOT_TOL
+        return band_pivot_failure(_test_band(Q, S, R, A, B, c),
+                                 A.shape[1] + B.shape[2])
+    smallest = None
+    for stage, pivot, broke in _part_pivots(Q, S, R, A, B, c, junctions):
+        if broke or smallest is None or pivot < smallest[1]:
+            smallest = (stage, pivot)
+        if broke:
+            break
+    return _failure(*smallest)
 
 
-def _band_pivot(Q, S, R, A, B, c: float):
-    """``(stage, pivot, broke)`` of the H + c G^T G band's factorization.
+def band_pivot_failure(ab, m: int):
+    """:func:`pivot_failure` of an H + c G^T G band, factored in place.
+
+    ``ab`` is in :func:`_test_band`'s layout, for stages of ``m`` = n_x + n_u
+    columns.
+    """
+    stage, pivot, _ = _band_pivot(ab, m)
+    return _failure(stage, pivot)
+
+
+def _failure(stage: int, pivot: float):
+    """None if ``pivot`` passes the test, else ``(stage, pivot - PIVOT_TOL)``."""
+    return None if pivot >= PIVOT_TOL else (stage, pivot - PIVOT_TOL)
+
+
+def _band_pivot(ab, m: int):
+    """``(stage, pivot, broke)`` of an H + c G^T G band's factorization.
 
     ``pivot`` is its smallest pivot, ``stage`` the stage of that pivot's
     column and ``broke`` whether the factorization broke down there.
     """
-    fact, info = dpbtrf(_test_band(Q, S, R, A, B, c), lower=1, overwrite_ab=1)
+    fact, info = dpbtrf(ab, lower=1, overwrite_ab=1)
     col, pivot = _smallest_pivot(fact[0], info)
-    return col // (A.shape[1] + B.shape[2]), pivot, info > 0
+    return col // m, pivot, info > 0
+
+
+class LQBands:
+    """One horizon's bands, assembled once and cut into windows of stages.
+
+    Holds the stage-interleaved KKT band of :func:`_kkt_band`, the
+    H + c G^T G band as the two parts of :func:`_test_band_parts`, and the
+    KKT right-hand side of :func:`_kkt_stages` with a zero pin.  The stages
+    ``first``..``last`` of the horizon are a canonical problem of their own
+    once given a terminal block and a pin, and each window below is its
+    band (or right-hand side), entry for entry as :func:`_kkt_band`,
+    :func:`_test_band` and :func:`_kkt_stages` build it from that problem's
+    blocks.  Entries a window holds outside its problem's matrix, beside its
+    first and last stages, are the horizon's; LAPACK reads none of them.
+    The arrays are only read, so threads may cut windows at once.
+    """
+
+    def __init__(self, Q, S, R, A, B, gx, gu, cdyn):
+        self.nx, self.nu = A.shape[1], B.shape[2]
+        self.kkt, self.bw = _kkt_band(Q, S, R, A, B)
+        self.gtg, self.hess = _test_band_parts(Q, S, R, A, B)
+        self.gtg_end = np.eye(self.nx)  # G^T G's block at a horizon's end
+        self.stages = _kkt_stages(gx, gu, 0.0, cdyn)
+
+    def kkt_window(self, first: int, last: int, terminal):
+        """The KKT band of stages first..last with Q_last replaced by ``terminal``.
+
+        A copy, for ``dgbsv`` to factor in place.
+        """
+        nx, s, diag = self.nx, 2 * self.nx + self.nu, 2 * self.bw
+        ab = self.kkt[:, first * s:last * s + 2 * nx].copy(order="F")
+        end = (last - first) * s + nx
+        for b in range(nx):  # entry (end + a, end + b) is in row diag + a - b
+            ab[diag - b:diag - b + nx, end + b] = terminal[:, b]
+        return ab
+
+    def test_window(self, first: int, last: int, c: float, terminal):
+        """The H + c G^T G band of stages first..last, ending in ``terminal``.
+
+        Stage ``last``'s block is ``terminal`` + c I, as :func:`_test_band`
+        forms the terminal block of a horizon ending there.
+        """
+        nx, m = self.nx, self.nx + self.nu
+        cols = slice(first * m, last * m + nx)
+        ab = self.gtg[:, cols] * c
+        ab += self.hess[:, cols]
+        blk = self.gtg_end * c
+        blk += terminal
+        end = (last - first) * m
+        for b in range(nx):  # entry (end + a, end + b), a >= b, is in row a - b
+            ab[:nx - b, end + b] = blk[b:, b]
+        return ab
+
+    def stages_window(self, first: int, last: int, c0):
+        """A copy of the right-hand side's rows first..last, pinned to ``c0``."""
+        stages = self.stages[first:last + 1].copy()
+        stages[0, :self.nx] = c0
+        return stages
 
 
 def _part_pivots(Q, S, R, A, B, c: float, junctions):
@@ -293,8 +430,9 @@ def _part_pivots(Q, S, R, A, B, c: float, junctions):
     """
     for first, last in _pieces(junctions, A.shape[0]):
         k = slice(first, last)
-        stage, pivot, broke = _band_pivot(Q[first:last + 1], S[k], R[k], A[k],
-                                          B[k], c)
+        stage, pivot, broke = _band_pivot(
+            _test_band(Q[first:last + 1], S[k], R[k], A[k], B[k], c),
+            A.shape[1] + B.shape[2])
         yield first + stage, pivot, broke
         if last < A.shape[0]:
             fact, info = dpotrf(R[last], lower=1)

@@ -19,30 +19,51 @@ guesses for the next-stage multiplier and terminal control.  With all
 boundary values set to zero, solving the M subproblems in parallel and
 composing the exclusive parts yields the approximate search direction.
 
-One truncation rule, :func:`_truncate`, slices the Newton data onto the
-intervals for both kernels: windows of the blocks, a copy of Q with the
-penalty on each terminal block short of N, and zero boundary values, which
-therefore cost no arithmetic.  The kernel is chosen by the
-block width n_x.  From RICCATI_MIN_NX states on, the subproblems of each
-length are truncated together, through strided windows, and solved by one
-batched Riccati sweep (:func:`banded.solve_lq_riccati`), whose stagewise
-Cholesky is the exact definiteness test.  The windows need evenly spaced
-starts, which even knots always give; a length whose starts are uneven is
-solved one subproblem at a time, which changes no direction, as a batch
-member solves bit for bit as it does alone.  Narrower blocks are truncated
-one at a time by :func:`assemble_subproblem` and solved by the band kernel
-and its H + c G^T G test, on a thread pool when ``workers > 1``.
+The kernel is chosen by the block width n_x.  Both take one truncation
+rule: windows of the Newton data's blocks, the terminal block Q_{m2} plus
+the penalty mu * I short of N (:func:`_terminal`), and zero boundary
+values, which therefore cost no arithmetic.
+
+From RICCATI_MIN_NX states on, :func:`_truncate` slices the subproblems of
+each length together, through strided windows, and one batched Riccati
+sweep (:func:`banded.solve_lq_riccati`) solves them; its stagewise Cholesky
+is the exact definiteness test.  The windows need evenly spaced starts,
+which even knots always give; a length whose starts are uneven is solved
+one subproblem at a time, which changes no direction, as a batch member
+solves bit for bit as it does alone.
+
+Narrower blocks go to the band kernel and its H + c G^T G test, and no
+subproblem's band is built from its blocks.  Once per direction a
+:class:`banded.LQBands` assembles the whole horizon: its stage-interleaved
+KKT band, its H + c G^T G band as two parts (H, and the G^T G that c
+scales) and its right-hand side.  Each subproblem is a column window of
+these (:func:`_cut`), with its own terminal block and pin, and
+:func:`solve_subproblem` factors it on its own: one ``dpbtrf`` of
+G^T G * c + H with its terminal block written in, one ``dgbsv`` of a copy
+of its KKT window, on a thread pool when ``workers > 1``.  A window is, in
+every entry LAPACK reads, the band the subproblem's own blocks give, so
+the direction is bit for bit the one of assembling each subproblem alone;
+the overlap stages are assembled once instead of twice.
+:func:`assemble_subproblem` cuts the same windows from an assembly of its
+own stages.  With s = 2 n_x + n_u, the horizon's arrays hold about
+8 s (3 s - 2) N bytes for the KKT band, 16 s (n_x + n_u) N for the two
+test parts and 8 s N for the right-hand side: 144 KB on toy case 1 at
+N=500 (n_x = n_u = 1), 27 MB at n_x = n_u = 3 and N=10000, alive for one
+direction.
 
 One failure rule holds for both kernels: the first failing subproblem in
 plan order raises, naming its index and the horizon stage m1_i + k of the
 failure.  A failed definiteness test raises :class:`MuTooSmallError` with
 the margin; a singular gain solve of the sweep raises
-:class:`SingularStageError`.  A batched sweep that fails is solved again
-one subproblem at a time, so the batch it failed in does not show.
+:class:`SingularStageError`, and an exact zero pivot of the band LU
+:class:`SingularKKTError`.  A batched sweep that fails is solved again one
+subproblem at a time, so the batch it failed in does not show.
 
 Measured on the whole direction at N=500, M=10, b=5 (subproblems of 55 and
 60 stages), random definite blocks with n_u = n_x, one x86-64 core, medians
-of 41 interleaved runs, two runs: the band kernel is faster at n_x = 3
+of 41 interleaved runs, two runs, while every subproblem's bands were still
+built from its blocks (the windows made the band path faster): the band
+kernel is faster at n_x = 3
 (1.1x) and the batched Riccati sweep from n_x = 4 on (1.1x at 4, 1.3x at 5
 and 6, 1.6x at 7, 1.9x at 8, 3.3-3.8x at 16).  A band's factorization
 grows with its (n_x + n_u)-wide fill, while the sweep's cost at small
@@ -55,17 +76,18 @@ plate at m = 4 (n_x = 4) is solved, not only how fast.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import banded
 from .exceptions import (IndefiniteStageError, MuTooSmallError,
-                         SingularStageError)
-from .newton import (NewtonData, NewtonDirection,
-                     default_definiteness_constant, stage_norms_fro)
+                         SingularKKTError, SingularStageError)
+from .newton import (NewtonData, NewtonDirection, default_definiteness_constant,
+                     definiteness_constant)
 from .problem import stack_primal
 
 # Block width n_x from which the decomposed direction uses the batched
@@ -180,21 +202,46 @@ def compose(parts: Sequence, plan: DecompositionPlan):
 
 @dataclass(frozen=True)
 class SubproblemData:
-    """Canonical LQ data of one decomposed Newton subproblem."""
+    """One decomposed Newton subproblem, as windows of an assembly of its stages.
+
+    ``bands`` assembles the horizon stages from ``offset`` on: the whole
+    horizon's assembly, which every subproblem of one direction shares, or
+    (from :func:`assemble_subproblem`) one of this subproblem's own stages,
+    whose right-hand side holds its terminal boundary term.  The subproblem
+    owns its terminal block ``terminal``, Q_{m2} plus mu * I short of N,
+    and its initial pin ``c0``; :func:`solve_subproblem` reads only these
+    and the bands.  The rest of the subproblem's canonical LQ data,
+    ``Q``..``cdyn``, is read from ``nd`` and ``bands`` on access, for checks
+    and comparisons; ``Q`` and ``gx`` and ``gu`` are copies.
+    """
 
     index: int
     m1: int
     m2: int
     mu: float
-    Q: np.ndarray
-    S: np.ndarray
-    R: np.ndarray
-    A: np.ndarray
-    B: np.ndarray
-    gx: np.ndarray
-    gu: np.ndarray
+    nd: NewtonData = field(repr=False)
+    bands: banded.LQBands = field(repr=False)
+    offset: int
+    terminal: np.ndarray
     c0: np.ndarray
-    cdyn: np.ndarray
+
+    @property
+    def Q(self) -> np.ndarray:
+        Q = self.nd.Q[self.m1:self.m2 + 1].copy()
+        Q[-1] = self.terminal
+        return Q
+
+    @property
+    def _stages(self) -> np.ndarray:
+        return self.bands.stages[self.m1 - self.offset:self.m2 - self.offset + 1]
+
+    S = property(lambda self: self.nd.S[self.m1:self.m2])
+    R = property(lambda self: self.nd.R[self.m1:self.m2])
+    A = property(lambda self: self.nd.A[self.m1:self.m2])
+    B = property(lambda self: self.nd.B[self.m1:self.m2])
+    gx = property(lambda self: -self._stages[:, self.nd.n_x:2 * self.nd.n_x])
+    gu = property(lambda self: -self._stages[:-1, 2 * self.nd.n_x:])
+    cdyn = property(lambda self: self._stages[1:, :self.nd.n_x])
 
 
 @dataclass(frozen=True)
@@ -207,22 +254,46 @@ class SubproblemSolution:
     zeta: np.ndarray
 
 
+def _terminal(nd: NewtonData, plan: DecompositionPlan, i: int, mu: float):
+    """Subproblem i's terminal block: Q_{m2}, plus mu * I when m2 < N."""
+    m2 = plan.m2[i]
+    if m2 == plan.N:
+        return nd.Q[m2]
+    penalty = np.zeros((nd.n_x, nd.n_x))  # mu * I, cheaper than by np.eye
+    penalty.flat[::nd.n_x + 1] = mu
+    return nd.Q[m2] + penalty
+
+
+def _cut(nd: NewtonData, bands: banded.LQBands, offset: int,
+         plan: DecompositionPlan, i: int, mu: float,
+         c0: Optional[np.ndarray] = None) -> SubproblemData:
+    """Subproblem i as windows of ``bands``, pinned to ``c0`` (zero if None).
+
+    ``bands`` assembles ``nd``'s stages from ``offset`` on, up to m2_i at
+    least; the windows are cut when the subproblem is solved.
+    """
+    if mu < 0:
+        raise ValueError(f"mu must be nonnegative, got {mu}")
+    return SubproblemData(i, plan.m1[i], plan.m2[i], mu, nd, bands, offset,
+                          _terminal(nd, plan, i, mu),
+                          np.zeros(nd.n_x) if c0 is None else c0)
+
+
 def assemble_subproblem(nd: NewtonData, plan: DecompositionPlan, i: int,
                         mu: float,
                         d: Optional[BoundaryVars] = None) -> SubproblemData:
     """Truncate the Newton problem onto extended interval i.
 
-    This is member 0 of :func:`_truncate`, the rule the Riccati kernel reads
-    too: zero boundary values, and the terminal block Q_{m2} + mu * I when
-    m2 < N.  Boundary values ``d``, when given, are added on top: c0 = d1,
-    and short of N the terminal linear term becomes
-    gx_{m2} - A_{m2}^T d4 + S_{m2}^T d3 - mu * d2, with stage m2's own A and
-    S, which lie outside the window.  When m2 = N only d1 applies, and
-    short of N d2, d3 and d4 are required; ValueError says which value is
-    missing or unused, or which is not of its shape: (n_u,) for d3, (n_x,)
-    for the others.
+    The subproblem is cut from an assembly of its own stages [m1, m2] by the
+    rule the decomposed direction cuts it from the horizon's: zero boundary
+    values, and the terminal block Q_{m2} + mu * I when m2 < N.  Boundary
+    values ``d``, when given, are added on top: c0 = d1, and short of N the
+    terminal linear term becomes gx_{m2} - A_{m2}^T d4 + S_{m2}^T d3 - mu * d2,
+    with stage m2's own A and S, which lie outside the window.  When m2 = N
+    only d1 applies, and short of N d2, d3 and d4 are required; ValueError
+    says which value is missing or unused, or which is not of its shape:
+    (n_u,) for d3, (n_x,) for the others.
     """
-    Q, S, R, A, B, gx, gu, c0, cdyn = [a[0] for a in _truncate(nd, plan, [i], mu)]
     m1, m2 = plan.m1[i], plan.m2[i]
     if d is not None:
         missing = [k for k in ("d2", "d3", "d4") if getattr(d, k) is None]
@@ -236,11 +307,13 @@ def assemble_subproblem(nd: NewtonData, plan: DecompositionPlan, i: int,
             shape = np.shape(getattr(d, k))
             if k not in missing and shape != (n,):
                 raise ValueError(f"{k} must have shape ({n},), got {shape}")
-        c0 = d.d1.copy()
-        if m2 < plan.N:
-            gx = gx.copy()
-            gx[-1] = gx[-1] - nd.A[m2].T @ d.d4 + nd.S[m2].T @ d.d3 - mu * d.d2
-    return SubproblemData(i, m1, m2, mu, Q, S, R, A, B, gx, gu, c0, cdyn)
+    k = slice(m1, m2)
+    bands = banded.LQBands(nd.Q[m1:m2 + 1], nd.S[k], nd.R[k], nd.A[k], nd.B[k],
+                           nd.gx[m1:m2 + 1], nd.gu[k], -nd.glam[m1 + 1:m2 + 1])
+    if d is not None and m2 < plan.N:  # the terminal linear term, -gx in the rhs
+        bands.stages[-1, nd.n_x:2 * nd.n_x] = -(
+            nd.gx[m2] - nd.A[m2].T @ d.d4 + nd.S[m2].T @ d.d3 - mu * d.d2)
+    return _cut(nd, bands, m1, plan, i, mu, None if d is None else d.d1.copy())
 
 
 def solve_subproblem(sub: SubproblemData,
@@ -249,31 +322,44 @@ def solve_subproblem(sub: SubproblemData,
 
     The same H + c G^T G definiteness test used on the full problem is run
     at subproblem scope first, with c derived from the subproblem's blocks
-    unless given; failure raises :class:`MuTooSmallError` naming the stage
-    and margin.
+    unless given; c must be positive and finite (ValueError otherwise).  A
+    failed test raises :class:`MuTooSmallError` naming the horizon stage
+    and margin.  Then the KKT band is factored; an exact zero pivot raises
+    :class:`SingularKKTError` naming the subproblem and the horizon stage.
+    One ``dpbtrf`` and one ``dgbsv`` call, each on its window of
+    ``sub.bands`` (a new array).
     """
-    blocks = (sub.Q, sub.S, sub.R, sub.A, sub.B)
     if c is None:
         c = default_definiteness_constant(sub)
-    failure = banded.pivot_failure(*blocks, c)
+    if not (c > 0 and math.isfinite(c)):
+        raise ValueError(f"definiteness constant must be positive and finite, "
+                         f"got {c}")
+    bands, first, last = sub.bands, sub.m1 - sub.offset, sub.m2 - sub.offset
+    failure = banded.band_pivot_failure(
+        bands.test_window(first, last, c, sub.terminal), bands.nx + bands.nu)
     if failure is not None:
         raise MuTooSmallError(sub.index, sub.mu, sub.m1 + failure[0], failure[1])
-    p, q, zeta = banded.solve_lq_kkt(*blocks, sub.gx, sub.gu, sub.c0, sub.cdyn)
+    try:
+        p, q, zeta = banded.solve_kkt_band(
+            bands.kkt_window(first, last, sub.terminal), bands.bw,
+            bands.stages_window(first, last, sub.c0), bands.nx)
+    except SingularKKTError as err:
+        raise SingularKKTError(sub.m1 + err.stage, err.info,
+                               subproblem=sub.index) from err
     return SubproblemSolution(sub.index, p, q, zeta)
 
 
 def _truncate(nd: NewtonData, plan: DecompositionPlan, indices: Sequence[int],
               mu: float):
-    """The LQ kernels' arguments for subproblems ``indices``, zero boundaries.
+    """The Riccati kernel's arguments for subproblems ``indices``, zero boundaries.
 
-    The one code that slices ``nd`` onto intervals.  Returns
-    ``(Q, S, R, A, B, gx, gu, c0, cdyn)``, each with a leading member axis
-    in the order of ``indices``.  Q is the only copy: each member that ends
-    short of N has mu * I added to its terminal block.  S, R, A, B, gx and
-    gu are windows of ``nd`` (see :func:`banded.stage_windows`), c0 is zero
-    and cdyn is -glam on the window's later stages.  The subproblems must be
-    of one length and start at evenly spaced stages, as one subproblem
-    always is.
+    Returns ``(Q, S, R, A, B, gx, gu, c0, cdyn)``, each with a leading member
+    axis in the order of ``indices``.  Q is the only copy: each member's
+    terminal block is :func:`_terminal`'s.  S, R, A, B, gx and gu are
+    windows of ``nd`` (see :func:`banded.stage_windows`), c0 is zero and
+    cdyn is -glam on the window's later stages.  The subproblems must be of
+    one length and start at evenly spaced stages, as one subproblem always
+    is.
     """
     if mu < 0:
         raise ValueError(f"mu must be nonnegative, got {mu}")
@@ -287,11 +373,9 @@ def _truncate(nd: NewtonData, plan: DecompositionPlan, indices: Sequence[int],
     S, R, A, B, gu = (banded.stage_windows(a, first, step, K, T)
                       for a in (nd.S, nd.R, nd.A, nd.B, nd.gu))
     Q = banded.stage_windows(nd.Q, first, step, K, T + 1).copy()
-    penalty = np.zeros((nd.n_x, nd.n_x))  # mu * I, cheaper than by np.eye
-    penalty.flat[::nd.n_x + 1] = mu
     for j, i in enumerate(indices):
         if plan.m2[i] < plan.N:
-            Q[j, -1] += penalty
+            Q[j, -1] = _terminal(nd, plan, i, mu)
     return (Q, S, R, A, B, banded.stage_windows(nd.gx, first, step, K, T + 1),
             gu, np.zeros((K, nd.n_x)),
             -banded.stage_windows(nd.glam, first + 1, step, K, T))
@@ -309,10 +393,12 @@ def approximate_direction(nd: NewtonData, plan: DecompositionPlan, mu: float,
     solved again alone in plan order, and the first that fails raises:
     :class:`MuTooSmallError` for the pivot test, :class:`SingularStageError`
     for a singular gain solve, each naming the subproblem and the horizon
-    stage.  Narrower blocks are solved one by one by the band kernel, on a
-    thread pool when ``workers > 1``; results land in slots indexed by
+    stage.  Narrower blocks are cut from one :class:`banded.LQBands` of the
+    horizon and solved one by one by :func:`solve_subproblem`, each with
+    the constant of its own blocks from the horizon's ``nd.stage_norms``, on
+    a thread pool when ``workers > 1``; results land in slots indexed by
     subproblem, so the composed direction does not depend on scheduling,
-    and a failed test names the first failing subproblem in plan order.
+    and a failure names the first failing subproblem in plan order.
     """
     if nd.n_x >= RICCATI_MIN_NX:
         parts = [None] * plan.M
@@ -334,12 +420,14 @@ def approximate_direction(nd: NewtonData, plan: DecompositionPlan, mu: float,
                                              subproblem=True) from err
             raise
     else:
-        norms = stage_norms_fro(nd.Q, nd.S, nd.R)
+        norms = nd.stage_norms
+        bands = banded.LQBands(nd.Q, nd.S, nd.R, nd.A, nd.B, nd.gx, nd.gu,
+                               -nd.glam[1:])
 
         def solve(i: int) -> SubproblemSolution:
-            sub = assemble_subproblem(nd, plan, i, mu)
-            return solve_subproblem(sub, default_definiteness_constant(
-                sub, norms[sub.m1:sub.m2]))
+            sub = _cut(nd, bands, 0, plan, i, mu)
+            return solve_subproblem(sub, definiteness_constant(
+                norms[sub.m1:sub.m2], sub.terminal))
 
         if workers > 1 and plan.M > 1:
             with ThreadPoolExecutor(max_workers=min(workers, plan.M)) as pool:

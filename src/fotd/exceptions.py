@@ -72,6 +72,27 @@ class SingularStageError(LinearSolverError):
         super().__init__(f"{where}: the gain's LU solve met a singular matrix")
 
 
+class SingularKKTError(LinearSolverError):
+    """The banded LU of a stage-interleaved KKT matrix met an exact zero pivot.
+
+    ``info`` is LAPACK ``dgbsv``'s return code, the 1-based column of the
+    first zero pivot, and ``stage`` the stage that column belongs to,
+    (info - 1) // (2 n_x + n_u).  The decomposed direction raises it with
+    ``subproblem`` set to the subproblem's index; ``stage`` is then the
+    horizon stage, as :class:`MuTooSmallError` gives it.
+    """
+
+    def __init__(self, stage: int, info: int, subproblem: int | None = None):
+        self.stage = stage
+        self.info = info
+        self.subproblem = subproblem
+        what = ("banded KKT factorization" if subproblem is None else
+                f"banded KKT factorization of subproblem {subproblem}")
+        where = "stage" if subproblem is None else "horizon stage"
+        super().__init__(f"{what} failed at {where} {stage}: LAPACK dgbsv "
+                         f"met a zero pivot (info={info})")
+
+
 class IndefiniteHorizonError(LinearSolverError):
     """The full-horizon Riccati sweep failed its Cholesky pivot test.
 

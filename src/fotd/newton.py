@@ -55,6 +55,7 @@ subproblem stays definite.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -84,8 +85,11 @@ class NewtonData:
     sweep may split the horizon (module docstring); none solves it whole.
     :func:`assemble_newton_data` scans for them once, from
     FULL_RICCATI_MIN_NX states on: the Levenberg shift keeps S, A and B, so
-    every rung of the ladder and the solve share the scan.  Immutable and
-    safe to share across worker threads.
+    every rung of the ladder and the solve share the scan.  ``stage_norms``
+    is computed on first use and kept, so the Hessian modification's
+    definiteness constant and the decomposed direction's share one pass; a
+    Levenberg-shifted copy computes its own.  Immutable and safe to share
+    across worker threads.
     """
 
     N: int
@@ -102,8 +106,13 @@ class NewtonData:
     gamma_applied: float = 0.0
     junctions: tuple | np.ndarray = ()
 
+    @cached_property
+    def stage_norms(self) -> np.ndarray:
+        """:func:`stage_norms_fro` of the blocks, computed once."""
+        return stage_norms_fro(self.Q, self.S, self.R)
+
     def max_block_norm_fro(self) -> float:
-        return max_block_norm_fro(self.Q, self.S, self.R)
+        return max_block_norm_fro(self.Q, self.S, self.R, self.stage_norms)
 
     def max_block_norm_2(self) -> float:
         full = np.zeros((self.N, self.n_x + self.n_u, self.n_x + self.n_u))
@@ -183,18 +192,35 @@ def max_block_norm_fro(Q, S, R, stage_norms=None) -> float:
     """
     if stage_norms is None:
         stage_norms = stage_norms_fro(Q, S, R)
-    terminal = np.sqrt(np.einsum("ij,ij->", Q[-1], Q[-1]))
+    return _max_norm(stage_norms, Q[-1])
+
+
+def _max_norm(stage_norms, terminal) -> float:
+    """The largest of ``stage_norms`` and ||terminal||_F."""
+    terminal = np.sqrt(np.einsum("ij,ij->", terminal, terminal))
     return float(max(stage_norms.max(initial=0.0), terminal))
 
 
-def default_definiteness_constant(lq, stage_norms=None) -> float:
+def definiteness_constant(stage_norms, terminal) -> float:
     """Scalar c for the H + c G^T G test: 10 * max_k ||H_k||_F + 1.
+
+    The maximum runs over the ``stage_norms`` (:func:`stage_norms_fro`)
+    and the terminal block Q_T, ``terminal``.
+    """
+    return 10.0 * _max_norm(stage_norms, terminal) + 1.0
+
+
+def default_definiteness_constant(lq, stage_norms=None) -> float:
+    """:func:`definiteness_constant` of canonical LQ data ``lq``.
 
     ``lq`` is any canonical LQ data with stage blocks ``Q``, ``S``, ``R``:
     the full-horizon :class:`NewtonData` or one decomposed subproblem.
-    ``stage_norms`` is passed on to :func:`max_block_norm_fro`.
+    ``stage_norms`` stands in for ``stage_norms_fro(lq.Q, lq.S, lq.R)``
+    when the caller has it already.
     """
-    return 10.0 * max_block_norm_fro(lq.Q, lq.S, lq.R, stage_norms) + 1.0
+    if stage_norms is None:
+        stage_norms = stage_norms_fro(lq.Q, lq.S, lq.R)
+    return definiteness_constant(stage_norms, lq.Q[-1])
 
 
 def check_reduced_hessian(nd: NewtonData, c: float) -> bool:
@@ -221,12 +247,13 @@ def _shift(nd: NewtonData, gamma: float) -> NewtonData:
 def modify_hessian(nd: NewtonData) -> NewtonData:
     """Levenberg-style modification Hhat = H + gamma * I.
 
-    The definiteness test uses ``default_definiteness_constant(nd)``.
-    Returns ``nd`` unchanged when the test already passes.  Otherwise the
-    smallest shift from the geometric ladder gamma_0 * GAMMA_STEP^j that
-    passes is applied, with gamma_0 = GAMMA_SEED * (1 + max_k ||H_k||).
+    The definiteness test uses ``default_definiteness_constant(nd)``, read
+    from ``nd.stage_norms``.  Returns ``nd`` unchanged when the test already
+    passes.  Otherwise the smallest shift from the geometric ladder
+    gamma_0 * GAMMA_STEP^j that passes is applied, with
+    gamma_0 = GAMMA_SEED * (1 + max_k ||H_k||).
     """
-    c = default_definiteness_constant(nd)
+    c = default_definiteness_constant(nd, nd.stage_norms)
     if check_reduced_hessian(nd, c):
         return nd
     scale = 1.0 + nd.max_block_norm_2()

@@ -8,14 +8,20 @@ so that its callbacks record the stages they are called on.
 """
 
 from collections import defaultdict
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 
-from fotd.banded import (COST_CHUNK, PIVOT_TOL, _indefinite_member,
-                         hessian_vector_product, jacobian_products)
-from fotd.exceptions import LinearSolverError
+from scipy.linalg.lapack import dgbsv, dpbtrf
+
+from fotd.banded import (COST_CHUNK, PIVOT_TOL, _indefinite_member, _kkt_band,
+                         _test_band, hessian_vector_product, jacobian_products,
+                         pivot_failure, solve_lq_kkt)
+from fotd.decomposition import compose
+from fotd.exceptions import LinearSolverError, MuTooSmallError, SingularKKTError
+from fotd.newton import NewtonDirection, stage_norms_fro
 from fotd.problem import (DualTrajectory, MeritTerms, ProblemDef, Trajectory,
                           stack_primal, stage_batched)
 
@@ -289,6 +295,69 @@ def reference_riccati_sweep(Q, S, R, A, B, gx, gu, c0, cdyn):
     return out
 
 
+def reference_band_direction(nd, plan, mu, workers=1):
+    """``fotd.decomposition.approximate_direction``'s band path in its plain form.
+
+    Every subproblem is truncated from the blocks and assembled alone: a
+    copy of Q with mu * I on the terminal block short of N, its own
+    H + c G^T G band and KKT band from ``banded._test_band`` and
+    ``banded._kkt_band``, and its own right-hand side; c comes from the
+    horizon's stage norms and the subproblem's terminal block.  ``dpbtrf``
+    tests, ``dgbsv`` solves, on a thread pool when ``workers > 1``, and the
+    first failing subproblem in plan order raises ``MuTooSmallError``.  The
+    direction assembled once over the horizon and cut into windows must
+    match this bit for bit, in results and in errors.
+    """
+    nx, nu = nd.n_x, nd.n_u
+    m = nx + nu
+    norms = stage_norms_fro(nd.Q, nd.S, nd.R)
+
+    def solve(i):
+        m1, m2 = plan.m1[i], plan.m2[i]
+        T, k = m2 - m1, slice(m1, m2)
+        Q = nd.Q[m1:m2 + 1].copy()
+        if m2 < plan.N:
+            penalty = np.zeros((nx, nx))
+            penalty.flat[::nx + 1] = mu
+            Q[-1] += penalty
+        blocks = (Q, nd.S[k], nd.R[k], nd.A[k], nd.B[k])
+        c = 10.0 * float(max(norms[k].max(initial=0.0),
+                             np.sqrt(np.einsum("ij,ij->", Q[-1], Q[-1])))) + 1.0
+        fact, info = dpbtrf(_test_band(*blocks, c), lower=1, overwrite_ab=1)
+        diag = fact[0]
+        if info > 0:
+            col, pivot = info - 1, float(diag[info - 1])
+        else:
+            col = int(np.argmin(diag ** 2))
+            pivot = float(diag[col] ** 2)
+        if not pivot >= PIVOT_TOL:
+            raise MuTooSmallError(i, mu, m1 + col // m, pivot - PIVOT_TOL)
+        ab, bw = _kkt_band(*blocks)
+        stages = np.empty((T + 1, 2 * nx + nu))
+        stages[0, :nx] = np.zeros(nx)
+        stages[1:, :nx] = -nd.glam[m1 + 1:m2 + 1]
+        np.negative(nd.gx[m1:m2 + 1], out=stages[:, nx: 2 * nx])
+        np.negative(nd.gu[k], out=stages[:T, 2 * nx:])
+        rhs = stages.reshape(-1)[:ab.shape[1]]
+        _, _, sol, info = dgbsv(bw, bw, ab, rhs, overwrite_ab=1, overwrite_b=1)
+        if info != 0:
+            raise LinearSolverError(
+                f"banded KKT factorization failed: LAPACK dgbsv info={info}")
+        if not np.isfinite(sol).all():
+            raise LinearSolverError("banded KKT solve produced non-finite values")
+        rhs[:] = sol
+        return (stages[:, nx: 2 * nx].copy(), stages[:T, 2 * nx:].copy(),
+                stages[:, :nx].copy())
+
+    if workers > 1 and plan.M > 1:
+        with ThreadPoolExecutor(max_workers=min(workers, plan.M)) as pool:
+            parts = list(pool.map(solve, range(plan.M)))
+    else:
+        parts = [solve(i) for i in range(plan.M)]
+    dx, du, dlam = compose(parts, plan)
+    return NewtonDirection(stack_primal(dx, du), dlam.ravel())
+
+
 # ---------------------------------------------------------------------------
 # Residuals of the LQ optimality system at a candidate solution
 # ---------------------------------------------------------------------------
@@ -519,6 +588,31 @@ def singular_gain_block(tries=1000):
         except np.linalg.LinAlgError:
             if np.diagonal(np.linalg.cholesky(Rt)).min() ** 2 >= PIVOT_TOL:
                 return Rt
+    return None
+
+
+def singular_lu_block(tries=1000):
+    """A 2x2 block that passes the band pivot test but whose band LU is singular.
+
+    Rt = [[a, b], [b, (b / a) b]] with b a power of two: the LU's
+    elimination b - (b / a) b is then exactly zero however it rounds, while
+    the Cholesky pivot (b / sqrt(a))^2 rounds otherwise and may leave a
+    positive remainder of at least PIVOT_TOL.  Each candidate is tried as
+    the control block of a one-stage problem with S = B = 0, which
+    ``fotd.banded`` both tests and solves.  None when no candidate does.
+    """
+    rng = np.random.default_rng(1)
+    d = lq_data(1, 1, 2, seed=0)
+    d.S[0], d.B[0] = 0.0, 0.0
+    b = 2.0 ** 23
+    for _ in range(tries):
+        a = 10.0 ** rng.uniform(7, 8)
+        d.R[0] = np.array([[a, b], [b, b / a * b]])
+        try:
+            solve_lq_kkt(d.Q, d.S, d.R, d.A, d.B, d.gx, d.gu, d.c0, d.cdyn)
+        except SingularKKTError:
+            if pivot_failure(d.Q, d.S, d.R, d.A, d.B, 10.0) is None:
+                return d.R[0].copy()
     return None
 
 

@@ -8,12 +8,12 @@ import pytest
 
 from numpy.linalg import _umath_linalg
 
-from fotd.banded import (PIVOT_TOL, _band, _kkt_band, _test_band,
-                         definiteness_pivots_ok, junction_stages,
+from fotd.banded import (PIVOT_TOL, LQBands, _band, _kkt_band, _kkt_stages,
+                         _test_band, definiteness_pivots_ok, junction_stages,
                          pivot_failure, solve_lq_kkt, solve_lq_pieces,
                          solve_lq_riccati, stage_windows)
 from fotd.exceptions import (IndefiniteStageError, LinearSolverError,
-                             SingularStageError)
+                             SingularKKTError, SingularStageError)
 from fotd.newton import default_definiteness_constant
 
 from oracles import (definiteness_pivot, dense_lq_kkt, dense_lq_matrices,
@@ -94,6 +94,43 @@ def test_definiteness_band_is_h_plus_c_gtg_entry_for_entry(shape):
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+def in_matrix(rows, n, diag, lower, upper):
+    """Mask of a band's entries (i, j), row diag + i - j, with 0 <= i < n."""
+    r, j = np.indices((rows, n))
+    i = r - diag + j
+    return (i >= 0) & (i < n) & (i - j <= lower) & (j - i <= upper)
+
+
+@pytest.mark.parametrize("nx,nu", [(1, 1), (2, 1), (1, 3), (3, 3)])
+def test_band_windows_are_the_bands_of_their_stages(nx, nu):
+    T = 9
+    d = lq_data(T, nx, nu, seed=nx + 4 * nu)
+    terminal = lq_data(0, nx, nu, seed=1).Q[0]
+    bands = LQBands(d.Q, d.S, d.R, d.A, d.B, d.gx, d.gu, d.cdyn)
+    # The split parts add up to the one test band, entry for entry.
+    assert np.array_equal(bands.gtg * 7.5 + bands.hess,
+                          _test_band(*blocks(d), 7.5))
+    for first, last in ((0, T), (0, 4), (3, 7), (5, T), (2, 3)):
+        k = slice(first, last)
+        Q = d.Q[first:last + 1].copy()
+        Q[-1] = terminal
+        own = (Q, d.S[k], d.R[k], d.A[k], d.B[k])
+        want, bw = _kkt_band(*own)
+        got = bands.kkt_window(first, last, terminal)
+        assert got.flags.f_contiguous and got.shape == want.shape
+        mask = in_matrix(*want.shape, 2 * bw, bw, bw)
+        assert np.array_equal(got[mask], want[mask])
+        want = _test_band(*own, 7.5)
+        got = bands.test_window(first, last, 7.5, terminal)
+        assert got.flags.f_contiguous and got.shape == want.shape
+        mask = in_matrix(*want.shape, 0, want.shape[0] - 1, 0)
+        assert np.array_equal(got[mask], want[mask])
+        n = (last - first) * (2 * nx + nu) + 2 * nx
+        want = _kkt_stages(d.gx[first:last + 1], d.gu[k], d.c0, d.cdyn[k])
+        got = bands.stages_window(first, last, d.c0)
+        assert np.array_equal(got.reshape(-1)[:n], want.reshape(-1)[:n])
+
+
 def test_band_views_past_the_storage_raise():
     ab, blocks_at, diagonal_at = _band(4, 6, 1, 2)
     blocks_at(0, 0, 2, 2, 3)[...] = 1.0  # the last view that fits
@@ -109,8 +146,19 @@ def test_singular_kkt_raises():
     d.S[:] = 0.0
     d.R[:] = 0.0
     d.B[:] = 0.0  # the controls appear nowhere: zero columns in the KKT matrix
-    with pytest.raises(LinearSolverError):
+    with pytest.raises(SingularKKTError) as err:
         solve_lq_kkt(*blocks(d), *rhs(d))
+    assert isinstance(err.value, LinearSolverError)
+    # The first zero pivot is q_0's first column, 2 n_x + 1 = 5 (1-based).
+    assert (err.value.stage, err.value.info, err.value.subproblem) == (0, 5, None)
+    assert str(err.value) == ("banded KKT factorization failed at stage 0: "
+                              "LAPACK dgbsv met a zero pivot (info=5)")
+    # Only stage 2's controls vanish: column 2 (2 n_x + n_u) + 2 n_x + 1.
+    d = lq_data(4, 2, 3, seed=0)
+    d.S[2], d.R[2], d.B[2] = 0.0, 0.0, 0.0
+    with pytest.raises(SingularKKTError) as err:
+        solve_lq_kkt(*blocks(d), *rhs(d))
+    assert (err.value.stage, err.value.info) == (2, 19)
 
 
 def test_non_finite_blocks_raise():

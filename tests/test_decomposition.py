@@ -1,21 +1,26 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
-from fotd.benchmarks import ToySpec, make_toy_problem
-from fotd import banded
+from fotd.benchmarks import (ToySpec, make_initializations, make_toy_problem,
+                             toy_case_params)
+from fotd import banded, decomposition
 from fotd.banded import stage_windows
 from fotd.decomposition import (RICCATI_MIN_NX, BoundaryVars, _truncate,
                                 approximate_direction,
                                 assemble_subproblem, compose, decompose,
                                 make_plan, solve_subproblem)
 from fotd.driver import SolverConfig, solve
-from fotd.exceptions import MuTooSmallError, SingularStageError
+from fotd.exceptions import (MuTooSmallError, SingularKKTError,
+                             SingularStageError)
 from fotd.newton import (NewtonData, assemble_newton_data,
                          default_definiteness_constant, solve_full_newton)
 from fotd.problem import DualTrajectory, Trajectory, stack_primal
 from oracles import (definiteness_pivot, dense_lq_solve, make_random_lq,
-                     random_point, riccati_stage_pivot, singular_gain_block,
-                     subproblem_kkt_residual)
+                     random_point, reference_band_direction,
+                     riccati_stage_pivot, singular_gain_block,
+                     singular_lu_block, subproblem_kkt_residual)
 
 
 def toy_nd(N=20, seed=0, scale=2.0):
@@ -191,6 +196,17 @@ def test_remark1_subproblem_definite_iff_mu_large(monkeypatch):
                                       default_definiteness_constant(sub))
     assert err.value.stage == stage == 1
     assert err.value.margin == pytest.approx(pivot - banded.PIVOT_TOL, rel=1e-9)
+
+
+def test_a_subproblem_constant_must_be_positive_and_finite():
+    # c <= 0 once tested H alone; now no value outside (0, inf) is taken.
+    nd = remark1_nd()
+    plan = make_plan(2, b=0, knots=[0, 1, 2])
+    sub = assemble_subproblem(nd, plan, 0, 2.0)
+    for c in (0.0, -1.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            solve_subproblem(sub, c)
+    solve_subproblem(sub, default_definiteness_constant(sub))
 
 
 def wide(nd, width):
@@ -476,6 +492,27 @@ def test_riccati_windows_past_the_horizon_raise():
         stage_windows(arr, 7, 0, 1, 4)  # it would end at stage 10
 
 
+def counted_lapack(monkeypatch):
+    """Count ``banded``'s dgbsv and dpbtrf calls; refuse the Riccati kernel."""
+    calls = {"dgbsv": 0, "dpbtrf": 0}
+
+    def counted(name):
+        real = getattr(banded, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    def refused(*args):
+        raise AssertionError("band blocks went to the Riccati kernel")
+
+    for name in calls:
+        monkeypatch.setattr(banded, name, counted(name))
+    monkeypatch.setattr(banded, "solve_lq_riccati", refused)
+    return calls
+
+
 @pytest.mark.parametrize("nx,nu", [(1, 1), (2, 3), (3, 2)])
 def test_band_subproblems_are_tested_with_their_own_constant(monkeypatch, nx, nu):
     p, _ = make_random_lq(40, nx, nu, seed=18)
@@ -484,34 +521,77 @@ def test_band_subproblems_are_tested_with_their_own_constant(monkeypatch, nx, nu
     plan = make_plan(40, 5, 3)
     for m1 in plan.m1:
         nd.Q[m1] *= 50.0  # each subproblem's largest block is its first
+    for m2 in plan.m2[:-1]:
+        nd.R[m2] *= 1e3  # and the stage after its last, outside its norms
     seen = []
-    test = banded.pivot_failure
-    monkeypatch.setattr(banded, "pivot_failure",
-                        lambda *args: seen.append(args[5]) or test(*args))
+    solve = decomposition.solve_subproblem
+    monkeypatch.setattr(decomposition, "solve_subproblem",
+                        lambda sub, c: seen.append(c) or solve(sub, c))
+    calls = counted_lapack(monkeypatch)
     approximate_direction(nd, plan, 25.0)
     # The constants come from one norm pass over the horizon, bit for bit
-    # the ones each assembled subproblem gives alone.
+    # the ones each assembled subproblem gives alone; each subproblem is
+    # tested by one dpbtrf and solved by one dgbsv.
     assert seen == [default_definiteness_constant(assemble_subproblem(
         nd, plan, i, 25.0)) for i in range(plan.M)]
+    assert calls == {"dgbsv": plan.M, "dpbtrf": plan.M}
 
 
 def test_toy_plan_solves_each_subproblem_with_the_band_kernel(monkeypatch):
     p, nd = toy_nd(N=40, seed=13)
     plan = make_plan(40, 5, 3)
-    calls = []
-    band = banded.solve_lq_kkt
-
-    def counted(*args):
-        calls.append(args[0].shape[0])
-        return band(*args)
-
-    def refused(*args):
-        raise AssertionError("toy blocks went to the Riccati kernel")
-
-    monkeypatch.setattr(banded, "solve_lq_kkt", counted)
-    monkeypatch.setattr(banded, "solve_lq_riccati", refused)
+    calls = counted_lapack(monkeypatch)
     approximate_direction(nd, plan, 25.0)
-    assert len(calls) == plan.M
+    assert calls == {"dgbsv": plan.M, "dpbtrf": plan.M}
+
+
+def band_grid_problems():
+    """(name, NewtonData) of the band path's reference grid."""
+    out = []
+    for case in (1, 2, 3):
+        spec, _ = toy_case_params(case, N=60)
+        p = make_toy_problem(spec)
+        z, lam = make_initializations(p, 2, seed=case)[1]
+        out.append((f"toy{case}", assemble_newton_data(p, z, lam)))
+    for nx, nu in [(1, 1), (2, 1), (1, 3), (2, 2), (3, 3)]:
+        p, _ = make_random_lq(60, nx, nu, seed=10 * nx + nu)
+        out.append((f"lq{nx}{nu}", assemble_newton_data(
+            p, *random_point(p, seed=nx + nu))))
+    p, _ = make_random_lq(60, 2, 1, seed=7)
+    nd = assemble_newton_data(p, *random_point(p, seed=8))
+    nd.R[33] = -100.0 * np.eye(1)  # indefinite
+    out.append(("indefinite", nd))
+    return out
+
+
+BAND_GRID_PLANS = [
+    make_plan(60, 4, 3),                                 # even knots
+    make_plan(60, b=2, knots=(0, 7, 19, 30, 41, 60)),    # uneven knots
+    make_plan(60, b=0, knots=(0, 13, 27, 60)),           # no overlap
+    make_plan(60, 1, 3),                                 # one subproblem
+    make_plan(60, b=3, knots=(0, 30, 58, 60)),           # two reach N
+]
+
+
+def test_band_direction_matches_the_per_subproblem_reference_bit_for_bit():
+    def outcome(solve):
+        try:
+            d = solve()
+        except Exception as err:  # noqa: BLE001 - the error is compared
+            return type(err), str(err)
+        return d.dz.tobytes(), d.dlam.tobytes()
+
+    failed = 0
+    for name, nd in band_grid_problems():
+        assert nd.n_x < RICCATI_MIN_NX
+        for plan, workers in product(BAND_GRID_PLANS, (1, 2)):
+            want = outcome(lambda: reference_band_direction(nd, plan, 25.0,
+                                                            workers))
+            got = outcome(lambda: approximate_direction(nd, plan, 25.0,
+                                                        workers))
+            assert got == want, (name, plan, workers)
+            failed += want[0] is MuTooSmallError
+    assert failed == 2 * len(BAND_GRID_PLANS)  # only the indefinite case fails
 
 
 def test_riccati_path_names_the_first_failing_subproblem_in_plan_order():
@@ -556,6 +636,37 @@ def test_a_singular_gain_solve_names_the_subproblem_and_horizon_stage():
         approximate_direction(nd, plan, 25.0)
     assert (err.value.member, err.value.stage) == (3, 35)
     assert str(err.value).startswith("subproblem 3 at horizon stage 35:")
+
+
+def test_a_singular_band_lu_names_the_subproblem_and_horizon_stage():
+    # Stage 25 is only in subproblem 2.  With S_25 = B_25 = 0 its controls'
+    # columns of the KKT band hold R_25 alone, whose LU ends at an exact
+    # zero pivot though its Cholesky passes the H + c G^T G test.
+    Rt = singular_lu_block()
+    if Rt is None:
+        pytest.skip("this LAPACK factors every candidate without a zero pivot")
+    p, _ = make_random_lq(40, 1, 2, seed=14)
+    nd = assemble_newton_data(p, *random_point(p, seed=15))
+    plan = make_plan(40, 4, 2)  # [0, 12], [8, 22], [18, 32], [28, 40]
+    nd.R[25], nd.S[25], nd.B[25] = Rt, 0.0, 0.0
+    for workers in (1, 2):
+        with pytest.raises(SingularKKTError) as err:
+            approximate_direction(nd, plan, 25.0, workers=workers)
+        assert (err.value.subproblem, err.value.stage) == (2, 25)
+        # stage 7 of the subproblem, its second control's column
+        assert err.value.info == 7 * 4 + 2 + 2
+        assert str(err.value) == (
+            "banded KKT factorization of subproblem 2 failed at horizon "
+            "stage 25: LAPACK dgbsv met a zero pivot (info=32)")
+        assert isinstance(err.value.__cause__, SingularKKTError)
+        assert err.value.__cause__.stage == 7
+    with pytest.raises(SingularKKTError) as alone:
+        solve_subproblem(assemble_subproblem(nd, plan, 2, 25.0))
+    assert str(alone.value) == str(err.value)
+    # In a centralized solve the same block stops the exact direction.
+    with pytest.raises(SingularKKTError) as full:
+        solve_full_newton(nd)
+    assert (full.value.subproblem, full.value.stage) == (None, 25)
 
 
 def test_a_singular_gain_solve_ends_the_solve_with_a_typed_error():

@@ -8,6 +8,7 @@ import fotd.newton as fotd_newton
 from fotd import banded, driver
 from fotd.banded import PIVOT_TOL
 from fotd.benchmarks import ToySpec, make_toy_problem
+from fotd.decomposition import approximate_direction, make_plan
 from fotd.driver import SolverConfig, solve
 from fotd.exceptions import (IndefiniteHorizonError, LinearSolverError,
                              NumericsError)
@@ -278,6 +279,28 @@ def test_exact_direction_takes_one_kernel_by_block_width(monkeypatch, n):
     solve_full_newton(newton_data(lq_data(7, n, n, seed=n)))
     wide = n >= FULL_RICCATI_MIN_NX
     assert calls == ["solve_lq_riccati" if wide else "solve_lq_kkt"]
+
+
+def test_stage_norms_are_computed_once_per_linearization(monkeypatch):
+    # modify_hessian's constant and the decomposed direction's per-subproblem
+    # constants read one norm pass; a Levenberg-shifted copy makes its own.
+    p = toy(N=40)
+    z, lam = random_point(p, seed=3, scale=2.0)
+    passes = []
+    norms = fotd_newton.stage_norms_fro
+    monkeypatch.setattr(fotd_newton, "stage_norms_fro",
+                        lambda *a: passes.append(None) or norms(*a))
+    nd = assemble_newton_data(p, z, lam)
+    assert modify_hessian(nd) is nd
+    approximate_direction(nd, make_plan(40, 4, 2), 25.0)
+    assert len(passes) == 1
+    assert nd.stage_norms.tobytes() == norms(nd.Q, nd.S, nd.R).tobytes()
+    shifted = fotd_newton._shift(nd, 0.5)
+    assert shifted.stage_norms.tobytes() == norms(
+        shifted.Q, shifted.S, shifted.R).tobytes()
+    assert not np.array_equal(shifted.stage_norms, nd.stage_norms)
+    assert default_definiteness_constant(nd, nd.stage_norms) == (
+        default_definiteness_constant(nd))
 
 
 def test_one_junction_scan_serves_every_ladder_rung_and_the_solve(monkeypatch):
