@@ -25,6 +25,13 @@ that offset and those strides.  NumPy checks such a view against the
 buffer, so a block that would run past the storage raises instead of
 writing beyond it.
 
+The LAPACK routines, ``dgbsv``, ``dpbtrf`` and ``dpotrf`` (for the pivots
+of single blocks), are those of the OpenBLAS that NumPy loads, called
+through ``ctypes`` (:mod:`fotd._lapack`), or ``scipy.linalg.lapack``'s
+where that library is missing; :data:`LAPACK` names the backend in use.
+A routine that rejects an argument as illegal (``info`` < 0) raises
+:class:`LinearSolverError`.
+
 The stages first..last of a horizon, given a terminal block and a pin, are
 a canonical problem of their own, and in band storage its bands are a
 column window of the horizon's.  :class:`LQBands` assembles a horizon once,
@@ -77,8 +84,8 @@ from __future__ import annotations
 import numpy as np
 from numpy.linalg._umath_linalg import cholesky_lo as _cholesky
 from numpy.linalg._umath_linalg import solve as _solve
-from scipy.linalg.lapack import dgbsv, dpbtrf, dpotrf
 
+from ._lapack import LAPACK, dgbsv, dpbtrf, dpotrf
 from .exceptions import (IndefiniteStageError, LinearSolverError,
                          SingularKKTError, SingularStageError)
 
@@ -186,12 +193,10 @@ def solve_kkt_band(ab, bw: int, stages, nx: int):
     """
     T, s = stages.shape[0] - 1, stages.shape[1]
     rhs = stages.reshape(-1)[:ab.shape[1]]
-    _, _, sol, info = dgbsv(bw, bw, ab, rhs, overwrite_ab=1, overwrite_b=1)
+    _, _, sol, info = _legal("dgbsv", dgbsv(bw, bw, ab, rhs, overwrite_ab=1,
+                                            overwrite_b=1))
     if info > 0:
         raise SingularKKTError((info - 1) // s, info)
-    if info != 0:
-        raise LinearSolverError(
-            f"banded KKT factorization failed: LAPACK dgbsv info={info}")
     if not np.isfinite(sol).all():
         raise LinearSolverError("banded KKT solve produced non-finite values")
     rhs[:] = sol  # LAPACK solves in place; this keeps ``stages`` right regardless
@@ -359,7 +364,7 @@ def _band_pivot(ab, m: int):
     ``pivot`` is its smallest pivot, ``stage`` the stage of that pivot's
     column and ``broke`` whether the factorization broke down there.
     """
-    fact, info = dpbtrf(ab, lower=1, overwrite_ab=1)
+    fact, info = _legal("dpbtrf", dpbtrf(ab, lower=1, overwrite_ab=1))
     col, pivot = _smallest_pivot(fact[0], info)
     return col // m, pivot, info > 0
 
@@ -435,8 +440,20 @@ def _part_pivots(Q, S, R, A, B, c: float, junctions):
             A.shape[1] + B.shape[2])
         yield first + stage, pivot, broke
         if last < A.shape[0]:
-            fact, info = dpotrf(R[last], lower=1)
+            fact, info = _legal("dpotrf", dpotrf(R[last], lower=1))
             yield last, _smallest_pivot(np.diagonal(fact), info)[1], info > 0
+
+
+def _legal(routine: str, result: tuple) -> tuple:
+    """LAPACK ``routine``'s ``result``, unless its ``info`` rejects an argument.
+
+    ``info``, the last entry, is -i when the i-th argument is illegal.
+    """
+    info = result[-1]
+    if info < 0:
+        raise LinearSolverError(f"LAPACK {routine} rejected its argument "
+                                f"{-info} as illegal (info={info})")
+    return result
 
 
 def _smallest_pivot(diag, info: int):
@@ -587,7 +604,7 @@ def _indefinite_member(Rt, stage: int) -> IndefiniteStageError:
         try:
             _, pivot = _smallest_pivot(np.diagonal(np.linalg.cholesky(r)), 0)
         except np.linalg.LinAlgError:
-            fact, info = dpotrf(r, lower=1)
+            fact, info = _legal("dpotrf", dpotrf(r, lower=1))
             _, pivot = _smallest_pivot(np.diagonal(fact), info)
             return IndefiniteStageError(member, stage, pivot - PIVOT_TOL)
         if not pivot >= PIVOT_TOL:
