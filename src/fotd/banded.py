@@ -8,6 +8,12 @@ Every Newton-type solve in this package reduces to one canonical problem:
     subject to  p_0 = c_0,
                 p_{k+1} = A_k p_k + B_k q_k + cdyn_k,   k = 0..T-1.
 
+:class:`LQ` holds its data (Q, S, R, A, B, gx, gu, c0, cdyn) in the order
+every solver here takes them as arguments, so ``solve(*lq)`` solves it.
+The Newton data map their system to it in one place
+(:attr:`fotd.newton.NewtonData.lq`), and every direction reads that
+mapping: the exact one whole, the decomposed one by windows of its stages.
+
 Its saddle-point optimality system is solved by one structured direct method:
 the variables and multipliers are interleaved per stage as
 (zeta_k, p_k, q_k), which makes the symmetric indefinite KKT matrix banded
@@ -64,6 +70,14 @@ COST_CHUNK stages at a time; only its cost-to-go, gain and solution arrays
 grow with the horizon.  The H + c G^T G test keeps the band
 Cholesky on every path that runs it.
 
+:func:`solve_lq_windows` is the sweep's one batching loop.  Given windows
+of stages of one :class:`LQ`, each with its pin and, optionally, its own
+terminal block, it groups them by :func:`even_batches` and solves each
+batch by one sweep over :func:`stage_windows` of the data, copying only Q
+where terminal blocks replace its last stage.  The decomposed direction's
+overlapping subproblems and the pieces between junctions (below) are both
+such windows.
+
 Both definiteness tests report a failure by one margin: the smallest
 Cholesky pivot minus PIVOT_TOL, read from the factorization that failed.
 A margin below -PIVOT_TOL means the factorization broke down at a pivot
@@ -81,6 +95,8 @@ with c_0 = cdyn of the junction before it, plus one control per junction.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 from numpy.linalg._umath_linalg import cholesky_lo as _cholesky
 from numpy.linalg._umath_linalg import solve as _solve
@@ -91,6 +107,27 @@ from .exceptions import (IndefiniteStageError, LinearSolverError,
 
 PIVOT_TOL = 1e-10
 COST_CHUNK = 16  # stages whose blocks the Riccati sweep holds at once
+
+
+class LQ(NamedTuple):
+    """The data of one canonical problem (module docstring), in argument order.
+
+    ``*lq`` is the argument list of :func:`solve_lq_kkt`,
+    :func:`solve_lq_riccati` and :func:`solve_lq_pieces`.  Shapes are those
+    :func:`solve_lq_kkt` takes: Q (T+1, n_x, n_x), S (T, n_u, n_x),
+    R (T, n_u, n_u), A (T, n_x, n_x), B (T, n_x, n_u), gx (T+1, n_x),
+    gu (T, n_u), c0 (n_x,) and cdyn (T, n_x).
+    """
+
+    Q: np.ndarray
+    S: np.ndarray
+    R: np.ndarray
+    A: np.ndarray
+    B: np.ndarray
+    gx: np.ndarray
+    gu: np.ndarray
+    c0: np.ndarray
+    cdyn: np.ndarray
 
 
 def _band(rows: int, n: int, diag: int, step: int):
@@ -374,7 +411,8 @@ class LQBands:
 
     Holds the stage-interleaved KKT band of :func:`_kkt_band`, the
     H + c G^T G band as the two parts of :func:`_test_band_parts`, and the
-    KKT right-hand side of :func:`_kkt_stages` with a zero pin.  The stages
+    KKT right-hand side of :func:`_kkt_stages`, all of the :class:`LQ`
+    ``lq``; each window sets its own pin.  The stages
     ``first``..``last`` of the horizon are a canonical problem of their own
     once given a terminal block and a pin, and each window below is its
     band (or right-hand side), entry for entry as :func:`_kkt_band`,
@@ -384,12 +422,12 @@ class LQBands:
     The arrays are only read, so threads may cut windows at once.
     """
 
-    def __init__(self, Q, S, R, A, B, gx, gu, cdyn):
-        self.nx, self.nu = A.shape[1], B.shape[2]
-        self.kkt, self.bw = _kkt_band(Q, S, R, A, B)
-        self.gtg, self.hess = _test_band_parts(Q, S, R, A, B)
+    def __init__(self, lq: LQ):
+        self.nx, self.nu = lq.A.shape[1], lq.B.shape[2]
+        self.kkt, self.bw = _kkt_band(*lq[:5])
+        self.gtg, self.hess = _test_band_parts(*lq[:5])
         self.gtg_end = np.eye(self.nx)  # G^T G's block at a horizon's end
-        self.stages = _kkt_stages(gx, gu, 0.0, cdyn)
+        self.stages = _kkt_stages(*lq[5:])
 
     def kkt_window(self, first: int, last: int, terminal):
         """The KKT band of stages first..last with Q_last replaced by ``terminal``.
@@ -679,19 +717,52 @@ def even_batches(firsts, lengths):
     return batches
 
 
+def solve_lq_windows(lq: LQ, firsts, lasts, pins, terminals=None):
+    """:func:`solve_lq_riccati` of windows of stages of ``lq``, batched.
+
+    Window i is the canonical problem of stages ``firsts[i]``..``lasts[i]``
+    of ``lq``, its initial state pinned to ``pins[i]`` and, when
+    ``terminals`` is given, its last Q replaced by ``terminals[i]``.  The
+    windows of each :func:`even_batches` batch are solved by one sweep over
+    :func:`stage_windows` of ``lq``; Q is copied only to take the terminal
+    blocks.  Returns ``(p, q, zeta)`` of every window, in window order, each
+    bit for bit what the window's own problem gives when solved alone.  A
+    failing sweep's :class:`IndefiniteStageError` or
+    :class:`SingularStageError` passes through, naming the member within
+    its batch and the stage within the window.
+    """
+    pins = np.asarray(pins)
+    parts = [None] * len(firsts)
+    for batch in even_batches(firsts, [b - a for a, b in zip(firsts, lasts)]):
+        first, K = firsts[batch[0]], len(batch)
+        T = lasts[batch[0]] - first
+        step = firsts[batch[1]] - first if K > 1 else 0
+        Q, gx = (stage_windows(a, first, step, K, T + 1) for a in (lq.Q, lq.gx))
+        if terminals is not None:
+            Q = Q.copy()
+            Q[:, -1] = [terminals[i] for i in batch]
+        S, R, A, B, gu, cdyn = (stage_windows(a, first, step, K, T)
+                                for a in (lq.S, lq.R, lq.A, lq.B, lq.gu, lq.cdyn))
+        out = solve_lq_riccati(Q, S, R, A, B, gx, gu, pins[batch], cdyn)
+        for j, i in enumerate(batch):
+            parts[i] = tuple(a[j] for a in out)
+    return parts
+
+
 def solve_lq_pieces(Q, S, R, A, B, gx, gu, c0, cdyn, junctions=()):
     """:func:`solve_lq_riccati` of one problem, as a batch of its pieces.
 
     The arguments are those of :func:`solve_lq_kkt`, and so are the
     returned ``(p, q, zeta)``.  Given the problem's ``junctions`` (see
-    :func:`junction_stages`), the pieces of each length (module docstring)
-    are solved by one batched sweep over :func:`stage_windows` of the
-    blocks, and each junction's control is q_k = -R_k^{-1} gu_k.  Without
-    junctions the problem is a batch of one.  This is the sweep over the
-    whole horizon, bit for bit: a junction passes that sweep nothing but
-    zeros, so its cost-to-go is the piece's terminal one, Q_k and gx_k, and
-    its control solves R_k alone.  (Where R_k is not diagonal, LAPACK may
-    round that one solve otherwise than with the sweep's other columns.)
+    :func:`junction_stages`), the pieces (module docstring) are solved by
+    :func:`solve_lq_windows`, each pinned to the cdyn of the junction
+    before it, and each junction's control is q_k = -R_k^{-1} gu_k.
+    Without junctions the problem is a batch of one.  This is the sweep
+    over the whole horizon, bit for bit: a junction passes that sweep
+    nothing but zeros, so its cost-to-go is the piece's terminal one, Q_k
+    and gx_k, and its control solves R_k alone.  (Where R_k is not
+    diagonal, LAPACK may round that one solve otherwise than with the
+    sweep's other columns.)
 
     A stage that fails the pivot test or meets a singular gain solve, in a
     piece or in a junction's R_k, makes the whole horizon run again as one
@@ -699,38 +770,24 @@ def solve_lq_pieces(Q, S, R, A, B, gx, gu, c0, cdyn, junctions=()):
     :class:`SingularStageError` names what that sweep names: the last
     failing stage of the horizon, as member 0.
     """
-    def whole():
-        lq = (Q, S, R, A, B, gx, gu, c0, cdyn)
-        return tuple(a[0] for a in solve_lq_riccati(*(a[None] for a in lq)))
-
-    if not len(junctions):
-        return whole()
+    lq = LQ(Q, S, R, A, B, gx, gu, c0, cdyn)
     T, nx, nu = B.shape
-    c = np.concatenate([c0[None], cdyn])  # c[k] is what p_k is pinned to
-    pieces = _pieces(junctions, T)
+    if not len(junctions):
+        return solve_lq_windows(lq, [0], [T], [c0])[0]
+    firsts, lasts = zip(*_pieces(junctions, T))
+    pins = np.concatenate([c0[None], cdyn[junctions]])
     p, q, zeta = np.empty((T + 1, nx)), np.empty((T, nu)), np.empty((T + 1, nx))
     try:
-        for batch in even_batches([a for a, _ in pieces],
-                                  [b - a for a, b in pieces]):
-            (first, last), K = pieces[batch[0]], len(batch)
-            step = pieces[batch[1]][0] - first if K > 1 else 0
-            Qw, gxw, cw = (stage_windows(a, first, step, K, last - first + 1)
-                           for a in (Q, gx, c))
-            out = solve_lq_riccati(
-                Qw, *(stage_windows(a, first, step, K, last - first)
-                      for a in (S, R, A, B)),
-                gxw, stage_windows(gu, first, step, K, last - first),
-                cw[:, 0], cw[:, 1:])
-            for j, i in enumerate(batch):
-                a, b = pieces[i]
-                p[a:b + 1], q[a:b], zeta[a:b + 1] = (o[j] for o in out)
+        parts = solve_lq_windows(lq, firsts, lasts, pins)
+        for a, b, out in zip(firsts, lasts, parts):
+            p[a:b + 1], q[a:b], zeta[a:b + 1] = out
         L = np.linalg.cholesky(R[junctions])
         if not np.diagonal(L, 0, 1, 2).min() ** 2 >= PIVOT_TOL:
             raise np.linalg.LinAlgError("a junction's R_k fails the pivot test")
         q[junctions] = -np.linalg.solve(R[junctions],
                                         gu[junctions][..., None])[..., 0]
     except (IndefiniteStageError, SingularStageError, np.linalg.LinAlgError):
-        return whole()
+        return solve_lq_pieces(*lq)
     if not np.all(np.isfinite(q[junctions])):
         raise LinearSolverError("Riccati solve produced non-finite values")
     return p, q, zeta

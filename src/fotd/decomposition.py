@@ -20,17 +20,19 @@ boundary values set to zero, solving the M subproblems in parallel and
 composing the exclusive parts yields the approximate search direction.
 
 The kernel is chosen by the block width n_x.  Both take one truncation
-rule: windows of the Newton data's blocks, the terminal block Q_{m2} plus
-the penalty mu * I short of N (:func:`_terminal`), and zero boundary
-values, which therefore cost no arithmetic.
+rule: windows of the Newton data's canonical LQ data ``nd.lq``, the
+terminal block Q_{m2} plus the penalty mu * I short of N
+(:func:`_terminal`), and zero boundary values, which therefore cost no
+arithmetic.
 
-From RICCATI_MIN_NX states on, :func:`_truncate` slices the subproblems of
-each length together, through strided windows, and one batched Riccati
-sweep (:func:`banded.solve_lq_riccati`) solves them; its stagewise Cholesky
-is the exact definiteness test.  The windows need evenly spaced starts,
-which even knots always give; a length whose starts are uneven is solved
-one subproblem at a time, which changes no direction, as a batch member
-solves bit for bit as it does alone.
+From RICCATI_MIN_NX states on, the subproblems are the windows
+[m1_i, m2_i] of ``nd.lq`` with zero pins and their terminal blocks, and
+:func:`banded.solve_lq_windows` solves them: the subproblems of each
+length together, through strided windows, by one batched Riccati sweep,
+whose stagewise Cholesky is the exact definiteness test.  A batch needs
+evenly spaced starts, which even knots always give; a length whose
+starts are uneven is solved one subproblem at a time, which changes no
+direction, as a batch member solves bit for bit as it does alone.
 
 Narrower blocks go to the band kernel and its H + c G^T G test, and no
 subproblem's band is built from its blocks.  Once per direction a
@@ -62,16 +64,19 @@ subproblem at a time, so the batch it failed in does not show.
 Measured on the whole direction at N=500, M=10, b=5 (subproblems of 55 and
 60 stages), random definite blocks with n_u = n_x, one x86-64 core, medians
 of 41 interleaved runs, two runs, while every subproblem's bands were still
-built from its blocks (the windows made the band path faster): the band
-kernel is faster at n_x = 3
+built from its blocks: the band kernel is faster at n_x = 3
 (1.1x) and the batched Riccati sweep from n_x = 4 on (1.1x at 4, 1.3x at 5
 and 6, 1.6x at 7, 1.9x at 8, 3.3-3.8x at 16).  A band's factorization
 grows with its (n_x + n_u)-wide fill, while the sweep's cost at small
 widths is per-stage call overhead (see :mod:`banded`), which a batch of
-subproblems shares.  So RICCATI_MIN_NX = 4 is the measured crossover.  The
-kernel also decides the definiteness test (exact, against the c G^T G
-heuristic) and the rounding, so moving the switch would change how the
-plate at m = 4 (n_x = 4) is solved, not only how fast.
+subproblems shares.  So RICCATI_MIN_NX = 4 was the measured crossover.
+The table predates the band windows of one horizon assembly, which made
+the band path faster, so it is stale: the crossover may have moved to a
+wider n_x, which has not been measured.  The switch stays where it is
+until it is measured again, as the kernel also decides the
+definiteness test (exact, against the c G^T G heuristic) and the
+rounding, so moving it would change how the plate at m = 4 (n_x = 4) is
+solved, not only how fast.
 """
 
 from __future__ import annotations
@@ -210,9 +215,8 @@ class SubproblemData:
     whose right-hand side holds its terminal boundary term.  The subproblem
     owns its terminal block ``terminal``, Q_{m2} plus mu * I short of N,
     and its initial pin ``c0``; :func:`solve_subproblem` reads only these
-    and the bands.  The rest of the subproblem's canonical LQ data,
-    ``Q``..``cdyn``, is read from ``nd`` and ``bands`` on access, for checks
-    and comparisons; ``Q`` and ``gx`` and ``gu`` are copies.
+    and the bands.  ``lq``, the subproblem's canonical LQ data, is read
+    from ``nd`` and ``bands`` on access, for checks and comparisons.
     """
 
     index: int
@@ -226,22 +230,15 @@ class SubproblemData:
     c0: np.ndarray
 
     @property
-    def Q(self) -> np.ndarray:
-        Q = self.nd.Q[self.m1:self.m2 + 1].copy()
+    def lq(self) -> banded.LQ:
+        """Windows of ``nd.lq`` and the bands' right-hand side; Q, gx, gu copies."""
+        m1, m2, nx, lq = self.m1, self.m2, self.nd.n_x, self.nd.lq
+        Q = lq.Q[m1:m2 + 1].copy()
         Q[-1] = self.terminal
-        return Q
-
-    @property
-    def _stages(self) -> np.ndarray:
-        return self.bands.stages[self.m1 - self.offset:self.m2 - self.offset + 1]
-
-    S = property(lambda self: self.nd.S[self.m1:self.m2])
-    R = property(lambda self: self.nd.R[self.m1:self.m2])
-    A = property(lambda self: self.nd.A[self.m1:self.m2])
-    B = property(lambda self: self.nd.B[self.m1:self.m2])
-    gx = property(lambda self: -self._stages[:, self.nd.n_x:2 * self.nd.n_x])
-    gu = property(lambda self: -self._stages[:-1, 2 * self.nd.n_x:])
-    cdyn = property(lambda self: self._stages[1:, :self.nd.n_x])
+        stages = self.bands.stages[m1 - self.offset:m2 - self.offset + 1]
+        return banded.LQ(Q, lq.S[m1:m2], lq.R[m1:m2], lq.A[m1:m2], lq.B[m1:m2],
+                         -stages[:, nx:2 * nx], -stages[:-1, 2 * nx:], self.c0,
+                         stages[1:, :nx])
 
 
 @dataclass(frozen=True)
@@ -255,7 +252,12 @@ class SubproblemSolution:
 
 
 def _terminal(nd: NewtonData, plan: DecompositionPlan, i: int, mu: float):
-    """Subproblem i's terminal block: Q_{m2}, plus mu * I when m2 < N."""
+    """Subproblem i's terminal block: Q_{m2}, plus mu * I when m2 < N.
+
+    Raises ValueError for a negative ``mu``.
+    """
+    if mu < 0:
+        raise ValueError(f"mu must be nonnegative, got {mu}")
     m2 = plan.m2[i]
     if m2 == plan.N:
         return nd.Q[m2]
@@ -266,17 +268,14 @@ def _terminal(nd: NewtonData, plan: DecompositionPlan, i: int, mu: float):
 
 def _cut(nd: NewtonData, bands: banded.LQBands, offset: int,
          plan: DecompositionPlan, i: int, mu: float,
-         c0: Optional[np.ndarray] = None) -> SubproblemData:
-    """Subproblem i as windows of ``bands``, pinned to ``c0`` (zero if None).
+         c0: np.ndarray) -> SubproblemData:
+    """Subproblem i as windows of ``bands``, pinned to ``c0``.
 
     ``bands`` assembles ``nd``'s stages from ``offset`` on, up to m2_i at
     least; the windows are cut when the subproblem is solved.
     """
-    if mu < 0:
-        raise ValueError(f"mu must be nonnegative, got {mu}")
     return SubproblemData(i, plan.m1[i], plan.m2[i], mu, nd, bands, offset,
-                          _terminal(nd, plan, i, mu),
-                          np.zeros(nd.n_x) if c0 is None else c0)
+                          _terminal(nd, plan, i, mu), c0)
 
 
 def assemble_subproblem(nd: NewtonData, plan: DecompositionPlan, i: int,
@@ -307,13 +306,15 @@ def assemble_subproblem(nd: NewtonData, plan: DecompositionPlan, i: int,
             shape = np.shape(getattr(d, k))
             if k not in missing and shape != (n,):
                 raise ValueError(f"{k} must have shape ({n},), got {shape}")
-    k = slice(m1, m2)
-    bands = banded.LQBands(nd.Q[m1:m2 + 1], nd.S[k], nd.R[k], nd.A[k], nd.B[k],
-                           nd.gx[m1:m2 + 1], nd.gu[k], -nd.glam[m1 + 1:m2 + 1])
+    lq, k = nd.lq, slice(m1, m2)
+    c0 = np.zeros(nd.n_x) if d is None else d.d1.copy()
+    bands = banded.LQBands(banded.LQ(lq.Q[m1:m2 + 1], lq.S[k], lq.R[k], lq.A[k],
+                                     lq.B[k], lq.gx[m1:m2 + 1], lq.gu[k], c0,
+                                     lq.cdyn[k]))
     if d is not None and m2 < plan.N:  # the terminal linear term, -gx in the rhs
         bands.stages[-1, nd.n_x:2 * nd.n_x] = -(
             nd.gx[m2] - nd.A[m2].T @ d.d4 + nd.S[m2].T @ d.d3 - mu * d.d2)
-    return _cut(nd, bands, m1, plan, i, mu, None if d is None else d.d1.copy())
+    return _cut(nd, bands, m1, plan, i, mu, c0)
 
 
 def solve_subproblem(sub: SubproblemData,
@@ -330,7 +331,7 @@ def solve_subproblem(sub: SubproblemData,
     ``sub.bands`` (a new array).
     """
     if c is None:
-        c = default_definiteness_constant(sub)
+        c = default_definiteness_constant(sub.lq)
     if not (c > 0 and math.isfinite(c)):
         raise ValueError(f"definiteness constant must be positive and finite, "
                          f"got {c}")
@@ -349,47 +350,15 @@ def solve_subproblem(sub: SubproblemData,
     return SubproblemSolution(sub.index, p, q, zeta)
 
 
-def _truncate(nd: NewtonData, plan: DecompositionPlan, indices: Sequence[int],
-              mu: float):
-    """The Riccati kernel's arguments for subproblems ``indices``, zero boundaries.
-
-    Returns ``(Q, S, R, A, B, gx, gu, c0, cdyn)``, each with a leading member
-    axis in the order of ``indices``.  Q is the only copy: each member's
-    terminal block is :func:`_terminal`'s.  S, R, A, B, gx and gu are
-    windows of ``nd`` (see :func:`banded.stage_windows`), c0 is zero and
-    cdyn is -glam on the window's later stages.  The subproblems must be of
-    one length and start at evenly spaced stages, as one subproblem always
-    is.
-    """
-    if mu < 0:
-        raise ValueError(f"mu must be nonnegative, got {mu}")
-    K, first = len(indices), plan.m1[indices[0]]
-    T = plan.m2[indices[0]] - first
-    step = plan.m1[indices[1]] - first if K > 1 else 0
-    if K > 1 and any(plan.m1[i] != first + j * step or plan.m2[i] != T + plan.m1[i]
-                     for j, i in enumerate(indices)):
-        raise ValueError(f"subproblems {list(indices)} are not of one length "
-                         "with evenly spaced starts")
-    S, R, A, B, gu = (banded.stage_windows(a, first, step, K, T)
-                      for a in (nd.S, nd.R, nd.A, nd.B, nd.gu))
-    Q = banded.stage_windows(nd.Q, first, step, K, T + 1).copy()
-    for j, i in enumerate(indices):
-        if plan.m2[i] < plan.N:
-            Q[j, -1] = _terminal(nd, plan, i, mu)
-    return (Q, S, R, A, B, banded.stage_windows(nd.gx, first, step, K, T + 1),
-            gu, np.zeros((K, nd.n_x)),
-            -banded.stage_windows(nd.glam, first + 1, step, K, T))
-
-
 def approximate_direction(nd: NewtonData, plan: DecompositionPlan, mu: float,
                           workers: int = 1) -> NewtonDirection:
     """Decomposed Newton direction: solve all subproblems with zero boundaries.
 
     Blocks at least RICCATI_MIN_NX states wide go to the batched Riccati
-    kernel on the calling thread: :func:`_truncate` of each batch of
-    :func:`banded.even_batches` (one batch per length, member by member
-    where the starts of a length are uneven), with each member's solution
-    put in its subproblem's slot.  If a sweep fails, the subproblems are
+    kernel on the calling thread: :func:`banded.solve_lq_windows` of the
+    subproblems' windows of ``nd.lq`` (one batch per length, member by
+    member where the starts of a length are uneven), with each window's
+    solution in its subproblem's slot.  If a sweep fails, the subproblems are
     solved again alone in plan order, and the first that fails raises:
     :class:`MuTooSmallError` for the pivot test, :class:`SingularStageError`
     for a singular gain solve, each naming the subproblem and the horizon
@@ -401,17 +370,19 @@ def approximate_direction(nd: NewtonData, plan: DecompositionPlan, mu: float,
     and a failure names the first failing subproblem in plan order.
     """
     if nd.n_x >= RICCATI_MIN_NX:
-        parts = [None] * plan.M
-        lengths = [b - a for a, b in zip(plan.m1, plan.m2)]
+        terminals = [_terminal(nd, plan, i, mu) for i in range(plan.M)]
+        pins = np.zeros((plan.M, nd.n_x))
+
+        def windows(k: slice):  # the subproblems k, by banded.solve_lq_windows
+            return banded.solve_lq_windows(nd.lq, plan.m1[k], plan.m2[k],
+                                           pins[k], terminals[k])
+
         try:
-            for batch in banded.even_batches(plan.m1, lengths):
-                out = banded.solve_lq_riccati(*_truncate(nd, plan, batch, mu))
-                for j, i in enumerate(batch):
-                    parts[i] = tuple(a[j] for a in out)
+            parts = windows(slice(None))
         except (IndefiniteStageError, SingularStageError):
             for i in range(plan.M):  # alone, the first failing one raises
                 try:
-                    banded.solve_lq_riccati(*_truncate(nd, plan, [i], mu))
+                    windows(slice(i, i + 1))
                 except IndefiniteStageError as err:
                     raise MuTooSmallError(i, mu, plan.m1[i] + err.stage,
                                           err.margin) from err
@@ -421,11 +392,10 @@ def approximate_direction(nd: NewtonData, plan: DecompositionPlan, mu: float,
             raise
     else:
         norms = nd.stage_norms
-        bands = banded.LQBands(nd.Q, nd.S, nd.R, nd.A, nd.B, nd.gx, nd.gu,
-                               -nd.glam[1:])
+        bands = banded.LQBands(nd.lq)
 
         def solve(i: int) -> SubproblemSolution:
-            sub = _cut(nd, bands, 0, plan, i, mu)
+            sub = _cut(nd, bands, 0, plan, i, mu, np.zeros(nd.n_x))
             return solve_subproblem(sub, definiteness_constant(
                 norms[sub.m1:sub.m2], sub.terminal))
 

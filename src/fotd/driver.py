@@ -34,11 +34,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .decomposition import DecompositionPlan, approximate_direction, make_plan
+from .decomposition import approximate_direction, make_plan
 from .exceptions import (AdaptivityFailure, ArmijoStall, LineSearchFailure,
                          NonDescentError, SolverError, UndefinedRatioError)
 from .newton import (NewtonDirection, assemble_newton_data, modify_hessian,
@@ -184,6 +185,11 @@ MERIT_NOISE = 10.0 * np.finfo(float).eps
 STALL_ITERS = 3
 
 
+def armijo_allowance(merit0: float, magnitude: float) -> float:
+    """The Armijo test's absolute allowance: MERIT_NOISE * max(|merit0|, magnitude)."""
+    return MERIT_NOISE * max(abs(merit0), magnitude)
+
+
 def armijo_backtrack(merit_along: Callable[[float], float], merit0: float,
                      slope: float, beta: float, factor: float,
                      magnitude: float = 0.0) -> Tuple[float, float]:
@@ -202,7 +208,7 @@ def armijo_backtrack(merit_along: Callable[[float], float], merit0: float,
     if not slope < 0:
         raise NonDescentError(
             f"directional derivative {slope:.6e} is not negative", margin=slope)
-    noise = MERIT_NOISE * max(abs(merit0), magnitude)
+    noise = armijo_allowance(merit0, magnitude)
     alpha = 1.0
     while True:
         trial = merit_along(alpha)
@@ -253,16 +259,18 @@ def direction_error_ratio(exact: NewtonDirection,
     return float(np.sqrt(ddz @ ddz + ddl @ ddl)) / denom
 
 
-def _step(p: ProblemDef, plan: Optional[DecompositionPlan],
-          state: SolverState, cfg: SolverConfig,
-          terms: MeritTerms) -> Tuple[IterationRecord, SolverConfig, int]:
+def _step(p: ProblemDef, decomposed: bool, state: SolverState,
+          cfg: SolverConfig, terms: MeritTerms
+          ) -> Tuple[IterationRecord, SolverConfig, int]:
     """Lines 3-9 of the outer loop: linearize, direct, line-search, update.
 
-    ``plan`` is the decomposition plan for ``cfg``, or None for the exact
-    direction.  ``terms`` are the merit terms at the current iterate.
-    Returns the iteration's record (untimed), the (possibly adapted) config
-    and the number of descent-inequality violations seen.
+    ``decomposed`` selects the decomposed direction, on the plan of
+    ``cfg``'s M and b, or the exact one.  ``terms`` are the merit terms at
+    the current iterate.  Returns the iteration's record (untimed), the
+    (possibly adapted) config and the number of descent-inequality
+    violations seen.
     """
+    plan = make_plan(p.N, cfg.M, cfg.b) if decomposed else None
     z, lam = state.z, state.lam
     kkt_res = terms.residual()
     last = state.undecided
@@ -308,7 +316,7 @@ def _step(p: ProblemDef, plan: Optional[DecompositionPlan],
     alpha, _ = line_search(p, z, lam, direction, cfg.eta, BETA, BACKTRACK,
                            terms=terms, merit_grad=merit_grad)
     merit0, predicted = terms.merit(cfg.eta), BETA * alpha * abs(slope)
-    noise = MERIT_NOISE * max(abs(merit0), terms.magnitude)  # Armijo's allowance
+    noise = armijo_allowance(merit0, terms.magnitude)
     state.undecided = ((kkt_res, predicted, noise, stalls) if predicted < noise
                        else None)
     dx, du, dl = direction.stage_arrays(p.N, p.n_x, p.n_u)
@@ -332,7 +340,7 @@ def fotd_step(p: ProblemDef, state: SolverState, cfg: SolverConfig):
     entry, which the update preserves.
     """
     t0 = time.perf_counter()
-    record, cfg, _ = _step(p, make_plan(p.N, cfg.M, cfg.b), state, cfg,
+    record, cfg, _ = _step(p, True, state, cfg,
                            _merit_terms(p, state.z, state.lam))
     record.wall_ms = 1e3 * (time.perf_counter() - t0)
     return record, cfg
@@ -400,18 +408,12 @@ def solve(p: ProblemDef, cfg: SolverConfig, init, mode: str = "fotd") -> SolveRe
     ("centralized").  The initial state component of z0 is overwritten with
     the problem's initial state.  Solver failures are reported with
     status "error" and the history intact.  The decomposed direction's plan
-    is built before the first evaluation, so an invalid ``M`` or ``b``
-    raises ValueError before any callback runs; it is rebuilt only when a
-    penalty adaptation widens the overlap.
+    is built once before the first evaluation, so an invalid ``M`` or ``b``
+    raises ValueError before any callback runs; each step then builds it
+    from the config it holds.
     """
     if mode not in ("fotd", "centralized"):
         raise ValueError(f"unknown mode {mode!r}")
-    plan = make_plan(p.N, cfg.M, cfg.b) if mode == "fotd" else None
-
-    def step(state: SolverState, cfg: SolverConfig, terms: MeritTerms):
-        nonlocal plan
-        if plan is not None and plan.b != cfg.b:  # an adaptation widened b
-            plan = make_plan(p.N, cfg.M, cfg.b)
-        return _step(p, plan, state, cfg, terms)
-
-    return run_outer_loop(p, cfg, init, step)
+    if mode == "fotd":
+        make_plan(p.N, cfg.M, cfg.b)
+    return run_outer_loop(p, cfg, init, partial(_step, p, mode == "fotd"))

@@ -87,9 +87,10 @@ class NewtonData:
     FULL_RICCATI_MIN_NX states on: the Levenberg shift keeps S, A and B, so
     every rung of the ladder and the solve share the scan.  ``stage_norms``
     is computed on first use and kept, so the Hessian modification's
-    definiteness constant and the decomposed direction's share one pass; a
-    Levenberg-shifted copy computes its own.  Immutable and safe to share
-    across worker threads.
+    definiteness constant and the decomposed direction's share one pass;
+    so is ``lq``, the system as canonical LQ data.  A Levenberg-shifted
+    copy computes its own.  Immutable and safe to share across worker
+    threads.
     """
 
     N: int
@@ -111,8 +112,15 @@ class NewtonData:
         """:func:`stage_norms_fro` of the blocks, computed once."""
         return stage_norms_fro(self.Q, self.S, self.R)
 
-    def max_block_norm_fro(self) -> float:
-        return max_block_norm_fro(self.Q, self.S, self.R, self.stage_norms)
+    @cached_property
+    def lq(self) -> banded.LQ:
+        """The Newton system as a :class:`banded.LQ`: c0 = -glam_0, cdyn = -glam_{1:}.
+
+        Every direction reads the system through it: the exact one whole,
+        the decomposed one by windows of its stages.
+        """
+        return banded.LQ(self.Q, self.S, self.R, self.A, self.B, self.gx,
+                         self.gu, -self.glam[0], -self.glam[1:])
 
     def max_block_norm_2(self) -> float:
         full = np.zeros((self.N, self.n_x + self.n_u, self.n_x + self.n_u))
@@ -184,43 +192,23 @@ def stage_norms_fro(Q, S, R) -> np.ndarray:
     return np.sqrt(q2 + 2.0 * s2 + r2)
 
 
-def max_block_norm_fro(Q, S, R, stage_norms=None) -> float:
-    """max_k ||H_k||_F over the stage Hessians [[Q_k, S_k^T], [S_k, R_k]] and Q_T.
-
-    ``stage_norms`` stands in for ``stage_norms_fro(Q, S, R)`` when the
-    caller has it already, e.g. as a slice of a longer horizon's.
-    """
-    if stage_norms is None:
-        stage_norms = stage_norms_fro(Q, S, R)
-    return _max_norm(stage_norms, Q[-1])
-
-
-def _max_norm(stage_norms, terminal) -> float:
-    """The largest of ``stage_norms`` and ||terminal||_F."""
-    terminal = np.sqrt(np.einsum("ij,ij->", terminal, terminal))
-    return float(max(stage_norms.max(initial=0.0), terminal))
-
-
 def definiteness_constant(stage_norms, terminal) -> float:
     """Scalar c for the H + c G^T G test: 10 * max_k ||H_k||_F + 1.
 
     The maximum runs over the ``stage_norms`` (:func:`stage_norms_fro`)
     and the terminal block Q_T, ``terminal``.
     """
-    return 10.0 * _max_norm(stage_norms, terminal) + 1.0
+    terminal = np.sqrt(np.einsum("ij,ij->", terminal, terminal))
+    return 10.0 * float(max(stage_norms.max(initial=0.0), terminal)) + 1.0
 
 
-def default_definiteness_constant(lq, stage_norms=None) -> float:
-    """:func:`definiteness_constant` of canonical LQ data ``lq``.
+def default_definiteness_constant(lq) -> float:
+    """:func:`definiteness_constant` of the blocks of canonical LQ data ``lq``.
 
-    ``lq`` is any canonical LQ data with stage blocks ``Q``, ``S``, ``R``:
-    the full-horizon :class:`NewtonData` or one decomposed subproblem.
-    ``stage_norms`` stands in for ``stage_norms_fro(lq.Q, lq.S, lq.R)``
-    when the caller has it already.
+    ``lq`` is a :class:`banded.LQ`, or anything else with its ``Q``, ``S``
+    and ``R``.
     """
-    if stage_norms is None:
-        stage_norms = stage_norms_fro(lq.Q, lq.S, lq.R)
-    return definiteness_constant(stage_norms, lq.Q[-1])
+    return definiteness_constant(stage_norms_fro(lq.Q, lq.S, lq.R), lq.Q[-1])
 
 
 def check_reduced_hessian(nd: NewtonData, c: float) -> bool:
@@ -247,13 +235,13 @@ def _shift(nd: NewtonData, gamma: float) -> NewtonData:
 def modify_hessian(nd: NewtonData) -> NewtonData:
     """Levenberg-style modification Hhat = H + gamma * I.
 
-    The definiteness test uses ``default_definiteness_constant(nd)``, read
-    from ``nd.stage_norms``.  Returns ``nd`` unchanged when the test already
+    The definiteness test uses :func:`definiteness_constant` of
+    ``nd.stage_norms``.  Returns ``nd`` unchanged when the test already
     passes.  Otherwise the smallest shift from the geometric ladder
     gamma_0 * GAMMA_STEP^j that passes is applied, with
     gamma_0 = GAMMA_SEED * (1 + max_k ||H_k||).
     """
-    c = default_definiteness_constant(nd, nd.stage_norms)
+    c = definiteness_constant(nd.stage_norms, nd.Q[-1])
     if check_reduced_hessian(nd, c):
         return nd
     scale = 1.0 + nd.max_block_norm_2()
@@ -281,12 +269,11 @@ def solve_full_newton(nd: NewtonData) -> NewtonDirection:
     names it.  The caller is expected to have certified the reduced Hessian
     first.
     """
-    lq = (nd.Q, nd.S, nd.R, nd.A, nd.B, nd.gx, nd.gu, -nd.glam[0], -nd.glam[1:])
     if nd.n_x < FULL_RICCATI_MIN_NX:
-        p, q, zeta = banded.solve_lq_kkt(*lq)
+        p, q, zeta = banded.solve_lq_kkt(*nd.lq)
     else:
         try:
-            p, q, zeta = banded.solve_lq_pieces(*lq, nd.junctions)
+            p, q, zeta = banded.solve_lq_pieces(*nd.lq, nd.junctions)
         except IndefiniteStageError as err:
             raise IndefiniteHorizonError(err.stage, err.margin) from err
     return NewtonDirection(stack_primal(p, q), zeta.ravel())

@@ -393,9 +393,7 @@ def newton_rhs_norm(nd) -> float:
 
 def subproblem_kkt_residual(sub, sol) -> float:
     """Residual of the subproblem KKT system at a candidate solution."""
-    return lq_kkt_residual(sub.Q, sub.S, sub.R, sub.A, sub.B,
-                           sub.gx, sub.gu, sub.c0, sub.cdyn,
-                           sol.p, sol.q, sol.zeta)
+    return lq_kkt_residual(*sub.lq, sol.p, sol.q, sol.zeta)
 
 
 # ---------------------------------------------------------------------------

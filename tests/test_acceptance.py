@@ -68,7 +68,11 @@ def test_criterion_1_oracle_equivalence():
         p, _ = make_random_lq(N, nx, nu, seed=1000 + trial)
         z, lam = random_point(p, seed=2000 + trial)
         nd = assemble_newton_data(p, z, lam)
-        assert check_reduced_hessian(nd, 10.0 * nd.max_block_norm_fro() + 1.0)
+        # c = 10 max_k ||H_k||_F + 1 over the stage Hessians and Q_N
+        H = [np.block([[nd.Q[k], nd.S[k].T], [nd.S[k], nd.R[k]]])
+             for k in range(N)] + [nd.Q[N]]
+        c = 10.0 * max(np.linalg.norm(h, "fro") for h in H) + 1.0
+        assert check_reduced_hessian(nd, c)
 
         got = solve_full_newton(nd)
         pd, qd, zd = dense_lq_solve(nd.Q, nd.S, nd.R, nd.A, nd.B, nd.gx,
@@ -90,8 +94,7 @@ def test_criterion_1_oracle_equivalence():
                 sol = solve_subproblem(sub)
             except MuTooSmallError:
                 continue
-            pd, qd, zd = dense_lq_solve(sub.Q, sub.S, sub.R, sub.A, sub.B,
-                                        sub.gx, sub.gu, sub.c0, sub.cdyn)
+            pd, qd, zd = dense_lq_solve(*sub.lq)
             num = np.sqrt(np.sum((sol.p - pd) ** 2) + np.sum((sol.q - qd) ** 2)
                           + np.sum((sol.zeta - zd) ** 2))
             den = 1.0 + np.sqrt(np.sum(pd ** 2) + np.sum(qd ** 2)

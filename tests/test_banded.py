@@ -8,10 +8,11 @@ import pytest
 
 from numpy.linalg import _umath_linalg
 
-from fotd.banded import (PIVOT_TOL, LQBands, _band, _kkt_band, _kkt_stages,
+from fotd.banded import (LQ, PIVOT_TOL, LQBands, _band, _kkt_band, _kkt_stages,
                          _test_band, definiteness_pivots_ok, junction_stages,
-                         pivot_failure, solve_lq_kkt, solve_lq_pieces,
-                         solve_lq_riccati, stage_windows)
+                         even_batches, pivot_failure, solve_lq_kkt,
+                         solve_lq_pieces, solve_lq_riccati, solve_lq_windows,
+                         stage_windows)
 from fotd.exceptions import (IndefiniteStageError, LinearSolverError,
                              SingularKKTError, SingularStageError)
 from fotd.newton import default_definiteness_constant
@@ -106,7 +107,7 @@ def test_band_windows_are_the_bands_of_their_stages(nx, nu):
     T = 9
     d = lq_data(T, nx, nu, seed=nx + 4 * nu)
     terminal = lq_data(0, nx, nu, seed=1).Q[0]
-    bands = LQBands(d.Q, d.S, d.R, d.A, d.B, d.gx, d.gu, d.cdyn)
+    bands = LQBands(LQ(**vars(d)))
     # The split parts add up to the one test band, entry for entry.
     assert np.array_equal(bands.gtg * 7.5 + bands.hess,
                           _test_band(*blocks(d), 7.5))
@@ -378,6 +379,79 @@ def test_pieces_name_the_whole_sweeps_singular_stage(stage):
         solve_lq_pieces(*args, junctions)
     assert (got.value.member, got.value.stage) == (0, whole.value.stage) == (
         0, stage)
+
+
+# ---------------------------------------------------------------------------
+# Windows of one horizon, batched
+# ---------------------------------------------------------------------------
+
+# (firsts, lasts, batches) on a horizon of 40 stages.
+WINDOW_LAYOUTS = {
+    # overlapping subproblems as make_plan(40, 4, 2) cuts them: two lengths,
+    # each from evenly spaced starts
+    "overlapping": ([0, 8, 18, 28], [12, 22, 32, 40], [[0, 3], [1, 2]]),
+    # the pieces between junctions at stages 9, 19 and 29
+    "pieces": ([0, 10, 20, 30], [9, 19, 29, 40], [[0, 1, 2], [3]]),
+    # one length from uneven starts, each window a batch of one, beside an
+    # evenly spaced pair
+    "uneven": ([0, 10, 25, 2, 14], [10, 20, 35, 10, 22], [[0], [1], [2], [3, 4]]),
+}
+
+
+def window_layout(name, lq):
+    """``solve_lq_windows``' arguments for layout ``name`` on ``lq``."""
+    firsts, lasts, _ = WINDOW_LAYOUTS[name]
+    nx = lq.Q.shape[1]
+    if name == "overlapping":  # zero pins, terminal blocks Q + mu I
+        return (lq, firsts, lasts, np.zeros((len(firsts), nx)),
+                [lq.Q[b] + 25.0 * np.eye(nx) for b in lasts])
+    if name == "pieces":  # each pinned to the cdyn of the junction before it
+        return (lq, firsts, lasts, [lq.c0] + [lq.cdyn[a - 1] for a in firsts[1:]])
+    return (lq, firsts, lasts, np.random.default_rng(3).standard_normal(
+        (len(firsts), nx)))
+
+
+def window_alone(lq, first, last, pin, terminal=None):
+    """solve_lq_riccati of one window's own problem, from copies, alone."""
+    Q = lq.Q[first:last + 1].copy()
+    if terminal is not None:
+        Q[-1] = terminal
+    k = slice(first, last)
+    own = LQ(Q, lq.S[k], lq.R[k], lq.A[k], lq.B[k], lq.gx[first:last + 1],
+             lq.gu[k], np.array(pin), lq.cdyn[k])
+    return [a[0] for a in solve_lq_riccati(*(a[None].copy() for a in own))]
+
+
+@pytest.mark.parametrize("name", WINDOW_LAYOUTS)
+def test_windows_solve_bit_for_bit_as_their_own_problems_alone(name):
+    lq = LQ(**vars(lq_data(40, 4, 2, seed=7)))
+    args = window_layout(name, lq)
+    firsts, lasts, batches = WINDOW_LAYOUTS[name]
+    assert even_batches(firsts, [b - a for a, b in zip(firsts, lasts)]) == batches
+    before = [a.copy() for a in lq]
+    got = solve_lq_windows(*args)
+    assert len(got) == len(firsts)
+    for i, part in enumerate(got):
+        alone = window_alone(lq, firsts[i], lasts[i], args[3][i],
+                             None if len(args) < 5 else args[4][i])
+        for a, b in zip(part, alone):
+            assert a.shape == b.shape and np.array_equal(a, b)
+    assert all(np.array_equal(a, b) for a, b in zip(lq, before))
+
+
+def test_a_failing_window_is_named_by_its_member_within_its_batch():
+    lq = LQ(**vars(lq_data(40, 4, 2, seed=7)))
+    # Stage 35 is only in window 3, [28, 40], member 1 of the batch [0, 3]
+    # and its stage 7.
+    lq.R[35] = -100.0 * np.eye(2)
+    with pytest.raises(IndefiniteStageError) as err:
+        solve_lq_windows(*window_layout("overlapping", lq))
+    assert (err.value.member, err.value.stage) == (1, 7)
+    with pytest.raises(IndefiniteStageError) as alone:
+        solve_lq_windows(lq, [28], [40], np.zeros((1, 4)),
+                         [lq.Q[40] + 25.0 * np.eye(4)])
+    assert (alone.value.member, alone.value.stage) == (0, 7)
+    assert alone.value.margin == err.value.margin
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 16])

@@ -7,7 +7,7 @@ from fotd.benchmarks import (ToySpec, make_initializations, make_toy_problem,
                              toy_case_params)
 from fotd import banded, decomposition
 from fotd.banded import stage_windows
-from fotd.decomposition import (RICCATI_MIN_NX, BoundaryVars, _truncate,
+from fotd.decomposition import (RICCATI_MIN_NX, BoundaryVars,
                                 approximate_direction,
                                 assemble_subproblem, compose, decompose,
                                 make_plan, solve_subproblem)
@@ -177,7 +177,7 @@ def test_remark1_subproblem_definite_iff_mu_large(monkeypatch):
     plan = make_plan(2, b=0, knots=[0, 1, 2])
     sub2 = assemble_subproblem(nd, plan, 0, 2.0)
     # penalty cancels the indefinite terminal block: diag(1, 1, 0)
-    assert sub2.Q[1][0, 0] == 0.0
+    assert sub2.lq.Q[1][0, 0] == 0.0
     sol = solve_subproblem(sub2)
     np.testing.assert_array_equal(sol.p, np.zeros((2, 1)))
     np.testing.assert_array_equal(sol.q, np.zeros((1, 1)))
@@ -192,8 +192,8 @@ def test_remark1_subproblem_definite_iff_mu_large(monkeypatch):
     assert len(calls) == 1  # the failed test factors its band once
     # the H + c G^T G Cholesky breaks down in the terminal block's column,
     # at the pivot the dense textbook factorization finds there
-    stage, pivot = definiteness_pivot(sub.Q, sub.S, sub.R, sub.A, sub.B,
-                                      default_definiteness_constant(sub))
+    stage, pivot = definiteness_pivot(*sub.lq[:5],
+                                      default_definiteness_constant(sub.lq))
     assert err.value.stage == stage == 1
     assert err.value.margin == pytest.approx(pivot - banded.PIVOT_TOL, rel=1e-9)
 
@@ -206,7 +206,7 @@ def test_a_subproblem_constant_must_be_positive_and_finite():
     for c in (0.0, -1.0, np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="positive and finite"):
             solve_subproblem(sub, c)
-    solve_subproblem(sub, default_definiteness_constant(sub))
+    solve_subproblem(sub, default_definiteness_constant(sub.lq))
 
 
 def wide(nd, width):
@@ -243,8 +243,8 @@ def test_last_subproblem_restores_terminal_block():
     plan = make_plan(8, 2, 2)
     sub = assemble_subproblem(nd, plan, 1, 25.0)
     assert sub.m2 == 8
-    np.testing.assert_array_equal(sub.Q[-1], nd.Q[8])      # no mu shift
-    np.testing.assert_array_equal(sub.gx[-1], nd.gx[8])
+    np.testing.assert_array_equal(sub.lq.Q[-1], nd.Q[8])      # no mu shift
+    np.testing.assert_array_equal(sub.lq.gx[-1], nd.gx[8])
     with pytest.raises(ValueError):
         assemble_subproblem(nd, plan, 1, 25.0,
                             BoundaryVars(*np.zeros((4, 1))))
@@ -306,11 +306,11 @@ def test_subproblem_solution_matches_dense_and_residual():
                      rng.standard_normal(1), rng.standard_normal(2))
     sub = assemble_subproblem(nd, plan, 0, 3.0, d)
     sol = solve_subproblem(sub)
-    rhs = 1.0 + np.sqrt(np.sum(sub.gx ** 2) + np.sum(sub.gu ** 2)
-                        + np.sum(sub.c0 ** 2) + np.sum(sub.cdyn ** 2))
+    lq = sub.lq
+    rhs = 1.0 + np.sqrt(np.sum(lq.gx ** 2) + np.sum(lq.gu ** 2)
+                        + np.sum(lq.c0 ** 2) + np.sum(lq.cdyn ** 2))
     assert subproblem_kkt_residual(sub, sol) <= 1e-9 * rhs
-    pd, qd, zd = dense_lq_solve(sub.Q, sub.S, sub.R, sub.A, sub.B,
-                                sub.gx, sub.gu, sub.c0, sub.cdyn)
+    pd, qd, zd = dense_lq_solve(*lq)
     np.testing.assert_allclose(sol.p, pd, atol=1e-10)
     np.testing.assert_allclose(sol.q, qd, atol=1e-10)
     np.testing.assert_allclose(sol.zeta, zd, atol=1e-10)
@@ -407,24 +407,32 @@ def lengths(plan):
     return [b - a for a, b in zip(plan.m1, plan.m2)]
 
 
+def zero_boundary_windows(nd, plan, indices, mu=25.0):
+    """solve_lq_windows' arguments for subproblems ``indices``, zero boundaries.
+
+    The terminal blocks are those assemble_subproblem gives the subproblems.
+    """
+    subs = [assemble_subproblem(nd, plan, i, mu) for i in indices]
+    return (nd.lq, [s.m1 for s in subs], [s.m2 for s in subs],
+            [s.c0 for s in subs], [s.terminal for s in subs])
+
+
 def test_riccati_batches_are_gathered_as_assemble_subproblem_truncates():
     p, _ = make_random_lq(40, RICCATI_MIN_NX, 2, seed=16)
     z, lam = random_point(p, seed=17)
     nd = assemble_newton_data(p, z, lam)
     plan = make_plan(40, 4, 2)  # lengths 12, 14, 14, 12; the last reaches N
-    fields = ("Q", "S", "R", "A", "B", "gx", "gu", "c0", "cdyn")
     for group in ([1, 2], [0, 3], [3]):
         subs = [assemble_subproblem(nd, plan, i, 25.0) for i in group]
         want = banded.solve_lq_riccati(
-            *[np.stack([getattr(sub, f) for sub in subs]) for f in fields])
-        got = banded.solve_lq_riccati(*_truncate(nd, plan, group, 25.0))
-        for a, b in zip(got, want):
-            assert np.array_equal(a, b)
+            *[np.stack(f) for f in zip(*(sub.lq for sub in subs))])
+        got = banded.solve_lq_windows(*zero_boundary_windows(nd, plan, group))
         # A member solves bit for bit as it does alone.
         for j, i in enumerate(group):
-            alone = banded.solve_lq_riccati(*_truncate(nd, plan, [i], 25.0))
-            for a, b in zip(got, alone):
-                assert np.array_equal(a[j], b[0])
+            (alone,) = banded.solve_lq_windows(
+                *zero_boundary_windows(nd, plan, [i]))
+            for a, b, c in zip(got[j], want, alone):
+                assert np.array_equal(a, b[j]) and np.array_equal(a, c)
 
 
 def test_riccati_batches_split_where_the_spacing_of_starts_changes():
@@ -436,14 +444,10 @@ def test_riccati_batches_split_where_the_spacing_of_starts_changes():
     plan = make_plan(80, b=2, knots=(0, 10, 20, 30, 45, 55, 65, 80))
     assert banded.even_batches(plan.m1, lengths(plan)) == [
         [0], [1], [2], [4], [5], [3], [6]]
-    with pytest.raises(ValueError, match="evenly spaced"):
-        _truncate(nd, plan, [1, 2, 4], 25.0)
-    with pytest.raises(ValueError, match="one length"):
-        _truncate(nd, plan, [0, 1], 25.0)  # 12 and 14 stages
     # A member solves bit for bit as it does alone, so the batching does
     # not show in the direction.
-    alone = [[a[0] for a in banded.solve_lq_riccati(
-        *_truncate(nd, plan, [i], 25.0))] for i in range(plan.M)]
+    alone = [banded.solve_lq_windows(*zero_boundary_windows(nd, plan, [i]))[0]
+             for i in range(plan.M)]
     dx, du, dlam = compose(alone, plan)
     got = approximate_direction(nd, plan, 25.0)
     assert np.array_equal(got.dz, stack_primal(dx, du))
@@ -533,7 +537,7 @@ def test_band_subproblems_are_tested_with_their_own_constant(monkeypatch, nx, nu
     # the ones each assembled subproblem gives alone; each subproblem is
     # tested by one dpbtrf and solved by one dgbsv.
     assert seen == [default_definiteness_constant(assemble_subproblem(
-        nd, plan, i, 25.0)) for i in range(plan.M)]
+        nd, plan, i, 25.0).lq) for i in range(plan.M)]
     assert calls == {"dgbsv": plan.M, "dpbtrf": plan.M}
 
 
@@ -611,7 +615,7 @@ def test_riccati_path_names_the_first_failing_subproblem_in_plan_order():
     # R_25 + B_25^T P_26 B_25, minus the pivot tolerance.
     sub = assemble_subproblem(nd, plan, 2, 25.0)
     assert err.value.margin == pytest.approx(riccati_stage_pivot(
-        sub.Q, sub.S, sub.R, sub.A, sub.B, 25 - sub.m1) - banded.PIVOT_TOL,
+        *sub.lq[:5], 25 - sub.m1) - banded.PIVOT_TOL,
         rel=1e-9)
     assert err.value.margin < -1.0
 
@@ -630,7 +634,7 @@ def test_a_singular_gain_solve_names_the_subproblem_and_horizon_stage():
     nd.R[35], nd.S[35], nd.B[35] = Rt, 0.0, 0.0
     assert banded.even_batches(plan.m1, lengths(plan)) == [[0, 3], [1, 2]]
     with pytest.raises(SingularStageError) as batch:
-        banded.solve_lq_riccati(*_truncate(nd, plan, [0, 3], 25.0))
+        banded.solve_lq_windows(*zero_boundary_windows(nd, plan, range(4)))
     assert (batch.value.member, batch.value.stage) == (1, 7)
     with pytest.raises(SingularStageError) as err:
         approximate_direction(nd, plan, 25.0)

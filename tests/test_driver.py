@@ -162,7 +162,7 @@ def test_fotd_plan_is_checked_before_the_first_evaluation(M, b, names):
         assert stages == {} and batches == {}
 
 
-def test_fotd_builds_its_plan_once_per_solve(monkeypatch):
+def test_fotd_builds_its_plan_before_any_callback_and_in_each_step(monkeypatch):
     import fotd.driver as driver
     built = []
     monkeypatch.setattr(driver, "make_plan",
@@ -171,7 +171,8 @@ def test_fotd_builds_its_plan_once_per_solve(monkeypatch):
     report = solve(p, SolverConfig(M=3, b=2), make_initializations(p, 2, 4)[1],
                    mode="fotd")
     assert report.converged and report.iterations > 1
-    assert built == [(60, 3, 2)]
+    # once up front, then once per step from the config the step holds
+    assert built == [(60, 3, 2)] * (1 + report.iterations)
 
 
 def test_step_from_near_kkt_triggers_step_tolerance():
@@ -338,7 +339,7 @@ def test_violation_aborts_by_default(monkeypatch):
 
     def step(state, cfg, terms):
         try:
-            return _step(p, make_plan(p.N, cfg.M, cfg.b), state, cfg, terms)
+            return _step(p, True, state, cfg, terms)
         except NonDescentError as exc:
             raised.append(exc)
             raise

@@ -14,7 +14,8 @@ from fotd.exceptions import (IndefiniteHorizonError, LinearSolverError,
                              NumericsError)
 from fotd.newton import (FULL_RICCATI_MIN_NX, NewtonData,
                          assemble_newton_data, check_reduced_hessian,
-                         default_definiteness_constant, modify_hessian,
+                         default_definiteness_constant, definiteness_constant,
+                         modify_hessian,
                          solve_full_newton, theory_gamma_G, theory_mu_bar)
 from fotd.problem import DualTrajectory, Trajectory, stack_primal
 
@@ -154,7 +155,7 @@ def test_check_toy_iterates_consistent_with_margin():
     for seed in range(6):
         z, lam = random_point(p, seed=seed, scale=3.0)
         nd = assemble_newton_data(p, z, lam)
-        assert check_reduced_hessian(nd, default_definiteness_constant(nd))
+        assert check_reduced_hessian(nd, default_definiteness_constant(nd.lq))
         eig = dense_reduced_hessian_eigmin(nd.Q, nd.S, nd.R, nd.A, nd.B)
         assert eig >= bound - 1e-8
 
@@ -206,7 +207,7 @@ def test_solve_matches_dense_oracle(seed):
     p, _ = make_random_lq(N, nx, nu, seed=seed + 100)
     z, lam = random_point(p, seed=seed + 200)
     nd = assemble_newton_data(p, z, lam)
-    assert check_reduced_hessian(nd, default_definiteness_constant(nd))
+    assert check_reduced_hessian(nd, default_definiteness_constant(nd.lq))
     got = solve_full_newton(nd)
     pd, qd, zd = dense_full_newton(nd)
     expect = np.concatenate([stack_primal(pd, qd), zd.ravel()])
@@ -299,8 +300,13 @@ def test_stage_norms_are_computed_once_per_linearization(monkeypatch):
     assert shifted.stage_norms.tobytes() == norms(
         shifted.Q, shifted.S, shifted.R).tobytes()
     assert not np.array_equal(shifted.stage_norms, nd.stage_norms)
-    assert default_definiteness_constant(nd, nd.stage_norms) == (
-        default_definiteness_constant(nd))
+    # The shifted copy's LQ data is its own, not the one nd cached.
+    assert shifted.lq is not nd.lq
+    assert np.array_equal(shifted.lq.Q, nd.Q + 0.5 * np.eye(nd.n_x))
+    assert np.array_equal(shifted.lq.R, nd.R + 0.5 * np.eye(nd.n_u))
+    assert np.array_equal(shifted.lq.cdyn, -nd.glam[1:])
+    assert definiteness_constant(nd.stage_norms, nd.Q[-1]) == (
+        default_definiteness_constant(nd.lq))
 
 
 def test_one_junction_scan_serves_every_ladder_rung_and_the_solve(monkeypatch):

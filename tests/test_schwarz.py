@@ -695,7 +695,7 @@ def test_split_band_test_gives_the_whole_chains_pivots_and_margins(
     chain, nd = plate_chain()
     first = chain.offsets
     junctions = banded.junction_stages(nd.S, nd.A, nd.B)
-    c = default_definiteness_constant(nd)
+    c = default_definiteness_constant(nd.lq)
     blocks = (nd.Q, nd.S, nd.R, nd.A, nd.B)
     # the full-horizon test of a wide chain factors one band per piece
     sizes = []
