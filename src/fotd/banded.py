@@ -43,8 +43,12 @@ a canonical problem of their own, and in band storage its bands are a
 column window of the horizon's.  :class:`LQBands` assembles a horizon once,
 with H + c G^T G kept as its two parts, H and the G^T G that c scales, so
 that windows for different c can be cut from it; a window is copied (the
-KKT band) or computed (the test band) for LAPACK to factor in place.  The
-decomposed direction cuts each of its narrow subproblems so; the
+KKT band) or computed (the test band) for LAPACK to factor in place.
+:meth:`LQBands.solve` tests and solves one window, so the class is the one
+owner of the band storage, its row layout and its signs: a caller gives
+stage indices, a terminal block, a pin and c, and gets the window's
+solution or the error naming the window's stage that failed.  The
+decomposed direction solves each of its narrow subproblems so; the
 full-horizon test and solve build their one band directly.
 
 Wide blocks have a second kernel, :func:`solve_lq_riccati`: a backward
@@ -220,15 +224,18 @@ def _kkt_stages(gx, gu, c0, cdyn):
 
 
 def solve_kkt_band(ab, bw: int, stages, nx: int):
-    """Factor a KKT band by ``dgbsv`` and solve it for ``stages``, both in place.
+    """Factor a KKT band by ``dgbsv`` in place and solve it for ``stages``.
 
     ``ab`` and ``bw`` are as :func:`_kkt_band` returns them and ``stages``
     as :func:`_kkt_stages` does, for a horizon of T = len(stages) - 1
     stages of ``nx`` states; returns the ``(p, q, zeta)`` of
-    :func:`solve_lq_kkt`.  An exactly zero pivot of the LU raises
-    :class:`SingularKKTError` with the stage of its column.
+    :func:`solve_lq_kkt`.  The solve overwrites ``stages`` when it is
+    C-contiguous and a C-ordered copy of it otherwise.  An exactly zero
+    pivot of the LU raises :class:`SingularKKTError` with the stage of its
+    column.
     """
     T, s = stages.shape[0] - 1, stages.shape[1]
+    stages = np.ascontiguousarray(stages)  # so that rhs is a view of it
     rhs = stages.reshape(-1)[:ab.shape[1]]
     _, _, sol, info = _legal("dgbsv", dgbsv(bw, bw, ab, rhs, overwrite_ab=1,
                                             overwrite_b=1))
@@ -360,17 +367,15 @@ def pivot_failure(Q, S, R, A, B, c: float, junctions=()):
     smallest pivot, which is the column LAPACK stopped at if the
     factorization broke down, and that pivot minus PIVOT_TOL.
 
-    Given the problem's ``junctions`` (see :func:`junction_stages`), the
-    band is factored piece by piece, in horizon order, plus one block R_k
-    per junction k: the columns of H + c G^T G in the order the whole band
-    has them, with nothing coupling two of the parts.  The first part that
-    breaks down stops the test, as it stops the whole band's factorization,
-    and otherwise the first smallest pivot is reported, so the result is
-    the whole band's.  Each part's band holds only its own stages.
+    The band is factored piece by piece (the whole band is the one piece
+    of a problem without ``junctions``, see :func:`junction_stages`), in
+    horizon order, plus one block R_k per junction k: the columns of
+    H + c G^T G in the order the whole band has them, with nothing
+    coupling two of the parts.  The first part that breaks down stops the
+    test, as it stops the whole band's factorization, and otherwise the
+    first smallest pivot is reported, so the result is the whole band's.
+    Each part's band holds only its own stages.
     """
-    if not len(junctions):
-        return band_pivot_failure(_test_band(Q, S, R, A, B, c),
-                                 A.shape[1] + B.shape[2])
     smallest = None
     for stage, pivot, broke in _part_pivots(Q, S, R, A, B, c, junctions):
         if broke or smallest is None or pivot < smallest[1]:
@@ -378,16 +383,6 @@ def pivot_failure(Q, S, R, A, B, c: float, junctions=()):
         if broke:
             break
     return _failure(*smallest)
-
-
-def band_pivot_failure(ab, m: int):
-    """:func:`pivot_failure` of an H + c G^T G band, factored in place.
-
-    ``ab`` is in :func:`_test_band`'s layout, for stages of ``m`` = n_x + n_u
-    columns.
-    """
-    stage, pivot, _ = _band_pivot(ab, m)
-    return _failure(stage, pivot)
 
 
 def _failure(stage: int, pivot: float):
@@ -409,20 +404,21 @@ def _band_pivot(ab, m: int):
 class LQBands:
     """One horizon's bands, assembled once and cut into windows of stages.
 
-    Holds the stage-interleaved KKT band of :func:`_kkt_band`, the
-    H + c G^T G band as the two parts of :func:`_test_band_parts`, and the
-    KKT right-hand side of :func:`_kkt_stages`, all of the :class:`LQ`
-    ``lq``; each window sets its own pin.  The stages
+    Holds the :class:`LQ` ``lq`` it assembles, its stage-interleaved KKT
+    band of :func:`_kkt_band`, its H + c G^T G band as the two parts of
+    :func:`_test_band_parts`, and its KKT right-hand side of
+    :func:`_kkt_stages`; each window sets its own pin.  The stages
     ``first``..``last`` of the horizon are a canonical problem of their own
     once given a terminal block and a pin, and each window below is its
     band (or right-hand side), entry for entry as :func:`_kkt_band`,
     :func:`_test_band` and :func:`_kkt_stages` build it from that problem's
     blocks.  Entries a window holds outside its problem's matrix, beside its
     first and last stages, are the horizon's; LAPACK reads none of them.
-    The arrays are only read, so threads may cut windows at once.
+    The arrays are only read, so threads may cut and solve windows at once.
     """
 
     def __init__(self, lq: LQ):
+        self.lq = lq
         self.nx, self.nu = lq.A.shape[1], lq.B.shape[2]
         self.kkt, self.bw = _kkt_band(*lq[:5])
         self.gtg, self.hess = _test_band_parts(*lq[:5])
@@ -463,6 +459,25 @@ class LQBands:
         stages = self.stages[first:last + 1].copy()
         stages[0, :self.nx] = c0
         return stages
+
+    def solve(self, first: int, last: int, terminal, c0, c: float):
+        """Test and solve the window of stages first..last, as one problem.
+
+        The window's problem ends in ``terminal`` and is pinned to ``c0``.
+        One ``dpbtrf`` of its H + c G^T G band runs the definiteness test;
+        a pivot below PIVOT_TOL raises :class:`IndefiniteStageError` as
+        member 0, with the stage counted from ``first`` and the margin of
+        :func:`pivot_failure`.  Then one ``dgbsv`` of a copy of its KKT
+        band returns ``(p, q, zeta)`` as :func:`solve_kkt_band` does, whose
+        :class:`SingularKKTError` names a stage counted from ``first``.
+        """
+        test = self.test_window(first, last, c, terminal)
+        stage, pivot, _ = _band_pivot(test, self.nx + self.nu)
+        failure = _failure(stage, pivot)
+        if failure is not None:
+            raise IndefiniteStageError(0, *failure)
+        return solve_kkt_band(self.kkt_window(first, last, terminal), self.bw,
+                              self.stages_window(first, last, c0), self.nx)
 
 
 def _part_pivots(Q, S, R, A, B, c: float, junctions):

@@ -38,28 +38,35 @@ Narrower blocks go to the band kernel and its H + c G^T G test, and no
 subproblem's band is built from its blocks.  Once per direction a
 :class:`banded.LQBands` assembles the whole horizon: its stage-interleaved
 KKT band, its H + c G^T G band as two parts (H, and the G^T G that c
-scales) and its right-hand side.  Each subproblem is a column window of
-these (:func:`_cut`), with its own terminal block and pin, and
-:func:`solve_subproblem` factors it on its own: one ``dpbtrf`` of
-G^T G * c + H with its terminal block written in, one ``dgbsv`` of a copy
-of its KKT window, on a thread pool when ``workers > 1``.  A window is, in
-every entry LAPACK reads, the band the subproblem's own blocks give, so
-the direction is bit for bit the one of assembling each subproblem alone;
-the overlap stages are assembled once instead of twice.
-:func:`assemble_subproblem` cuts the same windows from an assembly of its
-own stages.  With s = 2 n_x + n_u, the horizon's arrays hold about
-8 s (3 s - 2) N bytes for the KKT band, 16 s (n_x + n_u) N for the two
-test parts and 8 s N for the right-hand side: 144 KB on toy case 1 at
-N=500 (n_x = n_u = 1), 27 MB at n_x = n_u = 3 and N=10000, alive for one
+scales) and its right-hand side.  That class owns the band storage, its
+layout and signs; a :class:`SubproblemData` names only its window of
+stages, terminal block and pin, and :func:`solve_subproblem` hands them to
+:meth:`banded.LQBands.solve`, which factors the window on its own: one
+``dpbtrf`` of G^T G * c + H with its terminal block written in, one
+``dgbsv`` of a copy of its KKT window, on a thread pool when
+``workers > 1``.  A window is, in every entry LAPACK reads, the band the
+subproblem's own blocks give, so the direction is bit for bit the one of
+assembling each subproblem alone; the overlap stages are assembled once
+instead of twice.  :func:`assemble_subproblem` assembles bands of the
+subproblem's own stages instead, its terminal boundary term in their gx,
+and its window is all of them.
+With s = 2 n_x + n_u, the horizon's arrays hold about 8 s (3 s - 2) N
+bytes for the KKT band, 16 s (n_x + n_u) N for the two test parts and
+8 s N for the right-hand side: 144 KB on toy case 1 at N=500
+(n_x = n_u = 1), 27 MB at n_x = n_u = 3 and N=10000, alive for one
 direction.
 
 One failure rule holds for both kernels: the first failing subproblem in
 plan order raises, naming its index and the horizon stage m1_i + k of the
-failure.  A failed definiteness test raises :class:`MuTooSmallError` with
-the margin; a singular gain solve of the sweep raises
+failure.  Each kernel names a failure by the stage k of the subproblem's
+window, and :func:`_subproblem_error` alone turns that into the
+subproblem's error: a failed definiteness test
+(:class:`IndefiniteStageError`) raises :class:`MuTooSmallError` with the
+margin; a singular gain solve of the sweep raises
 :class:`SingularStageError`, and an exact zero pivot of the band LU
-:class:`SingularKKTError`.  A batched sweep that fails is solved again one
-subproblem at a time, so the batch it failed in does not show.
+:class:`SingularKKTError`.  A batched sweep that fails is
+solved again one subproblem at a time, so the batch it failed in does not
+show.
 
 Measured on the whole direction at N=500, M=10, b=5 (subproblems of 55 and
 60 stages), random definite blocks with n_u = n_x, one x86-64 core, medians
@@ -207,38 +214,38 @@ def compose(parts: Sequence, plan: DecompositionPlan):
 
 @dataclass(frozen=True)
 class SubproblemData:
-    """One decomposed Newton subproblem, as windows of an assembly of its stages.
+    """One decomposed Newton subproblem: a window of stages of ``bands``.
 
-    ``bands`` assembles the horizon stages from ``offset`` on: the whole
-    horizon's assembly, which every subproblem of one direction shares, or
-    (from :func:`assemble_subproblem`) one of this subproblem's own stages,
-    whose right-hand side holds its terminal boundary term.  The subproblem
-    owns its terminal block ``terminal``, Q_{m2} plus mu * I short of N,
-    and its initial pin ``c0``; :func:`solve_subproblem` reads only these
-    and the bands.  ``lq``, the subproblem's canonical LQ data, is read
-    from ``nd`` and ``bands`` on access, for checks and comparisons.
+    The window runs from stage ``first`` of the LQ that ``bands``
+    assembles, over m2 - m1 stages: the whole horizon's LQ, which every
+    subproblem of one direction shares (``first`` = m1), or, from
+    :func:`assemble_subproblem`, one of this subproblem's own stages with
+    its terminal boundary term (``first`` = 0).  The subproblem owns its
+    terminal block ``terminal``, Q_{m2} plus mu * I short of N, and its
+    initial pin ``c0``.  ``lq``, its canonical LQ data, is read from
+    ``bands.lq`` on access, for checks and comparisons.
     """
 
     index: int
     m1: int
     m2: int
     mu: float
-    nd: NewtonData = field(repr=False)
     bands: banded.LQBands = field(repr=False)
-    offset: int
+    first: int
     terminal: np.ndarray
     c0: np.ndarray
 
     @property
     def lq(self) -> banded.LQ:
-        """Windows of ``nd.lq`` and the bands' right-hand side; Q, gx, gu copies."""
-        m1, m2, nx, lq = self.m1, self.m2, self.nd.n_x, self.nd.lq
-        Q = lq.Q[m1:m2 + 1].copy()
+        """The subproblem's LQ data: windows of ``bands.lq`` but for c0 and Q.
+
+        c0 is the pin ``c0``, and Q a copy ending in ``terminal``.
+        """
+        a, b, lq = self.first, self.first + self.m2 - self.m1, self.bands.lq
+        Q = lq.Q[a:b + 1].copy()
         Q[-1] = self.terminal
-        stages = self.bands.stages[m1 - self.offset:m2 - self.offset + 1]
-        return banded.LQ(Q, lq.S[m1:m2], lq.R[m1:m2], lq.A[m1:m2], lq.B[m1:m2],
-                         -stages[:, nx:2 * nx], -stages[:-1, 2 * nx:], self.c0,
-                         stages[1:, :nx])
+        return banded.LQ(Q, lq.S[a:b], lq.R[a:b], lq.A[a:b], lq.B[a:b],
+                         lq.gx[a:b + 1], lq.gu[a:b], self.c0, lq.cdyn[a:b])
 
 
 @dataclass(frozen=True)
@@ -266,16 +273,19 @@ def _terminal(nd: NewtonData, plan: DecompositionPlan, i: int, mu: float):
     return nd.Q[m2] + penalty
 
 
-def _cut(nd: NewtonData, bands: banded.LQBands, offset: int,
-         plan: DecompositionPlan, i: int, mu: float,
-         c0: np.ndarray) -> SubproblemData:
-    """Subproblem i as windows of ``bands``, pinned to ``c0``.
+def _subproblem_error(err, i: int, m1: int, mu: float):
+    """Subproblem i's error for ``err``, a failure at stage k of its window.
 
-    ``bands`` assembles ``nd``'s stages from ``offset`` on, up to m2_i at
-    least; the windows are cut when the subproblem is solved.
+    The stage becomes the horizon stage m1 + k: a failed pivot test
+    (:class:`IndefiniteStageError`) is :class:`MuTooSmallError` with its
+    margin, a singular gain solve :class:`SingularStageError` and a zero
+    pivot of the band LU :class:`SingularKKTError`, each naming subproblem i.
     """
-    return SubproblemData(i, plan.m1[i], plan.m2[i], mu, nd, bands, offset,
-                          _terminal(nd, plan, i, mu), c0)
+    if isinstance(err, IndefiniteStageError):
+        return MuTooSmallError(i, mu, m1 + err.stage, err.margin)
+    if isinstance(err, SingularStageError):
+        return SingularStageError(i, m1 + err.stage, subproblem=True)
+    return SingularKKTError(m1 + err.stage, err.info, subproblem=i)
 
 
 def assemble_subproblem(nd: NewtonData, plan: DecompositionPlan, i: int,
@@ -308,13 +318,14 @@ def assemble_subproblem(nd: NewtonData, plan: DecompositionPlan, i: int,
                 raise ValueError(f"{k} must have shape ({n},), got {shape}")
     lq, k = nd.lq, slice(m1, m2)
     c0 = np.zeros(nd.n_x) if d is None else d.d1.copy()
+    gx = lq.gx[m1:m2 + 1]
+    if d is not None and m2 < plan.N:  # the terminal linear term
+        gx = gx.copy()
+        gx[-1] = nd.gx[m2] - nd.A[m2].T @ d.d4 + nd.S[m2].T @ d.d3 - mu * d.d2
     bands = banded.LQBands(banded.LQ(lq.Q[m1:m2 + 1], lq.S[k], lq.R[k], lq.A[k],
-                                     lq.B[k], lq.gx[m1:m2 + 1], lq.gu[k], c0,
-                                     lq.cdyn[k]))
-    if d is not None and m2 < plan.N:  # the terminal linear term, -gx in the rhs
-        bands.stages[-1, nd.n_x:2 * nd.n_x] = -(
-            nd.gx[m2] - nd.A[m2].T @ d.d4 + nd.S[m2].T @ d.d3 - mu * d.d2)
-    return _cut(nd, bands, m1, plan, i, mu, c0)
+                                     lq.B[k], gx, lq.gu[k], c0, lq.cdyn[k]))
+    return SubproblemData(i, m1, m2, mu, bands, 0, _terminal(nd, plan, i, mu),
+                          c0)
 
 
 def solve_subproblem(sub: SubproblemData,
@@ -327,26 +338,19 @@ def solve_subproblem(sub: SubproblemData,
     failed test raises :class:`MuTooSmallError` naming the horizon stage
     and margin.  Then the KKT band is factored; an exact zero pivot raises
     :class:`SingularKKTError` naming the subproblem and the horizon stage.
-    One ``dpbtrf`` and one ``dgbsv`` call, each on its window of
-    ``sub.bands`` (a new array).
+    One ``dpbtrf`` and one ``dgbsv`` call, each on a new array, by
+    :meth:`banded.LQBands.solve` of the subproblem's window.
     """
     if c is None:
         c = default_definiteness_constant(sub.lq)
     if not (c > 0 and math.isfinite(c)):
         raise ValueError(f"definiteness constant must be positive and finite, "
                          f"got {c}")
-    bands, first, last = sub.bands, sub.m1 - sub.offset, sub.m2 - sub.offset
-    failure = banded.band_pivot_failure(
-        bands.test_window(first, last, c, sub.terminal), bands.nx + bands.nu)
-    if failure is not None:
-        raise MuTooSmallError(sub.index, sub.mu, sub.m1 + failure[0], failure[1])
     try:
-        p, q, zeta = banded.solve_kkt_band(
-            bands.kkt_window(first, last, sub.terminal), bands.bw,
-            bands.stages_window(first, last, sub.c0), bands.nx)
-    except SingularKKTError as err:
-        raise SingularKKTError(sub.m1 + err.stage, err.info,
-                               subproblem=sub.index) from err
+        p, q, zeta = sub.bands.solve(sub.first, sub.first + sub.m2 - sub.m1,
+                                     sub.terminal, sub.c0, c)
+    except (IndefiniteStageError, SingularKKTError) as err:
+        raise _subproblem_error(err, sub.index, sub.m1, sub.mu) from err
     return SubproblemSolution(sub.index, p, q, zeta)
 
 
@@ -383,21 +387,19 @@ def approximate_direction(nd: NewtonData, plan: DecompositionPlan, mu: float,
             for i in range(plan.M):  # alone, the first failing one raises
                 try:
                     windows(slice(i, i + 1))
-                except IndefiniteStageError as err:
-                    raise MuTooSmallError(i, mu, plan.m1[i] + err.stage,
-                                          err.margin) from err
-                except SingularStageError as err:
-                    raise SingularStageError(i, plan.m1[i] + err.stage,
-                                             subproblem=True) from err
+                except (IndefiniteStageError, SingularStageError) as err:
+                    raise _subproblem_error(err, i, plan.m1[i], mu) from err
             raise
     else:
         norms = nd.stage_norms
         bands = banded.LQBands(nd.lq)
 
         def solve(i: int) -> SubproblemSolution:
-            sub = _cut(nd, bands, 0, plan, i, mu, np.zeros(nd.n_x))
+            m1, m2 = plan.m1[i], plan.m2[i]
+            sub = SubproblemData(i, m1, m2, mu, bands, m1,
+                                 _terminal(nd, plan, i, mu), np.zeros(nd.n_x))
             return solve_subproblem(sub, definiteness_constant(
-                norms[sub.m1:sub.m2], sub.terminal))
+                norms[m1:m2], sub.terminal))
 
         if workers > 1 and plan.M > 1:
             with ThreadPoolExecutor(max_workers=min(workers, plan.M)) as pool:

@@ -36,13 +36,15 @@ class ModificationFailure(SolverError):
 
 
 class IndefiniteStageError(LinearSolverError):
-    """A stage of a batched Riccati sweep failed its Cholesky pivot test.
+    """A stage failed a Cholesky pivot test of a batched Riccati sweep or band.
 
-    ``member`` is the problem's position in the batch and ``stage`` the
-    stage counted from that problem's start.  ``margin`` is the smallest
-    Cholesky pivot of the stage's R_k + B_k^T P_{k+1} B_k minus the pivot
-    tolerance ``banded.PIVOT_TOL``; below minus that tolerance, the
-    factorization broke down at a pivot that is not positive.
+    ``member`` is the problem's position in the batch (0 for a band
+    window's test, ``banded.LQBands.solve``) and ``stage`` the stage
+    counted from that problem's start.  ``margin`` is the smallest Cholesky
+    pivot of the stage's R_k + B_k^T P_{k+1} B_k, or of the window's
+    H + c G^T G, minus the pivot tolerance ``banded.PIVOT_TOL``; below
+    minus that tolerance, the factorization broke down at a pivot that is
+    not positive.
     """
 
     def __init__(self, member: int, stage: int, margin: float):

@@ -10,9 +10,9 @@ from numpy.linalg import _umath_linalg
 
 from fotd.banded import (LQ, PIVOT_TOL, LQBands, _band, _kkt_band, _kkt_stages,
                          _test_band, definiteness_pivots_ok, junction_stages,
-                         even_batches, pivot_failure, solve_lq_kkt,
-                         solve_lq_pieces, solve_lq_riccati, solve_lq_windows,
-                         stage_windows)
+                         even_batches, pivot_failure, solve_kkt_band,
+                         solve_lq_kkt, solve_lq_pieces, solve_lq_riccati,
+                         solve_lq_windows, stage_windows)
 from fotd.exceptions import (IndefiniteStageError, LinearSolverError,
                              SingularKKTError, SingularStageError)
 from fotd.newton import default_definiteness_constant
@@ -196,6 +196,22 @@ def test_non_contiguous_inputs_are_accepted_and_left_alone():
     for k, v in vars(views).items():
         assert np.array_equal(v, before[k]), k
     assert np.array_equal(Q_long, long_before)
+
+
+@pytest.mark.parametrize("nx,nu", [(1, 1), (2, 3), (3, 2)])
+def test_a_kkt_band_solves_a_fortran_ordered_rhs_as_a_c_ordered_one(nx, nu):
+    # A right-hand side that is not C-contiguous has no flat view, so the
+    # solve must land in the buffer the solution is read from.
+    d = lq_data(6, nx, nu, seed=nx + nu)
+    want = solve_kkt_band(*_kkt_band(*blocks(d)), _kkt_stages(*rhs(d)), nx)
+    for stages in (np.asfortranarray(_kkt_stages(*rhs(d))),
+                   np.repeat(_kkt_stages(*rhs(d)), 2, axis=1)[:, ::2]):
+        assert not stages.flags.c_contiguous
+        before = stages.copy()
+        got = solve_kkt_band(*_kkt_band(*blocks(d)), stages, nx)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+        assert not np.array_equal(got[0], before[:, nx:2 * nx])
 
 
 # ---------------------------------------------------------------------------

@@ -316,6 +316,45 @@ def test_subproblem_solution_matches_dense_and_residual():
     np.testing.assert_allclose(sol.zeta, zd, atol=1e-10)
 
 
+def boundary_problems():
+    """(name, NewtonData) of toy case 1 and of a random LQ with three states."""
+    spec, _ = toy_case_params(1, N=60)
+    toy = make_toy_problem(spec)
+    rand, _ = make_random_lq(60, 3, 2, seed=23)
+    return [("toy1", assemble_newton_data(toy, *make_initializations(toy, 2,
+                                                                     seed=1)[1])),
+            ("lq3", assemble_newton_data(rand, *random_point(rand, seed=24)))]
+
+
+@pytest.mark.parametrize("i", [0, 2, 3])  # the last interval reaches N
+def test_a_subproblem_with_boundary_values_solves_as_its_own_lq(i):
+    rng = np.random.default_rng(25)
+    plan = make_plan(60, 4, 3)
+    for name, nd in boundary_problems():
+        m2, nx = plan.m2[i], nd.n_x
+        if m2 < plan.N:
+            d = BoundaryVars(*(rng.standard_normal(n)
+                               for n in (nx, nx, nd.n_u, nx)))
+            want = nd.gx[m2] - nd.A[m2].T @ d.d4 + nd.S[m2].T @ d.d3 - 25.0 * d.d2
+        else:
+            d, want = BoundaryVars(rng.standard_normal(nx)), nd.gx[m2]
+        sub = assemble_subproblem(nd, plan, i, 25.0, d)
+        lq = sub.lq
+        assert lq.gx[-1].tobytes() == want.tobytes(), name
+        bands = sub.bands
+        stored = (bands.kkt, bands.gtg, bands.hess, bands.stages)
+        before = [a.tobytes() for a in stored]
+        c = default_definiteness_constant(lq)
+        once, twice = solve_subproblem(sub, c), solve_subproblem(sub, c)
+        # The window solves byte for byte as the subproblem's own LQ data,
+        # and a solve leaves the bands as it found them.
+        for a, b, own in zip((once.p, once.q, once.zeta),
+                             (twice.p, twice.q, twice.zeta),
+                             banded.solve_lq_kkt(*lq)):
+            assert a.tobytes() == b.tobytes() == own.tobytes(), name
+        assert [a.tobytes() for a in stored] == before, name
+
+
 def test_single_interval_equals_full_newton():
     p, nd = toy_nd(N=12, seed=8)
     plan = make_plan(12, 1, 3)
