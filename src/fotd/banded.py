@@ -85,7 +85,11 @@ such windows.
 Both definiteness tests report a failure by one margin: the smallest
 Cholesky pivot minus PIVOT_TOL, read from the factorization that failed.
 A margin below -PIVOT_TOL means the factorization broke down at a pivot
-that is not positive.
+that is not positive.  The sweep reads a failure from its own batch, too:
+the failing member is the first whose pivots fail the test, or whose gain
+solve left NaN throughout; only a member whose Cholesky broke down, and so
+left no pivots, is factored again, by ``dpotrf``, for the pivot it
+stopped at.
 
 A *junction* is a stage k < T whose S_k, A_k and B_k are all exactly zero.
 Nothing passes across it: p_{k+1} = cdyn_k is pinned, q_k enters only its
@@ -539,9 +543,10 @@ def solve_lq_riccati(Q, S, R, A, B, gx, gu, c0, cdyn):
     :class:`IndefiniteStageError` naming the first such member, the stage
     and the margin.  An LU solve for the gain that meets an exactly singular
     R_k + B_k^T P_{k+1} B_k raises :class:`SingularStageError` naming the
-    first member whose own np.linalg.solve fails, and the stage.  No
+    first member whose gain it left NaN throughout, and the stage.  No
     operation mixes members, so a member's result is bit for bit the one it
-    gets when solved alone.
+    gets when solved alone, and a failure is read from the batch that
+    failed.
 
     A stage costs eight NumPy calls: two products for the stage's quadratic
     form, one addition of its costs, the Cholesky factorization, one
@@ -590,9 +595,11 @@ def solve_lq_riccati(Q, S, R, A, B, gx, gu, c0, cdyn):
     W = np.empty((K, nx, nx + 1))
     # The kernels behind np.linalg.cholesky and np.linalg.solve, without
     # their wrappers' checks.  A member whose factorization breaks down, or
-    # whose LU is singular, gets NaN and raises the invalid flag, which
-    # calls ``flagged`` here: a NaN pivot fails the test below as the
-    # breakdown would, and a flag from the solve is a singular stage.
+    # whose LU is singular, gets NaN throughout and raises the invalid flag
+    # (which no other NaN raises: the kernels clear the flags LAPACK's own
+    # arithmetic sets), which calls ``flagged`` here: a NaN pivot fails the
+    # test below as the breakdown would, and a flag from the solve is a
+    # singular stage, in the first member whose gain is NaN throughout.
     # (Cholesky pivots >= PIVOT_TOL do not rule out an exactly singular LU
     # of a badly scaled Rt.)
     flags = []
@@ -620,11 +627,12 @@ def solve_lq_riccati(Q, S, R, A, B, gx, gu, c0, cdyn):
             Z += H[j]
             _cholesky(Rt, out=L)
             if not pivot_roots.min() ** 2 >= PIVOT_TOL:
-                raise _indefinite_member(Rt, k)
+                raise _indefinite_member(Rt, pivot_roots, k)
             flags.clear()
             _solve(Rt, Zq, out=X[k])
             if flags:
-                raise _singular_member(Rt, Zq, k)
+                member = np.isnan(X[k]).all(axis=(1, 2)).argmax()
+                raise SingularStageError(int(member), k)
             np.matmul(Zpq, X[k], out=W)
             np.subtract(Zp, W, out=V[k])
 
@@ -646,37 +654,21 @@ def solve_lq_riccati(Q, S, R, A, B, gx, gu, c0, cdyn):
     return out
 
 
-def _indefinite_member(Rt, stage: int) -> IndefiniteStageError:
-    """The error for the first member whose ``Rt`` fails the pivot test.
+def _indefinite_member(Rt, roots, stage: int) -> IndefiniteStageError:
+    """The error for the first member whose pivots fail the test.
 
-    numpy's per-member Cholesky decides which member fails, as it decided
-    for the batch.  It returns no factor when it stops, so LAPACK's
-    ``dpotrf`` factors that member again for the pivot it stopped at.
+    ``roots`` holds each member's factor diagonal, the square roots of its
+    pivots, as the batch's Cholesky left it.  A member whose factorization
+    broke down has NaN there instead, so LAPACK's ``dpotrf`` factors that
+    member again for the pivot it stopped at.
     """
-    for member, r in enumerate(Rt):
-        try:
-            _, pivot = _smallest_pivot(np.diagonal(np.linalg.cholesky(r)), 0)
-        except np.linalg.LinAlgError:
-            fact, info = _legal("dpotrf", dpotrf(r, lower=1))
-            _, pivot = _smallest_pivot(np.diagonal(fact), info)
-            return IndefiniteStageError(member, stage, pivot - PIVOT_TOL)
-        if not pivot >= PIVOT_TOL:
-            return IndefiniteStageError(member, stage, pivot - PIVOT_TOL)
-    raise AssertionError("a batch failed the pivot test but no member did")
-
-
-def _singular_member(Rt, Zq, stage: int) -> SingularStageError:
-    """The error for the first member whose gain solve is singular.
-
-    np.linalg.solve of each member's ``Rt`` and ``Zq`` alone decides, as
-    :func:`_indefinite_member` lets np.linalg.cholesky decide.
-    """
-    for member, (r, b) in enumerate(zip(Rt, Zq)):
-        try:
-            np.linalg.solve(r, b)
-        except np.linalg.LinAlgError:
-            return SingularStageError(member, stage)
-    raise AssertionError("a batch's gain solve failed but no member's did")
+    member = int((roots ** 2 >= PIVOT_TOL).all(axis=1).argmin())
+    diag, info = roots[member], 0
+    if np.isnan(diag).any():
+        fact, info = _legal("dpotrf", dpotrf(Rt[member], lower=1))
+        diag = np.diagonal(fact)
+    return IndefiniteStageError(member, stage,
+                                _smallest_pivot(diag, info)[1] - PIVOT_TOL)
 
 
 def junction_stages(S, A, B) -> np.ndarray:

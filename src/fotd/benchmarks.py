@@ -98,7 +98,9 @@ def make_toy_problem(spec: ToySpec) -> ProblemDef:
     The callbacks are stage-batched.  The cost squares with
     ``np.float_power`` (libm's pow, as Python's ``**`` on floats); ``x * x``
     rounds differently for about one value in a thousand, which moves merits
-    and iterates in their last bits.
+    and iterates in their last bits.  The terminal cost does too, so that a
+    far iterate overflows it to inf, where ``float ** 2`` would raise
+    ``OverflowError``.
     """
     C1, C2, N = spec.C1, spec.C2, spec.N
     d = toy_reference(spec)
@@ -136,7 +138,7 @@ def make_toy_problem(spec: ToySpec) -> ProblemDef:
     return ProblemDef(
         N=N, n_x=1, n_u=1, x0=np.zeros(1),
         stage_cost=batched_callback(stage_cost, N,
-                                    lambda x: C1 * float(x[0]) ** 2),
+                                    lambda x: C1 * np.float_power(x[0], 2)),
         cost_gradient=batched_callback(
             cost_gradient, N, lambda x: np.array([2.0 * C1 * float(x[0])])),
         cost_hessian=batched_callback(cost_hessian, N,

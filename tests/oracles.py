@@ -16,11 +16,13 @@ import numpy as np
 
 from scipy.linalg.lapack import dgbsv, dpbtrf
 
-from fotd.banded import (COST_CHUNK, PIVOT_TOL, _indefinite_member, _kkt_band,
-                         _test_band, hessian_vector_product, jacobian_products,
+from fotd._lapack import dpotrf
+from fotd.banded import (COST_CHUNK, PIVOT_TOL, _kkt_band, _test_band,
+                         hessian_vector_product, jacobian_products,
                          pivot_failure, solve_lq_kkt)
 from fotd.decomposition import compose
-from fotd.exceptions import LinearSolverError, MuTooSmallError, SingularKKTError
+from fotd.exceptions import (IndefiniteStageError, LinearSolverError,
+                             MuTooSmallError, SingularKKTError)
 from fotd.newton import NewtonDirection, stage_norms_fro
 from fotd.problem import (DualTrajectory, MeritTerms, ProblemDef, Trajectory,
                           stack_primal, stage_batched)
@@ -272,9 +274,9 @@ def reference_riccati_sweep(Q, S, R, A, B, gx, gu, c0, cdyn):
         try:
             L = np.linalg.cholesky(Rt)
         except np.linalg.LinAlgError:
-            raise _indefinite_member(Rt, k) from None
+            raise first_indefinite_member(Rt, k) from None
         if not np.diagonal(L, 0, 1, 2).min() ** 2 >= PIVOT_TOL:
-            raise _indefinite_member(Rt, k)
+            raise first_indefinite_member(Rt, k)
         X[:, k] = np.linalg.solve(Rt, Z[:, nx + 1:, :nx + 1])
         np.subtract(Z[:, :nx, :nx + 1], Z[:, :nx, nx + 1:] @ X[:, k],
                     out=V[:, k])
@@ -293,6 +295,26 @@ def reference_riccati_sweep(Q, S, R, A, B, gx, gu, c0, cdyn):
     if not all(np.all(np.isfinite(a)) for a in out):
         raise LinearSolverError("Riccati solve produced non-finite values")
     return out
+
+
+def first_indefinite_member(Rt, stage):
+    """The :class:`IndefiniteStageError` of a stack ``Rt`` that failed the test.
+
+    np.linalg.cholesky of each member alone decides which member is the
+    first to fail the pivot test.  It returns no factor when it stops, so
+    LAPACK's ``dpotrf``, the routine the package calls, factors that member
+    again for the pivot it stopped at.
+    """
+    for member, r in enumerate(Rt):
+        try:
+            diag, info = np.diagonal(np.linalg.cholesky(r)), 0
+        except np.linalg.LinAlgError:
+            fact, info = dpotrf(r, lower=1)
+            diag = np.diagonal(fact)
+        pivot = diag[info - 1] if info > 0 else np.min(diag ** 2)
+        if not pivot >= PIVOT_TOL:
+            return IndefiniteStageError(member, stage, float(pivot) - PIVOT_TOL)
+    raise AssertionError("a stack failed the pivot test but no member did")
 
 
 def reference_band_direction(nd, plan, mu, workers=1):

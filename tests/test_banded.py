@@ -376,6 +376,39 @@ def test_riccati_sweep_raises_the_references_singular_solve():
     assert (err.value.member, err.value.stage) == (1, 0)
 
 
+def test_a_singular_gain_is_named_past_a_member_with_an_infinite_gradient():
+    # At stage 2 member 0's gain solve turns its infinite gradient into NaN
+    # without a singular LU; member 1's LU is singular there, and only its
+    # gain is NaN throughout.
+    Rt = singular_gain_block()
+    if Rt is None:
+        pytest.skip("this LAPACK factors every candidate without a zero pivot")
+    ds = [lq_data(3, 1, 2, seed=j) for j in range(2)]
+    for d in ds:
+        d.B[2] = 0.0  # Rt_2 = R_2 exactly
+    ds[0].R[2] = np.array([[2.0, 1.0], [1.0, 2.0]])
+    ds[0].gu[2] = np.inf
+    ds[1].R[2] = Rt
+    with pytest.raises(SingularStageError) as err:
+        solve_lq_riccati(*stacked(ds))
+    assert (err.value.member, err.value.stage) == (1, 2)
+
+
+def test_a_failed_sweep_is_named_without_np_linalg(monkeypatch):
+    # The failing member, its stage and its margin are read from the batch
+    # that failed and, after a breakdown, from one dpotrf of that member.
+    def refused(*args, **kwargs):
+        raise AssertionError("np.linalg called on the sweep's failure path")
+
+    want = {kind: sweep_outcome(solve_lq_riccati, failing_batch(kind))
+            for kind in ("breakdown", "small pivot", "nan")}
+    monkeypatch.setattr(np.linalg, "cholesky", refused)
+    monkeypatch.setattr(np.linalg, "solve", refused)
+    for kind, outcome in want.items():
+        assert outcome[:3] == (IndefiniteStageError, 1, 4)
+        assert sweep_outcome(solve_lq_riccati, failing_batch(kind)) == outcome
+
+
 @pytest.mark.parametrize("stage", [3, 5])
 def test_pieces_name_the_whole_sweeps_singular_stage(stage):
     # A singular gain solve at a junction's own control (stage 3) or in the
@@ -395,6 +428,29 @@ def test_pieces_name_the_whole_sweeps_singular_stage(stage):
         solve_lq_pieces(*args, junctions)
     assert (got.value.member, got.value.stage) == (0, whole.value.stage) == (
         0, stage)
+
+
+@pytest.mark.parametrize("pivots", [(-1.0, 1.0), (1e-12, 1.0)],
+                         ids=["breakdown", "small pivot"])
+def test_pieces_name_the_whole_sweeps_indefinite_junction(pivots):
+    # A junction's R_3 that breaks down, or factors with a pivot below
+    # PIVOT_TOL, makes the pieces run again as the whole sweep, which meets
+    # it at stage 3: the same stage and margin, as member 0.
+    d = lq_data(7, 1, 2, seed=2)
+    d.S[3] = d.A[3] = d.B[3] = 0.0
+    d.R[3] = np.diag(pivots)
+    args = [getattr(d, name) for name in FIELDS]
+    junctions = junction_stages(d.S, d.A, d.B)
+    assert list(junctions) == [3]
+    with pytest.raises(IndefiniteStageError) as whole:
+        solve_lq_riccati(*(a[None] for a in args))
+    with pytest.raises(IndefiniteStageError) as got:
+        solve_lq_pieces(*args, junctions)
+    assert (got.value.member, got.value.stage) == (0, 3)
+    assert (whole.value.member, whole.value.stage) == (0, 3)
+    assert np.float64(got.value.margin).tobytes() == np.float64(
+        whole.value.margin).tobytes()
+    assert got.value.margin == pivots[0] - PIVOT_TOL
 
 
 # ---------------------------------------------------------------------------

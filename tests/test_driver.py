@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,14 +11,16 @@ from fotd.driver import (MERIT_NOISE, STALL_ITERS, SolverConfig, SolverState,
                          _step, adapt_penalties, armijo_backtrack,
                          direction_error_ratio, fotd_step, line_search,
                          run_outer_loop, solve)
-from fotd.exceptions import (ArmijoStall, LineSearchFailure, NonDescentError,
-                             UndefinedRatioError)
+from fotd.exceptions import (AdaptivityFailure, ArmijoStall,
+                             LineSearchFailure, ModificationFailure,
+                             NonDescentError, UndefinedRatioError)
 from fotd.newton import (NewtonDirection, assemble_newton_data, modify_hessian,
                          solve_full_newton)
 from fotd.problem import (DualTrajectory, MeritTerms, PenaltyParams,
                           Trajectory, _merit_terms, eval_merit_gradient)
 
-from oracles import newton_solve_to_kkt, random_point, recording
+from oracles import (make_random_lq, newton_solve_to_kkt, random_point,
+                     recording)
 
 
 def toy(N, C1=8.0, C2=1.0, d=lambda k: 1.0):
@@ -353,6 +356,48 @@ def test_violation_aborts_by_default(monkeypatch):
     assert exc.margin > 0
     assert exc.margin == pytest.approx(slope - bound,
                                        abs=1e-6 * (abs(slope) + abs(bound)))
+
+
+def test_adaptivity_that_cannot_restore_descent_is_reported_with_its_iteration(
+        monkeypatch):
+    # Iteration 0 takes the decomposed direction; from iteration 1 on it is
+    # turned into an ascent direction, which no rescaling of the penalties
+    # can make satisfy the descent inequality.
+    import fotd.driver as driver
+    p, init, kw = _violating_setup()
+    real, calls = driver.approximate_direction, []
+
+    def ascent_after_the_first(*args, **kwargs):
+        d = real(*args, **kwargs)
+        calls.append(None)
+        return d if len(calls) == 1 else NewtonDirection(-d.dz, -d.dlam)
+
+    monkeypatch.setattr(driver, "approximate_direction", ascent_after_the_first)
+    report = solve(p, SolverConfig(adaptivity=True, **kw), init, mode="fotd")
+    assert report.status == "error" and report.iterations == 1
+    assert isinstance(report.exception, AdaptivityFailure)
+    assert report.exception.iteration == 1
+    assert report.error == ("descent inequality still violated after 30 "
+                            "rescalings (iteration 1)")
+    assert len(calls) == 1 + 31  # the violation after the 30th rescaling stops it
+
+
+@pytest.mark.parametrize("mode", ["fotd", "centralized"])
+def test_an_exhausted_levenberg_ladder_is_reported_with_its_iteration(
+        monkeypatch, mode):
+    # R_5 = -10 I needs a shift of about 10; a ceiling of 1e-3 times the
+    # block scale stops the ladder below it.
+    import fotd.newton as newton
+    p, data = make_random_lq(12, 2, 2, seed=3)
+    data["R"][5] = -10.0 * np.eye(2)
+    monkeypatch.setattr(newton, "GAMMA_CEILING", 1e-3)
+    report = solve(p, SolverConfig(M=3, b=1), random_point(p, seed=3),
+                   mode=mode)
+    assert report.status == "error" and report.iterations == 0
+    assert isinstance(report.exception, ModificationFailure)
+    assert report.exception.iteration == 0
+    assert re.fullmatch(r"no Levenberg shift up to \S+ restored "
+                        r"definiteness \(iteration 0\)", report.error)
 
 
 def _assert_stalls(monkeypatch, cfg):

@@ -157,7 +157,7 @@ ILLEGAL_CALLS = {
     "dpotrf": lambda d: pivot_failure(d.Q, d.S, d.R, d.A, d.B, 10.0,
                                       junctions=[3]),
     "dpotrf-riccati": lambda d: banded._indefinite_member(
-        np.array([[[1.0, 2.0], [2.0, 1.0]]]), 0),
+        np.array([[[1.0, 2.0], [2.0, 1.0]]]), np.full((1, 2), np.nan), 0),
 }
 
 
