@@ -23,10 +23,15 @@ the merit's rounding allowance, a step passes on rounding alone.  After
 STALL_ITERS such steps in a row that each left the KKT residual no lower,
 the run stops with :class:`ArmijoStall` instead of running to its budget.
 
-:func:`run_outer_loop` owns the stop tests, error capture and timing.  The
-SQP driver :func:`solve` and the overlapping Schwarz baseline
-(:func:`fotd.schwarz.schwarz_solve`) differ only in the step they hand it;
-:func:`fotd_step` takes one SQP step outside the loop.
+:func:`run_outer_loop` owns the stop tests, error capture, the iteration
+counter ``tau``, the timing and the report's violation count.  A step owns
+the iterate, the config (which it replaces when the penalties adapt) and the
+stall state, all in one :class:`SolverState`, and adds each descent
+violation to the state's count as it happens, so a step that fails keeps
+its violations in the report.  The SQP driver :func:`solve` and the
+overlapping Schwarz baseline (:func:`fotd.schwarz.schwarz_solve`) differ
+only in the step they hand the loop; :func:`fotd_step` takes one SQP step
+outside it.
 """
 
 from __future__ import annotations
@@ -152,17 +157,23 @@ class SolveReport:
 
 @dataclass
 class SolverState:
-    """Mutable loop state owned by one solve.
+    """Mutable state of one solve.
 
-    ``undecided`` holds (KKT residual, predicted decrease, rounding
-    allowance, stalls) of the last SQP step when rounding decided its
-    Armijo test, else None; stalls counts the steps before it, in a row,
-    that rounding decided and after which the residual did not fall.
+    The outer loop advances ``tau``, the index of the iteration being
+    taken.  A step updates the iterate ``z``, ``lam`` in place or replaces
+    it, replaces ``cfg`` when the penalties adapt, adds each
+    descent-inequality violation to ``violations`` as it is seen, and sets
+    ``undecided``: (KKT residual, predicted decrease, rounding allowance,
+    stalls) of the last SQP step when rounding decided its Armijo test,
+    else None; stalls counts the steps before it, in a row, that rounding
+    decided and after which the residual did not fall.
     """
 
     z: Trajectory
     lam: DualTrajectory
+    cfg: SolverConfig
     tau: int = 0
+    violations: int = 0
     undecided: Optional[Tuple[float, float, float, int]] = None
 
 
@@ -186,58 +197,53 @@ STALL_ITERS = 3
 
 
 def armijo_allowance(merit0: float, magnitude: float) -> float:
-    """The Armijo test's absolute allowance: MERIT_NOISE * max(|merit0|, magnitude)."""
+    """The Armijo test's absolute allowance: MERIT_NOISE * max(|merit0|, magnitude).
+
+    ``magnitude`` is the sum of the absolute terms that the merit's
+    Lagrangian sums (:class:`MeritTerms`), whose rounding error scales with
+    that sum rather than with the sum's own magnitude.
+    """
     return MERIT_NOISE * max(abs(merit0), magnitude)
 
 
 def armijo_backtrack(merit_along: Callable[[float], float], merit0: float,
-                     slope: float, beta: float, factor: float,
-                     magnitude: float = 0.0) -> Tuple[float, float]:
-    """Largest alpha in {1, factor, factor^2, ...} passing the Armijo test.
+                     slope: float, noise: float) -> Tuple[float, float]:
+    """Largest alpha in {1, BACKTRACK, BACKTRACK^2, ...} passing Armijo's test.
 
     ``merit_along(alpha)`` evaluates the merit at the trial point;
     ``slope`` is the directional derivative at alpha = 0 and must be
-    negative.  The comparison carries an absolute allowance for rounding,
-    MERIT_NOISE times the larger of |merit0| and ``magnitude``: once the
-    predicted decrease drops below floating-point resolution the exact test
-    is not evaluable and backtracking further would only chase rounding
-    noise.  ``magnitude`` is the sum of the absolute terms that the merit's
-    Lagrangian sums (:class:`MeritTerms`), whose rounding error scales with
-    that sum rather than with the sum's own magnitude.
+    negative.  The test is merit <= merit0 + BETA * alpha * slope + noise,
+    where ``noise`` is the absolute allowance for rounding
+    (:func:`armijo_allowance`): once the predicted decrease drops below
+    floating-point resolution the exact test is not evaluable and
+    backtracking further would only chase rounding noise.
     """
     if not slope < 0:
         raise NonDescentError(
             f"directional derivative {slope:.6e} is not negative", margin=slope)
-    noise = armijo_allowance(merit0, magnitude)
     alpha = 1.0
     while True:
         trial = merit_along(alpha)
-        if trial <= merit0 + beta * alpha * slope + noise:
+        if trial <= merit0 + BETA * alpha * slope + noise:
             return alpha, trial
-        alpha *= factor
+        alpha *= BACKTRACK
         if alpha < ALPHA_FLOOR:
             raise LineSearchFailure(
                 f"stepsize underflowed below {ALPHA_FLOOR:g}")
 
 
 def line_search(p: ProblemDef, z: Trajectory, lam: DualTrajectory,
-                direction: NewtonDirection, eta: PenaltyParams, beta: float,
-                factor: float, terms: Optional[MeritTerms] = None,
-                merit_grad=None) -> Tuple[float, float]:
+                direction: NewtonDirection, eta: PenaltyParams, merit0: float,
+                slope: float, noise: float) -> Tuple[float, float]:
     """Armijo backtracking on the augmented Lagrangian along ``direction``.
 
-    ``terms`` and ``merit_grad`` are the merit terms and merit gradient at
-    (z, lam), evaluated here when not given.  Returns (alpha, merit value
-    at the accepted point).  Raises :class:`NonDescentError` when the
-    direction is not a descent direction and :class:`LineSearchFailure`
-    when the stepsize underflows.
+    ``merit0`` and ``slope`` are the merit at (z, lam) under ``eta`` and
+    its directional derivative along ``direction``; ``noise`` is the
+    test's rounding allowance (:func:`armijo_backtrack`).  Returns (alpha,
+    merit value at the accepted point).  Raises :class:`NonDescentError`
+    when the direction is not a descent direction and
+    :class:`LineSearchFailure` when the stepsize underflows.
     """
-    if merit_grad is None:
-        merit_grad = eval_merit_gradient(p, z, lam, eta)
-    mz, ml = merit_grad
-    slope = float(mz @ direction.dz + ml @ direction.dlam)
-    if terms is None:
-        terms = _merit_terms(p, z, lam)
     dx, du, dl = direction.stage_arrays(p.N, p.n_x, p.n_u)
 
     def merit_along(alpha: float) -> float:
@@ -245,8 +251,7 @@ def line_search(p: ProblemDef, z: Trajectory, lam: DualTrajectory,
         trial_lam = DualTrajectory(lam.lam + alpha * dl)
         return eval_merit(p, trial_z, trial_lam, eta)
 
-    return armijo_backtrack(merit_along, terms.merit(eta), slope, beta, factor,
-                            terms.magnitude)
+    return armijo_backtrack(merit_along, merit0, slope, noise)
 
 
 def direction_error_ratio(exact: NewtonDirection,
@@ -260,16 +265,15 @@ def direction_error_ratio(exact: NewtonDirection,
 
 
 def _step(p: ProblemDef, decomposed: bool, state: SolverState,
-          cfg: SolverConfig, terms: MeritTerms
-          ) -> Tuple[IterationRecord, SolverConfig, int]:
+          terms: MeritTerms) -> IterationRecord:
     """Lines 3-9 of the outer loop: linearize, direct, line-search, update.
 
     ``decomposed`` selects the decomposed direction, on the plan of
-    ``cfg``'s M and b, or the exact one.  ``terms`` are the merit terms at
-    the current iterate.  Returns the iteration's record (untimed), the
-    (possibly adapted) config and the number of descent-inequality
-    violations seen.
+    ``state.cfg``'s M and b, or the exact one.  ``terms`` are the merit
+    terms at the current iterate.  Updates ``state`` as the module
+    docstring says and returns the iteration's record, untimed.
     """
+    cfg = state.cfg
     plan = make_plan(p.N, cfg.M, cfg.b) if decomposed else None
     z, lam = state.z, state.lam
     kkt_res = terms.residual()
@@ -282,7 +286,7 @@ def _step(p: ProblemDef, decomposed: bool, state: SolverState,
     # re-evaluates the gradient for its new penalties.
     merit_grad = eval_merit_gradient(p, z, lam, cfg.eta)
     nd = modify_hessian(assemble_newton_data(p, z, lam))
-    violations = 0
+    rescalings = 0
     while True:
         direction = (solve_full_newton(nd) if plan is None else
                      approximate_direction(nd, plan, cfg.mu,
@@ -292,18 +296,19 @@ def _step(p: ProblemDef, decomposed: bool, state: SolverState,
         bound = -0.5 * cfg.eta.eta2 * kkt_res ** 2
         if plan is None or slope <= bound:
             break
-        violations += 1
+        state.violations += 1
         if not cfg.adaptivity:
             if cfg.assert_descent:
                 raise NonDescentError(
                     f"descent inequality violated: slope {slope:.6e} > "
                     f"{bound:.6e}", margin=slope - bound)
             break
-        if violations > 30:
+        if rescalings == 30:
             raise AdaptivityFailure(
                 "descent inequality still violated after 30 rescalings")
+        rescalings += 1
         cfg = adapt_penalties(cfg, NU)
-        cfg = replace(cfg, b=min(cfg.b, p.N - 1))
+        state.cfg = cfg = replace(cfg, b=min(cfg.b, p.N - 1))
         plan = make_plan(p.N, cfg.M, cfg.b)
         merit_grad = eval_merit_gradient(p, z, lam, cfg.eta)
 
@@ -313,10 +318,10 @@ def _step(p: ProblemDef, decomposed: bool, state: SolverState,
     gamma = nd.gamma_applied
     del nd  # the line search's own evaluations need the room
 
-    alpha, _ = line_search(p, z, lam, direction, cfg.eta, BETA, BACKTRACK,
-                           terms=terms, merit_grad=merit_grad)
-    merit0, predicted = terms.merit(cfg.eta), BETA * alpha * abs(slope)
+    merit0 = terms.merit(cfg.eta)
     noise = armijo_allowance(merit0, terms.magnitude)
+    alpha, _ = line_search(p, z, lam, direction, cfg.eta, merit0, slope, noise)
+    predicted = BETA * alpha * abs(slope)
     state.undecided = ((kkt_res, predicted, noise, stalls) if predicted < noise
                        else None)
     dx, du, dl = direction.stage_arrays(p.N, p.n_x, p.n_u)
@@ -324,57 +329,59 @@ def _step(p: ProblemDef, decomposed: bool, state: SolverState,
     z.u += alpha * du
     lam.lam += alpha * dl
     z.x[0] = p.x0
-    record = IterationRecord(
+    return IterationRecord(
         iteration=state.tau, kkt_residual=kkt_res, merit=merit0,
         stepsize=alpha, gamma=gamma, dir_err_ratio=ratio,
         step_norm=alpha * direction.norm(),
     )
-    state.tau += 1
-    return record, cfg, violations
 
 
-def fotd_step(p: ProblemDef, state: SolverState, cfg: SolverConfig):
-    """One decomposed SQP iteration; returns (record, possibly-adapted cfg).
+def fotd_step(p: ProblemDef, state: SolverState) -> IterationRecord:
+    """One decomposed SQP iteration at ``state.cfg``; returns its record.
 
-    ``state`` is updated in place.  The iterate must satisfy x_0 = x0bar on
-    entry, which the update preserves.
+    Does for one iteration what :func:`run_outer_loop` does around a step:
+    the record is timed and ``state.tau`` advanced.  ``state`` is updated
+    in place.  The iterate must satisfy x_0 = x0bar on entry, which the
+    update preserves.
     """
     t0 = time.perf_counter()
-    record, cfg, _ = _step(p, True, state, cfg,
-                           _merit_terms(p, state.z, state.lam))
+    record = _step(p, True, state, _merit_terms(p, state.z, state.lam))
     record.wall_ms = 1e3 * (time.perf_counter() - t0)
-    return record, cfg
+    state.tau += 1
+    return record
 
 
 def run_outer_loop(p: ProblemDef, cfg: SolverConfig, init,
                    step: Callable) -> SolveReport:
     """Iterate ``step`` from ``init = (z0, lam0)`` until a stop condition.
 
-    Each pass evaluates the merit terms at the current iterate and stops on
-    the KKT tolerance or the ``cfg.max_iters`` budget; otherwise it calls
-    ``step(state, cfg, terms)``, which updates ``state`` in place and
-    returns ``(record, cfg, violations)``; the loop sets the record's
-    ``wall_ms`` to the time of the pass.  A step no longer than
-    ``cfg.step_tol`` after which the KKT residual is lower than before it
-    stops the loop after one more head record at the new iterate; after
-    one that left the residual no lower the loop goes on, to the KKT
-    tolerance, the budget or the stall test of :func:`_step`.  A
-    :class:`SolverError` from the step ends the run with status
-    "error" and the history intact; the loop sets the error's ``iteration``,
-    the report keeps the error, and the report's error string names it.
+    The loop holds a :class:`SolverState` at ``cfg``.  Each pass evaluates
+    the merit terms at the current iterate, priced at ``state.cfg``, and
+    stops on the KKT tolerance or the ``cfg.max_iters`` budget; otherwise
+    it calls ``step(state, terms)``, which updates ``state`` in place
+    (module docstring) and returns the iteration's record.  The loop sets
+    the record's ``wall_ms`` to the time of the pass and then advances
+    ``state.tau``.  A step no longer than ``cfg.step_tol`` after which the
+    KKT residual is lower than before it stops the loop after one more head
+    record at the new iterate; after one that left the residual no lower
+    the loop goes on, to the KKT tolerance, the budget or the stall test of
+    :func:`_step`.  A :class:`SolverError` from the step ends the run with
+    status "error" and the history intact; the loop sets the error's
+    ``iteration``, the report keeps the error, and the report's error
+    string names it.  The report's ``descent_violations`` is
+    ``state.violations``, so it counts those of a failed step too.
     """
     z0, lam0 = init
-    state = SolverState(z0.copy(), lam0.copy())
+    state = SolverState(z0.copy(), lam0.copy(), cfg)
     state.z.x[0] = p.x0
     records: List[IterationRecord] = []
-    violations = 0
     error = exception = None
     short_step = False
     while True:
         t0 = time.perf_counter()
         terms = _merit_terms(p, state.z, state.lam)
         head = IterationRecord(state.tau, terms.residual(),
-                               terms.merit(cfg.eta),
+                               terms.merit(state.cfg.eta),
                                wall_ms=1e3 * (time.perf_counter() - t0))
         if short_step and head.kkt_residual < records[-1].kkt_residual:
             status = STATUS_STEP
@@ -384,7 +391,7 @@ def run_outer_loop(p: ProblemDef, cfg: SolverConfig, init,
             status = STATUS_MAX_ITERS
         else:
             try:
-                record, cfg, v = step(state, cfg, terms)
+                record = step(state, terms)
             except SolverError as exc:
                 exc.iteration = state.tau
                 status, error = STATUS_ERROR, f"{exc} (iteration {state.tau})"
@@ -392,12 +399,12 @@ def run_outer_loop(p: ProblemDef, cfg: SolverConfig, init,
             else:
                 record.wall_ms = 1e3 * (time.perf_counter() - t0)
                 records.append(record)
-                violations += v
+                state.tau += 1
                 short_step = record.step_norm <= cfg.step_tol
                 continue
         records.append(head)
         return SolveReport(records, state.z, state.lam, status,
-                           descent_violations=violations, error=error,
+                           descent_violations=state.violations, error=error,
                            exception=exception)
 
 

@@ -378,7 +378,7 @@ def schwarz_solve(p: ProblemDef, cfg: SolverConfig, init) -> SolveReport:
     """
     plan = make_plan(p.N, cfg.M, cfg.b)
 
-    def step(state: SolverState, cfg: SolverConfig, terms):
+    def step(state: SolverState, terms) -> IterationRecord:
         z, lam = state.z, state.lam
         parts = solve_nonlinear_subproblem(
             IntervalChain(p, plan, cfg.mu, z, lam),
@@ -390,11 +390,9 @@ def schwarz_solve(p: ProblemDef, cfg: SolverConfig, init) -> SolveReport:
         state.z = Trajectory(x_new, u_new)
         state.lam = DualTrajectory(lam_new)
         state.z.x[0] = p.x0
-        record = IterationRecord(
+        return IterationRecord(
             state.tau, terms.residual(), terms.merit(cfg.eta), stepsize=1.0,
             gamma=0.0, step_norm=step_norm)
-        state.tau += 1
-        return record, cfg, 0
 
     return run_outer_loop(p, cfg, init, step)
 

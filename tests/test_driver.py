@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,17 +8,21 @@ import pytest
 from fotd.benchmarks import (ToySpec, make_initializations, make_toy_problem,
                              toy_case_params)
 from fotd.decomposition import approximate_direction, make_plan
-from fotd.driver import (MERIT_NOISE, STALL_ITERS, SolverConfig, SolverState,
-                         _step, adapt_penalties, armijo_backtrack,
+import fotd.driver as driver
+from fotd.driver import (MERIT_NOISE, STALL_ITERS, IterationRecord,
+                         SolverConfig, SolverState, _step, adapt_penalties,
+                         armijo_allowance, armijo_backtrack,
                          direction_error_ratio, fotd_step, line_search,
                          run_outer_loop, solve)
 from fotd.exceptions import (AdaptivityFailure, ArmijoStall,
                              LineSearchFailure, ModificationFailure,
-                             NonDescentError, UndefinedRatioError)
+                             NonDescentError, SolverError,
+                             UndefinedRatioError)
 from fotd.newton import (NewtonDirection, assemble_newton_data, modify_hessian,
                          solve_full_newton)
 from fotd.problem import (DualTrajectory, MeritTerms, PenaltyParams,
-                          Trajectory, _merit_terms, eval_merit_gradient)
+                          Trajectory, _merit_terms, eval_merit,
+                          eval_merit_gradient)
 
 from oracles import (make_random_lq, newton_solve_to_kkt, random_point,
                      recording)
@@ -33,40 +38,43 @@ def toy(N, C1=8.0, C2=1.0, d=lambda k: 1.0):
 
 def test_armijo_accepts_unit_step_on_quadratic():
     merit = lambda a: 0.5 * (1.0 - a) ** 2
-    alpha, val = armijo_backtrack(merit, merit(0.0), slope=-1.0, beta=0.1,
-                                  factor=0.9)
+    alpha, val = armijo_backtrack(merit, merit(0.0), slope=-1.0, noise=0.0)
     assert alpha == 1.0 and val == 0.0
 
 
-def test_armijo_matches_direct_scan():
+def test_armijo_matches_direct_scan(monkeypatch):
     merit = lambda a: 0.5 * (1.0 - 3.0 * a) ** 2
     beta, factor, slope = 0.4, 0.9, -3.0
+    monkeypatch.setattr(driver, "BETA", beta)
+    monkeypatch.setattr(driver, "BACKTRACK", factor)
     j = 0
     while not merit(factor ** j) <= merit(0.0) + beta * factor ** j * slope:
         j += 1
-    alpha, _ = armijo_backtrack(merit, merit(0.0), slope=slope, beta=beta,
-                                factor=factor)
+    alpha, _ = armijo_backtrack(merit, merit(0.0), slope=slope, noise=0.0)
     assert alpha == pytest.approx(factor ** j)
     assert j > 0  # the unit step is genuinely rejected in this construction
 
 
-def test_armijo_underflow_raises():
-    from fotd.exceptions import LineSearchFailure
+def test_armijo_underflow_raises(monkeypatch):
+    monkeypatch.setattr(driver, "BACKTRACK", 0.5)
     with pytest.raises(LineSearchFailure):
-        armijo_backtrack(lambda a: 1e6, 0.0, slope=-1.0, beta=0.1, factor=0.5)
+        armijo_backtrack(lambda a: 1e6, 0.0, slope=-1.0, noise=0.0)
 
 
-def test_armijo_allowance_scales_with_the_summed_terms():
+def test_armijo_allowance_scales_with_the_summed_terms(monkeypatch):
     # The merit is 1, summed from terms of magnitude 1e8 whose rounding the
     # trial's 1e-9 rise stays well inside; by |merit0| alone it is a rise.
-    from fotd.exceptions import LineSearchFailure
+    monkeypatch.setattr(driver, "BACKTRACK", 0.5)
     merit = lambda a: 1.0 + 1e-9 * (a > 0)
     assert 1e-9 < MERIT_NOISE * 1e8
-    alpha, _ = armijo_backtrack(merit, 1.0, slope=-1e-9, beta=0.1, factor=0.5,
-                                magnitude=1e8)
+    assert armijo_allowance(1.0, 1e8) == MERIT_NOISE * 1e8
+    assert armijo_allowance(-2.0, 1.0) == MERIT_NOISE * 2.0
+    alpha, _ = armijo_backtrack(merit, 1.0, slope=-1e-9,
+                                noise=armijo_allowance(1.0, 1e8))
     assert alpha == 1.0
     with pytest.raises(LineSearchFailure):
-        armijo_backtrack(merit, 1.0, slope=-1e-9, beta=0.1, factor=0.5)
+        armijo_backtrack(merit, 1.0, slope=-1e-9,
+                         noise=armijo_allowance(1.0, 0.0))
 
 
 def test_merit_terms_carry_the_magnitude_of_their_terms():
@@ -95,6 +103,16 @@ def test_report_length_bounded_by_budget():
     assert len(report.records) == 4  # three steps plus the final state
 
 
+def _searched(p, z, lam, d, eta):
+    """Line search along ``d`` from its Armijo inputs at (z, lam)."""
+    terms = _merit_terms(p, z, lam)
+    mz, ml = eval_merit_gradient(p, z, lam, eta)
+    merit0 = terms.merit(eta)
+    return line_search(p, z, lam, d, eta, merit0,
+                       float(mz @ d.dz + ml @ d.dlam),
+                       armijo_allowance(merit0, terms.magnitude))
+
+
 def test_ascent_direction_rejected():
     p = toy(N=6)
     z, lam = random_point(p, seed=0)
@@ -102,7 +120,7 @@ def test_ascent_direction_rejected():
     d = solve_full_newton(nd)
     ascent = NewtonDirection(-d.dz, -d.dlam)
     with pytest.raises(NonDescentError) as err:
-        line_search(p, z, lam, ascent, PenaltyParams(10.0, 0.1), 0.1, 0.9)
+        _searched(p, z, lam, ascent, PenaltyParams(10.0, 0.1))
     assert err.value.margin > 0  # the directional derivative itself
     assert err.value.iteration is None  # raised outside an outer loop
 
@@ -113,9 +131,8 @@ def test_line_search_monotone_decrease():
     nd = assemble_newton_data(p, z, lam)
     d = solve_full_newton(nd)
     eta = PenaltyParams(10.0, 0.1)
-    from fotd.problem import eval_merit
     merit0 = eval_merit(p, z, lam, eta)
-    alpha, merit_new = line_search(p, z, lam, d, eta, 0.1, 0.9)
+    alpha, merit_new = _searched(p, z, lam, d, eta)
     assert merit_new < merit0 + MERIT_NOISE * abs(merit0)
 
 
@@ -166,7 +183,6 @@ def test_fotd_plan_is_checked_before_the_first_evaluation(M, b, names):
 
 
 def test_fotd_builds_its_plan_before_any_callback_and_in_each_step(monkeypatch):
-    import fotd.driver as driver
     built = []
     monkeypatch.setattr(driver, "make_plan",
                         lambda *args: built.append(args) or make_plan(*args))
@@ -193,9 +209,9 @@ def test_single_interval_step_equals_centralized_step():
     inits = make_initializations(p, 2, seed=5)
     for mode_state in range(2):
         z, lam = inits[1]
-        cfg = SolverConfig(mu=25.0, M=1, b=2)
-        s1 = SolverState(z.copy(), lam.copy())
-        rec1, _ = fotd_step(p, s1, cfg)
+        s1 = SolverState(z.copy(), lam.copy(), SolverConfig(mu=25.0, M=1, b=2))
+        rec1 = fotd_step(p, s1)
+        assert s1.tau == 1
         rep2 = solve(p, SolverConfig(mu=25.0, M=1, b=2, max_iters=1),
                      (z, lam), mode="centralized")
         rec2 = rep2.records[0]
@@ -253,7 +269,6 @@ def _shrink_first_direction(monkeypatch):
     The shortened direction misses the descent inequality, which no natural
     toy or plate configuration has been seen to do.
     """
-    import fotd.driver as driver
     real = driver.approximate_direction
     calls = []
 
@@ -276,40 +291,48 @@ def _violating_setup():
 def test_adaptivity_rescales_penalties_and_reprices_merit(monkeypatch):
     p, (z0, lam0), kw = _violating_setup()
     _shrink_first_direction(monkeypatch)
-    state = SolverState(z0.copy(), lam0.copy())
-    record, cfg = fotd_step(p, state, SolverConfig(adaptivity=True, **kw))
-    assert cfg.eta == PenaltyParams(40.0, 0.05)
-    assert cfg.b == 5
-    from fotd.problem import eval_merit
-    assert record.merit == eval_merit(p, z0, lam0, cfg.eta)
+    state = SolverState(z0.copy(), lam0.copy(),
+                        SolverConfig(adaptivity=True, **kw))
+    record = fotd_step(p, state)
+    assert state.cfg.eta == PenaltyParams(40.0, 0.05)
+    assert state.cfg.b == 5
+    assert state.violations == 1
+    assert record.merit == eval_merit(p, z0, lam0, state.cfg.eta)
 
 
 def test_line_search_prices_the_adapted_penalties(monkeypatch):
-    # After an adaptation the line search's slope is the adapted merit's
-    # along the recomputed direction, not the slope of the old penalties.
-    import fotd.driver as driver
+    # After an adaptation the line search's merit, slope and allowance are
+    # the adapted merit's along the recomputed direction, not those of the
+    # old penalties.
     p, (z0, lam0), kw = _violating_setup()
     _shrink_first_direction(monkeypatch)
-    searched, slopes = [], []
+    searched, armijo_inputs = [], []
     search, armijo = driver.line_search, driver.armijo_backtrack
 
     def recorded_search(*args, **kwargs):
         searched.append(args[3:5])
         return search(*args, **kwargs)
 
-    def recorded_armijo(merit_along, merit0, slope, *args):
-        slopes.append(slope)
-        return armijo(merit_along, merit0, slope, *args)
+    def recorded_armijo(merit_along, merit0, slope, noise):
+        armijo_inputs.append((merit0, slope, noise))
+        return armijo(merit_along, merit0, slope, noise)
 
     monkeypatch.setattr(driver, "line_search", recorded_search)
     monkeypatch.setattr(driver, "armijo_backtrack", recorded_armijo)
-    state = SolverState(z0.copy(), lam0.copy())
-    _, cfg = fotd_step(p, state, SolverConfig(adaptivity=True, **kw))
-    assert cfg.eta == PenaltyParams(40.0, 0.05)
-    [(direction, eta)] = searched
-    assert eta == cfg.eta
-    mz, ml = eval_merit_gradient(p, z0, lam0, cfg.eta)
-    assert slopes == [float(mz @ direction.dz + ml @ direction.dlam)]
+    state = SolverState(z0.copy(), lam0.copy(),
+                        SolverConfig(adaptivity=True, **kw))
+    record = fotd_step(p, state)
+    eta = state.cfg.eta
+    assert eta == PenaltyParams(40.0, 0.05)
+    [(direction, searched_eta)] = searched
+    assert searched_eta == eta
+    terms = _merit_terms(p, z0, lam0)
+    mz, ml = eval_merit_gradient(p, z0, lam0, eta)
+    merit0 = terms.merit(eta)
+    slope = float(mz @ direction.dz + ml @ direction.dlam)
+    noise = armijo_allowance(merit0, terms.magnitude)
+    assert armijo_inputs == [(merit0, slope, noise)]
+    assert record.merit == merit0
 
 
 def test_adaptivity_recovers_from_a_violation(monkeypatch):
@@ -336,13 +359,14 @@ def test_violation_aborts_by_default(monkeypatch):
     assert report.status == "error"
     assert "descent inequality violated" in report.error
     assert report.error.endswith(" (iteration 0)")
+    assert report.descent_violations == 1  # the failed step's own
 
     # the error itself carries the iteration and the margin slope - bound
     raised = []
 
-    def step(state, cfg, terms):
+    def step(state, terms):
         try:
-            return _step(p, True, state, cfg, terms)
+            return _step(p, True, state, terms)
         except NonDescentError as exc:
             raised.append(exc)
             raise
@@ -358,12 +382,41 @@ def test_violation_aborts_by_default(monkeypatch):
                                        abs=1e-6 * (abs(slope) + abs(bound)))
 
 
+def test_the_loop_numbers_times_and_counts_what_its_steps_do():
+    # A step that never touches tau: it replaces the config, adds one
+    # violation per call and fails on its third call.
+    p = toy(N=20)
+    init = make_initializations(p, 2, seed=7)[1]
+    cfg = SolverConfig(M=2, b=1)
+    other = replace(cfg, eta=PenaltyParams(40.0, 0.05))
+    seen = []
+
+    def step(state, terms):
+        seen.append(terms)
+        state.cfg = other
+        state.violations += 1
+        if len(seen) == 3:
+            raise SolverError("third call")
+        return IterationRecord(state.tau, terms.residual(),
+                               terms.merit(state.cfg.eta), stepsize=1.0,
+                               step_norm=1.0)
+
+    report = run_outer_loop(p, cfg, init, step)
+    assert [r.iteration for r in report.records] == [0, 1, 2]
+    assert report.iterations == 2
+    assert all(r.wall_ms > 0 for r in report.records)
+    head = report.records[-1]
+    assert head.merit == seen[2].merit(other.eta) != seen[2].merit(cfg.eta)
+    assert report.status == "error" and report.exception.iteration == 2
+    assert report.error == "third call (iteration 2)"
+    assert report.descent_violations == 3
+
+
 def test_adaptivity_that_cannot_restore_descent_is_reported_with_its_iteration(
         monkeypatch):
     # Iteration 0 takes the decomposed direction; from iteration 1 on it is
     # turned into an ascent direction, which no rescaling of the penalties
     # can make satisfy the descent inequality.
-    import fotd.driver as driver
     p, init, kw = _violating_setup()
     real, calls = driver.approximate_direction, []
 
@@ -380,6 +433,7 @@ def test_adaptivity_that_cannot_restore_descent_is_reported_with_its_iteration(
     assert report.error == ("descent inequality still violated after 30 "
                             "rescalings (iteration 1)")
     assert len(calls) == 1 + 31  # the violation after the 30th rescaling stops it
+    assert report.descent_violations == 31
 
 
 @pytest.mark.parametrize("mode", ["fotd", "centralized"])
@@ -409,7 +463,6 @@ def _assert_stalls(monkeypatch, cfg):
     typed error after STALL_ITERS such steps instead of running to
     max_iters.
     """
-    import fotd.driver as driver
     p = toy(N=40)
     full = driver.solve_full_newton
     monkeypatch.setattr(driver, "solve_full_newton", lambda nd: NewtonDirection(
@@ -461,13 +514,12 @@ def _local_errors(case, N, b, seed):
     ref = solve(p, SolverConfig(kkt_tol=1e-12, step_tol=0.0, max_iters=80),
                 (z0, lam0), mode="centralized")
     assert ref.status == "converged_kkt"
-    cfg = SolverConfig(M=N // 100, b=b)
-    state = SolverState(z0.copy(), lam0.copy())
+    state = SolverState(z0.copy(), lam0.copy(), SolverConfig(M=N // 100, b=b))
     errors = []
     while not errors or errors[-1] >= 1e-10:
         assert len(errors) < 40
         if errors:
-            _, cfg = fotd_step(p, state, cfg)
+            fotd_step(p, state)
         errors.append(max(float(np.max(np.abs(got - want))) for got, want in (
             (state.z.x, ref.z.x), (state.z.u, ref.z.u),
             (state.lam.lam, ref.lam.lam))))

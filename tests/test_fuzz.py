@@ -5,8 +5,10 @@ A solve converges, runs out of iterations, or stops with a
 stage and margin where the error's type carries them.  The draws are small
 problems outside the regime the paper's guarantees assume: blocks scaled by
 1e-8 to 1e8, indefinite Q and zeroed R blocks, wide blocks that go to the
-Riccati kernels, and far initial iterates, each solved in every mode.  The
-draws are seeded NumPy draws, so a draw that fails here fails every run.
+Riccati kernels, control blocks that pass the definiteness tests but whose
+LU is exactly singular, and far initial iterates, each solved in every
+mode.  The draws are seeded NumPy draws, so a draw that fails here fails
+every run.
 """
 
 import numpy as np
@@ -20,6 +22,7 @@ from fotd.benchmarks import (PlateSpec, make_initializations,
                              toy_case_params)
 from fotd.driver import STATUS_ERROR, STATUS_KKT, STATUS_MAX_ITERS, STATUS_STEP
 
+import oracles
 from oracles import make_random_lq, random_point
 
 MODES = ("fotd", "centralized", "schwarz")
@@ -98,6 +101,30 @@ def test_scaled_indefinite_random_lq_draws_stop_typed(first):
 def test_wide_random_lq_draws_stop_typed():
     for seed in range(4):
         assert_every_mode_stops_typed(*random_lq_draw(seed, wide=True))
+
+
+@pytest.mark.parametrize("block, nx", [
+    ("singular_lu_block", 2), ("singular_lu_block", 4),
+    ("singular_gain_block", 4)], ids=["lu-band", "lu-riccati", "gain-riccati"])
+def test_singular_control_block_draws_stop_typed(block, nx):
+    # R_k is a 2x2 block that passes the pivot tests but whose LU (the band
+    # KKT's, or the Riccati gain solve's) can end at an exact zero; with
+    # S_k = B_k = 0 the sweep's Rt at stage k is R_k itself.  n_x = 2 sends
+    # the decomposed direction to the band kernel, n_x = 4 to the batched
+    # Riccati sweep.
+    Rt = getattr(oracles, block)()
+    if Rt is None:
+        pytest.skip("this LAPACK factors every candidate without a zero pivot")
+    for seed in range(2):
+        rng = np.random.default_rng(seed)
+        M, b = int(rng.integers(2, 4)), int(rng.integers(1, 3))
+        N = M * int(rng.integers(3, 8))
+        p, data = make_random_lq(N, nx, 2, seed=seed)
+        k = rng.integers(N)
+        data["R"][k], data["S"][k], data["B"][k] = Rt, 0.0, 0.0
+        assert_every_mode_stops_typed(
+            p, SolverConfig(M=M, b=b, max_iters=MAX_ITERS),
+            random_point(p, seed))
 
 
 @pytest.mark.parametrize("case", [1, 2, 3])
