@@ -2,14 +2,25 @@
 
 NumPy's wheels ship an ILP64 OpenBLAS whose LAPACK symbols carry a
 ``scipy_`` prefix and a ``64_`` suffix, and ``import numpy`` loads it.  The
-routines here call it through ``ctypes`` with the call forms and results
-of ``scipy.linalg.lapack``'s wrappers (``dpotrf`` as with ``clean=0``: the
-other triangle keeps the input's entries), so solving needs no
-``scipy.linalg`` import, which about doubles the peak memory of importing
-this package (30 against 57 MB with NumPy 2.4 and SciPy 1.17 on x86-64
-Linux).  Where the library or one of its symbols is missing,
-``scipy.linalg.lapack``'s own routines are bound instead; :data:`LAPACK`
-names the backend that loaded.
+routines here call it through ``ctypes``, in the three forms that
+:mod:`fotd.banded` uses and no others:
+
+- ``dgbsv(k, ab, b) -> info`` factors the band ``ab`` (F-contiguous, with
+  kl = ku = k and k rows of fill-in workspace on top) in place and solves
+  the C-contiguous 1-D ``b`` in place;
+- ``dpbtrf(ab) -> info`` factors the lower band ``ab`` by Cholesky in place;
+- ``dpotrf(a) -> (factor, info)`` returns the lower Cholesky factor of a
+  copy of ``a``, its other triangle kept as given.
+
+Each raises :class:`LinearSolverError` when ``info`` < 0, i.e. LAPACK
+rejected an argument as illegal.  An array that is not contiguous in the
+form named, or is read-only, raises instead of being copied.  So solving
+needs no ``scipy.linalg`` import, which about doubles the peak memory of
+importing this package (30 against 57 MB with NumPy 2.4 and SciPy 1.17 on
+x86-64 Linux).  Where the library or one of its symbols is missing,
+``scipy.linalg.lapack``'s own routines are bound in the same forms, writing
+their results back into the caller's arrays; :data:`LAPACK` names the
+backend that loaded.
 
 ``ctypes`` releases the interpreter lock during each call, so threads may
 run these routines at once: each call passes its integer arguments, and
@@ -19,11 +30,12 @@ gets ``info`` back, through a ``ctypes`` array of its own.
 from __future__ import annotations
 
 import ctypes
-import functools
 import glob
 import os
 
 import numpy as np
+
+from .exceptions import LinearSolverError
 
 # Each routine's arguments are addresses, one per Fortran argument, and a
 # CHARACTER argument's hidden length after them.
@@ -39,50 +51,60 @@ def _address(a: np.ndarray) -> int:
     return ctypes.addressof(ctypes.c_char.from_buffer(a))
 
 
-def _wrap(gbsv, pbtrf, potrf):
-    """``scipy.linalg.lapack``-style functions calling the ctypes routines."""
+def _legal(routine: str, info: int) -> int:
+    """``info``, unless it is -i for an illegal i-th argument of ``routine``."""
+    if info < 0:
+        raise LinearSolverError(f"LAPACK {routine} rejected its argument "
+                                f"{-info} as illegal (info={info})")
+    return info
 
-    def dgbsv(kl, ku, ab, b, overwrite_ab=0, overwrite_b=0):
-        ab = np.array(ab, np.float64, order="F", copy=not overwrite_ab or None)
-        b = np.array(b, np.float64, order="F", copy=not overwrite_b or None)
+
+def _wrap(gbsv, pbtrf, potrf):
+    """The module's three forms, calling the ctypes routines."""
+
+    def dgbsv(k, ab, b):
         n = ab.shape[1]
-        if b.shape[0] != n:
-            raise ValueError(f"dgbsv: b has {b.shape[0]} rows, ab {n} columns")
         # n, kl, ku, nrhs, ldab, ldb, info, then the n pivots
-        ints = (ctypes.c_int64 * (7 + n))(
-            n, kl, ku, b.shape[1] if b.ndim == 2 else 1, ab.shape[0], max(n, 1))
+        ints = (ctypes.c_int64 * (7 + n))(n, k, k, 1, ab.shape[0], max(n, 1))
         p = ctypes.addressof(ints)
         gbsv(p, p + 8, p + 16, p + 24, _address(ab.T), p + 32, p + 56,
-             _address(b.T), p + 40, p + 48)
-        # scipy's pivots count from 0
-        return ab, np.frombuffer(ints, np.int64, n, 56) - 1, b, ints[6]
+             _address(b), p + 40, p + 48)
+        return _legal("dgbsv", ints[6])
 
-    def dpbtrf(ab, lower=0, overwrite_ab=0):
-        ab = np.array(ab, np.float64, order="F", copy=not overwrite_ab or None)
+    def dpbtrf(ab):
         ints = (ctypes.c_int64 * 4)(ab.shape[1], ab.shape[0] - 1, ab.shape[0])
         p = ctypes.addressof(ints)  # n, kd, ldab, info
-        pbtrf(b"L" if lower else b"U", p, p + 8, _address(ab.T), p + 16,
-              p + 24, 1)
-        return ab, ints[3]
+        pbtrf(b"L", p, p + 8, _address(ab.T), p + 16, p + 24, 1)
+        return _legal("dpbtrf", ints[3])
 
-    def dpotrf(a, lower=0):
-        a = np.array(a, np.float64, order="F")
-        n = a.shape[0]
-        if a.shape != (n, n):
-            raise ValueError(f"dpotrf: a of shape {a.shape} is not square")
-        ints = (ctypes.c_int64 * 3)(n, max(n, 1))
+    def dpotrf(a):
+        a = a.copy(order="F")
+        ints = (ctypes.c_int64 * 3)(a.shape[0], max(a.shape[0], 1))
         p = ctypes.addressof(ints)  # n, lda, info
-        potrf(b"L" if lower else b"U", p, _address(a.T), p + 8, p + 16, 1)
-        return a, ints[2]
+        potrf(b"L", p, _address(a.T), p + 8, p + 16, 1)
+        return a, _legal("dpotrf", ints[2])
 
     return dgbsv, dpbtrf, dpotrf
 
 
 def _scipy():
-    """``scipy.linalg.lapack``'s routines, called as :func:`_wrap`'s are."""
+    """``scipy.linalg.lapack``'s routines in :func:`_wrap`'s forms."""
     from scipy.linalg import lapack
-    return lapack.dgbsv, lapack.dpbtrf, functools.partial(lapack.dpotrf,
-                                                          clean=0)
+
+    def dgbsv(k, ab, b):
+        ab[...], _, b[...], info = lapack.dgbsv(k, k, ab, b, overwrite_ab=1,
+                                                overwrite_b=1)
+        return _legal("dgbsv", info)
+
+    def dpbtrf(ab):
+        ab[...], info = lapack.dpbtrf(ab, lower=1, overwrite_ab=1)
+        return _legal("dpbtrf", info)
+
+    def dpotrf(a):
+        factor, info = lapack.dpotrf(a, lower=1, clean=0)
+        return factor, _legal("dpotrf", info)
+
+    return dgbsv, dpbtrf, dpotrf
 
 
 def _load():

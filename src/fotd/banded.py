@@ -31,12 +31,13 @@ that offset and those strides.  NumPy checks such a view against the
 buffer, so a block that would run past the storage raises instead of
 writing beyond it.
 
-The LAPACK routines, ``dgbsv``, ``dpbtrf`` and ``dpotrf`` (for the pivots
-of single blocks), are those of the OpenBLAS that NumPy loads, called
-through ``ctypes`` (:mod:`fotd._lapack`), or ``scipy.linalg.lapack``'s
-where that library is missing; :data:`LAPACK` names the backend in use.
-A routine that rejects an argument as illegal (``info`` < 0) raises
-:class:`LinearSolverError`.
+Three LAPACK calls do the factoring, in the forms of :mod:`fotd._lapack`:
+``dgbsv(bw, ab, rhs)`` factors a KKT band and solves its right-hand side,
+both in place; ``dpbtrf(ab)`` factors a test band in place; and
+``dpotrf(R)`` factors a copy of a single block for its pivots.  They call
+the OpenBLAS that NumPy loads, or ``scipy.linalg.lapack`` where that
+library is missing; :data:`LAPACK` names the backend in use.  Each raises
+:class:`LinearSolverError` when it rejects an argument as illegal.
 
 The stages first..last of a horizon, given a terminal block and a pin, are
 a canonical problem of their own, and in band storage its bands are a
@@ -233,23 +234,21 @@ def solve_kkt_band(ab, bw: int, stages, nx: int):
     ``ab`` and ``bw`` are as :func:`_kkt_band` returns them and ``stages``
     as :func:`_kkt_stages` does, for a horizon of T = len(stages) - 1
     stages of ``nx`` states; returns the ``(p, q, zeta)`` of
-    :func:`solve_lq_kkt`.  The solve overwrites ``stages`` when it is
-    C-contiguous and a C-ordered copy of it otherwise.  An exactly zero
-    pivot of the LU raises :class:`SingularKKTError` with the stage of its
-    column.
+    :func:`solve_lq_kkt`, read from the right-hand side that ``dgbsv``
+    solved in place: ``stages`` itself when it is C-contiguous, else a
+    C-ordered copy.  An exactly zero pivot of the LU raises
+    :class:`SingularKKTError` with the stage of its column.
     """
     T, s = stages.shape[0] - 1, stages.shape[1]
-    stages = np.ascontiguousarray(stages)  # so that rhs is a view of it
-    rhs = stages.reshape(-1)[:ab.shape[1]]
-    _, _, sol, info = _legal("dgbsv", dgbsv(bw, bw, ab, rhs, overwrite_ab=1,
-                                            overwrite_b=1))
+    flat = stages.ravel()
+    rhs = flat[:ab.shape[1]]
+    info = dgbsv(bw, ab, rhs)
     if info > 0:
         raise SingularKKTError((info - 1) // s, info)
-    if not np.isfinite(sol).all():
+    if not np.isfinite(rhs).all():
         raise LinearSolverError("banded KKT solve produced non-finite values")
-    rhs[:] = sol  # LAPACK solves in place; this keeps ``stages`` right regardless
-    return (stages[:, nx: 2 * nx].copy(), stages[:T, 2 * nx:].copy(),
-            stages[:, :nx].copy())
+    sol = flat.reshape(T + 1, s)
+    return sol[:, nx: 2 * nx].copy(), sol[:T, 2 * nx:].copy(), sol[:, :nx].copy()
 
 
 def hessian_vector_product(Q, S, R, vx: np.ndarray, vu: np.ndarray):
@@ -400,8 +399,8 @@ def _band_pivot(ab, m: int):
     ``pivot`` is its smallest pivot, ``stage`` the stage of that pivot's
     column and ``broke`` whether the factorization broke down there.
     """
-    fact, info = _legal("dpbtrf", dpbtrf(ab, lower=1, overwrite_ab=1))
-    col, pivot = _smallest_pivot(fact[0], info)
+    info = dpbtrf(ab)
+    col, pivot = _smallest_pivot(ab[0], info)
     return col // m, pivot, info > 0
 
 
@@ -497,20 +496,8 @@ def _part_pivots(Q, S, R, A, B, c: float, junctions):
             A.shape[1] + B.shape[2])
         yield first + stage, pivot, broke
         if last < A.shape[0]:
-            fact, info = _legal("dpotrf", dpotrf(R[last], lower=1))
+            fact, info = dpotrf(R[last])
             yield last, _smallest_pivot(np.diagonal(fact), info)[1], info > 0
-
-
-def _legal(routine: str, result: tuple) -> tuple:
-    """LAPACK ``routine``'s ``result``, unless its ``info`` rejects an argument.
-
-    ``info``, the last entry, is -i when the i-th argument is illegal.
-    """
-    info = result[-1]
-    if info < 0:
-        raise LinearSolverError(f"LAPACK {routine} rejected its argument "
-                                f"{-info} as illegal (info={info})")
-    return result
 
 
 def _smallest_pivot(diag, info: int):
@@ -665,7 +652,7 @@ def _indefinite_member(Rt, roots, stage: int) -> IndefiniteStageError:
     member = int((roots ** 2 >= PIVOT_TOL).all(axis=1).argmin())
     diag, info = roots[member], 0
     if np.isnan(diag).any():
-        fact, info = _legal("dpotrf", dpotrf(Rt[member], lower=1))
+        fact, info = dpotrf(Rt[member])
         diag = np.diagonal(fact)
     return IndefiniteStageError(member, stage,
                                 _smallest_pivot(diag, info)[1] - PIVOT_TOL)

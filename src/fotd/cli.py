@@ -229,8 +229,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 def _with_flags(raw, flags: dict):
     """``raw`` with each command-line flag in ``flags`` set at its config key.
 
-    ``flags`` uses the override keys of :func:`cmd_solve` and
-    :func:`cmd_sweep`; a flag that is None (or an unset switch) is not given.
+    ``flags`` maps each flag's argparse destination to its value.  A
+    destination ``block.key`` is the config key that the flag sets; a
+    value of None is not given, and a destination without a dot sets
+    nothing.  ``modes``, the repeatable ``--mode``, sets ``solver.mode`` to
+    its first mode.
     """
     if not isinstance(raw, dict):
         return raw  # config_from_dict names the fault
@@ -238,18 +241,10 @@ def _with_flags(raw, flags: dict):
     for mode in modes[1:]:
         if mode not in MODES:
             raise ConfigError(f"--mode must be one of {MODES}, got {mode!r}")
-    keys = {("run", "out_dir"): flags.get("out"),
-            ("run", "seed"): flags.get("seed"),
-            ("solver", "workers"): flags.get("workers"),
-            ("solver", "mode"): modes[0],
-            ("run", "assert_level"): flags.get("assert_level"),
-            ("run", "diagnostics"): True if flags.get("diagnostics") else None,
-            ("run", "timing"): False if flags.get("no_timing") else None,
-            ("sweep", "b"): flags.get("b") or None,
-            ("sweep", "mu"): flags.get("mu") or None}
     raw = dict(raw)
-    for (block, key), val in keys.items():
-        if val is not None:
+    for name, val in {**flags, "solver.mode": modes[0]}.items():
+        block, dot, key = name.partition(".")
+        if dot and val is not None:
             raw[block] = {**_mapping(block, raw.get(block)), key: val}
     return raw
 
@@ -409,10 +404,9 @@ def cmd_solve(config_path: str, overrides: Optional[dict] = None) -> int:
 
 
 @_exit_2_on_config_error
-def cmd_sweep(config_path: str, sweep: Optional[dict] = None,
-              overrides: Optional[dict] = None) -> int:
+def cmd_sweep(config_path: str, overrides: Optional[dict] = None) -> int:
     """Cartesian (b, mu) sweep; per-cell CSVs plus an averaged summary table."""
-    overrides = {**(overrides or {}), **(sweep or {})}
+    overrides = overrides or {}
     if len(overrides.get("modes") or []) > 1:
         raise ConfigError(f"sweep takes one --mode, got {overrides['modes']}")
     cfg = load_config(config_path, overrides)
@@ -512,23 +506,29 @@ def cmd_diag(config_path: str, gamma_c: float = 1.0, t: float = 1.0,
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _comma_list(text: str) -> List[str]:
-    return [v for v in text.split(",") if v]
+def _comma_list(text: str) -> Optional[List[str]]:
+    """The comma list's entries; None, which sets no key, for an empty list."""
+    return [v for v in text.split(",") if v] or None
 
 
 def _add_common(sp):
     sp.add_argument("--config", required=True, help="YAML experiment config")
-    sp.add_argument("--out", help="output directory override")
-    sp.add_argument("--mode", action="append",
+    sp.add_argument("--out", dest="run.out_dir", metavar="OUT",
+                    help="output directory override")
+    sp.add_argument("--mode", action="append", dest="modes", metavar="MODE",
                     help="solver mode override; repeat for side-by-side runs")
-    sp.add_argument("--seed", help="initialization seed override")
-    sp.add_argument("--workers",
+    sp.add_argument("--seed", dest="run.seed", metavar="SEED",
+                    help="initialization seed override")
+    sp.add_argument("--workers", dest="solver.workers", metavar="WORKERS",
                     help="threads for the fotd direction's subproblems (>= 1); "
                          "the Schwarz baseline solves its intervals in order")
-    sp.add_argument("--assert-level", choices=["off", "on"], dest="assert_level")
-    sp.add_argument("--diagnostics", action="store_true", default=None,
+    sp.add_argument("--assert-level", choices=["off", "on"],
+                    dest="run.assert_level")
+    sp.add_argument("--diagnostics", action="store_const", const=True,
+                    dest="run.diagnostics",
                     help="record per-iteration direction-error ratios")
-    sp.add_argument("--no-timing", action="store_true", default=None,
+    sp.add_argument("--no-timing", action="store_const", const=False,
+                    dest="run.timing",
                     help="zero wall_ms columns for byte-stable output")
 
 
@@ -541,8 +541,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     _add_common(sub.add_parser("solve", help="run configured solves"))
     sp = sub.add_parser("sweep", help="sweep overlap size and penalty")
     _add_common(sp)
-    sp.add_argument("--b", type=_comma_list, help="comma list of overlap sizes")
-    sp.add_argument("--mu", type=_comma_list, help="comma list of penalties")
+    sp.add_argument("--b", type=_comma_list, dest="sweep.b", metavar="B",
+                    help="comma list of overlap sizes")
+    sp.add_argument("--mu", type=_comma_list, dest="sweep.mu", metavar="MU",
+                    help="comma list of penalties")
     sp = sub.add_parser("diag", help="diagnostic constants and self-checks")
     sp.add_argument("--config", required=True)
     sp.add_argument("--gamma-c", type=float, default=1.0, dest="gamma_c")
@@ -553,13 +555,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "diag":
         return cmd_diag(args.config, gamma_c=args.gamma_c, t=args.t,
                         upsilon=args.upsilon)
-    overrides = {"out": args.out, "modes": args.mode, "seed": args.seed,
-                 "workers": args.workers, "assert_level": args.assert_level,
-                 "diagnostics": args.diagnostics, "no_timing": args.no_timing}
-    if args.command == "solve":
-        return cmd_solve(args.config, overrides)
-    sweep = {"b": args.b, "mu": args.mu}
-    return cmd_sweep(args.config, sweep, overrides)
+    command = cmd_solve if args.command == "solve" else cmd_sweep
+    return command(args.config, vars(args))
 
 
 if __name__ == "__main__":

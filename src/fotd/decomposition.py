@@ -68,22 +68,18 @@ margin; a singular gain solve of the sweep raises
 solved again one subproblem at a time, so the batch it failed in does not
 show.
 
-Measured on the whole direction at N=500, M=10, b=5 (subproblems of 55 and
-60 stages), random definite blocks with n_u = n_x, one x86-64 core, medians
-of 41 interleaved runs, two runs, while every subproblem's bands were still
-built from its blocks: the band kernel is faster at n_x = 3
-(1.1x) and the batched Riccati sweep from n_x = 4 on (1.1x at 4, 1.3x at 5
-and 6, 1.6x at 7, 1.9x at 8, 3.3-3.8x at 16).  A band's factorization
+RICCATI_MIN_NX = 4 has not been measured against the band windows of one
+horizon assembly above: it is the crossover of a band path that assembled
+each subproblem alone (the whole direction at N=500, M=10, b=5, random
+definite blocks with n_u = n_x, one x86-64 core).  A band's factorization
 grows with its (n_x + n_u)-wide fill, while the sweep's cost at small
 widths is per-stage call overhead (see :mod:`banded`), which a batch of
-subproblems shares.  So RICCATI_MIN_NX = 4 was the measured crossover.
-The table predates the band windows of one horizon assembly, which made
-the band path faster, so it is stale: the crossover may have moved to a
-wider n_x, which has not been measured.  The switch stays where it is
-until it is measured again, as the kernel also decides the
-definiteness test (exact, against the c G^T G heuristic) and the
-rounding, so moving it would change how the plate at m = 4 (n_x = 4) is
-solved, not only how fast.
+subproblems shares; the windows cut the band path's cost, so the
+crossover may lie at a wider n_x.
+The switch stays until a kernel-crossover harness measures it again: the
+kernel also decides the definiteness test (exact, against the c G^T G
+heuristic) and the rounding, so moving it would change how the plate at
+m = 4 (n_x = 4) is solved, not only how fast.
 """
 
 from __future__ import annotations

@@ -23,15 +23,16 @@ the merit's rounding allowance, a step passes on rounding alone.  After
 STALL_ITERS such steps in a row that each left the KKT residual no lower,
 the run stops with :class:`ArmijoStall` instead of running to its budget.
 
-:func:`run_outer_loop` owns the stop tests, error capture, the iteration
-counter ``tau``, the timing and the report's violation count.  A step owns
-the iterate, the config (which it replaces when the penalties adapt) and the
-stall state, all in one :class:`SolverState`, and adds each descent
+:func:`run_outer_loop` owns every stop rule (the KKT tolerance, the budget,
+the short step and the stall), error capture, the iteration counter
+``tau``, the timing and the report's violation count.  A step owns the
+iterate, the config (which it replaces when the penalties adapt) and what
+rounding decided, all in one :class:`SolverState`, and adds each descent
 violation to the state's count as it happens, so a step that fails keeps
 its violations in the report.  The SQP driver :func:`solve` and the
 overlapping Schwarz baseline (:func:`fotd.schwarz.schwarz_solve`) differ
 only in the step they hand the loop; :func:`fotd_step` takes one SQP step
-outside it.
+outside it, and so checks no stop rule.
 """
 
 from __future__ import annotations
@@ -163,10 +164,8 @@ class SolverState:
     taken.  A step updates the iterate ``z``, ``lam`` in place or replaces
     it, replaces ``cfg`` when the penalties adapt, adds each
     descent-inequality violation to ``violations`` as it is seen, and sets
-    ``undecided``: (KKT residual, predicted decrease, rounding allowance,
-    stalls) of the last SQP step when rounding decided its Armijo test,
-    else None; stalls counts the steps before it, in a row, that rounding
-    decided and after which the residual did not fall.
+    ``undecided``: (predicted decrease, rounding allowance) of the last SQP
+    step when rounding decided its Armijo test, else None.
     """
 
     z: Trajectory
@@ -174,7 +173,7 @@ class SolverState:
     cfg: SolverConfig
     tau: int = 0
     violations: int = 0
-    undecided: Optional[Tuple[float, float, float, int]] = None
+    undecided: Optional[Tuple[float, float]] = None
 
 
 def adapt_penalties(cfg: SolverConfig, nu: float) -> SolverConfig:
@@ -277,10 +276,6 @@ def _step(p: ProblemDef, decomposed: bool, state: SolverState,
     plan = make_plan(p.N, cfg.M, cfg.b) if decomposed else None
     z, lam = state.z, state.lam
     kkt_res = terms.residual()
-    last = state.undecided
-    stalls = last[3] + 1 if last and kkt_res >= last[0] else 0
-    if stalls == STALL_ITERS:
-        raise ArmijoStall(STALL_ITERS, *last[1:3])
     # The merit gradient's linearization is freed before the Newton data's
     # is made, so the two are alive at once only when an adaptation
     # re-evaluates the gradient for its new penalties.
@@ -322,8 +317,7 @@ def _step(p: ProblemDef, decomposed: bool, state: SolverState,
     noise = armijo_allowance(merit0, terms.magnitude)
     alpha, _ = line_search(p, z, lam, direction, cfg.eta, merit0, slope, noise)
     predicted = BETA * alpha * abs(slope)
-    state.undecided = ((kkt_res, predicted, noise, stalls) if predicted < noise
-                       else None)
+    state.undecided = (predicted, noise) if predicted < noise else None
     dx, du, dl = direction.stage_arrays(p.N, p.n_x, p.n_u)
     z.x += alpha * dx
     z.u += alpha * du
@@ -364,12 +358,15 @@ def run_outer_loop(p: ProblemDef, cfg: SolverConfig, init,
     ``state.tau``.  A step no longer than ``cfg.step_tol`` after which the
     KKT residual is lower than before it stops the loop after one more head
     record at the new iterate; after one that left the residual no lower
-    the loop goes on, to the KKT tolerance, the budget or the stall test of
-    :func:`_step`.  A :class:`SolverError` from the step ends the run with
-    status "error" and the history intact; the loop sets the error's
-    ``iteration``, the report keeps the error, and the report's error
-    string names it.  The report's ``descent_violations`` is
-    ``state.violations``, so it counts those of a failed step too.
+    the loop goes on, to the KKT tolerance, the budget or the stall test:
+    the STALL_ITERS-th step in a row that left ``state.undecided`` set and
+    the residual no lower stops the loop with :class:`ArmijoStall`, raised
+    where the next step would be taken.  A :class:`SolverError` from the
+    step, or that stall, ends the run with status "error" and the history
+    intact; the loop sets the error's ``iteration``, the report keeps the
+    error, and the report's error string names it.  The report's
+    ``descent_violations`` is ``state.violations``, so it counts those of a
+    failed step too.
     """
     z0, lam0 = init
     state = SolverState(z0.copy(), lam0.copy(), cfg)
@@ -377,6 +374,7 @@ def run_outer_loop(p: ProblemDef, cfg: SolverConfig, init,
     records: List[IterationRecord] = []
     error = exception = None
     short_step = False
+    stalls = 0
     while True:
         t0 = time.perf_counter()
         terms = _merit_terms(p, state.z, state.lam)
@@ -390,7 +388,11 @@ def run_outer_loop(p: ProblemDef, cfg: SolverConfig, init,
         elif state.tau >= cfg.max_iters:
             status = STATUS_MAX_ITERS
         else:
+            stalls = (stalls + 1 if state.undecided
+                      and head.kkt_residual >= records[-1].kkt_residual else 0)
             try:
+                if stalls == STALL_ITERS:
+                    raise ArmijoStall(STALL_ITERS, *state.undecided)
                 record = step(state, terms)
             except SolverError as exc:
                 exc.iteration = state.tau

@@ -29,9 +29,10 @@ core, medians of 21 interleaved runs, two runs of the table:
             5.9  1.9  1.1  1.1  0.92 0.78 0.65 0.59 0.43
 
 The sweep is the faster from 13 states on, two below the switch.
-FULL_RICCATI_MIN_NX stays 15 all the same: the kernel also decides how a
-horizon of 13 or 14 states rounds, so moving it is a change of results,
-to be declared as such, not only of speed.
+FULL_RICCATI_MIN_NX stays 15 all the same, until a kernel-crossover
+harness measures both switches: the kernel also decides how a horizon of
+13 or 14 states rounds, so moving it is a change of results, to be
+declared as such, not only of speed.
 
 The LU's band holds (3 (2 n_x + n_u) - 2) (T (2 n_x + n_u) + 2 n_x)
 doubles, 27 MB on the plate at m = 6 (n_x = n_u = 16, T = 500), against

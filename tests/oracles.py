@@ -309,7 +309,7 @@ def first_indefinite_member(Rt, stage):
         try:
             diag, info = np.diagonal(np.linalg.cholesky(r)), 0
         except np.linalg.LinAlgError:
-            fact, info = dpotrf(r, lower=1)
+            fact, info = dpotrf(r)
             diag = np.diagonal(fact)
         pivot = diag[info - 1] if info > 0 else np.min(diag ** 2)
         if not pivot >= PIVOT_TOL:

@@ -131,6 +131,18 @@ TOY_RUN = "problem: {type: toy, case: 1, N: 60}\nsolver: {M: 3, b: 2}\nrun: %s\n
     # an unknown key: Schwarz stops at solver.max_iters like every mode
     (TOY_SOLVER % "{mode: schwarz, M: 3, b: 2, schwarz_budget: -1}", [],
      "solver.schwarz_budget"),
+    ("problem: [\n", [], "config is not valid YAML"),
+    # a good config, but as the one item of a list
+    ("- problem: {type: toy, case: 1, N: 60}\n"
+     "  run: {inits: 1, out_dir: '%s'}\n", [], "config root must be a mapping"),
+    (TOY_SOLVER % "{M: 3, b: 2}\nextra: 1", [], "unknown key 'extra'"),
+    # solve names the unknown mode; sweep refuses a second one
+    (TOY_SOLVER % "{M: 3, b: 2}", ["--mode", "fotd", "--mode", "bogus"],
+     "'bogus'"),
+    # the last --config given is read
+    (TOY_SOLVER % "{M: 3, b: 2}", ["--config", "missing.yaml"],
+     "cannot read config: [Errno 2] No such file or directory: "
+     "'missing.yaml'"),
 ], ids=["d-kind", "d-scalar", "plate-m2", "M-divides-N", "solver-c",
         "solver-gamma-step", "solver-beta", "solver-backtrack-factor",
         "solver-nu", "solver-rho-hat", "solver-workers-0", "flag-workers-0",
@@ -138,7 +150,9 @@ TOY_RUN = "problem: {type: toy, case: 1, N: 60}\nsolver: {M: 3, b: 2}\nrun: %s\n
         "run-list", "problem-list", "solver-M-fraction", "run-diagnostics-no",
         "run-out-dir-null", "run-inits-0", "plate-m-fraction",
         "toy-case-fraction", "d-key-typo", "max-iters-negative",
-        "kkt-tol-negative", "step-tol-nan", "schwarz-budget-negative"])
+        "kkt-tol-negative", "step-tol-nan", "schwarz-budget-negative",
+        "yaml-unparsed", "root-list", "top-level-key", "flag-mode-bogus",
+        "config-missing"])
 def test_config_errors_found_before_solving_exit_2(tmp_path, monkeypatch,
                                                     capsys, command, text,
                                                     flags, names):
@@ -191,15 +205,15 @@ def test_runs_that_would_write_one_file_exit_2(tmp_path, monkeypatch, capsys,
 
 
 @pytest.mark.parametrize("flag, given, block, key, val", [
-    ("out", "elsewhere", "run", "out_dir", "elsewhere"),
-    ("seed", "7", "run", "seed", 7),
-    ("workers", "2", "solver", "workers", 2),
+    ("run.out_dir", "elsewhere", "run", "out_dir", "elsewhere"),
+    ("run.seed", "7", "run", "seed", 7),
+    ("solver.workers", "2", "solver", "workers", 2),
     ("modes", ["schwarz", "fotd"], "solver", "mode", "schwarz"),
-    ("assert_level", "off", "run", "assert_level", "off"),
-    ("diagnostics", True, "run", "diagnostics", True),
-    ("no_timing", True, "run", "timing", False),
-    ("b", ["1", "4"], "sweep", "b", [1, 4]),
-    ("mu", ["1", "2.5"], "sweep", "mu", [1.0, 2.5]),
+    ("run.assert_level", "off", "run", "assert_level", "off"),
+    ("run.diagnostics", True, "run", "diagnostics", True),
+    ("run.timing", False, "run", "timing", False),
+    ("sweep.b", ["1", "4"], "sweep", "b", [1, 4]),
+    ("sweep.mu", ["1", "2.5"], "sweep", "mu", [1.0, 2.5]),
 ], ids=["out", "seed", "workers", "modes", "assert_level", "diagnostics",
         "no_timing", "b", "mu"])
 def test_each_flag_sets_the_key_it_stands_for(tmp_path, flag, given, block,
@@ -272,8 +286,9 @@ def test_cmd_sweep_singleton_matches_solve(tmp_path):
     out_solve, out_sweep = tmp_path / "a", tmp_path / "b"
     path1 = write_config(tmp_path, TOY_CFG % out_solve, name="a.yaml")
     path2 = write_config(tmp_path, TOY_CFG % out_sweep, name="b.yaml")
-    assert cmd_solve(path1, {"no_timing": True}) == 0
-    assert cmd_sweep(path2, {"b": [2], "mu": [25.0]}, {"no_timing": True}) == 0
+    assert cmd_solve(path1, {"run.timing": False}) == 0
+    assert cmd_sweep(path2, {"sweep.b": [2], "sweep.mu": [25.0],
+                             "run.timing": False}) == 0
     a = (out_solve / "run_0.csv").read_bytes()
     b = (out_sweep / "b2_mu25" / "run_0.csv").read_bytes()
     assert a == b
@@ -301,7 +316,7 @@ problem: {type: toy, case: 1, N: 120}
 solver: {mode: fotd, mu: 25.0, M: 4, b: 1}
 run: {inits: 2, seed: 5, out_dir: '%s', diagnostics: true}
 """ % out)
-    rc = cmd_sweep(path, {"b": [1, 8], "mu": [25.0]}, {})
+    rc = cmd_sweep(path, {"sweep.b": [1, 8], "sweep.mu": [25.0]})
     assert rc == 0
     cells = json.loads((out / "sweep_summary.json").read_text())["cells"]
     by_b = {c["b"]: c["mean_dir_err_ratio"] for c in cells}
@@ -333,6 +348,7 @@ def test_assert_level_override_threads_through(tmp_path):
     path = write_config(tmp_path, TOY_CFG % (tmp_path / "out"))
     cfg = load_config(path)
     assert cfg.solver.assert_descent is True
-    cfg2 = load_config(path, {"assert_level": "off", "workers": 4})
+    cfg2 = load_config(path, {"run.assert_level": "off",
+                              "solver.workers": 4})
     assert cfg2.solver.assert_descent is False
     assert cfg2.solver.workers == 4

@@ -412,6 +412,28 @@ def test_the_loop_numbers_times_and_counts_what_its_steps_do():
     assert report.descent_violations == 3
 
 
+def test_the_loop_stops_steps_that_rounding_decides_without_progress():
+    # A step that never moves the iterate, so the residual never falls;
+    # rounding decides every call but the third, which resets the count.
+    p = toy(N=20)
+    init = make_initializations(p, 2, seed=7)[1]
+    calls = []
+
+    def step(state, terms):
+        calls.append(None)
+        state.undecided = None if len(calls) == 3 else (1e-30, 1e-20)
+        return IterationRecord(state.tau, terms.residual(),
+                               terms.merit(state.cfg.eta), stepsize=1.0,
+                               step_norm=1.0)
+
+    report = run_outer_loop(p, SolverConfig(step_tol=0.0), init, step)
+    assert len(calls) == 3 + STALL_ITERS
+    exc = report.exception
+    assert isinstance(exc, ArmijoStall) and exc.iteration == 3 + STALL_ITERS
+    assert (exc.predicted, exc.noise) == (1e-30, 1e-20)
+    assert report.iterations == 3 + STALL_ITERS
+
+
 def test_adaptivity_that_cannot_restore_descent_is_reported_with_its_iteration(
         monkeypatch):
     # Iteration 0 takes the decomposed direction; from iteration 1 on it is

@@ -1,12 +1,15 @@
 """The LAPACK backend: NumPy's OpenBLAS through ctypes, else scipy's wrappers.
 
 ``fotd._lapack`` calls ``dgbsv``, ``dpbtrf`` and ``dpotrf`` in the OpenBLAS
-that NumPy loads, with ``scipy.linalg.lapack``'s call forms and results.
-These tests hold it to those results byte for byte, check that importing
-the package leaves ``scipy.linalg`` out, and that a missing library or
-symbol falls back to scipy with the same directions.
+that NumPy loads, in the three forms ``fotd.banded`` uses, and binds
+``scipy.linalg.lapack``'s routines in the same forms where that library is
+missing.  These tests hold the two backends to the same results byte for
+byte, check that importing the package leaves ``scipy.linalg`` out, and
+that a missing library or symbol falls back to scipy with the same
+directions.
 """
 
+import ctypes
 import os
 import subprocess
 import sys
@@ -66,14 +69,22 @@ def assert_same(got, want):
             np.testing.assert_array_equal(g, w)
 
 
-def both(scipy_lapack, name, *args, **kwargs):
-    """``name`` of each backend on its own copies of ``args``; checked equal."""
-    def copies():
-        return [np.copy(a, order="F") if isinstance(a, np.ndarray) else a
-                for a in args]
-    got = getattr(_lapack, name)(*copies(), **kwargs)
-    assert_same(got, getattr(scipy_lapack, name)(*copies(), **kwargs))
-    return got
+def both(scipy_lapack, name, *args):
+    """``name`` of each backend on its own copies of ``args``; checked equal.
+
+    What each call returns is compared, and so is every array it was given,
+    as the call left it.  Returns what the ctypes backend's call returned.
+    """
+    returned, compared = [], []
+    for backend in (_lapack, scipy_lapack):
+        copies = [np.copy(a, order="F") if isinstance(a, np.ndarray) else a
+                  for a in args]
+        got = getattr(backend, name)(*copies)
+        returned.append(got)
+        compared.append((*(got if isinstance(got, tuple) else (got,)),
+                         *(a for a in copies if isinstance(a, np.ndarray))))
+    assert_same(*compared)
+    return returned[0]
 
 
 @numpy_backend
@@ -86,25 +97,24 @@ def test_backends_give_the_same_bytes(scipy_lapack, make):
     blocks = (lq.Q, lq.S, lq.R, lq.A, lq.B)
     ab, bw = _kkt_band(*blocks)
     rhs = np.random.default_rng(0).standard_normal(ab.shape[1])
-    for kwargs in ({}, {"overwrite_ab": 1, "overwrite_b": 1}):
-        assert both(scipy_lapack, "dgbsv", bw, bw, ab, rhs, **kwargs)[3] == 0
-    # a two-column right-hand side
-    both(scipy_lapack, "dgbsv", bw, bw, ab, np.stack([rhs, -rhs], axis=1))
+    assert both(scipy_lapack, "dgbsv", bw, ab, rhs) == 0
     c = default_definiteness_constant(lq)
-    for kwargs in ({}, {"lower": 1}, {"lower": 1, "overwrite_ab": 1}):
-        both(scipy_lapack, "dpbtrf", _test_band(*blocks, c), **kwargs)
+    both(scipy_lapack, "dpbtrf", _test_band(*blocks, c))
     for r in lq.R[:3] @ lq.R[:3].transpose(0, 2, 1) + np.eye(lq.R.shape[1]):
-        both(scipy_lapack, "dpotrf", r)
+        r[np.triu_indices_from(r, 1)] = np.nan  # never read
         # scipy's OpenBLAS may round the lower factor otherwise (0.3.30
         # against NumPy's 0.3.31 from n = 6 on); np.linalg.cholesky calls
         # the same routine of NumPy's library
-        fact, info = _lapack.dpotrf(r, lower=1)
+        fact, info = _lapack.dpotrf(r)
         assert info == 0
+        assert np.array_equal(np.triu(fact, 1), np.triu(r, 1), equal_nan=True)
         fact = np.tril(fact)
         assert fact.tobytes() == np.linalg.cholesky(r).tobytes()
-        np.testing.assert_allclose(
-            fact, np.tril(scipy_lapack.dpotrf(r, lower=1)[0]),
-            rtol=0, atol=1e-13 * np.abs(fact).max())
+        want, info = scipy_lapack.dpotrf(r)
+        assert info == 0
+        assert np.array_equal(np.triu(want, 1), np.triu(r, 1), equal_nan=True)
+        np.testing.assert_allclose(fact, np.tril(want), rtol=0,
+                                   atol=1e-13 * np.abs(fact).max())
 
 
 @numpy_backend
@@ -114,7 +124,7 @@ def test_backends_agree_on_a_zero_pivot(scipy_lapack, monkeypatch):
     args = (d.Q, d.S, d.R, d.A, d.B, d.gx, d.gu, d.c0, d.cdyn)
     ab, bw = _kkt_band(*args[:5])
     rhs = np.ones(ab.shape[1])
-    assert both(scipy_lapack, "dgbsv", bw, bw, ab, rhs)[3] == 19
+    assert both(scipy_lapack, "dgbsv", bw, ab, rhs) == 19
     errors = []
     for dgbsv in (_lapack.dgbsv, scipy_lapack.dgbsv):
         monkeypatch.setattr(banded, "dgbsv", dgbsv)
@@ -129,9 +139,8 @@ def test_backends_agree_on_a_zero_pivot(scipy_lapack, monkeypatch):
 def test_backends_agree_on_a_cholesky_breakdown(scipy_lapack, monkeypatch):
     d = lq_data(6, 2, 3, seed=6, shift=-3.0)
     blocks = (d.Q, d.S, d.R, d.A, d.B)
-    _, info = both(scipy_lapack, "dpbtrf", _test_band(*blocks, 1.0), lower=1)
-    assert info > 0
-    _, info = both(scipy_lapack, "dpotrf", d.R[0], lower=1)
+    assert both(scipy_lapack, "dpbtrf", _test_band(*blocks, 1.0)) > 0
+    _, info = both(scipy_lapack, "dpotrf", d.R[0])
     assert info > 0
     d.S[3], d.A[3], d.B[3] = 0.0, 0.0, 0.0  # a junction: its R_3 by dpotrf
     failures = []
@@ -161,16 +170,51 @@ ILLEGAL_CALLS = {
 }
 
 
+# The address argument through which each ctypes routine returns info.
+INFO_ARGUMENT = {"dgbsv": 9, "dpbtrf": 5, "dpotrf": 4}
+
+
+def illegal_ctypes_routine(name):
+    """A stand-in for a ctypes routine: it sets info = -4 and nothing else."""
+    def call(*args):
+        ctypes.c_int64.from_address(args[INFO_ARGUMENT[name]]).value = -4
+    return call
+
+
 @pytest.mark.parametrize("call", ILLEGAL_CALLS)
 def test_an_illegal_argument_raises(monkeypatch, call):
+    # Each backend's form of the routine raises, from a call that returns
+    # info = -4, and the error reaches banded's caller unchanged.
+    lapack = pytest.importorskip("scipy.linalg.lapack")
     routine = call.split("-")[0]
-    real = getattr(banded, routine)
-    monkeypatch.setattr(banded, routine,
+    real = getattr(lapack, routine)
+    monkeypatch.setattr(lapack, routine,
                         lambda *a, **k: (*real(*a, **k)[:-1], -4))
-    with pytest.raises(LinearSolverError) as err:
-        ILLEGAL_CALLS[call](junction_lq())
-    assert str(err.value) == (f"LAPACK {routine} rejected its argument 4 as "
-                              f"illegal (info=-4)")
+    for routines in (_lapack._wrap(*map(illegal_ctypes_routine, INFO_ARGUMENT)),
+                     _lapack._scipy()):
+        monkeypatch.setattr(banded, routine,
+                            dict(zip(INFO_ARGUMENT, routines))[routine])
+        with pytest.raises(LinearSolverError) as err:
+            ILLEGAL_CALLS[call](junction_lq())
+        assert str(err.value) == (f"LAPACK {routine} rejected its argument 4 "
+                                  f"as illegal (info=-4)")
+
+
+@numpy_backend
+def test_an_array_lapack_cannot_work_in_place_raises():
+    d = lq_data(4, 2, 3, seed=0)
+    ab, bw = _kkt_band(d.Q, d.S, d.R, d.A, d.B)
+    rhs = np.ones(ab.shape[1])
+    frozen = rhs.copy()
+    frozen.flags.writeable = False
+    for args in ((bw, np.ascontiguousarray(ab), rhs),  # not F-contiguous
+                 (bw, ab, np.ones(2 * ab.shape[1])[::2]),  # strided
+                 (bw, ab, frozen)):
+        with pytest.raises(TypeError):
+            _lapack.dgbsv(*args)
+    with pytest.raises(TypeError):
+        _lapack.dpbtrf(np.ascontiguousarray(_test_band(d.Q, d.S, d.R, d.A,
+                                                       d.B, 1.0)))
 
 
 # Run in a fresh interpreter: {patch} stands in for the loader's failure.

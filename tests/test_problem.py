@@ -9,8 +9,9 @@ from fotd.benchmarks import (PlateSpec, ToySpec, make_plate_problem,
                              make_toy_problem, toy_case_params)
 from fotd.decomposition import make_plan
 from fotd.newton import assemble_newton_data
+from fotd import problem
 from fotd.problem import (DualTrajectory, PenaltyParams, ProblemDef, Trajectory,
-                          _merit_terms, eval_constraints,
+                          _merit_terms, atomic_write, eval_constraints,
                           eval_lagrangian_gradient, eval_merit,
                           eval_merit_gradient, eval_objective, kkt_residual,
                           linearize, load_point_csv, save_point_csv,
@@ -390,3 +391,23 @@ def test_point_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(z.x, z2.x)
     np.testing.assert_array_equal(z.u, z2.u)
     np.testing.assert_array_equal(lam.lam, lam2.lam)
+
+
+@pytest.mark.parametrize("fault", ["write", "replace"])
+def test_a_failed_atomic_write_leaves_the_target_and_no_temporary_file(
+        tmp_path, monkeypatch, fault):
+    target = tmp_path / "run_0.csv"
+    target.write_text("before\n")
+    text = "after\n"
+    if fault == "write":
+        text += "\ud800"  # a lone surrogate, which no codec writes
+        error = UnicodeEncodeError
+    else:
+        def refused(src, dst):
+            raise OSError("simulated: replace refused")
+        monkeypatch.setattr(problem.os, "replace", refused)
+        error = OSError
+    with pytest.raises(error):
+        atomic_write(str(target), text)
+    assert target.read_text() == "before\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["run_0.csv"]
