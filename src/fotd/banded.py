@@ -1,6 +1,9 @@
 """Structured linear algebra for stagewise linear-quadratic KKT systems.
 
-Every Newton-type solve in this package reduces to one canonical problem:
+This module holds the LQ kernels and nothing else; the merit gradient's
+products with the Lagrangian Hessian and the constraint Jacobian are
+:func:`fotd.problem.eval_merit_gradient`'s.  Every Newton-type solve in this
+package reduces to one canonical problem:
 
     minimize    sum_{k<T} { 1/2 (p_k; q_k)^T [[Q_k, S_k^T], [S_k, R_k]] (p_k; q_k)
                             + gx_k^T p_k + gu_k^T q_k }
@@ -249,32 +252,6 @@ def solve_kkt_band(ab, bw: int, stages, nx: int):
         raise LinearSolverError("banded KKT solve produced non-finite values")
     sol = flat.reshape(T + 1, s)
     return sol[:, nx: 2 * nx].copy(), sol[:T, 2 * nx:].copy(), sol[:, :nx].copy()
-
-
-def hessian_vector_product(Q, S, R, vx: np.ndarray, vu: np.ndarray):
-    """Stagewise H @ v for block-diagonal H with blocks [[Q, S^T], [S, R]]."""
-    N = vu.shape[0]
-    hx = np.einsum("kij,kj->ki", Q[:N], vx[:N]) + np.einsum("kji,kj->ki", S, vu)
-    hu = np.einsum("kij,kj->ki", S, vx[:N]) + np.einsum("kij,kj->ki", R, vu)
-    hxN = Q[N] @ vx[N]
-    return np.vstack([hx, hxN[None, :]]), hu
-
-
-def jacobian_products(A, B, vx, vu, w):
-    """Constraint Jacobian products (G v, G^T w) for the staircase structure.
-
-    ``w`` has shape (N+1, n_x).  Returns (Gv with shape (N+1, n_x),
-    (GTw_x, GTw_u) stage arrays).
-    """
-    N = vu.shape[0]
-    Gv = np.empty_like(w)
-    Gv[0] = vx[0]
-    Gv[1:] = vx[1:] - np.einsum("kij,kj->ki", A, vx[:N]) - np.einsum("kij,kj->ki", B, vu)
-    GTx = np.empty_like(vx)
-    GTx[:N] = w[:N] - np.einsum("kji,kj->ki", A, w[1:])
-    GTx[N] = w[N]
-    GTu = -np.einsum("kji,kj->ki", B, w[1:])
-    return Gv, (GTx, GTu)
 
 
 def definiteness_pivots_ok(Q, S, R, A, B, c: float, junctions=()) -> bool:
@@ -540,6 +517,10 @@ def solve_lq_riccati(Q, S, R, A, B, gx, gu, c0, cdyn):
     reduction for the pivot test, the gain's LU solve, and one product and
     one subtraction for the cost-to-go; the forward pass makes two products
     a stage.  Each writes into a buffer allocated once per sweep.
+
+    A product that overflows is no failure of its own, whatever the warning
+    filter: the inf or NaN it leaves fails the pivot test, or the finiteness
+    check that raises :class:`LinearSolverError` after the forward pass.
     """
     K, T, nx, nu = B.shape
     m = nx + nu
@@ -594,7 +575,7 @@ def solve_lq_riccati(Q, S, R, A, B, gx, gu, c0, cdyn):
     def flagged(err, flag):
         flags.append(flag)
 
-    with np.errstate(invalid="call", call=flagged):
+    with np.errstate(over="ignore", invalid="call", call=flagged):
         for k in range(T - 1, -1, -1):
             j = k % COST_CHUNK
             if k == T - 1 or j == COST_CHUNK - 1:
@@ -626,13 +607,14 @@ def solve_lq_riccati(Q, S, R, A, B, gx, gu, c0, cdyn):
     y = np.empty((T + 1, K, m + 1, 1))
     y[0, :, :nx, 0] = c0
     y[0, :, nx] = 1.0
-    for k in range(T):
-        j = k % COST_CHUNK
-        if j == 0:
-            fill_F(slice(k, k + C), min(C, T - k), np.positive)
-        np.matmul(X[k], y[k, :, :nx + 1], out=y[k, :, nx + 1:])
-        np.matmul(F[j], y[k], out=y[k + 1, :, :nx + 1])
-    zeta = np.matmul(V, y[:, :, :nx + 1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(T):
+            j = k % COST_CHUNK
+            if j == 0:
+                fill_F(slice(k, k + C), min(C, T - k), np.positive)
+            np.matmul(X[k], y[k, :, :nx + 1], out=y[k, :, nx + 1:])
+            np.matmul(F[j], y[k], out=y[k + 1, :, :nx + 1])
+        zeta = np.matmul(V, y[:, :, :nx + 1])
     np.negative(zeta, out=zeta)
     out = (y[:, :, :nx, 0].swapaxes(0, 1), y[:T, :, nx + 1:, 0].swapaxes(0, 1),
            zeta[..., 0].swapaxes(0, 1))

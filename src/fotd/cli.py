@@ -307,9 +307,7 @@ def report_to_csv(report: SolveReport, timing: bool = True) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _sig6(v):
-    if v is None or isinstance(v, (str, bool, int)):
-        return v
+def _sig6(v) -> float:
     return float(f"{float(v):.6g}")
 
 

@@ -16,6 +16,11 @@ residual), and the differentiable exact augmented Lagrangian merit function
 
 together with its gradient.
 
+The problem owns its callbacks' contract: :attr:`ProblemDef.output_shapes`
+is the one table of what each callback returns at a stage k < N, and
+:func:`eval_merit_gradient` applies the merit's block operator to the
+Lagrangian gradient itself, from the blocks of one :func:`linearize`.
+
 Conventions used across the package:
   * Flattened primal vectors are stage-major: (x_0, u_0, ..., x_{N-1},
     u_{N-1}, x_N), with n_z = (N+1) n_x + N n_u entries.
@@ -34,11 +39,9 @@ import os
 import tempfile
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
-
-from .banded import hessian_vector_product, jacobian_products
 
 
 @dataclass(frozen=True)
@@ -68,10 +71,11 @@ class ProblemDef:
     It must match the per-stage form bit for bit.  An evaluation pass makes
     one call per callback over the stages k < N -- the batched form, or a
     loop over the per-stage form that copies its outputs into fresh stage
-    arrays -- and one per-stage call at the terminal stage.  Outputs may be
-    shared read-only arrays; the pass never writes into them.  The batched
-    form travels with its callable, so ``dataclasses.replace`` of one
-    callback drops that callback's batched form only.
+    arrays shaped by :attr:`output_shapes` -- and one per-stage call at the
+    terminal stage.  Outputs may be shared read-only arrays; the pass never
+    writes into them.  The batched form travels with its callable, so
+    ``dataclasses.replace`` of one callback drops that callback's batched
+    form only.
     """
 
     N: int
@@ -94,6 +98,16 @@ class ProblemDef:
         x0 = x0.copy()
         x0.flags.writeable = False
         object.__setattr__(self, "x0", x0)
+
+    @cached_property
+    def output_shapes(self) -> dict:
+        """Each callback's output shapes at a stage k < N, by name in field order."""
+        nx, nu = self.n_x, self.n_u
+        blocks = [(nx, nx), (nu, nx), (nu, nu)]
+        return {"stage_cost": [()], "cost_gradient": [(nx,), (nu,)],
+                "cost_hessian": blocks, "dynamics": [(nx,)],
+                "dynamics_jacobians": [(nx, nx), (nx, nu)],
+                "dynamics_hessian_contraction": blocks}
 
     @property
     def n_z(self) -> int:
@@ -209,18 +223,19 @@ def batched_callback(form: Callable, N: int,
     return callback
 
 
-def _over_stages(fn: Callable, shapes, ks: np.ndarray, *arrays):
-    """Evaluate callback ``fn`` at the stages ``ks`` in one call.
+def _over_stages(p: ProblemDef, name: str, ks: np.ndarray, *arrays):
+    """Evaluate ``p``'s callback ``name`` at the stages ``ks`` in one call.
 
-    Uses ``fn.batched`` when the callback has one.  Otherwise calls ``fn``
-    once per stage and copies its outputs into fresh stage arrays with the
-    trailing ``shapes`` (one per output), as a per-stage callback may return
+    Uses the callback's batched form when it has one.  Otherwise calls it
+    once per stage and copies its outputs into fresh stage arrays shaped by
+    :attr:`ProblemDef.output_shapes`, as a per-stage callback may return
     shared arrays.
     """
+    fn = getattr(p, name)
     form = getattr(fn, "batched", None)
     if form is not None:
         return form(ks, *arrays)
-    outs = [np.empty((len(ks),) + shape) for shape in shapes]
+    outs = [np.empty((len(ks),) + shape) for shape in p.output_shapes[name]]
     for i, args in enumerate(zip(ks.tolist(), *arrays)):
         res = fn(*args)
         for out, r in zip(outs, res if len(outs) > 1 else (res,)):
@@ -241,7 +256,7 @@ def eval_objective(p: ProblemDef, z: Trajectory) -> float:
     """
     check_point(p, z)
     costs = np.zeros(p.N + 2)
-    costs[1:-1] = _over_stages(p.stage_cost, [()], *_stages(p, z))
+    costs[1:-1] = _over_stages(p, "stage_cost", *_stages(p, z))
     costs[-1] = p.stage_cost(p.N, z.x[p.N])
     return float(np.cumsum(costs)[-1])
 
@@ -251,8 +266,7 @@ def eval_constraints(p: ProblemDef, z: Trajectory) -> np.ndarray:
     check_point(p, z)
     c = np.empty((p.N + 1, p.n_x))
     c[0] = z.x[0] - p.x0
-    np.subtract(z.x[1:], _over_stages(p.dynamics, [(p.n_x,)], *_stages(p, z)),
-                out=c[1:])
+    np.subtract(z.x[1:], _over_stages(p, "dynamics", *_stages(p, z)), out=c[1:])
     return c.ravel()
 
 
@@ -262,28 +276,22 @@ def eval_lagrangian_gradient(p: ProblemDef, z: Trajectory, lam: DualTrajectory):
     Returns ``(grad_z, grad_lam)`` as flat stage-major vectors.  The KKT
     residual is the 2-norm of their concatenation.
     """
-    return _merit_terms(p, z, lam)[1:]
+    terms = _merit_terms(p, z, lam)
+    return terms.gz, terms.gl
 
 
-class _LagrangianTerms(NamedTuple):
+@dataclass(frozen=True)
+class MeritTerms:
+    """Lagrangian value and gradient at one point; the merit is built from them.
+
+    ``lagr`` is L, ``gz`` and ``gl`` its flat gradients in z and lam, and
+    ``parts`` the terms that L sums (arrays or numbers); none when not given.
+    """
+
     lagr: float
     gz: np.ndarray
     gl: np.ndarray
-
-
-class MeritTerms(_LagrangianTerms):
-    """Lagrangian value and gradient at one point; the merit is built from them.
-
-    Unpacks and slices as the 3-tuple ``(lagr, gz, gl)``.  ``parts``, kept
-    outside the tuple, holds the terms that L sums (arrays or numbers);
-    none when not given.
-    """
-
-    def __new__(cls, lagr: float, gz: np.ndarray, gl: np.ndarray,
-                parts: tuple = ()):
-        terms = super().__new__(cls, lagr, gz, gl)
-        terms.parts = parts
-        return terms
+    parts: tuple = ()
 
     @cached_property
     def magnitude(self) -> float:
@@ -329,14 +337,12 @@ def _stage_pass(p: ProblemDef, z: Trajectory, lam: DualTrajectory,
     N, nx, nu = p.N, p.n_x, p.n_u
     x, lm = z.x, lam.lam
     stages = _stages(p, z)
-    cgx, cgu = _over_stages(p.cost_gradient, [(nx,), (nu,)], *stages)
-    A, B = _over_stages(p.dynamics_jacobians, [(nx, nx), (nx, nu)], *stages)
-    f = _over_stages(p.dynamics, [(nx,)], *stages)
+    cgx, cgu = _over_stages(p, "cost_gradient", *stages)
+    A, B = _over_stages(p, "dynamics_jacobians", *stages)
+    f = _over_stages(p, "dynamics", *stages)
     if second_order:
-        Qc, Sc, Rc = _over_stages(p.cost_hessian, [(nx, nx), (nu, nx), (nu, nu)],
-                                  *stages)
-        Wxx, Wux, Wuu = _over_stages(p.dynamics_hessian_contraction,
-                                     [(nx, nx), (nu, nx), (nu, nu)],
+        Qc, Sc, Rc = _over_stages(p, "cost_hessian", *stages)
+        Wxx, Wux, Wuu = _over_stages(p, "dynamics_hessian_contraction",
                                      *stages, lm[1:])
         # Each part is dropped once summed, so that at most one sum and its
         # two parts are alive beyond the parts still waiting.
@@ -349,7 +355,7 @@ def _stage_pass(p: ProblemDef, z: Trajectory, lam: DualTrajectory,
         first = (Q, S, _plus(Rc, Wuu))
         del Rc, Wuu
     else:
-        first = (_over_stages(p.stage_cost, [()], *stages),
+        first = (_over_stages(p, "stage_cost", *stages),
                  float(p.stage_cost(N, x[N])))
     gx = np.empty((N + 1, nx))
     np.add(cgx, lm[:N], out=gx[:N])
@@ -439,10 +445,23 @@ def eval_merit_gradient(p: ProblemDef, z: Trajectory, lam: DualTrajectory,
     ``(grad_z_merit, grad_lam_merit)``.
     """
     Q, S, R, A, B, gz, gl = linearize(p, z, lam)
-    vx, vu = split_primal(gz, p.N, p.n_x, p.n_u)
-    w = gl.reshape(p.N + 1, p.n_x)
-    hx, hu = hessian_vector_product(Q, S, R, vx, vu)
-    Gv, (GTx, GTu) = jacobian_products(A, B, vx, vu, w)
+    N = p.N
+    vx, vu = split_primal(gz, N, p.n_x, p.n_u)
+    w = gl.reshape(N + 1, p.n_x)
+    # H v, stage by stage, for H's blocks [[Q_k, S_k^T], [S_k, R_k]] and Q_N.
+    hx = np.empty_like(vx)
+    hx[:N] = np.einsum("kij,kj->ki", Q[:N], vx[:N]) + np.einsum("kji,kj->ki", S, vu)
+    hu = np.einsum("kij,kj->ki", S, vx[:N]) + np.einsum("kij,kj->ki", R, vu)
+    hx[N] = Q[N] @ vx[N]
+    # G v and G^T w for the staircase Jacobian: row 0 pins x_0, row k+1 is
+    # x_{k+1} - A_k x_k - B_k u_k.
+    Gv = np.empty_like(w)
+    Gv[0] = vx[0]
+    Gv[1:] = vx[1:] - np.einsum("kij,kj->ki", A, vx[:N]) - np.einsum("kij,kj->ki", B, vu)
+    GTx = np.empty_like(vx)
+    GTx[:N] = w[:N] - np.einsum("kji,kj->ki", A, w[1:])
+    GTx[N] = w[N]
+    GTu = -np.einsum("kji,kj->ki", B, w[1:])
     mz = gz + eta.eta2 * stack_primal(hx, hu) + eta.eta1 * stack_primal(GTx, GTu)
     ml = gl + eta.eta2 * Gv.ravel()
     return mz, ml

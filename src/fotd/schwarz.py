@@ -89,14 +89,6 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def _output_shapes(nx: int, nu: int) -> dict:
-    """Each callback's output shapes at one stage k < N."""
-    return {"stage_cost": [()], "cost_gradient": [(nx,), (nu,)],
-            "cost_hessian": [(nx, nx), (nu, nx), (nu, nu)],
-            "dynamics": [(nx,)], "dynamics_jacobians": [(nx, nx), (nx, nu)],
-            "dynamics_hessian_contraction": [(nx, nx), (nu, nx), (nu, nu)]}
-
-
 _COSTS = ("stage_cost", "cost_gradient", "cost_hessian")
 
 
@@ -143,7 +135,6 @@ class IntervalChain:
         T = self.m2 - self.m1
         self.offsets = np.cumsum(np.append(0, T[:-1] + 1))
         self.N = int(T.sum()) + len(T) - 1
-        self.shapes = _output_shapes(p.n_x, p.n_u)
         self.stage = np.minimum(self.m2, p.N - 1)
         self.adjusted = self.m2 < p.N
         self.x_start, self.xbar = z.x[self.m1], z.x[self.m2]
@@ -155,7 +146,7 @@ class IntervalChain:
         self.mu_eye = _frozen(mu * np.eye(nx))
         # Junction rows that do not depend on the iterate, one per junction.
         self.rows = {name: tuple(_frozen(np.zeros((J,) + shape))
-                                 for shape in self.shapes[name])
+                                 for shape in p.output_shapes[name])
                      for name in ("dynamics_jacobians",
                                   "dynamics_hessian_contraction")}
         self.rows["dynamics"] = (_frozen(self.x_start[1:]),)
@@ -202,17 +193,15 @@ class IntervalChain:
         ks, ubar, lbar = self.stage[js], self.ubar[js], self.lbar[js]
         dx = X - self.xbar[js]
         if name == "stage_cost":
-            f = _over_stages(p.dynamics, self.shapes["dynamics"], ks, X, ubar)
+            f = _over_stages(p, "dynamics", ks, X, ubar)
             term = first - _rowdot(lbar, f) + 0.5 * mu * _rowdot(dx, dx)
         elif name == "cost_gradient":
-            A, _ = _over_stages(p.dynamics_jacobians,
-                                self.shapes["dynamics_jacobians"], ks, X, ubar)
+            A, _ = _over_stages(p, "dynamics_jacobians", ks, X, ubar)
             term = (first - np.matmul(A.transpose(0, 2, 1), lbar[:, :, None])[..., 0]
                     + mu * dx)
         else:
-            Wxx, _, _ = _over_stages(
-                p.dynamics_hessian_contraction,
-                self.shapes["dynamics_hessian_contraction"], ks, X, ubar, lbar)
+            Wxx, _, _ = _over_stages(p, "dynamics_hessian_contraction",
+                                     ks, X, ubar, lbar)
             term = first + Wxx + self.mu_eye
         at_N = (self.joined_at_N if js is self.joined
                 else (~self.adjusted[js]).nonzero()[0])
@@ -285,12 +274,12 @@ def truncated_problem(chain: IntervalChain) -> ProblemDef:
 
     def chained(name):
         """The parent's ``name`` on the chain's stages and ends."""
-        fn, shapes, cost = getattr(p, name), chain.shapes[name], name in _COSTS
+        cost = name in _COSTS
 
         def over_chain(ks, X, U, *lam):
             """``name`` at chain stages ``ks``, junction rows overwritten."""
             if M == 1:
-                return _over_stages(fn, shapes, stages[ks], X, U, *lam)
+                return _over_stages(p, name, stages[ks], X, U, *lam)
             rows, js, parent_ks = layout(ks)
             # ``take`` gathers the junction rows as indexing by ``rows``
             # would, in fewer steps.
@@ -298,7 +287,7 @@ def truncated_problem(chain: IntervalChain) -> ProblemDef:
                 Uj = U.take(rows, axis=0)
                 U = U.copy()
                 U[rows] = chain.ubar[js]
-            out = _over_stages(fn, shapes, parent_ks, X, U, *lam)
+            out = _over_stages(p, name, parent_ks, X, U, *lam)
             outs = list(out) if isinstance(out, tuple) else [out]
             new = (chain.junction(name, js, X.take(rows, axis=0), Uj,
                                   outs[0].take(rows, axis=0)) if cost
@@ -312,16 +301,16 @@ def truncated_problem(chain: IntervalChain) -> ProblemDef:
 
         def terminal(x):
             if not chain.adjusted[-1]:
-                return fn(p.N, x)
+                return getattr(p, name)(p.N, x)
             X = np.asarray(x)[None]
-            out = _over_stages(fn, shapes, chain.stage[last], X, chain.ubar[last])
+            out = _over_stages(p, name, chain.stage[last], X, chain.ubar[last])
             first = out[0] if isinstance(out, tuple) else out
             return chain.terminal(name, last, X, first)[0]
 
         return batched_callback(over_chain, N, terminal)
 
     return ProblemDef(N=N, n_x=p.n_x, n_u=p.n_u, x0=chain.x_start[0],
-                      **{name: chained(name) for name in chain.shapes})
+                      **{name: chained(name) for name in p.output_shapes})
 
 
 def solve_nonlinear_subproblem(chain: IntervalChain, warms):

@@ -18,7 +18,6 @@ from scipy.linalg.lapack import dgbsv, dpbtrf
 
 from fotd._lapack import dpotrf
 from fotd.banded import (COST_CHUNK, PIVOT_TOL, _kkt_band, _test_band,
-                         hessian_vector_product, jacobian_products,
                          pivot_failure, solve_lq_kkt)
 from fotd.decomposition import compose
 from fotd.exceptions import (IndefiniteStageError, LinearSolverError,
@@ -385,13 +384,14 @@ def reference_band_direction(nd, plan, mu, workers=1):
 # ---------------------------------------------------------------------------
 
 def lq_kkt_residual(Q, S, R, A, B, gx, gu, c0, cdyn, p, q, zeta) -> float:
-    """2-norm of the KKT residual of a candidate (p, q, zeta)."""
-    hp, hq = hessian_vector_product(Q, S, R, p, q)
-    rc, (gtp, gtq) = jacobian_products(A, B, p, q, zeta)
-    rc[0] -= c0
-    rc[1:] -= cdyn
-    return float(np.sqrt(sum(float(r.ravel() @ r.ravel())
-                             for r in (hp + gx + gtp, hq + gu + gtq, rc))))
+    """2-norm of the KKT residual of a candidate (p, q, zeta), stage by stage."""
+    T = len(R)
+    res = [Q[T] @ p[T] + gx[T] + zeta[T], p[0] - c0]
+    for k in range(T):
+        res += [Q[k] @ p[k] + S[k].T @ q[k] + gx[k] + zeta[k] - A[k].T @ zeta[k + 1],
+                S[k] @ p[k] + R[k] @ q[k] + gu[k] - B[k].T @ zeta[k + 1],
+                p[k + 1] - A[k] @ p[k] - B[k] @ q[k] - cdyn[k]]
+    return float(np.sqrt(sum(float(r @ r) for r in res)))
 
 
 def lq_rhs_norm(gx, gu, c0, cdyn) -> float:

@@ -1,5 +1,6 @@
 """The banded LQ kernels checked directly against the dense oracles."""
 
+import warnings
 from itertools import product
 from types import SimpleNamespace
 
@@ -451,6 +452,42 @@ def test_pieces_name_the_whole_sweeps_indefinite_junction(pivots):
     assert np.float64(got.value.margin).tobytes() == np.float64(
         whole.value.margin).tobytes()
     assert got.value.margin == pivots[0] - PIVOT_TOL
+
+
+def overflowing_sweep(A: float, c0: float):
+    """One member of T=3 stages, n_x = n_u = 1, Q = R = B = 1, S = 0 and
+    zero gradients and cdyn."""
+    T = 3
+    values = dict(Q=1.0, S=0.0, R=1.0, A=A, B=1.0, gx=0.0, gu=0.0, c0=c0, cdyn=0.0)
+    shapes = dict(Q=(T + 1, 1, 1), gx=(T + 1, 1), gu=(T, 1), c0=(1,), cdyn=(T, 1))
+    return [np.full((1,) + shapes.get(name, (T, 1, 1)), values[name])
+            for name in FIELDS]
+
+
+@pytest.mark.parametrize("A, c0, error", [
+    (100.0, 1e307, LinearSolverError),  # the forward pass overflows
+    (1e160, 0.0, IndefiniteStageError),  # the backward pass's products do
+], ids=["forward", "backward"])
+@pytest.mark.parametrize("action", ["error", "default", "ignore"])
+def test_an_overflowing_sweep_fails_typed_under_any_warning_filter(
+        A, c0, error, action):
+    # An overflow that warned would escape as a RuntimeWarning where
+    # warnings are errors, instead of as the sweep's own typed failure.
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        with pytest.raises(error):
+            solve_lq_riccati(*overflowing_sweep(A, c0))
+
+
+def test_a_junction_control_that_overflows_raises():
+    # R_2 = 1e-9 passes the pivot test, and -R_2^{-1} gu_2 overflows.
+    d = lq_data(6, 1, 1, seed=2)
+    d.S[2] = d.A[2] = d.B[2] = 0.0
+    d.R[2], d.gu[2] = 1e-9, 1e300
+    args = [getattr(d, name) for name in FIELDS]
+    assert list(junction_stages(d.S, d.A, d.B)) == [2]
+    with pytest.raises(LinearSolverError, match="non-finite"):
+        solve_lq_pieces(*args, [2])
 
 
 # ---------------------------------------------------------------------------

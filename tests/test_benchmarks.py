@@ -7,8 +7,8 @@ import pytest
 
 from fotd.benchmarks import (PlateSpec, ToySpec, _interior_laplacian,
                              make_initializations, make_plate_problem,
-                             make_toy_problem, plate_targets, toy_case_params,
-                             toy_reference)
+                             make_toy_problem, plate_targets, toy_case_d,
+                             toy_case_params, toy_reference)
 from fotd.driver import SolverConfig, solve
 from fotd.newton import assemble_newton_data
 from fotd.problem import DualTrajectory, Trajectory, kkt_residual
@@ -29,6 +29,19 @@ def test_case_table_parameters():
     assert spec3.d(3) == pytest.approx(5.0 * math.sin(3))
     with pytest.raises(ValueError):
         toy_case_params(4)
+    with pytest.raises(ValueError, match="unknown toy case 4"):
+        toy_case_d(4)
+
+
+@pytest.mark.parametrize("make, names", [
+    (lambda: ToySpec(N=1, C1=8.0, C2=1.0, d=lambda k: 1.0),
+     "toy horizon must be at least 2, got 1"),
+    (lambda: PlateSpec(m=4, N=1), "plate horizon must be at least 2, got 1"),
+    (lambda: PlateSpec(m=4, N=10, kappa_c=-1.0), "kappa_c must be nonnegative"),
+], ids=["toy-N", "plate-N", "plate-constant"])
+def test_specs_refuse_what_no_problem_can_be_built_from(make, names):
+    with pytest.raises(ValueError, match=names):
+        make()
 
 
 def test_case_rescaling_overrides():

@@ -100,6 +100,8 @@ TOY_RUN = "problem: {type: toy, case: 1, N: 60}\nsolver: {M: 3, b: 2}\nrun: %s\n
     (TOY_EXPLICIT % "{kind: cosine}", [], "problem.d.kind"),  # unknown d kind
     (TOY_EXPLICIT % "1.0", [], "problem.d"),              # d is not a mapping
     ("problem: {type: plate, m: 2, N: 50}\n", [], "m=2"),  # no interior node
+    ("problem: {type: plate, m: 4, N: 50, desired: {kind: cos}}\n", [],
+     "problem.desired.kind"),
     (TOY_SOLVER % "{M: 7}", [], "M=7"),                   # M does not divide N
     (TOY_SOLVER % "{c: -1.0}", [], "solver.c"),           # not a solver key
     (TOY_SOLVER % "{gamma_step: 0.5}", [], "solver.gamma_step"),
@@ -143,7 +145,7 @@ TOY_RUN = "problem: {type: toy, case: 1, N: 60}\nsolver: {M: 3, b: 2}\nrun: %s\n
     (TOY_SOLVER % "{M: 3, b: 2}", ["--config", "missing.yaml"],
      "cannot read config: [Errno 2] No such file or directory: "
      "'missing.yaml'"),
-], ids=["d-kind", "d-scalar", "plate-m2", "M-divides-N", "solver-c",
+], ids=["d-kind", "d-scalar", "plate-m2", "desired-kind", "M-divides-N", "solver-c",
         "solver-gamma-step", "solver-beta", "solver-backtrack-factor",
         "solver-nu", "solver-rho-hat", "solver-workers-0", "flag-workers-0",
         "sweep-b-scalar", "sweep-mu-word", "run-inits-word", "solver-scalar",
@@ -331,6 +333,9 @@ def test_cmd_diag_prints_constants_and_passes(tmp_path, capsys):
     assert "0.00444444" in out
     assert "1024" in out
     assert out.count("PASS") == 2
+    # the console command passes its defaults on
+    assert main(["diag", "--config", path]) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_csv_byte_stable_across_repeat_runs(tmp_path):

@@ -80,6 +80,17 @@ def test_plan_invalid_arguments():
         make_plan(4, b=1, knots=[0, 3, 5])   # does not end at N
     with pytest.raises(ValueError):
         make_plan(4, b=1, knots=[0, 2, 2, 4])
+    with pytest.raises(ValueError, match="overlap b must be at least 1"):
+        make_plan(4, 2, 0)          # even knots without overlap
+    with pytest.raises(ValueError, match="overlap b must be nonnegative"):
+        make_plan(4, b=-1, knots=[0, 2, 4])
+
+
+def test_a_negative_mu_is_refused():
+    p = make_toy_problem(ToySpec(N=8, C1=8.0, C2=1.0, d=lambda k: 1.0))
+    nd = assemble_newton_data(p, Trajectory.zeros(p), DualTrajectory.zeros(p))
+    with pytest.raises(ValueError, match="mu must be nonnegative, got -1.0"):
+        approximate_direction(nd, make_plan(8, 2, 1), mu=-1.0)
 
 
 def test_plan_explicit_uneven_knots():

@@ -1,6 +1,6 @@
 import math
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -21,8 +21,8 @@ from fotd.exceptions import (AdaptivityFailure, ArmijoStall,
 from fotd.newton import (NewtonDirection, assemble_newton_data, modify_hessian,
                          solve_full_newton)
 from fotd.problem import (DualTrajectory, MeritTerms, PenaltyParams,
-                          Trajectory, _merit_terms, eval_merit,
-                          eval_merit_gradient)
+                          Trajectory, _merit_terms, eval_lagrangian_gradient,
+                          eval_merit, eval_merit_gradient)
 
 from oracles import (make_random_lq, newton_solve_to_kkt, random_point,
                      recording)
@@ -81,9 +81,13 @@ def test_merit_terms_carry_the_magnitude_of_their_terms():
     p = toy(N=30)
     z, lam = random_point(p, seed=3, scale=3.0)
     terms = _merit_terms(p, z, lam)
-    lagr, gz, gl = terms
-    rest = terms[1:]
-    assert len(rest) == 2 and rest[0] is gz and rest[1] is gl
+    lagr, gz, gl = terms.lagr, terms.gz, terms.gl
+    got = eval_lagrangian_gradient(p, z, lam)
+    assert len(got) == 2
+    np.testing.assert_array_equal(got[0], gz)
+    np.testing.assert_array_equal(got[1], gl)
+    with pytest.raises(FrozenInstanceError):
+        terms.lagr = 0.0
     costs = [p.stage_cost(k, z.x[k], z.u[k]) for k in range(p.N)]
     costs.append(p.stage_cost(p.N, z.x[p.N]))
     dots = (lam.lam * gl.reshape(lam.lam.shape)).sum(axis=1)
@@ -648,6 +652,10 @@ def test_solver_config_rejects_budgets_and_tolerances_of_another_experiment():
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(mu=0.0)
+    p = toy(N=4)
+    with pytest.raises(ValueError, match="unknown mode 'schwarz'"):
+        solve(p, SolverConfig(M=2, b=1), (Trajectory.zeros(p),
+                                          DualTrajectory.zeros(p)), mode="schwarz")
     # The Armijo and adaptation constants live in the driver module.
     with pytest.raises(TypeError):
         SolverConfig(beta=0.1)

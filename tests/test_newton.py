@@ -145,6 +145,9 @@ def test_check_negated_hessian_fails():
     from dataclasses import replace
     neg = replace(nd, Q=-nd.Q, R=-nd.R)
     assert not check_reduced_hessian(neg, c=1000.0)
+    for c in (0.0, -1.0):
+        with pytest.raises(ValueError, match="definiteness constant must be positive"):
+            check_reduced_hessian(nd, c)
 
 
 def test_check_toy_iterates_consistent_with_margin():
@@ -380,6 +383,8 @@ def test_theory_gamma_g_values():
     assert all(b > a for a, b in zip(vals, vals[1:]))
     with pytest.raises(ValueError):
         theory_gamma_G(1.0, 1, 1.0)
+    with pytest.raises(ValueError, match="t must be at least 1, got 0.5"):
+        theory_gamma_G(1.0, 0.5, 2.0)
 
 
 def test_theory_mu_bar_values():

@@ -369,6 +369,22 @@ def test_dimension_mismatch_raises():
         eval_objective(p, bad)
     with pytest.raises(ValueError):
         eval_constraints(p, bad)
+    z, lam = Trajectory.zeros(p), DualTrajectory.zeros(p)
+    with pytest.raises(ValueError, match=r"controls must have shape \(4, 1\)"):
+        eval_objective(p, Trajectory(z.x, np.zeros((3, 1))))
+    with pytest.raises(ValueError, match=r"multipliers must have shape \(5, 1\)"):
+        kkt_residual(p, z, DualTrajectory(np.zeros((4, 1))))
+
+
+@pytest.mark.parametrize("change, names", [
+    (dict(N=0), "N, n_x, n_u must be positive"),
+    (dict(n_x=0), "N, n_x, n_u must be positive"),
+    (dict(n_u=-1), "N, n_x, n_u must be positive"),
+    (dict(x0=np.zeros(2)), r"x0 must have shape \(1,\), got \(2,\)"),
+], ids=["N", "n_x", "n_u", "x0"])
+def test_a_problem_definition_checks_its_sizes(change, names):
+    with pytest.raises(ValueError, match=names):
+        replace(toy(N=4), **change)
 
 
 def test_primal_stack_split_round_trip():

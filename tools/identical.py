@@ -1,0 +1,156 @@
+"""Check that the working tree's solves are bit-identical to a git revision's.
+
+Runs every cell of :data:`CELLS` under REV's ``src/`` (extracted by
+``git archive``) and under the working tree's ``src/``, each side in one
+child process with ``OPENBLAS_NUM_THREADS=1``.  A cell's digest hashes every
+``IterationRecord`` field but ``wall_ms``, the status, the descent
+violations, the error's type and string, and the final x, u and lam bytes;
+an exception that escapes the solve is hashed by its type and string.
+Prints each cell whose digest differs and exits 1 if any does:
+
+    python tools/identical.py HEAD
+    python tools/identical.py f2c998d
+
+The cells, named ``family/index/mode``:
+
+- the benchmark's shapes: toy case 1 at N=500, M=5; the plate at m=6,
+  N=500, M=10 with a seeded phase per node; toy case 3 at N=1000, M=2;
+  each at seeds 0-3, b=5, in modes fotd, fotd_w2 (two workers),
+  centralized and schwarz;
+- the plate at m=3 and m=4, N=100, M=10, b=5, inits 0-4 of seed 0, in the
+  same four modes;
+- toy cases 1-3 at N=120, M=6, b=1 with ``diagnostics``, ``adaptivity``
+  and ``assert_descent=False``, inits 0-2 of seed 0, in modes fotd,
+  centralized and schwarz.
+
+It measures no time.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+MODES = ("fotd", "fotd_w2", "centralized", "schwarz")
+CELLS = (
+    [f"{family}/{seed}/{mode}" for family in ("toy-c1", "plate-m6", "toy-c3-deep")
+     for seed in range(4) for mode in MODES]
+    + [f"plate-m{m}/{i}/{mode}" for m in (3, 4) for i in range(5) for mode in MODES]
+    + [f"toy-c{case}-flags/{i}/{mode}" for case in (1, 2, 3) for i in range(3)
+       for mode in ("fotd", "centralized", "schwarz")]
+)
+
+
+def _cell(family: str, index: int):
+    """``(problem, init, SolverConfig)`` of one family's cell ``index``."""
+    import numpy as np
+    from fotd import SolverConfig
+    from fotd.benchmarks import (PlateSpec, make_initializations,
+                                 make_plate_problem, make_toy_problem,
+                                 toy_case_params)
+
+    def toy(case, N):
+        return make_toy_problem(toy_case_params(case, N=N)[0])
+
+    if family in ("toy-c1", "toy-c3-deep"):
+        p = toy(1, 500) if family == "toy-c1" else toy(3, 1000)
+        M = 5 if family == "toy-c1" else 2
+        return p, make_initializations(p, 2, index)[1], SolverConfig(M=M, b=5)
+    if family == "plate-m6":
+        phase = np.random.default_rng(index).uniform(0.0, 2.0 * math.pi, 16)
+        p = make_plate_problem(PlateSpec(
+            m=6, N=500, desired=lambda node, t: math.sin(t + phase[node])))
+        return p, make_initializations(p, 1, index)[0], SolverConfig(M=10, b=5)
+    if family.startswith("plate-m"):
+        p = make_plate_problem(PlateSpec(m=int(family[len("plate-m"):]), N=100))
+        return p, make_initializations(p, 5, 0)[index], SolverConfig(M=10, b=5)
+    p = toy(int(family[len("toy-c")]), 120)
+    return p, make_initializations(p, 3, 0)[index], SolverConfig(
+        M=6, b=1, diagnostics=True, adaptivity=True, assert_descent=False)
+
+
+def _digest(name: str) -> str:
+    """The digest of cell ``name``, solved by the ``fotd`` on ``sys.path``."""
+    from dataclasses import fields, replace
+
+    import numpy as np
+    from fotd import schwarz_solve, solve
+
+    family, index, mode = name.split("/")
+    p, init, cfg = _cell(family, int(index))
+    h = hashlib.sha256()
+    try:
+        if mode == "schwarz":
+            report = schwarz_solve(p, cfg, init)
+        else:
+            report = solve(p, replace(cfg, workers=2 if mode == "fotd_w2" else 1),
+                           init, mode="centralized" if mode == "centralized" else "fotd")
+    except Exception as exc:  # an escape is a result to compare, too
+        h.update(repr(("raised", type(exc).__name__, str(exc))).encode())
+        return h.hexdigest()
+    for record in report.records:
+        values = [getattr(record, f.name) for f in fields(record) if f.name != "wall_ms"]
+        h.update(repr([v if v is None else float(v).hex() for v in values]).encode())
+    error = report.exception
+    h.update(repr((report.status, report.descent_violations,
+                   None if error is None else type(error).__name__,
+                   report.error)).encode())
+    for a in (report.z.x, report.z.u, report.lam.lam):
+        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+def digests(src: Path, names) -> dict:
+    """Each named cell's digest, solved by the ``fotd`` package under ``src``.
+
+    Runs one child process with ``src`` as its only ``PYTHONPATH`` entry and
+    checks that the child imported ``fotd`` from there.
+    """
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    child = subprocess.run([sys.executable, __file__, "--digest", *names], env=env,
+                           capture_output=True, text=True)
+    if child.returncode:
+        raise RuntimeError(f"the child under {src} failed:\n{child.stderr}")
+    result = json.loads(child.stdout)
+    package = Path(result.pop("fotd")).resolve()
+    if package.parent != Path(src).resolve():
+        raise RuntimeError(f"the child imported fotd from {package}, not {src}")
+    return result
+
+
+def compare(old: dict, new: dict) -> int:
+    """Print each cell whose digest differs between two runs; 1 if any does."""
+    differ = [name for name in old if old[name] != new.get(name)]
+    for name in differ:
+        print(f"differs: {name}")
+    print(f"{len(old) - len(differ)} of {len(old)} cells identical")
+    return 1 if differ else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("rev", help="the git revision to compare against")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(["git", "archive", "--format=tar", args.rev, "src"],
+                                 cwd=ROOT, capture_output=True, check=True).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        old = digests(Path(tmp) / "src", CELLS)
+    return compare(old, digests(ROOT / "src", CELLS))
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--digest"]:
+        import fotd
+        result = {name: _digest(name) for name in sys.argv[2:]}
+        print(json.dumps(dict(result, fotd=os.path.dirname(fotd.__file__))))
+        raise SystemExit(0)
+    raise SystemExit(main())
