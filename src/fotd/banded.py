@@ -37,7 +37,8 @@ writing beyond it.
 Three LAPACK calls do the factoring, in the forms of :mod:`fotd._lapack`:
 ``dgbsv(bw, ab, rhs)`` factors a KKT band and solves its right-hand side,
 both in place; ``dpbtrf(ab)`` factors a test band in place; and
-``dpotrf(R)`` factors a copy of a single block for its pivots.  They call
+``dpotrf(R)`` factors a copy of one Riccati block again, for the pivot a
+broken-down sweep stopped at (below).  They call
 the OpenBLAS that NumPy loads, or ``scipy.linalg.lapack`` where that
 library is missing; :data:`LAPACK` names the backend in use.  Each raises
 :class:`LinearSolverError` when it rejects an argument as illegal.
@@ -89,11 +90,13 @@ such windows.
 Both definiteness tests report a failure by one margin: the smallest
 Cholesky pivot minus PIVOT_TOL, read from the factorization that failed.
 A margin below -PIVOT_TOL means the factorization broke down at a pivot
-that is not positive.  The sweep reads a failure from its own batch, too:
-the failing member is the first whose pivots fail the test, or whose gain
-solve left NaN throughout; only a member whose Cholesky broke down, and so
-left no pivots, is factored again, by ``dpotrf``, for the pivot it
-stopped at.
+that is not positive.  A margin that is not finite means the arithmetic
+overflowed, not that a tolerance was missed: inf from a band, whose first
+infinite pivot fails its test, NaN from a sweep.  The sweep reads a
+failure from its own batch, too: the failing member is the first whose
+pivots fail the test, or whose gain solve left NaN throughout; only a
+member whose Cholesky broke down, and so left no pivots, is factored
+again, by ``dpotrf``, for the pivot it stopped at.
 
 A *junction* is a stage k < T whose S_k, A_k and B_k are all exactly zero.
 Nothing passes across it: p_{k+1} = cdyn_k is pinned, q_k enters only its
@@ -102,7 +105,10 @@ have no entry that couples the stages before it to those after.  So a
 problem with junctions is independent *pieces*, one from each junction (or
 stage 0) to the next junction (or T), each a canonical problem of its own
 with c_0 = cdyn of the junction before it, plus one control per junction.
-:func:`solve_lq_pieces` and :func:`pivot_failure` split there when asked.
+:func:`solve_lq_pieces` and :func:`pivot_failure` split there when asked,
+and each runs a junction in the kernel call of its pieces: the sweep
+solves q_k in a one-stage window (k, k+1) batched with them, and the band
+test factors R_k's columns as the last ones of the piece ending at k.
 """
 
 from __future__ import annotations
@@ -163,6 +169,8 @@ def _band(rows: int, n: int, diag: int, step: int):
     kstride = step * rows * it
 
     def blocks(i0, j0, r, c, count):
+        if not count:  # no stage, so no entry, wherever its first would be
+            return np.empty((0, r, c))
         return np.ndarray((count, r, c), flat.dtype, flat,
                           (diag + i0 + j0 * (rows - 1)) * it,
                           (kstride, it, (rows - 1) * it))
@@ -255,7 +263,7 @@ def solve_kkt_band(ab, bw: int, stages, nx: int):
 
 
 def definiteness_pivots_ok(Q, S, R, A, B, c: float, junctions=()) -> bool:
-    """Definiteness test: does H + c * G^T G factor with pivots >= PIVOT_TOL?
+    """Definiteness test: are H + c * G^T G's pivots finite and >= PIVOT_TOL?
 
     H is the block-diagonal stage Hessian and G the staircase constraint
     Jacobian of the canonical LQ problem.  The sum is block tridiagonal; a
@@ -345,29 +353,41 @@ def pivot_failure(Q, S, R, A, B, c: float, junctions=()):
 
     Otherwise ``(stage, margin)``: the stage of the column with the
     smallest pivot, which is the column LAPACK stopped at if the
-    factorization broke down, and that pivot minus PIVOT_TOL.
+    factorization broke down, and that pivot minus PIVOT_TOL.  A completed
+    factorization's first infinite pivot counts as its smallest: the
+    band's arithmetic overflowed, and the margin is inf.
 
     The band is factored piece by piece (the whole band is the one piece
     of a problem without ``junctions``, see :func:`junction_stages`), in
-    horizon order, plus one block R_k per junction k: the columns of
-    H + c G^T G in the order the whole band has them, with nothing
-    coupling two of the parts.  The first part that breaks down stops the
-    test, as it stops the whole band's factorization, and otherwise the
-    first smallest pivot is reported, so the result is the whole band's.
-    Each part's band holds only its own stages.
+    horizon order.  A piece that ends at junction k is the band of stages
+    first..k+1 cut after q_k's columns: the whole band's columns, in its
+    order, and nothing couples them to p_{k+1}.  The first piece that
+    breaks down stops the test, as it stops the whole band's
+    factorization, and otherwise the first smallest pivot is reported, so
+    the result is the whole band's, the first infinite pivot included.
+    Each piece's band holds only its own stages and the one after its
+    junction.
     """
-    smallest = None
-    for stage, pivot, broke in _part_pivots(Q, S, R, A, B, c, junctions):
-        if broke or smallest is None or pivot < smallest[1]:
-            smallest = (stage, pivot)
+    T, m = A.shape[0], A.shape[1] + B.shape[2]
+    least = (True, np.inf, 0)  # (finite, pivot, stage): an overflow first
+    for first, last in _pieces(junctions, T):
+        stop = min(last + 1, T)
+        k = slice(first, stop)
+        ab = _test_band(Q[first:stop + 1], S[k], R[k], A[k], B[k], c)
+        cols = ab.shape[1] if last == T else (last + 1 - first) * m
+        stage, pivot, broke = _band_pivot(ab[:, :cols], m)
         if broke:
-            break
-    return _failure(*smallest)
+            return _failure(first + stage, pivot)
+        least = min(least, (bool(np.isfinite(pivot)), pivot, first + stage))
+    return _failure(least[2], least[1])
 
 
 def _failure(stage: int, pivot: float):
-    """None if ``pivot`` passes the test, else ``(stage, pivot - PIVOT_TOL)``."""
-    return None if pivot >= PIVOT_TOL else (stage, pivot - PIVOT_TOL)
+    """None if ``pivot`` passes the test, else ``(stage, pivot - PIVOT_TOL)``.
+
+    Only a finite pivot passes: an inf one is the mark of an overflow.
+    """
+    return None if PIVOT_TOL <= pivot < np.inf else (stage, pivot - PIVOT_TOL)
 
 
 def _band_pivot(ab, m: int):
@@ -460,28 +480,13 @@ class LQBands:
                               self.stages_window(first, last, c0), self.nx)
 
 
-def _part_pivots(Q, S, R, A, B, c: float, junctions):
-    """:func:`_band_pivot` of each part of the split test, in column order.
-
-    A part is a piece's band or a junction's R_k (see
-    :func:`pivot_failure`); stages count from the horizon's start.
-    """
-    for first, last in _pieces(junctions, A.shape[0]):
-        k = slice(first, last)
-        stage, pivot, broke = _band_pivot(
-            _test_band(Q[first:last + 1], S[k], R[k], A[k], B[k], c),
-            A.shape[1] + B.shape[2])
-        yield first + stage, pivot, broke
-        if last < A.shape[0]:
-            fact, info = dpotrf(R[last])
-            yield last, _smallest_pivot(np.diagonal(fact), info)[1], info > 0
-
-
 def _smallest_pivot(diag, info: int):
     """``(column, pivot)`` of the smallest pivot of a LAPACK Cholesky factor.
 
     ``diag`` is the factor's diagonal and ``info`` LAPACK's return code.
-    A factorization that succeeded holds each pivot's square root there.
+    A factorization that succeeded holds each pivot's square root there;
+    if one of them is not finite, the first such is reported instead, since
+    an overflow, not the smallest pivot, is what the factorization shows.
     One that broke down (``info`` > 0) stopped at 1-based column ``info``
     and left that column's pivot, zero, negative or NaN, in place without
     taking its root; the pivots before it are positive, so it is the
@@ -489,8 +494,10 @@ def _smallest_pivot(diag, info: int):
     """
     if info > 0:
         return info - 1, float(diag[info - 1])
-    col = int(np.argmin(diag ** 2))
-    return col, float(diag[col] ** 2)
+    pivots = diag ** 2
+    finite = np.isfinite(pivots)
+    col = int(pivots.argmin() if finite.all() else finite.argmin())
+    return col, float(pivots[col])
 
 
 def solve_lq_riccati(Q, S, R, A, B, gx, gu, c0, cdyn):
@@ -632,12 +639,11 @@ def _indefinite_member(Rt, roots, stage: int) -> IndefiniteStageError:
     member again for the pivot it stopped at.
     """
     member = int((roots ** 2 >= PIVOT_TOL).all(axis=1).argmin())
-    diag, info = roots[member], 0
-    if np.isnan(diag).any():
+    pivot = float((roots[member] ** 2).min())
+    if np.isnan(pivot):
         fact, info = dpotrf(Rt[member])
-        diag = np.diagonal(fact)
-    return IndefiniteStageError(member, stage,
-                                _smallest_pivot(diag, info)[1] - PIVOT_TOL)
+        pivot = _smallest_pivot(np.diagonal(fact), info)[1]
+    return IndefiniteStageError(member, stage, pivot - PIVOT_TOL)
 
 
 def junction_stages(S, A, B) -> np.ndarray:
@@ -679,15 +685,17 @@ def even_batches(firsts, lengths):
     """Problems of each length, one batch where their starts are evenly spaced.
 
     ``firsts[i]`` and ``lengths[i]`` place problem i on a horizon.  Returns
-    lists of problem indices, in order of first appearance of each length;
-    a length whose problems do not start evenly spaced gives one batch per
-    problem, so that every batch is a set of :func:`stage_windows`.
+    lists of problem indices, in order of first appearance of each length,
+    each batch in order of start; a length whose problems do not start
+    evenly spaced gives one batch per problem, so that every batch is a set
+    of :func:`stage_windows`.
     """
     by_length = {}
     for i, length in enumerate(lengths):
         by_length.setdefault(length, []).append(i)
     batches = []
     for group in by_length.values():
+        group.sort(key=lambda i: firsts[i])
         even = len(set(np.diff([firsts[i] for i in group]))) <= 1
         batches.extend([group] if even else [[i] for i in group])
     return batches
@@ -730,18 +738,18 @@ def solve_lq_pieces(Q, S, R, A, B, gx, gu, c0, cdyn, junctions=()):
 
     The arguments are those of :func:`solve_lq_kkt`, and so are the
     returned ``(p, q, zeta)``.  Given the problem's ``junctions`` (see
-    :func:`junction_stages`), the pieces (module docstring) are solved by
-    :func:`solve_lq_windows`, each pinned to the cdyn of the junction
-    before it, and each junction's control is q_k = -R_k^{-1} gu_k.
-    Without junctions the problem is a batch of one.  This is the sweep
-    over the whole horizon, bit for bit: a junction passes that sweep
-    nothing but zeros, so its cost-to-go is the piece's terminal one, Q_k
-    and gx_k, and its control solves R_k alone.  (Where R_k is not
-    diagonal, LAPACK may round that one solve otherwise than with the
-    sweep's other columns.)
+    :func:`junction_stages`), one :func:`solve_lq_windows` call solves the
+    pieces (module docstring), each pinned to the cdyn of the junction
+    before it, and one window (k, k+1) per junction k, pinned to zero,
+    whose q_k is the junction's control.  Without junctions the problem is
+    a batch of one.  This is the sweep over the whole horizon, bit for
+    bit: a junction passes that sweep nothing but zeros, so a piece's
+    cost-to-go ends in its terminal Q_k and gx_k, and with A_k, B_k and
+    S_k zero neither the pin nor Q_{k+1} enters q_k, which the window's
+    stage k computes as the whole sweep's does.
 
     A stage that fails the pivot test or meets a singular gain solve, in a
-    piece or in a junction's R_k, makes the whole horizon run again as one
+    piece or at a junction, makes the whole horizon run again as one
     sweep, so the :class:`IndefiniteStageError` or
     :class:`SingularStageError` names what that sweep names: the last
     failing stage of the horizon, as member 0.
@@ -750,20 +758,16 @@ def solve_lq_pieces(Q, S, R, A, B, gx, gu, c0, cdyn, junctions=()):
     T, nx, nu = B.shape
     if not len(junctions):
         return solve_lq_windows(lq, [0], [T], [c0])[0]
-    firsts, lasts = zip(*_pieces(junctions, T))
-    pins = np.concatenate([c0[None], cdyn[junctions]])
-    p, q, zeta = np.empty((T + 1, nx)), np.empty((T, nu)), np.empty((T + 1, nx))
+    pieces = _pieces(junctions, T)
+    firsts, lasts = zip(*pieces, *((k, k + 1) for k in junctions))
+    pins = np.concatenate([c0[None], cdyn[junctions],
+                           np.zeros((len(junctions), nx))])
     try:
         parts = solve_lq_windows(lq, firsts, lasts, pins)
-        for a, b, out in zip(firsts, lasts, parts):
-            p[a:b + 1], q[a:b], zeta[a:b + 1] = out
-        L = np.linalg.cholesky(R[junctions])
-        if not np.diagonal(L, 0, 1, 2).min() ** 2 >= PIVOT_TOL:
-            raise np.linalg.LinAlgError("a junction's R_k fails the pivot test")
-        q[junctions] = -np.linalg.solve(R[junctions],
-                                        gu[junctions][..., None])[..., 0]
-    except (IndefiniteStageError, SingularStageError, np.linalg.LinAlgError):
+    except (IndefiniteStageError, SingularStageError):
         return solve_lq_pieces(*lq)
-    if not np.all(np.isfinite(q[junctions])):
-        raise LinearSolverError("Riccati solve produced non-finite values")
+    p, q, zeta = np.empty((T + 1, nx)), np.empty((T, nu)), np.empty((T + 1, nx))
+    for (a, b), out in zip(pieces, parts):
+        p[a:b + 1], q[a:b], zeta[a:b + 1] = out
+    q[junctions] = [out[1][0] for out in parts[len(pieces):]]
     return p, q, zeta

@@ -44,7 +44,9 @@ class IndefiniteStageError(LinearSolverError):
     pivot of the stage's R_k + B_k^T P_{k+1} B_k, or of the window's
     H + c G^T G, minus the pivot tolerance ``banded.PIVOT_TOL``; below
     minus that tolerance, the factorization broke down at a pivot that is
-    not positive.
+    not positive.  A margin that is not finite means the arithmetic
+    overflowed, inf from a band and NaN from a sweep; it is not a missed
+    tolerance.
     """
 
     def __init__(self, member: int, stage: int, margin: float):
@@ -119,7 +121,9 @@ class MuTooSmallError(SolverError):
     smallest Cholesky pivot of the failed test minus the pivot tolerance
     ``banded.PIVOT_TOL``, whichever kernel ran it (the Riccati kernel's
     R_k + B_k^T P_{k+1} B_k, the band kernel's H + c G^T G).  A margin
-    below minus that tolerance means the factorization broke down.
+    below minus that tolerance means the factorization broke down; one
+    that is not finite means the arithmetic overflowed, inf from a band and
+    NaN from a sweep, not that a tolerance was missed.
     """
 
     def __init__(self, index: int, mu: float, stage: int, margin: float):

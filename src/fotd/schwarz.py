@@ -52,12 +52,13 @@ stages (a per-stage call, say) looks its junctions up.
 Every width is chained.  Below :data:`fotd.newton.FULL_RICCATI_MIN_NX`
 states an inner step makes one band test and one band LU over the chain.
 From there on the junctions split both (see :mod:`fotd.banded`): the
-definiteness test factors one band per interval, and the Newton step is
-one batched Riccati sweep per interval length plus the junction controls,
+definiteness test factors one band per interval, each but the last ending
+in its junction's control, and the Newton step is one batched Riccati
+sweep per interval length plus one over the junctions' one-stage windows,
 bit for bit the sweep over the whole chain, and each interval's part bit
 for bit that interval's data solved alone.  On the plate at m = 6
-(n_x = 16, N = 500, M = 10, b = 5) that is two sweeps, of 2 and 8
-intervals, where one solve per interval made ten.
+(n_x = 16, N = 500, M = 10, b = 5) that is three sweeps, of 2 and 8
+intervals and of the 9 junctions, where one solve per interval made ten.
 
 The one-Newton-step variant replaces the inner solve-to-optimality with a
 single Newton step of the same chain; starting from the same iterate it

@@ -454,6 +454,65 @@ def test_pieces_name_the_whole_sweeps_indefinite_junction(pivots):
     assert got.value.margin == pivots[0] - PIVOT_TOL
 
 
+def junction_draw(seed, junctions, T=12, nx=3):
+    """``lq_data`` with S_k = A_k = B_k = 0 at each junction k.
+
+    Each junction's R_k is non-diagonal, of 2-5 controls, and scaled by a
+    factor from 1e-3 to 1e3.
+    """
+    rng = np.random.default_rng(seed)
+    d = lq_data(T, nx, int(rng.integers(2, 6)), seed=seed)
+    for k in junctions:
+        d.S[k] = d.A[k] = d.B[k] = 0.0
+        d.R[k] *= 10.0 ** rng.uniform(-3.0, 3.0)
+    return d
+
+
+@pytest.mark.parametrize("junctions", [[3, 7], [0], [1], [4, 5], [10], [11]],
+                         ids=["3-7", "stage-0", "stage-1", "consecutive",
+                              "stage-T-2", "stage-T-1"])
+def test_pieces_solve_and_test_as_the_whole_horizon(monkeypatch, junctions):
+    # The pieces' sweep is the whole horizon's bit for bit, junction
+    # controls included, and their band test gives the whole band's result:
+    # its pass, its smallest pivot and its breakdown.
+    for seed in range(20):
+        d = junction_draw(seed, junctions)
+        args = [getattr(d, name) for name in FIELDS]
+        assert list(junction_stages(d.S, d.A, d.B)) == junctions
+        whole = solve_lq_riccati(*(a[None] for a in args))
+        for got, want in zip(solve_lq_pieces(*args, junctions), whole):
+            assert got.shape == want[0].shape
+            assert got.tobytes() == want[0].tobytes()
+        c = default_definiteness_constant(d)
+        R = d.R.copy()
+        assert pivot_failure(*blocks(d), c, junctions) is None
+        for tol, stages in ((1e6, []), (PIVOT_TOL, [junctions[-1]]),
+                            (PIVOT_TOL, [junctions[0], 9])):
+            monkeypatch.setattr("fotd.banded.PIVOT_TOL", tol)
+            d.R = R.copy()
+            d.R[stages] = -1e4 * np.eye(d.R.shape[1])
+            want = pivot_failure(*blocks(d), c)
+            assert want[0] == min(stages, default=want[0])
+            assert pivot_failure(*blocks(d), c, junctions) == want
+
+
+def test_an_overflowed_band_fails_the_test():
+    # A = 1e200 overflows every A_k^T A_k to inf.  The band's factorization
+    # completes with inf pivots, which certify nothing: the test fails at
+    # the first of them with an infinite margin.
+    T = 4
+    Q, S, R, A, B = (np.full((n, 1, 1), v) for n, v in (
+        (T + 1, 1.0), (T, 0.0), (T, 1.0), (T, 1e200), (T, 1.0)))
+    with np.errstate(over="ignore"):
+        assert pivot_failure(Q, S, R, A, B, 1.0) == (0, np.inf)
+        assert not definiteness_pivots_ok(Q, S, R, A, B, 1.0)
+        # Past a junction at stage 1, the piece that overflows is not the
+        # one with the smallest finite pivot; it fails the test all the same.
+        A[0], A[1], B[1] = 1.0, 0.0, 0.0
+        assert pivot_failure(Q, S, R, A, B, 1.0) == (2, np.inf)
+        assert pivot_failure(Q, S, R, A, B, 1.0, [1]) == (2, np.inf)
+
+
 def overflowing_sweep(A: float, c0: float):
     """One member of T=3 stages, n_x = n_u = 1, Q = R = B = 1, S = 0 and
     zero gradients and cdyn."""
@@ -504,6 +563,9 @@ WINDOW_LAYOUTS = {
     # one length from uneven starts, each window a batch of one, beside an
     # evenly spaced pair
     "uneven": ([0, 10, 25, 2, 14], [10, 20, 35, 10, 22], [[0], [1], [2], [3, 4]]),
+    # one length from evenly spaced starts given in descending order: one
+    # batch, in order of start
+    "descending": ([20, 10, 0], [25, 15, 5], [[2, 1, 0]]),
 }
 
 

@@ -127,23 +127,34 @@ def test_singular_control_block_draws_stop_typed(block, nx):
             random_point(p, seed))
 
 
+TOY_SCALES = (1.0, 1e100, 1e300)
+PLATE_SCALES = (1.0, 1e3, 1e100)
+
+
+def toy_far_draw(case, scale):
+    """Toy case ``case`` at N=30, its config, and init 1 of seed 0 scaled."""
+    p = make_toy_problem(toy_case_params(case, N=30)[0])
+    return (p, SolverConfig(M=3, b=2, max_iters=MAX_ITERS),
+            far(make_initializations(p, 2, 0)[1], scale))
+
+
+def plate_far_draw(m, scale):
+    """The plate at ``m`` and N=20, its config, and init 1 of seed 0 scaled."""
+    p = make_plate_problem(PlateSpec(m=m, N=20))
+    return (p, SolverConfig(M=2, b=2, max_iters=MAX_ITERS),
+            far(make_initializations(p, 2, 0)[1], scale))
+
+
 @pytest.mark.parametrize("case", [1, 2, 3])
 def test_toy_problems_at_far_inits_stop_typed(case):
-    spec, _ = toy_case_params(case, N=30)
-    p = make_toy_problem(spec)
-    init = make_initializations(p, 2, 0)[1]
-    for scale in (1.0, 1e100, 1e300):
-        assert_every_mode_stops_typed(
-            p, SolverConfig(M=3, b=2, max_iters=MAX_ITERS), far(init, scale))
+    for scale in TOY_SCALES:
+        assert_every_mode_stops_typed(*toy_far_draw(case, scale))
 
 
 @pytest.mark.parametrize("m", [3, 4])
 def test_plate_problems_at_far_inits_stop_typed(m):
-    p = make_plate_problem(PlateSpec(m=m, N=20))
-    init = make_initializations(p, 2, 0)[1]
-    for scale in (1.0, 1e3, 1e100):
-        assert_every_mode_stops_typed(
-            p, SolverConfig(M=2, b=2, max_iters=MAX_ITERS), far(init, scale))
+    for scale in PLATE_SCALES:
+        assert_every_mode_stops_typed(*plate_far_draw(m, scale))
 
 
 def test_a_toy_terminal_cost_past_the_float_range_stops_typed_at_iteration_0():
@@ -151,9 +162,7 @@ def test_a_toy_terminal_cost_past_the_float_range_stops_typed_at_iteration_0():
     # terminal cost C1 x_N^2 leaves the float range.  Its square overflows
     # to inf, so each mode stops with a typed error at iteration 0 instead
     # of an OverflowError escaping the first merit evaluation.
-    spec, _ = toy_case_params(1, N=30)
-    p = make_toy_problem(spec)
-    init = far(make_initializations(p, 2, 0)[1], 1e300)
+    p, _, init = toy_far_draw(1, 1e300)
     assert abs(init[0].x[-1, 0]) > 1e154
     for mode in MODES:
         report = run(p, SolverConfig(M=3, b=2), init, mode)

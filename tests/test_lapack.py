@@ -142,29 +142,20 @@ def test_backends_agree_on_a_cholesky_breakdown(scipy_lapack, monkeypatch):
     assert both(scipy_lapack, "dpbtrf", _test_band(*blocks, 1.0)) > 0
     _, info = both(scipy_lapack, "dpotrf", d.R[0])
     assert info > 0
-    d.S[3], d.A[3], d.B[3] = 0.0, 0.0, 0.0  # a junction: its R_3 by dpotrf
+    d.S[3], d.A[3], d.B[3] = 0.0, 0.0, 0.0  # a junction: R_3 ends piece 0
     failures = []
     for backend in (_lapack, scipy_lapack):
-        for name in ("dpbtrf", "dpotrf"):
-            monkeypatch.setattr(banded, name, getattr(backend, name))
+        monkeypatch.setattr(banded, "dpbtrf", backend.dpbtrf)
         failures.append((pivot_failure(*blocks, 1.0),
                          pivot_failure(*blocks, 1.0, junctions=[3])))
     assert failures[0] == failures[1]
     assert failures[0][0][1] < -banded.PIVOT_TOL  # a breakdown's margin
 
 
-def junction_lq():
-    d = lq_data(6, 2, 3, seed=2)
-    d.S[3], d.A[3], d.B[3] = 0.0, 0.0, 0.0
-    return d
-
-
 ILLEGAL_CALLS = {
     "dgbsv": lambda d: solve_lq_kkt(d.Q, d.S, d.R, d.A, d.B, d.gx, d.gu,
                                     d.c0, d.cdyn),
     "dpbtrf": lambda d: pivot_failure(d.Q, d.S, d.R, d.A, d.B, 10.0),
-    "dpotrf": lambda d: pivot_failure(d.Q, d.S, d.R, d.A, d.B, 10.0,
-                                      junctions=[3]),
     "dpotrf-riccati": lambda d: banded._indefinite_member(
         np.array([[[1.0, 2.0], [2.0, 1.0]]]), np.full((1, 2), np.nan), 0),
 }
@@ -195,7 +186,7 @@ def test_an_illegal_argument_raises(monkeypatch, call):
         monkeypatch.setattr(banded, routine,
                             dict(zip(INFO_ARGUMENT, routines))[routine])
         with pytest.raises(LinearSolverError) as err:
-            ILLEGAL_CALLS[call](junction_lq())
+            ILLEGAL_CALLS[call](lq_data(6, 2, 3, seed=2))
         assert str(err.value) == (f"LAPACK {routine} rejected its argument 4 "
                                   f"as illegal (info=-4)")
 

@@ -651,7 +651,8 @@ def test_chain_pieces_solve_as_the_whole_sweep_and_alone_bit_for_bit(
 
     monkeypatch.setattr(banded, "solve_lq_riccati", counted)
     pieces = banded.solve_lq_pieces(*lq, junctions)
-    assert batches == [(2, 55), (2, 60)]  # one sweep per length
+    # one sweep per length, and one for the junctions' one-stage windows
+    assert batches == [(2, 55), (2, 60), (3, 1)]
     for got, want in zip(pieces, whole):
         np.testing.assert_array_equal(got, want)
     monkeypatch.undo()
@@ -697,13 +698,19 @@ def test_split_band_test_gives_the_whole_chains_pivots_and_margins(
     junctions = banded.junction_stages(nd.S, nd.A, nd.B)
     c = default_definiteness_constant(nd.lq)
     blocks = (nd.Q, nd.S, nd.R, nd.A, nd.B)
-    # the full-horizon test of a wide chain factors one band per piece
-    sizes = []
-    band = banded._test_band
+    # the full-horizon test of a wide chain factors one band per piece, each
+    # but the last built through the stage after its junction and factored
+    # only through its junction's control
+    sizes, columns = [], []
+    band, factor = banded._test_band, banded.dpbtrf
     monkeypatch.setattr(banded, "_test_band",
                         lambda *a: sizes.append(a[3].shape[0]) or band(*a))
+    monkeypatch.setattr(banded, "dpbtrf",
+                        lambda ab: columns.append(ab.shape[1]) or factor(ab))
     assert check_reduced_hessian(nd, c)
-    assert sizes == [55, 60, 60, 55]
+    assert sizes == [56, 61, 61, 55]
+    nx, m = nd.Q.shape[1], nd.Q.shape[1] + nd.n_u
+    assert columns == [56 * m, 61 * m, 61 * m, 55 * m + nx]
     monkeypatch.undo()
     assert banded.pivot_failure(*blocks, c, junctions) is None
     # a tolerance above every pivot reports the smallest one
