@@ -24,7 +24,10 @@ backend that loaded.
 
 ``ctypes`` releases the interpreter lock during each call, so threads may
 run these routines at once: each call passes its integer arguments, and
-gets ``info`` back, through a ``ctypes`` array of its own.
+gets ``info`` back, through a ``ctypes`` array of its own.  With
+``workers`` above 1 the driver's helper thread runs a direction's calls
+while the calling thread runs the Hessian test's ``dpbtrf``
+(:mod:`fotd.driver`).
 """
 
 from __future__ import annotations

@@ -75,17 +75,18 @@ direction's subproblems, batched by length, go to the sweep from
 full-horizon direction, a batch of one unless junctions (below) split it,
 from :data:`fotd.newton.FULL_RICCATI_MIN_NX`; those modules give the
 measurements.  The sweep holds the per-stage maps and costs of
-COST_CHUNK stages at a time; only its cost-to-go, gain and solution arrays
+COST_CHUNK stage blocks at a time, those of COST_CHUNK // K stages of a
+batch of K (at least one); only its cost-to-go, gain and solution arrays
 grow with the horizon.  The H + c G^T G test keeps the band
 Cholesky on every path that runs it.
 
 :func:`solve_lq_windows` is the sweep's one batching loop.  Given windows
 of stages of one :class:`LQ`, each with its pin and, optionally, its own
 terminal block, it groups them by :func:`even_batches` and solves each
-batch by one sweep over :func:`stage_windows` of the data, copying only Q
-where terminal blocks replace its last stage.  The decomposed direction's
-overlapping subproblems and the pieces between junctions (below) are both
-such windows.
+batch by one sweep over :func:`stage_windows` of the data, copying none of
+it: the sweep takes a batch's terminal blocks in place of its last Q.  The
+decomposed direction's overlapping subproblems and the pieces between
+junctions (below) are both such windows.
 
 Both definiteness tests report a failure by one margin: the smallest
 Cholesky pivot minus PIVOT_TOL, read from the factorization that failed.
@@ -124,7 +125,13 @@ from .exceptions import (IndefiniteStageError, LinearSolverError,
                          SingularKKTError, SingularStageError)
 
 PIVOT_TOL = 1e-10
-COST_CHUNK = 16  # stages whose blocks the Riccati sweep holds at once
+# Stage blocks (stages times batch members) whose maps and costs the
+# Riccati sweep holds at once.  On the 16-state plate at N=500 (one x86-64
+# core, medians of 30 interleaved runs), a batch of one took as long at 32
+# stages a chunk as at 16, and 3% less than at 8; the decomposed
+# direction, chiefly a batch of eight, took 6% less at 4 stages a chunk
+# than at 16, in a quarter of the memory (at 32 stages, 19% more).
+COST_CHUNK = 32
 
 
 class LQ(NamedTuple):
@@ -286,24 +293,26 @@ def _test_band(Q, S, R, A, B, c: float):
     Bt = B.transpose(0, 2, 1)
     # One stage stack of products is alive at a time, each freed before the
     # next is made.  p_k's block is Q_k + c (I + A_k^T A_k); stage T has no
-    # A_T, leaving Q_T + c I.
-    tmp = np.zeros((T + 1, nx, nx))
-    np.matmul(A.transpose(0, 2, 1), A, out=tmp[:T])
-    tmp.reshape(T + 1, nx * nx)[:, ::nx + 1] += 1.0
-    tmp *= c
-    tmp += Q
-    _write_lower(blocks, 0, tmp)
-    del tmp
-    tmp = Bt @ A
-    tmp *= c
-    np.add(S, tmp, out=blocks(nx, 0, nu, nx, T))
-    del tmp
-    tmp = Bt @ B
-    tmp *= c
-    tmp += R
-    _write_lower(blocks, nx, tmp)
-    np.multiply(A, -c, out=blocks(m, 0, nx, nx, T))
-    np.multiply(B, -c, out=blocks(m, nx, nx, nu, T))
+    # A_T, leaving Q_T + c I.  A product that overflows is no failure of its
+    # own: the inf or NaN it leaves fails the test (:func:`pivot_failure`).
+    with np.errstate(over="ignore", invalid="ignore"):
+        tmp = np.zeros((T + 1, nx, nx))
+        np.matmul(A.transpose(0, 2, 1), A, out=tmp[:T])
+        tmp.reshape(T + 1, nx * nx)[:, ::nx + 1] += 1.0
+        tmp *= c
+        tmp += Q
+        _write_lower(blocks, 0, tmp)
+        del tmp
+        tmp = Bt @ A
+        tmp *= c
+        np.add(S, tmp, out=blocks(nx, 0, nu, nx, T))
+        del tmp
+        tmp = Bt @ B
+        tmp *= c
+        tmp += R
+        _write_lower(blocks, nx, tmp)
+        np.multiply(A, -c, out=blocks(m, 0, nx, nx, T))
+        np.multiply(B, -c, out=blocks(m, nx, nx, nu, T))
     return ab
 
 
@@ -334,14 +343,15 @@ def _test_band_parts(Q, S, R, A, B):
     gtg, gblocks, _ = _band(m + nx, T * m + nx, 0, m)
     hess, hblocks, _ = _band(m + nx, T * m + nx, 0, m)
     Bt = B.transpose(0, 2, 1)
-    tmp = np.zeros((T + 1, nx, nx))
-    np.matmul(A.transpose(0, 2, 1), A, out=tmp[:T])
-    tmp.reshape(T + 1, nx * nx)[:, ::nx + 1] += 1.0
-    _write_lower(gblocks, 0, tmp)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in _test_band
+        tmp = np.zeros((T + 1, nx, nx))
+        np.matmul(A.transpose(0, 2, 1), A, out=tmp[:T])
+        tmp.reshape(T + 1, nx * nx)[:, ::nx + 1] += 1.0
+        _write_lower(gblocks, 0, tmp)
+        gblocks(nx, 0, nu, nx, T)[...] = Bt @ A
+        _write_lower(gblocks, nx, Bt @ B)
     _write_lower(hblocks, 0, Q)
-    gblocks(nx, 0, nu, nx, T)[...] = Bt @ A
     hblocks(nx, 0, nu, nx, T)[...] = S
-    _write_lower(gblocks, nx, Bt @ B)
     _write_lower(hblocks, nx, R)
     np.negative(A, out=gblocks(m, 0, nx, nx, T))
     np.negative(B, out=gblocks(m, nx, nx, nu, T))
@@ -445,10 +455,11 @@ class LQBands:
         """
         nx, m = self.nx, self.nx + self.nu
         cols = slice(first * m, last * m + nx)
-        ab = self.gtg[:, cols] * c
-        ab += self.hess[:, cols]
-        blk = self.gtg_end * c
-        blk += terminal
+        with np.errstate(over="ignore", invalid="ignore"):  # as in _test_band
+            ab = self.gtg[:, cols] * c
+            ab += self.hess[:, cols]
+            blk = self.gtg_end * c
+            blk += terminal
         end = (last - first) * m
         for b in range(nx):  # entry (end + a, end + b), a >= b, is in row a - b
             ab[:nx - b, end + b] = blk[b:, b]
@@ -500,11 +511,13 @@ def _smallest_pivot(diag, info: int):
     return col, float(pivots[col])
 
 
-def solve_lq_riccati(Q, S, R, A, B, gx, gu, c0, cdyn):
+def solve_lq_riccati(Q, S, R, A, B, gx, gu, c0, cdyn, terminal=None):
     """Solve a stack of canonical LQ problems of one length by a Riccati sweep.
 
     Every argument has a leading batch axis of size K ahead of the shapes
-    :func:`solve_lq_kkt` takes; returns ``(p, q, zeta)`` with shapes
+    :func:`solve_lq_kkt` takes.  ``terminal``, when given, is a (K, n_x,
+    n_x) stack of terminal blocks that the sweep takes in place of Q[:, T],
+    which it then does not read.  Returns ``(p, q, zeta)`` with shapes
     (K, T+1, n_x), (K, T, n_u), (K, T+1, n_x) and its conventions, i.e.
     zeta_k = -(P_k p_k + s_k) for the cost-to-go 1/2 p^T P_k p + s_k^T p.
 
@@ -535,11 +548,12 @@ def solve_lq_riccati(Q, S, R, A, B, gx, gu, c0, cdyn):
     # [0, 1, 0]] maps it to [p_{k+1}; 1], and H_k holds the stage costs'
     # [Hessian | gradient] in the same order, so one product per stage also
     # carries the affine terms.  F and H hold the stages of one chunk of
-    # COST_CHUNK stages at a time, stage k in slot k % COST_CHUNK, refilled
-    # as each pass enters a chunk: the backward pass both, the forward one F.
-    # Every work array is stage-major, so a stage's blocks of all members
-    # are one contiguous (K, ., .) array.
-    C = min(T, COST_CHUNK)
+    # ``span`` stages at a time, stage k in slot k % span, refilled as each
+    # pass enters a chunk: the backward pass both, the forward one F.  Every
+    # work array is stage-major, so a stage's blocks of all members are one
+    # contiguous (K, ., .) array.
+    span = max(1, COST_CHUNK // K)
+    C = min(T, span)
     F = np.zeros((C, K, nx + 1, m + 1))
     F[..., nx, nx] = 1.0
     Ft = F[..., :nx, :].swapaxes(2, 3)
@@ -556,7 +570,7 @@ def solve_lq_riccati(Q, S, R, A, B, gx, gu, c0, cdyn):
     # and the gain X_k comes out exactly negated, ready for the forward pass.
     # V_k = [P_k, s_k]: the cost-to-go 1/2 p^T P_k p + s_k^T p.
     V = np.empty((T + 1, K, nx, nx + 1))
-    V[T, :, :, :nx] = Q[:, T]
+    V[T, :, :, :nx] = Q[:, T] if terminal is None else terminal
     V[T, :, :, nx] = gx[:, T]
     # X_k = -Rt_k^{-1} [St_k, gut_k], so q_k = X_k [p_k; 1].
     X = np.empty((T, K, nu, nx + 1))
@@ -584,8 +598,8 @@ def solve_lq_riccati(Q, S, R, A, B, gx, gu, c0, cdyn):
 
     with np.errstate(over="ignore", invalid="call", call=flagged):
         for k in range(T - 1, -1, -1):
-            j = k % COST_CHUNK
-            if k == T - 1 or j == COST_CHUNK - 1:
+            j = k % span
+            if k == T - 1 or j == span - 1:
                 chunk, n = slice(k - j, k + 1), j + 1
                 fill_F(chunk, n, np.negative)
                 H[:n, :, :nx, :nx] = Q[:, chunk].swapaxes(0, 1)
@@ -616,7 +630,7 @@ def solve_lq_riccati(Q, S, R, A, B, gx, gu, c0, cdyn):
     y[0, :, nx] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(T):
-            j = k % COST_CHUNK
+            j = k % span
             if j == 0:
                 fill_F(slice(k, k + C), min(C, T - k), np.positive)
             np.matmul(X[k], y[k, :, :nx + 1], out=y[k, :, nx + 1:])
@@ -708,9 +722,10 @@ def solve_lq_windows(lq: LQ, firsts, lasts, pins, terminals=None):
     of ``lq``, its initial state pinned to ``pins[i]`` and, when
     ``terminals`` is given, its last Q replaced by ``terminals[i]``.  The
     windows of each :func:`even_batches` batch are solved by one sweep over
-    :func:`stage_windows` of ``lq``; Q is copied only to take the terminal
-    blocks.  Returns ``(p, q, zeta)`` of every window, in window order, each
-    bit for bit what the window's own problem gives when solved alone.  A
+    :func:`stage_windows` of ``lq``, which takes the batch's terminal blocks
+    beside them, so no window is copied.  Returns ``(p, q, zeta)`` of every
+    window, in window order, each bit for bit what the window's own problem
+    gives when solved alone.  A
     failing sweep's :class:`IndefiniteStageError` or
     :class:`SingularStageError` passes through, naming the member within
     its batch and the stage within the window.
@@ -722,12 +737,11 @@ def solve_lq_windows(lq: LQ, firsts, lasts, pins, terminals=None):
         T = lasts[batch[0]] - first
         step = firsts[batch[1]] - first if K > 1 else 0
         Q, gx = (stage_windows(a, first, step, K, T + 1) for a in (lq.Q, lq.gx))
-        if terminals is not None:
-            Q = Q.copy()
-            Q[:, -1] = [terminals[i] for i in batch]
         S, R, A, B, gu, cdyn = (stage_windows(a, first, step, K, T)
                                 for a in (lq.S, lq.R, lq.A, lq.B, lq.gu, lq.cdyn))
-        out = solve_lq_riccati(Q, S, R, A, B, gx, gu, pins[batch], cdyn)
+        ends = None if terminals is None else np.stack([terminals[i]
+                                                         for i in batch])
+        out = solve_lq_riccati(Q, S, R, A, B, gx, gu, pins[batch], cdyn, ends)
         for j, i in enumerate(batch):
             parts[i] = tuple(a[j] for a in out)
     return parts

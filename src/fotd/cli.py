@@ -518,8 +518,10 @@ def _add_common(sp):
     sp.add_argument("--seed", dest="run.seed", metavar="SEED",
                     help="initialization seed override")
     sp.add_argument("--workers", dest="solver.workers", metavar="WORKERS",
-                    help="threads for the fotd direction's subproblems (>= 1); "
-                         "the Schwarz baseline solves its intervals in order")
+                    help="above 1, one helper thread computes each fotd or "
+                         "centralized direction while the Hessian is tested; "
+                         "results do not change, and the Schwarz baseline "
+                         "starts no thread (>= 1)")
     sp.add_argument("--assert-level", choices=["off", "on"],
                     dest="run.assert_level")
     sp.add_argument("--diagnostics", action="store_const", const=True,

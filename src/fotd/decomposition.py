@@ -43,18 +43,26 @@ layout and signs; a :class:`SubproblemData` names only its window of
 stages, terminal block and pin, and :func:`solve_subproblem` hands them to
 :meth:`banded.LQBands.solve`, which factors the window on its own: one
 ``dpbtrf`` of G^T G * c + H with its terminal block written in, one
-``dgbsv`` of a copy of its KKT window, on a thread pool when
-``workers > 1``.  A window is, in every entry LAPACK reads, the band the
-subproblem's own blocks give, so the direction is bit for bit the one of
-assembling each subproblem alone; the overlap stages are assembled once
-instead of twice.  :func:`assemble_subproblem` assembles bands of the
-subproblem's own stages instead, its terminal boundary term in their gx,
-and its window is all of them.
+``dgbsv`` of a copy of its KKT window.  A window is, in every entry LAPACK
+reads, the band the subproblem's own blocks give, so the direction is bit
+for bit the one of assembling each subproblem alone; the overlap stages
+are assembled once instead of twice.  :func:`assemble_subproblem`
+assembles bands of the subproblem's own stages instead, its terminal
+boundary term in their gx, and its window is all of them.
 With s = 2 n_x + n_u, the horizon's arrays hold about 8 s (3 s - 2) N
 bytes for the KKT band, 16 s (n_x + n_u) N for the two test parts and
 8 s N for the right-hand side: 144 KB on toy case 1 at N=500
 (n_x = n_u = 1), 27 MB at n_x = n_u = 3 and N=10000, alive for one
 direction.
+
+Either kernel solves the subproblems one batch or one window after
+another, on the thread that calls :func:`approximate_direction`.  The
+solver's only parallelism is around that call: with ``workers`` above 1 the
+driver runs it on a helper thread while the Hessian is tested
+(:mod:`fotd.driver`).  A thread per subproblem does not pay at these
+sizes: a pool of them made the toy benchmark workloads about twice as slow
+as this loop, since the glue between the LAPACK calls holds the
+interpreter lock.
 
 One failure rule holds for both kernels: the first failing subproblem in
 plan order raises, naming its index and the horizon stage m1_i + k of the
@@ -85,7 +93,6 @@ m = 4 (n_x = 4) is solved, not only how fast.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -350,8 +357,8 @@ def solve_subproblem(sub: SubproblemData,
     return SubproblemSolution(sub.index, p, q, zeta)
 
 
-def approximate_direction(nd: NewtonData, plan: DecompositionPlan, mu: float,
-                          workers: int = 1) -> NewtonDirection:
+def approximate_direction(nd: NewtonData, plan: DecompositionPlan,
+                          mu: float) -> NewtonDirection:
     """Decomposed Newton direction: solve all subproblems with zero boundaries.
 
     Blocks at least RICCATI_MIN_NX states wide go to the batched Riccati
@@ -363,11 +370,9 @@ def approximate_direction(nd: NewtonData, plan: DecompositionPlan, mu: float,
     :class:`MuTooSmallError` for the pivot test, :class:`SingularStageError`
     for a singular gain solve, each naming the subproblem and the horizon
     stage.  Narrower blocks are cut from one :class:`banded.LQBands` of the
-    horizon and solved one by one by :func:`solve_subproblem`, each with
-    the constant of its own blocks from the horizon's ``nd.stage_norms``, on
-    a thread pool when ``workers > 1``; results land in slots indexed by
-    subproblem, so the composed direction does not depend on scheduling,
-    and a failure names the first failing subproblem in plan order.
+    horizon and solved in plan order by :func:`solve_subproblem`, each with
+    the constant of its own blocks from the horizon's ``nd.stage_norms``, so
+    the first failing subproblem raises.
     """
     if nd.n_x >= RICCATI_MIN_NX:
         terminals = [_terminal(nd, plan, i, mu) for i in range(plan.M)]
@@ -389,19 +394,12 @@ def approximate_direction(nd: NewtonData, plan: DecompositionPlan, mu: float,
     else:
         norms = nd.stage_norms
         bands = banded.LQBands(nd.lq)
-
-        def solve(i: int) -> SubproblemSolution:
-            m1, m2 = plan.m1[i], plan.m2[i]
+        parts = []
+        for i, (m1, m2) in enumerate(zip(plan.m1, plan.m2)):
             sub = SubproblemData(i, m1, m2, mu, bands, m1,
                                  _terminal(nd, plan, i, mu), np.zeros(nd.n_x))
-            return solve_subproblem(sub, definiteness_constant(
-                norms[m1:m2], sub.terminal))
-
-        if workers > 1 and plan.M > 1:
-            with ThreadPoolExecutor(max_workers=min(workers, plan.M)) as pool:
-                sols = list(pool.map(solve, range(plan.M)))
-        else:
-            sols = [solve(i) for i in range(plan.M)]
-        parts = [(s.p, s.q, s.zeta) for s in sols]
+            sol = solve_subproblem(sub, definiteness_constant(norms[m1:m2],
+                                                              sub.terminal))
+            parts.append((sol.p, sol.q, sol.zeta))
     dx, du, dlam = compose(parts, plan)
     return NewtonDirection(stack_primal(dx, du), dlam.ravel())

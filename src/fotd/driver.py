@@ -33,12 +33,24 @@ its violations in the report.  The SQP driver :func:`solve` and the
 overlapping Schwarz baseline (:func:`fotd.schwarz.schwarz_solve`) differ
 only in the step they hand the loop; :func:`fotd_step` takes one SQP step
 outside it, and so checks no stop rule.
+
+With ``workers`` above 1, :func:`solve` keeps one helper thread for the
+whole solve.  Each step computes the direction of the unmodified Newton
+data there while the calling thread runs the Hessian's definiteness test
+(:func:`_modified_direction`): the test and the direction's LAPACK calls
+and large NumPy loops run outside the interpreter lock.  When the test
+passes unshifted, the helper's direction, or its error, is the step's;
+when it shifts the Hessian, the helper's result is dropped and the
+shifted direction computed on the calling thread.  So every record,
+status, error and iterate is the one of ``workers=1``, bit for bit.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
 import time
+from concurrent import futures
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, List, Optional, Tuple
@@ -48,8 +60,8 @@ import numpy as np
 from .decomposition import approximate_direction, make_plan
 from .exceptions import (AdaptivityFailure, ArmijoStall, LineSearchFailure,
                          NonDescentError, SolverError, UndefinedRatioError)
-from .newton import (NewtonDirection, assemble_newton_data, modify_hessian,
-                     solve_full_newton)
+from .newton import (NewtonData, NewtonDirection, assemble_newton_data,
+                     modify_hessian, solve_full_newton)
 from .problem import (DualTrajectory, MeritTerms, PenaltyParams, ProblemDef,
                       Trajectory, _merit_terms, eval_merit,
                       eval_merit_gradient)
@@ -75,12 +87,12 @@ class SolverConfig:
     the penalty rescaling factor :data:`NU` and the assumed decay rate
     :data:`RHO_HAT` are module constants.
 
-    ``workers`` only sizes the thread pool of the band kernel, which solves
-    the decomposed direction's subproblems when their blocks are narrower
-    than :data:`fotd.decomposition.RICCATI_MIN_NX`; wider blocks go to one
-    batched Riccati sweep on the calling thread.  The Schwarz baseline runs
-    on the calling thread whatever its value: at every width it chains an
-    outer iteration's intervals into one problem, solved by one inner SQP.
+    ``workers`` above 1 gives :func:`solve` one helper thread, which
+    computes each step's direction while the calling thread tests the
+    Hessian (module docstring); any count above 1 means that one helper,
+    and no count changes a result.  The Schwarz baseline runs on the
+    calling thread whatever its value: at every width it chains an outer
+    iteration's intervals into one problem, solved by one inner SQP.
     """
 
     mu: float = 25.0
@@ -263,13 +275,51 @@ def direction_error_ratio(exact: NewtonDirection,
     return float(np.sqrt(ddz @ ddz + ddl @ ddl)) / denom
 
 
+def _direction(nd: NewtonData, plan, mu: float) -> NewtonDirection:
+    """The decomposed direction of ``nd`` on ``plan``, else the exact one."""
+    if plan is None:
+        return solve_full_newton(nd)
+    return approximate_direction(nd, plan, mu)
+
+
+def _modified_direction(nd: NewtonData, plan, mu: float,
+                        helper: Optional[futures.Executor]):
+    """``modify_hessian(nd)`` and its :func:`_direction`, as one pair.
+
+    With a ``helper``, the direction of ``nd`` as it is runs there while
+    this thread runs the test, and is used, or its error raised, when the
+    test leaves ``nd`` unshifted.  A shifted Hessian's direction is
+    computed here once the helper is done, and the helper's result or error
+    is dropped; an error of the test is raised once the helper is done.
+    """
+    if helper is None:
+        nd = modify_hessian(nd)
+        return nd, _direction(nd, plan, mu)
+    # Both threads read these cached properties; they are made once, here.
+    _ = nd.stage_norms, nd.lq
+    # NumPy's error state is a context variable, which a new thread does not
+    # inherit, so the helper runs in a copy of this thread's context.
+    future = helper.submit(contextvars.copy_context().run, _direction, nd,
+                           plan, mu)
+    try:
+        modified = modify_hessian(nd)
+    finally:
+        futures.wait([future])
+    if modified is nd:
+        return nd, future.result()
+    return modified, _direction(modified, plan, mu)
+
+
 def _step(p: ProblemDef, decomposed: bool, state: SolverState,
-          terms: MeritTerms) -> IterationRecord:
+          terms: MeritTerms,
+          helper: Optional[futures.Executor] = None) -> IterationRecord:
     """Lines 3-9 of the outer loop: linearize, direct, line-search, update.
 
     ``decomposed`` selects the decomposed direction, on the plan of
     ``state.cfg``'s M and b, or the exact one.  ``terms`` are the merit
-    terms at the current iterate.  Updates ``state`` as the module
+    terms at the current iterate.  ``helper``, when given, computes the
+    first direction while this thread tests the Hessian
+    (:func:`_modified_direction`).  Updates ``state`` as the module
     docstring says and returns the iteration's record, untimed.
     """
     cfg = state.cfg
@@ -280,12 +330,10 @@ def _step(p: ProblemDef, decomposed: bool, state: SolverState,
     # is made, so the two are alive at once only when an adaptation
     # re-evaluates the gradient for its new penalties.
     merit_grad = eval_merit_gradient(p, z, lam, cfg.eta)
-    nd = modify_hessian(assemble_newton_data(p, z, lam))
+    nd, direction = _modified_direction(assemble_newton_data(p, z, lam), plan,
+                                        cfg.mu, helper)
     rescalings = 0
     while True:
-        direction = (solve_full_newton(nd) if plan is None else
-                     approximate_direction(nd, plan, cfg.mu,
-                                           workers=cfg.workers))
         slope = float(merit_grad[0] @ direction.dz
                       + merit_grad[1] @ direction.dlam)
         bound = -0.5 * cfg.eta.eta2 * kkt_res ** 2
@@ -306,6 +354,7 @@ def _step(p: ProblemDef, decomposed: bool, state: SolverState,
         state.cfg = cfg = replace(cfg, b=min(cfg.b, p.N - 1))
         plan = make_plan(p.N, cfg.M, cfg.b)
         merit_grad = eval_merit_gradient(p, z, lam, cfg.eta)
+        direction = _direction(nd, plan, cfg.mu)
 
     ratio = None
     if cfg.diagnostics and plan is not None:
@@ -419,10 +468,15 @@ def solve(p: ProblemDef, cfg: SolverConfig, init, mode: str = "fotd") -> SolveRe
     status "error" and the history intact.  The decomposed direction's plan
     is built once before the first evaluation, so an invalid ``M`` or ``b``
     raises ValueError before any callback runs; each step then builds it
-    from the config it holds.
+    from the config it holds.  With ``cfg.workers`` above 1 one helper
+    thread serves every step of the solve (module docstring).
     """
     if mode not in ("fotd", "centralized"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "fotd":
         make_plan(p.N, cfg.M, cfg.b)
-    return run_outer_loop(p, cfg, init, partial(_step, p, mode == "fotd"))
+    step = partial(_step, p, mode == "fotd")
+    if cfg.workers == 1:
+        return run_outer_loop(p, cfg, init, step)
+    with futures.ThreadPoolExecutor(max_workers=1) as helper:
+        return run_outer_loop(p, cfg, init, partial(step, helper=helper))

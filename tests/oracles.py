@@ -8,7 +8,6 @@ so that its callbacks record the stages they are called on.
 """
 
 from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -316,7 +315,7 @@ def first_indefinite_member(Rt, stage):
     raise AssertionError("a stack failed the pivot test but no member did")
 
 
-def reference_band_direction(nd, plan, mu, workers=1):
+def reference_band_direction(nd, plan, mu):
     """``fotd.decomposition.approximate_direction``'s band path in its plain form.
 
     Every subproblem is truncated from the blocks and assembled alone: a
@@ -324,10 +323,10 @@ def reference_band_direction(nd, plan, mu, workers=1):
     H + c G^T G band and KKT band from ``banded._test_band`` and
     ``banded._kkt_band``, and its own right-hand side; c comes from the
     horizon's stage norms and the subproblem's terminal block.  ``dpbtrf``
-    tests, ``dgbsv`` solves, on a thread pool when ``workers > 1``, and the
-    first failing subproblem in plan order raises ``MuTooSmallError``.  The
-    direction assembled once over the horizon and cut into windows must
-    match this bit for bit, in results and in errors.
+    tests, ``dgbsv`` solves, and the first failing subproblem in plan order
+    raises ``MuTooSmallError``.  The direction assembled once over the
+    horizon and cut into windows must match this bit for bit, in results
+    and in errors.
     """
     nx, nu = nd.n_x, nd.n_u
     m = nx + nu
@@ -370,11 +369,7 @@ def reference_band_direction(nd, plan, mu, workers=1):
         return (stages[:, nx: 2 * nx].copy(), stages[:T, 2 * nx:].copy(),
                 stages[:, :nx].copy())
 
-    if workers > 1 and plan.M > 1:
-        with ThreadPoolExecutor(max_workers=min(workers, plan.M)) as pool:
-            parts = list(pool.map(solve, range(plan.M)))
-    else:
-        parts = [solve(i) for i in range(plan.M)]
+    parts = [solve(i) for i in range(plan.M)]
     dx, du, dlam = compose(parts, plan)
     return NewtonDirection(stack_primal(dx, du), dlam.ravel())
 
@@ -712,3 +707,18 @@ def batched_copy(p: ProblemDef) -> ProblemDef:
         return stage_batched(form)(lambda *args: fn(*args))
 
     return replace(p, **{name: batched(getattr(p, name)) for name in CALLBACKS})
+
+
+def report_bytes(report):
+    """A solve report as comparable values, floats by their bits.
+
+    Every record's fields but ``wall_ms``, the status, the descent
+    violations, the error's type and string, and the bytes of the final x,
+    u and lam: two reports with equal values are equal bit for bit.
+    """
+    records = [tuple(None if v is None else float(v).hex() for v in (
+        r.iteration, r.kkt_residual, r.merit, r.stepsize, r.gamma,
+        r.dir_err_ratio, r.step_norm)) for r in report.records]
+    return (records, report.status, report.descent_violations,
+            type(report.exception), report.error, report.z.x.tobytes(),
+            report.z.u.tobytes(), report.lam.lam.tobytes())

@@ -9,11 +9,11 @@ import pytest
 
 from numpy.linalg import _umath_linalg
 
-from fotd.banded import (LQ, PIVOT_TOL, LQBands, _band, _kkt_band, _kkt_stages,
-                         _test_band, definiteness_pivots_ok, junction_stages,
-                         even_batches, pivot_failure, solve_kkt_band,
-                         solve_lq_kkt, solve_lq_pieces, solve_lq_riccati,
-                         solve_lq_windows, stage_windows)
+from fotd.banded import (COST_CHUNK, LQ, PIVOT_TOL, LQBands, _band, _kkt_band,
+                         _kkt_stages, _test_band, definiteness_pivots_ok,
+                         junction_stages, even_batches, pivot_failure,
+                         solve_kkt_band, solve_lq_kkt, solve_lq_pieces,
+                         solve_lq_riccati, solve_lq_windows, stage_windows)
 from fotd.exceptions import (IndefiniteStageError, LinearSolverError,
                              SingularKKTError, SingularStageError)
 from fotd.newton import default_definiteness_constant
@@ -299,11 +299,12 @@ def assert_sweeps_agree(args):
         assert a.shape == b.shape and np.array_equal(a, b)
 
 
-# T runs across the edges of the sweep's COST_CHUNK = 16 stage chunks.
+# T runs across the edges of the sweep's chunks of COST_CHUNK // K stages.
 @pytest.mark.parametrize("nx, nu", [(1, 1), (3, 5), (4, 4), (16, 16)])
 @pytest.mark.parametrize("K", [1, 2, 8])
 def test_riccati_sweep_matches_the_reference_bit_for_bit(K, nx, nu):
-    for T in (1, 15, 16, 17, 33, 60):
+    C = COST_CHUNK // K
+    for T in (1, C - 1, C, C + 1, 2 * C + 1, 60):
         assert_sweeps_agree(stacked(
             [lq_data(T, nx, nu, seed=100 * K + T + j) for j in range(K)]))
 
@@ -499,18 +500,24 @@ def test_pieces_solve_and_test_as_the_whole_horizon(monkeypatch, junctions):
 def test_an_overflowed_band_fails_the_test():
     # A = 1e200 overflows every A_k^T A_k to inf.  The band's factorization
     # completes with inf pivots, which certify nothing: the test fails at
-    # the first of them with an infinite margin.
+    # the first of them with an infinite margin.  The overflow itself is no
+    # failure, so it raises no RuntimeWarning where warnings are errors.
     T = 4
     Q, S, R, A, B = (np.full((n, 1, 1), v) for n, v in (
         (T + 1, 1.0), (T, 0.0), (T, 1.0), (T, 1e200), (T, 1.0)))
-    with np.errstate(over="ignore"):
-        assert pivot_failure(Q, S, R, A, B, 1.0) == (0, np.inf)
-        assert not definiteness_pivots_ok(Q, S, R, A, B, 1.0)
-        # Past a junction at stage 1, the piece that overflows is not the
-        # one with the smallest finite pivot; it fails the test all the same.
-        A[0], A[1], B[1] = 1.0, 0.0, 0.0
-        assert pivot_failure(Q, S, R, A, B, 1.0) == (2, np.inf)
-        assert pivot_failure(Q, S, R, A, B, 1.0, [1]) == (2, np.inf)
+    assert pivot_failure(Q, S, R, A, B, 1.0) == (0, np.inf)
+    assert not definiteness_pivots_ok(Q, S, R, A, B, 1.0)
+    # So does a window of the horizon's bands, as narrow subproblems are.
+    zeros = np.zeros((T + 1, 1))
+    bands = LQBands(LQ(Q, S, R, A, B, zeros, zeros[:T], zeros[0], zeros[:T]))
+    with pytest.raises(IndefiniteStageError) as err:
+        bands.solve(0, T, Q[T], zeros[0], 1.0)
+    assert (err.value.stage, err.value.margin) == (0, np.inf)
+    # Past a junction at stage 1, the piece that overflows is not the one
+    # with the smallest finite pivot; it fails the test all the same.
+    A[0], A[1], B[1] = 1.0, 0.0, 0.0
+    assert pivot_failure(Q, S, R, A, B, 1.0) == (2, np.inf)
+    assert pivot_failure(Q, S, R, A, B, 1.0, [1]) == (2, np.inf)
 
 
 def overflowing_sweep(A: float, c0: float):

@@ -1,5 +1,3 @@
-from itertools import product
-
 import numpy as np
 import pytest
 
@@ -426,16 +424,6 @@ def test_initial_stage_of_direction_is_pinned():
     assert abs(approx.dz[0]) <= 1e-12 * (1.0 + approx.norm())
 
 
-def test_scheduling_determinism_across_worker_counts():
-    p, nd = toy_nd(N=40, seed=12)
-    plan = make_plan(40, 5, 3)
-    base = approximate_direction(nd, plan, 25.0, workers=1)
-    for workers in (2, 5):
-        other = approximate_direction(nd, plan, 25.0, workers=workers)
-        np.testing.assert_array_equal(base.dz, other.dz)
-        np.testing.assert_array_equal(base.dlam, other.dlam)
-
-
 def test_riccati_direction_matches_band_subproblems_on_the_plate():
     from fotd.benchmarks import PlateSpec, make_plate_problem
     p = make_plate_problem(PlateSpec(m=6, N=60))
@@ -638,14 +626,12 @@ def test_band_direction_matches_the_per_subproblem_reference_bit_for_bit():
     failed = 0
     for name, nd in band_grid_problems():
         assert nd.n_x < RICCATI_MIN_NX
-        for plan, workers in product(BAND_GRID_PLANS, (1, 2)):
-            want = outcome(lambda: reference_band_direction(nd, plan, 25.0,
-                                                            workers))
-            got = outcome(lambda: approximate_direction(nd, plan, 25.0,
-                                                        workers))
-            assert got == want, (name, plan, workers)
+        for plan in BAND_GRID_PLANS:
+            want = outcome(lambda: reference_band_direction(nd, plan, 25.0))
+            got = outcome(lambda: approximate_direction(nd, plan, 25.0))
+            assert got == want, (name, plan)
             failed += want[0] is MuTooSmallError
-    assert failed == 2 * len(BAND_GRID_PLANS)  # only the indefinite case fails
+    assert failed == len(BAND_GRID_PLANS)  # only the indefinite case fails
 
 
 def test_riccati_path_names_the_first_failing_subproblem_in_plan_order():
@@ -703,17 +689,16 @@ def test_a_singular_band_lu_names_the_subproblem_and_horizon_stage():
     nd = assemble_newton_data(p, *random_point(p, seed=15))
     plan = make_plan(40, 4, 2)  # [0, 12], [8, 22], [18, 32], [28, 40]
     nd.R[25], nd.S[25], nd.B[25] = Rt, 0.0, 0.0
-    for workers in (1, 2):
-        with pytest.raises(SingularKKTError) as err:
-            approximate_direction(nd, plan, 25.0, workers=workers)
-        assert (err.value.subproblem, err.value.stage) == (2, 25)
-        # stage 7 of the subproblem, its second control's column
-        assert err.value.info == 7 * 4 + 2 + 2
-        assert str(err.value) == (
-            "banded KKT factorization of subproblem 2 failed at horizon "
-            "stage 25: LAPACK dgbsv met a zero pivot (info=32)")
-        assert isinstance(err.value.__cause__, SingularKKTError)
-        assert err.value.__cause__.stage == 7
+    with pytest.raises(SingularKKTError) as err:
+        approximate_direction(nd, plan, 25.0)
+    assert (err.value.subproblem, err.value.stage) == (2, 25)
+    # stage 7 of the subproblem, its second control's column
+    assert err.value.info == 7 * 4 + 2 + 2
+    assert str(err.value) == (
+        "banded KKT factorization of subproblem 2 failed at horizon "
+        "stage 25: LAPACK dgbsv met a zero pivot (info=32)")
+    assert isinstance(err.value.__cause__, SingularKKTError)
+    assert err.value.__cause__.stage == 7
     with pytest.raises(SingularKKTError) as alone:
         solve_subproblem(assemble_subproblem(nd, plan, 2, 25.0))
     assert str(alone.value) == str(err.value)

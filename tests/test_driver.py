@@ -1,11 +1,14 @@
 import math
 import re
+import threading
 from dataclasses import FrozenInstanceError, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from fotd.benchmarks import (ToySpec, make_initializations, make_toy_problem,
+from fotd.benchmarks import (PlateSpec, ToySpec, make_initializations,
+                             make_plate_problem, make_toy_problem,
                              toy_case_params)
 from fotd.decomposition import approximate_direction, make_plan
 import fotd.driver as driver
@@ -16,7 +19,7 @@ from fotd.driver import (MERIT_NOISE, STALL_ITERS, IterationRecord,
                          run_outer_loop, solve)
 from fotd.exceptions import (AdaptivityFailure, ArmijoStall,
                              LineSearchFailure, ModificationFailure,
-                             NonDescentError, SolverError,
+                             MuTooSmallError, NonDescentError, SolverError,
                              UndefinedRatioError)
 from fotd.newton import (NewtonDirection, assemble_newton_data, modify_hessian,
                          solve_full_newton)
@@ -25,7 +28,7 @@ from fotd.problem import (DualTrajectory, MeritTerms, PenaltyParams,
                           eval_merit, eval_merit_gradient)
 
 from oracles import (make_random_lq, newton_solve_to_kkt, random_point,
-                     recording)
+                     recording, report_bytes)
 
 
 def toy(N, C1=8.0, C2=1.0, d=lambda k: 1.0):
@@ -659,3 +662,114 @@ def test_solver_config_validation():
     # The Armijo and adaptation constants live in the driver module.
     with pytest.raises(TypeError):
         SolverConfig(beta=0.1)
+
+
+# ---------------------------------------------------------------------------
+# The helper thread of workers > 1
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def spy(monkeypatch):
+    """Record the thread of each direction and whether each test shifted.
+
+    ``directions`` gets, per direction the driver computes, whether it ran
+    off the calling thread; ``shifted`` gets, per Hessian test that
+    returned, whether it shifted the Hessian.
+    """
+    seen = SimpleNamespace(directions=[], shifted=[])
+    main = threading.get_ident()
+    for name in ("approximate_direction", "solve_full_newton"):
+        def direction(*args, _real=getattr(driver, name)):
+            seen.directions.append(threading.get_ident() != main)
+            return _real(*args)
+        monkeypatch.setattr(driver, name, direction)
+
+    def modify(nd, _real=driver.modify_hessian):
+        out = _real(nd)
+        seen.shifted.append(out is not nd)
+        return out
+
+    monkeypatch.setattr(driver, "modify_hessian", modify)
+    return seen
+
+
+def solve_at_each_worker_count(spy, p, cfg, init, mode="fotd"):
+    """Solve at workers 1, 2 and 3, whose reports must agree bit for bit.
+
+    Returns the report at workers=1 and, per worker count, the ``spy``'s
+    directions and tests of that solve.
+    """
+    reports, seen = [], []
+    for workers in (1, 2, 3):
+        spy.directions.clear()
+        spy.shifted.clear()
+        reports.append(solve(p, replace(cfg, workers=workers), init,
+                             mode=mode))
+        seen.append((list(spy.directions), list(spy.shifted)))
+    want = report_bytes(reports[0])
+    assert all(report_bytes(r) == want for r in reports[1:])
+    return reports[0], seen
+
+
+@pytest.mark.parametrize("mode", ["fotd", "centralized"])
+def test_the_helper_gives_the_direction_of_an_unshifted_hessian(spy, mode):
+    p = toy(N=60)
+    report, seen = solve_at_each_worker_count(
+        spy, p, SolverConfig(M=3, b=2), make_initializations(p, 2, seed=0)[1],
+        mode)
+    assert report.converged and report.iterations > 5
+    (one, tests), *more = seen
+    assert not any(one) and not any(tests)
+    for directions, _ in more:  # every step's direction came from the helper
+        assert len(directions) == report.iterations and all(directions)
+
+
+def test_the_helper_result_is_dropped_when_the_test_shifts(spy):
+    # Init 1 of the plate at m = 3 needs a Levenberg shift at iteration 0,
+    # and then the shifted Hessian's subproblems fail their test.
+    p = make_plate_problem(PlateSpec(m=3, N=100))
+    report, seen = solve_at_each_worker_count(
+        spy, p, SolverConfig(M=10, b=5), make_initializations(p, 5, seed=0)[1])
+    assert isinstance(report.exception, MuTooSmallError)
+    assert report.exception.iteration == 0
+    assert seen[0] == ([False], [True])
+    # The helper's direction of the unshifted Hessian, then the shifted one.
+    assert seen[1] == seen[2] == ([True, False], [True])
+
+
+def test_the_helper_error_is_the_step_error_of_an_unshifted_hessian(spy):
+    # Criterion 8's pattern: the whole horizon is definite, and so is every
+    # subproblem at mu = 2, but at mu = 0.5 the terminal penalty does not
+    # make up for Q_1 = Q_2 = -1 in subproblem 0, stages 0-2.
+    p, data = make_random_lq(4, 1, 1, seed=0)
+    data["Q"][:, 0, 0] = [1.0, -1.0, -1.0, 3.0, 3.0]
+    data["R"][:, 0, 0] = [1.0, 2.0, 2.0, 2.0]
+    data["S"][:] = 0.0
+    data["A"][:] = data["B"][:] = 1.0
+    init = random_point(p, seed=1)
+    report, seen = solve_at_each_worker_count(
+        spy, p, SolverConfig(mu=0.5, M=4, b=1), init)
+    assert isinstance(report.exception, MuTooSmallError)
+    assert (report.exception.index, report.exception.stage) == (0, 2)
+    assert seen == [([False], [False]), ([True], [False]), ([True], [False])]
+    # At mu = 2 the helper's direction passes its test but violates the
+    # descent inequality, and the adapted penalties' directions are
+    # computed on the calling thread.
+    report, seen = solve_at_each_worker_count(
+        spy, p, SolverConfig(mu=2.0, M=4, b=1, adaptivity=True), init)
+    assert report.converged and report.descent_violations > 0
+    directions = seen[1][0]
+    assert len(directions) > 1 and directions[0] and not any(directions[1:])
+
+
+def test_an_error_of_the_hessian_test_is_the_step_error(spy, monkeypatch):
+    # As in test_an_exhausted_levenberg_ladder_is_reported_with_its_iteration;
+    # the helper's direction of the indefinite Hessian is dropped.
+    import fotd.newton as newton
+    p, data = make_random_lq(12, 2, 2, seed=3)
+    data["R"][5] = -10.0 * np.eye(2)
+    monkeypatch.setattr(newton, "GAMMA_CEILING", 1e-3)
+    report, seen = solve_at_each_worker_count(
+        spy, p, SolverConfig(M=3, b=1), random_point(p, seed=3))
+    assert isinstance(report.exception, ModificationFailure)
+    assert seen == [([], []), ([True], []), ([True], [])]

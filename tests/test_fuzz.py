@@ -11,9 +11,14 @@ mode.  The draws are seeded NumPy draws, so a draw that fails here fails
 every run.
 """
 
+import threading
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import fotd.driver as driver
 from fotd import (DualTrajectory, IndefiniteHorizonError, IndefiniteStageError,
                   MuTooSmallError, SolveReport, SolverConfig, SolverError,
                   SubproblemFailure, Trajectory, schwarz_solve, solve)
@@ -23,7 +28,7 @@ from fotd.benchmarks import (PlateSpec, make_initializations,
 from fotd.driver import STATUS_ERROR, STATUS_KKT, STATUS_MAX_ITERS, STATUS_STEP
 
 import oracles
-from oracles import make_random_lq, random_point
+from oracles import make_random_lq, random_point, report_bytes
 
 MODES = ("fotd", "centralized", "schwarz")
 MAX_ITERS = 15
@@ -169,3 +174,30 @@ def test_a_toy_terminal_cost_past_the_float_range_stops_typed_at_iteration_0():
         assert isinstance(report.exception, SolverError)
         assert report.exception.iteration == 0
         assert_stops_typed(report)
+
+
+def test_an_overflow_draw_stops_alike_on_the_helper_thread(monkeypatch):
+    # The draw above overflows in iteration 0, which stops typed once its
+    # direction is computed: the slope along it is NaN.  With two workers
+    # the helper computes that direction, in the error state of the thread
+    # that called the solve: floating-point warnings are off in both, and
+    # where one is an error the solve stops typed, as with one worker.
+    p, cfg, init = toy_far_draw(1, 1e300)
+    real, states = driver.approximate_direction, []
+
+    def direction(*args):
+        states.append((threading.get_ident(), np.geterr()["over"]))
+        return real(*args)
+
+    monkeypatch.setattr(driver, "approximate_direction", direction)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        reports = [run(p, replace(cfg, workers=w), init, "fotd")
+                   for w in (1, 2)]
+    for report in reports:
+        assert_stops_typed(report)
+        assert report.status == STATUS_ERROR and report.iterations == 0
+    assert report_bytes(reports[0]) == report_bytes(reports[1])
+    main = threading.get_ident()
+    assert [(t == main, over) for t, over in states] == [
+        (True, "ignore"), (False, "ignore")]

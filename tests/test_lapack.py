@@ -13,6 +13,7 @@ import ctypes
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,11 +25,10 @@ from fotd.banded import _kkt_band, _test_band, pivot_failure, solve_lq_kkt
 from fotd.benchmarks import (PlateSpec, make_initializations,
                              make_plate_problem, make_toy_problem,
                              toy_case_params)
-from fotd.decomposition import approximate_direction, make_plan
 from fotd.exceptions import LinearSolverError, SingularKKTError
 from fotd.newton import assemble_newton_data, default_definiteness_constant
 
-from oracles import lq_data
+from oracles import lq_data, report_bytes
 
 numpy_backend = pytest.mark.skipif(
     not _lapack.LAPACK.startswith("ctypes"),
@@ -282,16 +282,19 @@ def test_a_missing_library_or_symbol_falls_back_to_scipy(fresh, patch):
 
 
 def test_two_workers_repeat_one_worker_bit_for_bit():
-    """The band solves run outside the interpreter lock with ``workers=2``."""
-    nd = toy_lq(500)
-    plan = make_plan(500, 10, 5)
-    base = approximate_direction(nd, plan, 25.0)
+    """With ``workers=2`` the helper thread's band solves run outside the
+    interpreter lock while the calling thread's ``dpbtrf`` tests the
+    Hessian."""
+    spec, _ = toy_case_params(1, N=500)
+    p = make_toy_problem(spec)
+    init = make_initializations(p, 2, 0)[1]
+    cfg = fotd.SolverConfig(M=10, b=5)
+    base = report_bytes(fotd.solve(p, cfg, init))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(20):
-            got = approximate_direction(nd, plan, 25.0, workers=2)
-            assert got.dz.tobytes() == base.dz.tobytes()
-            assert got.dlam.tobytes() == base.dlam.tobytes()
+        for _ in range(5):
+            assert report_bytes(fotd.solve(p, replace(cfg, workers=2),
+                                           init)) == base
     finally:
         sys.setswitchinterval(interval)

@@ -20,15 +20,19 @@ The cells, named ``family/index/mode``:
   each at seeds 0-3, b=5, in modes fotd, fotd_w2 (two workers),
   centralized and schwarz;
 - the plate at m=3 and m=4, N=100, M=10, b=5, inits 0-4 of seed 0, in the
-  same four modes;
+  same four modes (at inits 1-4 fotd shifts the Hessian at iteration 0, so
+  fotd_w2 drops its helper thread's direction there);
 - toy cases 1-3 at N=120, M=6, b=1 with ``diagnostics``, ``adaptivity``
   and ``assert_descent=False``, inits 0-2 of seed 0, in modes fotd,
   centralized and schwarz;
 - every draw that ``tests/test_fuzz.py`` solves, built by its own
-  functions and solved in its three modes, fotd, centralized and schwarz:
-  the 40 narrow and 4 wide ``random_lq_draw`` seeds (``fuzz-narrow``,
-  ``fuzz-wide``), and the toy cases 1-3 and the plate at m = 3 and 4 at
-  each of their far scales (``fuzz-toy-c1`` and so on, indexed by scale).
+  functions and solved in its three modes, fotd, centralized and schwarz,
+  and in fotd_w2: the 40 narrow and 4 wide ``random_lq_draw`` seeds
+  (``fuzz-narrow``, ``fuzz-wide``), and the toy cases 1-3 and the plate at
+  m = 3 and 4 at each of their far scales (``fuzz-toy-c1`` and so on,
+  indexed by scale).
+
+That is 351 cells: 48, 40, 27 and 236.
 
 Floating-point warnings are off in every solve, as in the fuzz gate; they
 change no result.  It measures no time.
@@ -60,7 +64,7 @@ CELLS = (
     + [f"toy-c{case}-flags/{i}/{mode}" for case in (1, 2, 3) for i in range(3)
        for mode in SOLO]
     + [f"{family}/{i}/{mode}" for family, count in FUZZ for i in range(count)
-       for mode in SOLO]
+       for mode in MODES]
 )
 
 
